@@ -770,14 +770,21 @@ func runMonitorReadPath() error {
 	mon := monitor.New(rt, clock)
 
 	report := struct {
-		Experiment        string      `json:"experiment"`
-		Population        int         `json:"population"`
-		EventsPerInstance int         `json:"events_per_instance"`
-		Summarize         comparison  `json:"summarize"`
-		Late              comparison  `json:"late"`
-		Overview          comparison  `json:"overview"`
-		Advance           comparison  `json:"advance"`
-		Stats             rtpkg.Stats `json:"runtime_stats"`
+		Experiment        string     `json:"experiment"`
+		Population        int        `json:"population"`
+		EventsPerInstance int        `json:"events_per_instance"`
+		Summarize         comparison `json:"summarize"`
+		Late              comparison `json:"late"`
+		Overview          comparison `json:"overview"`
+		Advance           comparison `json:"advance"`
+		// SummarizeByPopulation is Summarize's cost at growing N;
+		// SummarizeByPopulationBefore is the same measurement frozen
+		// from the per-instance scan Summarize did before the runtime
+		// maintained the cockpit aggregate, carried over from the
+		// previous BENCH_monitor.json.
+		SummarizeByPopulation       []summarizePoint `json:"summarize_by_population"`
+		SummarizeByPopulationBefore json.RawMessage  `json:"summarize_by_population_before,omitempty"`
+		Stats                       rtpkg.Stats      `json:"runtime_stats"`
 	}{
 		Experiment:        "monitor-readpath",
 		Population:        rt.Count(),
@@ -813,6 +820,18 @@ func runMonitorReadPath() error {
 		})
 	report.Stats = rt.RuntimeStats()
 
+	if report.SummarizeByPopulation, err = summarizeScaling(); err != nil {
+		return err
+	}
+	if prev, err := os.ReadFile("BENCH_monitor.json"); err == nil {
+		var old struct {
+			Before json.RawMessage `json:"summarize_by_population_before"`
+		}
+		if json.Unmarshal(prev, &old) == nil {
+			report.SummarizeByPopulationBefore = old.Before
+		}
+	}
+
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -837,8 +856,67 @@ func runMonitorReadPath() error {
 		report.Advance.Snapshot.NsPerOp, float64(report.Advance.Snapshot.BytesPerOp)/1024,
 		report.Advance.Summary.NsPerOp, float64(report.Advance.Summary.BytesPerOp)/1024,
 		report.Advance.Speedup, report.Advance.BytesRatio)
+	for _, p := range report.SummarizeByPopulation {
+		fmt.Printf("  summarize at N=%-7d %8.3fms %8.1fKB/op\n", p.Population, float64(p.NsPerOp)/1e6, float64(p.BytesPerOp)/1024)
+	}
 	fmt.Printf("  wrote BENCH_monitor.json\n")
 	return nil
+}
+
+// summarizePoint is Summarize's cost at one population size.
+type summarizePoint struct {
+	Population int   `json:"population"`
+	Models     int   `json:"models"`
+	NsPerOp    int64 `json:"ns_per_op"`
+	BytesPerOp int64 `json:"bytes_per_op"`
+}
+
+// summarizeScaling measures the cockpit summary at 2k, 10k and 100k
+// instances spread over 64 models — the shape of
+// BenchmarkMonitorSummarize: each instance a few phases along the
+// happy path, the clock past the early deadlines. One population is
+// alive at a time.
+func summarizeScaling() ([]summarizePoint, error) {
+	const models = 64
+	var out []summarizePoint
+	for _, n := range []int{2000, 10000, 100000} {
+		clock := vclock.NewFake(time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
+		rt, err := rtpkg.New(rtpkg.Config{Registry: actionlib.NewRegistry(), Clock: clock, SyncActions: true})
+		if err != nil {
+			return nil, err
+		}
+		ms := make([]*core.Model, models)
+		for i := range ms {
+			ms[i] = scenario.QualityPlan()
+			ms[i].URI = fmt.Sprintf("urn:bench:model-%d", i)
+			ms[i].Name = fmt.Sprintf("Bench model %d", i)
+		}
+		for i := 0; i < n; i++ {
+			ref := resource.Ref{URI: fmt.Sprintf("urn:bench:res-%d", i), Type: "mediawiki"}
+			snap, err := rt.Instantiate(ms[i%models], ref, "owner", nil)
+			if err != nil {
+				return nil, err
+			}
+			for _, to := range scenario.HappyPath[:i%4] {
+				if _, err := rt.AdvanceSummary(snap.ID, to, "owner", rtpkg.AdvanceOptions{}); err != nil {
+					return nil, err
+				}
+			}
+		}
+		clock.Advance(45 * 24 * time.Hour)
+		mon := monitor.New(rt, clock)
+		// Settle the build's garbage first, as testing.B does, then
+		// grow the iteration count until one size takes 200ms.
+		runtimego.GC()
+		for iters := 1; ; iters *= 4 {
+			ns, bytes := measure(iters, func() { mon.Summarize() })
+			if time.Duration(ns*int64(iters)) >= 200*time.Millisecond || iters >= 1<<20 {
+				out = append(out, summarizePoint{Population: n, Models: models, NsPerOp: ns, BytesPerOp: bytes})
+				break
+			}
+		}
+	}
+	return out, nil
 }
 
 // runPersist measures the durable-runtime refactor: the write-through

@@ -1365,6 +1365,10 @@ func (s *System) QuerySummaries(f runtime.Filter, after int64, limit int) runtim
 	return s.Runtime.QuerySummaries(f, after, limit)
 }
 
+// Aggregate returns the runtime's maintained cockpit headline numbers
+// at now — the monitor.Source seam behind Monitor().Summarize.
+func (s *System) Aggregate(now time.Time) runtime.Aggregate { return s.Runtime.Aggregate(now) }
+
 // ForEachSummary streams the summaries matching the filter in creation
 // order, without materializing the population — the monitor.Source
 // seam the cockpit rebuild runs on.

@@ -867,6 +867,10 @@ func TestAdminRuntimeStats(t *testing.T) {
 		Invocations  int   `json:"invocation_index"`
 		ResourceKeys int   `json:"resource_index_keys"`
 		ModelKeys    int   `json:"model_index_keys"`
+		Population   struct {
+			DueHeap int   `json:"aggregate_due_heap"`
+			Rewinds int64 `json:"aggregate_rewinds"`
+		} `json:"population_index"`
 	}
 	if code := e.call(t, "GET", "/api/v1/admin/runtime", "", nil, &stats); code != 200 {
 		t.Fatalf("admin runtime stats = %d", code)
@@ -889,6 +893,39 @@ func TestAdminRuntimeStats(t *testing.T) {
 	}
 	if stats.ResourceKeys != 1 || stats.ModelKeys != 1 {
 		t.Fatalf("index keys = %d resources / %d models, want 1/1", stats.ResourceKeys, stats.ModelKeys)
+	}
+
+	// The cockpit aggregate's bookkeeping: all three instances wait in
+	// the due heap for internalreview's day-40 deadline. A summary read
+	// on day 41 sweeps them late; one on day 31 — the clock stepped
+	// back — rewinds them to the heap.
+	if stats.Population.DueHeap != 3 || stats.Population.Rewinds != 0 {
+		t.Fatalf("aggregate due heap = %d, rewinds = %d before any summary, want 3/0",
+			stats.Population.DueHeap, stats.Population.Rewinds)
+	}
+	var sum struct {
+		Late int `json:"late"`
+	}
+	for _, step := range []struct {
+		by         time.Duration
+		late, heap int
+		rewinds    int64
+	}{
+		{41 * 24 * time.Hour, 3, 0, 0},
+		{-10 * 24 * time.Hour, 0, 3, 1},
+	} {
+		e.clock.Advance(step.by)
+		if code := e.call(t, "GET", "/api/v1/monitor/summary", "", nil, &sum); code != 200 {
+			t.Fatalf("summary = %d", code)
+		}
+		if code := e.call(t, "GET", "/api/v1/admin/runtime", "", nil, &stats); code != 200 {
+			t.Fatalf("admin runtime stats = %d", code)
+		}
+		if sum.Late != step.late || stats.Population.DueHeap != step.heap || stats.Population.Rewinds != step.rewinds {
+			t.Fatalf("clock moved %v: late = %d, due heap = %d, rewinds = %d; want %d/%d/%d",
+				step.by, sum.Late, stats.Population.DueHeap, stats.Population.Rewinds,
+				step.late, step.heap, step.rewinds)
+		}
 	}
 }
 

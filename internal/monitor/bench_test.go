@@ -1,11 +1,13 @@
 package monitor
 
-// Benchmarks for the summary-backed cockpit over the ISSUE's reference
-// population: 2048 instances × 128 events each. The *SnapshotBaseline
-// variants replicate the pre-rewrite algorithms (deep-copy every
-// instance via Instances(), rescan events and executions per query) so
-// the committed BENCH_monitor.json trajectory and local runs can
-// compare like for like. The population is built once and shared.
+// Benchmarks for the summary-backed cockpit over a reference
+// population of 2048 instances × 128 events each, built once and
+// shared. The *SnapshotBaseline variants replicate the pre-rewrite
+// algorithms (deep-copy every instance via Instances(), rescan events
+// and executions per query) so the committed BENCH_monitor.json
+// trajectory and local runs can compare like for like.
+// BenchmarkMonitorSummarize instead builds populations of growing size,
+// since its claim is that the cost does not grow with N.
 
 import (
 	"context"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"github.com/liquidpub/gelee/internal/actionlib"
+	"github.com/liquidpub/gelee/internal/core"
 	"github.com/liquidpub/gelee/internal/resource"
 	"github.com/liquidpub/gelee/internal/runtime"
 	"github.com/liquidpub/gelee/internal/scenario"
@@ -81,15 +84,82 @@ func benchEnv(b *testing.B) (*runtime.Runtime, *Monitor, *vclock.Fake) {
 	return benchOnce.rt, benchOnce.mon, benchOnce.clock
 }
 
-func BenchmarkMonitorSummarize(b *testing.B) {
-	_, mon, _ := benchEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := mon.Summarize()
-		if sum.Total != benchPopulation {
-			b.Fatalf("total = %d", sum.Total)
+// summarizeModels is the model count of the Summarize populations:
+// fixed, so growing the population grows only N, not the by_model
+// breakdown.
+const summarizeModels = 64
+
+// summarizeCache holds the most recent Summarize population; sub-
+// benchmarks run one size at a time, so one slot avoids rebuilding a
+// population for every b.N round without keeping every size alive.
+var summarizeCache struct {
+	n   int
+	mon *Monitor
+}
+
+// summarizeEnv builds n instances spread round-robin over
+// summarizeModels copies of the quality plan, each advanced a few
+// phases along the happy path, with the clock moved past the early
+// deadlines so lateness has work. Histories stay short: Summarize's
+// cost must not depend on them either way.
+func summarizeEnv(b *testing.B, n int) *Monitor {
+	b.Helper()
+	if summarizeCache.n == n {
+		return summarizeCache.mon
+	}
+	summarizeCache.n, summarizeCache.mon = 0, nil
+	clock := vclock.NewFake(time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
+	rt, err := runtime.New(runtime.Config{
+		Registry:    actionlib.NewRegistry(),
+		Clock:       clock,
+		SyncActions: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	models := make([]*core.Model, summarizeModels)
+	for i := range models {
+		models[i] = scenario.QualityPlan()
+		models[i].URI = fmt.Sprintf("urn:bench:model-%d", i)
+		models[i].Name = fmt.Sprintf("Bench model %d", i)
+	}
+	for i := 0; i < n; i++ {
+		ref := resource.Ref{URI: fmt.Sprintf("urn:bench:res-%d", i), Type: "mediawiki"}
+		snap, err := rt.Instantiate(models[i%summarizeModels], ref, "owner", nil)
+		if err != nil {
+			b.Fatal(err)
 		}
+		for _, to := range scenario.HappyPath[:i%4] {
+			if _, err := rt.AdvanceSummary(snap.ID, to, "owner", runtime.AdvanceOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	clock.Advance(45 * 24 * time.Hour)
+	mon := New(rt, clock)
+	// The first read sweeps every deadline the clock jump passed into
+	// the late count; the benchmark measures the steady state after it.
+	mon.Summarize()
+	summarizeCache.n, summarizeCache.mon = n, mon
+	return mon
+}
+
+// BenchmarkMonitorSummarize measures the cockpit summary at 2k, 10k and
+// 100k instances. Summarize reads the runtime's maintained aggregate,
+// so the cost follows the distinct phases and models, not N: the
+// figures should stay flat across sizes.
+func BenchmarkMonitorSummarize(b *testing.B) {
+	for _, n := range []int{2000, 10000, 100000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			mon := summarizeEnv(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if sum := mon.Summarize(); sum.Total != n {
+					b.Fatalf("total = %d", sum.Total)
+				}
+			}
+		})
 	}
 }
 

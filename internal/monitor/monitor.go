@@ -5,23 +5,23 @@
 // are late, and what happened to each one, at any point in time.
 //
 // The monitor is a pure read-side component; it never mutates lifecycle
-// state. Since the summary-backed rewrite it is also copy-free on the
-// population-wide views: Overview, Late and Summarize are built from
-// runtime.Summary projections — incrementally maintained counters
-// (deviations, failed steps, pending invocations), token position and
-// the current phase's resolved due date — so a cockpit query is
-// O(population) with small constants, never O(total history), and never
-// deep-copies an event slice, an execution slice or a model. Since the
-// population-index rewrite the views stream those summaries through
-// Source.ForEachSummary — the runtime's incrementally maintained
-// ordered index — instead of materializing the full population per
-// call, and the filtered variants (OverviewWhere, LateWhere) push a
-// runtime.Filter down to the runtime's secondary indexes so a
-// by-resource or by-model cockpit view is O(matches), not O(N). Only
-// the per-instance drill-downs still read history: Timeline pages
-// straight from the runtime's event window (runtime.Events), and
-// PhaseStats replays one instance's retained phase-entered events from
-// a snapshot.
+// state, and no view deep-copies an event slice, an execution slice or
+// a model. What each view costs:
+//
+//   - Summarize is O(phases + models). Its headline numbers are a
+//     runtime aggregate (Source.Aggregate) that every mutation keeps up
+//     to date, with lateness swept off due-time heaps, so a summary
+//     never walks the population.
+//   - Overview and Late are O(matches). They stream runtime.Summary
+//     projections — maintained counters, token position, the current
+//     phase's resolved due date — through Source.ForEachSummary off the
+//     runtime's ordered population index, one row per matching
+//     instance; the filtered variants (OverviewWhere, LateWhere) push a
+//     runtime.Filter down to the secondary indexes, so a by-resource or
+//     by-model view touches only its matches.
+//   - The per-instance drill-downs are O(page) and O(phases): Timeline
+//     pages straight from the runtime's event window (runtime.Events),
+//     and PhaseStats reads the per-phase counters the runtime maintains.
 package monitor
 
 import (
@@ -34,12 +34,14 @@ import (
 
 // Source supplies instance projections — satisfied by *runtime.Runtime
 // and by *gelee.System (whose Events stitches ring-truncated history
-// back in from the journaled execution log). ForEachSummary streams
-// the population views off the runtime's ordered population index,
-// filter pushed down, without materializing every summary; Events
-// (paged history window) and PhaseStats (the incrementally maintained
-// per-phase counters) feed the per-instance drill-downs.
+// back in from the journaled execution log). Aggregate serves the
+// summary's maintained headline numbers; ForEachSummary streams the
+// row views off the runtime's ordered population index, filter pushed
+// down, without materializing every summary; Events (paged history
+// window) and PhaseStats (the incrementally maintained per-phase
+// counters) feed the per-instance drill-downs.
 type Source interface {
+	Aggregate(now time.Time) runtime.Aggregate
 	ForEachSummary(f runtime.Filter, after int64, fn func(runtime.Summary) bool)
 	Events(id string, after, limit int) (runtime.EventPage, bool)
 	PhaseStats(id string, now time.Time) (map[string]runtime.PhaseStat, bool)
@@ -132,10 +134,12 @@ func (m *Monitor) Late() []Row {
 }
 
 // LateWhere returns the late rows among instances matching the filter,
-// most overdue first. The lateness predicate itself is pushed down:
-// the runtime evaluates it on the maintained summary counters while
-// streaming the population (or secondary) index, so only late rows are
-// ever built.
+// most overdue first, ties in creation order. The lateness predicate
+// itself is pushed down: the runtime evaluates it on the maintained
+// summary counters while streaming the population (or secondary)
+// index, so only late rows are ever built. Rows arrive in creation
+// order and the sort is stable, so instances sharing a due date (an
+// absolute deadline) list the same way on every call.
 func (m *Monitor) LateWhere(f runtime.Filter) []Row {
 	now := m.clock.Now()
 	f.LateOnly = true
@@ -147,7 +151,7 @@ func (m *Monitor) LateWhere(f runtime.Filter) []Row {
 		rows = append(rows, row(s, f.Now))
 		return true
 	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Due.Before(rows[j].Due) })
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Due.Before(rows[j].Due) })
 	return rows
 }
 
@@ -165,44 +169,25 @@ type Summary struct {
 	Proposals  int            `json:"pending_proposals"`
 }
 
-// Summarize computes the aggregate over every instance — the "picture of
+// Summarize reports the cockpit's headline numbers — the "picture of
 // the status of the lifecycle for each artifact at any given point in
-// time" (§II.B.4). Every number comes from the summaries' maintained
-// counters, so the cost is independent of history length and unaffected
-// by event-history truncation.
+// time" (§II.B.4) — from the runtime's maintained aggregate: O(phases +
+// models) per call, independent of population size, history length
+// and event-history truncation.
 func (m *Monitor) Summarize() Summary {
-	now := m.clock.Now()
-	sum := Summary{ByPhase: make(map[string]int), ByModel: make(map[string]int)}
-	m.src.ForEachSummary(runtime.Filter{}, 0, func(s runtime.Summary) bool {
-		sum.Total++
-		switch s.State {
-		case runtime.StateActive:
-			sum.Active++
-		case runtime.StateCompleted:
-			sum.Completed++
-		}
-		if s.Current == "" {
-			sum.NotStarted++
-			sum.ByPhase["(not started)"]++
-		} else if s.PhaseName != "" {
-			sum.ByPhase[s.PhaseName]++
-		} else {
-			// Unnamed phases are legal (core only warns); key on the id
-			// so every started instance appears in the breakdown.
-			sum.ByPhase[s.Current]++
-		}
-		sum.ByModel[s.ModelName]++
-		if s.Late(now) {
-			sum.Late++
-		}
-		sum.Deviations += s.Deviations
-		sum.Failed += s.FailedSteps
-		if s.Pending != "" {
-			sum.Proposals++
-		}
-		return true
-	})
-	return sum
+	a := m.src.Aggregate(m.clock.Now())
+	return Summary{
+		Total:      a.Total,
+		Active:     a.Active,
+		Completed:  a.Completed,
+		NotStarted: a.NotStarted,
+		Late:       a.Late,
+		ByPhase:    a.ByPhase,
+		ByModel:    a.ByModel,
+		Deviations: a.Deviations,
+		Failed:     a.FailedSteps,
+		Proposals:  a.Proposals,
+	}
 }
 
 // TimelineEntry is one step of an instance's history view.

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -473,5 +474,52 @@ func TestPhaseStatsSurviveTruncation(t *testing.T) {
 	}
 	if _, ok := mon.PhaseBreakdown("ghost"); ok {
 		t.Fatal("breakdown for missing instance")
+	}
+}
+
+// TestLateViewTiesInCreationOrder: an absolute deadline gives every
+// instance in its phase the same due date, so the late view's order
+// among them comes from the sort's tie handling. Interleaved instances
+// with an earlier offset deadline force the sort to move rows; the
+// tied ones must still list in creation order, on every call.
+func TestLateViewTiesInCreationOrder(t *testing.T) {
+	e := newEnv(t)
+	start := e.clock.Now()
+	model := core.NewModel("urn:m:fixed", "Fixed-date model").
+		Phase("fixed", "Fixed").DueAt(start.Add(48*time.Hour)).Done().
+		Phase("rolling", "Rolling").DueIn(24*time.Hour).Done().
+		FinalPhase("done", "Done").
+		Initial("fixed").Initial("rolling").
+		Transition("fixed", "done").Transition("rolling", "done").
+		MustBuild()
+	var fixed, rolling []string
+	for i := 0; i < 60; i++ {
+		snap, err := e.rt.Instantiate(model, resource.Ref{URI: fmt.Sprintf("urn:r:%d", i), Type: "t"}, "owner", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phase := "fixed"
+		if i%3 == 0 {
+			phase = "rolling"
+			rolling = append(rolling, snap.ID)
+		} else {
+			fixed = append(fixed, snap.ID)
+		}
+		if _, err := e.rt.Advance(snap.ID, phase, "owner", runtime.AdvanceOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.clock.Advance(72 * time.Hour)
+	want := append(append([]string(nil), rolling...), fixed...)
+	for call := 0; call < 5; call++ {
+		late := e.mon.Late()
+		if len(late) != len(want) {
+			t.Fatalf("call %d: %d late rows, want %d", call, len(late), len(want))
+		}
+		for i, r := range late {
+			if r.InstanceID != want[i] {
+				t.Fatalf("call %d: row %d is %s, want %s (ties must keep creation order)", call, i, r.InstanceID, want[i])
+			}
+		}
 	}
 }

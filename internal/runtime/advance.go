@@ -147,7 +147,7 @@ func (r *Runtime) advance(instID, toPhase, actor string, opts AdvanceOptions, pr
 	for _, d := range dispatches {
 		rec.Executions = append(rec.Executions, *in.executions[d.startEv.Invocation])
 	}
-	if err := r.journalLocked(rec); err != nil {
+	if err := r.journalLocked(in, rec); err != nil {
 		// Fail-forward: the in-memory move stands, but the un-journaled
 		// mutation is not observed and its actions are not dispatched.
 		in.mu.Unlock()
@@ -304,7 +304,7 @@ func (r *Runtime) failDispatch(instID, invID string, err error) {
 	ev := r.record(in, Event{Kind: EventActionStatus, Phase: exec.Phase,
 		ActionURI: exec.ActionURI, Invocation: invID,
 		Status: actionlib.StatusFailed, Detail: err.Error()})
-	jerr := r.journalLocked(&JournalRecord{
+	jerr := r.journalLocked(in, &JournalRecord{
 		Op: RecDispatchFail, Instance: instID, Invocation: invID,
 		Detail: err.Error(), Events: []Event{ev},
 	})
@@ -354,7 +354,7 @@ func (r *Runtime) Report(up actionlib.StatusUpdate) error {
 		ActionURI: exec.ActionURI, Invocation: up.InvocationID,
 		Status: up.Message, Detail: up.Detail})
 	instID := in.id
-	jerr := r.journalLocked(&JournalRecord{
+	jerr := r.journalLocked(in, &JournalRecord{
 		Op: RecReport, Instance: instID, Invocation: up.InvocationID,
 		Status: up.Message, Detail: up.Detail, Terminal: up.Terminal(),
 		Events: []Event{ev},

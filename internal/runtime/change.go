@@ -40,7 +40,7 @@ func (r *Runtime) ProposeChange(instID, proposer string, newModel *core.Model, n
 		detail += " (replaces an undecided proposal)"
 	}
 	ev := r.record(in, Event{Kind: EventChangeProposed, Actor: proposer, Detail: detail, Phase: in.current})
-	if err := r.journalLocked(&JournalRecord{
+	if err := r.journalLocked(in, &JournalRecord{
 		Op: RecPropose, Instance: instID,
 		Proposer: proposer, ProposedAt: in.pending.ProposedAt, Note: note,
 		Model: in.pending.NewModel, DiffSummary: in.pending.Summary,
@@ -99,7 +99,7 @@ func (r *Runtime) acceptChange(instID, actor, landing string, project func(*inst
 	}
 	rec := &JournalRecord{Op: RecAccept, Instance: instID, Landing: landing, Events: evs}
 	rec.mirrorState(in)
-	if err := r.journalLocked(rec); err != nil {
+	if err := r.journalLocked(in, rec); err != nil {
 		in.mu.Unlock()
 		return err
 	}
@@ -187,7 +187,7 @@ func (r *Runtime) RejectChange(instID, actor, note string) error {
 	in.pending = nil
 	ev := r.record(in, Event{Kind: EventChangeRejected, Actor: actor, Phase: in.current,
 		Detail: summary + noteSuffix(note)})
-	if err := r.journalLocked(&JournalRecord{Op: RecReject, Instance: instID, Events: []Event{ev}}); err != nil {
+	if err := r.journalLocked(in, &JournalRecord{Op: RecReject, Instance: instID, Events: []Event{ev}}); err != nil {
 		in.mu.Unlock()
 		return err
 	}
@@ -274,7 +274,7 @@ func (r *Runtime) switchModel(instID, actor string, newModel *core.Model, landin
 		Events: evs,
 	}
 	rec.mirrorState(in)
-	if err := r.journalLocked(rec); err != nil {
+	if err := r.journalLocked(in, rec); err != nil {
 		in.mu.Unlock()
 		return err
 	}

@@ -130,6 +130,18 @@ type instance struct {
 	phaseResidence map[string]time.Duration
 	residPhase     string
 	residSince     time.Time
+	// agg is the contribution this instance last added to the cockpit
+	// aggregate; see aggContrib and aggEntry for its locking.
+	agg aggEntry
+}
+
+// dueIn resolves phase p's deadline against the instance start as a
+// wall-clock reading, with any monotonic reading stripped, so live and
+// replayed instances (decoded times carry none) compare alike and the
+// cockpit aggregate's due heaps see one total order. Zero when p has
+// no deadline.
+func (in *instance) dueIn(p *core.Phase) time.Time {
+	return p.Deadline.DueAt(in.createdAt).Round(0)
 }
 
 // notePhaseEntered maintains the per-phase stats on a phase-entered
@@ -300,7 +312,7 @@ func (in *instance) summary() Summary {
 		s.NextSuggested = in.mcache.suggested[in.current]
 		if p, ok := in.model.Phase(in.current); ok {
 			s.PhaseName = p.Name
-			s.Due = p.Deadline.DueAt(in.createdAt)
+			s.Due = in.dueIn(p)
 		}
 	}
 	if in.pending != nil {

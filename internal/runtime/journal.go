@@ -139,6 +139,10 @@ type JournalRecord struct {
 // journalLocked emits a record through the configured sink; callers
 // hold the mutated instance's lock, which is what makes the journal's
 // per-instance order equal the mutation order. A nil sink is a no-op.
+// Every live mutation passes through here, so it is also where the
+// mutated instance's cockpit-aggregate contribution is brought up to
+// date — first, so in-memory and fail-forward mutations are counted
+// too. in is nil only for Instantiate, whose instance publish counts.
 //
 // Failure semantics are fail-forward: the in-memory mutation has
 // already been applied and is NOT rolled back (rollback of a composite
@@ -147,7 +151,10 @@ type JournalRecord struct {
 // action dispatch, and the append-error counter feeds the admin
 // endpoint. The one exception is Instantiate, which journals before
 // publishing the instance and can therefore abort cleanly.
-func (r *Runtime) journalLocked(rec *JournalRecord) error {
+func (r *Runtime) journalLocked(in *instance, rec *JournalRecord) error {
+	if in != nil {
+		r.aggSync(in)
+	}
 	if r.cfg.Journal == nil {
 		return nil
 	}
@@ -207,26 +214,34 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	err := r.replayRecord(in, &rec)
+	r.aggSync(in)
+	return err
+}
+
+// replayRecord applies one mutation record to an existing instance;
+// callers hold in.mu.
+func (r *Runtime) replayRecord(in *instance, rec *JournalRecord) error {
 	switch rec.Op {
 	case RecAdvance:
-		return r.replayAdvance(in, &rec)
+		return r.replayAdvance(in, rec)
 	case RecAnnotate:
 		r.applyEvents(in, rec.Events)
 	case RecBind:
-		r.replayBind(in, &rec)
+		r.replayBind(in, rec)
 	case RecReport:
-		return r.replayReport(in, &rec)
+		return r.replayReport(in, rec)
 	case RecDispatchFail:
-		return r.replayDispatchFail(in, &rec)
+		return r.replayDispatchFail(in, rec)
 	case RecPropose:
-		r.replayPropose(in, &rec)
+		r.replayPropose(in, rec)
 	case RecAccept:
-		return r.replayAccept(in, &rec)
+		return r.replayAccept(in, rec)
 	case RecReject:
 		in.pending = nil
 		r.applyEvents(in, rec.Events)
 	case RecSwitch:
-		return r.replaySwitch(in, &rec)
+		return r.replaySwitch(in, rec)
 	default:
 		return fmt.Errorf("runtime: replay unknown record op %q for %s", rec.Op, rec.Instance)
 	}

@@ -45,10 +45,12 @@ func (sh *shard) insertOrdered(in *instance) bool {
 }
 
 // publish inserts an already-constructed instance into its shard map
-// and the population index in one critical section. It is the single
-// publication point shared by Instantiate, replayInstantiate and
-// replaySnapshot; dup reports an id collision (replay only), in which
-// case nothing was inserted.
+// and the population index in one critical section, then counts it in
+// the cockpit aggregate. It is the single publication point shared by
+// Instantiate, replayInstantiate and replaySnapshot; dup reports an id
+// collision (replay only), in which case nothing was inserted. A
+// mutation racing in between the insert and the count is harmless:
+// aggSync is idempotent, and whichever call comes first counts it.
 func (r *Runtime) publish(in *instance) (dup bool) {
 	sh := r.shardFor(in.id)
 	sh.mu.Lock()
@@ -61,6 +63,9 @@ func (r *Runtime) publish(in *instance) (dup bool) {
 		r.popOutOfOrder.Add(1)
 	}
 	sh.mu.Unlock()
+	in.mu.Lock()
+	r.aggSync(in)
+	in.mu.Unlock()
 	return false
 }
 
@@ -357,4 +362,12 @@ type PopIndexStats struct {
 	// deprecated full-scan baseline.
 	IndexedQueries int64 `json:"indexed_queries"`
 	ScanQueries    int64 `json:"scan_queries"`
+	// AggregateDueHeap is the number of late-eligible instances the
+	// cockpit aggregate holds as not yet late at its last read (see
+	// aggregate.go); AggregateRewinds counts reads that asked about an
+	// earlier instant than the read before them — a wall-clock step
+	// back, or concurrent readers arriving out of clock order — and so
+	// moved entries from late back to pending.
+	AggregateDueHeap int   `json:"aggregate_due_heap"`
+	AggregateRewinds int64 `json:"aggregate_rewinds"`
 }

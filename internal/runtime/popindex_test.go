@@ -235,13 +235,21 @@ func TestPopulationIndexReplayFromSnapshots(t *testing.T) {
 // while creators keep instantiating, and asserts the walk never skips
 // or duplicates an instance that existed before it started — the
 // invariant the collectAll scan gave for free and the ordered index
-// must preserve.
+// must preserve. Each creator has a fixed budget, so every walk
+// eventually catches up with the tail (NextAfter == 0) instead of
+// chasing an unbounded population. The creators start with the first
+// walk, which holds its second page until a create has landed, so at
+// least one walk provably runs while creates are in flight.
 func TestSummariesPageCursorStability(t *testing.T) {
-	const preSeeded = 150
+	const (
+		preSeeded  = 150
+		creators   = 3
+		perCreator = 200
+		walks      = 25
+	)
 	rt := popRuntime(t, Config{})
 	model := popModel()
 	pre := make(map[string]int64, preSeeded)
-	var maxPreSeq int64
 	for i := 0; i < preSeeded; i++ {
 		snap, err := rt.Instantiate(model, popRef(i), "owner", nil)
 		if err != nil {
@@ -249,30 +257,45 @@ func TestSummariesPageCursorStability(t *testing.T) {
 		}
 		sum, _ := rt.Summary(snap.ID)
 		pre[snap.ID] = sum.Seq
-		if sum.Seq > maxPreSeq {
-			maxPreSeq = sum.Seq
-		}
 	}
 
 	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for c := 0; c < 3; c++ {
+	var created atomic.Int64
+	start := make(chan struct{})
+	// firstCreate closes once a create has landed, or once a creator
+	// gives up, so the first walk never waits on a creator that failed.
+	firstCreate := make(chan struct{})
+	var firstOnce sync.Once
+	signal := func() { firstOnce.Do(func() { close(firstCreate) }) }
+	for c := 0; c < creators; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
+			defer signal()
+			<-start
+			for i := 0; i < perCreator; i++ {
 				if _, err := rt.Instantiate(model, popRef(c+i), "owner", nil); err != nil {
 					t.Errorf("instantiate: %v", err)
 					return
 				}
+				created.Add(1)
+				signal()
 			}
 		}(c)
 	}
 
-	for walk := 0; walk < 25; walk++ {
+	overlapped := 0
+	for walk := 0; walk < walks; walk++ {
+		createdBefore := created.Load()
+		if walk == 0 {
+			close(start)
+		}
 		seen := make(map[string]bool)
 		var after int64
-		for {
+		for pages := 0; ; pages++ {
+			if walk == 0 && pages == 1 {
+				<-firstCreate
+			}
 			page := rt.SummariesPage(after, 7)
 			for _, s := range page.Summaries {
 				if _, isPre := pre[s.ID]; isPre {
@@ -294,9 +317,17 @@ func TestSummariesPageCursorStability(t *testing.T) {
 		if len(seen) != preSeeded {
 			t.Fatalf("walk %d saw %d of %d pre-existing instances", walk, len(seen), preSeeded)
 		}
+		if created.Load() > createdBefore {
+			overlapped++
+		}
 	}
-	stop.Store(true)
 	wg.Wait()
+	if overlapped == 0 {
+		t.Fatal("no walk ran while creates were in flight")
+	}
+	if got, want := rt.Count(), preSeeded+creators*perCreator; got != want {
+		t.Fatalf("population = %d, want %d", got, want)
+	}
 	assertIndexMatchesCollectAll(t, rt)
 }
 

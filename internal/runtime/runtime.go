@@ -40,6 +40,8 @@
 // lock. Shard and index locks are leaves with respect to each other —
 // no code path holds two of them at once except the read-only Stats
 // walk, and none acquires an instance lock while holding a shard lock.
+// The cockpit aggregate's mutex is a leaf too: taken under an instance
+// lock or alone, never held while acquiring another (aggregate.go).
 // Monotonic counters (instance ids, invocation ids) are atomics.
 //
 // Events observed via Config.Observer are delivered outside every
@@ -55,7 +57,14 @@
 //   - Summary / Summaries: O(phases) per instance — counters, token
 //     position and the current phase's resolved due date, with no event
 //     slice, no execution slice and no model copy. The monitoring
-//     cockpit's Overview/Late/Summarize run entirely on summaries.
+//     cockpit's Overview and Late views stream summaries, so they cost
+//     O(matches).
+//   - Aggregate: O(phases + models), independent of the population.
+//     The cockpit summary's headline numbers — totals by state, phase
+//     and model, deviation/failure/proposal sums and the late count —
+//     are maintained at mutation time and on replay, each instance
+//     recording the contribution it last added; lateness is swept off
+//     due-time heaps at read time. See aggregate.go.
 //   - MoveResult (AdvanceSummary, AcceptChangeSummary,
 //     SwitchModelSummary): the post-move summary plus only the events
 //     that call appended — the copy-free response mode of the HTTP tier.
@@ -373,6 +382,9 @@ type Runtime struct {
 	popIndexed    atomic.Int64 // population queries served from indexes
 	popScans      atomic.Int64 // deprecated full-scan baseline calls
 
+	// agg is the cockpit aggregate behind Aggregate (see aggregate.go).
+	agg *aggregate
+
 	// Persistence counters (see journal.go). recoveryStart is written
 	// once (recoveryOnce makes that safe under parallel replay);
 	// recovery is written by FinishRecovery after the appliers join,
@@ -410,6 +422,7 @@ func New(cfg Config) (*Runtime, error) {
 		inv:     make([]*invShard, n),
 		byRes:   newURIIndex(n),
 		byModel: newURIIndex(n),
+		agg:     newAggregate(),
 	}
 	for i := 0; i < n; i++ {
 		r.shards[i] = &shard{instances: make(map[string]*instance)}
@@ -626,7 +639,9 @@ func (r *Runtime) Instantiate(model *core.Model, ref resource.Ref, owner string,
 	// respect to snapshot folding (see snapshot.go).
 	r.instPub.RLock()
 	defer r.instPub.RUnlock()
-	if err := r.journalLocked(&JournalRecord{
+	// No instance goes to journalLocked: the instance is counted in the
+	// cockpit aggregate when publish makes it visible.
+	if err := r.journalLocked(nil, &JournalRecord{
 		Op:         RecInstantiate,
 		Instance:   in.id,
 		Seq:        seq,
@@ -867,7 +882,7 @@ func (r *Runtime) Annotate(instID, actor, note string) error {
 	}
 	in.mu.Lock()
 	ev := r.record(in, Event{Kind: EventAnnotated, Actor: actor, Detail: note, Phase: in.current})
-	if err := r.journalLocked(&JournalRecord{Op: RecAnnotate, Instance: instID, Events: []Event{ev}}); err != nil {
+	if err := r.journalLocked(in, &JournalRecord{Op: RecAnnotate, Instance: instID, Events: []Event{ev}}); err != nil {
 		in.mu.Unlock()
 		return err
 	}
@@ -920,7 +935,7 @@ func (r *Runtime) BindParams(instID, actor, actionURI string, values map[string]
 	for k, v := range values {
 		vals[k] = v
 	}
-	return r.journalLocked(&JournalRecord{
+	return r.journalLocked(in, &JournalRecord{
 		Op: RecBind, Instance: instID,
 		Bindings: map[string]map[string]string{actionURI: values},
 	})
@@ -1018,6 +1033,7 @@ func (r *Runtime) RuntimeStats() Stats {
 		IndexedQueries:    r.popIndexed.Load(),
 		ScanQueries:       r.popScans.Load(),
 	}
+	st.PopulationIndex.AggregateDueHeap, st.PopulationIndex.AggregateRewinds = r.aggStats()
 	st.InvocationsGCed = r.invGCed.Load()
 	st.EventsTruncated = r.truncatedEvents.Load()
 	st.EventsInMemory = r.totalEvents.Load() - st.EventsTruncated
