@@ -143,9 +143,11 @@
 // pending proposals, the resource/model/invocation indexes, the
 // monotonic id counters, and every incremental counter — deviations,
 // failed steps, pending invocations, per-phase entered/residence
-// stats. Events flow through the same applier (applyRecorded) live and
-// on replay, which is what makes the rebuilt counters equal by
-// construction rather than by re-derivation.
+// stats — plus the cockpit aggregate, which each applied record and
+// each published instance brings up to date. Events flow through the
+// same applier (applyRecorded) live and on replay, which is what makes
+// the rebuilt counters equal by construction rather than by
+// re-derivation.
 //
 // Failure semantics are fail-forward: if the sink errors, the
 // in-memory mutation stands (Instantiate excepted — it journals before

@@ -97,6 +97,13 @@ func TestInstanceRecoveryAcrossRestart(t *testing.T) {
 	clock := vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC))
 	sys := newSystem(t, restartOpts(dir, clock))
 	ids := seedWorkload(t, sys)
+	// Past the early deadlines, so the cockpit summary has late
+	// instances to carry across the restart.
+	clock.Advance(45 * 24 * time.Hour)
+	wantCockpit := sys.Monitor().Summarize()
+	if wantCockpit.Late == 0 {
+		t.Fatalf("no late instance before restart: %+v", wantCockpit)
+	}
 	want := snapshotJSON(t, sys)
 	wantSums, err := json.Marshal(sys.Summaries())
 	if err != nil {
@@ -126,6 +133,9 @@ func TestInstanceRecoveryAcrossRestart(t *testing.T) {
 	}
 	if string(wantSums) != string(gotSums) {
 		t.Fatalf("summaries diverged:\nbefore %s\nafter  %s", wantSums, gotSums)
+	}
+	if got := sys2.Monitor().Summarize(); !reflect.DeepEqual(wantCockpit, got) {
+		t.Fatalf("cockpit summary diverged:\nbefore %+v\nafter  %+v", wantCockpit, got)
 	}
 	if sys2.ExecutionLog().Len() != wantLog {
 		t.Fatalf("execution log = %d entries, want %d", sys2.ExecutionLog().Len(), wantLog)

@@ -27,6 +27,8 @@ func TestRestartReplayBoundedAfterFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := snapshotJSON(t, sys)
+	clock.Advance(45 * 24 * time.Hour) // past the early deadlines
+	wantCockpit := sys.Monitor().Summarize()
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +49,9 @@ func TestRestartReplayBoundedAfterFold(t *testing.T) {
 	}
 	if got := snapshotJSON(t, sys2); !reflect.DeepEqual(want, got) {
 		t.Fatalf("state diverged across fold+restart:\nbefore %v\nafter  %v", want, got)
+	}
+	if got := sys2.Monitor().Summarize(); got.Late == 0 || !reflect.DeepEqual(wantCockpit, got) {
+		t.Fatalf("cockpit summary across fold+restart:\nbefore %+v\nafter  %+v", wantCockpit, got)
 	}
 	storeReplayed := sys2.StoreStats().Engine.Replay
 	firstStore := storeReplayed.SnapshotEntries + storeReplayed.TailEntries
