@@ -20,7 +20,8 @@
 // BENCH_runtime.json next to the working directory. The monitor
 // experiment measures the copy-free read path — summary-backed cockpit
 // queries and summary-mode Advance vs their snapshot-backed baselines
-// over a 2048-instance × 128-event population — and records the
+// over a 2048-instance × 128-event population, the cockpit summary at
+// growing populations and the filtered cockpit page — and records the
 // trajectory in BENCH_monitor.json. The fold experiment grows an
 // execution log tenfold and compares per-compaction cost with the
 // fold-by-reference archives against the legacy full-history rewrite,
@@ -56,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -784,7 +786,14 @@ func runMonitorReadPath() error {
 		// previous BENCH_monitor.json.
 		SummarizeByPopulation       []summarizePoint `json:"summarize_by_population"`
 		SummarizeByPopulationBefore json.RawMessage  `json:"summarize_by_population_before,omitempty"`
-		Stats                       rtpkg.Stats      `json:"runtime_stats"`
+		// FilteredPage is the cockpit's filtered instance page;
+		// FilteredPageBefore is the same measurement frozen from the
+		// runtime that sorted the model's index entry and built a
+		// summary for every candidate on each call, carried over from
+		// the previous BENCH_monitor.json.
+		FilteredPage       filteredPoint   `json:"filtered_page"`
+		FilteredPageBefore json.RawMessage `json:"filtered_page_before,omitempty"`
+		Stats              rtpkg.Stats     `json:"runtime_stats"`
 	}{
 		Experiment:        "monitor-readpath",
 		Population:        rt.Count(),
@@ -823,12 +832,17 @@ func runMonitorReadPath() error {
 	if report.SummarizeByPopulation, err = summarizeScaling(); err != nil {
 		return err
 	}
+	if report.FilteredPage, err = filteredPageCost(); err != nil {
+		return err
+	}
 	if prev, err := os.ReadFile("BENCH_monitor.json"); err == nil {
 		var old struct {
-			Before json.RawMessage `json:"summarize_by_population_before"`
+			Before         json.RawMessage `json:"summarize_by_population_before"`
+			FilteredBefore json.RawMessage `json:"filtered_page_before"`
 		}
 		if json.Unmarshal(prev, &old) == nil {
 			report.SummarizeByPopulationBefore = old.Before
+			report.FilteredPageBefore = old.FilteredBefore
 		}
 	}
 
@@ -859,6 +873,9 @@ func runMonitorReadPath() error {
 	for _, p := range report.SummarizeByPopulation {
 		fmt.Printf("  summarize at N=%-7d %8.3fms %8.1fKB/op\n", p.Population, float64(p.NsPerOp)/1e6, float64(p.BytesPerOp)/1024)
 	}
+	fp := report.FilteredPage
+	fmt.Printf("  filtered page (N=%d, %d models, limit %d) %8.3fms %8.1fKB/op\n",
+		fp.Population, fp.Models, fp.Limit, float64(fp.NsPerOp)/1e6, float64(fp.BytesPerOp)/1024)
 	fmt.Printf("  wrote BENCH_monitor.json\n")
 	return nil
 }
@@ -917,6 +934,91 @@ func summarizeScaling() ([]summarizePoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// filteredPoint is the cost of one filtered cockpit page.
+type filteredPoint struct {
+	Population int   `json:"population"`
+	Models     int   `json:"models"`
+	Limit      int   `json:"limit"`
+	NsPerOp    int64 `json:"ns_per_op"`
+	BytesPerOp int64 `json:"bytes_per_op"`
+}
+
+// filteredPageCost measures QuerySummaries(model=M, state=active,
+// limit=50), the cockpit's filtered page, over the cockpit benchmark
+// workload's population: 10k instances spread across 2048 models by
+// Zipf(1.1), each 0-3 steps along the happy path, with M drawn by the
+// same law. The runtime is rebuilt from its snapshot records in random
+// order first, as a restart replays them.
+func filteredPageCost() (filteredPoint, error) {
+	const population, models, limit = 10000, 2048, 50
+	pt := filteredPoint{Population: population, Models: models, Limit: limit}
+	newRT := func() (*rtpkg.Runtime, error) {
+		return rtpkg.New(rtpkg.Config{Registry: actionlib.NewRegistry(), SyncActions: true})
+	}
+	rt, err := newRT()
+	if err != nil {
+		return pt, err
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	zipf := rand.NewZipf(rng, 1.1, 1, models-1)
+	ms := make([]*core.Model, models)
+	for i := range ms {
+		ms[i] = scenario.QualityPlan()
+		ms[i].URI = fmt.Sprintf("urn:bench:model-%04d", i)
+	}
+	for i := 0; i < population; i++ {
+		ref := resource.Ref{URI: fmt.Sprintf("urn:bench:res-%d", i), Type: "mediawiki"}
+		snap, err := rt.Instantiate(ms[zipf.Uint64()], ref, "owner", nil)
+		if err != nil {
+			return pt, err
+		}
+		for _, to := range scenario.HappyPath[:rng.IntN(4)] {
+			if _, err := rt.AdvanceSummary(snap.ID, to, "owner", rtpkg.AdvanceOptions{}); err != nil {
+				return pt, err
+			}
+		}
+	}
+	type rec struct {
+		id   string
+		data []byte
+	}
+	var recs []rec
+	if err := rt.EmitSnapshots(func(id string, data []byte) error {
+		recs = append(recs, rec{id, data})
+		return nil
+	}); err != nil {
+		return pt, err
+	}
+	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	if rt, err = newRT(); err != nil {
+		return pt, err
+	}
+	for _, r := range recs {
+		if err := rt.ApplyJournal(r.id, r.data); err != nil {
+			return pt, err
+		}
+	}
+	rt.FinishRecovery()
+	picks := make([]string, 4096)
+	for i := range picks {
+		picks[i] = ms[zipf.Uint64()].URI
+	}
+	next := 0
+	query := func() {
+		rt.QuerySummaries(rtpkg.Filter{ModelURI: picks[next%len(picks)], State: rtpkg.StateActive}, 0, limit)
+		next++
+	}
+	recs = nil
+	runtimego.GC()
+	for iters := 1; ; iters *= 4 {
+		ns, bytes := measure(iters, query)
+		if time.Duration(ns*int64(iters)) >= 200*time.Millisecond || iters >= 1<<20 {
+			pt.NsPerOp, pt.BytesPerOp = ns, bytes
+			return pt, nil
+		}
+	}
 }
 
 // runPersist measures the durable-runtime refactor: the write-through

@@ -1358,9 +1358,8 @@ func (s *System) SummariesPage(after int64, limit int) runtime.SummaryPage {
 // QuerySummaries returns one cursor window of the summaries matching
 // the filter — the filtered mode of GET /api/v1/instances. Resource
 // and model predicates are served from the runtime's secondary URI
-// indexes, state/lateness from the maintained summary counters; see
-// runtime.Runtime.QuerySummaries for the Total semantics of filtered
-// pages.
+// indexes, and every predicate is checked on the candidate's own
+// fields; see runtime.SummaryPage for what Total counts.
 func (s *System) QuerySummaries(f runtime.Filter, after int64, limit int) runtime.SummaryPage {
 	return s.Runtime.QuerySummaries(f, after, limit)
 }

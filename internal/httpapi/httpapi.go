@@ -58,18 +58,12 @@
 // filtered mode), GET /api/v1/instances/{id}/timeline,
 // GET /api/v1/monitor/instances/{id}/timeline and GET /api/v1/admin/log
 // — shares one envelope shape: {items, total, next_after}. items is the
-// page, total the collection size where the server knows it without a
-// scan (0 = unknown: filtered instance walks, the unbounded admin log),
-// and next_after the cursor of the following page (absent at the tail;
-// pass it back as ?after=).
-//
-// Deprecated aliases: for one release each envelope also carries its
-// pre-unification field names — "instances" on the instance list,
-// "entries" on both timelines, and "entries"/"next"/"more" on the admin
-// log — mirroring items/next_after. The monitor timeline, which used to
-// return a bare JSON array, now returns the envelope (read it from
-// "items"). New clients must use the uniform names; the aliases go away
-// next release.
+// page and next_after the cursor of the following page (absent at the
+// tail; pass it back as ?after=). On the instance list, total is the
+// number of matches with seq > after, except that an unfiltered page
+// reports the whole population and a filter naming neither resource
+// nor model reports 0 (unknown); the timelines report the events ever
+// recorded on the instance and the admin log the entries ever appended.
 //
 // # Errors
 //
@@ -80,15 +74,15 @@
 // message the human-readable detail. Backoff rejections additionally
 // carry retry_after_ms (mirrored in the Retry-After header) and
 // read-only rejections mode:"read-only". The legacy "error" field
-// mirrors message for one release (deprecated, like the envelope
-// aliases). SOAP faults are unaffected (SOAP 1.1 fault envelope).
+// mirrors message for one release (deprecated). SOAP faults are
+// unaffected (SOAP 1.1 fault envelope).
 //
 // # Deprecations
 //
 // GET /api/v1/models/one?uri=U is deprecated in favor of
 // GET /api/v1/models/{uri...} (path-escape the model URI); the old
 // route still works for one release and answers with a
-// "Deprecation: true" header, as does every deprecated-alias envelope.
+// "Deprecation: true" header.
 // A model whose URI is literally "one" must use the escaped path form.
 //
 // Authentication is the hosted-prototype scheme: the X-Gelee-User header
@@ -520,21 +514,16 @@ func wantFull(r *http.Request) bool { return r.URL.Query().Get("full") == "1" }
 // ---- page envelopes ----------------------------------------------------------
 //
 // One cursor shape for every paged collection (see the package doc's
-// Paging envelope section): {items, total, next_after}, plus the
-// deprecated per-endpoint aliases kept for one release. Responses
-// carrying an alias also set the "Deprecation: true" header.
+// Paging envelope section): {items, total, next_after}.
 
 // instancesPage is the envelope of the paged/filtered instance list.
 type instancesPage struct {
 	Items []instancePayload `json:"items"`
-	// Total is the live population for unfiltered pages; for filtered
-	// pages it is the match count when served from a secondary index
-	// and 0 (unknown) when the filter required a predicate walk.
+	// Total is runtime.SummaryPage.Total: the matches with seq > after,
+	// the whole population for an unfiltered page, and 0 (unknown) for
+	// a filter naming neither resource nor model.
 	Total     int   `json:"total"`
 	NextAfter int64 `json:"next_after,omitempty"`
-	// Instances mirrors Items.
-	// Deprecated: read Items; this alias goes away next release.
-	Instances []instancePayload `json:"instances"`
 }
 
 // timelinePage is the envelope of both timeline routes, wrapping the
@@ -548,9 +537,6 @@ type timelinePage struct {
 	OldestSeq  int  `json:"oldest_seq"`
 	Truncated  bool `json:"truncated"`
 	Backfilled int  `json:"backfilled,omitempty"`
-	// Entries mirrors Items.
-	// Deprecated: read Items; this alias goes away next release.
-	Entries []monitor.TimelineEntry `json:"entries"`
 }
 
 func toTimelinePage(p monitor.TimelinePage) timelinePage {
@@ -561,7 +547,6 @@ func toTimelinePage(p monitor.TimelinePage) timelinePage {
 		OldestSeq:  p.OldestSeq,
 		Truncated:  p.Truncated,
 		Backfilled: p.Backfilled,
-		Entries:    p.Entries,
 	}
 }
 
@@ -571,18 +556,6 @@ type execLogPage struct {
 	// Total is the number of entries ever appended (hot + archived).
 	Total     int    `json:"total"`
 	NextAfter uint64 `json:"next_after,omitempty"`
-	// Entries/Next/More mirror Items and the cursor state.
-	// Deprecated: read Items/NextAfter; these aliases go away next
-	// release.
-	Entries []store.LogEntry `json:"entries"`
-	Next    uint64           `json:"next"`
-	More    bool             `json:"more"`
-}
-
-// deprecatedAliases marks a response that still carries pre-redesign
-// field names or reached a deprecated route.
-func deprecatedAliases(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
 }
 
 // parseFilter extracts the pushed-down population filter from the
@@ -654,7 +627,7 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 // handleGetModel is the deprecated query-param lookup
 // (GET /api/v1/models/one?uri=U); prefer the path-addressed route.
 func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
-	deprecatedAliases(w)
+	w.Header().Set("Deprecation", "true")
 	s.serveModel(w, r, r.URL.Query().Get("uri"))
 }
 
@@ -800,12 +773,10 @@ func (s *Server) handleListInstances(w http.ResponseWriter, r *http.Request) {
 	for i, sum := range page.Summaries {
 		items[i] = toSummaryPayload(sum)
 	}
-	deprecatedAliases(w)
 	writeJSON(w, http.StatusOK, instancesPage{
 		Items:     items,
 		Total:     page.Total,
 		NextAfter: page.NextAfter,
-		Instances: items,
 	})
 }
 
@@ -979,21 +950,10 @@ func (s *Server) handleExecLogPage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	next := uint64(after)
-	if n := len(entries); n > 0 {
-		next = entries[n-1].Seq
+	out := execLogPage{Items: entries, Total: s.b.ExecutionLogLen()}
+	if n := len(entries); n == limit {
+		out.NextAfter = entries[n-1].Seq
 	}
-	out := execLogPage{
-		Items:   entries,
-		Total:   s.b.ExecutionLogLen(),
-		Entries: entries,
-		Next:    next,
-		More:    len(entries) == limit,
-	}
-	if out.More {
-		out.NextAfter = next
-	}
-	deprecatedAliases(w)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -1107,7 +1067,6 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
 		return
 	}
-	deprecatedAliases(w)
 	writeJSON(w, http.StatusOK, toTimelinePage(page))
 }
 
@@ -1133,7 +1092,6 @@ func (s *Server) handleInstanceTimeline(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
 		return
 	}
-	deprecatedAliases(w)
 	writeJSON(w, http.StatusOK, toTimelinePage(page))
 }
 

@@ -202,19 +202,20 @@ func TestFig2EndToEnd(t *testing.T) {
 
 	// 7. The cockpit saw everything — via the uniform page envelope.
 	var tl struct {
-		Items   []map[string]any `json:"items"`
-		Entries []map[string]any `json:"entries"` // deprecated alias
-		Total   int              `json:"total"`
+		Items []map[string]any `json:"items"`
+		Total int              `json:"total"`
 	}
-	if code := e.call(t, "GET", "/api/v1/monitor/instances/"+inst.ID+"/timeline", "", nil, &tl); code != 200 {
+	code, hdr, body := rawGet(t, e.srv.URL, "/api/v1/monitor/instances/"+inst.ID+"/timeline")
+	if code != 200 {
 		t.Fatalf("timeline = %d", code)
+	}
+	if err := json.Unmarshal(body, &tl); err != nil {
+		t.Fatal(err)
 	}
 	if len(tl.Items) < 8 || tl.Total != len(tl.Items) {
 		t.Fatalf("timeline items = %d, total = %d", len(tl.Items), tl.Total)
 	}
-	if len(tl.Entries) != len(tl.Items) {
-		t.Fatalf("deprecated entries alias = %d items, want %d", len(tl.Entries), len(tl.Items))
-	}
+	assertNoAliases(t, hdr, body)
 }
 
 func TestFig3ActionBrowse(t *testing.T) {
@@ -449,7 +450,7 @@ func TestInstanceTimelinePaging(t *testing.T) {
 	type pageResp struct {
 		Entries []struct {
 			Seq int `json:"seq"`
-		} `json:"entries"`
+		} `json:"items"`
 		Total     int  `json:"total"`
 		OldestSeq int  `json:"oldest_seq"`
 		Truncated bool `json:"truncated"`
@@ -462,6 +463,8 @@ func TestInstanceTimelinePaging(t *testing.T) {
 	if page.Total != 10 || len(page.Entries) != 3 || page.Entries[0].Seq != 3 || page.NextAfter != 5 {
 		t.Fatalf("page = %+v", page)
 	}
+	_, hdr, body := rawGet(t, e.srv.URL, "/api/v1/instances/"+snap.ID+"/timeline?after=2&limit=3")
+	assertNoAliases(t, hdr, body)
 	// Defaults: whole history.
 	page = pageResp{}
 	e.call(t, "GET", "/api/v1/instances/"+snap.ID+"/timeline", "", nil, &page)
@@ -801,24 +804,29 @@ func TestAdminLogPage(t *testing.T) {
 		Entries []struct {
 			Seq  uint64 `json:"seq"`
 			Kind string `json:"kind"`
-		} `json:"entries"`
-		Next uint64 `json:"next"`
-		More bool   `json:"more"`
+		} `json:"items"`
+		Total     int    `json:"total"`
+		NextAfter uint64 `json:"next_after"`
 	}
 	var first page
-	if code := e.call(t, "GET", "/api/v1/admin/log?limit=2", "", nil, &first); code != 200 {
+	code, hdr, body := rawGet(t, e.srv.URL, "/api/v1/admin/log?limit=2")
+	if code != 200 {
 		t.Fatalf("admin log page = %d", code)
 	}
-	if len(first.Entries) != 2 || !first.More {
-		t.Fatalf("first page = %+v, want 2 entries with more", first)
+	if err := json.Unmarshal(body, &first); err != nil {
+		t.Fatal(err)
 	}
-	if first.Next != first.Entries[1].Seq {
-		t.Fatalf("cursor next = %d, want last seq %d", first.Next, first.Entries[1].Seq)
+	assertNoAliases(t, hdr, body)
+	if len(first.Entries) != 2 || first.Total != total {
+		t.Fatalf("first page = %+v, want 2 entries of %d", first, total)
+	}
+	if first.NextAfter != first.Entries[1].Seq {
+		t.Fatalf("cursor next_after = %d, want last seq %d", first.NextAfter, first.Entries[1].Seq)
 	}
 	// Walk the cursor to the end; pages must cover the log exactly once.
 	seen := len(first.Entries)
-	cursor := first.Next
-	for {
+	cursor := first.NextAfter
+	for cursor != 0 {
 		var p page
 		path := fmt.Sprintf("/api/v1/admin/log?after=%d&limit=2", cursor)
 		if code := e.call(t, "GET", path, "", nil, &p); code != 200 {
@@ -830,10 +838,7 @@ func TestAdminLogPage(t *testing.T) {
 			}
 		}
 		seen += len(p.Entries)
-		if len(p.Entries) == 0 {
-			break
-		}
-		cursor = p.Next
+		cursor = p.NextAfter
 	}
 	if seen != total {
 		t.Fatalf("cursor walk saw %d entries, log has %d", seen, total)
@@ -952,7 +957,7 @@ func TestInstanceListPaging(t *testing.T) {
 	}
 
 	type pageResp struct {
-		Instances []instanceJSON `json:"instances"`
+		Instances []instanceJSON `json:"items"`
 		Total     int            `json:"total"`
 		NextAfter int64          `json:"next_after"`
 	}
@@ -1101,7 +1106,7 @@ func TestTimelineBackfillOverAPI(t *testing.T) {
 	var page struct {
 		Entries []struct {
 			Seq int `json:"seq"`
-		} `json:"entries"`
+		} `json:"items"`
 		Total      int  `json:"total"`
 		Truncated  bool `json:"truncated"`
 		Backfilled int  `json:"backfilled"`

@@ -1,14 +1,17 @@
 package runtime
 
 // Benchmarks for the copy-free read path: Advance result modes over
-// instances with realistic (~128-event) histories, and the paged event
-// accessor. The cockpit-side benchmarks live in internal/monitor.
+// instances with realistic (~128-event) histories, the paged event
+// accessor and the cockpit's filtered population page. The other
+// cockpit-side benchmarks live in internal/monitor.
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/liquidpub/gelee/internal/actionlib"
+	"github.com/liquidpub/gelee/internal/core"
 	"github.com/liquidpub/gelee/internal/resource"
 	"github.com/liquidpub/gelee/internal/store"
 )
@@ -172,4 +175,48 @@ func BenchmarkJournalReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records)*float64(b.N), "records")
+}
+
+// BenchmarkQuerySummariesFiltered measures the cockpit's filtered page,
+// QuerySummaries(model=M, state=active, limit=50), over 10k instances
+// spread across 2048 models by Zipf(1.1), each 0-3 steps along its
+// lifecycle (3 = completed), with M drawn by the same law — the
+// population of the cockpit benchmark workload. The runtime is
+// replayed from its snapshot records in random order, so the model
+// index entries start in the order such a restart leaves them.
+func BenchmarkQuerySummariesFiltered(b *testing.B) {
+	const population, models, limit = 10000, 2048, 50
+	rng := rand.New(rand.NewPCG(1, 2))
+	zipf := rand.NewZipf(rng, 1.1, 1, models-1)
+	ms := make([]*core.Model, models)
+	for i := range ms {
+		ms[i] = popModel()
+		ms[i].URI = fmt.Sprintf("urn:bench:model-%04d", i)
+	}
+	rt := popRuntime(b, Config{SyncActions: true})
+	steps := []string{"draft", "work", "done"}
+	for i := 0; i < population; i++ {
+		snap, err := rt.Instantiate(ms[zipf.Uint64()], popRef(i), "owner", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, to := range steps[:rng.IntN(len(steps)+1)] {
+			if _, err := rt.AdvanceSummary(snap.ID, to, "owner", AdvanceOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rt = replaySnapshotRecs(b, Config{SyncActions: true}, shuffled(emitSnapshots(b, rt), 1))
+	picks := make([]string, 4096)
+	for i := range picks {
+		picks[i] = ms[zipf.Uint64()].URI
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		page := rt.QuerySummaries(Filter{ModelURI: picks[i%len(picks)], State: StateActive}, 0, limit)
+		if len(page.Summaries) > limit {
+			b.Fatalf("page of %d items, limit %d", len(page.Summaries), limit)
+		}
+	}
 }

@@ -21,7 +21,15 @@ package runtime
 // the O(N log N) copy-and-sort of the legacy collectAll scan. Streaming
 // callers (Summaries, Instances, the monitor's cockpit rebuild) iterate
 // the index in fixed-size batches via forEachRef, so no call ever
-// materializes the full population at once.
+// materializes the full population at once. EmitSnapshots walks it
+// too, so snapshot files are written, and replayed, in creation order.
+//
+// Filtered reads start from the resource or model URI index instead,
+// whose entries are seq-ordered by append plus a lazy sort (uriEntry):
+// the cursor is seeked by binary search, the tail past it is copied,
+// and Filter.matches — the one predicate every listing uses — is
+// checked on each candidate's fields, so only emitted items pay for a
+// Summary.
 
 import (
 	"sort"
@@ -147,9 +155,10 @@ func (r *Runtime) forEachRef(after int64, fn func(*instance) bool) {
 
 // Filter is the pushed-down predicate of a population query: every
 // field left zero matches all instances. Resource and ModelURI route
-// the query to the secondary URI indexes (O(matches), not O(N));
-// State and LateOnly are evaluated on each candidate's incrementally
-// maintained summary, so no event history is touched either way.
+// the query to the secondary URI indexes (O(matches), not O(N)); every
+// field is then checked on the candidate's own fields under its lock
+// (see matches), so no summary is built for a candidate the filter
+// rejects and no event history is touched either way.
 type Filter struct {
 	// Resource matches instances running on exactly this resource URI.
 	Resource string
@@ -166,45 +175,58 @@ type Filter struct {
 }
 
 // zero reports whether the filter matches everything.
-func (f Filter) zero() bool {
+func (f *Filter) zero() bool {
 	return f.Resource == "" && f.ModelURI == "" && f.State == "" && !f.LateOnly
 }
 
-// match evaluates the summary-level predicates (State, LateOnly, plus
-// the URI re-checks) against one summary.
-func (f Filter) match(s *Summary, now time.Time) bool {
-	if f.Resource != "" && s.Resource.URI != f.Resource {
+// now resolves the instant LateOnly is evaluated against.
+func (f *Filter) now(r *Runtime) time.Time {
+	if f.LateOnly && f.Now.IsZero() {
+		return r.clock.Now()
+	}
+	return f.Now
+}
+
+// matches is the one filter predicate of every listing. It reads the
+// instance's fields directly — the same ones summary() would copy — and
+// resolves the due time only for LateOnly, the Summary.Late predicate
+// on the Summary.Due value. Callers hold in.mu.
+func (f *Filter) matches(in *instance, now time.Time) bool {
+	if f.Resource != "" && in.res.URI != f.Resource {
 		return false
 	}
-	if f.ModelURI != "" && s.ModelURI != f.ModelURI {
+	if f.ModelURI != "" && in.modelURI != f.ModelURI {
 		return false
 	}
-	if f.State != "" && s.State != f.State {
+	if f.State != "" && in.state != f.State {
 		return false
 	}
-	if f.LateOnly && !s.Late(now) {
-		return false
+	if f.LateOnly {
+		if in.state != StateActive || in.current == "" {
+			return false
+		}
+		p, ok := in.model.Phase(in.current)
+		if !ok {
+			return false
+		}
+		due := in.dueIn(p)
+		return !due.IsZero() && now.After(due)
 	}
 	return true
 }
 
 // candidateRefs resolves the candidate stream of a filtered query:
-// the matching secondary index when the filter names a resource or
-// model URI (sorted by seq, seeked to the cursor), nil with
-// fromIndex=false when the query must walk the population index.
+// the tail past the cursor of the matching secondary index entry when
+// the filter names a resource or model URI, in creation order; nil
+// with fromIndex=false when the query must walk the population index.
 func (r *Runtime) candidateRefs(f Filter, after int64) (refs []*instance, fromIndex bool) {
-	var list []*instance
 	switch {
 	case f.Resource != "":
-		list = r.byRes.get(f.Resource)
+		return r.byRes.after(f.Resource, after), true
 	case f.ModelURI != "":
-		list = r.byModel.get(f.ModelURI)
-	default:
-		return nil, false
+		return r.byModel.after(f.ModelURI, after), true
 	}
-	sortBySeq(list)
-	i := sort.Search(len(list), func(i int) bool { return list[i].seq > after })
-	return list[i:], true
+	return nil, false
 }
 
 // ForEachSummary streams the summaries of instances matching f with
@@ -212,25 +234,24 @@ func (r *Runtime) candidateRefs(f Filter, after int64) (refs []*instance, fromIn
 // false or the population is exhausted. Queries naming a resource or
 // model URI are served from the secondary indexes (O(matches));
 // everything else streams off the population index in batches. Each
-// summary is built under its instance's lock only — no population-wide
-// lock exists, so the stream is a sequence of point-in-time reads, not
-// an atomic snapshot (same contract Summaries always had).
+// candidate is checked, and a summary built for a match, under its
+// instance's lock only — no population-wide lock exists, so the stream
+// is a sequence of point-in-time reads, not an atomic snapshot (same
+// contract Summaries always had).
 func (r *Runtime) ForEachSummary(f Filter, after int64, fn func(Summary) bool) {
-	now := f.Now
-	if f.LateOnly && now.IsZero() {
-		now = r.clock.Now()
-	}
+	now := f.now(r)
 	emit := func(in *instance) bool {
 		in.mu.Lock()
-		s := in.summary()
-		in.mu.Unlock()
-		if !f.match(&s, now) {
+		if !f.matches(in, now) {
+			in.mu.Unlock()
 			return true
 		}
+		s := in.summary()
+		in.mu.Unlock()
 		return fn(s)
 	}
+	r.popIndexed.Add(1)
 	if refs, fromIndex := r.candidateRefs(f, after); fromIndex {
-		r.popIndexed.Add(1)
 		for _, in := range refs {
 			if !emit(in) {
 				return
@@ -238,47 +259,50 @@ func (r *Runtime) ForEachSummary(f Filter, after int64, fn func(Summary) bool) {
 		}
 		return
 	}
-	r.popIndexed.Add(1)
 	r.forEachRef(after, emit)
 }
 
 // QuerySummaries returns one cursor window of the summaries matching f:
 // at most limit of them (limit <= 0 means no bound) with creation
-// sequence > after, in creation order. Total is the live population for
-// an unfiltered query; for filtered queries it is the number of
-// remaining candidates when the filter is served from a secondary
-// index, and 0 (unknown) when the filter requires a predicate walk —
-// counting those matches would cost the full scan the index exists to
-// avoid. NextAfter is the cursor of the following page, 0 at the tail.
+// sequence > after, in creation order. Total is as SummaryPage defines
+// it: the matches with seq > after, except that an unfiltered query
+// reports the whole live population and a filter naming neither a
+// resource nor a model URI reports 0 (unknown) — counting those
+// matches would cost the full walk the page exists to avoid. NextAfter
+// is the cursor of the following page, 0 at the tail.
+//
+// A query naming a URI costs O(log m) to seek the index entry, m
+// cheap field checks under each candidate's lock (m = the entry's
+// instances past the cursor, all needed for Total), and summaries for
+// the page's items only.
 func (r *Runtime) QuerySummaries(f Filter, after int64, limit int) SummaryPage {
-	now := f.Now
-	if f.LateOnly && now.IsZero() {
-		now = r.clock.Now()
-	}
+	now := f.now(r)
 	var page SummaryPage
+	r.popIndexed.Add(1)
 
 	if refs, fromIndex := r.candidateRefs(f, after); fromIndex {
-		r.popIndexed.Add(1)
-		matched := 0
+		n := len(refs)
+		if limit > 0 && limit < n {
+			n = limit
+		}
+		page.Summaries = make([]Summary, 0, n)
 		for _, in := range refs {
 			in.mu.Lock()
-			s := in.summary()
-			in.mu.Unlock()
-			if !f.match(&s, now) {
+			if !f.matches(in, now) {
+				in.mu.Unlock()
 				continue
 			}
-			matched++
+			page.Total++
 			if limit <= 0 || len(page.Summaries) < limit {
-				page.Summaries = append(page.Summaries, s)
+				page.Summaries = append(page.Summaries, in.summary())
 			} else if page.NextAfter == 0 {
 				page.NextAfter = page.Summaries[limit-1].Seq
 			}
+			in.mu.Unlock()
 		}
-		page.Total = matched
 		return page
 	}
 
-	r.popIndexed.Add(1)
 	if f.zero() {
 		page.Total = r.Count()
 		refs, more := r.pageRefs(after, limit)
@@ -295,20 +319,19 @@ func (r *Runtime) QuerySummaries(f Filter, after int64, limit int) SummaryPage {
 	}
 
 	// Predicate-filtered walk: stream the population index, keep
-	// matches until the page fills, then probe one batch further only
-	// to learn whether a next page exists.
+	// matches until the page fills, then stop at the first match past
+	// it, which proves a next page exists.
 	r.forEachRef(after, func(in *instance) bool {
 		in.mu.Lock()
-		s := in.summary()
-		in.mu.Unlock()
-		if !f.match(&s, now) {
+		defer in.mu.Unlock()
+		if !f.matches(in, now) {
 			return true
 		}
 		if limit > 0 && len(page.Summaries) >= limit {
 			page.NextAfter = page.Summaries[limit-1].Seq
 			return false
 		}
-		page.Summaries = append(page.Summaries, s)
+		page.Summaries = append(page.Summaries, in.summary())
 		return true
 	})
 	return page

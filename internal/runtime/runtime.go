@@ -96,9 +96,13 @@
 // inserts handle that with a from-the-tail binary search (the in-order
 // common case stays an amortized O(1) append) and the admin stats
 // count the out-of-order shuffles. Filtered queries (Filter) push
-// resource/model URIs down to the secondary indexes and evaluate
-// state/lateness on the incrementally maintained summary counters.
-// See popindex.go.
+// resource/model URIs down to the secondary indexes, whose entries are
+// kept in creation order too: a filtered page seeks the entry to the
+// cursor in O(log m), checks the filter on each of the m candidates
+// past it under that instance's lock (cheap field reads, needed for
+// the page's Total), and builds summaries for the page's items only —
+// O(log m + m + page) rather than sorting the entry and summarizing
+// every candidate. See popindex.go.
 //
 // # History truncation
 //
@@ -160,6 +164,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -265,20 +270,32 @@ type shard struct {
 
 // uriIndex is a striped secondary index from a URI to the instances
 // carrying it. Entries hold instance pointers so queries never re-hit
-// the instance table.
+// the instance table, and are kept in creation-seq order so a cursor
+// seeks them by binary search (see uriEntry).
 type uriIndex struct {
 	shards []*uriIndexShard
 }
 
 type uriIndexShard struct {
 	mu sync.RWMutex
-	m  map[string][]*instance
+	m  map[string]*uriEntry
+}
+
+// uriEntry is one URI's instances. add only appends, so replaying a
+// snapshot in any order costs O(1) per instance; an add below the
+// tail's seq (a model switch, racing Instantiates, replay of an
+// unordered file) marks the entry unsorted, and the next reader sorts
+// it once under the stripe's write lock. seq is immutable, so sorting
+// needs no instance lock.
+type uriEntry struct {
+	list     []*instance
+	unsorted bool
 }
 
 func newURIIndex(n int) *uriIndex {
 	ix := &uriIndex{shards: make([]*uriIndexShard, n)}
 	for i := range ix.shards {
-		ix.shards[i] = &uriIndexShard{m: make(map[string][]*instance)}
+		ix.shards[i] = &uriIndexShard{m: make(map[string]*uriEntry)}
 	}
 	return ix
 }
@@ -291,36 +308,80 @@ func (ix *uriIndex) shardFor(uri string) *uriIndexShard {
 func (ix *uriIndex) add(uri string, in *instance) {
 	sh := ix.shardFor(uri)
 	sh.mu.Lock()
-	sh.m[uri] = append(sh.m[uri], in)
+	e := sh.m[uri]
+	if e == nil {
+		e = &uriEntry{}
+		sh.m[uri] = e
+	}
+	if n := len(e.list); n > 0 && e.list[n-1].seq > in.seq {
+		e.unsorted = true
+	}
+	e.list = append(e.list, in)
 	sh.mu.Unlock()
 }
 
 // remove drops in from uri's entry (used when an owner switches the
-// model an instance follows).
+// model an instance follows): a binary search on a sorted entry, a
+// linear one on an entry still waiting for its sort.
 func (ix *uriIndex) remove(uri string, in *instance) {
 	sh := ix.shardFor(uri)
 	sh.mu.Lock()
-	list := sh.m[uri]
-	for i, got := range list {
-		if got == in {
-			sh.m[uri] = append(list[:i], list[i+1:]...)
-			break
-		}
+	defer sh.mu.Unlock()
+	e := sh.m[uri]
+	if e == nil {
+		return
 	}
-	if len(sh.m[uri]) == 0 {
+	i := -1
+	if e.unsorted {
+		i = slices.Index(e.list, in)
+	} else if j := e.search(in.seq - 1); j < len(e.list) && e.list[j] == in {
+		i = j
+	}
+	if i < 0 {
+		return
+	}
+	e.list = slices.Delete(e.list, i, i+1)
+	if len(e.list) == 0 {
 		delete(sh.m, uri)
 	}
-	sh.mu.Unlock()
 }
 
-// get returns a copy of uri's entry so callers iterate without the
-// index lock.
-func (ix *uriIndex) get(uri string) []*instance {
+// search returns the position of the first instance with seq > after
+// in a sorted entry.
+func (e *uriEntry) search(after int64) int {
+	return sort.Search(len(e.list), func(i int) bool { return e.list[i].seq > after })
+}
+
+// after returns a copy of the tail of uri's entry past the cursor, in
+// creation order, so callers take instance locks without the index
+// lock (the lock order is instance → stripe). An unsorted entry is
+// sorted first, once, under the write lock.
+func (ix *uriIndex) after(uri string, after int64) []*instance {
 	sh := ix.shardFor(uri)
 	sh.mu.RLock()
-	out := append([]*instance(nil), sh.m[uri]...)
+	e := sh.m[uri]
+	if e == nil || !e.unsorted {
+		out := e.tail(after)
+		sh.mu.RUnlock()
+		return out
+	}
 	sh.mu.RUnlock()
-	return out
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e = sh.m[uri]
+	if e != nil && e.unsorted {
+		sortBySeq(e.list)
+		e.unsorted = false
+	}
+	return e.tail(after)
+}
+
+// tail copies a sorted entry's instances with seq > after; nil-safe.
+func (e *uriEntry) tail(after int64) []*instance {
+	if e == nil {
+		return nil
+	}
+	return slices.Clone(e.list[e.search(after):])
 }
 
 // keys counts distinct URIs across stripes.
@@ -786,7 +847,11 @@ func (r *Runtime) Summaries() []Summary {
 // order with Seq > after.
 type SummaryPage struct {
 	Summaries []Summary `json:"summaries"`
-	// Total is the live instance population.
+	// Total is the number of matches with seq > after, the cursor the
+	// page was cut at. Two cases report something else: an unfiltered
+	// query reports the whole live population, and a filter naming
+	// neither a resource nor a model URI reports 0, unknown (see
+	// QuerySummaries).
 	Total int `json:"total"`
 	// NextAfter is the cursor for the following page (pass it as
 	// `after`); 0 when this page reaches the tail.
@@ -841,17 +906,16 @@ func (r *Runtime) PhaseStats(id string, now time.Time) (map[string]PhaseStat, bo
 	return out, true
 }
 
-// byIndexedURI snapshots the instances an index lists under uri, in
-// creation order. match re-checks the attribute under the instance
-// lock (the model index mutates on owner-initiated switches); a nil
-// match accepts all.
-func (r *Runtime) byIndexedURI(ix *uriIndex, uri string, match func(*instance) bool) []Snapshot {
-	list := ix.get(uri)
-	sortBySeq(list)
+// byIndexedURI snapshots the instances matching f, which names a
+// resource or model URI, in creation order. The filter is re-checked
+// under each instance's lock: the model index mutates on
+// owner-initiated switches.
+func (r *Runtime) byIndexedURI(f Filter) []Snapshot {
+	refs, _ := r.candidateRefs(f, 0)
 	var out []Snapshot
-	for _, in := range list {
+	for _, in := range refs {
 		in.mu.Lock()
-		if match == nil || match(in) {
+		if f.matches(in, time.Time{}) {
 			out = append(out, in.snapshot())
 		}
 		in.mu.Unlock()
@@ -863,14 +927,14 @@ func (r *Runtime) byIndexedURI(ix *uriIndex, uri string, match func(*instance) b
 // URI — several lifecycles on one URI are explicitly legal (§IV.B).
 // Served from the resource index: O(matches), not O(instances).
 func (r *Runtime) ByResource(uri string) []Snapshot {
-	return r.byIndexedURI(r.byRes, uri, nil)
+	return r.byIndexedURI(Filter{Resource: uri})
 }
 
 // ByModelURI returns snapshots of instances created from the model with
 // the given URI (provenance pointer; the instances own their copies).
 // Served from the model index: O(matches), not O(instances).
 func (r *Runtime) ByModelURI(uri string) []Snapshot {
-	return r.byIndexedURI(r.byModel, uri, func(in *instance) bool { return in.modelURI == uri })
+	return r.byIndexedURI(Filter{ModelURI: uri})
 }
 
 // Annotate attaches a free-form note to the instance history.

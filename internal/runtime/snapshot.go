@@ -16,10 +16,11 @@ import (
 	"time"
 )
 
-// EmitSnapshots calls emit once per live instance with the instance's
-// id and its encoded RecSnapshot record, each produced and emitted
-// while that instance's mutation lock is held — the contract the
-// store's fold-boundary sampling relies on: at emit time the image
+// EmitSnapshots calls emit once per live instance, in creation order,
+// with the instance's id and its encoded RecSnapshot record, each
+// produced and emitted while that instance's mutation lock is held —
+// the contract the store's fold-boundary sampling relies on: at emit
+// time the image
 // reflects exactly the records journaled for that instance so far, and
 // no new one can be journaled until emit returns. emit must not call
 // back into the Runtime. Safe to run while live traffic mutates other
@@ -31,27 +32,23 @@ func (r *Runtime) EmitSnapshots(emit func(id string, data []byte) error) error {
 	r.instPub.Lock()
 	//lint:ignore SA2001 empty critical section is the barrier
 	r.instPub.Unlock()
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		list := make([]*instance, 0, len(sh.instances))
-		for _, in := range sh.instances {
-			list = append(list, in)
+	// Walk in creation order, so the snapshot file replays as nearly
+	// in-order appends to the population and URI indexes.
+	var err error
+	r.forEachRef(0, func(in *instance) bool {
+		in.mu.Lock()
+		data, e := json.Marshal(snapshotRecord(in))
+		if e == nil {
+			e = emit(in.id, data)
 		}
-		sh.mu.RUnlock()
-		for _, in := range list {
-			in.mu.Lock()
-			rec := snapshotRecord(in)
-			data, err := json.Marshal(rec)
-			if err == nil {
-				err = emit(in.id, data)
-			}
-			in.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("runtime: snapshot %s: %w", in.id, err)
-			}
+		in.mu.Unlock()
+		if e != nil {
+			err = fmt.Errorf("runtime: snapshot %s: %w", in.id, e)
+			return false
 		}
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // snapshotRecord builds the full replayable image; callers hold in.mu.
