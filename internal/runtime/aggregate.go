@@ -26,8 +26,8 @@ package runtime
 // concurrent readers took the lock out of clock order. Either way a
 // read costs O(k log n) for the k entries that changed side; nothing
 // ever rescans the population. Lateness uses Summary.Late's predicate
-// on the same wall-clock due times (see instance.dueIn), so the count
-// agrees exactly with a per-instance scan.
+// on the same wall-clock due times (see instance.currentPhase), so the
+// count agrees exactly with a per-instance scan.
 
 import (
 	"container/heap"
@@ -101,12 +101,12 @@ func (in *instance) contribution() aggContrib {
 		return c
 	}
 	c.phase = in.current
-	if p, ok := in.model.Phase(in.current); ok {
+	if p, due := in.currentPhase(); p != nil {
 		if p.Name != "" {
 			c.phase = p.Name
 		}
 		if in.state == StateActive {
-			c.due = in.dueIn(p)
+			c.due = due
 		}
 	}
 	return c

@@ -135,13 +135,23 @@ type instance struct {
 	agg aggEntry
 }
 
-// dueIn resolves phase p's deadline against the instance start as a
-// wall-clock reading, with any monotonic reading stripped, so live and
-// replayed instances (decoded times carry none) compare alike and the
-// cockpit aggregate's due heaps see one total order. Zero when p has
-// no deadline.
-func (in *instance) dueIn(p *core.Phase) time.Time {
-	return p.Deadline.DueAt(in.createdAt).Round(0)
+// currentPhase returns the phase the instance sits in (nil when none
+// or unknown to its model) and that phase's deadline resolved against
+// the instance start. The due time is a wall-clock reading, with any
+// monotonic reading stripped, so live and replayed instances (decoded
+// times carry none) compare alike and the cockpit aggregate's due
+// heaps see one total order; zero when the phase has no deadline. It
+// is the one source of Summary.Due, the aggregate's late heaps and
+// the LateOnly filter. Callers hold in.mu.
+func (in *instance) currentPhase() (*core.Phase, time.Time) {
+	if in.current == "" {
+		return nil, time.Time{}
+	}
+	p, ok := in.model.Phase(in.current)
+	if !ok {
+		return nil, time.Time{}
+	}
+	return p, p.Deadline.DueAt(in.createdAt).Round(0)
 }
 
 // notePhaseEntered maintains the per-phase stats on a phase-entered
@@ -310,9 +320,9 @@ func (in *instance) summary() Summary {
 		s.NextSuggested = in.mcache.initial
 	} else {
 		s.NextSuggested = in.mcache.suggested[in.current]
-		if p, ok := in.model.Phase(in.current); ok {
+		if p, due := in.currentPhase(); p != nil {
 			s.PhaseName = p.Name
-			s.Due = in.dueIn(p)
+			s.Due = due
 		}
 	}
 	if in.pending != nil {

@@ -202,15 +202,8 @@ func (f *Filter) matches(in *instance, now time.Time) bool {
 		return false
 	}
 	if f.LateOnly {
-		if in.state != StateActive || in.current == "" {
-			return false
-		}
-		p, ok := in.model.Phase(in.current)
-		if !ok {
-			return false
-		}
-		due := in.dueIn(p)
-		return !due.IsZero() && now.After(due)
+		_, due := in.currentPhase()
+		return in.state == StateActive && !due.IsZero() && now.After(due)
 	}
 	return true
 }

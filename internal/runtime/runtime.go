@@ -321,8 +321,7 @@ func (ix *uriIndex) add(uri string, in *instance) {
 }
 
 // remove drops in from uri's entry (used when an owner switches the
-// model an instance follows): a binary search on a sorted entry, a
-// linear one on an entry still waiting for its sort.
+// model an instance follows). Deleting keeps the rest in order.
 func (ix *uriIndex) remove(uri string, in *instance) {
 	sh := ix.shardFor(uri)
 	sh.mu.Lock()
@@ -331,12 +330,7 @@ func (ix *uriIndex) remove(uri string, in *instance) {
 	if e == nil {
 		return
 	}
-	i := -1
-	if e.unsorted {
-		i = slices.Index(e.list, in)
-	} else if j := e.search(in.seq - 1); j < len(e.list) && e.list[j] == in {
-		i = j
-	}
+	i := slices.Index(e.list, in)
 	if i < 0 {
 		return
 	}

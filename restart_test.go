@@ -11,6 +11,7 @@ import (
 
 	"github.com/liquidpub/gelee/internal/runtime"
 	"github.com/liquidpub/gelee/internal/scenario"
+	"github.com/liquidpub/gelee/internal/store"
 	"github.com/liquidpub/gelee/internal/vclock"
 )
 
@@ -343,11 +344,12 @@ func TestSummariesPageCursor(t *testing.T) {
 }
 
 // TestPopulationIndexOrderAfterCompactRestart: Compact writes the
-// instance snapshot in creation order, so a restart publishes the
-// population almost entirely as appends, and the recovered runtime
-// serves the same filtered pages. Replay applies different instances
-// on parallel workers, so a few inserts may still land below a
-// neighbor; a snapshot in random order shuffled about 70% of them.
+// instance snapshot in creation order, and the recovered runtime serves
+// the same filtered pages. The order is checked on the file itself:
+// how many population-index inserts a restart shuffles depends on how
+// the parallel replay's workers interleave, which varies with the core
+// count (TestPopulationIndexSnapshotEmitOrder checks that an in-order
+// replay makes none).
 func TestPopulationIndexOrderAfterCompactRestart(t *testing.T) {
 	const n = 256
 	dir := t.TempDir()
@@ -385,13 +387,28 @@ func TestPopulationIndexOrderAfterCompactRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	coll, err := store.OpenInstances(filepath.Join(dir, "instances"), store.InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	if err := coll.Replay(func(id string, _ []byte) error {
+		order = append(order, id)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coll.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(order, want[0]) {
+		t.Fatalf("snapshot records out of creation order:\nfile     %v\ncreation %v", order, want[0])
+	}
+
 	sys2 := newSystem(t, restartOpts(dir, clock))
 	defer sys2.Close()
 	if rec := sys2.RecoveryStats(); rec.Instances != n || rec.Records != n {
 		t.Fatalf("recovered %d instances from %d records, want %d from one snapshot each", rec.Instances, rec.Records, n)
-	}
-	if ooo := sys2.RuntimeStats().PopulationIndex.OutOfOrderInserts; ooo > n/8 {
-		t.Fatalf("restart made %d out-of-order population-index inserts for %d instances", ooo, n)
 	}
 	if got := pages(sys2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pages across Compact + restart:\nbefore %v\nafter  %v", want, got)
