@@ -7,12 +7,8 @@
 //
 // Usage:
 //
-//	geleebench [-experiment all|fig1|table1|table2|fig2|fig3|fig4|ablation|liquidpub|store|runtime|monitor|persist|segments|fold|overload|integrity|openloop]
+//	geleebench [-experiment all|fig1|table1|table2|fig2|fig3|fig4|ablation|liquidpub|store|runtime|monitor|persist|segments|fold|overload|integrity]
 //	           [-runtime-shards N]
-//	           [-openloop-duration D] [-openloop-scale N] [-openloop-soak D]
-//	           [-openloop-fixed] [-openloop-hot-rate R] [-openloop-advance-rate R]
-//	           [-openloop-timeline-rate R] [-openloop-model-rate R]
-//	           [-openloop-cockpit-rate R] [-openloop-tuning=false]
 //
 // The runtime experiment drives disjoint-instance token moves from a
 // growing number of goroutines and compares indexed vs scan-based
@@ -23,31 +19,24 @@
 // over a 2048-instance × 128-event population, the cockpit summary at
 // growing populations and the filtered cockpit page — and records the
 // trajectory in BENCH_monitor.json. The fold experiment grows an
-// execution log tenfold and compares per-compaction cost with the
-// fold-by-reference archives against the legacy full-history rewrite,
-// verifying reads stay byte-identical; trajectory in BENCH_fold.json.
+// execution log tenfold and measures per-compaction cost with the
+// fold-by-reference archives, verifying reads stay byte-identical;
+// trajectory in BENCH_fold.json, next to the frozen numbers of the
+// full-history rewrite it replaced.
 // The overload experiment saturates admission control (shed cost and
 // recovery), trips the read-only fallback with an injected journal
 // fault (probe-driven recovery time), and wedges a REST action
 // endpoint to measure circuit-breaker isolation: opens, fast-fail
 // latency and the flat Advance latency of unaffected instances;
 // results in BENCH_overload.json. The integrity experiment measures
-// the durable-put cost of CRC-32C record framing against the legacy
-// unframed format and the background scrubber's verification
-// throughput, proving a flipped bit is detected; results in
-// BENCH_integrity.json. The openloop experiment is the latency
-// harness: arrivals are scheduled on a Poisson (or -openloop-fixed)
-// clock decoupled from completions so queueing delay is measured
-// rather than hidden (no coordinated omission), with log-linear
-// histograms (p50/p99/p999/max) per operation class — advance,
-// cockpit read, filtered cockpit read (?resource= pushed down to the
-// secondary index), timeline page, model get — over a population
-// seeded to -openloop-scale (default 1M, with memory-per-instance and
-// index growth at each power-of-ten checkpoint), a cockpit A/B pitting
-// the population index against the deprecated pre-index full scan, a
-// read-cache on/off A/B on a hot wide model, an admission-watermark
-// tuning sweep that grounds geleed's -max-queue-depth default, and an
-// optional -openloop-soak mixed run; results in BENCH_openloop.json.
+// the durable-put cost of CRC-32C record framing and the background
+// scrubber's verification throughput, proving a flipped bit is
+// detected; results in BENCH_integrity.json, next to the frozen
+// numbers of the unframed format framing replaced.
+//
+// End-to-end latency through the HTTP listener is measured by the
+// repository benchmark in perfbench/, not here. BENCH_openloop.json is
+// the frozen record of the open-loop harness it replaced.
 package main
 
 import (
@@ -104,10 +93,9 @@ func main() {
 		{"monitor", "E11 — copy-free read path: summary-backed cockpit vs snapshot baseline", runMonitorReadPath},
 		{"persist", "E12 — durable runtime: write-through overhead + replay throughput", runPersist},
 		{"segments", "E13 — segmented journal: bounded restart replay via snapshot folding", runSegments},
-		{"fold", "E14 — fold-by-reference archives: flat fold cost vs full-history rewrite", runFold},
+		{"fold", "E14 — fold-by-reference archives: flat fold cost as history grows", runFold},
 		{"overload", "E15 — overload & failure engineering: shedding, read-only fallback, breaker isolation", runOverload},
-		{"integrity", "E16 — journal integrity: CRC framing overhead + scrub throughput", runIntegrity},
-		{"openloop", "E17 — open-loop latency: arrival-rate histograms, 1M-instance scaler, read-cache A/B", runOpenLoopExperiment},
+		{"integrity", "E16 — journal integrity: CRC framing cost + scrub throughput", runIntegrity},
 	}
 	ran := 0
 	for _, e := range experiments {
@@ -1365,16 +1353,16 @@ func runSegments() error {
 }
 
 // runFold measures what fold-by-reference archives buy: the cost of a
-// compaction as log history grows tenfold. The same workload — rounds
-// of execution-log appends, each followed by Compact — runs against
-// two stores; one keeps a small live window and spills older history
-// into archives carried by reference, the other (LogLiveWindow < 0)
-// rewrites the full log into every snapshot, the pre-archive behavior.
-// With archives each fold writes O(live window + one round of spill),
-// flat as history grows; the legacy rewrite grows linearly. Reads must
-// not notice: the full log and a cursor page-walk are verified
-// byte-identical before close and after reopen. Results go to stdout
-// and BENCH_fold.json.
+// compaction as log history grows tenfold. Rounds of execution-log
+// appends, each followed by Compact, run against a store that keeps a
+// small live window and spills older history into archives carried by
+// reference, so each fold writes O(live window + one round of spill),
+// flat as history grows. Reads must not notice: the full log and a
+// cursor page-walk are verified byte-identical before close and after
+// reopen. Results go to stdout and BENCH_fold.json. The full-history
+// rewrite that archives replaced, whose fold cost grew linearly, is no
+// longer run: its series and growth figures are carried forward
+// unchanged from the previous BENCH_fold.json.
 func runFold() error {
 	const (
 		rounds     = 10
@@ -1424,14 +1412,14 @@ func runFold() error {
 		return json.Marshal(all)
 	}
 
-	run := func(window int) (series, error) {
+	run := func() (series, error) {
 		var ser series
 		dir, err := os.MkdirTemp("", "gelee-bench-fold-*")
 		if err != nil {
 			return ser, err
 		}
 		defer os.RemoveAll(dir)
-		opts := store.Options{LogLiveWindow: window}
+		opts := store.Options{LogLiveWindow: liveWindow}
 		st, err := store.Open(dir, opts)
 		if err != nil {
 			return ser, err
@@ -1521,30 +1509,21 @@ func runFold() error {
 		return ser, nil
 	}
 
-	archived, err := run(liveWindow)
-	if err != nil {
-		return err
-	}
-	legacy, err := run(-1)
+	archived, err := run()
 	if err != nil {
 		return err
 	}
 
 	// Cost growth over a 10x history: last fold vs first fold. The
-	// archived series must stay flat (≤1.5x is the acceptance bar);
-	// the legacy rewrite grows with total history.
-	growth := func(s series) (bytesX, timeX float64) {
-		first, last := s.Points[0], s.Points[len(s.Points)-1]
-		if first.FoldBytes > 0 {
-			bytesX = float64(last.FoldBytes) / float64(first.FoldBytes)
-		}
-		if first.FoldNs > 0 {
-			timeX = float64(last.FoldNs) / float64(first.FoldNs)
-		}
-		return
+	// archived series must stay flat (≤1.5x is the acceptance bar).
+	first, last := archived.Points[0], archived.Points[len(archived.Points)-1]
+	var archBytesX, archTimeX float64
+	if first.FoldBytes > 0 {
+		archBytesX = float64(last.FoldBytes) / float64(first.FoldBytes)
 	}
-	archBytesX, archTimeX := growth(archived)
-	legBytesX, legTimeX := growth(legacy)
+	if first.FoldNs > 0 {
+		archTimeX = float64(last.FoldNs) / float64(first.FoldNs)
+	}
 
 	report := struct {
 		Experiment     string  `json:"experiment"`
@@ -1552,22 +1531,32 @@ func runFold() error {
 		PerRound       int     `json:"entries_per_round"`
 		LiveWindow     int     `json:"live_window"`
 		Archived       series  `json:"archived"`
-		Legacy         series  `json:"legacy"`
 		ArchivedBytesX float64 `json:"archived_fold_bytes_growth"`
 		ArchivedTimeX  float64 `json:"archived_fold_time_growth"`
-		LegacyBytesX   float64 `json:"legacy_fold_bytes_growth"`
-		LegacyTimeX    float64 `json:"legacy_fold_time_growth"`
+		// Legacy, LegacyBytesX and LegacyTimeX are the full-history
+		// rewrite's figures, frozen from its last run and carried over
+		// from the previous BENCH_fold.json.
+		Legacy       json.RawMessage `json:"legacy,omitempty"`
+		LegacyBytesX json.RawMessage `json:"legacy_fold_bytes_growth,omitempty"`
+		LegacyTimeX  json.RawMessage `json:"legacy_fold_time_growth,omitempty"`
 	}{
 		Experiment:     "fold",
 		Rounds:         rounds,
 		PerRound:       perRound,
 		LiveWindow:     liveWindow,
 		Archived:       archived,
-		Legacy:         legacy,
 		ArchivedBytesX: archBytesX,
 		ArchivedTimeX:  archTimeX,
-		LegacyBytesX:   legBytesX,
-		LegacyTimeX:    legTimeX,
+	}
+	if prev, err := os.ReadFile("BENCH_fold.json"); err == nil {
+		var old struct {
+			Legacy       json.RawMessage `json:"legacy"`
+			LegacyBytesX json.RawMessage `json:"legacy_fold_bytes_growth"`
+			LegacyTimeX  json.RawMessage `json:"legacy_fold_time_growth"`
+		}
+		if json.Unmarshal(prev, &old) == nil {
+			report.Legacy, report.LegacyBytesX, report.LegacyTimeX = old.Legacy, old.LegacyBytesX, old.LegacyTimeX
+		}
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -1579,20 +1568,17 @@ func runFold() error {
 
 	fmt.Printf("paper: the execution log is the permanent audit trail — compaction must not slow down as it grows\n")
 	fmt.Printf("measured (%d rounds x %d log appends, live window %d):\n", rounds, perRound, liveWindow)
-	fmt.Printf("  %-6s %8s | archived %9s %9s %5s | legacy %9s %9s\n",
-		"round", "entries", "fold KB", "ms", "archs", "fold KB", "ms")
-	for i := range archived.Points {
-		a, l := archived.Points[i], legacy.Points[i]
-		fmt.Printf("  %-6d %8d | %17.1f %9.2f %5d | %15.1f %9.2f\n",
-			a.Round, a.TotalEntries,
-			float64(a.FoldBytes)/1024, float64(a.FoldNs)/1e6, a.Archives,
-			float64(l.FoldBytes)/1024, float64(l.FoldNs)/1e6)
+	fmt.Printf("  %-6s %8s | archived %9s %9s %5s\n", "round", "entries", "fold KB", "ms", "archs")
+	for _, a := range archived.Points {
+		fmt.Printf("  %-6d %8d | %17.1f %9.2f %5d\n",
+			a.Round, a.TotalEntries, float64(a.FoldBytes)/1024, float64(a.FoldNs)/1e6, a.Archives)
 	}
-	fmt.Printf("  fold bytes growth over 10x history: archived %.2fx vs legacy %.2fx (bar: <=1.5x)\n", archBytesX, legBytesX)
-	fmt.Printf("  fold time  growth over 10x history: archived %.2fx vs legacy %.2fx\n", archTimeX, legTimeX)
-	fmt.Printf("  reopen replay: archived %d entries + %d refs vs legacy %d entries; reads byte-identical: %t/%t\n",
-		archived.ReplayedOpen, archived.ArchiveRefs, legacy.ReplayedOpen,
-		archived.ReadsEqual, legacy.ReadsEqual)
+	fmt.Printf("  fold bytes growth over 10x history: archived %.2fx (bar: <=1.5x; frozen full rewrite: %s)\n",
+		archBytesX, report.LegacyBytesX)
+	fmt.Printf("  fold time  growth over 10x history: archived %.2fx (frozen full rewrite: %s)\n",
+		archTimeX, report.LegacyTimeX)
+	fmt.Printf("  reopen replay: %d entries + %d refs; reads byte-identical: %t\n",
+		archived.ReplayedOpen, archived.ArchiveRefs, archived.ReadsEqual)
 	fmt.Printf("  wrote BENCH_fold.json\n")
 	return nil
 }
@@ -2086,10 +2072,12 @@ func runOverload() error {
 
 // runIntegrity measures what the end-to-end journal integrity layer
 // costs and delivers: durable-put throughput with CRC-32C record
-// framing vs the legacy unframed format (the target is <10% overhead —
-// the fsync dominates), and background-scrub throughput over a
-// multi-segment dataset, with a flipped bit to prove the scrub actually
-// detects rot. Results go to stdout and BENCH_integrity.json.
+// framing, and background-scrub throughput over a multi-segment
+// dataset, with a flipped bit to prove the scrub actually detects rot.
+// Results go to stdout and BENCH_integrity.json. The unframed format
+// is no longer written, so its throughput and the framing overhead
+// measured against it (target <10% — the fsync dominates) are carried
+// forward unchanged from the previous BENCH_integrity.json.
 func runIntegrity() error {
 	const (
 		writers    = 4
@@ -2106,18 +2094,14 @@ func runIntegrity() error {
 		payload[i] = 'a' + byte(i%26)
 	}
 
-	// Durable-put throughput, framed vs unframed: same workload, same
-	// group-commit engine, only the envelope differs.
-	durablePuts := func(disableFraming bool) (int64, error) {
+	// Durable-put throughput through the group-commit engine.
+	durablePuts := func() (int64, error) {
 		dir, err := os.MkdirTemp("", "gelee-bench-integrity-*")
 		if err != nil {
 			return 0, err
 		}
 		defer os.RemoveAll(dir)
-		s, err := store.Open(dir, store.Options{
-			Sync:      true,
-			Integrity: store.IntegrityOptions{DisableFraming: disableFraming},
-		})
+		s, err := store.Open(dir, store.Options{Sync: true})
 		if err != nil {
 			return 0, err
 		}
@@ -2152,18 +2136,12 @@ func runIntegrity() error {
 		}
 		return elapsed, nil
 	}
-	framedNs, err := durablePuts(false)
-	if err != nil {
-		return err
-	}
-	unframedNs, err := durablePuts(true)
+	framedNs, err := durablePuts()
 	if err != nil {
 		return err
 	}
 	totalPuts := writers * putsPer
 	framedRate := float64(totalPuts) / (float64(framedNs) / 1e9)
-	unframedRate := float64(totalPuts) / (float64(unframedNs) / 1e9)
-	overheadPct := (float64(framedNs) - float64(unframedNs)) / float64(unframedNs) * 100
 
 	// Scrub throughput over a multi-segment dataset: the instance
 	// journal accumulates sealed segments (no snapshot source wired, so
@@ -2233,37 +2211,47 @@ func runIntegrity() error {
 	}
 
 	report := struct {
-		Experiment      string  `json:"experiment"`
-		GOMAXPROCS      int     `json:"gomaxprocs"`
-		Puts            int     `json:"durable_puts"`
-		Writers         int     `json:"writers"`
-		FramedNs        int64   `json:"framed_ns"`
-		UnframedNs      int64   `json:"unframed_ns"`
-		FramedPutsSec   float64 `json:"framed_puts_per_sec"`
-		UnframedPutsSec float64 `json:"unframed_puts_per_sec"`
-		OverheadPct     float64 `json:"framing_overhead_pct"`
-		ScrubSegments   int     `json:"scrub_segments"`
-		ScrubFiles      int     `json:"scrub_files"`
-		ScrubBytes      int64   `json:"scrub_bytes"`
-		ScrubNs         int64   `json:"scrub_ns"`
-		ScrubMBPerSec   float64 `json:"scrub_mb_per_sec"`
-		RotDetected     int     `json:"flipped_bit_detections"`
+		Experiment    string  `json:"experiment"`
+		GOMAXPROCS    int     `json:"gomaxprocs"`
+		Puts          int     `json:"durable_puts"`
+		Writers       int     `json:"writers"`
+		FramedNs      int64   `json:"framed_ns"`
+		FramedPutsSec float64 `json:"framed_puts_per_sec"`
+		// UnframedNs, UnframedPutsSec and OverheadPct are the unframed
+		// format's figures, frozen from its last run and carried over
+		// from the previous BENCH_integrity.json.
+		UnframedNs      json.RawMessage `json:"unframed_ns,omitempty"`
+		UnframedPutsSec json.RawMessage `json:"unframed_puts_per_sec,omitempty"`
+		OverheadPct     json.RawMessage `json:"framing_overhead_pct,omitempty"`
+		ScrubSegments   int             `json:"scrub_segments"`
+		ScrubFiles      int             `json:"scrub_files"`
+		ScrubBytes      int64           `json:"scrub_bytes"`
+		ScrubNs         int64           `json:"scrub_ns"`
+		ScrubMBPerSec   float64         `json:"scrub_mb_per_sec"`
+		RotDetected     int             `json:"flipped_bit_detections"`
 	}{
-		Experiment:      "integrity",
-		GOMAXPROCS:      gomaxprocs(),
-		Puts:            totalPuts,
-		Writers:         writers,
-		FramedNs:        framedNs,
-		UnframedNs:      unframedNs,
-		FramedPutsSec:   framedRate,
-		UnframedPutsSec: unframedRate,
-		OverheadPct:     overheadPct,
-		ScrubSegments:   segments,
-		ScrubFiles:      scrubFiles,
-		ScrubBytes:      scrubBytes,
-		ScrubNs:         scrubNs,
-		ScrubMBPerSec:   scrubMBps,
-		RotDetected:     detected,
+		Experiment:    "integrity",
+		GOMAXPROCS:    gomaxprocs(),
+		Puts:          totalPuts,
+		Writers:       writers,
+		FramedNs:      framedNs,
+		FramedPutsSec: framedRate,
+		ScrubSegments: segments,
+		ScrubFiles:    scrubFiles,
+		ScrubBytes:    scrubBytes,
+		ScrubNs:       scrubNs,
+		ScrubMBPerSec: scrubMBps,
+		RotDetected:   detected,
+	}
+	if prev, err := os.ReadFile("BENCH_integrity.json"); err == nil {
+		var old struct {
+			UnframedNs      json.RawMessage `json:"unframed_ns"`
+			UnframedPutsSec json.RawMessage `json:"unframed_puts_per_sec"`
+			OverheadPct     json.RawMessage `json:"framing_overhead_pct"`
+		}
+		if json.Unmarshal(prev, &old) == nil {
+			report.UnframedNs, report.UnframedPutsSec, report.OverheadPct = old.UnframedNs, old.UnframedPutsSec, old.OverheadPct
+		}
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -2275,8 +2263,8 @@ func runIntegrity() error {
 
 	fmt.Printf("paper: a hosted service's journal is the system of record — it must detect its own decay\n")
 	fmt.Printf("measured (%d durable puts x %d writers, fsync per batch):\n", totalPuts, writers)
-	fmt.Printf("  framed (CRC-32C envelopes): %.0f puts/s; unframed legacy: %.0f puts/s; overhead %.1f%% (target <10%%)\n",
-		framedRate, unframedRate, overheadPct)
+	fmt.Printf("  framed (CRC-32C envelopes): %.0f puts/s (frozen unframed: %s puts/s, overhead %s%%; target <10%%)\n",
+		framedRate, report.UnframedPutsSec, report.OverheadPct)
 	fmt.Printf("  scrub: %d files / %.1f MB over %d sealed segments in %v (%.0f MB/s)\n",
 		scrubFiles, float64(scrubBytes)/1e6, segments, time.Duration(scrubNs).Round(time.Millisecond), scrubMBps)
 	fmt.Printf("  flipped bit in a sealed segment: detected %d time(s) by the next scrub pass\n", detected)

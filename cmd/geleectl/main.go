@@ -12,7 +12,7 @@
 //	model URI                      show one model (Table I XML)
 //	define FILE.xml                define a model from Table I XML
 //	actions [RESOURCE_TYPE]        browse the action library (Fig. 3)
-//	instances                      list lifecycle instances
+//	instances                      list lifecycle instances (first page)
 //	instance ID                    show one instance
 //	instantiate MODELURI RESURI TYPE [reviewers]
 //	advance ID PHASE [annotation]  move the token
@@ -132,8 +132,7 @@ func (c *client) run(cmd string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: model URI")
 		}
-		// Path-escaped model addressing (the /models/one query-param
-		// lookup is deprecated).
+		// Models are addressed by their path-escaped URI.
 		return c.getRaw("/api/v1/models/" + url.PathEscape(args[0]) + "?format=xml")
 	case "define":
 		if len(args) != 1 {

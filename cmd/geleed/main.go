@@ -19,7 +19,6 @@
 //	       [-breaker-failures N] [-breaker-cooldown D]
 //	       [-alert-webhook URL] [-alert-interval D]
 //	       [-quarantine-corrupt] [-scrub-interval D] [-scrub-budget-bytes N]
-//	       [-disable-journal-checksums]
 //	       [-max-conns-per-host N] [-max-idle-conns N]
 //
 // -data enables persistence (empty = in-memory); -auth enforces the
@@ -47,7 +46,8 @@
 // log's newest entries hot (in RAM and in each snapshot); older
 // history is spilled once into immutable CRC-summed archive files
 // carried forward by reference, so fold cost stays flat as history
-// grows — cold pages still serve reads, streamed from disk via
+// grows (a negative window is rejected) — cold pages still serve
+// reads, streamed from disk via
 // GET /api/v1/admin/log?after=&limit=. -fold-min-interval and
 // -fold-min-garbage pace the background folder (wall-clock spacing and
 // a minimum sealed-garbage ratio) so a trickle of writes never
@@ -78,8 +78,8 @@
 //
 // The integrity knobs guard the journals against bit rot: every record
 // is framed with a CRC-32C envelope and every sealed segment and
-// snapshot carries a footer seal (always on; -disable-journal-checksums
-// reverts to the unsummed legacy format for comparison). -scrub-interval
+// snapshot carries a footer seal (always on; journals written before
+// framing still open). -scrub-interval
 // (5m by default) re-verifies sealed segments, snapshots and archives
 // in the background, at most -scrub-budget-bytes of IO per tick;
 // detections fire the journal-corruption alert and show in
@@ -103,13 +103,13 @@ import (
 	"github.com/liquidpub/gelee/internal/scenario"
 )
 
-// defaultMaxQueueDepth is the tuned admission watermark (geleebench
-// -experiment openloop, BENCH_openloop.json): at depths past ~512 the
-// commit backlog only adds queueing delay to every acked mutation
-// without improving throughput, while shedding at 512 keeps acked p99
-// bounded under 2x-capacity overload. Resume stays at the watermark/2
-// hysteresis built into the admission gate. Set -max-queue-depth 0 to
-// disable shedding (the pre-tuning behavior).
+// defaultMaxQueueDepth is the tuned admission watermark (the open-loop
+// harness's tuning sweep, frozen in BENCH_openloop.json): at depths
+// past ~512 the commit backlog only adds queueing delay to every acked
+// mutation without improving throughput, while shedding at 512 keeps
+// acked p99 bounded under 2x-capacity overload. Resume stays at the
+// watermark/2 hysteresis built into the admission gate. Set
+// -max-queue-depth 0 to disable shedding (the pre-tuning behavior).
 const defaultMaxQueueDepth = 512
 
 func main() {
@@ -125,7 +125,7 @@ func main() {
 	flushBatch := flag.Int("journal-flush-batch", 0, "max journal entries per group-commit batch (0 = default)")
 	segmentMax := flag.Int64("segment-max-bytes", 64<<20, "rotate journal segments past this size; folded into snapshots in the background (0 = no rotation)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "fold once this many sealed segments accumulate (0 = every rotation)")
-	logWindow := flag.Int("log-live-window", 0, "execution-log entries kept hot; older history archived by reference (0 = default, <0 = never archive)")
+	logWindow := flag.Int("log-live-window", 0, "execution-log entries kept hot; older history archived by reference (0 = default)")
 	foldMinInterval := flag.Duration("fold-min-interval", 15*time.Second, "minimum wall-clock spacing between background snapshot folds (0 = none)")
 	foldMinGarbage := flag.Float64("fold-min-garbage", 0.25, "minimum sealed-garbage ratio before a background fold runs (0 = none)")
 	readCache := flag.Int("read-cache-entries", 0, "per-shard LRU entries for the model/template read cache (0 = default 64, <0 = disable)")
@@ -147,7 +147,6 @@ func main() {
 	quarantine := flag.Bool("quarantine-corrupt", false, "on corrupt journal files at open: quarantine them and serve the surviving history read-only instead of failing")
 	scrubInterval := flag.Duration("scrub-interval", 5*time.Minute, "background re-verification cadence for sealed segments, snapshots and archives (0 = never)")
 	scrubBudget := flag.Int64("scrub-budget-bytes", 0, "max bytes one scrub tick may read (0 = default 8 MiB)")
-	noChecksums := flag.Bool("disable-journal-checksums", false, "write unsummed legacy journal records without CRC envelopes or footers")
 	maxConnsPerHost := flag.Int("max-conns-per-host", 0, "max outcall connections per action endpoint host (0 = default 128, <0 = unlimited)")
 	maxIdleConns := flag.Int("max-idle-conns", 0, "max idle outcall connections across all hosts (0 = default 256, <0 = no keep-alive)")
 	flag.Parse()
@@ -173,7 +172,6 @@ func main() {
 		EmbeddedPlugins:      true,
 		Integrity: gelee.IntegrityOptions{
 			Quarantine:        *quarantine,
-			DisableFraming:    *noChecksums,
 			ScrubInterval:     *scrubInterval,
 			ScrubBytesPerTick: *scrubBudget,
 		},

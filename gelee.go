@@ -152,8 +152,8 @@ type Options struct {
 	// folds into immutable CRC-summed archive files carried forward by
 	// reference, keeping fold cost and snapshot size flat as history
 	// grows. Cold history still serves reads, streamed from disk.
-	// 0 = store.DefaultLogLiveWindow; negative = archive nothing (every
-	// fold rewrites the full log — the legacy behavior).
+	// 0 = store.DefaultLogLiveWindow; New rejects a negative window
+	// when the journal engine is used.
 	LogLiveWindow int
 	// ReadCacheEntries bounds the per-shard LRU read cache in front of
 	// the model and template repositories: decoded values prepared for
@@ -335,9 +335,14 @@ type System struct {
 	Registry  *actionlib.Registry
 	Resources *resource.Manager
 	ACL       *access.Control
-	Runtime   *runtime.Runtime
-	Local     *invoke.LocalInvoker
-	Sims      *Sims
+	// Runtime is embedded: the run-time verbs (Advance, QuerySummaries,
+	// AcceptChange, RuntimeStats, ...) are the runtime's own methods,
+	// promoted. Instantiate and Events are System methods on purpose:
+	// they add the model lookup, resource check and owner grant, and
+	// the execution-log backfill of truncated history.
+	*runtime.Runtime
+	Local *invoke.LocalInvoker
+	Sims  *Sims
 
 	composites *composite.Adapter
 	mon        *monitor.Monitor
@@ -469,7 +474,7 @@ func New(opts Options) (*System, error) {
 	// repositories (every cockpit fetch, monitor render and
 	// instantiation reads them), and their values need a defensive deep
 	// clone when handed out — exactly what an LRU of prepared shared
-	// values amortizes. ModelView/TemplateView serve the shared path.
+	// values amortizes. ModelView serves the shared path.
 	cacheEntries := opts.ReadCacheEntries
 	if cacheEntries == 0 {
 		cacheEntries = store.DefaultReadCacheEntries
@@ -1013,11 +1018,6 @@ func (s *System) StoreStats() store.Stats {
 	return st
 }
 
-// RuntimeStats reports runtime health: instance-shard occupancy and
-// secondary-index sizes — the payload of the admin API's
-// GET /api/v1/admin/runtime.
-func (s *System) RuntimeStats() runtime.Stats { return s.Runtime.RuntimeStats() }
-
 // Monitor returns the cockpit query engine.
 func (s *System) Monitor() *monitor.Monitor { return s.mon }
 
@@ -1139,23 +1139,6 @@ func (s *System) Template(uri string) (*core.Model, bool) {
 	return m.Clone(), true
 }
 
-// TemplateView returns the template under uri as a shared read-only
-// view served from the read cache (see ModelView). Callers MUST NOT
-// mutate the result — use Template for a private copy.
-func (s *System) TemplateView(uri string) (*core.Model, bool) {
-	return s.templates.GetShared(uri)
-}
-
-// Templates lists every template.
-func (s *System) Templates() []*core.Model {
-	list := s.templates.List()
-	out := make([]*core.Model, len(list))
-	for i, m := range list {
-		out[i] = m.Clone()
-	}
-	return out
-}
-
 // RegisterAction registers an action type with optional implementations
 // and persists both (Fig. 2 "Resource and action definition"
 // repository).
@@ -1234,37 +1217,6 @@ func (s *System) Instantiate(modelURI string, ref resource.Ref, owner string, bi
 	return snap, nil
 }
 
-// Advance moves the token and returns a full history snapshot (see
-// runtime.Runtime.Advance). The HTTP tier and other hot callers prefer
-// AdvanceSummary.
-func (s *System) Advance(instID, toPhase, actor string, opts runtime.AdvanceOptions) (runtime.Snapshot, error) {
-	return s.Runtime.Advance(instID, toPhase, actor, opts)
-}
-
-// AdvanceSummary moves the token in the copy-free result mode: the
-// post-move summary plus only the events this move appended.
-func (s *System) AdvanceSummary(instID, toPhase, actor string, opts runtime.AdvanceOptions) (runtime.MoveResult, error) {
-	return s.Runtime.AdvanceSummary(instID, toPhase, actor, opts)
-}
-
-// Annotate attaches a note to the instance history.
-func (s *System) Annotate(instID, actor, note string) error {
-	return s.Runtime.Annotate(instID, actor, note)
-}
-
-// BindParams supplies instantiation-stage parameter values.
-func (s *System) BindParams(instID, actor, actionURI string, values map[string]string) error {
-	return s.Runtime.BindParams(instID, actor, actionURI, values)
-}
-
-// Instance returns a snapshot — a full deep copy of the instance's
-// history. For status polls prefer InstanceSummary.
-func (s *System) Instance(id string) (runtime.Snapshot, bool) { return s.Runtime.Instance(id) }
-
-// InstanceSummary returns the copy-free projection of one instance —
-// the path behind SOAP getInstance and status polls.
-func (s *System) InstanceSummary(id string) (runtime.Summary, bool) { return s.Runtime.Summary(id) }
-
 // Events returns a page of one instance's history (Seq > after, at
 // most limit events; limit <= 0 means unbounded) — the path behind
 // GET /api/v1/instances/{id}/timeline. When ring truncation has
@@ -1329,59 +1281,9 @@ func (s *System) backfillEvents(id string, from, to int) []runtime.Event {
 	return out
 }
 
-// PhaseStats returns one instance's per-phase entered counts and
-// residence times, maintained incrementally and truncation-proof.
-func (s *System) PhaseStats(id string, now time.Time) (map[string]runtime.PhaseStat, bool) {
-	return s.Runtime.PhaseStats(id, now)
-}
-
-// Instances lists every instance with full histories. For list views
-// over large populations prefer Summaries.
-func (s *System) Instances() []runtime.Snapshot { return s.Runtime.Instances() }
-
 // InstanceCount reports the live instance population without copying
 // any instance state.
 func (s *System) InstanceCount() int { return s.Runtime.Count() }
-
-// Summaries lists every instance without copying event histories — the
-// cheap path behind GET /api/v1/instances and the cockpit.
-func (s *System) Summaries() []runtime.Summary { return s.Runtime.Summaries() }
-
-// SummariesPage returns one cursor window of the population summary
-// view (creation seq > after, at most limit) — the paged mode of
-// GET /api/v1/instances — served from the runtime's incrementally
-// maintained population index in O(log N + page).
-func (s *System) SummariesPage(after int64, limit int) runtime.SummaryPage {
-	return s.Runtime.SummariesPage(after, limit)
-}
-
-// QuerySummaries returns one cursor window of the summaries matching
-// the filter — the filtered mode of GET /api/v1/instances. Resource
-// and model predicates are served from the runtime's secondary URI
-// indexes, and every predicate is checked on the candidate's own
-// fields; see runtime.SummaryPage for what Total counts.
-func (s *System) QuerySummaries(f runtime.Filter, after int64, limit int) runtime.SummaryPage {
-	return s.Runtime.QuerySummaries(f, after, limit)
-}
-
-// Aggregate returns the runtime's maintained cockpit headline numbers
-// at now — the monitor.Source seam behind Monitor().Summarize.
-func (s *System) Aggregate(now time.Time) runtime.Aggregate { return s.Runtime.Aggregate(now) }
-
-// ForEachSummary streams the summaries matching the filter in creation
-// order, without materializing the population — the monitor.Source
-// seam the cockpit rebuild runs on.
-func (s *System) ForEachSummary(f runtime.Filter, after int64, fn func(runtime.Summary) bool) {
-	s.Runtime.ForEachSummary(f, after, fn)
-}
-
-// SummariesPageScan is the pre-index O(N log N) full-scan page.
-//
-// Deprecated: it exists only as the A/B baseline for the openloop
-// benchmark and goes away next release; use SummariesPage.
-func (s *System) SummariesPageScan(after int64, limit int) runtime.SummaryPage {
-	return s.Runtime.SummariesPageScan(after, limit)
-}
 
 // RecoveryStats reports what the startup instance-journal replay
 // rebuilt; zeros when PersistInstances is off or the journal was
@@ -1389,9 +1291,6 @@ func (s *System) SummariesPageScan(after int64, limit int) runtime.SummaryPage {
 func (s *System) RecoveryStats() runtime.RecoveryStats {
 	return s.Runtime.RuntimeStats().Persistence.Recovered
 }
-
-// Report delivers an action status callback.
-func (s *System) Report(up actionlib.StatusUpdate) error { return s.Runtime.Report(up) }
 
 // Propagate saves the new model version and proposes it to every
 // running instance created from the same URI; owners decide
@@ -1419,36 +1318,4 @@ func (s *System) Propagate(actor string, m *core.Model, note string) (int, error
 	_, _ = s.execLog.Append(store.LogEntry{Kind: "model-propagated", Actor: actor,
 		Detail: fmt.Sprintf("%s to %d instance(s)", m.URI, n)})
 	return n, nil
-}
-
-// ProposeChange pushes a model change to one instance.
-func (s *System) ProposeChange(instID, proposer string, m *core.Model, note string) error {
-	return s.Runtime.ProposeChange(instID, proposer, m, note)
-}
-
-// AcceptChange applies a pending change (owner decision).
-func (s *System) AcceptChange(instID, actor, landing string) (runtime.Snapshot, error) {
-	return s.Runtime.AcceptChange(instID, actor, landing)
-}
-
-// AcceptChangeSummary applies a pending change in the copy-free result
-// mode.
-func (s *System) AcceptChangeSummary(instID, actor, landing string) (runtime.MoveResult, error) {
-	return s.Runtime.AcceptChangeSummary(instID, actor, landing)
-}
-
-// RejectChange discards a pending change (owner decision).
-func (s *System) RejectChange(instID, actor, note string) error {
-	return s.Runtime.RejectChange(instID, actor, note)
-}
-
-// SwitchModel lets the instance owner change the lifecycle followed by
-// the resource outright.
-func (s *System) SwitchModel(instID, actor string, m *core.Model, landing string) (runtime.Snapshot, error) {
-	return s.Runtime.SwitchModel(instID, actor, m, landing)
-}
-
-// SwitchModelSummary is SwitchModel in the copy-free result mode.
-func (s *System) SwitchModelSummary(instID, actor string, m *core.Model, landing string) (runtime.MoveResult, error) {
-	return s.Runtime.SwitchModelSummary(instID, actor, m, landing)
 }

@@ -53,7 +53,7 @@ func assertNoAliases(t *testing.T, hdr http.Header, body []byte) {
 
 // TestStructuredErrorsEveryRoute drives one failing request through
 // every fallible route and asserts the uniform error body: JSON with
-// a stable code, a message, and the deprecated "error" alias. Routes
+// a stable code and a message, and no removed "error" alias. Routes
 // with no failing input (ping, the bare list/browse/summary/health
 // reads) have nothing to assert; POST /soap answers with SOAP faults
 // by protocol, not JSON.
@@ -122,7 +122,6 @@ func TestStructuredErrorsEveryRoute(t *testing.T) {
 			var apiErr struct {
 				Code    string `json:"code"`
 				Message string `json:"message"`
-				Error   string `json:"error"` // deprecated alias
 			}
 			if err := json.Unmarshal(data, &apiErr); err != nil {
 				t.Fatalf("error body is not JSON: %v (%s)", err, data)
@@ -130,15 +129,20 @@ func TestStructuredErrorsEveryRoute(t *testing.T) {
 			if apiErr.Code == "" || apiErr.Message == "" {
 				t.Fatalf("error body missing code/message: %s", data)
 			}
-			if apiErr.Error != apiErr.Message {
-				t.Fatalf("deprecated error alias %q != message %q", apiErr.Error, apiErr.Message)
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(data, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := fields["error"]; ok {
+				t.Fatalf("error body still carries the removed error alias: %s", data)
 			}
 		})
 	}
 }
 
-// TestModelByPathRoute: models are addressed by path-escaped URI; the
-// query-parameter route still answers but is marked deprecated.
+// TestModelByPathRoute: models are addressed by path-escaped URI only;
+// the removed query-parameter route /models/one?uri=U now names a
+// model whose URI is "one".
 func TestModelByPathRoute(t *testing.T) {
 	e := newEnv(t, false)
 	model := scenario.QualityPlan()
@@ -167,19 +171,20 @@ func TestModelByPathRoute(t *testing.T) {
 		t.Fatalf("XML by path = %d: %s", code, body)
 	}
 
-	// The legacy query route still works, flagged Deprecation: true.
-	code, hdr, _ = rawGet(t, e.srv.URL, "/api/v1/models/one?uri="+url.QueryEscape(model.URI))
-	if code != 200 {
-		t.Fatalf("GET models/one = %d", code)
+	// The removed query route resolves as a model named "one": absent
+	// here, so 404 with no Deprecation header, whatever ?uri= says.
+	code, hdr, body = rawGet(t, e.srv.URL, "/api/v1/models/one?uri="+url.QueryEscape(model.URI))
+	if code != 404 || !bytes.Contains(body, []byte(`no model \"one\"`)) {
+		t.Fatalf("GET models/one = %d: %s, want 404 for a model named one", code, body)
 	}
-	if hdr.Get("Deprecation") != "true" {
-		t.Fatal("models/one must carry Deprecation: true")
+	if hdr.Get("Deprecation") != "" {
+		t.Fatal("models/one still announces Deprecation")
 	}
 }
 
-// TestInstancesEnvelopeAndFilters: any filter or paging parameter on
-// GET /instances switches to the uniform {items,total,next_after}
-// envelope, without the removed instances alias, and the filter
+// TestInstancesEnvelopeAndFilters: GET /instances answers with the
+// uniform {items,total,next_after} envelope, with or without
+// parameters and without the removed instances alias, and the filter
 // params are pushed down to the runtime indexes.
 func TestInstancesEnvelopeAndFilters(t *testing.T) {
 	e := newEnv(t, false)
@@ -290,16 +295,76 @@ func TestInstancesEnvelopeAndFilters(t *testing.T) {
 		t.Fatalf("late rows = %d, want 0", len(rows))
 	}
 
-	// The bare parameterless call keeps the legacy array for one release.
-	code, _, body = rawGet(t, e.srv.URL, "/api/v1/instances")
+	// The parameterless call is the first page in the same envelope.
+	code, hdr, body = rawGet(t, e.srv.URL, "/api/v1/instances")
 	if code != 200 {
 		t.Fatalf("bare list = %d", code)
 	}
-	var flat []instanceJSON
-	if err := json.Unmarshal(body, &flat); err != nil {
-		t.Fatalf("bare list is no longer an array: %v (%s)", err, body[:min(len(body), 80)])
+	p = page{}
+	if err := json.Unmarshal(body, &p); err != nil {
+		t.Fatalf("bare list is not a page envelope: %v (%s)", err, body[:min(len(body), 80)])
 	}
-	if len(flat) != 7 {
-		t.Fatalf("bare list = %d instances, want 7", len(flat))
+	if len(p.Items) != 7 || p.Total != 7 || p.NextAfter != 0 {
+		t.Fatalf("bare list: %d items, total %d, next %d, want 7/7/0", len(p.Items), p.Total, p.NextAfter)
+	}
+	assertNoAliases(t, hdr, body)
+}
+
+// TestPagedRoutesBounded: every cursor-paged route bounds its page —
+// 100 items without ?limit=, at most 1000 with any limit — and hands
+// out the cursor of the rest, over a population, a history and an
+// execution log each just over 1000 long.
+func TestPagedRoutesBounded(t *testing.T) {
+	e := newEnv(t, false)
+	model := scenario.QualityPlan()
+	if err := e.sys.DefineModel("", model); err != nil {
+		t.Fatal(err)
+	}
+	e.sys.Sims.Wiki.CreatePage("D1.1", "o", "x")
+	const n = 1005
+	var id string
+	for i := 0; i < n; i++ {
+		snap, err := e.sys.Instantiate(model.URI, gelee.Ref{URI: "http://wiki/D1.1", Type: "mediawiki"}, "owner", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = snap.ID
+	}
+	for i := 0; i < n; i++ {
+		if err := e.sys.Annotate(id, "owner", "note"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	routes := []string{
+		"/api/v1/instances",
+		"/api/v1/instances/" + id + "/timeline",
+		"/api/v1/monitor/instances/" + id + "/timeline",
+		"/api/v1/admin/log",
+	}
+	for _, route := range routes {
+		for _, tc := range []struct {
+			query string
+			want  int
+		}{
+			{"", 100},
+			{"?limit=5000", 1000},
+		} {
+			code, _, body := rawGet(t, e.srv.URL, route+tc.query)
+			if code != 200 {
+				t.Fatalf("GET %s%s = %d: %s", route, tc.query, code, body)
+			}
+			var p struct {
+				Items     []json.RawMessage `json:"items"`
+				NextAfter int64             `json:"next_after"`
+			}
+			if err := json.Unmarshal(body, &p); err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Items) != tc.want || p.NextAfter == 0 {
+				t.Fatalf("GET %s%s: %d items, next_after %d, want %d items and a cursor",
+					route, tc.query, len(p.Items), p.NextAfter, tc.want)
+			}
+		}
 	}
 }

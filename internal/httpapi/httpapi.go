@@ -10,19 +10,17 @@
 //	GET  /api/v1/models                   list models
 //	GET  /api/v1/models/{uri...}          fetch by path-escaped model URI
 //	                                      (?format=xml → Table I)
-//	GET  /api/v1/models/one?uri=U         deprecated query-param fetch
 //	POST /api/v1/models/propagate?uri=U   push new version to instances
 //	GET  /api/v1/actions[?resource_type=] browse action library (Fig. 3)
 //	POST /api/v1/actions                  register action type (+impls)
 //	POST /api/v1/instances                instantiate
-//	GET  /api/v1/instances                list (summary view, no histories);
-//	                                      ?after=SEQ&limit=N pages by creation
-//	                                      seq off the runtime's population
-//	                                      index; ?resource=U&model=U&state=S
-//	                                      &late=1 filters, pushed down to the
-//	                                      runtime's secondary indexes; any of
-//	                                      those params wraps the page in the
-//	                                      uniform envelope
+//	GET  /api/v1/instances                paged list (summary view, no
+//	                                      histories): ?after=SEQ&limit=N pages
+//	                                      by creation seq off the runtime's
+//	                                      population index; ?resource=U
+//	                                      &model=U&state=S&late=1 filters,
+//	                                      pushed down to the runtime's
+//	                                      secondary indexes
 //	GET  /api/v1/instances/{id}           snapshot (full history)
 //	GET  /api/v1/instances/{id}/timeline  paged history (?after=S&limit=N);
 //	                                      pages older than the in-memory ring
@@ -38,6 +36,7 @@
 //	POST /api/v1/callbacks/{inv}          action status callback (no auth)
 //	GET  /api/v1/admin/store              data-tier engine stats
 //	GET  /api/v1/admin/runtime            runtime shard/index stats
+//	GET  /api/v1/admin/log                paged execution log (?after=&limit=)
 //	GET  /api/v1/admin/health             aggregated resilience report
 //	                                      (no auth; 503 when read-only)
 //	GET  /api/v1/admin/alerts[?limit=N]   recent threshold alerts
@@ -54,12 +53,14 @@
 //
 // # Paging envelope
 //
-// Every cursor-paged collection — GET /api/v1/instances (paged or
-// filtered mode), GET /api/v1/instances/{id}/timeline,
+// Every cursor-paged collection — GET /api/v1/instances,
+// GET /api/v1/instances/{id}/timeline,
 // GET /api/v1/monitor/instances/{id}/timeline and GET /api/v1/admin/log
 // — shares one envelope shape: {items, total, next_after}. items is the
 // page and next_after the cursor of the following page (absent at the
-// tail; pass it back as ?after=). On the instance list, total is the
+// tail; pass it back as ?after=). Every page is bounded: without
+// ?limit= it holds at most 100 items, and a larger limit than 1000 is
+// clamped to 1000. On the instance list, total is the
 // number of matches with seq > after, except that an unfiltered page
 // reports the whole population and a filter naming neither resource
 // nor model reports 0 (unknown); the timelines report the events ever
@@ -73,17 +74,8 @@
 // overloaded, read_only, internal, not_implemented, unavailable),
 // message the human-readable detail. Backoff rejections additionally
 // carry retry_after_ms (mirrored in the Retry-After header) and
-// read-only rejections mode:"read-only". The legacy "error" field
-// mirrors message for one release (deprecated). SOAP faults are
-// unaffected (SOAP 1.1 fault envelope).
-//
-// # Deprecations
-//
-// GET /api/v1/models/one?uri=U is deprecated in favor of
-// GET /api/v1/models/{uri...} (path-escape the model URI); the old
-// route still works for one release and answers with a
-// "Deprecation: true" header.
-// A model whose URI is literally "one" must use the escaped path form.
+// read-only rejections mode:"read-only". SOAP faults are unaffected
+// (SOAP 1.1 fault envelope).
 //
 // Authentication is the hosted-prototype scheme: the X-Gelee-User header
 // names the acting user. With RequireAuth the header must name a known
@@ -127,10 +119,9 @@ const UserHeader = "X-Gelee-User"
 // *gelee.System.
 type Backend interface {
 	DefineModel(actor string, m *core.Model) error
-	Model(uri string) (*core.Model, bool)
 	// ModelView is the read-cache path: a shared value the handler only
 	// marshals, never mutates — repeated fetches of a hot model skip
-	// the defensive clone Model pays.
+	// the defensive clone.
 	ModelView(uri string) (*core.Model, bool)
 	Models() []*core.Model
 	Propagate(actor string, m *core.Model, note string) (int, error)
@@ -147,13 +138,10 @@ type Backend interface {
 	AcceptChangeSummary(instID, actor, landing string) (runtime.MoveResult, error)
 	RejectChange(instID, actor, note string) error
 	Instance(id string) (runtime.Snapshot, bool)
-	InstanceSummary(id string) (runtime.Summary, bool)
-	Instances() []runtime.Snapshot
-	Summaries() []runtime.Summary
-	SummariesPage(after int64, limit int) runtime.SummaryPage
-	// QuerySummaries is the filtered page: resource/model URIs are
-	// served from the runtime's secondary indexes, state/lateness from
-	// the maintained summary counters.
+	Summary(id string) (runtime.Summary, bool)
+	// QuerySummaries is the instance-list page: resource/model URIs are
+	// served from the runtime's secondary indexes, everything else from
+	// the population index.
 	QuerySummaries(f runtime.Filter, after int64, limit int) runtime.SummaryPage
 	Report(up actionlib.StatusUpdate) error
 
@@ -212,10 +200,8 @@ func (s *Server) routes() {
 	// shedding a request is cheaper than authenticating it.
 	s.mux.HandleFunc("POST /api/v1/models", s.mutating(s.authed(s.handleDefineModel)))
 	s.mux.HandleFunc("GET /api/v1/models", s.handleListModels)
-	// Path-escaped model addressing; the literal "one" route below wins
-	// for exactly /models/one (deprecated query-param lookup).
-	s.mux.HandleFunc("GET /api/v1/models/{uri...}", s.handleGetModelByPath)
-	s.mux.HandleFunc("GET /api/v1/models/one", s.handleGetModel)
+	// Path-escaped model addressing.
+	s.mux.HandleFunc("GET /api/v1/models/{uri...}", s.handleGetModel)
 	s.mux.HandleFunc("POST /api/v1/models/propagate", s.mutating(s.authed(s.handlePropagate)))
 	s.mux.HandleFunc("GET /api/v1/actions", s.handleBrowseActions)
 	s.mux.HandleFunc("POST /api/v1/actions", s.mutating(s.authed(s.handleRegisterAction)))
@@ -224,7 +210,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /api/v1/instances", s.mutating(s.authed(s.handleInstantiate)))
 	s.mux.HandleFunc("GET /api/v1/instances", s.handleListInstances)
 	s.mux.HandleFunc("GET /api/v1/instances/{id}", s.handleGetInstance)
-	s.mux.HandleFunc("GET /api/v1/instances/{id}/timeline", s.handleInstanceTimeline)
+	s.mux.HandleFunc("GET /api/v1/instances/{id}/timeline", s.handleTimeline)
 	s.mux.HandleFunc("POST /api/v1/instances/{id}/advance", s.mutating(s.authed(s.handleAdvance)))
 	s.mux.HandleFunc("POST /api/v1/instances/{id}/annotations", s.mutating(s.authed(s.handleAnnotate)))
 	s.mux.HandleFunc("POST /api/v1/instances/{id}/bindings", s.mutating(s.authed(s.handleBind)))
@@ -299,7 +285,6 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 			Code:         "overloaded",
 			Message:      err.Error(),
 			RetryAfterMS: ra.Milliseconds(),
-			Error:        err.Error(),
 		})
 	case errors.Is(err, resilience.ErrReadOnly):
 		w.Header().Set("Retry-After", "5")
@@ -307,7 +292,6 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 			Code:    "read_only",
 			Message: err.Error(),
 			Mode:    "read-only",
-			Error:   err.Error(),
 		})
 	default:
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -343,9 +327,6 @@ type apiError struct {
 	Message      string `json:"message"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 	Mode         string `json:"mode,omitempty"`
-	// Error mirrors Message under the pre-redesign field name.
-	// Deprecated: read Message; this alias goes away next release.
-	Error string `json:"error"`
 }
 
 // codeFor derives the stable error code from the HTTP status.
@@ -385,7 +366,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{
 		Code:    codeFor(status),
 		Message: err.Error(),
-		Error:   err.Error(),
 	})
 }
 
@@ -516,7 +496,7 @@ func wantFull(r *http.Request) bool { return r.URL.Query().Get("full") == "1" }
 // One cursor shape for every paged collection (see the package doc's
 // Paging envelope section): {items, total, next_after}.
 
-// instancesPage is the envelope of the paged/filtered instance list.
+// instancesPage is the envelope of the instance list.
 type instancesPage struct {
 	Items []instancePayload `json:"items"`
 	// Total is runtime.SummaryPage.Total: the matches with seq > after,
@@ -558,10 +538,37 @@ type execLogPage struct {
 	NextAfter uint64 `json:"next_after,omitempty"`
 }
 
+// Page bounds of every cursor-paged route: a request without ?limit=
+// gets defaultPageLimit items, and no page holds more than maxPageLimit.
+const (
+	defaultPageLimit = 100
+	maxPageLimit     = 1000
+)
+
+// pageParams parses the cursor (?after=) and page size (?limit=) of a
+// paged route and applies the page bounds: a missing or zero limit
+// means defaultPageLimit, and a larger one than maxPageLimit is
+// clamped to it.
+func pageParams(q url.Values) (after int64, limit int, err error) {
+	if after, err = queryInt64(q.Get("after")); err != nil {
+		return 0, 0, fmt.Errorf("bad after: %w", err)
+	}
+	n, err := queryInt64(q.Get("limit"))
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad limit: %w", err)
+	}
+	switch {
+	case n == 0:
+		return after, defaultPageLimit, nil
+	case n > maxPageLimit:
+		return after, maxPageLimit, nil
+	}
+	return after, int(n), nil
+}
+
 // parseFilter extracts the pushed-down population filter from the
 // query: ?resource=URI, ?model=URI, ?state=active|completed, ?late=1.
-// has reports whether any filter was present.
-func parseFilter(q url.Values) (f runtime.Filter, has bool, err error) {
+func parseFilter(q url.Values) (f runtime.Filter, err error) {
 	f.Resource = q.Get("resource")
 	f.ModelURI = q.Get("model")
 	switch st := q.Get("state"); st {
@@ -569,17 +576,16 @@ func parseFilter(q url.Values) (f runtime.Filter, has bool, err error) {
 	case string(runtime.StateActive), string(runtime.StateCompleted):
 		f.State = runtime.State(st)
 	default:
-		return f, false, fmt.Errorf("bad state %q: want active or completed", st)
+		return f, fmt.Errorf("bad state %q: want active or completed", st)
 	}
 	switch late := q.Get("late"); late {
 	case "", "0", "false":
 	case "1", "true":
 		f.LateOnly = true
 	default:
-		return f, false, fmt.Errorf("bad late %q: want 1 or 0", q.Get("late"))
+		return f, fmt.Errorf("bad late %q: want 1 or 0", q.Get("late"))
 	}
-	has = f.Resource != "" || f.ModelURI != "" || f.State != "" || f.LateOnly
-	return f, has, nil
+	return f, nil
 }
 
 // ---- design-time handlers ------------------------------------------------------
@@ -624,20 +630,10 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleGetModel is the deprecated query-param lookup
-// (GET /api/v1/models/one?uri=U); prefer the path-addressed route.
+// handleGetModel is the REST-conventional model fetch: the model URI
+// rides the path, path-escaped (GET /api/v1/models/{uri...}).
 func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	s.serveModel(w, r, r.URL.Query().Get("uri"))
-}
-
-// handleGetModelByPath is the REST-conventional model fetch: the model
-// URI rides the path, path-escaped (GET /api/v1/models/{uri...}).
-func (s *Server) handleGetModelByPath(w http.ResponseWriter, r *http.Request) {
-	s.serveModel(w, r, r.PathValue("uri"))
-}
-
-func (s *Server) serveModel(w http.ResponseWriter, r *http.Request, uri string) {
+	uri := r.PathValue("uri")
 	m, ok := s.b.ModelView(uri)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no model %q", uri))
@@ -738,34 +734,17 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleListInstances(w http.ResponseWriter, r *http.Request) {
 	// The list view rides the runtime's summary path: no event-history
 	// deep copies, served off the incrementally maintained population
-	// index. With ?after=, ?limit= or any filter param
-	// (?resource=&model=&state=&late=1 — pushed down to the runtime's
-	// secondary indexes) it returns the uniform page envelope; the
-	// bare parameterless call keeps the legacy bare-array shape for one
-	// release.
+	// index, with the filter params (?resource=&model=&state=&late=1)
+	// pushed down to the runtime's secondary indexes.
 	q := r.URL.Query()
-	f, filtered, err := parseFilter(q)
+	f, err := parseFilter(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if !filtered && q.Get("after") == "" && q.Get("limit") == "" {
-		sums := s.b.Summaries()
-		out := make([]instancePayload, len(sums))
-		for i, sum := range sums {
-			out[i] = toSummaryPayload(sum)
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	after, err := queryInt64(q.Get("after"))
+	after, limit, err := pageParams(q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad after: %w", err))
-		return
-	}
-	limit, err := queryInt(q.Get("limit"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %w", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	page := s.b.QuerySummaries(f, after, limit)
@@ -924,26 +903,14 @@ func (s *Server) handleRuntimeStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExecLogPage serves execution-log pages: ?after=<seq> resumes
-// past a cursor, ?limit=<n> bounds the page (default 100, max 1000).
-// Cold history streams from archive files; a page entirely below the
+// past a cursor, ?limit=<n> bounds the page (see pageParams). Cold
+// history streams from archive files; a page entirely below the
 // archived range touches at most one archive on disk.
 func (s *Server) handleExecLogPage(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	after, err := queryInt(q.Get("after"))
-	if err != nil || after < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad after: %v", q.Get("after")))
+	after, limit, err := pageParams(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	limit, err := queryInt(q.Get("limit"))
-	if err != nil || limit < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %v", q.Get("limit")))
-		return
-	}
-	if limit == 0 {
-		limit = 100
-	}
-	if limit > 1000 {
-		limit = 1000
 	}
 	entries, err := s.b.ExecutionLogPage(uint64(after), limit)
 	if err != nil {
@@ -1022,7 +989,7 @@ func (s *Server) handleMonitorSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMonitorOverview(w http.ResponseWriter, r *http.Request) {
-	f, _, err := parseFilter(r.URL.Query())
+	f, err := parseFilter(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1035,7 +1002,7 @@ func (s *Server) handleMonitorOverview(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMonitorLate(w http.ResponseWriter, r *http.Request) {
-	f, _, err := parseFilter(r.URL.Query())
+	f, err := parseFilter(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1047,47 +1014,18 @@ func (s *Server) handleMonitorLate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rows)
 }
 
-// handleTimeline is the monitor's timeline view. It shares the uniform
-// page envelope with the API timeline route (?after=&limit= page it);
-// the pre-redesign bare-array shape is gone — read the "items" field.
+// handleTimeline serves both timeline routes (the API's and the
+// monitor's): ?after=<seq> resumes past a cursor, ?limit=<n> bounds
+// the page (see pageParams). It is backed by the runtime's event
+// window, so it copies only the page — no execution slice, no model —
+// and reports when ring truncation cut the requested range.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	after, err := queryInt(q.Get("after"))
+	after, limit, err := pageParams(r.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad after: %w", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	limit, err := queryInt(q.Get("limit"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %w", err))
-		return
-	}
-	page, ok := s.b.Monitor().TimelinePage(r.PathValue("id"), after, limit)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, toTimelinePage(page))
-}
-
-// handleInstanceTimeline serves the paged history window:
-// ?after=<seq> resumes past a cursor, ?limit=<n> bounds the page. It is
-// backed by the runtime's event window, so it copies only the page —
-// no execution slice, no model — and reports when ring truncation cut
-// the requested range.
-func (s *Server) handleInstanceTimeline(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	after, err := queryInt(q.Get("after"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad after: %w", err))
-		return
-	}
-	limit, err := queryInt(q.Get("limit"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %w", err))
-		return
-	}
-	page, ok := s.b.Monitor().TimelinePage(r.PathValue("id"), after, limit)
+	page, ok := s.b.Monitor().TimelinePage(r.PathValue("id"), int(after), limit)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
 		return

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -128,7 +129,7 @@ func TestFig2EndToEnd(t *testing.T) {
 	resp.Body.Close()
 
 	// The stored model round-trips back as Table I XML.
-	resp, err = http.Get(e.srv.URL + "/api/v1/models/one?uri=" + model.URI + "&format=xml")
+	resp, err = http.Get(e.srv.URL + "/api/v1/models/" + url.PathEscape(model.URI) + "?format=xml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,11 +690,14 @@ func TestDefineModelValidationErrors(t *testing.T) {
 	if resp.StatusCode != 422 {
 		t.Fatalf("invalid model = %d", resp.StatusCode)
 	}
-	// Unknown model fetch.
-	resp, _ = http.Get(e.srv.URL + "/api/v1/models/one?uri=urn:ghost")
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("unknown model = %d", resp.StatusCode)
+	// Unknown model fetch. The removed query route /models/one?uri=U
+	// names a model "one", whatever U is.
+	for _, path := range []string{"/api/v1/models/" + url.PathEscape("urn:ghost"), "/api/v1/models/one?uri=urn:ghost"} {
+		resp, _ = http.Get(e.srv.URL + path)
+		resp.Body.Close()
+		if resp.StatusCode != 404 {
+			t.Fatalf("unknown model %s = %d", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -935,8 +939,8 @@ func TestAdminRuntimeStats(t *testing.T) {
 }
 
 // TestInstanceListPaging walks GET /api/v1/instances with the
-// creation-seq cursor and expects the paged envelope to tile the flat
-// listing exactly.
+// creation-seq cursor and expects small pages to tile the default
+// first page exactly.
 func TestInstanceListPaging(t *testing.T) {
 	e := newEnv(t, false)
 	model := scenario.QualityPlan()
@@ -948,19 +952,20 @@ func TestInstanceListPaging(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var flat []instanceJSON
-	if code := e.call(t, "GET", "/api/v1/instances", "", nil, &flat); code != 200 {
-		t.Fatalf("flat list = %d", code)
-	}
-	if len(flat) != n {
-		t.Fatalf("flat list has %d instances", len(flat))
-	}
-
 	type pageResp struct {
 		Instances []instanceJSON `json:"items"`
 		Total     int            `json:"total"`
 		NextAfter int64          `json:"next_after"`
 	}
+	var whole pageResp
+	if code := e.call(t, "GET", "/api/v1/instances", "", nil, &whole); code != 200 {
+		t.Fatalf("default page = %d", code)
+	}
+	flat := whole.Instances
+	if len(flat) != n || whole.Total != n || whole.NextAfter != 0 {
+		t.Fatalf("default page has %d instances, total %d, next %d", len(flat), whole.Total, whole.NextAfter)
+	}
+
 	var walked []string
 	after := int64(0)
 	pages := 0

@@ -123,7 +123,7 @@ func (s *Server) handleSOAP(w http.ResponseWriter, r *http.Request) {
 		}
 		writeSOAP(w, http.StatusOK, soapBodyOut{Instance: toSOAPInstance(res.Summary)})
 	case env.Body.GetInstance != nil:
-		sum, ok := s.b.InstanceSummary(env.Body.GetInstance.InstanceID)
+		sum, ok := s.b.Summary(env.Body.GetInstance.InstanceID)
 		if !ok {
 			soapFaultOut(w, "soap:Server", "no such instance")
 			return

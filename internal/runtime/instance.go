@@ -260,7 +260,7 @@ func (in *instance) snapshot() Snapshot {
 type Summary struct {
 	ID string `json:"id"`
 	// Seq is the instance's creation sequence — the cursor of the
-	// population paging (SummariesPage).
+	// population paging (QuerySummaries).
 	Seq       int64        `json:"seq"`
 	ModelURI  string       `json:"model_uri"`
 	ModelName string       `json:"model_name"`

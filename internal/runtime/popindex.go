@@ -18,7 +18,7 @@ package runtime
 // the cursor with one binary search (O(log n) per shard), copies at
 // most one page of pointers per shard under the read lock, and k-way
 // merges the runs by seq — O(shards·(log n + page)) per page instead of
-// the O(N log N) copy-and-sort of the legacy collectAll scan. Streaming
+// an O(N log N) copy-and-sort of the whole table. Streaming
 // callers (Summaries, Instances, the monitor's cockpit rebuild) iterate
 // the index in fixed-size batches via forEachRef, so no call ever
 // materializes the full population at once. EmitSnapshots walks it
@@ -330,38 +330,6 @@ func (r *Runtime) QuerySummaries(f Filter, after int64, limit int) SummaryPage {
 	return page
 }
 
-// SummariesPageScan is the legacy population listing: copy every
-// instance pointer, sort the copy, slice the page — O(N log N) per
-// call.
-//
-// Deprecated: it exists only as the measured baseline of the
-// population-index A/B in cmd/geleebench and as the ground truth of
-// the index equivalence tests. Use SummariesPage, which serves the
-// same page from the incrementally maintained index in O(log N + page).
-func (r *Runtime) SummariesPageScan(after int64, limit int) SummaryPage {
-	r.popScans.Add(1)
-	all := r.collectAll()
-	page := SummaryPage{Total: len(all)}
-	start := sort.Search(len(all), func(i int) bool { return all[i].seq > after })
-	end := len(all)
-	if limit > 0 && start+limit < end {
-		end = start + limit
-	}
-	if start >= end {
-		return page
-	}
-	page.Summaries = make([]Summary, 0, end-start)
-	for _, in := range all[start:end] {
-		in.mu.Lock()
-		page.Summaries = append(page.Summaries, in.summary())
-		in.mu.Unlock()
-	}
-	if end < len(all) {
-		page.NextAfter = all[end-1].seq
-	}
-	return page
-}
-
 // PopIndexStats is the population-index section of the admin runtime
 // payload.
 type PopIndexStats struct {
@@ -374,10 +342,12 @@ type PopIndexStats struct {
 	// instead of an append.
 	OutOfOrderInserts int64 `json:"out_of_order_inserts"`
 	// IndexedQueries counts population queries served from the ordered
-	// index or a secondary URI index; ScanQueries counts calls to the
-	// deprecated full-scan baseline.
+	// index or a secondary URI index — every population query is.
 	IndexedQueries int64 `json:"indexed_queries"`
-	ScanQueries    int64 `json:"scan_queries"`
+	// ScanQueries is always 0: no population query scans the instance
+	// table any more. The field stays because benchmark reports read
+	// it as scan_queries.
+	ScanQueries int64 `json:"scan_queries"`
 	// AggregateDueHeap is the number of late-eligible instances the
 	// cockpit aggregate holds as not yet late at its last read (see
 	// aggregate.go); AggregateRewinds counts reads that asked about an

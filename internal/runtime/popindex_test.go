@@ -46,6 +46,22 @@ func popRef(i int) resource.Ref {
 	return resource.Ref{URI: fmt.Sprintf("urn:pop:res-%d", i%5), Type: "doc"}
 }
 
+// collectAll gathers every instance pointer, sorted by creation order,
+// by copying and re-sorting the full instance table — the ground truth
+// the population index is checked against.
+func (r *Runtime) collectAll() []*instance {
+	var all []*instance
+	for _, sh := range r.shards {
+		sh.mu.RLock()
+		for _, in := range sh.instances {
+			all = append(all, in)
+		}
+		sh.mu.RUnlock()
+	}
+	sortBySeq(all)
+	return all
+}
+
 // assertIndexMatchesCollectAll compares the population index against
 // the collectAll ground truth: same length, same instances, same order.
 func assertIndexMatchesCollectAll(t *testing.T, rt *Runtime) {
@@ -145,7 +161,7 @@ func TestPopulationIndexStress(t *testing.T) {
 				var after int64
 				seen := make(map[string]bool)
 				for {
-					page := rt.SummariesPage(after, pageStep)
+					page := rt.QuerySummaries(Filter{}, after, pageStep)
 					last := after
 					for _, s := range page.Summaries {
 						if s.Seq <= last {
@@ -300,7 +316,7 @@ func TestSummariesPageCursorStability(t *testing.T) {
 			if walk == 0 && pages == 1 {
 				<-firstCreate
 			}
-			page := rt.SummariesPage(after, 7)
+			page := rt.QuerySummaries(Filter{}, after, 7)
 			for _, s := range page.Summaries {
 				if _, isPre := pre[s.ID]; isPre {
 					if seen[s.ID] {
@@ -335,45 +351,6 @@ func TestSummariesPageCursorStability(t *testing.T) {
 	assertIndexMatchesCollectAll(t, rt)
 }
 
-// TestSummariesPageMatchesScan pins the indexed page to the deprecated
-// collectAll scan across cursors and limits: same summaries, same
-// totals, same next cursor.
-func TestSummariesPageMatchesScan(t *testing.T) {
-	rt := popRuntime(t, Config{Shards: 7})
-	model := popModel()
-	for i := 0; i < 83; i++ {
-		if _, err := rt.Instantiate(model, popRef(i), "owner", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, limit := range []int{0, 1, 7, 83, 200} {
-		var after int64
-		for pages := 0; ; pages++ {
-			idx := rt.SummariesPage(after, limit)
-			scan := rt.SummariesPageScan(after, limit)
-			if idx.Total != scan.Total || idx.NextAfter != scan.NextAfter || len(idx.Summaries) != len(scan.Summaries) {
-				t.Fatalf("limit %d after %d: index {%d items, total %d, next %d} vs scan {%d, %d, %d}",
-					limit, after, len(idx.Summaries), idx.Total, idx.NextAfter,
-					len(scan.Summaries), scan.Total, scan.NextAfter)
-			}
-			for i := range idx.Summaries {
-				if idx.Summaries[i].ID != scan.Summaries[i].ID {
-					t.Fatalf("limit %d after %d item %d: %s vs %s",
-						limit, after, i, idx.Summaries[i].ID, scan.Summaries[i].ID)
-				}
-			}
-			if idx.NextAfter == 0 {
-				break
-			}
-			after = idx.NextAfter
-		}
-	}
-	st := rt.RuntimeStats().PopulationIndex
-	if st.IndexedQueries == 0 || st.ScanQueries == 0 {
-		t.Fatalf("query counters not maintained: %+v", st)
-	}
-}
-
 // summaryMatches is the brute-force oracle of Filter.matches: the
 // same predicate evaluated on a built Summary.
 func summaryMatches(f Filter, s *Summary, now time.Time) bool {
@@ -392,12 +369,16 @@ func summaryMatches(f Filter, s *Summary, now time.Time) bool {
 // assertQueriesMatchBruteForce checks QuerySummaries at every cursor
 // (0 and each live seq) and limits 0, 1 and 7 against a brute-force
 // filter of the collectAll population: the items in creation order,
-// Total as SummaryPage defines it, and NextAfter. ForEachSummary and
-// ByResource/ByModelURI are checked against the same oracle. Filters
-// with LateOnly must carry their Now. Returns the unbounded result of
-// each filter at cursor 0, for comparing runtimes.
+// Total as SummaryPage defines it, and NextAfter. The empty filter —
+// the unfiltered population page — is always checked first, ahead of
+// filters. ForEachSummary and ByResource/ByModelURI are checked against
+// the same oracle, and no query may have scanned the instance table.
+// Filters with LateOnly must carry their Now. Returns the unbounded
+// result of each filter at cursor 0, the empty filter first, for
+// comparing runtimes.
 func assertQueriesMatchBruteForce(t *testing.T, rt *Runtime, filters []Filter) [][]string {
 	t.Helper()
+	filters = append([]Filter{{}}, filters...)
 	all := rt.collectAll()
 	sums := make([]Summary, len(all))
 	for i, in := range all {
@@ -485,6 +466,9 @@ func assertQueriesMatchBruteForce(t *testing.T, rt *Runtime, filters []Filter) [
 		if !slices.Equal(got, want) {
 			t.Fatalf("filter %d %+v by-URI snapshots %v, want %v", fi, f, got, want)
 		}
+	}
+	if st := rt.RuntimeStats().PopulationIndex; st.IndexedQueries == 0 || st.ScanQueries != 0 {
+		t.Fatalf("query counters: %+v, want indexed queries and no scans", st)
 	}
 	return firsts
 }
@@ -597,7 +581,6 @@ func TestQuerySummariesMatchesBruteForce(t *testing.T) {
 	}
 
 	filters := []Filter{
-		{},
 		{Resource: "urn:pop:res-2"},
 		{Resource: "urn:pop:res-2", State: StateCompleted},
 		{Resource: "urn:pop:no-such"},

@@ -78,7 +78,7 @@
 //
 // # Population index
 //
-// Every population listing — Summaries, SummariesPage, QuerySummaries,
+// Every population listing — Summaries, QuerySummaries,
 // ForEachSummary, Instances, the monitor's cockpit rebuild — is served
 // from an incrementally maintained ordered index instead of a
 // copy-and-sort scan. Each shard keeps a slice of its instance
@@ -437,7 +437,6 @@ type Runtime struct {
 	// Population-index counters (see popindex.go).
 	popOutOfOrder atomic.Int64 // ordered inserts that were not appends
 	popIndexed    atomic.Int64 // population queries served from indexes
-	popScans      atomic.Int64 // deprecated full-scan baseline calls
 
 	// agg is the cockpit aggregate behind Aggregate (see aggregate.go).
 	agg *aggregate
@@ -781,25 +780,6 @@ func (r *Runtime) Count() int {
 	return n
 }
 
-// collectAll gathers every instance pointer, sorted by creation order,
-// by copying and re-sorting the full population — O(N log N) per call.
-// Only shard membership locks are taken, one stripe at a time. The hot
-// read paths stream off the population index instead (popindex.go);
-// this remains as the ground truth of the index equivalence tests and
-// the measured baseline behind SummariesPageScan.
-func (r *Runtime) collectAll() []*instance {
-	var all []*instance
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		for _, in := range sh.instances {
-			all = append(all, in)
-		}
-		sh.mu.RUnlock()
-	}
-	sortBySeq(all)
-	return all
-}
-
 // sortBySeq orders instances by creation sequence; seq is immutable so
 // no lock is needed.
 func sortBySeq(list []*instance) {
@@ -850,17 +830,6 @@ type SummaryPage struct {
 	// NextAfter is the cursor for the following page (pass it as
 	// `after`); 0 when this page reaches the tail.
 	NextAfter int64 `json:"next_after,omitempty"`
-}
-
-// SummariesPage returns the summaries of instances with creation
-// sequence > after, at most limit of them (limit <= 0 means no bound),
-// in creation order. The page is served from the incrementally
-// maintained population index — the cursor is seeked with one binary
-// search per shard and only the page's instances are locked and
-// projected, O(log N + page) per call. Equivalent to
-// QuerySummaries(Filter{}, after, limit).
-func (r *Runtime) SummariesPage(after int64, limit int) SummaryPage {
-	return r.QuerySummaries(Filter{}, after, limit)
 }
 
 // PhaseStat is the incrementally maintained per-phase drill-down of
@@ -1091,7 +1060,6 @@ func (r *Runtime) RuntimeStats() Stats {
 		Entries:           st.Instances,
 		OutOfOrderInserts: r.popOutOfOrder.Load(),
 		IndexedQueries:    r.popIndexed.Load(),
-		ScanQueries:       r.popScans.Load(),
 	}
 	st.PopulationIndex.AggregateDueHeap, st.PopulationIndex.AggregateRewinds = r.aggStats()
 	st.InvocationsGCed = r.invGCed.Load()

@@ -67,6 +67,16 @@ func archiveFiles(t *testing.T, dir string) []string {
 	return out
 }
 
+// TestNegativeLogLiveWindowRejected: every fold archives by reference,
+// so a negative live window is a configuration error at open.
+func TestNegativeLogLiveWindowRejected(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{LogLiveWindow: -1})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a negative LogLiveWindow")
+	}
+}
+
 // TestFoldArchivesLogHistory is the tentpole acceptance test: with a
 // small live window, compaction spills old log history into archive
 // files carried by reference — the snapshot stays bounded, every read

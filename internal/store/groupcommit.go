@@ -175,14 +175,13 @@ func (e *journalEngine) Replay(fn func(Entry) error) error {
 	if err != nil {
 		return err
 	}
-	framed := !e.cfg.Integrity.DisableFraming
-	j, err := openJournal(filepath.Join(e.cfg.Dir, journalName), sr.lastSeq, framed)
+	j, err := openJournal(filepath.Join(e.cfg.Dir, journalName), sr.lastSeq)
 	if err != nil {
 		return err
 	}
 	j.adoptReplay(sr.active)
 	e.j = j
-	e.sf = newSegFiles(e.cfg.Dir, sr.state, framed)
+	e.sf = newSegFiles(e.cfg.Dir, sr.state)
 	e.sf.adoptIntegrity(sr, quarantined, corrupt, e.cfg.Integrity.OnCorrupt)
 	e.sf.adoptArchives(kept, keptBytes, hi, removed)
 	sr.stats.ArchiveRefs = len(refs)

@@ -199,15 +199,14 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 	if err := truncateTorn(c.dir, sr.active.good); err != nil {
 		return err
 	}
-	framed := !c.opts.Integrity.DisableFraming
-	j, err := openJournal(filepath.Join(c.dir, journalName), sr.lastSeq, framed)
+	j, err := openJournal(filepath.Join(c.dir, journalName), sr.lastSeq)
 	if err != nil {
 		return err
 	}
 	j.adoptReplay(sr.active)
 	c.mu.Lock()
 	c.j = j
-	c.sf = newSegFiles(c.dir, sr.state, framed)
+	c.sf = newSegFiles(c.dir, sr.state)
 	c.sf.adoptIntegrity(sr, quarantined, corrupt, c.opts.Integrity.OnCorrupt)
 	c.flushedSeq = sr.lastSeq
 	c.replayStats = sr.stats

@@ -30,11 +30,6 @@ type IntegrityOptions struct {
 	// repairs or restores. Every move is reported through OnCorrupt —
 	// the hook the embedding system uses to latch read-only.
 	Quarantine bool
-	// DisableFraming writes bare legacy JSONL lines without per-record
-	// CRCs or segment footers — the pre-upgrade format, kept so
-	// benchmarks can measure framing overhead. Replay accepts both
-	// formats regardless.
-	DisableFraming bool
 	// ScrubInterval paces the background scrubber verifying sealed
 	// segments, snapshots and archives while serving. 0 disables it.
 	ScrubInterval time.Duration
@@ -65,7 +60,8 @@ type CorruptFile struct {
 // admin store stats: what open recovered or refused, and what the
 // background scrubber has verified.
 type IntegrityStats struct {
-	// Framing reports whether appends write v1 CRC envelopes.
+	// Framing reports that appends write v1 CRC envelopes — always
+	// true, since every append is framed.
 	Framing bool `json:"framing"`
 	// TornTails / TornTailBytes count files whose invalid suffix open
 	// dropped as a crash tail — recovered, but observable.

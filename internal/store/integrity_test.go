@@ -8,10 +8,12 @@ package store
 // legacy (unframed) compatibility path.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -417,29 +419,34 @@ func TestScrubLoopRunsOnInterval(t *testing.T) {
 	}
 }
 
+// legacyLines returns n bare JSONL journal records of repo and op, one
+// per id prefix+NN — the pre-framing on-disk format, byte for byte, as
+// journals written before CRC envelopes existed hold it.
+func legacyLines(n int, repo, op, prefix string, data func(i int) string) []byte {
+	var b bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `{"seq":%d,"repo":%q,"op":%q,"id":"%s%02d","data":%s}`+"\n",
+			i+1, repo, op, prefix, i, data(i))
+	}
+	return b.Bytes()
+}
+
 // TestLegacyUnframedJournalOpens writes a pre-upgrade journal (bare
-// JSONL, no CRCs) and opens it with framing on: the version sniff
-// replays it unchanged, new appends are framed, and the mixed file
-// still seals under a correct whole-file footer.
+// JSONL, no CRCs) and opens it: the version sniff replays it
+// unchanged, new appends are framed, and the mixed file still seals
+// under a correct whole-file footer.
 func TestLegacyUnframedJournalOpens(t *testing.T) {
 	dir := t.TempDir()
-	j, err := openJournal(filepath.Join(dir, journalName), 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := j.Append(Entry{Repo: "docs", Op: OpPut, ID: fmt.Sprintf("k%02d", i),
-			Data: []byte(fmt.Sprintf(`{"title":"legacy","rev":%d}`, i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+	legacy := legacyLines(5, "docs", "put", "k", func(i int) string {
+		return fmt.Sprintf(`{"title":"legacy","rev":%d}`, i)
+	})
+	if err := os.WriteFile(filepath.Join(dir, journalName), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
 	if err != nil {
-		t.Fatalf("legacy journal failed to open with framing on: %v", err)
+		t.Fatalf("legacy journal failed to open: %v", err)
 	}
 	for i := 0; i < 5; i++ {
 		if got, ok := repo.Get(fmt.Sprintf("k%02d", i)); !ok || got.Rev != i {
@@ -468,6 +475,53 @@ func TestLegacyUnframedJournalOpens(t *testing.T) {
 	defer s2.Close()
 	if _, ok := repo2.Get("k06"); !ok {
 		t.Fatal("framed record appended to legacy file lost on reopen")
+	}
+}
+
+// TestLegacyUnframedJournalOpensInstances is the legacy-read case for
+// the instance journal: a pre-upgrade bare-JSONL file replays every
+// record, framed appends follow it, the mixed file seals under a
+// verified footer, and a reopen replays old and new records alike.
+func TestLegacyUnframedJournalOpensInstances(t *testing.T) {
+	dir := t.TempDir()
+	legacy := legacyLines(5, "instances", "append", "li-", func(i int) string {
+		return fmt.Sprintf(`{"op":"advance","n":%d}`, i)
+	})
+	if err := os.WriteFile(filepath.Join(dir, journalName), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	if err != nil {
+		t.Fatalf("legacy instance journal failed to replay: %v", err)
+	}
+	if want := []string{"li-00", "li-01", "li-02", "li-03", "li-04"}; !slices.Equal(ids, want) {
+		t.Fatalf("legacy replay streamed %v, want %v", ids, want)
+	}
+	for i := 5; i < 7; i++ {
+		if err := c.Append(fmt.Sprintf("li-%02d", i), []byte(fmt.Sprintf(`{"op":"advance","n":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := replayJournalFile(filepath.Join(dir, sealedName(1)), replaySealed, nil)
+	if err != nil {
+		t.Fatalf("mixed legacy+framed sealed segment failed verification: %v", err)
+	}
+	if fr.n != 7 || fr.footer == nil {
+		t.Fatalf("mixed segment replayed %d records, footer %v, want 7 with footer", fr.n, fr.footer)
+	}
+	c2, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if len(ids) != 7 || ids[6] != "li-06" {
+		t.Fatalf("reopen replayed %v, want li-00..li-06", ids)
 	}
 }
 

@@ -302,28 +302,19 @@ type Journal struct {
 	line []byte // envelope scratch wrapping buf's payload
 	err  error  // sticky I/O error: once the tail is suspect, stop writing
 
-	// Framing state. framed selects v1 envelopes (plus a footer when
-	// sealed); the rest is the running whole-file accounting the footer
-	// seals, seeded by adoptReplay when an existing file is reopened.
-	framed  bool
+	// The running whole-file accounting the footer seals, seeded by
+	// adoptReplay when an existing file is reopened.
 	fileCRC uint32 // CRC32-C over every good byte written or replayed
 	records int64  // record lines in the file
 	loSeq   uint64 // lowest/highest nonzero Seq in the file
 	hiSeq   uint64
 }
 
-// OpenJournal opens (or creates) the journal at path for appending with
+// openJournal opens (or creates) the journal at path for appending with
 // v1 record framing. lastSeq must be the highest sequence number
 // already present (as reported by ReplayJournal); new entries continue
 // from there.
-func OpenJournal(path string, lastSeq uint64) (*Journal, error) {
-	return openJournal(path, lastSeq, true)
-}
-
-// openJournal is OpenJournal with the framing mode explicit: framed
-// writes v1 envelopes and seals with a footer, unframed writes bare
-// legacy lines (the benchmark baseline; replay accepts both).
-func openJournal(path string, lastSeq uint64, framed bool) (*Journal, error) {
+func openJournal(path string, lastSeq uint64) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open journal: %w", err)
@@ -332,7 +323,7 @@ func openJournal(path string, lastSeq uint64, framed bool) (*Journal, error) {
 	if info, err := f.Stat(); err == nil {
 		size = info.Size()
 	}
-	return &Journal{path: path, f: f, w: bufio.NewWriter(f), seq: lastSeq, size: size, framed: framed}, nil
+	return &Journal{path: path, f: f, w: bufio.NewWriter(f), seq: lastSeq, size: size}, nil
 }
 
 // adoptReplay seeds the footer accounting from what replay found in an
@@ -383,22 +374,18 @@ func (j *Journal) writeRaw(e Entry) error {
 	return nil
 }
 
-// writeLine encodes and writes one record line — framed in a v1
-// envelope unless the journal runs in legacy mode — and maintains the
-// running size/CRC/record accounting the segment footer seals.
+// writeLine encodes and writes one record line, framed in a v1
+// envelope, and maintains the running size/CRC/record accounting the
+// segment footer seals.
 func (j *Journal) writeLine(e Entry) error {
 	j.buf = appendEntry(j.buf[:0], e)
-	out := j.buf
-	if j.framed {
-		j.line = appendFrame(j.line[:0], frameRecord, j.buf[:len(j.buf)-1])
-		out = j.line
-	}
-	n, err := j.w.Write(out)
+	j.line = appendFrame(j.line[:0], frameRecord, j.buf[:len(j.buf)-1])
+	n, err := j.w.Write(j.line)
 	j.size += int64(n)
 	if err != nil {
 		return err
 	}
-	j.fileCRC = crc32.Update(j.fileCRC, crcTable, out)
+	j.fileCRC = crc32.Update(j.fileCRC, crcTable, j.line)
 	j.records++
 	if e.Seq > 0 {
 		if j.loSeq == 0 || e.Seq < j.loSeq {
@@ -414,14 +401,14 @@ func (j *Journal) writeLine(e Entry) error {
 // writeFooter appends the segment footer sealing everything written so
 // far: record count, sequence range, whole-file CRC and byte length.
 // Buffered like every write — the caller's flush/sync covers it. A
-// no-op for legacy-mode or empty files; nothing may be appended after
+// no-op for empty files; nothing may be appended after
 // it (replay treats data past a footer as corruption), which the seal
 // and fold paths guarantee by footer-ing only right before rename.
 func (j *Journal) writeFooter() error {
 	if j.err != nil {
 		return j.err
 	}
-	if !j.framed || j.records == 0 {
+	if j.records == 0 {
 		return nil
 	}
 	ft := segFooter{Records: j.records, FirstSeq: j.loSeq, LastSeq: j.hiSeq, CRC: j.fileCRC, Bytes: j.size}
@@ -470,19 +457,6 @@ func appendEntry(buf []byte, e Entry) []byte {
 		buf = append(buf, e.Data...)
 	}
 	return append(buf, '}', '\n')
-}
-
-// Append writes one entry and flushes — the unbatched path, used by
-// tests and one-off writes.
-func (j *Journal) Append(e Entry) (uint64, error) {
-	seq, err := j.writeEntry(e)
-	if err != nil {
-		return 0, err
-	}
-	if err := j.Flush(); err != nil {
-		return 0, err
-	}
-	return seq, nil
 }
 
 // Flush pushes buffered writes to the OS.

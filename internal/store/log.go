@@ -356,8 +356,8 @@ func (l *Log) replayKey(Entry) string { return "" }
 // The image and boundary are captured under one read-lock hold;
 // archive file I/O happens after release so the group-commit apply
 // path (which takes l.mu per entry) never stalls behind a fold. If
-// archiving fails the overflow falls back to inline entries — strictly
-// the legacy behavior, never lost history.
+// archiving fails the overflow stays in the snapshot as entries, so
+// no history is lost.
 func (l *Log) foldEntries(ar Archiver) ([]Entry, uint64, func()) {
 	window := l.store.logWindow()
 	l.mu.RLock()
@@ -367,7 +367,7 @@ func (l *Log) foldEntries(ar Archiver) ([]Entry, uint64, func()) {
 	l.mu.RUnlock()
 
 	spill := 0
-	if ar != nil && window >= 0 && len(live) > window {
+	if ar != nil && len(live) > window {
 		spill = len(live) - window
 	}
 
@@ -403,7 +403,7 @@ func (l *Log) foldEntries(ar Archiver) ([]Entry, uint64, func()) {
 			}
 		}
 		// On any failure live still holds everything: the snapshot gets
-		// the full inline image, exactly as before archives existed.
+		// the full log as entries.
 	}
 
 	for _, le := range live {

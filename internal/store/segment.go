@@ -283,7 +283,6 @@ func syncDir(dir string) {
 // serialized by the owner (one fold at a time).
 type segFiles struct {
 	dir      string
-	framed   bool          // write v1 envelopes and seal with footers
 	sealedHi uint64        // highest sealed segment on disk (appender lock)
 	snapNum  atomic.Uint64 // segments <= snapNum are folded into the snapshot
 
@@ -332,8 +331,8 @@ type segFiles struct {
 }
 
 // newSegFiles adopts the generation a scan found.
-func newSegFiles(dir string, st segState, framed bool) *segFiles {
-	sf := &segFiles{dir: dir, framed: framed, refs: make(map[uint64]ArchiveRef)}
+func newSegFiles(dir string, st segState) *segFiles {
+	sf := &segFiles{dir: dir, refs: make(map[uint64]ArchiveRef)}
 	sf.snapNum.Store(st.snapNum)
 	sf.sealedHi = st.snapNum
 	if n := len(st.sealed); n > 0 {
@@ -411,7 +410,7 @@ func (sf *segFiles) seal(j *Journal) (*Journal, error) {
 	if err := os.Rename(active, filepath.Join(sf.dir, sealedName(next))); err != nil {
 		return j, fmt.Errorf("store: seal segment: %w", err)
 	}
-	nj, err := openJournal(active, seq, sf.framed)
+	nj, err := openJournal(active, seq)
 	if err != nil {
 		return j, err
 	}
@@ -440,7 +439,7 @@ func (sf *segFiles) fold(covers, hwm uint64, write func(*Journal) error) error {
 	final := filepath.Join(sf.dir, snapName(covers))
 	tmp := final + ".tmp"
 	os.Remove(tmp)
-	sj, err := openJournal(tmp, 0, sf.framed)
+	sj, err := openJournal(tmp, 0)
 	if err != nil {
 		sf.foldErrors.Add(1)
 		return err
@@ -580,7 +579,7 @@ func (sf *segFiles) statsInto(st *EngineStats, replay ReplayStats) {
 	st.ArchivesWritten = sf.archivesWritten.Load()
 	st.OrphanArchives = sf.orphanArchives.Load()
 	st.Integrity = IntegrityStats{
-		Framing:          sf.framed,
+		Framing:          true,
 		TornTails:        sf.tornTails.Load(),
 		TornTailBytes:    sf.tornTailBytes.Load(),
 		CorruptFiles:     sf.corrupt.Load(),

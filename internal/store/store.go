@@ -52,7 +52,7 @@ type Store struct {
 	clock      vclock.Clock
 	parts      map[string]journaled
 	shards     int
-	window     int // log live-window entry count; -1 = inline (legacy)
+	window     int // log live-window entry count
 	loaded     bool
 	loadCalled bool
 	closed     bool
@@ -114,8 +114,7 @@ type Options struct {
 	// LogLiveWindow is how many of a log's newest entries stay in RAM
 	// and in the snapshot; older entries are spilled by folds into
 	// immutable archive files carried by reference. 0 means
-	// DefaultLogLiveWindow; negative disables archiving (every fold
-	// rewrites full log history inline — the legacy behavior).
+	// DefaultLogLiveWindow; Open rejects a negative window.
 	LogLiveWindow int
 	// FoldMinInterval is the minimum wall-clock spacing between
 	// background folds: a seal poking the folder sooner defers the
@@ -214,8 +213,6 @@ func New(engine Engine, opts Options) *Store {
 	window := opts.LogLiveWindow
 	if window == 0 {
 		window = DefaultLogLiveWindow
-	} else if window < 0 {
-		window = -1
 	}
 	return &Store{
 		engine:         engine,
@@ -235,6 +232,9 @@ func New(engine Engine, opts Options) *Store {
 // the journal rotates and a background folder compacts sealed segments
 // into snapshots without excluding writers.
 func Open(dir string, opts Options) (*Store, error) {
+	if opts.LogLiveWindow < 0 {
+		return nil, fmt.Errorf("store: negative log live window %d", opts.LogLiveWindow)
+	}
 	s := New(nil, opts)
 	engine, err := NewJournalEngine(JournalConfig{
 		Dir:             dir,
@@ -286,7 +286,7 @@ func (s *Store) register(name string, part journaled) error {
 // numShards reports the lock-stripe count repositories should use.
 func (s *Store) numShards() int { return s.shards }
 
-// logWindow reports the configured log live-window (-1 = inline).
+// logWindow reports the configured log live-window.
 func (s *Store) logWindow() int { return s.window }
 
 // readArchive streams one archived ref through fn — the log's cold

@@ -145,7 +145,7 @@ func TestJournalFaultReadOnlyAndProbeRecovery(t *testing.T) {
 	// cleanly acked must be there, and probe records must replay as
 	// no-ops.
 	sys2 := newSystem(t, restartOpts(dir, clock))
-	sum, ok := sys2.InstanceSummary(main)
+	sum, ok := sys2.Summary(main)
 	if !ok || sum.Current != "internalreview" {
 		t.Fatalf("main instance after restart = %+v (ok=%v), want internalreview", sum, ok)
 	}
@@ -189,7 +189,7 @@ func TestKillUnderSheddingNoAckedWriteLost(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids[i] = snap.ID
-		sum, _ := sys.InstanceSummary(snap.ID)
+		sum, _ := sys.Summary(snap.ID)
 		initial[i] = sum.Current
 	}
 
@@ -231,7 +231,7 @@ func TestKillUnderSheddingNoAckedWriteLost(t *testing.T) {
 	// ones left no trace.
 	sys2 := newSystem(t, restartOpts(dir, clock))
 	for i, id := range ids {
-		sum, ok := sys2.InstanceSummary(id)
+		sum, ok := sys2.Summary(id)
 		if !ok {
 			t.Fatalf("instance %d lost across restart", i)
 		}

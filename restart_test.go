@@ -313,7 +313,7 @@ func TestSummariesPageCursor(t *testing.T) {
 	var after int64
 	pages := 0
 	for {
-		page := sys.SummariesPage(after, 4)
+		page := sys.QuerySummaries(Filter{}, after, 4)
 		if page.Total != n {
 			t.Fatalf("total = %d, want %d", page.Total, n)
 		}
@@ -338,7 +338,7 @@ func TestSummariesPageCursor(t *testing.T) {
 		}
 	}
 	// Paging past the tail is empty, cursor 0.
-	if page := sys.SummariesPage(all[n-1].Seq, 4); len(page.Summaries) != 0 || page.NextAfter != 0 {
+	if page := sys.QuerySummaries(Filter{}, all[n-1].Seq, 4); len(page.Summaries) != 0 || page.NextAfter != 0 {
 		t.Fatalf("past-tail page: %+v", page)
 	}
 }
