@@ -351,6 +351,56 @@ func TestSummariesPageCursorStability(t *testing.T) {
 	assertIndexMatchesCollectAll(t, rt)
 }
 
+// TestSummariesPageMatchesScan pins the unfiltered indexed page to a
+// scan of the collectAll ground truth while walking every page at
+// several limits: same summaries, same totals, same next cursor — and
+// the walk must not have scanned the instance table.
+func TestSummariesPageMatchesScan(t *testing.T) {
+	rt := popRuntime(t, Config{Shards: 7})
+	model := popModel()
+	for i := 0; i < 83; i++ {
+		if _, err := rt.Instantiate(model, popRef(i), "owner", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := rt.collectAll()
+	for _, limit := range []int{0, 1, 7, 83, 200} {
+		var after int64
+		for pages := 0; ; pages++ {
+			var rest []*instance
+			for _, in := range all {
+				if in.seq > after {
+					rest = append(rest, in)
+				}
+			}
+			next := int64(0)
+			if limit > 0 && len(rest) > limit {
+				rest, next = rest[:limit], rest[limit-1].seq
+			}
+			idx := rt.QuerySummaries(Filter{}, after, limit)
+			if idx.Total != len(all) || idx.NextAfter != next || len(idx.Summaries) != len(rest) {
+				t.Fatalf("limit %d after %d: index {%d items, total %d, next %d} vs scan {%d, %d, %d}",
+					limit, after, len(idx.Summaries), idx.Total, idx.NextAfter,
+					len(rest), len(all), next)
+			}
+			for i := range idx.Summaries {
+				if idx.Summaries[i].ID != rest[i].id {
+					t.Fatalf("limit %d after %d item %d: %s vs %s",
+						limit, after, i, idx.Summaries[i].ID, rest[i].id)
+				}
+			}
+			if idx.NextAfter == 0 {
+				break
+			}
+			after = idx.NextAfter
+		}
+	}
+	st := rt.RuntimeStats().PopulationIndex
+	if st.IndexedQueries == 0 || st.ScanQueries != 0 {
+		t.Fatalf("query counters: %+v, want indexed queries and no scans", st)
+	}
+}
+
 // summaryMatches is the brute-force oracle of Filter.matches: the
 // same predicate evaluated on a built Summary.
 func summaryMatches(f Filter, s *Summary, now time.Time) bool {
