@@ -625,98 +625,69 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalDurableConcurrentPut is the tentpole measurement of
-// the engine refactor: concurrent durable writes under the per-append
-// fsync baseline vs the group-commit writer. Same workload, same
-// durability guarantee (no Put returns before its entry is fsynced);
-// group commit amortizes the fsync across the batch.
+// BenchmarkJournalDurableConcurrentPut measures concurrent durable
+// writes: no Put returns before its entry is fsynced, and concurrent
+// Puts share one flush + fsync.
 func BenchmarkJournalDurableConcurrentPut(b *testing.B) {
-	modes := []struct {
-		name string
-		opts store.Options
-	}{
-		{"per-append-fsync", store.Options{SyncEveryAppend: true}},
-		{"group-commit", store.Options{Sync: true}},
+	st, err := store.Open(b.TempDir(), store.Options{Sync: true})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			st, err := store.Open(b.TempDir(), mode.opts)
-			if err != nil {
-				b.Fatal(err)
+	repo := store.MustRepo[map[string]string](st, "bench")
+	if err := st.Load(); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	val := map[string]string{"phase": "elaboration", "actor": "owner"}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.SetParallelism(4)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			k := next.Add(1)
+			if err := repo.Put(fmt.Sprintf("k%d", k%4096), val); err != nil {
+				b.Error(err)
+				return
 			}
-			repo := store.MustRepo[map[string]string](st, "bench")
-			if err := st.Load(); err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			val := map[string]string{"phase": "elaboration", "actor": "owner"}
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.SetParallelism(4)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					k := next.Add(1)
-					if err := repo.Put(fmt.Sprintf("k%d", k%4096), val); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			stats := st.Stats()
-			b.ReportMetric(float64(stats.Engine.Syncs), "fsyncs")
-			if stats.Engine.Batches > 0 {
-				b.ReportMetric(float64(stats.Engine.Appends)/float64(stats.Engine.Batches), "appends/batch")
-			}
-		})
+		}
+	})
+	b.StopTimer()
+	stats := st.Stats()
+	b.ReportMetric(float64(stats.Engine.Syncs), "fsyncs")
+	if stats.Engine.Batches > 0 {
+		b.ReportMetric(float64(stats.Engine.Appends)/float64(stats.Engine.Batches), "appends/batch")
 	}
 }
 
 // BenchmarkConcurrentInstantiateAdvance drives the whole stack — facade,
 // runtime, sharded repositories, execution log, journal engine — from
-// many goroutines at once, persistent and durable, comparing the
-// per-append fsync baseline against batched group commit.
+// many goroutines at once, persistent and durable.
 func BenchmarkConcurrentInstantiateAdvance(b *testing.B) {
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"per-append-fsync", Options{SyncEveryAppend: true}},
-		{"group-commit", Options{SyncJournal: true}},
+	sys, err := New(Options{DataDir: b.TempDir(), SyncJournal: true, EmbeddedPlugins: true, SyncActions: true})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := mode.opts
-			opts.DataDir = b.TempDir()
-			opts.EmbeddedPlugins = true
-			opts.SyncActions = true
-			sys, err := New(opts)
+	b.Cleanup(func() { sys.Close() })
+	if err := sys.DefineModel("", scenario.QualityPlan()); err != nil {
+		b.Fatal(err)
+	}
+	sys.Sims.Wiki.CreatePage("D1.1", "owner", "text")
+	ref := Ref{URI: "http://wiki.liquidpub.org/pages/D1.1", Type: "mediawiki"}
+	b.ReportAllocs()
+	b.SetParallelism(4)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			snap, err := sys.Instantiate(scenario.QualityPlanURI, ref, "owner", benchBindings())
 			if err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
-			b.Cleanup(func() { sys.Close() })
-			if err := sys.DefineModel("", scenario.QualityPlan()); err != nil {
-				b.Fatal(err)
+			if _, err := sys.Advance(snap.ID, "elaboration", "owner", AdvanceOptions{}); err != nil {
+				b.Error(err)
+				return
 			}
-			sys.Sims.Wiki.CreatePage("D1.1", "owner", "text")
-			ref := Ref{URI: "http://wiki.liquidpub.org/pages/D1.1", Type: "mediawiki"}
-			b.ReportAllocs()
-			b.SetParallelism(4)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					snap, err := sys.Instantiate(scenario.QualityPlanURI, ref, "owner", benchBindings())
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := sys.Advance(snap.ID, "elaboration", "owner", AdvanceOptions{}); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	geleebench [-experiment all|fig1|table1|table2|fig2|fig3|fig4|ablation|liquidpub|store|runtime|monitor|persist|segments|fold|overload|integrity]
+//	geleebench [-experiment all|fig1|table1|table2|fig2|fig3|fig4|ablation|liquidpub|runtime|monitor|persist|segments|fold|overload|integrity]
 //	           [-runtime-shards N]
 //
 // The runtime experiment drives disjoint-instance token moves from a
@@ -88,7 +88,6 @@ func main() {
 		{"fig4", "Fig. 4 — execution widget", runFig4},
 		{"ablation", "E7 — light coupling vs prescriptive engine", runAblation},
 		{"liquidpub", "E8 — LiquidPub monitoring at scale", runLiquidPub},
-		{"store", "E9 — group-commit journal vs per-append fsync", runStoreEngine},
 		{"runtime", "E10 — runtime sharding: disjoint-advance scaling, indexed queries", runRuntimeSharding},
 		{"monitor", "E11 — copy-free read path: summary-backed cockpit vs snapshot baseline", runMonitorReadPath},
 		{"persist", "E12 — durable runtime: write-through overhead + replay throughput", runPersist},
@@ -424,80 +423,6 @@ func runLiquidPub() error {
 	fmt.Printf("paper: 35 deliverables, status at a glance, particular attention to delays\n")
 	fmt.Printf("measured: total=%d active=%d completed=%d late=%d by-phase=%v (query %v)\n",
 		sum.Total, sum.Active, sum.Completed, len(late), sum.ByPhase, elapsed.Round(time.Microsecond))
-	return nil
-}
-
-// runStoreEngine measures the data-tier refactor: the same concurrent
-// durable-write workload against the per-append-fsync baseline and the
-// group-commit engine, reporting wall clock and engine counters.
-func runStoreEngine() error {
-	const writers, perWriter = 8, 50
-	type result struct {
-		elapsed time.Duration
-		stats   store.Stats
-	}
-	run := func(opts store.Options) (result, error) {
-		dir, err := os.MkdirTemp("", "gelee-bench-store-*")
-		if err != nil {
-			return result{}, err
-		}
-		defer os.RemoveAll(dir)
-		st, err := store.Open(dir, opts)
-		if err != nil {
-			return result{}, err
-		}
-		repo := store.MustRepo[map[string]string](st, "bench")
-		if err := st.Load(); err != nil {
-			return result{}, err
-		}
-		val := map[string]string{"phase": "elaboration", "actor": "owner"}
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perWriter; i++ {
-					if err := repo.Put(fmt.Sprintf("w%d-k%d", w, i), val); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			st.Close()
-			return result{}, err
-		}
-		elapsed := time.Since(start)
-		stats := st.Stats()
-		if err := st.Close(); err != nil {
-			return result{}, err
-		}
-		return result{elapsed: elapsed, stats: stats}, nil
-	}
-
-	baseline, err := run(store.Options{SyncEveryAppend: true})
-	if err != nil {
-		return err
-	}
-	grouped, err := run(store.Options{Sync: true})
-	if err != nil {
-		return err
-	}
-	n := writers * perWriter
-	fmt.Printf("workload: %d goroutines x %d durable puts = %d entries\n", writers, perWriter, n)
-	fmt.Printf("  per-append fsync: %v (%d fsyncs, %d batches)\n",
-		baseline.elapsed.Round(time.Microsecond), baseline.stats.Engine.Syncs, baseline.stats.Engine.Batches)
-	fmt.Printf("  group commit:     %v (%d fsyncs, %d batches, max batch %d)\n",
-		grouped.elapsed.Round(time.Microsecond), grouped.stats.Engine.Syncs, grouped.stats.Engine.Batches,
-		grouped.stats.Engine.MaxBatch)
-	if grouped.elapsed > 0 {
-		fmt.Printf("  speedup: %.1fx\n", float64(baseline.elapsed)/float64(grouped.elapsed))
-	}
 	return nil
 }
 
@@ -1012,7 +937,7 @@ func filteredPageCost() (filteredPoint, error) {
 // runPersist measures the durable-runtime refactor: the write-through
 // overhead of journaling every token move (the acceptance bar is ≤2x
 // over the RAM-only advance path under a concurrent workload, where
-// group commit amortizes the append), and the replay throughput of
+// combined flushes amortize the append), and the replay throughput of
 // rebuilding the whole runtime from the journal on restart. Results go
 // to stdout and BENCH_persist.json.
 func runPersist() error {
@@ -1084,7 +1009,7 @@ func runPersist() error {
 	}
 
 	// Write-through: every mutation journaled through the instance
-	// collection's group-commit engine before it is acknowledged.
+	// collection's appender before it is acknowledged.
 	dir, err := os.MkdirTemp("", "gelee-bench-persist-*")
 	if err != nil {
 		return err
@@ -2094,7 +2019,7 @@ func runIntegrity() error {
 		payload[i] = 'a' + byte(i%26)
 	}
 
-	// Durable-put throughput through the group-commit engine.
+	// Durable-put throughput through the journal engine.
 	durablePuts := func() (int64, error) {
 		dir, err := os.MkdirTemp("", "gelee-bench-integrity-*")
 		if err != nil {

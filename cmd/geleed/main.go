@@ -7,7 +7,6 @@
 //
 //	geleed [-addr :8085] [-data DIR] [-auth] [-seed] [-engine journal|memory]
 //	       [-sync] [-store-shards N] [-runtime-shards N]
-//	       [-journal-flush-interval D] [-journal-flush-batch N]
 //	       [-segment-max-bytes N] [-snapshot-every N]
 //	       [-log-live-window N] [-fold-min-interval D] [-fold-min-garbage R]
 //	       [-read-cache-entries N]
@@ -25,9 +24,9 @@
 // §IV.D roles via the X-Gelee-User header; -seed loads the LiquidPub
 // demo project (quality plan + 35 deliverables) so the cockpit has
 // something to show. The engine flags tune the data tier: -sync makes
-// the journal fsync each group-commit batch, -store-shards sets the
-// repository lock-stripe count, and the flush flags bound the group-
-// commit batching window. -runtime-shards stripes the lifecycle
+// both journals fsync once per combined flush (concurrent writers share
+// it), and -store-shards sets the repository lock-stripe count.
+// -runtime-shards stripes the lifecycle
 // runtime's instance table so token moves on different instances
 // never contend; -max-events ring-truncates each instance's in-memory
 // history (the journal keeps the full record) and -invocation-retention
@@ -118,11 +117,9 @@ func main() {
 	auth := flag.Bool("auth", false, "enforce roles via the X-Gelee-User header")
 	seed := flag.Bool("seed", false, "load the LiquidPub demo project")
 	engine := flag.String("engine", "", "storage engine: journal|memory (default: journal when -data is set)")
-	sync := flag.Bool("sync", false, "fsync every group-commit journal batch")
+	sync := flag.Bool("sync", false, "fsync once per combined journal flush; concurrent writers share the fsync")
 	shards := flag.Int("store-shards", 0, "repository lock-stripe count (0 = default)")
 	rtShards := flag.Int("runtime-shards", 0, "runtime instance-table lock-stripe count (0 = default)")
-	flushInterval := flag.Duration("journal-flush-interval", 0, "group-commit wait to grow a batch (0 = opportunistic)")
-	flushBatch := flag.Int("journal-flush-batch", 0, "max journal entries per group-commit batch (0 = default)")
 	segmentMax := flag.Int64("segment-max-bytes", 64<<20, "rotate journal segments past this size; folded into snapshots in the background (0 = no rotation)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "fold once this many sealed segments accumulate (0 = every rotation)")
 	logWindow := flag.Int("log-live-window", 0, "execution-log entries kept hot; older history archived by reference (0 = default)")
@@ -152,24 +149,22 @@ func main() {
 	flag.Parse()
 
 	sys, err := gelee.New(gelee.Options{
-		DataDir:              *dataDir,
-		Engine:               *engine,
-		SyncJournal:          *sync,
-		StoreShards:          *shards,
-		JournalFlushInterval: *flushInterval,
-		JournalFlushBatch:    *flushBatch,
-		SegmentMaxBytes:      *segmentMax,
-		SnapshotEvery:        *snapshotEvery,
-		LogLiveWindow:        *logWindow,
-		FoldMinInterval:      *foldMinInterval,
-		FoldMinGarbage:       *foldMinGarbage,
-		ReadCacheEntries:     *readCache,
-		RuntimeShards:        *rtShards,
-		MaxEventsInMemory:    *maxEvents,
-		InvocationRetention:  *invRetention,
-		PersistInstances:     *persist,
-		Auth:                 *auth,
-		EmbeddedPlugins:      true,
+		DataDir:             *dataDir,
+		Engine:              *engine,
+		SyncJournal:         *sync,
+		StoreShards:         *shards,
+		SegmentMaxBytes:     *segmentMax,
+		SnapshotEvery:       *snapshotEvery,
+		LogLiveWindow:       *logWindow,
+		FoldMinInterval:     *foldMinInterval,
+		FoldMinGarbage:      *foldMinGarbage,
+		ReadCacheEntries:    *readCache,
+		RuntimeShards:       *rtShards,
+		MaxEventsInMemory:   *maxEvents,
+		InvocationRetention: *invRetention,
+		PersistInstances:    *persist,
+		Auth:                *auth,
+		EmbeddedPlugins:     true,
 		Integrity: gelee.IntegrityOptions{
 			Quarantine:        *quarantine,
 			ScrubInterval:     *scrubInterval,

@@ -120,21 +120,12 @@ type Options struct {
 	// Engine selects the storage engine: "" (auto — journal when
 	// DataDir is set, memory otherwise), "journal", or "memory".
 	Engine string
-	// SyncJournal makes the journal engine fsync every group-commit
-	// batch: durable writes at a fraction of the per-append cost.
+	// SyncJournal makes both journals fsync once per combined flush:
+	// concurrent writers share the fsync.
 	SyncJournal bool
-	// SyncEveryAppend fsyncs each journal append individually — the
-	// legacy durability mode, kept as a benchmark baseline.
-	SyncEveryAppend bool
 	// StoreShards overrides the repository lock-stripe count
 	// (0 = store.DefaultShards).
 	StoreShards int
-	// JournalFlushInterval is how long the group-commit writer waits
-	// to grow a batch (0 = opportunistic).
-	JournalFlushInterval time.Duration
-	// JournalFlushBatch caps journal entries per group-commit batch
-	// (0 = store default).
-	JournalFlushBatch int
 	// SegmentMaxBytes seals a journal's active segment once it grows
 	// past this size and rotates to a fresh one — an O(1) rename under
 	// the appender lock, so writers never wait on compaction. Sealed
@@ -188,8 +179,8 @@ type Options struct {
 	InvocationRetention time.Duration
 	// PersistInstances makes lifecycle instances durable: every
 	// instance mutation is written through to a dedicated instance
-	// journal (under DataDir/instances with the journal engine, a
-	// no-op sink with the memory engine) before it is acknowledged,
+	// journal under DataDir/instances before it is acknowledged (the
+	// memory engine has nothing to persist and ignores the option),
 	// and on open the journal is replayed — token positions, event
 	// histories, executions, pending changes, secondary indexes and
 	// incremental counters all come back. Without it instances live
@@ -237,8 +228,8 @@ const DefaultReadCacheEntries = store.DefaultReadCacheEntries
 // for the health-state-machine and breaker semantics.
 type ResilienceOptions struct {
 	// MaxQueueDepth is the admission watermark: when the data tier's
-	// commit backlog (group-commit queue depth, instance-appender
-	// in-flight count, or DepthSignal — whichever is highest) reaches
+	// commit backlog (appenders in flight on either journal, or
+	// DepthSignal — whichever is highest) reaches
 	// it, mutating HTTP requests shed with 429 + Retry-After until the
 	// backlog falls back to half the watermark. Reads continue.
 	// 0 disables shedding.
@@ -326,7 +317,7 @@ type System struct {
 	users     *store.Repo[access.User]
 	grants    *store.Repo[access.Grant]
 	execLog   *store.Log
-	instances *store.Instances // nil unless Options.PersistInstances
+	instances *store.Instances // nil unless Options.PersistInstances on the journal engine
 
 	// readCacheEntries is the resolved per-shard read-cache bound
 	// (<= 0 when disabled) — reported by startup logs and admin stats.
@@ -401,7 +392,7 @@ func New(opts Options) (*System, error) {
 	// alert plus the health report carry the signal to the operator.
 	integ := opts.Integrity
 	userOnCorrupt := integ.OnCorrupt
-	// purgeCaches is bound to the cached repositories once they exist
+	// purgeCaches is bound to the cached repository once it exists
 	// (below); a quarantine event must also drop every cached decode,
 	// since the records they came from just left the journal. The hook
 	// can fire during the store's initial Load (caches still empty, the
@@ -421,10 +412,7 @@ func New(opts Options) (*System, error) {
 
 	storeOpts := store.Options{
 		Sync:             opts.SyncJournal,
-		SyncEveryAppend:  opts.SyncEveryAppend,
 		Shards:           opts.StoreShards,
-		FlushInterval:    opts.JournalFlushInterval,
-		FlushBatch:       opts.JournalFlushBatch,
 		SegmentMaxBytes:  opts.SegmentMaxBytes,
 		SnapshotEvery:    opts.SnapshotEvery,
 		LogLiveWindow:    opts.LogLiveWindow,
@@ -470,51 +458,45 @@ func New(opts Options) (*System, error) {
 	}
 	s.models = store.MustRepo[*core.Model](st, "models")
 	s.templates = store.MustRepo[*core.Model](st, "templates")
-	// Read cache: models and templates are the read-dominated
-	// repositories (every cockpit fetch, monitor render and
-	// instantiation reads them), and their values need a defensive deep
-	// clone when handed out — exactly what an LRU of prepared shared
-	// values amortizes. ModelView serves the shared path.
+	// Read cache: models are the read-dominated repository (every
+	// cockpit fetch, monitor render and instantiation reads them), and
+	// their values need a defensive deep clone when handed out —
+	// exactly what an LRU of prepared shared values amortizes.
+	// ModelView serves the shared path; templates are read through Get
+	// only, so they get no cache.
 	cacheEntries := opts.ReadCacheEntries
 	if cacheEntries == 0 {
 		cacheEntries = store.DefaultReadCacheEntries
 	}
 	s.readCacheEntries = cacheEntries
 	s.models.EnableReadCache(cacheEntries, (*core.Model).Clone)
-	s.templates.EnableReadCache(cacheEntries, (*core.Model).Clone)
-	// Purge the cached repos directly, not via Store.PurgeReadCaches:
+	// Purge the cached repo directly, not via Store.PurgeReadCaches:
 	// a quarantine can fire OnCorrupt in the middle of the store's
 	// Load, where the store mutex is already held — the repo-level
 	// purge takes only per-shard cache locks and is safe there.
-	purgeCaches = func() {
-		s.models.PurgeReadCache()
-		s.templates.PurgeReadCache()
-	}
+	purgeCaches = s.models.PurgeReadCache
 	s.actTypes = store.MustRepo[actionlib.ActionType](st, "action-types")
 	s.actImpls = store.MustRepo[actionlib.Implementation](st, "action-impls")
 	s.users = store.MustRepo[access.User](st, "users")
 	s.grants = store.MustRepo[access.Grant](st, "grants")
 	s.execLog = store.MustLog(st, "execlog")
-	if opts.PersistInstances {
-		// The instance collection runs on its own engine (its own
-		// journal file under DataDir/instances) so instance writes
-		// never order an instance lock against the definitions store's
-		// commit lock; see store.Instances.
-		if engine == "journal" {
-			coll, err := store.OpenInstances(filepath.Join(opts.DataDir, "instances"),
-				store.InstancesOptions{
-					Sync:            opts.SyncJournal || opts.SyncEveryAppend,
-					SegmentMaxBytes: opts.SegmentMaxBytes,
-					SnapshotEvery:   opts.SnapshotEvery,
-					Integrity:       integ,
-				})
-			if err != nil {
-				return nil, err
-			}
-			s.instances = coll
-		} else {
-			s.instances = store.NewInstances(store.NewMemoryEngine())
+	if opts.PersistInstances && engine == "journal" {
+		// The instance collection runs on its own journal directory
+		// (DataDir/instances) so instance writes never order an
+		// instance lock against the definitions store's commit lock;
+		// see store.Instances. The memory engine has nothing to
+		// persist, so it gets no collection.
+		coll, err := store.OpenInstances(filepath.Join(opts.DataDir, "instances"),
+			store.InstancesOptions{
+				Sync:            opts.SyncJournal,
+				SegmentMaxBytes: opts.SegmentMaxBytes,
+				SnapshotEvery:   opts.SnapshotEvery,
+				Integrity:       integ,
+			})
+		if err != nil {
+			return nil, err
 		}
+		s.instances = coll
 	}
 	if err := st.Load(); err != nil {
 		return nil, err
@@ -633,13 +615,14 @@ func New(opts Options) (*System, error) {
 	}
 
 	// Admission control: the mutation gate sheds when the commit
-	// backlog — group-commit queue depth, instance-appender in-flight
-	// count, or the external DepthSignal, whichever is highest —
-	// crosses the watermark, and rejects outright in read-only mode.
+	// backlog — the appenders in flight on the definitions journal or
+	// on the instance journal, or the external DepthSignal, whichever
+	// is highest — crosses the watermark, and rejects outright in
+	// read-only mode.
 	depth := func() int {
 		d := st.QueueDepth()
 		if s.instances != nil {
-			if w := s.instances.Waiters(); w > d {
+			if w := s.instances.Depth(); w > d {
 				d = w
 			}
 		}

@@ -221,7 +221,7 @@ func (s *Server) routes() {
 	// read-only 429/503 tells the action service to retry its report.
 	s.mux.HandleFunc("POST /api/v1/callbacks/{inv}", s.mutating(s.handleCallback))
 
-	// Admin: data-tier engine health (group-commit counters, shard
+	// Admin: data-tier engine health (append/flush counters, shard
 	// count, per-repository sizes) and runtime health (instance-shard
 	// occupancy, secondary-index sizes).
 	s.mux.HandleFunc("GET /api/v1/admin/store", s.authed(s.handleStoreStats))
@@ -905,21 +905,23 @@ func (s *Server) handleRuntimeStats(w http.ResponseWriter, r *http.Request) {
 // handleExecLogPage serves execution-log pages: ?after=<seq> resumes
 // past a cursor, ?limit=<n> bounds the page (see pageParams). Cold
 // history streams from archive files; a page entirely below the
-// archived range touches at most one archive on disk.
+// archived range touches at most one archive on disk. It reads one
+// entry past the page so next_after is absent at the tail.
 func (s *Server) handleExecLogPage(w http.ResponseWriter, r *http.Request) {
 	after, limit, err := pageParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	entries, err := s.b.ExecutionLogPage(uint64(after), limit)
+	entries, err := s.b.ExecutionLogPage(uint64(after), limit+1)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	out := execLogPage{Items: entries, Total: s.b.ExecutionLogLen()}
-	if n := len(entries); n == limit {
-		out.NextAfter = entries[n-1].Seq
+	if len(entries) > limit {
+		out.Items = entries[:limit]
+		out.NextAfter = entries[limit-1].Seq
 	}
 	writeJSON(w, http.StatusOK, out)
 }

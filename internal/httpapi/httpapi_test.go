@@ -19,6 +19,7 @@ import (
 	"github.com/liquidpub/gelee"
 	"github.com/liquidpub/gelee/internal/httpapi"
 	"github.com/liquidpub/gelee/internal/scenario"
+	"github.com/liquidpub/gelee/internal/store"
 	"github.com/liquidpub/gelee/internal/vclock"
 	"github.com/liquidpub/gelee/internal/xmlcodec"
 )
@@ -849,6 +850,31 @@ func TestAdminLogPage(t *testing.T) {
 	}
 	if code := e.call(t, "GET", "/api/v1/admin/log?after=oops", "", nil, nil); code != 400 {
 		t.Fatalf("bad cursor = %d, want 400", code)
+	}
+}
+
+// TestAdminLogCursorAbsentAtTail: a page that ends exactly at the
+// log's tail carries no next_after, like every other cursor route.
+func TestAdminLogCursorAbsentAtTail(t *testing.T) {
+	e := newEnv(t, false)
+	log := e.sys.ExecutionLog()
+	for log.Len() < 2 {
+		if _, err := log.Append(store.LogEntry{Kind: "note", Actor: "ops"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := log.Len(); n != 2 {
+		t.Fatalf("log has %d entries, want 2", n)
+	}
+	var page struct {
+		Items     []json.RawMessage `json:"items"`
+		NextAfter *uint64           `json:"next_after"`
+	}
+	if code := e.call(t, "GET", "/api/v1/admin/log?limit=2", "", nil, &page); code != 200 {
+		t.Fatalf("admin log page = %d", code)
+	}
+	if len(page.Items) != 2 || page.NextAfter != nil {
+		t.Fatalf("tail page: %d items, next_after %v; want 2 items and no next_after", len(page.Items), page.NextAfter)
 	}
 }
 

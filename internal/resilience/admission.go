@@ -29,8 +29,8 @@ func (c *AdmissionConfig) defaults() {
 
 // Admission sheds mutations while the commit queue sits above the
 // watermark. The depth function is sampled per decision — it should be
-// O(1) (gelee feeds it the group-commit channel depth plus the
-// instance appender's in-flight count).
+// O(1) (gelee feeds it the in-flight appender counts of its two
+// journals).
 type Admission struct {
 	cfg   AdmissionConfig
 	depth func() int

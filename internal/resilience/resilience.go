@@ -17,8 +17,8 @@
 //	read-only ──(RecoverAfter consecutive successes)──▶ degraded
 //	degraded ──(RecoverAfter consecutive successes)──▶ healthy
 //
-// Every journal append outcome — the store's group-commit result, the
-// instance appender's flush result, the runtime's fail-forward record
+// Every journal append outcome — the store's commit result, the
+// instance collection's append result, the runtime's fail-forward record
 // path — is fed to Health.Observe. A single glitch degrades (the
 // operator should know), a streak trips read-only: from then on the
 // Gate rejects mutations with ErrReadOnly so a dying disk can no

@@ -38,6 +38,19 @@ import (
 // them". Written only to snapshot files, never to the journal tail.
 const opArchiveRef Op = "archive-ref"
 
+// collectRef appends e's ArchiveRef to refs when e is an archive-ref
+// snapshot entry, and returns refs unchanged otherwise.
+func collectRef(refs []ArchiveRef, e Entry) ([]ArchiveRef, error) {
+	if e.Op != opArchiveRef {
+		return refs, nil
+	}
+	var ref ArchiveRef
+	if err := json.Unmarshal(e.Data, &ref); err != nil {
+		return refs, fmt.Errorf("%w: archive ref: %v", ErrCorrupt, err)
+	}
+	return append(refs, ref), nil
+}
+
 // crcTable is the Castagnoli polynomial, hardware-accelerated on
 // amd64/arm64 — the archive checksum.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -5,17 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// Engine state names reported by EngineStats.State. An engine is
-// running while it accepts appends, draining while a Close flushes the
-// commit queue, and closed afterwards. Draining is first-class so that
-// operators (and the admin endpoint) can observe a shutdown in flight.
+// Engine state names reported by EngineStats.State: an engine is
+// running while it accepts appends, closed before it is opened and
+// after Close.
 const (
-	StateRunning  = "running"
-	StateDraining = "draining"
-	StateClosed   = "closed"
+	StateRunning = "running"
+	StateClosed  = "closed"
 )
 
-// ErrClosed is returned by Append once an engine has begun draining.
+// ErrClosed is returned by Append once an engine is closed.
 var ErrClosed = errors.New("store: engine closed")
 
 // EngineStats is a point-in-time health/throughput snapshot of a
@@ -23,20 +21,22 @@ var ErrClosed = errors.New("store: engine closed")
 type EngineStats struct {
 	// Engine names the implementation ("journal", "memory").
 	Engine string `json:"engine"`
-	// State is running, draining or closed.
+	// State is running or closed.
 	State string `json:"state"`
 	// LastSeq is the sequence number of the most recent committed entry.
 	LastSeq uint64 `json:"last_seq"`
 	// Appends counts entries committed since open.
 	Appends uint64 `json:"appends"`
-	// Batches counts group commits; Appends/Batches is the mean batch
-	// size achieved. For the memory engine Batches == Appends.
+	// Batches counts combined flushes; Appends/Batches is the mean
+	// number of entries one flush covered. For the memory engine
+	// Batches == Appends.
 	Batches uint64 `json:"batches"`
-	// Syncs counts fsync calls (one per batch in durable mode).
+	// Syncs counts fsync calls (one per flush in durable mode).
 	Syncs uint64 `json:"syncs"`
-	// MaxBatch is the largest batch committed in one write+fsync.
+	// MaxBatch is the most entries one flush (+fsync) covered.
 	MaxBatch int `json:"max_batch"`
-	// Pending is the number of appends queued but not yet committed.
+	// Pending is the number of appenders in flight: inside Append and
+	// not yet acknowledged.
 	Pending int `json:"pending"`
 
 	// Segment-rotation and snapshot-folding counters (zero for engines
@@ -101,8 +101,11 @@ type Engine interface {
 	// Append returns — this is how callers keep in-memory state ordered
 	// identically to the journal, so that crash recovery never surfaces
 	// a value no live reader ever observed (the sequence is what lets
-	// them record fold boundaries). onCommit must be fast and must not
-	// call back into the engine.
+	// them record fold boundaries). A failed write, flush or fsync
+	// returns an error and never invokes onCommit. The journal engine
+	// may run onCommit on another appender's goroutine, under its
+	// appender lock: onCommit must be fast and must not call back into
+	// the engine.
 	Append(e Entry, onCommit func(seq uint64)) (uint64, error)
 	// Seal finishes the active journal segment so a following Fold can
 	// compact it — an O(1) rename/create under the appender lock that
@@ -133,12 +136,12 @@ type Engine interface {
 	Scrub(maxBytes int64) ScrubResult
 	// Stats reports engine health and throughput counters.
 	Stats() EngineStats
-	// Depth is the number of appends queued but not yet committed — an
-	// O(1) saturation signal for admission control, cheap enough to
-	// sample per request.
+	// Depth is the number of appenders in flight (inside Append, not
+	// yet acknowledged) — an O(1) saturation signal for admission
+	// control, cheap enough to sample per request.
 	Depth() int
-	// Close drains pending appends, flushes, and releases resources.
-	// It is idempotent.
+	// Close flushes and applies the appends in flight, then releases
+	// resources. It is idempotent.
 	Close() error
 }
 
@@ -173,7 +176,7 @@ func (m *memEngine) Append(e Entry, onCommit func(uint64)) (uint64, error) {
 func (m *memEngine) Seal() error { return nil }
 
 // Depth implements Engine: in-memory appends commit synchronously, so
-// nothing ever queues.
+// none is ever in flight.
 func (m *memEngine) Depth() int { return 0 }
 
 // Fold implements Engine: nothing persisted, nothing to fold. build is

@@ -11,7 +11,6 @@ package store
 // `geleectl fsck` is the CLI wrapper.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -149,15 +148,9 @@ func Fsck(dir string, repair bool) (FsckReport, error) {
 		}
 		name := snapName(snapNum)
 		f := FsckFile{Name: name, Kind: "snapshot", Bytes: onDisk[name], Status: "ok"}
-		fr, verr := replayJournalFile(filepath.Join(dir, name), replaySnapshot, func(e Entry) error {
-			if e.Op == opArchiveRef {
-				var ref ArchiveRef
-				if jerr := json.Unmarshal(e.Data, &ref); jerr != nil {
-					return fmt.Errorf("%w: archive ref: %v", ErrCorrupt, jerr)
-				}
-				refs = append(refs, ref)
-			}
-			return nil
+		fr, verr := replayJournalFile(filepath.Join(dir, name), replaySnapshot, func(e Entry) (err error) {
+			refs, err = collectRef(refs, e)
+			return err
 		})
 		f.Records, f.Footer = fr.n, fr.footer != nil
 		if verr != nil {

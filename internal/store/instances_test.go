@@ -221,27 +221,6 @@ func TestInstancesConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestInstancesMemoryMode exercises the Engine-backed mode: appends
-// are acknowledged, nothing survives, replay is empty.
-func TestInstancesMemoryMode(t *testing.T) {
-	c := NewInstances(NewMemoryEngine())
-	if err := c.Replay(func(string, []byte) error {
-		t.Fatal("memory engine replayed a record")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append("li-000001", []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Engine; got != "memory" {
-		t.Fatalf("engine = %q", got)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAppendEntryEquivalence pins the hand-rolled journal-line codec:
 // whatever appendEntry emits, encoding/json decodes to the same Entry
 // that json.Marshal would have produced.

@@ -7,7 +7,6 @@ package store
 // offline checker in fsck.go.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -126,15 +125,9 @@ func preVerify(dir string, onCorrupt func(CorruptFile)) (quarantined, corrupt in
 	}
 	var refs []ArchiveRef
 	if st.snapPath != "" {
-		_, verr := replayJournalFile(st.snapPath, replaySnapshot, func(e Entry) error {
-			if e.Op == opArchiveRef {
-				var ref ArchiveRef
-				if jerr := json.Unmarshal(e.Data, &ref); jerr != nil {
-					return fmt.Errorf("%w: archive ref: %v", ErrCorrupt, jerr)
-				}
-				refs = append(refs, ref)
-			}
-			return nil
+		_, verr := replayJournalFile(st.snapPath, replaySnapshot, func(e Entry) (err error) {
+			refs, err = collectRef(refs, e)
+			return err
 		})
 		if verr != nil {
 			if !errors.Is(verr, ErrCorrupt) {

@@ -7,13 +7,15 @@
 // concurrent mutations of different resources never contend. Every
 // mutation is journaled through the Store's pluggable Engine before it
 // is applied. The default persistent engine (NewJournalEngine) is a
-// segmented append-only JSONL journal with a group-commit writer: a
-// background goroutine batches concurrent appends into a single write
-// (+ a single fsync in durable mode) and acknowledges each appender
-// through a per-entry done channel — turning N fsyncs into one without
+// segmented append-only JSONL journal. It shares one durable write
+// path, the flush-combining appender (appender.go), with the instance
+// collection: each appender writes its entry into a shared buffered
+// writer under a mutex and yields once; the first one back flushes
+// every entry written so far (+ a single fsync in durable mode) and
+// applies them in journal order — turning N fsyncs into one without
 // giving up the durability contract, since no append is acknowledged
-// before its batch is on disk. An in-memory engine (NewMemoryEngine)
-// backs tests and embedded use.
+// or applied before its flush is on disk. An in-memory engine
+// (NewMemoryEngine) backs tests and embedded use.
 //
 // # Segments, snapshots, and folding
 //
@@ -181,11 +183,10 @@
 // replay keeps decoding with encoding/json.
 //
 // Lifecycle instances have their own collection, Instances: the same
-// entry framing, segment rotation and snapshot folding on a dedicated
-// journal directory, written through a flush-combining appender
-// instead of the group-commit engine (see the Instances doc for why),
-// streamed back through the runtime's replay on open — sharded across
-// parallel appliers — and then discarded rather than held in memory.
+// entry framing, segment rotation, snapshot folding and appender on a
+// dedicated journal directory (see the Instances doc for why), streamed
+// back through the runtime's replay on open — sharded across parallel
+// appliers — and then discarded rather than held in memory.
 package store
 
 import (
@@ -288,9 +289,8 @@ func parseHex32(b []byte) (uint32, bool) {
 }
 
 // Journal is an append-only JSONL file: the write-side primitive the
-// journaled engine builds group commit on. It is not itself
-// goroutine-safe; the engine's single writer goroutine (or its mutex)
-// serializes access.
+// appender builds flush combining on. It is not itself goroutine-safe;
+// the appender's mutex serializes access.
 type Journal struct {
 	path string
 	f    *os.File
@@ -471,7 +471,7 @@ func (j *Journal) Flush() error {
 	return nil
 }
 
-// Sync fsyncs the journal file — one call per group-commit batch in
+// Sync fsyncs the journal file — one call per combined flush in
 // durable mode.
 func (j *Journal) Sync() error {
 	if j.err != nil {

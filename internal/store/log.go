@@ -354,8 +354,8 @@ func (l *Log) replayKey(Entry) string { return "" }
 // readers keep seeing them live, and a failed fold changes nothing.
 //
 // The image and boundary are captured under one read-lock hold;
-// archive file I/O happens after release so the group-commit apply
-// path (which takes l.mu per entry) never stalls behind a fold. If
+// archive file I/O happens after release so the appender's apply path
+// (which takes l.mu per entry) never stalls behind a fold. If
 // archiving fails the overflow stays in the snapshot as entries, so
 // no history is lost.
 func (l *Log) foldEntries(ar Archiver) ([]Entry, uint64, func()) {

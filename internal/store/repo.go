@@ -123,7 +123,7 @@ type RepoReadStats struct {
 // (de)serializable; pointers and structs both work. All operations are
 // safe for concurrent use: state is striped across the store's shard
 // count so that writers to different resources never contend on a
-// lock, and the journal write itself rides the engine's group commit.
+// lock, and the journal write itself rides the engine's combined flush.
 type Repo[T any] struct {
 	name   string
 	store  *Store

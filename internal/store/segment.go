@@ -164,6 +164,9 @@ type segReplay struct {
 	lastSeq uint64
 	active  fileReplay // the active file's result; good excludes footer + torn tail
 	state   segState
+	// refs are the archive refs the snapshot carried: the archives that
+	// belong to this generation (see reconcileArchives).
+	refs []ArchiveRef
 	// Torn-tail accounting: files whose invalid suffix was dropped as a
 	// crash tail, and the bytes dropped — recoverable, but counted so
 	// operators can see it happened (IntegrityStats).
@@ -179,7 +182,9 @@ type segReplay struct {
 // sequence its bucket's state covers, and tail entries at or below
 // that boundary are skipped — they were folded into the snapshot, and
 // for non-idempotent buckets (logs, instance records) re-applying them
-// would double history.
+// would double history. Archive refs only ever appear in snapshots:
+// each is collected for the open-time reconcile and still forwarded to
+// fn, so the owning part adopts its cold history.
 //
 // Torn tails vs. corruption: each file kind gets its own policy (see
 // replayPolicy in journal.go). The active file tolerates an invalid
@@ -203,7 +208,7 @@ func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (
 		}
 	}
 	if st.snapPath != "" {
-		fr, err := replayJournalFile(st.snapPath, replaySnapshot, func(e Entry) error {
+		fr, err := replayJournalFile(st.snapPath, replaySnapshot, func(e Entry) (err error) {
 			if e.Op == opSeqMark {
 				note(e.Seq)
 				return nil
@@ -212,12 +217,16 @@ func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (
 				bounds[k] = e.Seq
 			}
 			out.stats.SnapshotEntries++
+			if out.refs, err = collectRef(out.refs, e); err != nil {
+				return err
+			}
 			return fn(e)
 		})
 		if err != nil {
 			return out, err
 		}
 		note(fr.lastSeq)
+		out.stats.ArchiveRefs = len(out.refs)
 	}
 	tail := func(e Entry) error {
 		if e.Seq <= bounds[key(e)] {

@@ -42,8 +42,8 @@ type journaled interface {
 //
 // Concurrency: mutations from different goroutines proceed in
 // parallel — the store read-lock is shared on the commit path, the
-// engine group-commits, and repositories stripe their own locks per
-// shard. Load and Close take the lock exclusively. Compact holds it
+// engine combines concurrent flushes, and repositories stripe their
+// own locks per shard. Load and Close take the lock exclusively. Compact holds it
 // shared: compaction is seal-then-fold on the segmented journal and
 // runs concurrently with writers (see the package doc).
 type Store struct {
@@ -88,20 +88,13 @@ type Store struct {
 
 // Options configure a Store.
 type Options struct {
-	// Sync makes the engine fsync every group-commit batch: durable,
-	// and far cheaper than per-append fsync under concurrency.
+	// Sync makes the journal fsync once per combined flush, so an
+	// acknowledged commit survives power loss, not just a killed
+	// process; concurrent commits share the fsync.
 	Sync bool
-	// SyncEveryAppend commits and fsyncs each append individually —
-	// the pre-engine baseline, kept for comparison benchmarks.
-	SyncEveryAppend bool
 	// Shards is the repository lock-stripe count (default
 	// DefaultShards, minimum 1). More shards, less contention.
 	Shards int
-	// FlushInterval is how long the group-commit writer waits to grow
-	// a batch. 0 = opportunistic (commit whatever is queued).
-	FlushInterval time.Duration
-	// FlushBatch caps journal entries per group-commit batch.
-	FlushBatch int
 	// SegmentMaxBytes rotates the journal's active segment once it
 	// grows past this size; sealed segments are folded into a snapshot
 	// by a background folder so restart replay stays bounded. 0
@@ -228,7 +221,7 @@ func New(engine Engine, opts Options) *Store {
 }
 
 // Open creates a persistent store rooted at dir (created if missing),
-// backed by the group-commit journal engine. With SegmentMaxBytes set
+// backed by the journal engine. With SegmentMaxBytes set
 // the journal rotates and a background folder compacts sealed segments
 // into snapshots without excluding writers.
 func Open(dir string, opts Options) (*Store, error) {
@@ -239,9 +232,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	engine, err := NewJournalEngine(JournalConfig{
 		Dir:             dir,
 		Sync:            opts.Sync,
-		SyncEveryAppend: opts.SyncEveryAppend,
-		FlushInterval:   opts.FlushInterval,
-		FlushBatch:      opts.FlushBatch,
 		SegmentMaxBytes: opts.SegmentMaxBytes,
 		SnapshotEvery:   opts.SnapshotEvery,
 		OnSeal:          s.scheduleFold,
@@ -376,7 +366,7 @@ func (s *Store) scheduleFold() { s.folds.poke() }
 // commit journals an entry; the engine applies the in-memory mutation
 // via the onCommit hook, in journal order, before acknowledging. The
 // shared read-lock keeps commits concurrent with each other (that
-// concurrency is what feeds the engine's group commit) while excluding
+// concurrency is what lets the engine combine flushes) while excluding
 // Load and Close.
 func (s *Store) commit(e Entry, apply func(seq uint64)) error {
 	s.mu.RLock()
@@ -395,7 +385,7 @@ func (s *Store) commit(e Entry, apply func(seq uint64)) error {
 	return err
 }
 
-// QueueDepth is the engine's current commit-queue occupancy — the
+// QueueDepth is the number of commits in flight on the engine — the
 // saturation signal admission control samples per mutating request.
 func (s *Store) QueueDepth() int { return s.engine.Depth() }
 

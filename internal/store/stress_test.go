@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentShardedStress hammers sharded Put/Get/Delete, the log,
-// and the read paths from many goroutines at once over the group-commit
+// and the read paths from many goroutines at once over the journal
 // engine. Run under -race this is the data tier's concurrency proof.
 // Each goroutine owns a disjoint key space so the final state is
 // deterministic and can be checked against a replay.
@@ -173,8 +173,8 @@ func TestConcurrentLogAppend(t *testing.T) {
 	}
 }
 
-// TestTornBatchTailRecovered simulates a crash that cuts a group-commit
-// batch short: the journal ends with some complete lines of the batch
+// TestTornBatchTailRecovered simulates a crash that cuts a combined
+// flush short: the journal ends with some complete lines of the batch
 // followed by a torn partial line. Recovery must keep every complete
 // record, drop the torn tail silently, and leave the store writable.
 func TestTornBatchTailRecovered(t *testing.T) {
@@ -251,7 +251,7 @@ func TestTornBatchTailRecovered(t *testing.T) {
 }
 
 // TestGroupCommitBatchesAndAcks drives enough concurrency at the
-// engine that group commit actually forms batches, and checks every
+// engine that flushes are actually combined, and checks every
 // appender is acknowledged with a consistent stats picture.
 func TestGroupCommitBatchesAndAcks(t *testing.T) {
 	const writers, perWriter = 8, 20
@@ -303,30 +303,6 @@ func TestGroupCommitBatchesAndAcks(t *testing.T) {
 	// Mutations after close fail cleanly rather than hanging.
 	if err := repo.Put("late", doc{}); err == nil {
 		t.Fatal("put after close succeeded")
-	}
-}
-
-// TestPerAppendSyncBaseline checks the benchmark baseline mode still
-// honors the old contract: one fsync per append, batches of one.
-func TestPerAppendSyncBaseline(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo := MustRepo[doc](s, "docs")
-	if err := s.Load(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		if err := repo.Put(fmt.Sprintf("k%d", i), doc{Rev: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Engine.Appends != 10 || st.Engine.Batches != 10 || st.Engine.Syncs != 10 || st.Engine.MaxBatch != 1 {
-		t.Fatalf("baseline stats = %+v, want 10 appends/batches/syncs, max batch 1", st.Engine)
 	}
 }
 
