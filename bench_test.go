@@ -1,11 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper — one
-// Benchmark per experiment row of DESIGN.md §4 (E1..E8), plus the hot
-// micro paths. Run:
+// Benchmarks timing every table and figure of the paper — one
+// Benchmark per experiment (E1..E8), plus the hot micro paths. Run:
 //
 //	go test -bench=. -benchmem
 //
-// cmd/geleebench prints the companion paper-vs-measured tables recorded
-// in EXPERIMENTS.md.
+// The claims these paths demonstrate are asserted by tests: see the
+// "Paper claims" table in README.md.
 package gelee
 
 import (

@@ -51,7 +51,7 @@
 // -fold-min-garbage pace the background folder (wall-clock spacing and
 // a minimum sealed-garbage ratio) so a trickle of writes never
 // re-snapshots an unchanged population. -read-cache-entries bounds the
-// per-shard LRU read cache in front of the model/template repositories
+// per-shard LRU read cache in front of the model repository
 // (64 per shard by default, <0 disables): hot models are served as
 // shared prepared values, skipping the defensive deep clone on every
 // cockpit fetch — hit/miss/evict counters show next to the hot-key
@@ -91,6 +91,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -112,6 +113,15 @@ import (
 const defaultMaxQueueDepth = 512
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatalf("geleed: %v", err)
+	}
+}
+
+// run serves until the listener fails. Every return after the system
+// opens closes it first, so the journals are flushed and released
+// whatever the exit path.
+func run() (err error) {
 	addr := flag.String("addr", ":8085", "listen address")
 	dataDir := flag.String("data", "", "data directory (empty = in-memory)")
 	auth := flag.Bool("auth", false, "enforce roles via the X-Gelee-User header")
@@ -125,7 +135,7 @@ func main() {
 	logWindow := flag.Int("log-live-window", 0, "execution-log entries kept hot; older history archived by reference (0 = default)")
 	foldMinInterval := flag.Duration("fold-min-interval", 15*time.Second, "minimum wall-clock spacing between background snapshot folds (0 = none)")
 	foldMinGarbage := flag.Float64("fold-min-garbage", 0.25, "minimum sealed-garbage ratio before a background fold runs (0 = none)")
-	readCache := flag.Int("read-cache-entries", 0, "per-shard LRU entries for the model/template read cache (0 = default 64, <0 = disable)")
+	readCache := flag.Int("read-cache-entries", 0, "per-shard LRU entries for the model read cache (0 = default 64, <0 = disable)")
 	maxEvents := flag.Int("max-events", 0, "max in-memory events per instance, ring-truncated (0 = unbounded)")
 	invRetention := flag.Duration("invocation-retention", 0, "grace window before terminal invocation-index entries are GC'd (0 = keep forever)")
 	persist := flag.Bool("persist-instances", true, "journal lifecycle-instance mutations and replay them on start")
@@ -188,9 +198,9 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatalf("geleed: %v", err)
+		return err
 	}
-	defer sys.Close()
+	defer func() { err = errors.Join(err, sys.Close()) }()
 
 	if *persist {
 		rec := sys.RecoveryStats()
@@ -209,7 +219,7 @@ func main() {
 			log.Printf("skipping seed: %d instances recovered from the journal", n)
 		} else {
 			if err := seedLiquidPub(sys); err != nil {
-				log.Fatalf("geleed: seed: %v", err)
+				return fmt.Errorf("seed: %w", err)
 			}
 			// Count sums shard sizes — no per-instance deep copies just
 			// to log a number.
@@ -221,15 +231,13 @@ func main() {
 	log.Printf("gelee lifecycle manager listening on %s (auth=%t, data=%q, engine=%s, store-shards=%d, runtime-shards=%d)",
 		*addr, *auth, *dataDir, stats.Engine.Engine, stats.Shards, sys.RuntimeStats().Shards)
 	if n := sys.ReadCacheEntriesPerShard(); n > 0 {
-		log.Printf("read cache: models/templates LRU, %d entries/shard x %d shards (max %d cached values); admission watermark %d",
+		log.Printf("read cache: models LRU, %d entries/shard x %d shards (max %d cached values); admission watermark %d",
 			n, stats.Shards, n*stats.Shards, *maxQueue)
 	} else {
 		log.Printf("read cache: disabled; admission watermark %d", *maxQueue)
 	}
 	log.Printf("try: curl http://localhost%s/api/v1/monitor/summary", *addr)
-	if err := http.ListenAndServe(*addr, sys.HTTPHandler()); err != nil {
-		log.Fatal(err)
-	}
+	return http.ListenAndServe(*addr, sys.HTTPHandler())
 }
 
 // seedLiquidPub creates the paper's §II.A project: the quality plan and

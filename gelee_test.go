@@ -71,8 +71,21 @@ func TestEndToEndDeliverableLifecycle(t *testing.T) {
 	if got.State != runtime.StateCompleted {
 		t.Fatalf("state = %s", got.State)
 	}
+	// Fig. 1's shape: five working phases plus two terminal nodes.
+	if finals := got.Model.FinalPhases(); len(got.Model.Phases) != 7 || len(finals) != 2 {
+		t.Fatalf("phases = %d, finals = %v; Fig. 1 has 5 + 2", len(got.Model.Phases), finals)
+	}
 
-	// Every dispatched action completed through the embedded plug-ins.
+	// Entering each phase dispatched its actions, and every one
+	// completed through the embedded plug-ins.
+	wantActions := 0
+	for _, phase := range scenario.HappyPath {
+		p, _ := got.Model.Phase(phase)
+		wantActions += len(p.Actions)
+	}
+	if len(got.Executions) != wantActions {
+		t.Fatalf("executions = %d, want one per phase action (%d)", len(got.Executions), wantActions)
+	}
 	for _, ex := range got.Executions {
 		if !ex.Terminal || ex.LastStatus != "completed" {
 			t.Fatalf("execution %+v did not complete", ex)
@@ -327,6 +340,9 @@ func TestTemplatesAreIndependentCopies(t *testing.T) {
 	}
 }
 
+// TestActionBrowsing is Fig. 3: at design time the designer browses
+// every action type; at run time only the types the resource's plug-in
+// implements are offered.
 func TestActionBrowsing(t *testing.T) {
 	sys := newSystem(t, Options{})
 	all := sys.ActionTypes("")
@@ -336,6 +352,21 @@ func TestActionBrowsing(t *testing.T) {
 	svn := sys.ActionTypes("svn")
 	if len(svn) != 3 {
 		t.Fatalf("runtime browse for svn = %d types, want 3", len(svn))
+	}
+	designTime := make(map[string]bool, len(all))
+	for _, at := range all {
+		designTime[at.URI] = true
+	}
+	for _, typ := range []string{"gdoc", "mediawiki", "svn"} {
+		got := sys.ActionTypes(typ)
+		if len(got) == 0 || len(got) >= len(all) {
+			t.Fatalf("runtime browse for %s = %d types, want a strict subset of %d", typ, len(got), len(all))
+		}
+		for _, at := range got {
+			if !designTime[at.URI] {
+				t.Fatalf("runtime browse for %s offers %s, absent at design time", typ, at.URI)
+			}
+		}
 	}
 	if got := sys.ActionTypes("teleporter"); len(got) != 0 {
 		t.Fatalf("unknown type browse = %d", len(got))
@@ -364,6 +395,9 @@ func TestInstantiateChecksResourceExists(t *testing.T) {
 	}
 }
 
+// TestWidgetsAndMonitorWiredIn is Fig. 4: the widget shows the
+// lifecycle strip and the resource side by side, and its feed can be
+// composed into pipes.
 func TestWidgetsAndMonitorWiredIn(t *testing.T) {
 	sys := newSystem(t, Options{})
 	model := scenario.QualityPlan()
@@ -378,6 +412,28 @@ func TestWidgetsAndMonitorWiredIn(t *testing.T) {
 	}
 	if !strings.Contains(html, "D1.1") {
 		t.Fatal("widget does not render the resource")
+	}
+	for _, p := range model.Phases {
+		if !strings.Contains(html, p.Name) {
+			t.Fatalf("widget HTML lacks lifecycle phase %q", p.Name)
+		}
+	}
+	view, err := sys.Widgets().View(snap.ID, "anyone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Phases) != len(model.Phases) || view.Current != "elaboration" || view.Resource.Title == "" {
+		t.Fatalf("widget view = %d phases, current %q, resource %+v", len(view.Phases), view.Current, view.Resource)
+	}
+	if len(view.NextSuggested) != 1 || view.NextSuggested[0] != "internalreview" {
+		t.Fatalf("widget suggests %v, want [internalreview]", view.NextSuggested)
+	}
+	feed, err := sys.Widgets().Feed(snap.ID, "anyone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(feed), "<rss") || !strings.Contains(string(feed), "phase-entered: elaboration") {
+		t.Fatalf("widget feed is not an RSS history:\n%s", feed)
 	}
 	sum := sys.Monitor().Summarize()
 	if sum.Total != 1 || sum.ByPhase["Elaboration"] != 1 {

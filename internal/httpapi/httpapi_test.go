@@ -145,7 +145,9 @@ func TestFig2EndToEnd(t *testing.T) {
 	}
 
 	// 2. Create the managed resource in the simulated service.
-	e.sys.Sims.GDocs.Create("D2.1", "Requirements Analysis", "epfl-lead", "draft")
+	if doc, err := e.sys.Sims.GDocs.Create("D2.1", "Requirements Analysis", "epfl-lead", "draft"); err != nil || doc.Mode != "private" {
+		t.Fatalf("create document = %+v, %v; want a private document", doc, err)
+	}
 
 	// 3. Run time: instantiate over REST.
 	var inst instanceJSON

@@ -2,12 +2,8 @@ package monitor
 
 // Benchmarks for the summary-backed cockpit over a reference
 // population of 2048 instances × 128 events each, built once and
-// shared. The *SnapshotBaseline variants replicate the pre-rewrite
-// algorithms (deep-copy every instance via Instances(), rescan events
-// and executions per query) so the committed BENCH_monitor.json
-// trajectory and local runs can compare like for like.
-// BenchmarkMonitorSummarize instead builds populations of growing size,
-// since its claim is that the cost does not grow with N.
+// shared. BenchmarkMonitorSummarize instead builds populations of
+// growing size, since its claim is that the cost does not grow with N.
 
 import (
 	"context"
@@ -31,16 +27,15 @@ const (
 
 var benchOnce struct {
 	sync.Once
-	rt    *runtime.Runtime
-	mon   *Monitor
-	clock *vclock.Fake
-	err   error
+	rt  *runtime.Runtime
+	mon *Monitor
+	err error
 }
 
 // benchEnv lazily builds the shared 2048×128 population: every instance
 // advanced into elaboration (due day 30) and annotated up to 128 events,
 // with the clock at day 41 so the Late view has real work to do.
-func benchEnv(b *testing.B) (*runtime.Runtime, *Monitor, *vclock.Fake) {
+func benchEnv(b *testing.B) (*runtime.Runtime, *Monitor) {
 	b.Helper()
 	benchOnce.Do(func() {
 		clock := vclock.NewFake(time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
@@ -75,13 +70,12 @@ func benchEnv(b *testing.B) (*runtime.Runtime, *Monitor, *vclock.Fake) {
 		}
 		clock.Advance(41 * 24 * time.Hour)
 		benchOnce.rt = rt
-		benchOnce.clock = clock
 		benchOnce.mon = New(rt, clock)
 	})
 	if benchOnce.err != nil {
 		b.Fatal(benchOnce.err)
 	}
-	return benchOnce.rt, benchOnce.mon, benchOnce.clock
+	return benchOnce.rt, benchOnce.mon
 }
 
 // summarizeModels is the model count of the Summarize populations:
@@ -164,7 +158,7 @@ func BenchmarkMonitorSummarize(b *testing.B) {
 }
 
 func BenchmarkMonitorLate(b *testing.B) {
-	_, mon, _ := benchEnv(b)
+	_, mon := benchEnv(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,7 +170,7 @@ func BenchmarkMonitorLate(b *testing.B) {
 }
 
 func BenchmarkMonitorOverview(b *testing.B) {
-	_, mon, _ := benchEnv(b)
+	_, mon := benchEnv(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,75 +181,10 @@ func BenchmarkMonitorOverview(b *testing.B) {
 	}
 }
 
-// snapshotRowCounts is the pre-rewrite per-row work: scan the deep-
-// copied history and executions for the counters.
-func snapshotRowCounts(s runtime.Snapshot) (dev, failed, pending int) {
-	for _, ev := range s.Events {
-		if ev.Kind == runtime.EventPhaseEntered && ev.Deviation {
-			dev++
-		}
-	}
-	for _, ex := range s.Executions {
-		switch {
-		case ex.Terminal && ex.LastStatus == "failed":
-			failed++
-		case !ex.Terminal:
-			pending++
-		}
-	}
-	return
-}
-
-func BenchmarkMonitorSummarizeSnapshotBaseline(b *testing.B) {
-	rt, _, clock := benchEnv(b)
-	now := clock.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total, late, deviations, failed := 0, 0, 0, 0
-		byPhase := make(map[string]int)
-		for _, s := range rt.Instances() {
-			total++
-			if p := s.CurrentPhase(); p != nil {
-				byPhase[p.Name]++
-			}
-			if s.Late(now) {
-				late++
-			}
-			d, f, _ := snapshotRowCounts(s)
-			deviations += d
-			failed += f
-		}
-		if total != benchPopulation || late != benchPopulation {
-			b.Fatalf("total=%d late=%d", total, late)
-		}
-		_, _ = deviations, failed
-	}
-}
-
-func BenchmarkMonitorLateSnapshotBaseline(b *testing.B) {
-	rt, _, clock := benchEnv(b)
-	now := clock.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, s := range rt.Instances() {
-			if s.Late(now) {
-				snapshotRowCounts(s)
-				n++
-			}
-		}
-		if n != benchPopulation {
-			b.Fatalf("late = %d", n)
-		}
-	}
-}
-
 // BenchmarkTimelinePage measures the paged drill-down against the full
 // timeline read.
 func BenchmarkTimelinePage(b *testing.B) {
-	rt, mon, _ := benchEnv(b)
+	rt, mon := benchEnv(b)
 	sums := rt.Summaries()
 	id := sums[0].ID
 	b.Run("page-32", func(b *testing.B) {

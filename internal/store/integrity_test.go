@@ -707,6 +707,9 @@ func TestInstancesScrubDetectsRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if res := c.Scrub(1 << 30); res.Corrupt != 0 || res.Files == 0 || !res.PassCompleted {
+		t.Fatalf("clean instance scrub = %+v, want a completed pass with no corruption", res)
+	}
 	flipByte(t, filepath.Join(dir, sealedName(1)), 40)
 	res := c.Scrub(1 << 30)
 	if res.Corrupt != 1 {

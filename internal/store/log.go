@@ -239,19 +239,6 @@ func (l *Log) ScanInstance(id string, fn func(LogEntry) bool) {
 	})
 }
 
-// Range returns entries with from <= Time < to in append order,
-// including archived history.
-func (l *Log) Range(from, to time.Time) []LogEntry {
-	var out []LogEntry
-	_ = l.scan(0, func(e LogEntry) bool {
-		if !e.Time.Before(from) && e.Time.Before(to) {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
-}
-
 // All returns a copy of the whole log in append order — cold archives
 // stitched in front of the live window. An archive read failure
 // truncates the result at the failure point; use Page to observe the

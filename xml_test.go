@@ -4,10 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/liquidpub/gelee/internal/core"
 	"github.com/liquidpub/gelee/internal/scenario"
 	"github.com/liquidpub/gelee/internal/xmlcodec"
 )
 
+// TestImportExportModelXML is Table I: a lifecycle model travels as a
+// self-contained <process> document and round-trips unchanged.
 func TestImportExportModelXML(t *testing.T) {
 	sys := newSystem(t, Options{})
 	doc, err := xmlcodec.MarshalModel(scenario.QualityPlan())
@@ -33,6 +36,11 @@ func TestImportExportModelXML(t *testing.T) {
 	if m1.Fingerprint() != m2.Fingerprint() {
 		t.Fatal("import/export round trip drifted")
 	}
+	for _, tag := range []string{"<process", "<version_info>", "<phases_list>", "<action_call>", "<transition_list>"} {
+		if !strings.Contains(string(out), tag) {
+			t.Errorf("export lacks Table I element %s", tag)
+		}
+	}
 	if _, err := sys.ExportModelXML("urn:ghost"); err == nil {
 		t.Fatal("export of missing model accepted")
 	}
@@ -41,6 +49,8 @@ func TestImportExportModelXML(t *testing.T) {
 	}
 }
 
+// TestImportExportActionTypeXML is Table II: an <action_type> document
+// declares each parameter's binding time and whether it is required.
 func TestImportExportActionTypeXML(t *testing.T) {
 	sys := newSystem(t, Options{})
 	doc := `<action_type uri="urn:custom:sign"><name>Digitally Sign</name>
@@ -71,6 +81,13 @@ func TestImportExportActionTypeXML(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("export missing %q:\n%s", want, out)
 		}
+	}
+	back, err := xmlcodec.UnmarshalActionType(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := back.Param("certificate"); !ok || p.BindingTime != core.BindCall || !p.Required || back.Name != "Digitally Sign" {
+		t.Fatalf("re-parsed export = %+v", back)
 	}
 	if _, err := sys.ExportActionTypeXML("urn:ghost"); err == nil {
 		t.Fatal("export of missing type accepted")
