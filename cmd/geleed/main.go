@@ -95,6 +95,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -236,8 +237,22 @@ func run() (err error) {
 	} else {
 		log.Printf("read cache: disabled; admission watermark %d", *maxQueue)
 	}
-	log.Printf("try: curl http://localhost%s/api/v1/monitor/summary", *addr)
+	log.Printf("try: curl %s", summaryURL(*addr))
 	return http.ListenAndServe(*addr, sys.HTTPHandler())
+}
+
+// summaryURL is the cockpit summary URL on the listen address addr:
+// its host, or localhost when addr names none (":8085"). An addr that
+// does not parse is used as given; the listener then reports it.
+func summaryURL(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "http://" + addr + "/api/v1/monitor/summary"
+	}
+	if host == "" {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port) + "/api/v1/monitor/summary"
 }
 
 // seedLiquidPub creates the paper's §II.A project: the quality plan and

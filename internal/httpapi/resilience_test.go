@@ -156,9 +156,9 @@ func TestReadOnlyModeRejectsWith503(t *testing.T) {
 	})
 	id := seedInstance(t, e)
 
-	// Break the disk, then advance: fail-forward journal semantics keep
-	// the mutation in memory but surface the append error, and the
-	// health machine trips read-only behind it.
+	// Break the disk, then advance: the append error surfaces as a 400
+	// and the move leaves no trace in memory, and the health machine
+	// trips read-only behind it.
 	sink.armed.Store(true)
 	if code := e.call(t, "POST", "/api/v1/instances/"+id+"/advance", "owner",
 		map[string]any{"to": "elaboration"}, nil); code != http.StatusBadRequest {

@@ -12,9 +12,9 @@ type State int32
 const (
 	// Healthy: appends succeeding, mutations admitted.
 	Healthy State = iota
-	// Degraded: recent append failures; mutations still admitted (the
-	// runtime's fail-forward semantics apply) but operators are on
-	// notice and alert rules fire.
+	// Degraded: recent append failures; mutations still admitted (one
+	// whose append fails returns the error and leaves no trace) but
+	// operators are on notice and alert rules fire.
 	Degraded
 	// ReadOnly: an append-failure streak long enough that continuing
 	// to acknowledge writes would silently drop durability; the Gate

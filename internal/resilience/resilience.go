@@ -3,7 +3,7 @@
 // read-only mode when journal persistence starts failing, circuit
 // breakers and bounded concurrency around action outcalls, and
 // threshold-driven alerting. The store and runtime layers expose queue
-// depth and fail-forward journal-error counters; this package is where
+// depth and journal-error counters; this package is where
 // those numbers stop being dashboard decoration and start shedding,
 // tripping and alerting.
 //
@@ -18,8 +18,8 @@
 //	degraded ──(RecoverAfter consecutive successes)──▶ healthy
 //
 // Every journal append outcome — the store's commit result, the
-// instance collection's append result, the runtime's fail-forward record
-// path — is fed to Health.Observe. A single glitch degrades (the
+// instance collection's append result, the runtime's record path — is
+// fed to Health.Observe. A single glitch degrades (the
 // operator should know), a streak trips read-only: from then on the
 // Gate rejects mutations with ErrReadOnly so a dying disk can no
 // longer silently acknowledge unjournaled writes. Because rejected

@@ -65,8 +65,8 @@ func (r *Runtime) AdvanceSummary(instID, toPhase, actor string, opts AdvanceOpti
 }
 
 // advance is the shared token-move core. project runs under the
-// instance lock after all mutation, with the events this call appended
-// (in seq order, already value copies safe to retain).
+// instance lock once the move committed, with the events this call
+// appended (in seq order, already value copies safe to retain).
 func (r *Runtime) advance(instID, toPhase, actor string, opts AdvanceOptions, project func(*instance, []Event)) error {
 	in, ok := r.lookup(instID)
 	if !ok {
@@ -110,93 +110,60 @@ func (r *Runtime) advance(instID, toPhase, actor string, opts AdvanceOptions, pr
 		}
 	}
 
-	// appended collects every event this call records, in seq order —
-	// both the observer feed and the MoveResult projection.
-	var appended []Event
-
+	// Build the move's record from the pre-move state; nothing is
+	// mutated until it commits.
+	rec := &JournalRecord{Op: RecAdvance, Instance: instID, To: toPhase,
+		State: in.state, Current: toPhase, CompletedAt: in.completedAt}
 	if in.state == StateCompleted {
-		in.state = StateActive
-		appended = append(appended, r.record(in, Event{Kind: EventReopened, Actor: actor, Phase: toPhase,
-			Detail: "token moved out of a final phase"}))
+		rec.State = StateActive
+		rec.Events = r.stamp(in, rec.Events, Event{Kind: EventReopened, Actor: actor, Phase: toPhase,
+			Detail: "token moved out of a final phase"})
 	}
-
-	// The deviation counter is maintained by the shared event applier
-	// (applyRecorded) off the event's Deviation flag, so live mutation
-	// and journal replay count identically.
-	in.current = toPhase
-	appended = append(appended, r.record(in, Event{
+	rec.Events = r.stamp(in, rec.Events, Event{
 		Kind: EventPhaseEntered, Actor: actor,
 		Phase: toPhase, FromPhase: from,
 		Detail: opts.Annotation, Deviation: !suggested,
-	}))
-
-	var dispatches []dispatchItem
+	})
+	var invs []actionlib.Invocation
 	if target.Final {
-		in.state = StateCompleted
-		in.completedAt = r.clock.Now()
-		appended = append(appended, r.record(in, Event{Kind: EventCompleted, Actor: actor, Phase: toPhase}))
+		rec.State = StateCompleted
+		rec.CompletedAt = r.clock.Now()
+		rec.Events = r.stamp(in, rec.Events, Event{Kind: EventCompleted, Actor: actor, Phase: toPhase})
 	} else {
-		dispatches = r.prepareDispatches(in, target, opts.CallBindings)
-		for _, d := range dispatches {
-			appended = append(appended, d.startEv)
-		}
+		invs = r.prepareDispatches(in, target, opts.CallBindings, rec)
 	}
 
-	rec := &JournalRecord{Op: RecAdvance, Instance: instID, To: toPhase, Events: appended}
-	rec.mirrorState(in)
-	for _, d := range dispatches {
-		rec.Executions = append(rec.Executions, *in.executions[d.startEv.Invocation])
-	}
-	if err := r.journalLocked(in, rec); err != nil {
-		// Fail-forward: the in-memory move stands, but the un-journaled
-		// mutation is not observed and its actions are not dispatched.
+	if err := r.commitLocked(in, rec); err != nil {
 		in.mu.Unlock()
 		return err
 	}
-	project(in, appended)
+	project(in, rec.Events)
 	in.mu.Unlock()
 
-	for _, ev := range appended {
+	for _, ev := range rec.Events {
 		r.observe(instID, ev)
 	}
-	r.launch(instID, dispatches)
+	r.launch(instID, invs)
 	return nil
 }
 
-// dispatchItem pairs a ready invocation with its start event; failed
-// preparations carry err instead.
-type dispatchItem struct {
-	inv     actionlib.Invocation
-	startEv Event
-	prepErr error
-}
-
 // prepareDispatches resolves implementations and parameters for every
-// action of the entered phase. Callers hold in.mu (the invocation
-// index stripe is locked inside, per the package lock order).
-// Preparation failures (no implementation, binding errors) become
-// terminal failed executions immediately; successful preparations are
-// launched by launch().
-func (r *Runtime) prepareDispatches(in *instance, phase *core.Phase, callBindings map[string]map[string]string) []dispatchItem {
-	var items []dispatchItem
+// action of the entered phase, adding each one's execution and event
+// to the move's record and returning the invocations to launch once it
+// commits. Callers hold in.mu; nothing is mutated but the invocation id
+// counter. Preparation failures (no implementation, binding errors)
+// become executions that are terminal and failed from birth.
+func (r *Runtime) prepareDispatches(in *instance, phase *core.Phase, callBindings map[string]map[string]string, rec *JournalRecord) []actionlib.Invocation {
+	var invs []actionlib.Invocation
 	for _, call := range phase.Actions {
 		invID := fmt.Sprintf("inv-%06d", r.nextInv.Add(1))
-		exec := &ActionExecution{
+		exec := ActionExecution{
 			InvocationID: invID,
 			ActionURI:    call.URI,
 			ActionName:   call.Name,
 			Phase:        phase.ID,
 			StartedAt:    r.clock.Now(),
 		}
-		in.executions[invID] = exec
-		in.execOrder = append(in.execOrder, invID)
-		ish := r.invShardFor(invID)
-		ish.mu.Lock()
-		ish.m[invID] = in
-		if r.cfg.InvocationRetention > 0 {
-			r.sweepInvShardLocked(ish, r.clock.Now())
-		}
-		ish.mu.Unlock()
 
 		impl, err := r.cfg.Registry.Resolve(call.URI, in.res.Type)
 		var params map[string]string
@@ -212,21 +179,18 @@ func (r *Runtime) prepareDispatches(in *instance, phase *core.Phase, callBinding
 			exec.Terminal = true
 			exec.LastStatus = actionlib.StatusFailed
 			exec.LastDetail = err.Error()
-			in.failedSteps++
-			r.invRetire(invID) // terminal from birth: GC clock starts now
-			ev := r.record(in, Event{Kind: EventActionStatus, Phase: phase.ID,
+			rec.Executions = append(rec.Executions, exec)
+			rec.Events = r.stamp(in, rec.Events, Event{Kind: EventActionStatus, Phase: phase.ID,
 				ActionURI: call.URI, Invocation: invID,
 				Status: actionlib.StatusFailed, Detail: err.Error()})
-			items = append(items, dispatchItem{startEv: ev, prepErr: err})
 			continue
 		}
-		in.pendingInvs++
 
 		callback := r.cfg.CallbackBase
 		if callback == "" {
 			callback = "callback:/" // local scheme for embedded use
 		}
-		inv := actionlib.Invocation{
+		invs = append(invs, actionlib.Invocation{
 			ID:           invID,
 			TypeURI:      call.URI,
 			ActionName:   call.Name,
@@ -237,24 +201,20 @@ func (r *Runtime) prepareDispatches(in *instance, phase *core.Phase, callBinding
 			CallbackURI:  callback + "/" + invID,
 			Params:       params,
 			Credentials:  in.res.Credentials,
-		}
-		ev := r.record(in, Event{Kind: EventActionStarted, Phase: phase.ID,
+		})
+		rec.Executions = append(rec.Executions, exec)
+		rec.Events = r.stamp(in, rec.Events, Event{Kind: EventActionStarted, Phase: phase.ID,
 			ActionURI: call.URI, Invocation: invID, Detail: call.Name})
-		items = append(items, dispatchItem{inv: inv, startEv: ev})
 	}
-	return items
+	return invs
 }
 
 // launch hands prepared invocations to the invoker — in parallel
 // goroutines by default ("all actions associated to a phase are executed
 // in parallel and anyway in a non-deterministic order", §IV.A), inline
 // when Config.SyncActions is set.
-func (r *Runtime) launch(instID string, items []dispatchItem) {
-	for _, d := range items {
-		if d.prepErr != nil {
-			continue
-		}
-		inv := d.inv
+func (r *Runtime) launch(instID string, invs []actionlib.Invocation) {
+	for _, inv := range invs {
 		if r.cfg.SyncActions {
 			if err := r.invoke(inv); err != nil {
 				r.failDispatch(instID, inv.ID, err)
@@ -295,28 +255,15 @@ func (r *Runtime) failDispatch(instID, invID string, err error) {
 		in.mu.Unlock()
 		return
 	}
-	exec.DispatchErr = err.Error()
-	exec.Terminal = true
-	exec.LastStatus = actionlib.StatusFailed
-	exec.LastDetail = err.Error()
-	in.pendingInvs--
-	in.failedSteps++
-	ev := r.record(in, Event{Kind: EventActionStatus, Phase: exec.Phase,
-		ActionURI: exec.ActionURI, Invocation: invID,
-		Status: actionlib.StatusFailed, Detail: err.Error()})
-	jerr := r.journalLocked(in, &JournalRecord{
-		Op: RecDispatchFail, Instance: instID, Invocation: invID,
-		Detail: err.Error(), Events: []Event{ev},
-	})
+	rec := &JournalRecord{Op: RecDispatchFail, Instance: instID, Invocation: invID, Detail: err.Error(),
+		Events: r.stamp(in, nil, Event{Kind: EventActionStatus, Phase: exec.Phase,
+			ActionURI: exec.ActionURI, Invocation: invID,
+			Status: actionlib.StatusFailed, Detail: err.Error()})}
+	cerr := r.commitLocked(in, rec)
 	in.mu.Unlock()
-	// The execution is terminal in memory either way, so its index
-	// entry must start its GC grace window even when the journal append
-	// failed (fail-forward suppresses only observer delivery).
-	r.invRetire(invID)
-	if jerr != nil {
-		return
+	if cerr == nil {
+		r.observe(instID, rec.Events[0])
 	}
-	r.observe(instID, ev)
 }
 
 // Report delivers a status message from an action implementation — the
@@ -340,35 +287,19 @@ func (r *Runtime) Report(up actionlib.StatusUpdate) error {
 		in.mu.Unlock()
 		return nil
 	}
-	exec.LastStatus = up.Message
-	exec.LastDetail = up.Detail
-	exec.Updates++
-	if up.Terminal() {
-		exec.Terminal = true
-		in.pendingInvs--
-		if up.Message == actionlib.StatusFailed {
-			in.failedSteps++
-		}
-	}
-	ev := r.record(in, Event{Kind: EventActionStatus, Phase: exec.Phase,
-		ActionURI: exec.ActionURI, Invocation: up.InvocationID,
-		Status: up.Message, Detail: up.Detail})
 	instID := in.id
-	jerr := r.journalLocked(in, &JournalRecord{
+	rec := &JournalRecord{
 		Op: RecReport, Instance: instID, Invocation: up.InvocationID,
 		Status: up.Message, Detail: up.Detail, Terminal: up.Terminal(),
-		Events: []Event{ev},
-	})
+		Events: r.stamp(in, nil, Event{Kind: EventActionStatus, Phase: exec.Phase,
+			ActionURI: exec.ActionURI, Invocation: up.InvocationID,
+			Status: up.Message, Detail: up.Detail}),
+	}
+	err := r.commitLocked(in, rec)
 	in.mu.Unlock()
-	if up.Terminal() {
-		// Terminal in memory even on a journal error: the index entry's
-		// GC grace window starts now regardless (fail-forward suppresses
-		// only observer delivery).
-		r.invRetire(up.InvocationID)
+	if err != nil {
+		return err
 	}
-	if jerr != nil {
-		return jerr
-	}
-	r.observe(instID, ev)
+	r.observe(instID, rec.Events[0])
 	return nil
 }

@@ -8,12 +8,13 @@ package runtime
 //
 // Each instance records the contribution it last added (instance.agg).
 // aggSync swaps that recorded contribution for the instance's current
-// one, under in.mu, at the three places instance state changes:
-// journalLocked (every live mutation, journaled, fail-forward or
-// in-memory alike), the tail of replay's per-record apply, and publish
-// (Instantiate plus the replayed instantiate and snapshot images). Lock
-// order is in.mu, then aggregate.mu; nothing holding aggregate.mu ever
-// takes an instance lock.
+// one, under in.mu, at the two places instance state changes: the tail
+// of replayRecord, which applies every committed live mutation and
+// every replayed record alike, and publish (Instantiate plus the
+// replayed instantiate and snapshot images). A mutation whose journal
+// append failed is never applied, so it never reaches the aggregate.
+// Lock order is in.mu, then aggregate.mu; nothing holding aggregate.mu
+// ever takes an instance lock.
 //
 // Lateness depends on the instant asked about, so it is not a plain
 // counter. Late-eligible instances — active, in a phase with a

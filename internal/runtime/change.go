@@ -26,31 +26,22 @@ func (r *Runtime) ProposeChange(instID, proposer string, newModel *core.Model, n
 		return fmt.Errorf("%w: %s", ErrNotFound, instID)
 	}
 	in.mu.Lock()
-	diff := core.DiffModels(in.model, newModel)
-	replaced := in.pending != nil
-	in.pending = &ChangeProposal{
-		ProposedBy: proposer,
-		ProposedAt: r.clock.Now(),
-		Note:       note,
-		NewModel:   newModel.Clone(),
-		Summary:    diff.String(),
+	rec := &JournalRecord{
+		Op: RecPropose, Instance: instID,
+		Proposer: proposer, ProposedAt: r.clock.Now(), Note: note,
+		Model: newModel.Clone(), DiffSummary: core.DiffModels(in.model, newModel).String(),
 	}
-	detail := diff.String()
-	if replaced {
+	detail := rec.DiffSummary
+	if in.pending != nil {
 		detail += " (replaces an undecided proposal)"
 	}
-	ev := r.record(in, Event{Kind: EventChangeProposed, Actor: proposer, Detail: detail, Phase: in.current})
-	if err := r.journalLocked(in, &JournalRecord{
-		Op: RecPropose, Instance: instID,
-		Proposer: proposer, ProposedAt: in.pending.ProposedAt, Note: note,
-		Model: in.pending.NewModel, DiffSummary: in.pending.Summary,
-		Events: []Event{ev},
-	}); err != nil {
-		in.mu.Unlock()
+	rec.Events = r.stamp(in, nil, Event{Kind: EventChangeProposed, Actor: proposer, Detail: detail, Phase: in.current})
+	err := r.commitLocked(in, rec)
+	in.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	in.mu.Unlock()
-	r.observe(instID, ev)
+	r.observe(instID, rec.Events[0])
 	return nil
 }
 
@@ -92,80 +83,68 @@ func (r *Runtime) acceptChange(instID, actor, landing string, project func(*inst
 		return fmt.Errorf("%w: %s may not migrate %s", ErrForbidden, actor, instID)
 	}
 	in.mu.Lock()
-	evs, err := r.applyPendingLocked(in, actor, landing)
+	if in.pending == nil {
+		in.mu.Unlock()
+		return fmt.Errorf("%w on %s", ErrNoPending, instID)
+	}
+	rec, err := r.migrationRecord(in, RecAccept, actor, landing, in.pending.NewModel, in.pending.Summary)
+	if err == nil {
+		err = r.commitLocked(in, rec)
+	}
 	if err != nil {
 		in.mu.Unlock()
 		return err
 	}
-	rec := &JournalRecord{Op: RecAccept, Instance: instID, Landing: landing, Events: evs}
-	rec.mirrorState(in)
-	if err := r.journalLocked(in, rec); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	project(in, evs)
+	project(in, rec.Events)
 	in.mu.Unlock()
-	for _, ev := range evs {
+	for _, ev := range rec.Events {
 		r.observe(instID, ev)
 	}
 	return nil
 }
 
-// applyPendingLocked applies the instance's pending proposal — the
-// shared migration core of AcceptChange and SwitchModel. Callers hold
-// in.mu. On error nothing is mutated. The returned events are recorded
-// in history; callers deliver them to the observer after unlocking, in
-// order.
-func (r *Runtime) applyPendingLocked(in *instance, actor, landing string) ([]Event, error) {
-	if in.pending == nil {
-		return nil, fmt.Errorf("%w on %s", ErrNoPending, in.id)
-	}
-	newModel := in.pending.NewModel
+// migrationRecord builds the record of a migration onto newModel — the
+// shared core of AcceptChange and SwitchModel: it checks the landing
+// phase, stamps the change-applied event and, when the landing changes
+// completion, a completed or reopened one after it (so history seq
+// order matches observer order and MoveResult.Events stays contiguous),
+// and mirrors the post-migration token state. Nothing is mutated;
+// callers hold in.mu.
+func (r *Runtime) migrationRecord(in *instance, op RecordOp, actor, landing string, newModel *core.Model, summary string) (*JournalRecord, error) {
 	target := landing
 	if target == "" {
 		target = in.current
 	}
+	isFinal := false
 	if target != "" {
-		if _, ok := newModel.Phase(target); !ok {
+		p, ok := newModel.Phase(target)
+		if !ok {
 			return nil, fmt.Errorf("%w: %q does not exist in the proposed model (current phase was removed — choose a landing phase)",
 				ErrUnknownPhase, target)
 		}
+		isFinal = p.Final
 	}
-
-	summary := in.pending.Summary
-	in.model = newModel.Clone()
-	in.mcache = buildModelCache(in.model)
-	in.current = target
-	in.pending = nil
 
 	detail := summary
 	if landing != "" {
 		detail += fmt.Sprintf("; landed on %q", landing)
 	}
-	evs := []Event{r.record(in, Event{Kind: EventChangeApplied, Actor: actor, Phase: in.current, Detail: detail})}
-
-	// Recompute completion from the landing position. Recorded after the
-	// change-applied event so history seq order matches observer order
-	// (and MoveResult.Events stays contiguous in seq order).
+	rec := &JournalRecord{Op: op, Instance: in.id, Landing: landing,
+		State: in.state, Current: target, CompletedAt: in.completedAt}
+	rec.Events = r.stamp(in, nil, Event{Kind: EventChangeApplied, Actor: actor, Phase: target, Detail: detail})
 	wasCompleted := in.state == StateCompleted
-	isFinal := false
-	if target != "" {
-		if p, ok := in.model.Phase(target); ok && p.Final {
-			isFinal = true
-		}
-	}
 	switch {
 	case isFinal && !wasCompleted:
-		in.state = StateCompleted
-		in.completedAt = r.clock.Now()
-		evs = append(evs, r.record(in, Event{Kind: EventCompleted, Actor: actor, Phase: target,
-			Detail: "completed by migration"}))
+		rec.State = StateCompleted
+		rec.CompletedAt = r.clock.Now()
+		rec.Events = r.stamp(in, rec.Events, Event{Kind: EventCompleted, Actor: actor, Phase: target,
+			Detail: "completed by migration"})
 	case !isFinal && wasCompleted:
-		in.state = StateActive
-		evs = append(evs, r.record(in, Event{Kind: EventReopened, Actor: actor, Phase: target,
-			Detail: "re-opened by migration"}))
+		rec.State = StateActive
+		rec.Events = r.stamp(in, rec.Events, Event{Kind: EventReopened, Actor: actor, Phase: target,
+			Detail: "re-opened by migration"})
 	}
-	return evs, nil
+	return rec, nil
 }
 
 // RejectChange discards the pending proposal; the instance keeps its
@@ -183,16 +162,15 @@ func (r *Runtime) RejectChange(instID, actor, note string) error {
 		in.mu.Unlock()
 		return fmt.Errorf("%w on %s", ErrNoPending, instID)
 	}
-	summary := in.pending.Summary
-	in.pending = nil
-	ev := r.record(in, Event{Kind: EventChangeRejected, Actor: actor, Phase: in.current,
-		Detail: summary + noteSuffix(note)})
-	if err := r.journalLocked(in, &JournalRecord{Op: RecReject, Instance: instID, Events: []Event{ev}}); err != nil {
-		in.mu.Unlock()
+	rec := &JournalRecord{Op: RecReject, Instance: instID,
+		Events: r.stamp(in, nil, Event{Kind: EventChangeRejected, Actor: actor, Phase: in.current,
+			Detail: in.pending.Summary + noteSuffix(note)})}
+	err := r.commitLocked(in, rec)
+	in.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	in.mu.Unlock()
-	r.observe(instID, ev)
+	r.observe(instID, rec.Events[0])
 	return nil
 }
 
@@ -242,45 +220,20 @@ func (r *Runtime) switchModel(instID, actor string, newModel *core.Model, landin
 	if !r.policy.CanDrive(actor, instID) {
 		return fmt.Errorf("%w: %s may not switch the model of %s", ErrForbidden, actor, instID)
 	}
-	// Install-and-apply happens in one critical section so a failed or
-	// raced switch can neither leave its proposal dangling for a later
-	// AcceptChange nor desynchronize provenance from the model index.
+	model := newModel.Clone()
 	in.mu.Lock()
-	prevPending := in.pending
-	in.pending = &ChangeProposal{
-		ProposedBy: actor,
-		ProposedAt: r.clock.Now(),
-		NewModel:   newModel.Clone(),
-		Summary:    core.DiffModels(in.model, newModel).String(),
-		Note:       "owner-initiated model switch",
+	rec, err := r.migrationRecord(in, RecSwitch, actor, landing, model, core.DiffModels(in.model, newModel).String())
+	if err == nil {
+		rec.Proposer, rec.Model, rec.ModelURI = actor, model, model.URI
+		err = r.commitLocked(in, rec)
 	}
-	evs, err := r.applyPendingLocked(in, actor, landing)
 	if err != nil {
-		in.pending = prevPending
 		in.mu.Unlock()
 		return err
 	}
-	// The switch applied: move the provenance pointer and keep the
-	// model index in step (index stripes are taken under the instance
-	// lock, per the package lock order).
-	if old := in.modelURI; old != newModel.URI {
-		in.modelURI = newModel.URI
-		r.byModel.remove(old, in)
-		r.byModel.add(newModel.URI, in)
-	}
-	rec := &JournalRecord{
-		Op: RecSwitch, Instance: instID, Landing: landing,
-		Proposer: actor, Model: in.model, ModelURI: in.modelURI,
-		Events: evs,
-	}
-	rec.mirrorState(in)
-	if err := r.journalLocked(in, rec); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	project(in, evs)
+	project(in, rec.Events)
 	in.mu.Unlock()
-	for _, ev := range evs {
+	for _, ev := range rec.Events {
 		r.observe(instID, ev)
 	}
 	return nil

@@ -2,15 +2,17 @@ package runtime
 
 // The persistence seam of the runtime. Every instance mutation —
 // instantiate, advance, annotate, bind, report, dispatch failure,
-// change propose/accept/reject, model switch — emits one typed
-// JournalRecord through the Config.Journal sink while the mutated
-// instance's lock is still held, so the journal's per-instance record
-// order is exactly the mutation order a live reader could observe.
-// Replaying the records through ApplyJournal (then FinishRecovery)
-// rebuilds the full runtime state: token positions, event histories,
-// executions, pending proposals, the secondary indexes and every
-// incrementally maintained counter. See the package doc's "Durability
-// model" section for the contract.
+// change propose/accept/reject, model switch — is first built as one
+// typed JournalRecord, without touching the instance, then emitted
+// through the Config.Journal sink while the instance's lock is held,
+// and applied by the replay appliers below only once the sink
+// acknowledged it (commitLocked). The journal's per-instance record
+// order is therefore exactly the order a live reader could observe,
+// and replaying the records through ApplyJournal (then FinishRecovery)
+// runs the very code that built the live state: token positions, event
+// histories, executions, pending proposals, the secondary indexes and
+// every incrementally maintained counter. See the package doc's
+// "Durability model" section for the contract.
 
 import (
 	"encoding/json"
@@ -26,8 +28,8 @@ import (
 )
 
 // Journal is the persistence sink for instance mutation records. The
-// runtime calls Record once per committed mutation, while holding the
-// mutated instance's lock; Record must block until the record is
+// runtime calls Record once per mutation, before applying it, while
+// holding the mutated instance's lock; Record must block until the record is
 // durable at the sink's level (a nil error is the durability ack) and
 // must never call back into the Runtime. Implementations must be safe
 // for concurrent use — records for different instances are emitted in
@@ -136,25 +138,24 @@ type JournalRecord struct {
 	ResidSince     time.Time                `json:"resid_since,omitempty"`
 }
 
-// journalLocked emits a record through the configured sink; callers
-// hold the mutated instance's lock, which is what makes the journal's
-// per-instance order equal the mutation order. A nil sink is a no-op.
-// Every live mutation passes through here, so it is also where the
-// mutated instance's cockpit-aggregate contribution is brought up to
-// date — first, so in-memory and fail-forward mutations are counted
-// too. in is nil only for Instantiate, whose instance publish counts.
-//
-// Failure semantics are fail-forward: the in-memory mutation has
-// already been applied and is NOT rolled back (rollback of a composite
-// mutation under concurrency would be worse than the disease); the
-// caller surfaces the wrapped error, skips observer delivery and
-// action dispatch, and the append-error counter feeds the admin
-// endpoint. The one exception is Instantiate, which journals before
-// publishing the instance and can therefore abort cleanly.
-func (r *Runtime) journalLocked(in *instance, rec *JournalRecord) error {
-	if in != nil {
-		r.aggSync(in)
+// commitLocked is the one way a live mutation reaches an instance:
+// the verb builds rec without touching the instance, commitLocked
+// journals it and, only once the sink acknowledged it, applies it
+// through the replay applier. The live path is therefore replay of its
+// own record, and a failed append leaves nothing behind in memory — no
+// event, execution, index entry or aggregate change. Callers hold
+// in.mu, which makes the journal's per-instance order the apply order.
+func (r *Runtime) commitLocked(in *instance, rec *JournalRecord) error {
+	if err := r.journal(rec); err != nil {
+		return err
 	}
+	return r.replayRecord(in, rec)
+}
+
+// journal emits rec through the configured sink and counts the
+// outcome; a nil sink acknowledges everything. The append-error
+// counter feeds the admin endpoint.
+func (r *Runtime) journal(rec *JournalRecord) error {
 	if r.cfg.Journal == nil {
 		return nil
 	}
@@ -164,14 +165,6 @@ func (r *Runtime) journalLocked(in *instance, rec *JournalRecord) error {
 	}
 	r.journalAppends.Add(1)
 	return nil
-}
-
-// mirrorState copies the instance's post-mutation token state into the
-// record; callers hold in.mu.
-func (rec *JournalRecord) mirrorState(in *instance) {
-	rec.State = in.state
-	rec.Current = in.current
-	rec.CompletedAt = in.completedAt
 }
 
 // ---- replay --------------------------------------------------------------------
@@ -200,7 +193,11 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	r.recoveredRecords.Add(1)
 	switch rec.Op {
 	case RecInstantiate:
-		return r.replayInstantiate(&rec)
+		in, err := r.newInstance(&rec)
+		if err != nil {
+			return err
+		}
+		return r.publish(in)
 	case RecSnapshot:
 		return r.replaySnapshot(&rec)
 	case RecProbe:
@@ -214,14 +211,14 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	err := r.replayRecord(in, &rec)
-	r.aggSync(in)
-	return err
+	return r.replayRecord(in, &rec)
 }
 
-// replayRecord applies one mutation record to an existing instance;
-// callers hold in.mu.
+// replayRecord applies one mutation record to an existing instance and
+// brings its cockpit-aggregate contribution up to date — the shared
+// apply of ApplyJournal and of every live commit; callers hold in.mu.
 func (r *Runtime) replayRecord(in *instance, rec *JournalRecord) error {
+	defer r.aggSync(in)
 	switch rec.Op {
 	case RecAdvance:
 		return r.replayAdvance(in, rec)
@@ -256,9 +253,12 @@ func (r *Runtime) applyEvents(in *instance, evs []Event) {
 	}
 }
 
-func (r *Runtime) replayInstantiate(rec *JournalRecord) error {
+// newInstance builds the unpublished instance an instantiate record
+// describes — the one constructor of live and replayed instantiation.
+// The record must own its model, resource and bindings exclusively.
+func (r *Runtime) newInstance(rec *JournalRecord) (*instance, error) {
 	if rec.Model == nil || rec.Resource == nil {
-		return fmt.Errorf("runtime: instantiate record for %s missing model or resource", rec.Instance)
+		return nil, fmt.Errorf("runtime: instantiate record for %s missing model or resource", rec.Instance)
 	}
 	modelURI := rec.ModelURI
 	if modelURI == "" {
@@ -271,7 +271,7 @@ func (r *Runtime) replayInstantiate(rec *JournalRecord) error {
 	in := &instance{
 		id:           rec.Instance,
 		seq:          rec.Seq,
-		model:        rec.Model, // decoded copy: the record owns it exclusively
+		model:        rec.Model,
 		mcache:       buildModelCache(rec.Model),
 		modelURI:     modelURI,
 		res:          *rec.Resource,
@@ -283,14 +283,7 @@ func (r *Runtime) replayInstantiate(rec *JournalRecord) error {
 		executions:   make(map[string]*ActionExecution),
 	}
 	r.applyEvents(in, rec.Events)
-
-	if r.publish(in) {
-		return fmt.Errorf("%w: replayed instantiate for existing %s", ErrAlreadyExists, in.id)
-	}
-	r.byRes.add(in.res.URI, in)
-	r.byModel.add(in.modelURI, in)
-	bumpAtLeast(&r.nextInst, rec.Seq)
-	return nil
+	return in, nil
 }
 
 func (r *Runtime) replayAdvance(in *instance, rec *JournalRecord) error {
@@ -308,13 +301,13 @@ func (r *Runtime) replayAdvance(in *instance, rec *JournalRecord) error {
 	return nil
 }
 
-// registerExecution installs one replayed execution on in — ordered
-// map entry, the failed/pending counters, the callback-routing index,
-// the invocation id counter, and retirement scheduling for terminal
-// ones (the GC grace window restarts at replay time; a no-op when
-// retention is disabled). Shared by record replay (replayAdvance) and
-// snapshot replay so the two can never drift. Callers hold in.mu (or
-// own the instance exclusively).
+// registerExecution installs one execution on in — ordered map entry,
+// the failed/pending counters, the callback-routing index (sweeping the
+// stripe's expired entries on the way), the invocation id counter, and
+// retirement scheduling for terminal ones (on replay the GC grace
+// window restarts at replay time; a no-op when retention is disabled).
+// Shared by the advance applier and snapshot replay so the two can
+// never drift. Callers hold in.mu (or own the instance exclusively).
 func (r *Runtime) registerExecution(in *instance, ex *ActionExecution) {
 	in.executions[ex.InvocationID] = ex
 	in.execOrder = append(in.execOrder, ex.InvocationID)
@@ -327,6 +320,9 @@ func (r *Runtime) registerExecution(in *instance, ex *ActionExecution) {
 	ish := r.invShardFor(ex.InvocationID)
 	ish.mu.Lock()
 	ish.m[ex.InvocationID] = in
+	if r.cfg.InvocationRetention > 0 {
+		r.sweepInvShardLocked(ish, r.clock.Now())
+	}
 	ish.mu.Unlock()
 	bumpAtLeast(&r.nextInv, invSeq(ex.InvocationID))
 	if ex.Terminal {

@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/liquidpub/gelee/internal/actionlib"
 	"github.com/liquidpub/gelee/internal/core"
+	"github.com/liquidpub/gelee/internal/resource"
 	"github.com/liquidpub/gelee/internal/vclock"
 )
 
@@ -405,29 +408,153 @@ func TestReplayWithRingTruncation(t *testing.T) {
 	}
 }
 
-// TestJournalFailureSemantics: a failing sink aborts Instantiate
-// cleanly and fail-forwards everything else, counting the errors.
+// failureView captures everything a reader can learn about a runtime:
+// full snapshots, every event page, the cockpit aggregate, summaries,
+// the resource and model indexes for the given URIs, the invocation
+// routing index and the admin stats. Two read-side numbers are left
+// out: the journal error count, which a failed append must raise, and
+// the indexed-query counter, which the capture's own index reads bump.
+func failureView(t *testing.T, e *persistEnv, uris []string) string {
+	t.Helper()
+	rt := e.rt
+	st := rt.RuntimeStats()
+	st.Persistence.RecordErrors = 0
+	st.PopulationIndex.IndexedQueries = 0
+	v := struct {
+		Stats     Stats
+		Instances []Snapshot
+		Events    map[string]EventPage
+		Aggregate Aggregate
+		Summaries []Summary
+		Indexed   map[string][][]Snapshot
+		Routes    []string
+	}{Stats: st, Instances: rt.Instances(), Events: map[string]EventPage{},
+		Aggregate: rt.Aggregate(e.clock.Now()), Summaries: rt.Summaries(),
+		Indexed: map[string][][]Snapshot{}}
+	for _, snap := range v.Instances {
+		v.Events[snap.ID], _ = rt.Events(snap.ID, 0, 0)
+	}
+	for _, uri := range uris {
+		v.Indexed[uri] = [][]Snapshot{rt.ByResource(uri), rt.ByModelURI(uri)}
+	}
+	for _, sh := range rt.inv {
+		sh.mu.RLock()
+		for id := range sh.m {
+			v.Routes = append(v.Routes, id)
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Strings(v.Routes)
+	return mustJSON(t, v)
+}
+
+// TestJournalFailureSemantics: unacknowledged means absent. For each
+// of the ten mutating verbs, a failing sink makes the verb return the
+// sink's error and leaves no trace a reader could see — no event,
+// execution, index entry, routing entry, aggregate or stats change —
+// and neither the observer nor the invoker hears of it.
 func TestJournalFailureSemantics(t *testing.T) {
-	e := newPersistEnv(t)
-	snap := e.instantiate(t)
-	e.sink.err = errors.New("disk gone")
-	if _, err := e.rt.Instantiate(fig1(t), wikiRef(), "owner", nil); err == nil {
-		t.Fatal("instantiate with dead journal succeeded")
+	notify := "http://www.liquidpub.org/a/notify"
+	otherRes := "http://wiki.liquidpub.org/D9.9"
+	switchURI := "urn:gelee:models:eu-deliverable-fork"
+	cases := []struct {
+		verb string
+		// call runs the verb on the prepared instance id, whose
+		// pending invocation is inv.
+		call func(t *testing.T, e *persistEnv, id, inv string) error
+		// noCaller marks a verb that runs on the dispatch path and so
+		// has no caller to hand the error to.
+		noCaller bool
+	}{
+		{verb: "instantiate", call: func(t *testing.T, e *persistEnv, _, _ string) error {
+			_, err := e.rt.Instantiate(fig1(t), resource.Ref{URI: otherRes, Type: "mediawiki"}, "owner",
+				map[string]map[string]string{notify: {"reviewers": "dora"}})
+			return err
+		}},
+		{verb: "advance", call: func(t *testing.T, e *persistEnv, id, _ string) error {
+			_, err := e.rt.Advance(id, "finalassembly", "owner", AdvanceOptions{Annotation: "on to assembly"})
+			return err
+		}},
+		{verb: "annotate", call: func(t *testing.T, e *persistEnv, id, _ string) error {
+			return e.rt.Annotate(id, "owner", "a note")
+		}},
+		{verb: "bind", call: func(t *testing.T, e *persistEnv, id, _ string) error {
+			return e.rt.BindParams(id, "owner", notify, map[string]string{"reviewers": "carol"})
+		}},
+		{verb: "report", call: func(t *testing.T, e *persistEnv, _, inv string) error {
+			return e.rt.Report(actionlib.StatusUpdate{InvocationID: inv, Message: actionlib.StatusCompleted})
+		}},
+		{verb: "dispatch-fail", noCaller: true, call: func(t *testing.T, e *persistEnv, id, inv string) error {
+			e.rt.failDispatch(id, inv, errors.New("endpoint unreachable"))
+			return nil
+		}},
+		{verb: "propose", call: func(t *testing.T, e *persistEnv, id, _ string) error {
+			return e.rt.ProposeChange(id, "designer", fig1(t), "back to v1")
+		}},
+		{verb: "accept", call: func(t *testing.T, e *persistEnv, id, _ string) error {
+			_, err := e.rt.AcceptChange(id, "owner", "accepted")
+			return err
+		}},
+		{verb: "reject", call: func(t *testing.T, e *persistEnv, id, _ string) error {
+			return e.rt.RejectChange(id, "owner", "not now")
+		}},
+		{verb: "switch", call: func(t *testing.T, e *persistEnv, id, _ string) error {
+			m := fig1(t)
+			m.URI = switchURI
+			_, err := e.rt.SwitchModel(id, "owner", m, "accepted")
+			return err
+		}},
 	}
-	if got := e.rt.Count(); got != 1 {
-		t.Fatalf("population after aborted instantiate = %d, want 1", got)
-	}
-	if _, err := e.rt.Advance(snap.ID, "elaboration", "owner", AdvanceOptions{}); err == nil {
-		t.Fatal("advance with dead journal reported success")
-	}
-	// Fail-forward: memory kept the move.
-	sum, _ := e.rt.Summary(snap.ID)
-	if sum.Current != "elaboration" {
-		t.Fatalf("fail-forward position = %q", sum.Current)
-	}
-	st := e.rt.RuntimeStats().Persistence
-	if !st.Enabled || st.RecordErrors < 2 {
-		t.Fatalf("persistence stats = %+v", st)
+	for _, c := range cases {
+		t.Run(c.verb, func(t *testing.T) {
+			e := newPersistEnv(t)
+			e.inv.status = "" // invocations stay pending
+			var observed atomic.Int64
+			e.rt.cfg.Observer = func(string, Event) { observed.Add(1) }
+
+			// A healthy journal takes the instance into internal review
+			// (two pending invocations) with a change proposal waiting.
+			snap := e.instantiate(t)
+			for _, to := range []string{"elaboration", "internalreview"} {
+				if _, err := e.rt.Advance(snap.ID, to, "owner", AdvanceOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.rt.ProposeChange(snap.ID, "designer", fig1WithoutInternalReview(t), "v2"); err != nil {
+				t.Fatal(err)
+			}
+			cur, _ := e.rt.Instance(snap.ID)
+			if len(cur.Executions) == 0 || cur.Executions[0].Terminal {
+				t.Fatalf("setup left no pending invocation: %+v", cur.Executions)
+			}
+			inv := cur.Executions[0].InvocationID
+			uris := []string{snap.Resource.URI, otherRes, snap.ModelURI, switchURI}
+			before := failureView(t, e, uris)
+			errsBefore := e.rt.RuntimeStats().Persistence.RecordErrors
+			invokedBefore := len(e.inv.invocations())
+			observed.Store(0)
+
+			diskGone := errors.New("disk gone")
+			e.sink.err = diskGone
+			err := c.call(t, e, snap.ID, inv)
+			e.sink.err = nil
+
+			if !c.noCaller && !errors.Is(err, diskGone) {
+				t.Fatalf("%s on a failing journal returned %v, want the sink's error", c.verb, err)
+			}
+			if got := e.rt.RuntimeStats().Persistence.RecordErrors; got != errsBefore+1 {
+				t.Fatalf("journal errors = %d, want %d", got, errsBefore+1)
+			}
+			if after := failureView(t, e, uris); after != before {
+				t.Fatalf("failed %s left a trace in memory:\nbefore %s\nafter  %s", c.verb, before, after)
+			}
+			if n := observed.Load(); n != 0 {
+				t.Fatalf("observer saw %d events of a failed %s", n, c.verb)
+			}
+			if n := len(e.inv.invocations()) - invokedBefore; n != 0 {
+				t.Fatalf("invoker saw %d dispatches of a failed %s", n, c.verb)
+			}
+		})
 	}
 }
 

@@ -6,8 +6,8 @@ package runtime
 // Each shard keeps, next to its id→instance map, an `ordered` slice of
 // the same instance pointers sorted by creation sequence. The slice is
 // maintained under the shard's existing membership lock at the three
-// places an instance is ever published — Instantiate, replayInstantiate
-// and replaySnapshot — and instances are never removed, so the slice
+// places an instance is ever published — Instantiate, instantiate
+// replay and replaySnapshot — and instances are never removed, so the slice
 // only grows. Because seq is allocated before publication, two
 // concurrent Instantiates may publish out of order; the insert binary-
 // searches from the tail, which makes the common in-order publish an
@@ -32,6 +32,7 @@ package runtime
 // Summary.
 
 import (
+	"fmt"
 	"sort"
 	"time"
 )
@@ -52,19 +53,20 @@ func (sh *shard) insertOrdered(in *instance) bool {
 	return true
 }
 
-// publish inserts an already-constructed instance into its shard map
-// and the population index in one critical section, then counts it in
-// the cockpit aggregate. It is the single publication point shared by
-// Instantiate, replayInstantiate and replaySnapshot; dup reports an id
-// collision (replay only), in which case nothing was inserted. A
-// mutation racing in between the insert and the count is harmless:
+// publish makes an already-constructed instance visible: its shard map
+// entry and population-index slot in one critical section, then its
+// resource and model index entries, its cockpit-aggregate count and
+// the instance id counter. It is the single publication point shared
+// by Instantiate, instantiate replay and replaySnapshot; an id
+// collision (replay only) inserts nothing and returns ErrAlreadyExists.
+// A mutation racing in between the insert and the count is harmless:
 // aggSync is idempotent, and whichever call comes first counts it.
-func (r *Runtime) publish(in *instance) (dup bool) {
+func (r *Runtime) publish(in *instance) error {
 	sh := r.shardFor(in.id)
 	sh.mu.Lock()
 	if _, exists := sh.instances[in.id]; exists {
 		sh.mu.Unlock()
-		return true
+		return fmt.Errorf("%w: replayed existing instance %s", ErrAlreadyExists, in.id)
 	}
 	sh.instances[in.id] = in
 	if sh.insertOrdered(in) {
@@ -74,7 +76,10 @@ func (r *Runtime) publish(in *instance) (dup bool) {
 	in.mu.Lock()
 	r.aggSync(in)
 	in.mu.Unlock()
-	return false
+	r.byRes.add(in.res.URI, in)
+	r.byModel.add(in.modelURI, in)
+	bumpAtLeast(&r.nextInst, in.seq)
+	return nil
 }
 
 // pageRefs returns up to limit instance pointers with seq > after, in

@@ -123,7 +123,7 @@
 // every mutating verb — Instantiate, Advance, Annotate, BindParams,
 // Report, a failed dispatch, ProposeChange, Accept/RejectChange,
 // SwitchModel — emits exactly one typed JournalRecord through the sink
-// before the mutation is acknowledged to the caller.
+// and applies the mutation only once the sink acknowledged the record.
 //
 // What is journaled: the record carries the mutation's identity, the
 // events it appended (already stamped with their gapless Seq and
@@ -133,31 +133,35 @@
 // decisions, action dispatch and observer delivery are NOT journaled;
 // they are side effects of the first life only.
 //
-// Ordering: records are emitted while the mutated instance's lock is
-// held, so the journal's per-instance record order is exactly the
-// order a live reader could have observed — and because the sink only
-// acknowledges durable records, no reader ever observes state that a
-// crash could take back. Cross-instance order in the journal is
-// arbitrary, as instances share no state.
+// Ordering: each verb builds its record without touching the instance,
+// emits it while the mutated instance's lock is held, and applies it
+// only after the sink acknowledged it. The journal's per-instance
+// record order is therefore exactly the order a live reader could have
+// observed — and because the sink only acknowledges durable records,
+// no reader ever observes state that a crash could take back.
+// Cross-instance order in the journal is arbitrary, as instances share
+// no state.
 //
 // Replay: on restart, stream every record through ApplyJournal (single
-// goroutine, journal order) and close with FinishRecovery. Replay
-// rebuilds everything the live path maintains: token positions, event
-// histories (ring truncation applied with the new config), executions,
-// pending proposals, the resource/model/invocation indexes, the
-// monotonic id counters, and every incremental counter — deviations,
-// failed steps, pending invocations, per-phase entered/residence
-// stats — plus the cockpit aggregate, which each applied record and
-// each published instance brings up to date. Events flow through the
-// same applier (applyRecorded) live and on replay, which is what makes
-// the rebuilt counters equal by construction rather than by
-// re-derivation.
+// goroutine, journal order) and close with FinishRecovery. The live
+// commit applies its own record through the same appliers (replayRecord,
+// and newInstance plus publish for Instantiate), so replay rebuilds
+// everything the live path maintains by running the same code: token
+// positions, event histories (ring truncation applied with the new
+// config), executions, pending proposals, the resource/model/invocation
+// indexes, the monotonic id counters, and every incremental counter —
+// deviations, failed steps, pending invocations, per-phase
+// entered/residence stats — plus the cockpit aggregate.
 //
-// Failure semantics are fail-forward: if the sink errors, the
-// in-memory mutation stands (Instantiate excepted — it journals before
-// publication and aborts cleanly), the caller gets the error, observer
-// delivery and dispatch are suppressed, and the append-error counter
-// surfaces on the admin endpoint. See journal.go.
+// Failure semantics: unacknowledged means absent. If the sink errors,
+// the record is never applied — no event, execution, index entry or
+// aggregate change stays in memory — the caller gets the error,
+// observer delivery and dispatch do not happen, and the append-error
+// counter surfaces on the admin endpoint. The only traces are consumed
+// instance and invocation ids, which leave gaps. A sink that wrote a
+// record's bytes before failing (a failed flush or fsync) can still
+// replay that record after a restart: the store does not yet truncate
+// such a tail. See journal.go.
 package runtime
 
 import (
@@ -523,22 +527,24 @@ func (r *Runtime) observe(instID string, ev Event) {
 	}
 }
 
-// record stamps and appends an event to the instance; callers hold
-// in.mu. Seq numbering is derived from in.eventSeq, not the slice
-// length, so it stays gapless across ring truncation.
-func (r *Runtime) record(in *instance, ev Event) Event {
-	ev.Seq = in.eventSeq + 1
+// stamp numbers ev to follow the instance's history plus the events
+// already built into evs, times it, and appends it to evs; callers
+// hold in.mu. Nothing is applied: the events enter the instance only
+// when their record commits (commitLocked). Seq numbering is derived
+// from in.eventSeq, not the slice length, so it stays gapless across
+// ring truncation.
+func (r *Runtime) stamp(in *instance, evs []Event, ev Event) []Event {
+	ev.Seq = in.eventSeq + len(evs) + 1
 	ev.Time = r.clock.Now()
-	r.applyRecorded(in, ev)
-	return ev
+	return append(evs, ev)
 }
 
 // applyRecorded appends an already-stamped event and maintains every
 // event-derived counter — event totals, deviations, the per-phase
 // entered/residence stats — plus the ring truncation. It is the one
-// place an event enters an instance, shared by the live record() path
-// and journal replay, which is what makes replayed counters equal the
-// live ones by construction. When Config.MaxEventsInMemory is set the
+// place an event enters an instance, on the live commit and on journal
+// replay alike, which is what makes replayed counters equal the live
+// ones by construction. When Config.MaxEventsInMemory is set the
 // in-memory history is ring-truncated: once it exceeds the cap by 25%
 // the oldest events are cut back down to the cap, amortizing the copy.
 // Callers hold in.mu (or own the instance exclusively).
@@ -656,70 +662,61 @@ func (r *Runtime) Instantiate(model *core.Model, ref resource.Ref, owner string,
 	}
 
 	seq := r.nextInst.Add(1)
-	in := &instance{
-		id:           fmt.Sprintf("li-%06d", seq),
-		seq:          seq,
-		model:        model.Clone(),
-		mcache:       buildModelCache(model),
-		modelURI:     model.URI,
-		res:          ref.Clone(),
-		owner:        owner,
-		state:        StateActive,
-		createdAt:    r.clock.Now(),
-		instBindings: cloneBindings(instBindings),
-		executions:   make(map[string]*ActionExecution),
+	res := ref.Clone()
+	rec := &JournalRecord{
+		Op:         RecInstantiate,
+		Instance:   fmt.Sprintf("li-%06d", seq),
+		Seq:        seq,
+		Model:      model.Clone(),
+		ModelURI:   model.URI,
+		Resource:   &res,
+		Owner:      owner,
+		CreatedAt:  r.clock.Now(),
+		Unresolved: r.unresolvedActions(model, ref.Type),
+		Bindings:   cloneBindings(instBindings),
 	}
-	// Resolve every referenced action type against the resource type.
+	rec.Events = []Event{{Seq: 1, Time: rec.CreatedAt, Kind: EventCreated, Actor: owner,
+		Detail: fmt.Sprintf("model %q on %s (%s)", model.Name, ref.URI, ref.Type)}}
+
+	// Journal before building and publishing: a failed append leaves
+	// nothing to undo. The shared instPub lock keeps the append→publish
+	// window atomic with respect to snapshot folding (see snapshot.go).
+	r.instPub.RLock()
+	defer r.instPub.RUnlock()
+	if err := r.journal(rec); err != nil {
+		return Snapshot{}, err
+	}
+	in, err := r.newInstance(rec)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	// Snapshot while the instance is still private, so no lock is needed.
+	snap := in.snapshot()
+	if err := r.publish(in); err != nil {
+		return Snapshot{}, err
+	}
+	r.observe(in.id, rec.Events[0])
+	return snap, nil
+}
+
+// unresolvedActions lists, sorted, the action types model references
+// that have no implementation for the resource type.
+func (r *Runtime) unresolvedActions(model *core.Model, resType string) []string {
+	var out []string
 	seen := make(map[string]bool)
-	for _, p := range in.model.Phases {
+	for _, p := range model.Phases {
 		for _, call := range p.Actions {
 			if seen[call.URI] {
 				continue
 			}
 			seen[call.URI] = true
-			if _, err := r.cfg.Registry.Resolve(call.URI, ref.Type); err != nil {
-				in.unresolved = append(in.unresolved, call.URI)
+			if _, err := r.cfg.Registry.Resolve(call.URI, resType); err != nil {
+				out = append(out, call.URI)
 			}
 		}
 	}
-	sort.Strings(in.unresolved)
-	// Record and snapshot before publication: the instance is still
-	// private, so no lock is needed.
-	ev := r.record(in, Event{Kind: EventCreated, Actor: owner,
-		Detail: fmt.Sprintf("model %q on %s (%s)", in.model.Name, ref.URI, ref.Type)})
-	snap := in.snapshot()
-
-	// Journal before publication: a failed append aborts cleanly — the
-	// instance was never visible, so nothing needs rolling back. The
-	// shared instPub lock keeps the append→publish window atomic with
-	// respect to snapshot folding (see snapshot.go).
-	r.instPub.RLock()
-	defer r.instPub.RUnlock()
-	// No instance goes to journalLocked: the instance is counted in the
-	// cockpit aggregate when publish makes it visible.
-	if err := r.journalLocked(nil, &JournalRecord{
-		Op:         RecInstantiate,
-		Instance:   in.id,
-		Seq:        seq,
-		Model:      in.model,
-		ModelURI:   in.modelURI,
-		Resource:   &in.res,
-		Owner:      owner,
-		CreatedAt:  in.createdAt,
-		Unresolved: in.unresolved,
-		Bindings:   in.instBindings,
-		Events:     []Event{ev},
-	}); err != nil {
-		r.totalEvents.Add(-1)
-		return Snapshot{}, err
-	}
-
-	r.publish(in)
-	r.byRes.add(in.res.URI, in)
-	r.byModel.add(in.modelURI, in)
-
-	r.observe(in.id, ev)
-	return snap, nil
+	sort.Strings(out)
+	return out
 }
 
 func cloneBindings(b map[string]map[string]string) map[string]map[string]string {
@@ -910,13 +907,14 @@ func (r *Runtime) Annotate(instID, actor, note string) error {
 		return fmt.Errorf("%w: %s may not annotate %s", ErrForbidden, actor, instID)
 	}
 	in.mu.Lock()
-	ev := r.record(in, Event{Kind: EventAnnotated, Actor: actor, Detail: note, Phase: in.current})
-	if err := r.journalLocked(in, &JournalRecord{Op: RecAnnotate, Instance: instID, Events: []Event{ev}}); err != nil {
-		in.mu.Unlock()
+	rec := &JournalRecord{Op: RecAnnotate, Instance: instID,
+		Events: r.stamp(in, nil, Event{Kind: EventAnnotated, Actor: actor, Detail: note, Phase: in.current})}
+	err := r.commitLocked(in, rec)
+	in.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	in.mu.Unlock()
-	r.observe(instID, ev)
+	r.observe(instID, rec.Events[0])
 	return nil
 }
 
@@ -953,18 +951,7 @@ func (r *Runtime) BindParams(instID, actor, actionURI string, values map[string]
 	if err := actionlib.CheckStageBindings(spec, *call, values, actionlib.StageInstantiation); err != nil {
 		return err
 	}
-	if in.instBindings == nil {
-		in.instBindings = make(map[string]map[string]string)
-	}
-	vals := in.instBindings[actionURI]
-	if vals == nil {
-		vals = make(map[string]string)
-		in.instBindings[actionURI] = vals
-	}
-	for k, v := range values {
-		vals[k] = v
-	}
-	return r.journalLocked(in, &JournalRecord{
+	return r.commitLocked(in, &JournalRecord{
 		Op: RecBind, Instance: instID,
 		Bindings: map[string]map[string]string{actionURI: values},
 	})
@@ -1029,8 +1016,9 @@ type Stats struct {
 type PersistenceStats struct {
 	Enabled bool `json:"enabled"`
 	// Records/RecordErrors count mutation records the Journal sink
-	// accepted / failed since start (failures are fail-forward: memory
-	// kept the mutation, durability was lost — see journal.go).
+	// accepted / failed since start. A failed record was never applied:
+	// its caller got the error and memory does not hold the mutation
+	// (see journal.go).
 	Records      int64 `json:"journal_records"`
 	RecordErrors int64 `json:"journal_errors"`
 	// Recovered is what the startup replay rebuilt.

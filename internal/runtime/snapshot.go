@@ -158,11 +158,5 @@ func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
 		r.registerExecution(in, &ex)
 	}
 
-	if r.publish(in) {
-		return fmt.Errorf("%w: replayed snapshot for existing %s", ErrAlreadyExists, in.id)
-	}
-	r.byRes.add(in.res.URI, in)
-	r.byModel.add(in.modelURI, in)
-	bumpAtLeast(&r.nextInst, rec.Seq)
-	return nil
+	return r.publish(in)
 }

@@ -164,10 +164,12 @@
 //
 // # Degraded mode: append failures are observed, not hidden
 //
-// The journal is fail-forward: when an append errors (disk full,
-// device gone), the in-memory mutation it framed is not rolled back —
-// the caller gets the error and decides, and the repositories stay
-// internally consistent. What the store adds is observation: every
+// An append that errors (disk full, device gone) changes nothing in
+// memory: repositories and the log apply an entry only in its onCommit
+// hook, which runs once a flush covers it, so the caller gets the
+// error and nothing needs rolling back. The bytes a failed flush or
+// sync already wrote are not truncated, though, so a restart can still
+// replay such an entry. What the store adds is observation: every
 // append outcome, success or failure, is reported through
 // Options.OnAppendResult (and InstancesOptions.OnAppendResult for the
 // instance collection). The embedding system feeds these outcomes into

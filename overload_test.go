@@ -7,6 +7,7 @@ package gelee
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -100,8 +101,10 @@ func TestJournalFaultReadOnlyAndProbeRecovery(t *testing.T) {
 		t.Fatalf("health after clean writes = %v", got)
 	}
 
-	// Disk dies. Fail-forward: mutations on the victim stand in memory
-	// but surface append errors, and the machine ratchets to read-only.
+	// Disk dies. Each mutation on the victim returns its append error
+	// and leaves no trace in memory, and the machine ratchets to
+	// read-only.
+	preFault, _ := sys.Summary(victim)
 	fault.failing.Store(true)
 	if _, err := sys.Advance(victim, "elaboration", "owner", AdvanceOptions{}); err == nil {
 		t.Fatal("advance on a broken journal reported clean ack")
@@ -134,6 +137,14 @@ func TestJournalFaultReadOnlyAndProbeRecovery(t *testing.T) {
 	if rep.Health.ReadOnlyTotal != 1 || rep.Health.RecoveredTotal != 1 {
 		t.Fatalf("health counters = %+v", rep.Health)
 	}
+	assertVictim := func(label string, sys *System) {
+		t.Helper()
+		got, ok := sys.Summary(victim)
+		if w, g := jsonString(t, preFault), jsonString(t, got); !ok || w != g {
+			t.Fatalf("victim %s = %s (ok=%v), want its pre-fault summary %s", label, g, ok, w)
+		}
+	}
+	assertVictim("after the fault healed", sys)
 
 	// Back to business: a clean, durable mutation.
 	if _, err := sys.Advance(main, "internalreview", "owner", AdvanceOptions{}); err != nil {
@@ -149,6 +160,24 @@ func TestJournalFaultReadOnlyAndProbeRecovery(t *testing.T) {
 	if !ok || sum.Current != "internalreview" {
 		t.Fatalf("main instance after restart = %+v (ok=%v), want internalreview", sum, ok)
 	}
+	assertVictim("after a restart", sys2)
+
+	// A clean Close and reopen on the same data dir replays the same
+	// acknowledged set.
+	if err := sys2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertVictim("after Close and reopen", newSystem(t, restartOpts(dir, clock)))
+}
+
+// jsonString marshals v for comparison by value.
+func jsonString(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestKillUnderSheddingNoAckedWriteLost saturates admission control
