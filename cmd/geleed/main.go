@@ -29,20 +29,25 @@
 // -runtime-shards stripes the lifecycle
 // runtime's instance table so token moves on different instances
 // never contend; -max-events ring-truncates each instance's in-memory
-// history (the journal keeps the full record) and -invocation-retention
-// ages terminal callback-routing entries out of the invocation index.
+// history (truncated events move into CRC-summed history archives
+// beside the instance journal at its next fold, and timelines still
+// page the full record) and -invocation-retention ages terminal
+// callback-routing entries out of the invocation index.
 // -persist-instances (on by default) writes every lifecycle-instance
 // mutation through a dedicated instance journal under DIR/instances
 // and replays it on start — sharded across GOMAXPROCS appliers — so a
 // restarted geleed recovers every token position, history, execution
-// and pending change; the recovered counts are logged at startup.
+// and pending change; the recovered counts are logged at startup. The
+// instance journal is the only record of instance events: the
+// execution log holds the audit trail of definition changes (models,
+// templates, actions, propagations).
 // -segment-max-bytes (64 MiB by default) rotates each journal's
 // active segment at that size; sealed segments are folded into
 // snapshots in the background, which bounds restart replay to
 // snapshot + tail instead of all history, without ever blocking
 // writers. -snapshot-every folds only once that many sealed segments
 // accumulate. -log-live-window keeps only that many of the execution
-// log's newest entries hot (in RAM and in each snapshot); older
+// log's newest audit entries hot (in RAM and in each snapshot); older
 // history is spilled once into immutable CRC-summed archive files
 // carried forward by reference, so fold cost stays flat as history
 // grows (a negative window is rejected) — cold pages still serve

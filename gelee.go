@@ -5,11 +5,12 @@
 //
 // A System wires the full Fig. 2 architecture: the data tier (model,
 // template, action-definition and user repositories plus the execution
-// log, journal-backed), the lifecycle manager (design-time and run-time
-// modules), the resource manager with its plug-ins, and the UI tier
-// (monitoring cockpit queries and execution widgets). Everything is
-// usable embedded (in-process, see examples/quickstart) or hosted over
-// HTTP (cmd/geleed).
+// log of definition changes, journal-backed, and the instance journal
+// holding every instance's event history), the lifecycle manager
+// (design-time and run-time modules), the resource manager with its
+// plug-ins, and the UI tier (monitoring cockpit queries and execution
+// widgets). Everything is usable embedded (in-process, see
+// examples/quickstart) or hosted over HTTP (cmd/geleed).
 //
 // The quickest start:
 //
@@ -21,12 +22,10 @@
 package gelee
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	stdruntime "runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,11 +166,13 @@ type Options struct {
 	// count (0 = runtime.DefaultShards). Advances on instances in
 	// different stripes share no lock.
 	RuntimeShards int
-	// MaxEventsInMemory caps each instance's in-memory event history
-	// (0 = unbounded). Old events are ring-truncated once the cap is
-	// exceeded; the journaled execution log keeps the full record, and
-	// cockpit aggregates are unaffected (they come from incremental
-	// counters).
+	// MaxEventsInMemory caps each instance's in-memory event ring
+	// (0 = unbounded). Events truncated off the ring wait in a spill
+	// until the next instance-journal fold writes them into a history
+	// archive; timeline pages stitch archives, spill and ring, so the
+	// full record stays addressable. Without PersistInstances nothing
+	// folds and the spill stays in RAM. Cockpit aggregates are
+	// unaffected (they come from incremental counters).
 	MaxEventsInMemory int
 	// InvocationRetention ages invocation→instance callback-routing
 	// entries out of the index once their execution is terminal plus
@@ -326,11 +327,10 @@ type System struct {
 	Registry  *actionlib.Registry
 	Resources *resource.Manager
 	ACL       *access.Control
-	// Runtime is embedded: the run-time verbs (Advance, QuerySummaries,
-	// AcceptChange, RuntimeStats, ...) are the runtime's own methods,
-	// promoted. Instantiate and Events are System methods on purpose:
-	// they add the model lookup, resource check and owner grant, and
-	// the execution-log backfill of truncated history.
+	// Runtime is embedded: the run-time verbs (Advance, Events,
+	// QuerySummaries, AcceptChange, RuntimeStats, ...) are the runtime's
+	// own methods, promoted. Instantiate is a System method on purpose:
+	// it adds the model lookup, resource check and owner grant.
 	*runtime.Runtime
 	Local *invoke.LocalInvoker
 	Sims  *Sims
@@ -578,17 +578,22 @@ func New(opts Options) (*System, error) {
 		sink = observedJournal{inner: sink, health: health}
 	}
 	s.journal = sink
+	// Folds archive ring-truncated events next to the instance journal.
+	var history runtime.History
+	if s.instances != nil {
+		history = s.instances
+	}
 	rt, err := runtime.New(runtime.Config{
 		Registry:            s.Registry,
 		Invoker:             dispatcher,
 		Clock:               clock,
 		Policy:              policy,
 		SyncActions:         opts.SyncActions,
-		Observer:            s.logEvent,
 		Shards:              opts.RuntimeShards,
 		MaxEventsInMemory:   opts.MaxEventsInMemory,
 		InvocationRetention: opts.InvocationRetention,
 		Journal:             sink,
+		History:             history,
 	})
 	if err != nil {
 		return nil, err
@@ -601,11 +606,11 @@ func New(opts Options) (*System, error) {
 	// Replay streams the newest snapshot plus unfolded tail segments,
 	// sharded by instance id across GOMAXPROCS appliers (records of
 	// different instances are independent). It happens before anything
-	// can mutate the runtime and applies records directly, so no event
-	// is re-observed into the execution log and no action is
-	// re-dispatched. Once recovered, the runtime becomes the journal's
-	// snapshot source: folding asks it for per-instance RecSnapshot
-	// images so sealed segments can be deleted.
+	// can mutate the runtime and applies records directly, so no action
+	// is re-dispatched. Once recovered, the runtime becomes the
+	// journal's snapshot source: folding asks it for per-instance
+	// RecSnapshot images so sealed segments can be deleted, and hands
+	// it the history archive its truncated events move into.
 	if s.instances != nil {
 		if err := s.instances.ReplayParallel(stdruntime.GOMAXPROCS(0), rt.ApplyJournal); err != nil {
 			return nil, fmt.Errorf("gelee: replay instance journal: %w", err)
@@ -721,10 +726,7 @@ func New(opts Options) (*System, error) {
 		}
 	}
 
-	// The monitor reads through the System, not the bare runtime, so
-	// its timeline pages get the log-backed backfill of Events and its
-	// phase stats the incremental counters.
-	s.mon = monitor.New(s, clock)
+	s.mon = monitor.New(rt, clock)
 	var aclForWidgets *access.Control
 	if opts.Auth {
 		aclForWidgets = s.ACL
@@ -918,39 +920,6 @@ func (s *System) SubscribeAlerts(buf int) (<-chan resilience.Alert, func()) {
 	return s.watcher.Feed().Subscribe(buf)
 }
 
-// logEvent mirrors every runtime event into the persistent execution
-// log (Fig. 2 data tier). Data carries the full typed event, which is
-// what lets the timeline backfill ring-truncated history from the log;
-// Kind/Actor/Detail stay as the human-readable audit columns. The
-// event is encoded with the runtime's codec — this runs synchronously
-// on every mutation, where a reflection marshal would cost more than
-// the mutation itself.
-func (s *System) logEvent(instID string, ev runtime.Event) {
-	data := ev.AppendJSON(nil)
-	_, _ = s.execLog.Append(store.LogEntry{
-		Time:     ev.Time,
-		Instance: instID,
-		Kind:     string(ev.Kind),
-		Actor:    ev.Actor,
-		Detail:   eventDetail(ev),
-		Data:     data,
-	})
-}
-
-func eventDetail(ev runtime.Event) string {
-	d := ev.Detail
-	if ev.Phase != "" {
-		d = "[" + ev.Phase + "] " + d
-	}
-	if ev.Deviation {
-		d += " (deviation)"
-	}
-	if ev.Status != "" {
-		d += " status=" + ev.Status
-	}
-	return d
-}
-
 // Close flushes and closes the data tier, the instance journal
 // included. Every mutation acknowledged before Close is durable.
 func (s *System) Close() error {
@@ -1007,7 +976,10 @@ func (s *System) Monitor() *monitor.Monitor { return s.mon }
 // Widgets returns the widget renderer.
 func (s *System) Widgets() *widget.Renderer { return s.wdgt }
 
-// ExecutionLog returns the persistent event log.
+// ExecutionLog returns the persistent execution log: the audit trail
+// of definition changes (model-defined, template-saved,
+// action-registered, model-propagated). Instance events live in the
+// instance journal and are read through Events.
 func (s *System) ExecutionLog() *store.Log { return s.execLog }
 
 // ExecutionLogPage returns up to limit execution-log entries with
@@ -1198,70 +1170,6 @@ func (s *System) Instantiate(modelURI string, ref resource.Ref, owner string, bi
 		}
 	}
 	return snap, nil
-}
-
-// Events returns a page of one instance's history (Seq > after, at
-// most limit events; limit <= 0 means unbounded) — the path behind
-// GET /api/v1/instances/{id}/timeline. When ring truncation has
-// dropped part of the requested range from memory, the missing prefix
-// is read back from the journaled execution log and stitched in front
-// of the retained window, so the full record stays addressable; the
-// page's Backfilled count says how much came from the log.
-func (s *System) Events(id string, after, limit int) (runtime.EventPage, bool) {
-	page, ok := s.Runtime.Events(id, after, limit)
-	if !ok || !page.Truncated {
-		return page, ok
-	}
-	old := s.backfillEvents(id, after+1, page.OldestSeq-1)
-	if len(old) == 0 {
-		return page, ok
-	}
-	merged := append(old, page.Events...)
-	if limit > 0 && len(merged) > limit {
-		merged = merged[:limit]
-	}
-	backfilled := len(old)
-	if backfilled > len(merged) {
-		backfilled = len(merged)
-	}
-	page.Events = merged
-	page.Backfilled = backfilled
-	// Still truncated only if the log itself was missing the head of
-	// the requested range (entries from before events were mirrored).
-	page.Truncated = merged[0].Seq != after+1
-	return page, true
-}
-
-// backfillEvents reads the typed events mirrored into the execution
-// log for one instance, keeping seqs in [from, to], in seq order.
-// Entries without a typed mirror (written before the mirror existed)
-// are skipped. The scan streams the instance's log entries in append
-// order and stops as soon as the range is fully collected, so a page
-// read costs O(events before the page's end), not O(total history);
-// only when mirrors are missing does it scan to the log's tail.
-func (s *System) backfillEvents(id string, from, to int) []runtime.Event {
-	if from > to {
-		return nil
-	}
-	want := to - from + 1
-	out := make([]runtime.Event, 0, want)
-	s.execLog.ScanInstance(id, func(le store.LogEntry) bool {
-		if len(le.Data) == 0 {
-			return true
-		}
-		var ev runtime.Event
-		if err := json.Unmarshal(le.Data, &ev); err != nil || ev.Seq == 0 {
-			return true
-		}
-		if ev.Seq >= from && ev.Seq <= to {
-			out = append(out, ev)
-		}
-		return len(out) < want
-	})
-	// The log is appended outside the instance lock, so near-ties can
-	// land out of order; seqs are authoritative.
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
 }
 
 // InstanceCount reports the live instance population without copying

@@ -104,9 +104,17 @@ func TestEndToEndDeliverableLifecycle(t *testing.T) {
 	if len(sys.Sims.Notify.Inbox("epfl-reviewer")) == 0 {
 		t.Fatal("reviewer not notified")
 	}
-	// The execution log captured the full history.
-	if entries := sys.ExecutionLog().ByInstance(id); len(entries) < 10 {
-		t.Fatalf("execution log entries = %d", len(entries))
+	// The instance history captured the full walk; the execution log
+	// holds only the definition audit trail.
+	hist, err := sys.Events(id, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.Events) < 10 || hist.Events[0].Kind != "created" || hist.Total != len(hist.Events) {
+		t.Fatalf("instance history = %d of %d events", len(hist.Events), hist.Total)
+	}
+	if entries := sys.ExecutionLog().ByInstance(id); len(entries) != 0 {
+		t.Fatalf("execution log mirrors %d instance events", len(entries))
 	}
 }
 

@@ -335,6 +335,13 @@ func TestPagedRoutesBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The execution log is the definitions audit trail: each
+	// redefinition appends a model-defined entry.
+	for i := 0; i < n; i++ {
+		if err := e.sys.DefineModel("", model); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	routes := []string{
 		"/api/v1/instances",

@@ -24,8 +24,8 @@
 //	GET  /api/v1/instances/{id}           snapshot (full history)
 //	GET  /api/v1/instances/{id}/timeline  paged history (?after=S&limit=N);
 //	                                      pages older than the in-memory ring
-//	                                      are backfilled from the journaled
-//	                                      execution log
+//	                                      are read back from the instance
+//	                                      journal's history archives
 //	POST /api/v1/instances/{id}/advance   move the token; responds with the
 //	                                      summary + only the events this move
 //	                                      appended, unless ?full=1
@@ -36,7 +36,9 @@
 //	POST /api/v1/callbacks/{inv}          action status callback (no auth)
 //	GET  /api/v1/admin/store              data-tier engine stats
 //	GET  /api/v1/admin/runtime            runtime shard/index stats
-//	GET  /api/v1/admin/log                paged execution log (?after=&limit=)
+//	GET  /api/v1/admin/log                paged execution log: the audit
+//	                                      trail of definition changes
+//	                                      (?after=&limit=)
 //	GET  /api/v1/admin/health             aggregated resilience report
 //	                                      (no auth; 503 when read-only)
 //	GET  /api/v1/admin/alerts[?limit=N]   recent threshold alerts
@@ -512,8 +514,8 @@ type timelinePage struct {
 	Items     []monitor.TimelineEntry `json:"items"`
 	Total     int                     `json:"total"`
 	NextAfter int                     `json:"next_after,omitempty"`
-	// OldestSeq/Truncated/Backfilled report ring truncation and
-	// execution-log backfill, as before.
+	// OldestSeq/Truncated/Backfilled report ring truncation and what
+	// the page read from outside the ring (see runtime.EventPage).
 	OldestSeq  int  `json:"oldest_seq"`
 	Truncated  bool `json:"truncated"`
 	Backfilled int  `json:"backfilled,omitempty"`
@@ -1019,17 +1021,22 @@ func (s *Server) handleMonitorLate(w http.ResponseWriter, r *http.Request) {
 // handleTimeline serves both timeline routes (the API's and the
 // monitor's): ?after=<seq> resumes past a cursor, ?limit=<n> bounds
 // the page (see pageParams). It is backed by the runtime's event
-// window, so it copies only the page — no execution slice, no model —
-// and reports when ring truncation cut the requested range.
+// history, so it copies only the page — no execution slice, no model.
+// A history archive that fails verification is a 500, never a short
+// page.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	after, limit, err := pageParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	page, ok := s.b.Monitor().TimelinePage(r.PathValue("id"), int(after), limit)
-	if !ok {
+	page, err := s.b.Monitor().TimelinePage(r.PathValue("id"), int(after), limit)
+	if errors.Is(err, runtime.ErrNotFound) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, toTimelinePage(page))

@@ -802,9 +802,17 @@ func TestAdminLogPage(t *testing.T) {
 	if _, err := e.sys.Advance(snap.ID, "internalreview", "owner", gelee.AdvanceOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// The log is the definitions audit trail, not instance history:
+	// the move above logged nothing, the definitions below do.
+	if err := e.sys.SaveTemplate("designer", model); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.sys.DefineModel("designer", model); err != nil {
+		t.Fatal(err)
+	}
 	total := e.sys.ExecutionLog().Len()
-	if total < 3 {
-		t.Fatalf("expected a few log entries, got %d", total)
+	if total != 3 {
+		t.Fatalf("expected 3 audit entries, got %d", total)
 	}
 
 	type page struct {

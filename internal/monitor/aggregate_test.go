@@ -323,7 +323,7 @@ func TestCockpitAggregateMatchesScan(t *testing.T) {
 	// Compact: one snapshot image per instance, then a journal tail
 	// written after it.
 	var images []rec
-	if err := rt.EmitSnapshots(func(id string, data []byte) error {
+	if _, err := rt.EmitSnapshots(func(id string, data []byte) error {
 		images = append(images, rec{id, append([]byte(nil), data...)})
 		return nil
 	}); err != nil {

@@ -190,8 +190,8 @@ func BenchmarkTimelinePage(b *testing.B) {
 	b.Run("page-32", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			page, ok := mon.TimelinePage(id, 64, 32)
-			if !ok || len(page.Entries) != 32 {
+			page, err := mon.TimelinePage(id, 64, 32)
+			if err != nil || len(page.Entries) != 32 {
 				b.Fatalf("page = %d entries", len(page.Entries))
 			}
 		}
@@ -199,8 +199,8 @@ func BenchmarkTimelinePage(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tl, ok := mon.Timeline(id)
-			if !ok || len(tl) != benchEvents {
+			tl, err := mon.Timeline(id)
+			if err != nil || len(tl) != benchEvents {
 				b.Fatalf("timeline = %d entries", len(tl))
 			}
 		}

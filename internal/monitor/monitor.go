@@ -20,7 +20,8 @@
 //     runtime.Filter down to the secondary indexes, so a by-resource or
 //     by-model view touches only its matches.
 //   - The per-instance drill-downs are O(page) and O(phases): Timeline
-//     pages straight from the runtime's event window (runtime.Events),
+//     pages straight from the runtime's event history (runtime.Events,
+//     which reads ring-truncated pages back from the history archives),
 //     and PhaseStats reads the per-phase counters the runtime maintains.
 package monitor
 
@@ -33,8 +34,7 @@ import (
 )
 
 // Source supplies instance projections — satisfied by *runtime.Runtime
-// and by *gelee.System (whose Events stitches ring-truncated history
-// back in from the journaled execution log). Aggregate serves the
+// and so by *gelee.System, which embeds it. Aggregate serves the
 // summary's maintained headline numbers; ForEachSummary streams the
 // row views off the runtime's ordered population index, filter pushed
 // down, without materializing every summary; Events (paged history
@@ -43,7 +43,7 @@ import (
 type Source interface {
 	Aggregate(now time.Time) runtime.Aggregate
 	ForEachSummary(f runtime.Filter, after int64, fn func(runtime.Summary) bool)
-	Events(id string, after, limit int) (runtime.EventPage, bool)
+	Events(id string, after, limit int) (runtime.EventPage, error)
 	PhaseStats(id string, now time.Time) (map[string]runtime.PhaseStat, bool)
 }
 
@@ -213,15 +213,15 @@ func toEntries(evs []runtime.Event) []TimelineEntry {
 	return out
 }
 
-// Timeline returns the instance's full retained history in order, or
-// false when the instance does not exist. For large histories prefer
-// TimelinePage.
-func (m *Monitor) Timeline(instanceID string) ([]TimelineEntry, bool) {
-	page, ok := m.src.Events(instanceID, 0, 0)
-	if !ok {
-		return nil, false
+// Timeline returns the instance's full history in order; the error is
+// runtime.ErrNotFound for an unknown instance, or an unreadable
+// history archive. For large histories prefer TimelinePage.
+func (m *Monitor) Timeline(instanceID string) ([]TimelineEntry, error) {
+	page, err := m.src.Events(instanceID, 0, 0)
+	if err != nil {
+		return nil, err
 	}
-	return toEntries(page.Events), true
+	return toEntries(page.Events), nil
 }
 
 // TimelinePage is one window of an instance's history view.
@@ -229,15 +229,15 @@ type TimelinePage struct {
 	Entries []TimelineEntry `json:"entries"`
 	// Total is the number of events ever recorded on the instance.
 	Total int `json:"total"`
-	// OldestSeq is the oldest seq still in memory (1 unless truncated,
-	// 0 when the instance has no events).
+	// OldestSeq is the oldest seq still in the in-memory ring (1
+	// unless truncated, 0 when the instance has no events).
 	OldestSeq int `json:"oldest_seq"`
-	// Truncated reports that the requested range began before OldestSeq
-	// and could not be served, not even from the execution-log
-	// backfill; the page then starts at the oldest event available.
+	// Truncated reports that the requested range began before the
+	// oldest event the instance still has anywhere; the page then
+	// starts there (see runtime.EventPage).
 	Truncated bool `json:"truncated"`
-	// Backfilled counts entries of this page read back from the
-	// journaled execution log rather than the in-memory ring.
+	// Backfilled counts entries of this page served from outside the
+	// ring: the spill awaiting the next fold or a history archive.
 	Backfilled int `json:"backfilled,omitempty"`
 	// NextAfter is the cursor for the following page (pass it as
 	// `after`); 0 when this page reaches the tail.
@@ -246,11 +246,12 @@ type TimelinePage struct {
 
 // TimelinePage returns the history window with Seq > after, at most
 // limit entries (limit <= 0 means no bound), paged straight from the
-// runtime's event window — no execution copy, no model copy.
-func (m *Monitor) TimelinePage(instanceID string, after, limit int) (TimelinePage, bool) {
-	page, ok := m.src.Events(instanceID, after, limit)
-	if !ok {
-		return TimelinePage{}, false
+// runtime's event history — no execution copy, no model copy. Errors
+// as Timeline.
+func (m *Monitor) TimelinePage(instanceID string, after, limit int) (TimelinePage, error) {
+	page, err := m.src.Events(instanceID, after, limit)
+	if err != nil {
+		return TimelinePage{}, err
 	}
 	out := TimelinePage{
 		Entries:    toEntries(page.Events),
@@ -262,7 +263,7 @@ func (m *Monitor) TimelinePage(instanceID string, after, limit int) (TimelinePag
 	if n := len(page.Events); n > 0 && page.Events[n-1].Seq < page.Total {
 		out.NextAfter = page.Events[n-1].Seq
 	}
-	return out, true
+	return out, nil
 }
 
 // PhaseStats measures time spent per phase for one instance:

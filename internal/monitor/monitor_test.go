@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -174,9 +175,9 @@ func TestTimeline(t *testing.T) {
 	id := snaps[0].ID
 	e.rt.Advance(id, "elaboration", snaps[0].Owner, runtime.AdvanceOptions{})
 	e.rt.Annotate(id, snaps[0].Owner, "waiting on partner text")
-	tl, ok := e.mon.Timeline(id)
-	if !ok {
-		t.Fatal("timeline missing")
+	tl, err := e.mon.Timeline(id)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(tl) < 3 {
 		t.Fatalf("timeline = %d entries", len(tl))
@@ -188,8 +189,8 @@ func TestTimeline(t *testing.T) {
 	if last.Kind != "annotated" || last.Detail != "waiting on partner text" {
 		t.Fatalf("last entry = %+v", last)
 	}
-	if _, ok := e.mon.Timeline("ghost"); ok {
-		t.Fatal("timeline for missing instance")
+	if _, err := e.mon.Timeline("ghost"); !errors.Is(err, runtime.ErrNotFound) {
+		t.Fatalf("timeline for missing instance: %v", err)
 	}
 }
 
@@ -261,9 +262,9 @@ func TestTimelinePagePaging(t *testing.T) {
 		e.rt.Annotate(id, snaps[0].Owner, "note")
 	}
 	// created + phase-entered + 8 annotations = 10 events.
-	page, ok := e.mon.TimelinePage(id, 0, 4)
-	if !ok {
-		t.Fatal("page missing")
+	page, err := e.mon.TimelinePage(id, 0, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(page.Entries) != 4 || page.Total != 10 || page.OldestSeq != 1 || page.Truncated {
 		t.Fatalf("page = %+v", page)
@@ -296,8 +297,8 @@ func TestTimelinePagePaging(t *testing.T) {
 	if len(page.Entries) != 4 || page.Entries[0].Seq != 7 {
 		t.Fatalf("unbounded page = %+v", page.Entries)
 	}
-	if _, ok := e.mon.TimelinePage("ghost", 0, 0); ok {
-		t.Fatal("page for missing instance")
+	if _, err := e.mon.TimelinePage("ghost", 0, 0); !errors.Is(err, runtime.ErrNotFound) {
+		t.Fatalf("page for missing instance: %v", err)
 	}
 }
 
@@ -322,15 +323,17 @@ func TestTimelinePageTruncatedPrefix(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		rt.Annotate(snap.ID, "owner", "note")
 	}
-	page, ok := mon.TimelinePage(snap.ID, 0, 5)
-	if !ok {
-		t.Fatal("page missing")
+	// The prefix the ring dropped is served from the spill: no
+	// History is wired, so the runtime keeps it in RAM.
+	page, err := mon.TimelinePage(snap.ID, 0, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !page.Truncated || page.OldestSeq <= 1 {
-		t.Fatalf("truncated read not flagged: %+v", page)
+	if page.Truncated || page.OldestSeq <= 1 || page.Backfilled != 5 {
+		t.Fatalf("truncated prefix not served from the spill: %+v", page)
 	}
-	if len(page.Entries) == 0 || page.Entries[0].Seq != page.OldestSeq {
-		t.Fatalf("page does not start at the oldest retained seq: %+v", page)
+	if len(page.Entries) != 5 || page.Entries[0].Seq != 1 || page.NextAfter != 5 {
+		t.Fatalf("page does not start at the first seq: %+v", page)
 	}
 	if page.Total != 31 {
 		t.Fatalf("total = %d", page.Total)

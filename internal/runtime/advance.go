@@ -139,10 +139,6 @@ func (r *Runtime) advance(instID, toPhase, actor string, opts AdvanceOptions, pr
 	}
 	project(in, rec.Events)
 	in.mu.Unlock()
-
-	for _, ev := range rec.Events {
-		r.observe(instID, ev)
-	}
 	r.launch(instID, invs)
 	return nil
 }
@@ -259,11 +255,8 @@ func (r *Runtime) failDispatch(instID, invID string, err error) {
 		Events: r.stamp(in, nil, Event{Kind: EventActionStatus, Phase: exec.Phase,
 			ActionURI: exec.ActionURI, Invocation: invID,
 			Status: actionlib.StatusFailed, Detail: err.Error()})}
-	cerr := r.commitLocked(in, rec)
+	_ = r.commitLocked(in, rec) // counted in the journal-error stat
 	in.mu.Unlock()
-	if cerr == nil {
-		r.observe(instID, rec.Events[0])
-	}
 }
 
 // Report delivers a status message from an action implementation — the
@@ -297,9 +290,5 @@ func (r *Runtime) Report(up actionlib.StatusUpdate) error {
 	}
 	err := r.commitLocked(in, rec)
 	in.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	r.observe(instID, rec.Events[0])
-	return nil
+	return err
 }

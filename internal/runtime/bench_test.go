@@ -90,8 +90,8 @@ func BenchmarkEventsPage(b *testing.B) {
 	b.Run("page-32", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			page, ok := rt.Events(ids[i%len(ids)], 64, 32)
-			if !ok || len(page.Events) != 32 {
+			page, err := rt.Events(ids[i%len(ids)], 64, 32)
+			if err != nil || len(page.Events) != 32 {
 				b.Fatalf("page = %d events", len(page.Events))
 			}
 		}

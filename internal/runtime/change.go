@@ -38,11 +38,7 @@ func (r *Runtime) ProposeChange(instID, proposer string, newModel *core.Model, n
 	rec.Events = r.stamp(in, nil, Event{Kind: EventChangeProposed, Actor: proposer, Detail: detail, Phase: in.current})
 	err := r.commitLocked(in, rec)
 	in.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	r.observe(instID, rec.Events[0])
-	return nil
+	return err
 }
 
 // AcceptChange applies the pending proposal. landing names the phase the
@@ -97,17 +93,14 @@ func (r *Runtime) acceptChange(instID, actor, landing string, project func(*inst
 	}
 	project(in, rec.Events)
 	in.mu.Unlock()
-	for _, ev := range rec.Events {
-		r.observe(instID, ev)
-	}
 	return nil
 }
 
 // migrationRecord builds the record of a migration onto newModel — the
 // shared core of AcceptChange and SwitchModel: it checks the landing
 // phase, stamps the change-applied event and, when the landing changes
-// completion, a completed or reopened one after it (so history seq
-// order matches observer order and MoveResult.Events stays contiguous),
+// completion, a completed or reopened one after it (so MoveResult.Events
+// stays contiguous),
 // and mirrors the post-migration token state. Nothing is mutated;
 // callers hold in.mu.
 func (r *Runtime) migrationRecord(in *instance, op RecordOp, actor, landing string, newModel *core.Model, summary string) (*JournalRecord, error) {
@@ -167,11 +160,7 @@ func (r *Runtime) RejectChange(instID, actor, note string) error {
 			Detail: in.pending.Summary + noteSuffix(note)})}
 	err := r.commitLocked(in, rec)
 	in.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	r.observe(instID, rec.Events[0])
-	return nil
+	return err
 }
 
 func noteSuffix(note string) string {
@@ -233,8 +222,5 @@ func (r *Runtime) switchModel(instID, actor string, newModel *core.Model, landin
 	}
 	project(in, rec.Events)
 	in.mu.Unlock()
-	for _, ev := range rec.Events {
-		r.observe(instID, ev)
-	}
 	return nil
 }

@@ -118,14 +118,6 @@ func (rec *JournalRecord) Encode() ([]byte, error) {
 	return append(buf, '}'), nil
 }
 
-// AppendJSON appends the event's JSON document — the same output
-// encoding/json would produce, at codec speed. The facade uses it to
-// mirror events into the execution log without paying the reflection
-// marshal on every mutation.
-func (ev *Event) AppendJSON(buf []byte) []byte {
-	return appendEvent(buf, ev)
-}
-
 // appendEvent encodes one Event matching its json tags (Seq and Time
 // are unconditional, everything else omitempty).
 func appendEvent(buf []byte, ev *Event) []byte {

@@ -110,10 +110,18 @@ type instance struct {
 	// eventSeq is the Seq of the most recent event ever recorded; it
 	// keeps numbering gapless when ring truncation drops old events.
 	eventSeq int
-	// truncatedEvs counts events dropped from the front of the in-memory
-	// history (Config.MaxEventsInMemory); the retained window covers
-	// seqs [truncatedEvs+1 .. eventSeq].
+	// truncatedEvs counts events dropped from the front of the ring
+	// (Config.MaxEventsInMemory); the ring covers seqs
+	// [truncatedEvs+1 .. eventSeq].
 	truncatedEvs int
+	// spill holds the events ring truncation dropped since the last
+	// fold, oldest first, ending at seq truncatedEvs. The next fold
+	// writes them into a history archive and trims them once its
+	// snapshot installs; without a History they stay here.
+	spill []Event
+	// archived locates the instance's archived events, oldest first:
+	// contiguous batches ending right before the spill.
+	archived []HistoryRef
 	// Incremental counters, maintained at mutation time so summaries and
 	// the cockpit never need to rescan the history or the executions.
 	deviations  int                         // phase-entered events flagged Deviation

@@ -122,14 +122,17 @@ type JournalRecord struct {
 	// snapshot (RecSnapshot) only: the counter and ring state a full
 	// image needs beyond the fields above — everything ApplyJournal
 	// would otherwise have re-derived from the folded records. Events
-	// carries the retained in-memory ring; EventSeq the total events
-	// ever recorded (numbering stays gapless past truncation);
+	// carries the unarchived spill followed by the ring, split at seq
+	// TruncatedEvs; Archives locates the archived batches before them;
+	// EventSeq the total events ever recorded (numbering stays gapless
+	// past truncation);
 	// Deviations the counter an event rescan could no longer rebuild
 	// once the ring dropped old phase-entered events. Pending carries a
 	// change proposal awaiting the owner's decision; the phase-stat
 	// fields mirror the incrementally maintained per-phase drill-down.
 	EventSeq       int                      `json:"event_seq,omitempty"`
 	TruncatedEvs   int                      `json:"truncated_events,omitempty"`
+	Archives       []HistoryRef             `json:"archives,omitempty"`
 	Deviations     int                      `json:"deviations,omitempty"`
 	Pending        *ChangeProposal          `json:"pending,omitempty"`
 	PhaseEntered   map[string]int           `json:"phase_entered,omitempty"`
@@ -178,9 +181,8 @@ func (r *Runtime) journal(rec *JournalRecord) error {
 // Calls for *different* instances may run concurrently — the sharded
 // replay (store.Instances.ReplayParallel) relies on it: shared
 // structures are guarded by their own shard/index locks or atomics.
-// Records are applied without policy checks, action dispatch or
-// observer delivery — the side effects already happened in the
-// previous life of the process.
+// Records are applied without policy checks or action dispatch — the
+// side effects already happened in the previous life of the process.
 func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	var rec JournalRecord
 	if err := json.Unmarshal(data, &rec); err != nil {

@@ -147,7 +147,7 @@ func TestPopulationIndexStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < folds; i++ {
-			if err := rt.EmitSnapshots(func(string, []byte) error { return nil }); err != nil {
+			if _, err := rt.EmitSnapshots(func(string, []byte) error { return nil }); err != nil {
 				t.Errorf("fold: %v", err)
 				return
 			}
@@ -229,7 +229,7 @@ func TestPopulationIndexReplayFromSnapshots(t *testing.T) {
 		}
 	}
 	var recs []capturedRec
-	if err := rt.EmitSnapshots(func(id string, data []byte) error {
+	if _, err := rt.EmitSnapshots(func(id string, data []byte) error {
 		recs = append(recs, capturedRec{id: id, data: data})
 		return nil
 	}); err != nil {
@@ -527,7 +527,7 @@ func assertQueriesMatchBruteForce(t *testing.T, rt *Runtime, filters []Filter) [
 func emitSnapshots(t testing.TB, rt *Runtime) []capturedRec {
 	t.Helper()
 	var recs []capturedRec
-	if err := rt.EmitSnapshots(func(id string, data []byte) error {
+	if _, err := rt.EmitSnapshots(func(id string, data []byte) error {
 		recs = append(recs, capturedRec{id: id, data: data})
 		return nil
 	}); err != nil {

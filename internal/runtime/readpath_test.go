@@ -5,6 +5,7 @@ package runtime
 // invocation-index GC.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -54,9 +55,9 @@ func TestEventsPaging(t *testing.T) {
 	annotateN(t, e.rt, id, 9) // created + 9 = 10 events, seqs 1..10
 
 	// Full read from the start.
-	page, ok := e.rt.Events(id, 0, 0)
-	if !ok {
-		t.Fatal("instance missing")
+	page, err := e.rt.Events(id, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(page.Events) != 10 || page.Total != 10 || page.OldestSeq != 1 || page.Truncated {
 		t.Fatalf("full page = %d events, total=%d oldest=%d truncated=%t",
@@ -82,9 +83,9 @@ func TestEventsPaging(t *testing.T) {
 
 	// after at the tail and beyond it: empty page, not an error.
 	for _, after := range []int{10, 11, 1000} {
-		page, ok = e.rt.Events(id, after, 5)
-		if !ok || len(page.Events) != 0 || page.Total != 10 {
-			t.Fatalf("after=%d: ok=%t events=%d total=%d", after, ok, len(page.Events), page.Total)
+		page, err = e.rt.Events(id, after, 5)
+		if err != nil || len(page.Events) != 0 || page.Total != 10 {
+			t.Fatalf("after=%d: err=%v events=%d total=%d", after, err, len(page.Events), page.Total)
 		}
 	}
 
@@ -95,8 +96,8 @@ func TestEventsPaging(t *testing.T) {
 	}
 
 	// Unknown instance.
-	if _, ok := e.rt.Events("ghost", 0, 0); ok {
-		t.Fatal("page for missing instance")
+	if _, err := e.rt.Events("ghost", 0, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("page for missing instance: %v", err)
 	}
 }
 
@@ -135,33 +136,52 @@ func TestEventTruncationRing(t *testing.T) {
 		t.Fatalf("oldest retained seq %d != truncated+1 (%d)", oldest, sum.TruncatedEvents+1)
 	}
 
-	// A paged read into the truncated prefix starts at the ring's
-	// oldest retained seq and says so.
-	page, _ := e.rt.Events(id, 0, 5)
-	if !page.Truncated {
-		t.Fatal("read into truncated prefix not flagged")
+	// A paged read into the truncated prefix is served from the spill
+	// (no History is wired, so nothing was archived) and says so.
+	page, err := e.rt.Events(id, 0, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if page.OldestSeq != oldest || len(page.Events) == 0 || page.Events[0].Seq != oldest {
-		t.Fatalf("page oldest=%d first=%d, want both %d", page.OldestSeq, page.Events[0].Seq, oldest)
+	if page.Truncated || page.Backfilled != 5 || page.OldestSeq != oldest {
+		t.Fatalf("prefix page: truncated=%t backfilled=%d oldest=%d", page.Truncated, page.Backfilled, page.OldestSeq)
+	}
+	if len(page.Events) != 5 || page.Events[0].Seq != 1 || page.Events[4].Seq != 5 {
+		t.Fatalf("prefix page events = %+v", page.Events)
 	}
 	if page.Total != 100 {
 		t.Fatalf("page total = %d", page.Total)
 	}
+	// A page straddling spill and ring counts only the spill part.
+	page, _ = e.rt.Events(id, oldest-3, 5)
+	if page.Backfilled != 2 || len(page.Events) != 5 || page.Events[0].Seq != oldest-2 {
+		t.Fatalf("straddling page: backfilled=%d events=%+v", page.Backfilled, page.Events)
+	}
+	// The full history stitches without a gap.
+	page, _ = e.rt.Events(id, 0, 0)
+	if len(page.Events) != 100 || page.Backfilled != oldest-1 {
+		t.Fatalf("full page: %d events, backfilled %d", len(page.Events), page.Backfilled)
+	}
+	for i, ev := range page.Events {
+		if ev.Seq != i+1 {
+			t.Fatalf("stitched history has a gap at %d: seq %d", i, ev.Seq)
+		}
+	}
 
-	// Reads entirely within the retained window are not flagged.
+	// Reads entirely within the ring are not backfilled.
 	page, _ = e.rt.Events(id, oldest-1, 5)
-	if page.Truncated {
-		t.Fatal("in-window read flagged truncated")
+	if page.Truncated || page.Backfilled != 0 {
+		t.Fatalf("in-ring read: truncated=%t backfilled=%d", page.Truncated, page.Backfilled)
 	}
 	if page.Events[0].Seq != oldest {
-		t.Fatalf("in-window first seq = %d", page.Events[0].Seq)
+		t.Fatalf("in-ring first seq = %d", page.Events[0].Seq)
 	}
 
-	// Runtime-wide counters agree.
+	// Runtime-wide counters agree: nothing folds without a History, so
+	// every truncated event is still in RAM, in the spill.
 	st := e.rt.RuntimeStats()
-	if st.EventsTruncated == 0 || st.EventsInMemory != int64(len(got.Events)) {
-		t.Fatalf("stats truncated=%d in-memory=%d, retained=%d",
-			st.EventsTruncated, st.EventsInMemory, len(got.Events))
+	if st.EventsTruncated != int64(sum.TruncatedEvents) || st.EventsInMemory != 100 {
+		t.Fatalf("stats truncated=%d in-memory=%d, want %d and 100",
+			st.EventsTruncated, st.EventsInMemory, sum.TruncatedEvents)
 	}
 }
 

@@ -44,9 +44,8 @@
 // lock or alone, never held while acquiring another (aggregate.go).
 // Monotonic counters (instance ids, invocation ids) are atomics.
 //
-// Events observed via Config.Observer are delivered outside every
-// lock; per-instance event order is defined by the Seq stamped under
-// the instance lock, which is gapless and strictly increasing.
+// Per-instance event order is defined by the Seq stamped under the
+// instance lock, which is gapless and strictly increasing.
 //
 // # Read path: what is O(1), what still copies
 //
@@ -69,7 +68,7 @@
 //     SwitchModelSummary): the post-move summary plus only the events
 //     that call appended — the copy-free response mode of the HTTP tier.
 //   - Events: a paged window of one instance's history, copying only
-//     the requested page.
+//     the requested page (archived pages are read back from disk).
 //   - Count / RuntimeStats: shard-membership reads only.
 //
 // Snapshot / Instances still deep-copy the full event and execution
@@ -109,13 +108,18 @@
 // Histories grow without bound by default. Setting
 // Config.MaxEventsInMemory ring-truncates each instance's in-memory
 // history: once it exceeds the cap by 25% the oldest events are
-// dropped back down to the cap (amortizing the copy), so an instance
-// retains between MaxEventsInMemory and 1.25×MaxEventsInMemory events.
-// Seq numbering stays gapless — Events reports the oldest retained seq
-// and flags reads that begin before it — and because aggregates come
-// from the incremental counters, truncation never changes a Summary or
-// a cockpit aggregate. The journaled execution log keeps full history
-// (the facade backfills truncated timeline pages from it).
+// dropped back down to the cap (amortizing the copy), so the ring
+// holds between MaxEventsInMemory and 1.25×MaxEventsInMemory events.
+// Dropped events move to the instance's spill. The next snapshot fold
+// writes every instance's spill once into a CRC-summed history archive
+// (Config.History), and the spill is trimmed only after the snapshot
+// that references the archive installs (see EmitSnapshots). Events
+// stitches archived batches, spill and ring, so the full history stays
+// addressable, and a restart restores all three tiers. Without a
+// History (no instance journal) nothing folds and the spill stays in
+// RAM. Seq numbering stays gapless, and because aggregates come from
+// the incremental counters, truncation never changes a Summary or a
+// cockpit aggregate.
 //
 // # Durability model
 //
@@ -130,8 +134,9 @@
 // Time), and whatever replay cannot re-derive — the created
 // executions of an Advance, the proposed model of a change, the
 // post-move token-state mirrors (State/Current/CompletedAt). Policy
-// decisions, action dispatch and observer delivery are NOT journaled;
-// they are side effects of the first life only.
+// decisions and action dispatch are NOT journaled; they are side
+// effects of the first life only. The instance journal is the only
+// durable history of instance events: nothing else mirrors them.
 //
 // Ordering: each verb builds its record without touching the instance,
 // emits it while the mutated instance's lock is held, and applies it
@@ -156,7 +161,7 @@
 // Failure semantics: unacknowledged means absent. If the sink errors,
 // the record is never applied — no event, execution, index entry or
 // aggregate change stays in memory — the caller gets the error,
-// observer delivery and dispatch do not happen, and the append-error
+// dispatch does not happen, and the append-error
 // counter surfaces on the admin endpoint. The only traces are consumed
 // instance and invocation ids, which leave gaps. A sink that wrote a
 // record's bytes before failing (a failed flush or fsync) can still
@@ -214,11 +219,6 @@ type allowAll struct{}
 func (allowAll) CanDrive(string, string) bool          { return true }
 func (allowAll) CanFollow(string, string, string) bool { return true }
 
-// Observer receives every event appended to any instance, synchronously
-// with the mutation that produced it. The facade wires the execution
-// log and the monitor; nil observers are skipped.
-type Observer func(instanceID string, ev Event)
-
 // DefaultShards is the instance-table stripe count when Config.Shards
 // is zero. The same count stripes the secondary indexes.
 const DefaultShards = 16
@@ -229,7 +229,6 @@ type Config struct {
 	Invoker  Invoker             // action dispatch; nil = actions fail to dispatch
 	Clock    vclock.Clock        // nil = wall clock
 	Policy   Policy              // nil = allow everything
-	Observer Observer            // nil = no observer
 	// CallbackBase prefixes invocation callback URIs, e.g.
 	// "http://host/api/v1/callbacks". Empty means "callback://" URIs,
 	// which the local invoker and tests use.
@@ -257,6 +256,10 @@ type Config struct {
 	// typed record through it, under the mutated instance's lock; see
 	// the package doc's durability section.
 	Journal Journal
+	// History is the archive store folds move ring-truncated events
+	// into (nil = truncated events stay in RAM); see the package doc's
+	// truncation section. The facade wires the instance journal's.
+	History History
 }
 
 // shard is one stripe of the instance table. Its lock guards only
@@ -436,6 +439,7 @@ type Runtime struct {
 	// Read-path health counters for the admin endpoint.
 	totalEvents     atomic.Int64 // events ever recorded across instances
 	truncatedEvents atomic.Int64 // events dropped by ring truncation
+	spilledEvents   atomic.Int64 // truncated events still in a spill
 	invGCed         atomic.Int64 // invocation-index entries garbage-collected
 
 	// Population-index counters (see popindex.go).
@@ -521,12 +525,6 @@ func (r *Runtime) lookup(id string) (*instance, bool) {
 	return in, ok
 }
 
-func (r *Runtime) observe(instID string, ev Event) {
-	if r.cfg.Observer != nil {
-		r.cfg.Observer(instID, ev)
-	}
-}
-
 // stamp numbers ev to follow the instance's history plus the events
 // already built into evs, times it, and appends it to evs; callers
 // hold in.mu. Nothing is applied: the events enter the instance only
@@ -544,10 +542,8 @@ func (r *Runtime) stamp(in *instance, evs []Event, ev Event) []Event {
 // entered/residence stats — plus the ring truncation. It is the one
 // place an event enters an instance, on the live commit and on journal
 // replay alike, which is what makes replayed counters equal the live
-// ones by construction. When Config.MaxEventsInMemory is set the
-// in-memory history is ring-truncated: once it exceeds the cap by 25%
-// the oldest events are cut back down to the cap, amortizing the copy.
-// Callers hold in.mu (or own the instance exclusively).
+// ones by construction. Callers hold in.mu (or own the instance
+// exclusively).
 func (r *Runtime) applyRecorded(in *instance, ev Event) {
 	if ev.Seq > in.eventSeq {
 		in.eventSeq = ev.Seq
@@ -560,14 +556,26 @@ func (r *Runtime) applyRecorded(in *instance, ev Event) {
 		}
 		in.notePhaseEntered(ev.Phase, ev.Time)
 	}
-	if max := r.cfg.MaxEventsInMemory; max > 0 && len(in.events) > max+max/4 {
-		drop := len(in.events) - max
-		kept := make([]Event, max)
-		copy(kept, in.events[drop:])
-		in.events = kept
-		in.truncatedEvs += drop
-		r.truncatedEvents.Add(int64(drop))
+	r.truncateRing(in)
+}
+
+// truncateRing enforces Config.MaxEventsInMemory: once the ring
+// exceeds the cap by 25% its oldest events move to the spill, cutting
+// the ring back down to the cap (amortizing the copy). Callers hold
+// in.mu (or own the instance exclusively).
+func (r *Runtime) truncateRing(in *instance) {
+	max := r.cfg.MaxEventsInMemory
+	if max <= 0 || len(in.events) <= max+max/4 {
+		return
 	}
+	drop := len(in.events) - max
+	in.spill = append(in.spill, in.events[:drop]...)
+	kept := make([]Event, max)
+	copy(kept, in.events[drop:])
+	in.events = kept
+	in.truncatedEvs += drop
+	r.truncatedEvents.Add(int64(drop))
+	r.spilledEvents.Add(int64(drop))
 }
 
 // invRetire schedules the invocation's callback-routing entry for GC
@@ -695,7 +703,6 @@ func (r *Runtime) Instantiate(model *core.Model, ref resource.Ref, owner string,
 	if err := r.publish(in); err != nil {
 		return Snapshot{}, err
 	}
-	r.observe(in.id, rec.Events[0])
 	return snap, nil
 }
 
@@ -911,11 +918,7 @@ func (r *Runtime) Annotate(instID, actor, note string) error {
 		Events: r.stamp(in, nil, Event{Kind: EventAnnotated, Actor: actor, Detail: note, Phase: in.current})}
 	err := r.commitLocked(in, rec)
 	in.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	r.observe(instID, rec.Events[0])
-	return nil
+	return err
 }
 
 // BindParams supplies instantiation-stage parameter values for an
@@ -996,10 +999,10 @@ type Stats struct {
 	ResourceKeys int `json:"resource_index_keys"`
 	// ModelKeys is the number of distinct model URIs indexed.
 	ModelKeys int `json:"model_index_keys"`
-	// EventsInMemory is the total event count currently retained across
-	// all instance histories; EventsTruncated counts events dropped by
-	// Config.MaxEventsInMemory ring truncation (the journaled execution
-	// log still has them).
+	// EventsInMemory is the total event count currently held in RAM —
+	// rings plus the spills awaiting the next fold; EventsTruncated
+	// counts events dropped from the rings by Config.MaxEventsInMemory
+	// (spilled, then archived by folds).
 	EventsInMemory  int64 `json:"events_in_memory"`
 	EventsTruncated int64 `json:"events_truncated"`
 	// PopulationIndex reports the ordered index behind every population
@@ -1052,7 +1055,7 @@ func (r *Runtime) RuntimeStats() Stats {
 	st.PopulationIndex.AggregateDueHeap, st.PopulationIndex.AggregateRewinds = r.aggStats()
 	st.InvocationsGCed = r.invGCed.Load()
 	st.EventsTruncated = r.truncatedEvents.Load()
-	st.EventsInMemory = r.totalEvents.Load() - st.EventsTruncated
+	st.EventsInMemory = r.totalEvents.Load() - st.EventsTruncated + r.spilledEvents.Load()
 	st.Persistence = PersistenceStats{
 		Enabled:      r.cfg.Journal != nil,
 		Records:      r.journalAppends.Load(),

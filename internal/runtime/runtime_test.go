@@ -659,45 +659,6 @@ func TestDeadlines(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryEvent(t *testing.T) {
-	var mu sync.Mutex
-	var seen []Event
-	inv := &recordingInvoker{status: actionlib.StatusCompleted}
-	rt, err := New(Config{
-		Registry:    testActions(t),
-		Invoker:     inv,
-		SyncActions: true,
-		Observer: func(id string, ev Event) {
-			mu.Lock()
-			seen = append(seen, ev)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv.rt = rt
-	snap, err := rt.Instantiate(fig1(t), wikiRef(), "owner",
-		map[string]map[string]string{"http://www.liquidpub.org/a/notify": {"reviewers": "a"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Advance(snap.ID, "elaboration", "owner", AdvanceOptions{})
-	rt.Advance(snap.ID, "internalreview", "owner", AdvanceOptions{})
-	got, _ := rt.Instance(snap.ID)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != len(got.Events) {
-		t.Fatalf("observer saw %d events, instance has %d", len(seen), len(got.Events))
-	}
-	for i := range seen {
-		if seen[i].Seq != got.Events[i].Seq || seen[i].Kind != got.Events[i].Kind {
-			t.Fatalf("observer order diverged at %d: %+v vs %+v", i, seen[i], got.Events[i])
-		}
-	}
-}
-
 func TestAsyncDispatchParallelism(t *testing.T) {
 	// With SyncActions off, all actions of a phase must be dispatched
 	// without waiting for each other.

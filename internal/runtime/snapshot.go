@@ -13,6 +13,8 @@ package runtime
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 )
 
@@ -20,24 +22,36 @@ import (
 // with the instance's id and its encoded RecSnapshot record, each
 // produced and emitted while that instance's mutation lock is held —
 // the contract the store's fold-boundary sampling relies on: at emit
-// time the image
-// reflects exactly the records journaled for that instance so far, and
-// no new one can be journaled until emit returns. emit must not call
-// back into the Runtime. Safe to run while live traffic mutates other
-// instances; a non-nil error from emit aborts the walk.
-func (r *Runtime) EmitSnapshots(emit func(id string, data []byte) error) error {
+// time the image reflects exactly the records journaled for that
+// instance so far, and no new one can be journaled until emit returns.
+// emit must not call back into the Runtime. Safe to run while live
+// traffic mutates other instances; a non-nil error from emit aborts
+// the walk.
+//
+// Folding is also what moves ring-truncated history to disk, in two
+// phases like the execution log's archive spill: before any image is
+// emitted, every instance's spill is written once into one history
+// archive (Config.History) and the images reference it; the returned
+// installed hook, which the store runs only after the snapshot
+// installs, trims the archived events from the spills. A fold that
+// fails before installing leaves memory untouched, and its archive
+// becomes an orphan the next open removes.
+func (r *Runtime) EmitSnapshots(emit func(id string, data []byte) error) (installed func(), err error) {
 	// Barrier: wait out any Instantiate that has journaled its record
 	// but not yet published the instance — otherwise the walk below
 	// could miss an instance whose record the fold is about to delete.
 	r.instPub.Lock()
 	//lint:ignore SA2001 empty critical section is the barrier
 	r.instPub.Unlock()
+	archived, err := r.archiveSpills()
+	if err != nil {
+		return nil, err
+	}
 	// Walk in creation order, so the snapshot file replays as nearly
 	// in-order appends to the population and URI indexes.
-	var err error
 	r.forEachRef(0, func(in *instance) bool {
 		in.mu.Lock()
-		data, e := json.Marshal(snapshotRecord(in))
+		data, e := json.Marshal(snapshotRecord(in, archived[in]))
 		if e == nil {
 			e = emit(in.id, data)
 		}
@@ -48,14 +62,77 @@ func (r *Runtime) EmitSnapshots(emit func(id string, data []byte) error) error {
 		}
 		return true
 	})
-	return err
+	if err != nil || len(archived) == 0 {
+		return nil, err
+	}
+	return func() {
+		for in, b := range archived {
+			in.mu.Lock()
+			in.spill = slices.Clone(in.spill[b.n:])
+			in.archived = append(in.archived, b.ref)
+			in.mu.Unlock()
+			r.spilledEvents.Add(-int64(b.n))
+		}
+	}, nil
+}
+
+// spillBatch is the head of one instance's spill that a fold archived:
+// its length and where it landed.
+type spillBatch struct {
+	n   int
+	ref HistoryRef
+}
+
+// archiveSpills writes every non-empty spill as one batch of a single
+// history archive and reports what each batch covers; nil when no
+// History is wired or nothing was spilled. Spills only grow at the
+// tail until a fold's installed hook trims them, and folds are
+// serialized, so the head each batch captured stays in place.
+func (r *Runtime) archiveSpills() (map[*instance]spillBatch, error) {
+	if r.cfg.History == nil || r.spilledEvents.Load() == 0 {
+		return nil, nil
+	}
+	out := make(map[*instance]spillBatch)
+	var order []*instance // creation order, the archive's batch order
+	var data [][]byte
+	r.forEachRef(0, func(in *instance) bool {
+		in.mu.Lock()
+		if n := len(in.spill); n > 0 {
+			order = append(order, in)
+			data = append(data, encodeEvents(in.spill))
+			out[in] = spillBatch{n: n, ref: HistoryRef{From: in.spill[0].Seq, To: in.spill[n-1].Seq}}
+		}
+		in.mu.Unlock()
+		return true
+	})
+	if len(order) == 0 {
+		return nil, nil
+	}
+	num, err := r.cfg.History.ArchiveHistory(func(yield func(string, []byte) bool) {
+		for i, in := range order {
+			if !yield(in.id, data[i]) {
+				return
+			}
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("runtime: archive history: %w", err)
+	}
+	for in, b := range out {
+		b.ref.Archive = num
+		out[in] = b
+	}
+	return out, nil
 }
 
 // snapshotRecord builds the full replayable image; callers hold in.mu.
-// Maps and slices are copied so the encoded record never races a later
-// mutation (encoding happens under the lock anyway; the copies keep
-// the record self-contained should that ever change).
-func snapshotRecord(in *instance) *JournalRecord {
+// archived is the head of the spill this fold archived (zero when
+// none): the image references its batch, and carries only the rest of
+// the spill inline, in front of the ring. Maps and slices are copied
+// so the encoded record never races a later mutation (encoding happens
+// under the lock anyway; the copies keep the record self-contained
+// should that ever change).
+func snapshotRecord(in *instance, archived spillBatch) *JournalRecord {
 	rec := &JournalRecord{
 		Op:           RecSnapshot,
 		Instance:     in.id,
@@ -73,11 +150,18 @@ func snapshotRecord(in *instance) *JournalRecord {
 		Events:       in.events,
 		EventSeq:     in.eventSeq,
 		TruncatedEvs: in.truncatedEvs,
+		Archives:     in.archived,
 		Deviations:   in.deviations,
 		Pending:      in.pending,
 		ResidPhase:   in.residPhase,
 		ResidSince:   in.residSince,
 		PhaseEntered: in.phaseEntered,
+	}
+	if archived.n > 0 {
+		rec.Archives = append(slices.Clip(in.archived), archived.ref)
+	}
+	if spill := in.spill[archived.n:]; len(spill) > 0 {
+		rec.Events = append(slices.Clone(spill), in.events...)
 	}
 	if in.phaseResidence != nil {
 		rec.PhaseResidence = make(map[string]time.Duration, len(in.phaseResidence))
@@ -92,7 +176,7 @@ func snapshotRecord(in *instance) *JournalRecord {
 }
 
 // replaySnapshot reconstructs an instance from its folded image: state
-// fields and the retained event ring verbatim, counters restored
+// fields, archive refs, spill and ring verbatim, counters restored
 // rather than re-derived (the ring may no longer contain the events
 // that built them), executions re-registered in the callback index,
 // id counters bumped. The unfolded tail records for this instance
@@ -123,9 +207,9 @@ func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
 		completedAt:    rec.CompletedAt,
 		instBindings:   bindings,
 		unresolved:     rec.Unresolved,
-		events:         rec.Events,
 		eventSeq:       rec.EventSeq,
 		truncatedEvs:   rec.TruncatedEvs,
+		archived:       rec.Archives,
 		deviations:     rec.Deviations,
 		pending:        rec.Pending,
 		executions:     make(map[string]*ActionExecution, len(rec.Executions)),
@@ -140,18 +224,19 @@ func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
 	if in.phaseEntered != nil && in.phaseResidence == nil {
 		in.phaseResidence = make(map[string]time.Duration)
 	}
+	// Events is the unarchived spill, then the ring.
+	split := sort.Search(len(rec.Events), func(i int) bool { return rec.Events[i].Seq > rec.TruncatedEvs })
+	if split > 0 {
+		in.spill = rec.Events[:split:split]
+	}
+	in.events = rec.Events[split:]
+	r.totalEvents.Add(int64(in.eventSeq))
+	r.truncatedEvents.Add(int64(in.truncatedEvs))
+	r.spilledEvents.Add(int64(split))
 	// Re-apply ring truncation under the *current* config: a restart
 	// with a smaller MaxEventsInMemory trims the restored ring the same
 	// way the live path would have.
-	if max := r.cfg.MaxEventsInMemory; max > 0 && len(in.events) > max+max/4 {
-		drop := len(in.events) - max
-		kept := make([]Event, max)
-		copy(kept, in.events[drop:])
-		in.events = kept
-		in.truncatedEvs += drop
-	}
-	r.totalEvents.Add(int64(in.eventSeq))
-	r.truncatedEvents.Add(int64(in.truncatedEvs))
+	r.truncateRing(in)
 
 	for i := range rec.Executions {
 		ex := rec.Executions[i]

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"errors"
+	"iter"
 	"strings"
 	"sync"
 	"testing"
@@ -53,7 +55,7 @@ func buildRichState(t testing.TB, e *persistEnv) []string {
 func emitAll(t testing.TB, rt *Runtime) []capturedRec {
 	t.Helper()
 	var recs []capturedRec
-	if err := rt.EmitSnapshots(func(id string, data []byte) error {
+	if _, err := rt.EmitSnapshots(func(id string, data []byte) error {
 		recs = append(recs, capturedRec{id: id, data: append([]byte(nil), data...)})
 		return nil
 	}); err != nil {
@@ -200,8 +202,12 @@ func TestSnapshotSurvivesRingTruncation(t *testing.T) {
 	if got.Events != sum.Events {
 		t.Fatalf("total event count changed under smaller cap: %d vs %d", got.Events, sum.Events)
 	}
-	if page, _ := rt3.Events(snap.ID, 0, 0); len(page.Events) > 5 {
-		t.Fatalf("ring not re-truncated under smaller cap: %d events retained", len(page.Events))
+	if ring, _ := rt3.Instance(snap.ID); len(ring.Events) > 5 {
+		t.Fatalf("ring not re-truncated under smaller cap: %d events retained", len(ring.Events))
+	}
+	// The events the smaller ring dropped stay readable from the spill.
+	if page, err := rt3.Events(snap.ID, 0, 0); err != nil || len(page.Events) != sum.Events {
+		t.Fatalf("history under smaller cap: %d events (want %d), err %v", len(page.Events), sum.Events, err)
 	}
 }
 
@@ -323,7 +329,7 @@ func TestEmitSnapshotsDuringLiveTraffic(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		rt2 := New2(t, e)
-		if err := e.rt.EmitSnapshots(func(id string, data []byte) error {
+		if _, err := e.rt.EmitSnapshots(func(id string, data []byte) error {
 			return rt2.ApplyJournal(id, append([]byte(nil), data...))
 		}); err != nil {
 			t.Fatal(err)
@@ -346,5 +352,98 @@ func TestSnapshotRecordRejectsDuplicates(t *testing.T) {
 	err := rt2.ApplyJournal(recs[0].id, recs[0].data)
 	if err == nil || !strings.Contains(err.Error(), "existing") {
 		t.Fatalf("duplicate snapshot accepted: %v", err)
+	}
+}
+
+// memHistory is an in-memory History; fail makes ArchiveHistory fail.
+type memHistory struct {
+	mu       sync.Mutex
+	archives []map[string][]byte
+	fail     error
+}
+
+func (h *memHistory) ArchiveHistory(batches iter.Seq2[string, []byte]) (uint64, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.fail != nil {
+		return 0, h.fail
+	}
+	a := make(map[string][]byte)
+	for id, data := range batches {
+		a[id] = data
+	}
+	h.archives = append(h.archives, a)
+	return uint64(len(h.archives)), nil
+}
+
+func (h *memHistory) ReadHistory(n uint64, fn func(id string, data []byte) error) error {
+	h.mu.Lock()
+	a := h.archives[n-1]
+	h.mu.Unlock()
+	for id, data := range a {
+		if err := fn(id, data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestEmitSnapshotsArchivesSpillAfterInstall: a fold archives the
+// spill before emitting, but the spill leaves memory only when the
+// installed hook runs; a failed archive write fails the fold and
+// changes nothing. Pages read the same at every step, and replaying
+// the images alone rebuilds them.
+func TestEmitSnapshotsArchivesSpillAfterInstall(t *testing.T) {
+	hist := &memHistory{}
+	e := newEnvWithConfig(t, func(c *Config) { c.MaxEventsInMemory = 8; c.History = hist })
+	id := e.instantiate(t).ID
+	annotateN(t, e.rt, id, 40)
+	page := func(rt *Runtime) string {
+		t.Helper()
+		p, err := rt.Events(id, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustJSON(t, p)
+	}
+	want := page(e.rt)
+	inMemory := e.rt.RuntimeStats().EventsInMemory
+
+	hist.fail = errors.New("disk full")
+	if _, err := e.rt.EmitSnapshots(func(string, []byte) error { return nil }); !errors.Is(err, hist.fail) {
+		t.Fatalf("fold over a failing archive = %v", err)
+	}
+	hist.fail = nil
+	var recs []capturedRec
+	installed, err := e.rt.EmitSnapshots(func(id string, data []byte) error {
+		recs = append(recs, capturedRec{id: id, data: append([]byte(nil), data...)})
+		return nil
+	})
+	if err != nil || installed == nil {
+		t.Fatalf("fold = %v (installed hook %t)", err, installed != nil)
+	}
+	if got := e.rt.RuntimeStats().EventsInMemory; got != inMemory || page(e.rt) != want {
+		t.Fatalf("spill left memory before install: %d events in memory, want %d", got, inMemory)
+	}
+	installed()
+	sum, _ := e.rt.Summary(id)
+	if got := e.rt.RuntimeStats().EventsInMemory; got != int64(sum.Events-sum.TruncatedEvents) {
+		t.Fatalf("after install: %d events in memory, want the ring's %d", got, sum.Events-sum.TruncatedEvents)
+	}
+	if got := page(e.rt); got != want {
+		t.Fatalf("page changed across the fold:\nbefore %s\nafter  %s", want, got)
+	}
+
+	rt2, err := New(Config{Registry: testActions(t), MaxEventsInMemory: 8, History: hist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := rt2.ApplyJournal(r.id, r.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := page(rt2); got != want {
+		t.Fatalf("replayed page differs:\nlive     %s\nreplayed %s", want, got)
 	}
 }

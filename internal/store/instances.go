@@ -1,8 +1,12 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
+	"iter"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -38,11 +42,11 @@ type InstancesOptions struct {
 // same segment rotation, snapshot folding and torn-tail recovery) as
 // every other journal. The runtime owns the record schema
 // (runtime.JournalRecord, including the RecSnapshot records folding
-// emits); this type owns the entry framing, the replay streaming and
-// the snapshot source. Writes go through the same flush-combining
-// appender as the definitions journal, without an onCommit: the runtime
-// applies its in-memory mutation itself, under the instance lock,
-// before the append.
+// emits); this type owns the entry framing, the replay streaming, the
+// snapshot source and the history archives. Writes go through the same
+// flush-combining appender as the definitions journal, without an
+// onCommit: the runtime applies its in-memory mutation itself, under
+// the instance lock, once the append has committed.
 //
 // The collection runs on its own journal directory — not as a part of
 // the definitions Store — because instance records are emitted while
@@ -69,6 +73,19 @@ type InstancesOptions struct {
 // already covers. Restart cost is therefore O(live instances + tail),
 // no longer O(every record ever written).
 //
+// # History archives
+//
+// The journal is the only durable history of instance events, and the
+// runtime's snapshot images carry only each instance's in-memory ring
+// (and whatever it truncated since the last fold). During a fold the
+// snapshot source hands the truncated events to ArchiveHistory, which
+// writes them once, as one batch per instance, into an immutable
+// CRC-summed archive file under the same install protocol as the
+// execution log's archives (see archive.go). Every snapshot carries a
+// ref line for every archive of the collection, so open reconciles and
+// the scrubber verifies them like any other archive; ReadHistory
+// streams one back, verified, for the timeline.
+//
 // Lifecycle: construct, Replay (or ReplayParallel) exactly once —
 // which opens the journal for appending — then Append freely, Close
 // once. Append returns only once the record is durable at the
@@ -82,8 +99,16 @@ type Instances struct {
 	// source is set once, under foldMu, before the collection sees
 	// concurrent traffic (SetSnapshotSource), which is also when the
 	// background folder starts.
-	source func(emit func(id string, data []byte) error) error
+	source SnapshotSource
 	folds  *folder
+
+	// histMu guards the history archive refs: hist, every archive an
+	// installed snapshot references (adopted at open), and pending, the
+	// archives the running fold wrote — referenced only once its
+	// snapshot installs.
+	histMu  sync.Mutex
+	hist    []ArchiveRef
+	pending []ArchiveRef
 
 	// stopScrub halts the background scrubber (nil when ScrubInterval
 	// is zero); set by ReplayParallel, called by Close.
@@ -91,6 +116,14 @@ type Instances struct {
 
 	replayed atomic.Int64
 }
+
+// SnapshotSource produces a fold's snapshot records: it calls emit
+// once per live instance, while holding that instance's mutation lock
+// (see SetSnapshotSource), and may archive history through
+// ArchiveHistory before emitting. installed, when non-nil, runs once
+// the snapshot is durably installed — the point from which the state
+// the archives hold may leave memory.
+type SnapshotSource func(emit func(id string, data []byte) error) (installed func(), err error)
 
 // OpenInstances builds the instance collection on its own journal
 // directory under dir (created if missing), with segment rotation per
@@ -137,6 +170,9 @@ func (c *Instances) Replay(fn func(id string, data []byte) error) error {
 // sequential replay.
 func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) error) error {
 	apply := func(e Entry) error {
+		if e.Op == opArchiveRef {
+			return nil // collected by the replay driver (sr.refs)
+		}
 		if e.Op != OpAppend {
 			return fmt.Errorf("store: %s: replay unknown op %q", instancesRepo, e.Op)
 		}
@@ -144,18 +180,19 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 		return fn(e.ID, e.Data)
 	}
 	idKey := func(e Entry) string { return e.ID }
-	err := c.open(c.opts.Integrity, func() (segReplay, error) {
+	err := c.open(c.opts.Integrity, func() (sr segReplay, err error) {
+		defer func() { c.hist = sr.refs }()
 		if workers <= 1 {
 			return replaySegmented(c.dir, idKey, apply)
 		}
 		fo := newFanOut(workers, apply)
-		sr, readErr := replaySegmented(c.dir, idKey, func(e Entry) error {
+		sr, err = replaySegmented(c.dir, idKey, func(e Entry) error {
 			return fo.dispatch(e.ID, e)
 		})
-		if finishErr := fo.finish(); readErr == nil {
-			readErr = finishErr
+		if finishErr := fo.finish(); err == nil {
+			err = finishErr
 		}
-		return sr, readErr
+		return sr, err
 	})
 	if err != nil {
 		return err
@@ -186,7 +223,7 @@ func (c *Instances) ReplayStats() ReplayStats {
 // guarantees the emitted state reflects exactly the instance's records
 // at or below it. Call once, after Replay; folding is disabled until
 // a source exists (segments still rotate and accumulate).
-func (c *Instances) SetSnapshotSource(source func(emit func(id string, data []byte) error) error) {
+func (c *Instances) SetSnapshotSource(source SnapshotSource) {
 	if source == nil {
 		return
 	}
@@ -223,8 +260,10 @@ func (c *Instances) append(id string, data []byte) error {
 // source emits one record per live instance, each stamped with its
 // fold boundary, into a new snapshot file; the folded segments are
 // then deleted. Appends proceed concurrently — the boundary sampling
-// under each instance's lock is what keeps the overlap exact. Returns
-// an error when no snapshot source is wired.
+// under each instance's lock is what keeps the overlap exact. The
+// snapshot also references every history archive, the ones the
+// source wrote during this fold included. Returns an error when no
+// snapshot source is wired.
 func (c *Instances) Fold() error {
 	c.foldMu.Lock()
 	source := c.source
@@ -233,7 +272,10 @@ func (c *Instances) Fold() error {
 		return fmt.Errorf("store: %s: fold without a snapshot source", instancesRepo)
 	}
 	return c.fold(func(sj *Journal) (func(), error) {
-		return nil, source(func(id string, data []byte) error {
+		c.histMu.Lock()
+		c.pending = nil // a failed fold's archives: orphans the next open removes
+		c.histMu.Unlock()
+		installed, err := source(func(id string, data []byte) error {
 			if id == "" {
 				return fmt.Errorf("store: %s: snapshot record with empty id", instancesRepo)
 			}
@@ -247,7 +289,79 @@ func (c *Instances) Fold() error {
 			}
 			return sj.writeRaw(Entry{Seq: boundary, Repo: instancesRepo, Op: OpAppend, ID: id, Data: data})
 		})
+		if err != nil {
+			return nil, err
+		}
+		c.histMu.Lock()
+		refs := append(slices.Clip(c.hist), c.pending...)
+		written := len(c.pending)
+		c.histMu.Unlock()
+		for _, ref := range refs {
+			data, err := json.Marshal(ref)
+			if err != nil {
+				return nil, err
+			}
+			if err := sj.writeRaw(Entry{Repo: instancesRepo, Op: opArchiveRef, Data: data}); err != nil {
+				return nil, err
+			}
+		}
+		return func() {
+			c.histMu.Lock()
+			c.hist = append(c.hist, c.pending[:written]...)
+			c.pending = c.pending[written:]
+			c.histMu.Unlock()
+			if installed != nil {
+				installed()
+			}
+		}, nil
 	})
+}
+
+// ArchiveHistory writes batches — one per instance, opaque to the
+// collection — as one immutable archive file, fsynced and renamed into
+// place, and returns its number. Only the snapshot source calls it,
+// during a fold: the archive is referenced from that fold's snapshot
+// on, and an archive whose fold fails is an orphan the next open
+// removes.
+func (c *Instances) ArchiveHistory(batches iter.Seq2[string, []byte]) (uint64, error) {
+	var entries []Entry
+	for id, data := range batches {
+		entries = append(entries, Entry{Repo: instancesRepo, Op: OpAppend, ID: id, Data: data})
+	}
+	c.mu.Lock()
+	sf := c.sf
+	c.mu.Unlock()
+	if sf == nil {
+		return 0, fmt.Errorf("store: %s: archive before Replay", instancesRepo)
+	}
+	ref, err := sf.Archive(entries)
+	if err != nil {
+		return 0, err
+	}
+	c.histMu.Lock()
+	c.pending = append(c.pending, ref)
+	c.histMu.Unlock()
+	return ref.Archive, nil
+}
+
+// ReadHistory streams archive n's batches through fn in write order
+// and verifies the file against the checksum, entry count and length
+// its ref pins once fully read; any mismatch, or an archive no
+// snapshot references, is ErrCorrupt.
+func (c *Instances) ReadHistory(n uint64, fn func(id string, data []byte) error) error {
+	c.mu.Lock()
+	sf := c.sf
+	c.mu.Unlock()
+	if sf == nil {
+		return fmt.Errorf("store: %s: read before Replay", instancesRepo)
+	}
+	sf.refMu.Lock()
+	ref, ok := sf.refs[n]
+	sf.refMu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w: %s: unknown history %s", ErrCorrupt, instancesRepo, archiveName(n))
+	}
+	return readArchive(c.dir, ref, func(e Entry) error { return fn(e.ID, e.Data) })
 }
 
 // Compact is Seal + Fold: rotate the active segment and fold all
@@ -263,13 +377,21 @@ func (c *Instances) Compact() error {
 // admin endpoint already speaks.
 func (c *Instances) Stats() EngineStats { return c.stats("instances-journal") }
 
-// Close stops the scrubber and the folder, then closes the appender.
-// Every Append acknowledged before Close stays durable; Close is
-// idempotent.
-func (c *Instances) Close() error {
+// Halt stops the background work — the scrubber and the folder,
+// waiting out an in-flight fold — and leaves the journal as it is:
+// nothing is flushed or closed, so the directory holds exactly what a
+// killed process would leave behind. Crash tests halt a collection
+// before reopening its directory; Close still releases it.
+func (c *Instances) Halt() {
 	if c.stopScrub != nil {
 		c.stopScrub()
 	}
 	c.folds.stop()
+}
+
+// Close halts the background work, then closes the appender. Every
+// Append acknowledged before Close stays durable; Close is idempotent.
+func (c *Instances) Close() error {
+	c.Halt()
 	return c.appender.Close()
 }

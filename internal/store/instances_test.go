@@ -2,10 +2,13 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -257,5 +260,96 @@ newlines`, Data: json.RawMessage(`{"deep":{"nested":[1,2,3]}}`)},
 		if !reflect.DeepEqual(fast, std) {
 			t.Fatalf("codec divergence:\nfast %+v\nstd  %+v", fast, std)
 		}
+	}
+}
+
+// TestInstancesHistoryArchives: batches a snapshot source archives
+// during a fold are referenced from that fold's snapshot on — carried
+// by every later fold, adopted on reopen and read back verified — while
+// the archive of a fold that failed is an orphan the next open removes.
+func TestInstancesHistoryArchives(t *testing.T) {
+	dir := t.TempDir()
+	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append("li-1", []byte(`{"n":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	batches := func(ids ...string) iter.Seq2[string, []byte] {
+		return func(yield func(string, []byte) bool) {
+			for _, id := range ids {
+				if !yield(id, []byte(`["`+id+`"]`)) {
+					return
+				}
+			}
+		}
+	}
+	var archived []uint64
+	fail := errors.New("emit failed")
+	failNext := false
+	c.SetSnapshotSource(func(emit func(string, []byte) error) (func(), error) {
+		n, err := c.ArchiveHistory(batches("li-1", "li-2"))
+		if err != nil {
+			return nil, err
+		}
+		if failNext {
+			return nil, fail
+		}
+		if err := emit("li-1", []byte(`{"snap":1}`)); err != nil {
+			return nil, err
+		}
+		return func() { archived = append(archived, n) }, nil
+	})
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	failNext = true
+	if err := c.Append("li-1", []byte(`{"n":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Compact(); !errors.Is(err, fail) {
+		t.Fatalf("failing fold = %v", err)
+	}
+	failNext = false
+	if err := c.Append("li-1", []byte(`{"n":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(archived, []uint64{1, 3}) {
+		t.Fatalf("installed folds archived %v, want [1 3]", archived)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !slices.Equal(ids, []string{"li-1"}) {
+		t.Fatalf("replay handed %v to the runtime, want the snapshot record only", ids)
+	}
+	st := c.Stats()
+	if st.Archives != 2 || st.OrphanArchives != 1 || st.Replay.ArchiveRefs != 2 {
+		t.Fatalf("reopen: %d archives, %d orphans removed, %d refs", st.Archives, st.OrphanArchives, st.Replay.ArchiveRefs)
+	}
+	for _, n := range archived {
+		var got []string
+		if err := c.ReadHistory(n, func(id string, data []byte) error {
+			got = append(got, id+"="+string(data))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, []string{`li-1=["li-1"]`, `li-2=["li-2"]`}) {
+			t.Fatalf("archive %d holds %v", n, got)
+		}
+	}
+	if err := c.ReadHistory(2, func(string, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("orphaned archive read = %v, want ErrCorrupt", err)
 	}
 }

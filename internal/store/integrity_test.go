@@ -671,13 +671,13 @@ func TestInstancesSnapshotCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.SetSnapshotSource(func(emit func(id string, data []byte) error) error {
+	c.SetSnapshotSource(func(emit func(id string, data []byte) error) (func(), error) {
 		for id, data := range state {
 			if err := emit(id, data); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		return nil
+		return nil, nil
 	})
 	if err := c.Compact(); err != nil {
 		t.Fatal(err)

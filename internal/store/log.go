@@ -7,17 +7,20 @@ import (
 	"time"
 )
 
-// LogEntry is one record of the execution log — the audit trail the
-// monitoring cockpit reads (Fig. 2's "Execution log" repository,
-// including model evolution per the figure's caption).
+// LogEntry is one record of the execution log — the audit trail of
+// definition-level changes the monitoring cockpit reads (Fig. 2's
+// "Execution log" repository, including model evolution per the
+// figure's caption). Instance events are not logged here: the instance
+// journal is their history. Instance is set only on entries older logs
+// hold from when they mirrored instance events; so was a "data" field,
+// which decoding ignores.
 type LogEntry struct {
-	Seq      uint64          `json:"seq"`
-	Time     time.Time       `json:"ts"`
-	Instance string          `json:"instance,omitempty"`
-	Kind     string          `json:"kind"`
-	Actor    string          `json:"actor,omitempty"`
-	Detail   string          `json:"detail,omitempty"`
-	Data     json.RawMessage `json:"data,omitempty"`
+	Seq      uint64    `json:"seq"`
+	Time     time.Time `json:"ts"`
+	Instance string    `json:"instance,omitempty"`
+	Kind     string    `json:"kind"`
+	Actor    string    `json:"actor,omitempty"`
+	Detail   string    `json:"detail,omitempty"`
 }
 
 // LogStats is one log's hot/cold split, served by the admin endpoint:
@@ -132,8 +135,7 @@ func (l *Log) append(e LogEntry) {
 // delivered so far) survives concurrent folds because a fold only
 // moves the head of the live window into a new cold ref, preserving
 // global order. fn sees live entries under the log's read lock and
-// cold entries without it; cold Data is freshly decoded, live Data is
-// shared and read-only.
+// cold entries without it.
 func (l *Log) scan(after uint64, fn func(LogEntry) bool) error {
 	pos := 0 // global log position: entries delivered or skipped
 	for {
@@ -213,9 +215,8 @@ func (l *Log) ByInstance(id string) []LogEntry {
 // append order, stopping early when fn returns false. Live entries
 // cost no copies; archived entries stream from disk lazily. When the
 // scan has reached the live window, fn runs under the log's read lock
-// and must not call back into the log; live entries' Data is shared,
-// not copied, and must be treated as read-only. A corrupt archive
-// stops the scan at the failure point.
+// and must not call back into the log. A corrupt archive stops the
+// scan at the failure point.
 func (l *Log) ScanInstance(id string, fn func(LogEntry) bool) {
 	l.mu.RLock()
 	noCold := l.coldLen == 0

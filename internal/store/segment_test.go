@@ -547,16 +547,16 @@ func TestInstancesFoldBoundsReplay(t *testing.T) {
 			return nil
 		}
 	}
-	source := func(st *state) func(emit func(string, []byte) error) error {
-		return func(emit func(string, []byte) error) error {
+	source := func(st *state) SnapshotSource {
+		return func(emit func(string, []byte) error) (func(), error) {
 			st.mu.Lock()
 			defer st.mu.Unlock()
 			for id, sum := range st.sum {
 				if err := emit(id, []byte(fmt.Sprintf(`{"snap":true,"sum":%d}`, sum))); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			return nil
+			return nil, nil
 		}
 	}
 
@@ -639,16 +639,16 @@ func TestInstancesConcurrentAppendDuringFold(t *testing.T) {
 		slots[i] = &slot{}
 	}
 	idOf := func(i int) string { return fmt.Sprintf("li-%06d", i) }
-	c.SetSnapshotSource(func(emit func(string, []byte) error) error {
+	c.SetSnapshotSource(func(emit func(string, []byte) error) (func(), error) {
 		for i, sl := range slots {
 			sl.mu.Lock()
 			err := emit(idOf(i), []byte(fmt.Sprintf(`{"sum":%d}`, sl.sum)))
 			sl.mu.Unlock()
 			if err != nil {
-				return err
+				return nil, err
 			}
 		}
-		return nil
+		return nil, nil
 	})
 
 	var wg sync.WaitGroup

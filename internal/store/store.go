@@ -569,6 +569,17 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	s.Halt()
+	return s.engine.Close()
+}
+
+// Halt stops the background work — the fold retry timer, the scrubber
+// and the folder, waiting out an in-flight fold — and leaves the
+// journal as it is: nothing is flushed or closed, so the directory
+// holds exactly what a killed process would leave behind. Crash tests
+// halt a store before reopening its directory; Close still releases
+// it.
+func (s *Store) Halt() {
 	s.retryMu.Lock()
 	if s.retry != nil {
 		s.retry.Stop()
@@ -578,7 +589,6 @@ func (s *Store) Close() error {
 		s.stopScrub()
 	}
 	s.folds.stop()
-	return s.engine.Close()
 }
 
 // Now exposes the store clock, so higher layers stamp consistently.

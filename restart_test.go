@@ -228,10 +228,10 @@ func TestRestartWithoutPersistInstances(t *testing.T) {
 	}
 }
 
-// TestTimelineBackfillFromExecutionLog: with a small in-memory ring,
-// the timeline serves ring-truncated prefixes from the journaled
-// execution log — the full record stays addressable, paging included.
-func TestTimelineBackfillFromExecutionLog(t *testing.T) {
+// TestTimelineStitchesTruncatedHistory: with a small in-memory ring,
+// the timeline serves ring-truncated prefixes from outside the ring —
+// the full record stays addressable, paging included.
+func TestTimelineStitchesTruncatedHistory(t *testing.T) {
 	clock := vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC))
 	opts := Options{Clock: clock, MaxEventsInMemory: 10}
 	sys := newSystem(t, opts)
@@ -251,22 +251,22 @@ func TestTimelineBackfillFromExecutionLog(t *testing.T) {
 	}
 	total := notes + 1 // created + annotations
 
-	// The raw runtime window is truncated…
-	raw, _ := sys.Runtime.Events(snap.ID, 0, 0)
-	if !raw.Truncated || raw.OldestSeq <= 1 {
-		t.Fatalf("test did not exercise truncation: %+v", raw)
+	// The ring was truncated…
+	truncated := int(sys.RuntimeStats().EventsTruncated)
+	if truncated == 0 {
+		t.Fatal("test did not exercise truncation")
 	}
-	// …but the facade's view backfills the prefix from the log.
-	page, ok := sys.Events(snap.ID, 0, 0)
-	if !ok {
+	// …but the timeline stitches the dropped prefix back in front.
+	page, err := sys.Events(snap.ID, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if page.Truncated {
-		t.Fatalf("backfilled page still truncated: %+v", page)
+		t.Fatalf("stitched page still truncated: %+v", page)
 	}
-	if len(page.Events) != total || page.Backfilled != raw.OldestSeq-1 {
-		t.Fatalf("backfilled page: %d events (want %d), backfilled %d (want %d)",
-			len(page.Events), total, page.Backfilled, raw.OldestSeq-1)
+	if len(page.Events) != total || page.Backfilled != truncated || page.OldestSeq != truncated+1 {
+		t.Fatalf("stitched page: %d events (want %d), backfilled %d, oldest %d (want %d, %d)",
+			len(page.Events), total, page.Backfilled, page.OldestSeq, truncated, truncated+1)
 	}
 	for i, ev := range page.Events {
 		if ev.Seq != i+1 {
@@ -279,18 +279,18 @@ func TestTimelineBackfillFromExecutionLog(t *testing.T) {
 
 	// Paged reads inside the truncated prefix work too.
 	mid, _ := sys.Events(snap.ID, 3, 5)
-	if len(mid.Events) != 5 || mid.Events[0].Seq != 4 || mid.Truncated {
+	if len(mid.Events) != 5 || mid.Events[0].Seq != 4 || mid.Truncated || mid.Backfilled != 5 {
 		t.Fatalf("mid-prefix page: %+v", mid)
 	}
-	// A page starting in retained territory never touches the log.
+	// A page starting in retained territory comes from the ring alone.
 	tail, _ := sys.Events(snap.ID, total-3, 0)
 	if tail.Backfilled != 0 || len(tail.Events) != 3 {
 		t.Fatalf("tail page: %+v", tail)
 	}
 	// The cockpit timeline rides the same stitched path.
-	tl, ok := sys.Monitor().TimelinePage(snap.ID, 0, 8)
-	if !ok || len(tl.Entries) != 8 || tl.Entries[0].Seq != 1 || tl.Backfilled == 0 {
-		t.Fatalf("monitor timeline page: %+v", tl)
+	tl, err := sys.Monitor().TimelinePage(snap.ID, 0, 8)
+	if err != nil || len(tl.Entries) != 8 || tl.Entries[0].Seq != 1 || tl.Backfilled == 0 {
+		t.Fatalf("monitor timeline page: %+v (%v)", tl, err)
 	}
 }
 

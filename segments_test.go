@@ -98,7 +98,8 @@ func TestRestartReplayBoundedAfterFold(t *testing.T) {
 
 // TestRotationBoundaryKillRecovery forces many segment rotations and
 // background folds during a live workload, then "kills" the process —
-// no Close — and tears the active segment's tail for good measure. The
+// its background work halted, no Close — and tears the active
+// segment's tail for good measure. The
 // restarted system must recover every acknowledged mutation across the
 // segment boundaries and keep serving.
 func TestRotationBoundaryKillRecovery(t *testing.T) {
@@ -125,6 +126,11 @@ func TestRotationBoundaryKillRecovery(t *testing.T) {
 		t.Fatalf("workload never rotated the instance journal: %+v", st)
 	}
 	want := snapshotJSON(t, sys)
+	// The kill: background folds and scrubs stop, as they would with
+	// the process, so none of them can write into the directory while
+	// the restarted system uses it. Nothing is flushed or closed.
+	sys.store.Halt()
+	sys.instances.Halt()
 
 	// Torn tail on the active segment: a batch cut short mid-write.
 	jf := filepath.Join(dir, "instances", "gelee.journal")
