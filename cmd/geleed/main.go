@@ -8,7 +8,7 @@
 //	geleed [-addr :8085] [-data DIR] [-auth] [-seed] [-engine journal|memory]
 //	       [-sync] [-store-shards N] [-runtime-shards N]
 //	       [-segment-max-bytes N] [-snapshot-every N]
-//	       [-log-live-window N] [-fold-min-interval D] [-fold-min-garbage R]
+//	       [-fold-min-interval D] [-fold-min-garbage R]
 //	       [-read-cache-entries N]
 //	       [-max-events N] [-invocation-retention D]
 //	       [-persist-instances=true|false]
@@ -46,13 +46,11 @@
 // snapshots in the background, which bounds restart replay to
 // snapshot + tail instead of all history, without ever blocking
 // writers. -snapshot-every folds only once that many sealed segments
-// accumulate. -log-live-window keeps only that many of the execution
-// log's newest audit entries hot (in RAM and in each snapshot); older
-// history is spilled once into immutable CRC-summed archive files
-// carried forward by reference, so fold cost stays flat as history
-// grows (a negative window is rejected) — cold pages still serve
-// reads, streamed from disk via
-// GET /api/v1/admin/log?after=&limit=. -fold-min-interval and
+// accumulate. The execution log pages through
+// GET /api/v1/admin/log?after=&limit=; a data dir written while the
+// log mirrored instance events may hold older entries in CRC-summed
+// log archives, which still page there, streamed from disk, and every
+// fold carries forward unchanged. -fold-min-interval and
 // -fold-min-garbage pace the background folder (wall-clock spacing and
 // a minimum sealed-garbage ratio) so a trickle of writes never
 // re-snapshots an unchanged population. -read-cache-entries bounds the
@@ -138,7 +136,6 @@ func run() (err error) {
 	rtShards := flag.Int("runtime-shards", 0, "runtime instance-table lock-stripe count (0 = default)")
 	segmentMax := flag.Int64("segment-max-bytes", 64<<20, "rotate journal segments past this size; folded into snapshots in the background (0 = no rotation)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "fold once this many sealed segments accumulate (0 = every rotation)")
-	logWindow := flag.Int("log-live-window", 0, "execution-log entries kept hot; older history archived by reference (0 = default)")
 	foldMinInterval := flag.Duration("fold-min-interval", 15*time.Second, "minimum wall-clock spacing between background snapshot folds (0 = none)")
 	foldMinGarbage := flag.Float64("fold-min-garbage", 0.25, "minimum sealed-garbage ratio before a background fold runs (0 = none)")
 	readCache := flag.Int("read-cache-entries", 0, "per-shard LRU entries for the model read cache (0 = default 64, <0 = disable)")
@@ -171,7 +168,6 @@ func run() (err error) {
 		StoreShards:         *shards,
 		SegmentMaxBytes:     *segmentMax,
 		SnapshotEvery:       *snapshotEvery,
-		LogLiveWindow:       *logWindow,
 		FoldMinInterval:     *foldMinInterval,
 		FoldMinGarbage:      *foldMinGarbage,
 		ReadCacheEntries:    *readCache,

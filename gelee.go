@@ -137,14 +137,6 @@ type Options struct {
 	// SnapshotEvery folds once this many sealed segments accumulate
 	// (0 = fold on every rotation).
 	SnapshotEvery int
-	// LogLiveWindow is how many of the execution log's newest entries
-	// stay in RAM and in each snapshot; older history is spilled by
-	// folds into immutable CRC-summed archive files carried forward by
-	// reference, keeping fold cost and snapshot size flat as history
-	// grows. Cold history still serves reads, streamed from disk.
-	// 0 = store.DefaultLogLiveWindow; New rejects a negative window
-	// when the journal engine is used.
-	LogLiveWindow int
 	// ReadCacheEntries bounds the per-shard LRU read cache in front of
 	// the model and template repositories: decoded values prepared for
 	// sharing (a deep clone) are kept hot so the dominant read paths —
@@ -415,7 +407,6 @@ func New(opts Options) (*System, error) {
 		Shards:           opts.StoreShards,
 		SegmentMaxBytes:  opts.SegmentMaxBytes,
 		SnapshotEvery:    opts.SnapshotEvery,
-		LogLiveWindow:    opts.LogLiveWindow,
 		FoldMinInterval:  opts.FoldMinInterval,
 		FoldMinGarbage:   opts.FoldMinGarbage,
 		ReadCacheEntries: opts.ReadCacheEntries,

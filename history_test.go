@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -286,6 +287,98 @@ func TestMirroredExecutionLogDataDirReopens(t *testing.T) {
 	sys = newSystem(t, opts)
 	if page, err := sys.Events("li-000001", 0, 0); err != nil || page.Total != 4 {
 		t.Fatalf("history after a second restart: %+v (%v)", page, err)
+	}
+}
+
+// TestArchivedExecutionLogDataDirReopens opens a data dir whose
+// execution log was spilled into archives while logs still did that:
+// 30 model-defined entries written with an 8-entry live window and
+// compacted twice, leaving seqs 1-7 in archive.000001, 8-22 in
+// archive.000002 and 23-30 live in the snapshot. /admin/log must page
+// every entry once, in Seq order, across both archive seams; a
+// Compact and a reopen must write no archive and change no page.
+func TestArchivedExecutionLogDataDirReopens(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "archived-execlog"), dir)
+	opts := Options{DataDir: dir, PersistInstances: true}
+	sys := newSystem(t, opts)
+	const logged = 30
+	if n := sys.ExecutionLogLen(); n != logged {
+		t.Fatalf("execution log = %d entries, want %d", n, logged)
+	}
+	if got := sys.StoreStats().Logs["execlog"]; got.Live != 8 || got.Archived != 22 || got.Archives != 2 {
+		t.Fatalf("hot/cold split = %+v, want {8 22 2}", got)
+	}
+
+	pageAll := func(sys *System) []byte {
+		t.Helper()
+		srv := httptest.NewServer(sys.HTTPHandler())
+		defer srv.Close()
+		var all []store.LogEntry
+		after := uint64(0)
+		for {
+			var page struct {
+				Items     []store.LogEntry `json:"items"`
+				Total     int              `json:"total"`
+				NextAfter uint64           `json:"next_after"`
+			}
+			getJSON(t, fmt.Sprintf("%s/api/v1/admin/log?after=%d&limit=4", srv.URL, after), &page)
+			if page.Total != logged {
+				t.Fatalf("page total = %d, want %d", page.Total, logged)
+			}
+			all = append(all, page.Items...)
+			if page.NextAfter == 0 {
+				break
+			}
+			after = page.NextAfter
+		}
+		if len(all) != logged {
+			t.Fatalf("paged %d entries, want %d", len(all), logged)
+		}
+		for i, e := range all {
+			if e.Seq != uint64(i+1) || e.Kind != "model-defined" {
+				t.Fatalf("paged entry %d: %+v", i, e)
+			}
+		}
+		paged, err := json.Marshal(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := json.Marshal(sys.ExecutionLog().All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(paged, whole) {
+			t.Fatalf("paged log differs from ExecutionLog().All():\n%s\n%s", paged, whole)
+		}
+		return paged
+	}
+	archives := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "archive.*.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	before := pageAll(sys)
+	archivesBefore := archives()
+	if len(archivesBefore) != 2 {
+		t.Fatalf("fixture archives = %v", archivesBefore)
+	}
+	if err := sys.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys = newSystem(t, opts)
+	if got := archives(); !slices.Equal(got, archivesBefore) {
+		t.Fatalf("archives after Compact and reopen = %v, want %v", got, archivesBefore)
+	}
+	if after := pageAll(sys); !bytes.Equal(before, after) {
+		t.Fatal("paged log changed across Compact and reopen")
 	}
 }
 

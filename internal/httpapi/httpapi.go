@@ -228,8 +228,8 @@ func (s *Server) routes() {
 	// occupancy, secondary-index sizes).
 	s.mux.HandleFunc("GET /api/v1/admin/store", s.authed(s.handleStoreStats))
 	s.mux.HandleFunc("GET /api/v1/admin/runtime", s.authed(s.handleRuntimeStats))
-	// Execution-log pages: a seq cursor over unbounded history, cold
-	// pages streamed from archive files on demand.
+	// Execution-log pages: a seq cursor over the audit trail, entries an
+	// older data dir archived streamed from archive files on demand.
 	s.mux.HandleFunc("GET /api/v1/admin/log", s.authed(s.handleExecLogPage))
 	// Aggregated health for load balancers: 200 while mutations are
 	// admitted, 503 in read-only mode. Deliberately unauthenticated —
@@ -905,10 +905,10 @@ func (s *Server) handleRuntimeStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExecLogPage serves execution-log pages: ?after=<seq> resumes
-// past a cursor, ?limit=<n> bounds the page (see pageParams). Cold
-// history streams from archive files; a page entirely below the
-// archived range touches at most one archive on disk. It reads one
-// entry past the page so next_after is absent at the tail.
+// past a cursor, ?limit=<n> bounds the page (see pageParams). Entries
+// an older data dir archived stream from archive files; a page touches
+// no archive entirely below its cursor. It reads one entry past the
+// page so next_after is absent at the tail.
 func (s *Server) handleExecLogPage(w http.ResponseWriter, r *http.Request) {
 	after, limit, err := pageParams(r.URL.Query())
 	if err != nil {

@@ -29,13 +29,12 @@ import (
 // the walk.
 //
 // Folding is also what moves ring-truncated history to disk, in two
-// phases like the execution log's archive spill: before any image is
-// emitted, every instance's spill is written once into one history
-// archive (Config.History) and the images reference it; the returned
-// installed hook, which the store runs only after the snapshot
-// installs, trims the archived events from the spills. A fold that
-// fails before installing leaves memory untouched, and its archive
-// becomes an orphan the next open removes.
+// phases: before any image is emitted, every instance's spill is
+// written once into one history archive (Config.History) and the
+// images reference it; the returned installed hook, which the store
+// runs only after the snapshot installs, trims the archived events
+// from the spills. A fold that fails before installing leaves memory
+// untouched, and its archive becomes an orphan the next open removes.
 func (r *Runtime) EmitSnapshots(emit func(id string, data []byte) error) (installed func(), err error) {
 	// Barrier: wait out any Instantiate that has journaled its record
 	// but not yet published the instance — otherwise the walk below

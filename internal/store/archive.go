@@ -1,14 +1,19 @@
 package store
 
-// Log archives: the cold half of the hot/cold history split. Logs are
-// append-only history — every fold used to rewrite the whole log into
-// the new snapshot, so compaction I/O and snapshot size grew with total
-// history forever. Instead, entries older than the log's live window
-// are written ONCE into an immutable, CRC-summed archive file
-// (archive.NNNNNN.jsonl) and every later snapshot carries them by
-// reference: a tiny ArchiveRef line (number + entry count + seq range +
-// checksum) instead of the entries themselves. Fold cost and snapshot
-// size become O(live state + refs), flat as history grows.
+// Archives: immutable, CRC-summed history files (archive.NNNNNN.jsonl)
+// that snapshots carry by reference — a one-line ArchiveRef (number +
+// entry count + seq range + checksum + byte length) instead of the
+// entries themselves — so fold cost and snapshot size do not grow with
+// history that never changes.
+//
+// One writer remains: the instance collection's history archives
+// (Instances.ArchiveHistory), which hold the events each fold
+// truncates off the runtime's in-memory rings. Execution-log archives
+// are read-only legacy: data directories written while the log
+// mirrored every instance event spilled its older entries here, and
+// their refs are adopted on replay, carried forward unchanged by every
+// fold and streamed back by log reads. The log writes none: it holds
+// only the definition audit trail, small enough to keep whole.
 //
 // Install protocol mirrors snapshots: write to archive.NNNNNN.jsonl.tmp,
 // flush, fsync, rename into place, fsync the directory — all BEFORE the
@@ -34,7 +39,7 @@ import (
 )
 
 // opArchiveRef is the snapshot entry op carrying an ArchiveRef in Data:
-// "these log entries live in archive N, checksummed — do not rewrite
+// "these entries live in archive N, checksummed — do not rewrite
 // them". Written only to snapshot files, never to the journal tail.
 const opArchiveRef Op = "archive-ref"
 
@@ -56,7 +61,7 @@ func collectRef(refs []ArchiveRef, e Entry) ([]ArchiveRef, error) {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ArchiveRef identifies one immutable archive file and pins its
-// integrity: entry count, the log-sequence range it covers, the CRC32-C
+// integrity: entry count, the sequence range it covers, the CRC32-C
 // of its bytes and its byte length. Snapshots carry one ref line per
 // archive instead of the archived entries.
 type ArchiveRef struct {
@@ -64,38 +69,14 @@ type ArchiveRef struct {
 	Archive uint64 `json:"archive"`
 	// Entries is the number of records in the file.
 	Entries int `json:"entries"`
-	// FirstSeq/LastSeq are the log-entry sequence range archived, which
-	// is what lets paged reads skip whole archives without opening them.
+	// FirstSeq/LastSeq are the sequence range archived (log-entry seqs
+	// in a log archive), which is what lets paged log reads skip whole
+	// archives without opening them.
 	FirstSeq uint64 `json:"first_seq"`
 	LastSeq  uint64 `json:"last_seq"`
 	// CRC is the CRC32-C of the file's bytes; Bytes its length.
 	CRC   uint32 `json:"crc"`
 	Bytes int64  `json:"bytes"`
-}
-
-// Archiver lets a fold image spill cold history into an immutable
-// archive file instead of rewriting it into the snapshot. Implemented
-// by engines with archive storage (the journaled engine); build
-// callbacks receive it during Engine.Fold.
-type Archiver interface {
-	// Archive writes entries as one archive file under the fsync+rename
-	// install protocol and returns its reference. The entries' Seq
-	// fields carry the caller's own sequence numbers (the log seq, not
-	// the journal seq) and are preserved verbatim.
-	Archive(entries []Entry) (ArchiveRef, error)
-}
-
-// FoldImage is what an Engine.Fold build callback returns: the
-// live-entry image to write into the snapshot, and an optional Commit
-// hook the engine invokes only after the snapshot is durably installed.
-// Commit is where parts retire the in-memory copy of state they spilled
-// through the Archiver — running it any earlier would trim history the
-// durable generation does not yet reference, and a failed fold must
-// leave memory untouched (the archive file it wrote becomes an orphan
-// the next open removes).
-type FoldImage struct {
-	Entries []Entry
-	Commit  func()
 }
 
 // ErrStopScan, returned by a ReadArchive callback, stops the stream
@@ -106,7 +87,7 @@ var ErrStopScan = errors.New("store: stop archive scan")
 // archiveName returns the file name of archive n.
 func archiveName(n uint64) string { return fmt.Sprintf("archive.%06d.jsonl", n) }
 
-// archive writes entries as archive file number next under the
+// Archive writes entries as archive file number next under the
 // fsync+rename protocol and returns its ref. Callers (folds) are
 // serialized; sf counters are updated on success.
 func (sf *segFiles) Archive(entries []Entry) (ArchiveRef, error) {

@@ -14,11 +14,29 @@ import (
 	"github.com/liquidpub/gelee/internal/vclock"
 )
 
-// openLogStore opens a store with the given log live window and an
-// execution log attached, Load already done.
-func openLogStore(t *testing.T, dir string, window int) (*Store, *Log) {
+// archivedLogFixture is a data dir written while logs still spilled
+// into archives: a store with a 10-entry live window appended 50, then
+// 30 "tick" entries (Instance i0..i3, detail "payload-a-N" and
+// "payload-b-N"), compacting after each round. Its execlog holds
+// archive.000001 (seqs 1-40), archive.000002 (seqs 41-70) and ten live
+// entries (71-80) in snapshot.000002.
+const archivedLogFixture = "testdata/archived-log"
+
+// fixtureCopy copies the archived-log fixture into a fresh directory.
+func fixtureCopy(t *testing.T) string {
 	t.Helper()
-	s, err := Open(dir, Options{LogLiveWindow: window})
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(archivedLogFixture)); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// openLogStore opens a store with an execution log attached, Load
+// already done.
+func openLogStore(t *testing.T, dir string) (*Store, *Log) {
+	t.Helper()
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +73,30 @@ func logJSON(t *testing.T, lg *Log) []byte {
 	return data
 }
 
+// pagedJSON walks the log with a Page cursor of the given size and
+// renders what it returned, for comparison with logJSON.
+func pagedJSON(t *testing.T, lg *Log, limit int) []byte {
+	t.Helper()
+	var paged []LogEntry
+	after := uint64(0)
+	for {
+		page, err := lg.Page(after, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page) == 0 {
+			break
+		}
+		paged = append(paged, page...)
+		after = page[len(page)-1].Seq
+	}
+	data, err := json.Marshal(paged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // archiveFiles lists the archive file names in dir, sorted.
 func archiveFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -67,117 +109,78 @@ func archiveFiles(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestNegativeLogLiveWindowRejected: every fold archives by reference,
-// so a negative live window is a configuration error at open.
-func TestNegativeLogLiveWindowRejected(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{LogLiveWindow: -1})
-	if err == nil {
-		s.Close()
-		t.Fatal("Open accepted a negative LogLiveWindow")
+// TestFoldCarriesLogArchivesForward opens a data dir whose execution
+// log was spilled into two archives. A fold must carry both refs
+// forward unchanged and write every live entry into the snapshot —
+// past the old live window too — without writing or touching an
+// archive; a reopen reads back byte-identically, and appends continue
+// above the archived history.
+func TestFoldCarriesLogArchivesForward(t *testing.T) {
+	dir := fixtureCopy(t)
+	s, lg := openLogStore(t, dir)
+	appendTicks(t, lg, 20, "c")
+	archived := map[string][]byte{}
+	for _, name := range archiveFiles(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		archived[name] = data
 	}
-}
-
-// TestFoldArchivesLogHistory is the tentpole acceptance test: with a
-// small live window, compaction spills old log history into archive
-// files carried by reference — the snapshot stays bounded, every read
-// path still sees full history in order, and a reopen replays only the
-// live window plus refs while reading back byte-identically.
-func TestFoldArchivesLogHistory(t *testing.T) {
-	dir := t.TempDir()
-	s, lg := openLogStore(t, dir, 10)
-	appendTicks(t, lg, 50, "a")
+	if len(archived) != 2 {
+		t.Fatalf("fixture archives = %v, want 2", archiveFiles(t, dir))
+	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 
 	st := s.Stats()
-	if got := st.Logs["execlog"]; got.Live != 10 || got.Archived != 40 || got.Archives != 1 {
-		t.Fatalf("hot/cold split after compact = %+v, want {10 40 1}", got)
+	if got := st.Logs["execlog"]; got.Live != 30 || got.Archived != 70 || got.Archives != 2 {
+		t.Fatalf("hot/cold split after compact = %+v, want {30 70 2}", got)
 	}
-	if st.Engine.ArchivesWritten != 1 || st.Engine.Archives != 1 {
-		t.Fatalf("archive counters = written %d, on disk %d, want 1/1", st.Engine.ArchivesWritten, st.Engine.Archives)
+	if st.Engine.ArchivesWritten != 0 || st.Engine.Archives != 2 {
+		t.Fatalf("archive counters = written %d, on disk %d, want 0/2", st.Engine.ArchivesWritten, st.Engine.Archives)
 	}
-	if got := archiveFiles(t, dir); len(got) != 1 || got[0] != "archive.000001.jsonl" {
-		t.Fatalf("archive files = %v, want [archive.000001.jsonl]", got)
+	if got := archiveFiles(t, dir); len(got) != 2 {
+		t.Fatalf("archive files after compact = %v, want the fixture's two", got)
 	}
-
-	// Full history in order, across the cold/live seam.
-	all := lg.All()
-	if len(all) != 50 {
-		t.Fatalf("All() = %d entries, want 50", len(all))
-	}
-	for i, e := range all {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("All()[%d].Seq = %d, want %d", i, e.Seq, i+1)
+	for name, want := range archived {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by the fold (read err %v)", name, err)
 		}
 	}
-	// Per-instance reads stitch archived history too: i0 got ticks
-	// 0,4,...,48 — 13 of the 50.
-	byInst := lg.ByInstance("i0")
-	if len(byInst) != 13 {
-		t.Fatalf("ByInstance(i0) = %d entries, want 13", len(byInst))
-	}
-	if byInst[0].Detail != "a-0" || byInst[12].Detail != "a-48" {
-		t.Fatalf("ByInstance(i0) endpoints = %q, %q", byInst[0].Detail, byInst[12].Detail)
-	}
-
-	// A second round: the old archive is carried forward by reference
-	// (not rewritten), a new one holds the next spill.
-	appendTicks(t, lg, 30, "b")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Logs["execlog"]; got.Live != 10 || got.Archived != 70 || got.Archives != 2 {
-		t.Fatalf("hot/cold split after 2nd compact = %+v, want {10 70 2}", got)
-	}
 	before := logJSON(t, lg)
+	beforePaged := pagedJSON(t, lg, 7)
+	if !bytes.Equal(before, beforePaged) {
+		t.Fatal("paged read diverged from full read")
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, lg2 := openLogStore(t, dir, 10)
+	s2, lg2 := openLogStore(t, dir)
 	defer s2.Close()
 	rs := s2.Stats().Engine.Replay
 	if rs.ArchiveRefs != 2 {
 		t.Fatalf("reopen adopted %d archive refs, want 2", rs.ArchiveRefs)
 	}
-	if streamed := rs.SnapshotEntries + rs.TailEntries; streamed > 15 {
-		t.Fatalf("reopen streamed %d entries — replay not bounded by the live window", streamed)
-	}
-	if lg2.Len() != 80 {
-		t.Fatalf("reopened Len = %d, want 80", lg2.Len())
+	if lg2.Len() != 100 {
+		t.Fatalf("reopened Len = %d, want 100", lg2.Len())
 	}
 	if after := logJSON(t, lg2); !bytes.Equal(before, after) {
 		t.Fatal("full log read diverged across reopen")
 	}
-	// The paged cursor walks the same history.
-	var paged []LogEntry
-	after := uint64(0)
-	for {
-		page, err := lg2.Page(after, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(page) == 0 {
-			break
-		}
-		paged = append(paged, page...)
-		after = page[len(page)-1].Seq
-	}
-	pagedJSON, err := json.Marshal(paged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, pagedJSON) {
-		t.Fatal("paged read diverged from full read")
+	if after := pagedJSON(t, lg2, 7); !bytes.Equal(beforePaged, after) {
+		t.Fatal("paged log read diverged across reopen")
 	}
 	// Appends continue above all archived history.
-	seq, err := lg2.Append(LogEntry{Instance: "i0", Kind: "tick", Detail: "post"})
+	seq, err := lg2.Append(LogEntry{Kind: "tick", Detail: "post"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 81 {
-		t.Fatalf("post-reopen Append seq = %d, want 81", seq)
+	if seq != 101 {
+		t.Fatalf("post-reopen Append seq = %d, want 101 (above archived seq 70)", seq)
 	}
 }
 
@@ -186,12 +189,8 @@ func TestFoldArchivesLogHistory(t *testing.T) {
 // references it: the next open must delete the unreferenced archive
 // and lose no history.
 func TestArchiveCrashBeforeInstall(t *testing.T) {
-	dir := t.TempDir()
-	s, lg := openLogStore(t, dir, 5)
-	appendTicks(t, lg, 30, "a")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	dir := fixtureCopy(t)
+	s, lg := openLogStore(t, dir)
 	before := logJSON(t, lg)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -208,7 +207,7 @@ func TestArchiveCrashBeforeInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, lg2 := openLogStore(t, dir, 5)
+	s2, lg2 := openLogStore(t, dir)
 	defer s2.Close()
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("orphan archive still on disk after open (stat err %v)", err)
@@ -217,8 +216,8 @@ func TestArchiveCrashBeforeInstall(t *testing.T) {
 	if est.OrphanArchives != 1 {
 		t.Fatalf("OrphanArchives = %d, want 1", est.OrphanArchives)
 	}
-	if est.Archives != 1 {
-		t.Fatalf("Archives = %d, want 1 (the referenced one must survive)", est.Archives)
+	if est.Archives != 2 {
+		t.Fatalf("Archives = %d, want 2 (the referenced ones must survive)", est.Archives)
 	}
 	if after := logJSON(t, lg2); !bytes.Equal(before, after) {
 		t.Fatal("history diverged after orphan cleanup")
@@ -243,18 +242,10 @@ func TestMissingReferencedArchive(t *testing.T) {
 	}
 	for name, breakIt := range damage {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, lg := openLogStore(t, dir, 5)
-			appendTicks(t, lg, 30, "a")
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+			dir := fixtureCopy(t)
 			breakIt(t, filepath.Join(dir, "archive.000001.jsonl"))
 
-			s2, err := Open(dir, Options{LogLiveWindow: 5})
+			s2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,16 +262,7 @@ func TestMissingReferencedArchive(t *testing.T) {
 // the open-time existence check passes) surfaces as ErrCorrupt when
 // the cold history is actually read.
 func TestArchiveCRCCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s, lg := openLogStore(t, dir, 5)
-	appendTicks(t, lg, 40, "payload")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	dir := fixtureCopy(t)
 	path := filepath.Join(dir, "archive.000001.jsonl")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -297,7 +279,7 @@ func TestArchiveCRCCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, lg2 := openLogStore(t, dir, 5) // lazy verification: open succeeds
+	s2, lg2 := openLogStore(t, dir) // lazy verification: open succeeds
 	defer s2.Close()
 	if _, err := lg2.Page(0, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Page over corrupt archive = %v, want ErrCorrupt", err)

@@ -115,13 +115,10 @@ type Engine interface {
 	// Fold compacts every segment sealed before the call into a
 	// snapshot of the live state and deletes them — the compaction
 	// primitive, safe to run while appends proceed. build is invoked
-	// once, after the fold boundary is fixed, with an Archiver the
-	// image may spill cold history through (by-reference folding); it
-	// must return the live-entry image plus an optional Commit hook the
-	// engine runs only after the snapshot is durably installed (see
-	// Store.foldImage). Engines without segments ignore build.
-	// Callers serialize folds.
-	Fold(build func(Archiver) FoldImage) error
+	// once, after the fold boundary is fixed, and returns the
+	// live-entry image to write (see Store.foldImage). Engines without
+	// segments ignore build. Callers serialize folds.
+	Fold(build func() []Entry) error
 	// ReadArchive streams one referenced archive file's entries through
 	// fn, verifying its checksum when read to the end (fn may return
 	// ErrStopScan to stop early). Engines without archive storage
@@ -181,7 +178,7 @@ func (m *memEngine) Depth() int { return 0 }
 
 // Fold implements Engine: nothing persisted, nothing to fold. build is
 // not invoked — there is no snapshot to write its image into.
-func (m *memEngine) Fold(func(Archiver) FoldImage) error { return nil }
+func (m *memEngine) Fold(func() []Entry) error { return nil }
 
 // ReadArchive implements Engine: the memory engine has no archive
 // storage, so nothing can ever hold a ref to read.

@@ -80,11 +80,11 @@ type InstancesOptions struct {
 // (and whatever it truncated since the last fold). During a fold the
 // snapshot source hands the truncated events to ArchiveHistory, which
 // writes them once, as one batch per instance, into an immutable
-// CRC-summed archive file under the same install protocol as the
-// execution log's archives (see archive.go). Every snapshot carries a
-// ref line for every archive of the collection, so open reconciles and
-// the scrubber verifies them like any other archive; ReadHistory
-// streams one back, verified, for the timeline.
+// CRC-summed archive file under the install protocol archive.go
+// describes. Every snapshot carries a ref line for every archive of
+// the collection, so open reconciles and the scrubber verifies them
+// like any other archive; ReadHistory streams one back, verified, for
+// the timeline.
 //
 // Lifecycle: construct, Replay (or ReplayParallel) exactly once —
 // which opens the journal for appending — then Append freely, Close

@@ -266,18 +266,10 @@ func TestQuarantineServesSurvivingHistory(t *testing.T) {
 // snapshot loses the references, but the archive bytes must NOT be
 // collected as orphans — they may be the only surviving copy.
 func TestQuarantinedSnapshotKeepsArchives(t *testing.T) {
-	dir := t.TempDir()
-	s, lg := openLogStore(t, dir, 10)
-	appendTicks(t, lg, 50, "a")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, filepath.Join(dir, snapName(1)), 60)
+	dir := fixtureCopy(t)
+	flipByte(t, filepath.Join(dir, snapName(2)), 60)
 
-	s2, err := Open(dir, Options{LogLiveWindow: 10, Integrity: IntegrityOptions{Quarantine: true}})
+	s2, err := Open(dir, Options{Integrity: IntegrityOptions{Quarantine: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +278,13 @@ func TestQuarantinedSnapshotKeepsArchives(t *testing.T) {
 		t.Fatalf("quarantine open failed: %v", err)
 	}
 	defer s2.Close()
-	if _, err := os.Stat(filepath.Join(dir, archiveName(1))); err != nil {
-		t.Fatalf("archive collected as orphan after snapshot quarantine: %v", err)
+	if q := s2.Stats().Engine.Integrity.QuarantinedFiles; q != 1 {
+		t.Fatalf("QuarantinedFiles = %d, want the snapshot", q)
+	}
+	for _, n := range []uint64{1, 2} {
+		if _, err := os.Stat(filepath.Join(dir, archiveName(n))); err != nil {
+			t.Fatalf("archive collected as orphan after snapshot quarantine: %v", err)
+		}
 	}
 }
 
@@ -341,18 +338,10 @@ func TestScrubDetectsSealedSegmentRot(t *testing.T) {
 // the scrubber's job, which must fail the file against the checksum the
 // snapshot recorded.
 func TestScrubDetectsArchiveRot(t *testing.T) {
-	dir := t.TempDir()
-	s, lg := openLogStore(t, dir, 10)
-	appendTicks(t, lg, 50, "a")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir := fixtureCopy(t)
 	flipByte(t, filepath.Join(dir, archiveName(1)), 40)
 
-	s2, lg2 := openLogStore(t, dir, 10)
+	s2, lg2 := openLogStore(t, dir)
 	defer s2.Close()
 	_ = lg2
 	res := s2.Scrub(1 << 30)
@@ -793,12 +782,8 @@ func TestFsckReportsAndRepairs(t *testing.T) {
 // snapshot, an archive and an active file — verifies clean, footers
 // seen, archive records counted.
 func TestFsckCleanGeneration(t *testing.T) {
-	dir := t.TempDir()
-	s, lg := openLogStore(t, dir, 10)
-	appendTicks(t, lg, 50, "a")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	dir := fixtureCopy(t)
+	s, lg := openLogStore(t, dir)
 	appendTicks(t, lg, 3, "b")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -812,7 +797,9 @@ func TestFsckCleanGeneration(t *testing.T) {
 	}
 	kinds := map[string]FsckFile{}
 	for _, f := range rep.Files {
-		kinds[f.Kind] = f
+		if f.Kind != "archive" || f.Name == archiveName(1) {
+			kinds[f.Kind] = f
+		}
 	}
 	if f := kinds["snapshot"]; f.Status != "ok" || !f.Footer {
 		t.Fatalf("snapshot verdict = %+v, want ok with footer", f)

@@ -24,7 +24,7 @@
 //	gelee.journal          active segment — all appends land here
 //	journal.NNNNNN.jsonl   sealed segments, immutable, NNNNNN ascending
 //	snapshot.NNNNNN.jsonl  snapshot folding the state of segments 1..NNNNNN
-//	archive.NNNNNN.jsonl   immutable, CRC-summed cold log history
+//	archive.NNNNNN.jsonl   immutable, CRC-summed archived history
 //	*.jsonl.tmp            in-progress fold — ignored and removed on open
 //
 // When the active segment exceeds SegmentMaxBytes (or on demand) it is
@@ -48,27 +48,28 @@
 // appending mid-fold. Store.Compact survives as seal-then-fold, so
 // compaction no longer excludes writers.
 //
-// # Hot/cold log history: fold-by-reference archives
+// # Archives: history carried by reference
 //
-// Logs are append-only history, so "live state" would otherwise mean
-// everything ever logged — every fold rewriting all of it into the new
-// snapshot, compaction I/O and snapshot size growing without bound as
-// a deployment ages. Instead a log keeps only its newest entries (the
-// configured live window) hot: when a fold finds the window exceeded,
-// the overflow is written once into an immutable archive file
-// (archive.NNNNNN.jsonl, CRC32-C summed), and this snapshot — and
-// every later one — carries it as a one-line ArchiveRef (file number,
-// entry count, seq range, checksum, byte length) instead of the
-// entries. Fold cost and snapshot size are O(live window + refs),
-// flat as history grows. Archives install under the same fsync+rename
-// protocol as snapshots, before the snapshot that references them;
-// open verifies referenced archives cheaply (existence + length,
-// anything else fails the open as corruption), deletes unreferenced
-// ones (a fold that crashed between archive install and snapshot
-// install), and the full CRC is verified whenever an archive is
-// actually streamed. Reads stitch cold and hot lazily: Log.All,
-// ByInstance, Range and the cursor-paged Log.Page stream archives
-// from disk on demand — cold history never reloads into RAM.
+// Some history never changes once written, so rewriting it into every
+// snapshot would make compaction I/O and snapshot size grow without
+// bound. Such history is written once into an immutable archive file
+// (archive.NNNNNN.jsonl, CRC32-C summed), and every later snapshot
+// carries it as a one-line ArchiveRef (file number, entry count, seq
+// range, checksum, byte length) instead of the entries. The writer is
+// the instance collection: each fold archives the events truncated
+// off the runtime's in-memory rings (Instances.ArchiveHistory). The
+// execution log is the audit trail of definition changes, small enough
+// to keep whole in RAM and in each snapshot; log archives exist only
+// in data directories written while it mirrored every instance event,
+// and are read-only legacy — replay adopts their refs, every fold
+// carries them forward unchanged, and Log.All and the cursor-paged
+// Log.Page stream them from disk on demand. Archives install under the
+// same fsync+rename protocol as snapshots, before the snapshot that
+// references them; open verifies referenced archives cheaply
+// (existence + length, anything else fails the open as corruption),
+// deletes unreferenced ones (a fold that crashed between archive
+// install and snapshot install), and the full CRC is verified whenever
+// an archive is actually streamed.
 //
 // Background folds are paced by policy (Options.FoldMinInterval,
 // Options.FoldMinGarbage): a trickle of writes does not re-snapshot an

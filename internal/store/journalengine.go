@@ -73,30 +73,23 @@ func (e *journalEngine) Replay(fn func(Entry) error) error {
 }
 
 // Fold implements Engine: fix the fold boundary (every segment sealed
-// so far), capture the live image via build — handing it the segment
-// set as Archiver so cold history can be spilled into archive files
-// referenced by the snapshot instead of rewritten into it — write the
-// image to a new snapshot and delete the folded segments. Appends —
-// and further seals — proceed concurrently: the image is captured
-// after the boundary, so it is a superset of everything folded, and
-// replay skips the overlap via the per-bucket boundary seqs stamped on
-// snapshot entries. The image's Commit hook runs only once the
-// snapshot is durably installed; on any fold failure it never runs, so
-// in-memory state keeps covering history the old generation still
-// owns (an archive written by the failed attempt is an orphan the next
-// open removes).
-func (e *journalEngine) Fold(build func(Archiver) FoldImage) error {
+// so far), capture the live image via build, write it to a new
+// snapshot and delete the folded segments. Appends — and further
+// seals — proceed concurrently: the image is captured after the
+// boundary, so it is a superset of everything folded, and replay skips
+// the overlap via the per-bucket boundary seqs stamped on snapshot
+// entries.
+func (e *journalEngine) Fold(build func() []Entry) error {
 	return e.fold(func(sj *Journal) (func(), error) {
 		if build == nil {
 			return nil, nil
 		}
-		img := build(e.sf)
-		for _, entry := range img.Entries {
+		for _, entry := range build() {
 			if err := sj.writeRaw(entry); err != nil {
 				return nil, err
 			}
 		}
-		return img.Commit, nil
+		return nil, nil
 	})
 }
 

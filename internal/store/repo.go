@@ -386,9 +386,8 @@ func (r *Repo[T]) PurgeReadCache() {
 // Repositories are keyed last-writer-wins, so replaying a folded tail
 // entry over the fold image converges to the same value — no skip
 // needed, which also spares the repo from tracking applied seqs across
-// its lock stripes. The Archiver is unused: live state is already
-// minimal, there is no cold history to spill.
-func (r *Repo[T]) foldEntries(Archiver) ([]Entry, uint64, func()) {
+// its lock stripes.
+func (r *Repo[T]) foldEntries() ([]Entry, uint64) {
 	pairs := r.pairs()
 	out := make([]Entry, 0, len(pairs))
 	for _, p := range pairs {
@@ -398,7 +397,7 @@ func (r *Repo[T]) foldEntries(Archiver) ([]Entry, uint64, func()) {
 		}
 		out = append(out, Entry{Repo: r.name, Op: OpPut, ID: p.id, Data: data})
 	}
-	return out, 0, nil
+	return out, 0
 }
 
 // replayKey implements journaled: entries of different keys commute

@@ -182,10 +182,10 @@ func TestFoldDoesNotBlockAppends(t *testing.T) {
 	release := make(chan struct{})
 	foldDone := make(chan error, 1)
 	go func() {
-		foldDone <- eng.Fold(func(Archiver) FoldImage {
+		foldDone <- eng.Fold(func() []Entry {
 			close(entered)
 			<-release
-			return FoldImage{Entries: []Entry{{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}}}
+			return []Entry{{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}}
 		})
 	}()
 	<-entered
@@ -252,11 +252,11 @@ func TestSealWaitsForPendingApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawApplied bool
-	if err := eng.Fold(func(Archiver) FoldImage {
+	if err := eng.Fold(func() []Entry {
 		mu.Lock()
 		sawApplied = applied
 		mu.Unlock()
-		return FoldImage{Entries: []Entry{{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}}}
+		return []Entry{{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}}
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,16 +18,13 @@ import (
 type journaled interface {
 	applyEntry(Entry) error
 	// foldEntries returns the live-entry image plus the fold boundary
-	// (the journal sequence of the newest entry the image reflects) and
-	// an optional commit hook the engine runs once the snapshot is
-	// durably installed. Replay skips tail entries at or below the
-	// boundary. Idempotent parts (keyed repositories, where re-applying
-	// per-key history converges) report boundary 0 and are never
-	// skipped; append-only parts (logs) must report their real boundary
-	// or folding would double their history. Parts may spill cold state
-	// through the Archiver (nil for engines without archive storage)
-	// and retire the in-memory copy in the commit hook — never earlier.
-	foldEntries(ar Archiver) ([]Entry, uint64, func())
+	// (the journal sequence of the newest entry the image reflects).
+	// Replay skips tail entries at or below the boundary. Idempotent
+	// parts (keyed repositories, where re-applying per-key history
+	// converges) report boundary 0 and are never skipped; append-only
+	// parts (logs) must report their real boundary or folding would
+	// double their history.
+	foldEntries() ([]Entry, uint64)
 	// replayKey buckets an entry for parallel replay: entries with the
 	// same (part, key) pair must apply in stream order, entries with
 	// different keys commute. Keyed repositories return the entry ID;
@@ -52,7 +49,6 @@ type Store struct {
 	clock      vclock.Clock
 	parts      map[string]journaled
 	shards     int
-	window     int // log live-window entry count
 	loaded     bool
 	loadCalled bool
 	closed     bool
@@ -104,11 +100,6 @@ type Options struct {
 	// SnapshotEvery folds once this many sealed segments accumulate
 	// (0 = every rotation).
 	SnapshotEvery int
-	// LogLiveWindow is how many of a log's newest entries stay in RAM
-	// and in the snapshot; older entries are spilled by folds into
-	// immutable archive files carried by reference. 0 means
-	// DefaultLogLiveWindow; Open rejects a negative window.
-	LogLiveWindow int
 	// FoldMinInterval is the minimum wall-clock spacing between
 	// background folds: a seal poking the folder sooner defers the
 	// fold (a retry timer re-pokes when the interval elapses). 0 folds
@@ -154,12 +145,6 @@ const DefaultShards = 16
 // mid-size models).
 const DefaultReadCacheEntries = 64
 
-// DefaultLogLiveWindow is the per-log live window when
-// Options.LogLiveWindow is zero: enough recent history for every hot
-// read path (timeline backfill, recent-events pages) while keeping
-// fold cost flat.
-const DefaultLogLiveWindow = 4096
-
 // journalName is the active journal segment inside a journal directory
 // (also the whole journal in pre-segmentation deployments, which makes
 // old data directories open unchanged).
@@ -203,15 +188,10 @@ func New(engine Engine, opts Options) *Store {
 	if shards <= 0 {
 		shards = DefaultShards
 	}
-	window := opts.LogLiveWindow
-	if window == 0 {
-		window = DefaultLogLiveWindow
-	}
 	return &Store{
 		engine:         engine,
 		clock:          clock,
 		shards:         shards,
-		window:         window,
 		parts:          make(map[string]journaled),
 		folds:          newFolder(),
 		minInterval:    opts.FoldMinInterval,
@@ -225,9 +205,6 @@ func New(engine Engine, opts Options) *Store {
 // the journal rotates and a background folder compacts sealed segments
 // into snapshots without excluding writers.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.LogLiveWindow < 0 {
-		return nil, fmt.Errorf("store: negative log live window %d", opts.LogLiveWindow)
-	}
 	s := New(nil, opts)
 	engine, err := NewJournalEngine(JournalConfig{
 		Dir:             dir,
@@ -275,9 +252,6 @@ func (s *Store) register(name string, part journaled) error {
 
 // numShards reports the lock-stripe count repositories should use.
 func (s *Store) numShards() int { return s.shards }
-
-// logWindow reports the configured log live-window.
-func (s *Store) logWindow() int { return s.window }
 
 // readArchive streams one archived ref through fn — the log's cold
 // read path. Archives are immutable on disk, so no store lock is
@@ -473,9 +447,7 @@ func (s *Store) armRetry(d time.Duration) {
 // foldImage captures the live-entry image of every registered part —
 // each under its own locks only, so writers are never excluded — with
 // per-part fold boundaries stamped into Entry.Seq (see journaled).
-// Parts' commit hooks (retiring state they archived through ar) are
-// merged into one, which the engine runs after the snapshot installs.
-func (s *Store) foldImage(ar Archiver) FoldImage {
+func (s *Store) foldImage() []Entry {
 	names := make([]string, 0, len(s.parts))
 	for name := range s.parts {
 		names = append(names, name)
@@ -484,27 +456,15 @@ func (s *Store) foldImage(ar Archiver) FoldImage {
 
 	now := s.clock.Now()
 	var entries []Entry
-	var commits []func()
 	for _, name := range names {
-		img, boundary, commit := s.parts[name].foldEntries(ar)
+		img, boundary := s.parts[name].foldEntries()
 		for _, e := range img {
 			e.Seq = boundary
 			e.Time = now
 			entries = append(entries, e)
 		}
-		if commit != nil {
-			commits = append(commits, commit)
-		}
 	}
-	var commit func()
-	if len(commits) > 0 {
-		commit = func() {
-			for _, c := range commits {
-				c()
-			}
-		}
-	}
-	return FoldImage{Entries: entries, Commit: commit}
+	return entries
 }
 
 // Stats reports engine health plus per-repository sizes, per-log

@@ -271,20 +271,31 @@ func TestLogAppendAndQueries(t *testing.T) {
 	if seq1 != 1 || seq2 != 2 || seq3 != 3 {
 		t.Fatalf("seqs = %d %d %d", seq1, seq2, seq3)
 	}
-	i1 := log.ByInstance("i1")
+	i1 := entriesOf(log, "i1")
 	if len(i1) != 2 || i1[1].Detail != "elaboration" {
-		t.Fatalf("ByInstance(i1) = %+v", i1)
+		t.Fatalf("entries of i1 = %+v", i1)
 	}
 	// Append stamps a zero Time from the store clock.
 	if want := time.Date(2009, 2, 1, 1, 0, 0, 0, time.UTC); !i1[1].Time.Equal(want) {
-		t.Fatalf("ByInstance(i1)[1].Time = %v, want %v", i1[1].Time, want)
+		t.Fatalf("entries of i1 [1].Time = %v, want %v", i1[1].Time, want)
 	}
-	if got := log.ByInstance("ghost"); len(got) != 0 {
-		t.Fatalf("ByInstance(ghost) = %+v", got)
+	if got := entriesOf(log, "ghost"); len(got) != 0 {
+		t.Fatalf("entries of ghost = %+v", got)
 	}
 	if log.Len() != 3 || len(log.All()) != 3 {
 		t.Fatalf("Len/All = %d/%d", log.Len(), len(log.All()))
 	}
+}
+
+// entriesOf filters the whole log on Instance, in append order.
+func entriesOf(log *Log, id string) []LogEntry {
+	var out []LogEntry
+	for _, e := range log.All() {
+		if e.Instance == id {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestLogPersistsAcrossReopen(t *testing.T) {
