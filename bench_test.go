@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime/metrics"
@@ -424,6 +425,82 @@ func BenchmarkE8_MonitoringCockpit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCockpitRoutes: the cockpit's hot reads served in process
+// through the HTTP handler — response encoding included — at 10k
+// instances over 2,048 models, instances drawn Zipf(1.1) over the
+// models as in the perfbench cockpit workload: a population page, a
+// filtered page of active instances on one model, and the monitor
+// summary with its 2,048-key by_model breakdown.
+func BenchmarkCockpitRoutes(b *testing.B) {
+	const population, models, limit = 10000, 2048, 50
+	sys := benchSystem(b)
+	sys.Sims.Wiki.CreatePage("C1", "owner", "text")
+	ref := Ref{URI: "http://wiki.liquidpub.org/pages/C1", Type: "mediawiki"}
+	uris := make([]string, models)
+	for i := range uris {
+		m := scenario.QualityPlan()
+		m.URI = fmt.Sprintf("urn:bench:cockpit:model-%04d", i)
+		m.Name = fmt.Sprintf("Cockpit model %04d", i)
+		if err := sys.DefineModel("", m); err != nil {
+			b.Fatal(err)
+		}
+		uris[i] = m.URI
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, models-1)
+	for i := range population {
+		snap, err := sys.Instantiate(uris[zipf.Uint64()], ref, "owner", benchBindings())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i%3 > 0 {
+			sys.Advance(snap.ID, scenario.HappyPath[0], "owner", AdvanceOptions{})
+		}
+	}
+	h := sys.HTTPHandler()
+	routes := []struct {
+		name string
+		path func() string
+	}{
+		{"page", func() string {
+			return fmt.Sprintf("/api/v1/instances?after=%d&limit=%d", rng.Intn(population), limit)
+		}},
+		{"filtered", func() string {
+			return fmt.Sprintf("/api/v1/instances?model=%s&state=active&limit=%d", uris[zipf.Uint64()], limit)
+		}},
+		{"summary", func() string { return "/api/v1/monitor/summary" }},
+	}
+	for _, rt := range routes {
+		b.Run(rt.name, func(b *testing.B) {
+			paths := make([]string, 256)
+			for i := range paths {
+				paths[i] = rt.path()
+			}
+			w := &discardResponse{header: make(http.Header)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(w.header)
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, paths[i%len(paths)], nil))
+				if w.status != http.StatusOK {
+					b.Fatalf("%s: status %d", paths[i%len(paths)], w.status)
+				}
+			}
+		})
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps only the status, so a
+// route benchmark measures the handler and not a recorder's buffer.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.header }
+func (w *discardResponse) WriteHeader(status int)      { w.status = status }
+func (w *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
 
 // ---- micro-benchmarks on the hot paths ---------------------------------------
 

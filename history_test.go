@@ -11,12 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/liquidpub/gelee/internal/scenario"
 	"github.com/liquidpub/gelee/internal/store"
 	"github.com/liquidpub/gelee/internal/vclock"
+	"github.com/liquidpub/gelee/internal/widget"
 )
 
 // historyFixture opens a persisted system with a 10-event ring, two
@@ -418,5 +420,82 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWidgetFeedIdenticalWhenRingTruncated: the widget feed of an
+// instance whose ring holds 4 events carries the same newest
+// widget.FeedItems items as that of an unbounded twin — live, after a
+// Compact archives the truncated events, and after a restart.
+func TestWidgetFeedIdenticalWhenRingTruncated(t *testing.T) {
+	start := time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC)
+	open := func(dir string, ring int) *System {
+		opts := restartOpts(dir, vclock.NewFake(start))
+		opts.MaxEventsInMemory = ring
+		sys, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	drive := func(sys *System) string {
+		model := scenario.QualityPlan()
+		if err := sys.DefineModel("", model); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sys.Instantiate(model.URI, seedWikiDeliverable(t, sys, "F1"), "owner", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := sys.opts.Clock.(*vclock.Fake)
+		if _, err := sys.Advance(snap.ID, "elaboration", "owner", AdvanceOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range widget.FeedItems + 10 {
+			clock.Advance(time.Minute)
+			if err := sys.Annotate(snap.ID, "owner", fmt.Sprintf("note <%d> & more", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return snap.ID
+	}
+	feed := func(sys *System, id string) string {
+		t.Helper()
+		out, err := sys.Widgets().Feed(id, "owner")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+
+	twinDir, dir := t.TempDir(), t.TempDir()
+	twin := open(twinDir, 0)
+	defer twin.Close()
+	want := feed(twin, drive(twin))
+	if n := strings.Count(want, "<item>"); n != widget.FeedItems {
+		t.Fatalf("twin feed has %d items, want %d", n, widget.FeedItems)
+	}
+
+	sys := open(dir, 4)
+	id := drive(sys)
+	if sum, _ := sys.Summary(id); sum.TruncatedEvents < widget.FeedItems {
+		t.Fatalf("ring truncated only %d of %d events", sum.TruncatedEvents, sum.Events)
+	}
+	if got := feed(sys, id); got != want {
+		t.Fatalf("live feed differs from the unbounded twin's:\n got %s\nwant %s", got, want)
+	}
+	if err := sys.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := feed(sys, id); got != want {
+		t.Fatalf("feed after Compact differs from the unbounded twin's:\n got %s\nwant %s", got, want)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys = open(dir, 4)
+	defer sys.Close()
+	if got := feed(sys, id); got != want {
+		t.Fatalf("feed after restart differs from the unbounded twin's:\n got %s\nwant %s", got, want)
 	}
 }

@@ -68,6 +68,18 @@
 // nor model reports 0 (unknown); the timelines report the events ever
 // recorded on the instance and the admin log the entries ever appended.
 //
+// # Responses
+//
+// Every JSON response is one buffered write: the body is encoded in
+// full before the status line goes out, sent with a Content-Length in
+// a single Write, and a body that cannot be encoded is answered with
+// the structured 500 below instead of a truncated 200. Bodies are byte
+// for byte what encoding/json writes (json.Encoder.Encode, HTML-safe
+// escaping and trailing newline included), whether a payload is
+// encoded by hand — the instance-list and timeline pages, the move
+// payload of advance and migrate-accept, the cockpit summary — or by
+// encoding/json itself.
+//
 // # Errors
 //
 // Every 4xx/5xx response from every route is a JSON object
@@ -100,6 +112,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/liquidpub/gelee/internal/actionlib"
@@ -181,6 +194,9 @@ type Server struct {
 	b    Backend
 	opts Options
 	mux  *http.ServeMux
+	// byModel caches the encoded by_model block of the newest cockpit
+	// summary version this server sent (see summaryBody).
+	byModel atomic.Pointer[byModelBlock]
 }
 
 // New builds the server and its routing table.
@@ -314,12 +330,6 @@ func (s *Server) authed(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // ---- helpers -----------------------------------------------------------------
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
 
 // apiError is the structured shape of every 4xx/5xx response (see the
 // package doc's Errors section): a stable machine-readable code, the
@@ -462,7 +472,7 @@ func toInstancePayload(s runtime.Snapshot, full bool) instancePayload {
 
 // toSummaryPayload maps a runtime.Summary onto the same wire shape as
 // the snapshot-backed payload with histories omitted.
-func toSummaryPayload(sum runtime.Summary) instancePayload {
+func toSummaryPayload(sum *runtime.Summary) instancePayload {
 	p := instancePayload{
 		ID:            sum.ID,
 		ModelURI:      sum.ModelURI,
@@ -484,7 +494,7 @@ func toSummaryPayload(sum runtime.Summary) instancePayload {
 // shape: the summary fields plus only the events the move appended (the
 // executions list is available via GET /instances/{id} or ?full=1).
 func toMovePayload(res runtime.MoveResult) instancePayload {
-	p := toSummaryPayload(res.Summary)
+	p := toSummaryPayload(&res.Summary)
 	p.Events = res.Events
 	return p
 }
@@ -497,16 +507,6 @@ func wantFull(r *http.Request) bool { return r.URL.Query().Get("full") == "1" }
 //
 // One cursor shape for every paged collection (see the package doc's
 // Paging envelope section): {items, total, next_after}.
-
-// instancesPage is the envelope of the instance list.
-type instancesPage struct {
-	Items []instancePayload `json:"items"`
-	// Total is runtime.SummaryPage.Total: the matches with seq > after,
-	// the whole population for an unfiltered page, and 0 (unknown) for
-	// a filter naming neither resource nor model.
-	Total     int   `json:"total"`
-	NextAfter int64 `json:"next_after,omitempty"`
-}
 
 // timelinePage is the envelope of both timeline routes, wrapping the
 // monitor's page with the uniform field names.
@@ -730,7 +730,8 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, toInstancePayload(snap, true))
+	p := toInstancePayload(snap, true)
+	writeJSON(w, http.StatusCreated, &p)
 }
 
 func (s *Server) handleListInstances(w http.ResponseWriter, r *http.Request) {
@@ -749,16 +750,8 @@ func (s *Server) handleListInstances(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	page := s.b.QuerySummaries(f, after, limit)
-	items := make([]instancePayload, len(page.Summaries))
-	for i, sum := range page.Summaries {
-		items[i] = toSummaryPayload(sum)
-	}
-	writeJSON(w, http.StatusOK, instancesPage{
-		Items:     items,
-		Total:     page.Total,
-		NextAfter: page.NextAfter,
-	})
+	page := summaryPage(s.b.QuerySummaries(f, after, limit))
+	writeJSON(w, http.StatusOK, &page)
 }
 
 func (s *Server) handleGetInstance(w http.ResponseWriter, r *http.Request) {
@@ -767,7 +760,8 @@ func (s *Server) handleGetInstance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, toInstancePayload(snap, true))
+	p := toInstancePayload(snap, true)
+	writeJSON(w, http.StatusOK, &p)
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
@@ -793,7 +787,8 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toInstancePayload(snap, true))
+		p := toInstancePayload(snap, true)
+		writeJSON(w, http.StatusOK, &p)
 		return
 	}
 	res, err := s.b.AdvanceSummary(r.PathValue("id"), req.To, s.user(r), opts)
@@ -801,7 +796,8 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toMovePayload(res))
+	p := toMovePayload(res)
+	writeJSON(w, http.StatusOK, &p)
 }
 
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
@@ -853,7 +849,8 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 				writeError(w, statusFor(err), err)
 				return
 			}
-			writeJSON(w, http.StatusOK, toInstancePayload(snap, true))
+			p := toInstancePayload(snap, true)
+			writeJSON(w, http.StatusOK, &p)
 			return
 		}
 		res, err := s.b.AcceptChangeSummary(r.PathValue("id"), s.user(r), req.Landing)
@@ -861,7 +858,8 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toMovePayload(res))
+		p := toMovePayload(res)
+		writeJSON(w, http.StatusOK, &p)
 	case "reject":
 		if err := s.b.RejectChange(r.PathValue("id"), s.user(r), req.Note); err != nil {
 			writeError(w, statusFor(err), err)
@@ -989,7 +987,8 @@ func (s *Server) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMonitorSummary(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.b.Monitor().Summarize())
+	sum := s.b.Monitor().Summarize()
+	writeJSON(w, http.StatusOK, summaryBody{sum: &sum, cache: &s.byModel})
 }
 
 func (s *Server) handleMonitorOverview(w http.ResponseWriter, r *http.Request) {
@@ -1039,7 +1038,8 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toTimelinePage(page))
+	tp := toTimelinePage(page)
+	writeJSON(w, http.StatusOK, &tp)
 }
 
 // queryInt parses an optional non-negative integer query value.
@@ -1076,7 +1076,8 @@ func widgetStatus(err error) int {
 	case errors.Is(err, widget.ErrDenied):
 		return http.StatusForbidden
 	}
-	return http.StatusBadRequest
+	// Rendering failures and unreadable history archives.
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleWidgetHTML(w http.ResponseWriter, r *http.Request) {

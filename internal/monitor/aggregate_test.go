@@ -255,6 +255,10 @@ func stepBackPastLate(src Source, clock *vclock.Fake) bool {
 func checkAgainstScan(t *testing.T, mon *Monitor, src Source, now time.Time, when string) Summary {
 	t.Helper()
 	got := mon.Summarize()
+	if got.ByModelVersion == 0 {
+		t.Fatalf("%s: summary carries no by_model version", when)
+	}
+	got.ByModelVersion = 0 // a version counts changes, which a scan cannot see
 	want := scanSummary(src, now)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: aggregate diverged from the scan\n got %+v\nwant %+v", when, got, want)
@@ -447,4 +451,70 @@ func TestCockpitAggregateConcurrent(t *testing.T) {
 		t.Fatal("nothing late 40 days on; the lateness path went untested")
 	}
 	checkAgainstScan(t, mon, rt, clock.Now(), "quiescent, clock stepped back")
+}
+
+// TestCockpitAggregateByModelVersion: the by_model breakdown carries a
+// version that moves only when an instance is first counted or
+// switches model, every summary of one version shares one read-only
+// map, and a map handed out earlier never changes under its reader.
+func TestCockpitAggregateByModelVersion(t *testing.T) {
+	clock := vclock.NewFake(aggT0)
+	rt := aggRuntime(t, clock, nil, 0)
+	mon := New(rt, clock)
+	models := aggModels()
+	ref := resource.Ref{URI: "urn:doc:v1", Type: "doc"}
+	snap, err := rt.Instantiate(models[0], ref, "owner", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mon.Summarize()
+	same := func(a, b map[string]int) bool {
+		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	}
+
+	// Mutations that keep every instance's model keep the version.
+	if _, err := rt.Advance(snap.ID, "a2", "owner", runtime.AdvanceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Annotate(snap.ID, "owner", "note"); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(40 * 24 * time.Hour)
+	again := mon.Summarize()
+	if again.ByModelVersion != first.ByModelVersion || !same(again.ByModel, first.ByModel) {
+		t.Fatalf("version %d → %d (shared map %t) with no model change",
+			first.ByModelVersion, again.ByModelVersion, same(again.ByModel, first.ByModel))
+	}
+	if again.Late != 1 || again.ByPhase["Review"] != 1 {
+		t.Fatalf("the rest of the summary did not move: %+v", again)
+	}
+
+	// A new instance and a model switch each move it.
+	versions := map[uint64]bool{first.ByModelVersion: true}
+	if _, err := rt.Instantiate(models[1], resource.Ref{URI: "urn:doc:v2", Type: "doc"}, "owner", nil); err != nil {
+		t.Fatal(err)
+	}
+	created := mon.Summarize()
+	if _, err := rt.SwitchModelSummary(snap.ID, "owner", models[3], "b1"); err != nil {
+		t.Fatal(err)
+	}
+	switched := mon.Summarize()
+	for _, s := range []Summary{created, switched} {
+		if versions[s.ByModelVersion] {
+			t.Fatalf("version %d reused after a by_model change", s.ByModelVersion)
+		}
+		versions[s.ByModelVersion] = true
+	}
+	for _, c := range []struct {
+		got  map[string]int
+		want map[string]int
+	}{
+		{first.ByModel, map[string]int{"Alpha": 1}},
+		{created.ByModel, map[string]int{"Alpha": 1, "Beta": 1}},
+		{switched.ByModel, map[string]int{"Beta": 1, "Beta v2": 1}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("by_model = %v, want %v", c.got, c.want)
+		}
+	}
 }

@@ -163,10 +163,16 @@ type Summary struct {
 	NotStarted int            `json:"not_started"` // token still at BEGIN
 	Late       int            `json:"late"`
 	ByPhase    map[string]int `json:"by_phase"` // phase display name -> count
+	// ByModel is read-only: one map is shared by every summary of the
+	// same ByModelVersion (see runtime.Aggregate).
 	ByModel    map[string]int `json:"by_model"`
 	Deviations int            `json:"deviations"`
 	Failed     int            `json:"failed_actions"`
 	Proposals  int            `json:"pending_proposals"`
+	// ByModelVersion identifies ByModel's contents: equal versions
+	// from one source mean equal maps, so a writer may cache ByModel's
+	// encoding per version. 0 means unversioned.
+	ByModelVersion uint64 `json:"-"`
 }
 
 // Summarize reports the cockpit's headline numbers — the "picture of
@@ -187,6 +193,8 @@ func (m *Monitor) Summarize() Summary {
 		Deviations: a.Deviations,
 		Failed:     a.FailedSteps,
 		Proposals:  a.Proposals,
+
+		ByModelVersion: a.ByModelVersion,
 	}
 }
 

@@ -42,8 +42,8 @@ import (
 const NotStartedPhase = "(not started)"
 
 // Aggregate is the cockpit's headline numbers over the whole
-// population at one instant — the monitor's summary view. The maps are
-// fresh copies owned by the caller.
+// population at one instant — the monitor's summary view. ByPhase is a
+// fresh copy owned by the caller; ByModel is shared and read-only.
 type Aggregate struct {
 	Total      int
 	Active     int
@@ -53,11 +53,16 @@ type Aggregate struct {
 	// ByPhase counts instances by current phase display name (the
 	// phase id when the phase is unnamed; NotStartedPhase at BEGIN).
 	ByPhase map[string]int
-	// ByModel counts instances by model display name.
-	ByModel     map[string]int
-	Deviations  int // deviating phase entries, summed
-	FailedSteps int // failed action executions, summed
-	Proposals   int // instances with a pending change proposal
+	// ByModel counts instances by model display name. It is one
+	// read-only snapshot per ByModelVersion, shared by every read of
+	// that version: callers must not modify it.
+	ByModel map[string]int
+	// ByModelVersion changes exactly when ByModel's contents may have:
+	// an instance was first counted or changed model. It is never 0.
+	ByModelVersion uint64
+	Deviations     int // deviating phase entries, summed
+	FailedSteps    int // failed action executions, summed
+	Proposals      int // instances with a pending change proposal
 }
 
 // aggContrib is what one instance adds to the aggregate. The fields
@@ -162,17 +167,24 @@ type aggregate struct {
 	proposals  int
 	byPhase    map[string]int // "" = not started
 	byModel    map[string]int
-	pending    dueHeap   // late-eligible, not late at swept
-	late       dueHeap   // late-eligible, late at swept
-	swept      time.Time // last instant read, wall clock only
-	rewinds    int64     // reads that swept backwards
+	// byModelVer is bumped whenever byModel changes; byModelSnap is
+	// the read-only copy of byModel Aggregate handed out at
+	// byModelSnapVer.
+	byModelVer     uint64
+	byModelSnap    map[string]int
+	byModelSnapVer uint64
+	pending        dueHeap   // late-eligible, not late at swept
+	late           dueHeap   // late-eligible, late at swept
+	swept          time.Time // last instant read, wall clock only
+	rewinds        int64     // reads that swept backwards
 }
 
 func newAggregate() *aggregate {
 	return &aggregate{
-		byPhase: make(map[string]int),
-		byModel: make(map[string]int),
-		late:    dueHeap{latest: true},
+		byPhase:    make(map[string]int),
+		byModel:    make(map[string]int),
+		byModelVer: 1,
+		late:       dueHeap{latest: true},
 	}
 }
 
@@ -189,7 +201,10 @@ func (a *aggregate) recount(old, cur *aggContrib) {
 		a.countState(cur.state, 1)
 	}
 	rekey(a.byPhase, old.counted, old.phase, cur.phase)
-	rekey(a.byModel, old.counted, old.model, cur.model)
+	if !old.counted || old.model != cur.model {
+		rekey(a.byModel, old.counted, old.model, cur.model)
+		a.byModelVer++
+	}
 	a.deviations += cur.deviations - old.deviations
 	a.failed += cur.failed - old.failed
 	if old.proposal != cur.proposal {
@@ -309,25 +324,32 @@ func (r *Runtime) aggSync(in *instance) {
 
 // Aggregate returns the cockpit's headline numbers over the whole
 // population, with lateness evaluated at now — the same predicate as
-// Summary.Late. It costs O(phases + models) plus O(log n) per instance
-// whose lateness changed since the previous read; the population is
-// never walked. Concurrent mutations are counted either wholly or not
-// at all, so each number is consistent with some interleaving.
+// Summary.Late. It costs O(phases) plus O(log n) per instance whose
+// lateness changed since the previous read, plus an O(models) copy of
+// the by-model breakdown on the first read after it changed; the
+// population is never walked. Concurrent mutations are counted either
+// wholly or not at all, so each number is consistent with some
+// interleaving.
 func (r *Runtime) Aggregate(now time.Time) Aggregate {
 	a := r.agg
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.sweep(now)
+	if a.byModelSnapVer != a.byModelVer {
+		a.byModelSnap = maps.Clone(a.byModel)
+		a.byModelSnapVer = a.byModelVer
+	}
 	out := Aggregate{
-		Total:       a.total,
-		Active:      a.active,
-		Completed:   a.completed,
-		Late:        a.late.Len(),
-		ByPhase:     make(map[string]int, len(a.byPhase)),
-		ByModel:     maps.Clone(a.byModel),
-		Deviations:  a.deviations,
-		FailedSteps: a.failed,
-		Proposals:   a.proposals,
+		Total:          a.total,
+		Active:         a.active,
+		Completed:      a.completed,
+		Late:           a.late.Len(),
+		ByPhase:        make(map[string]int, len(a.byPhase)),
+		ByModel:        a.byModelSnap,
+		ByModelVersion: a.byModelVer,
+		Deviations:     a.deviations,
+		FailedSteps:    a.failed,
+		Proposals:      a.proposals,
 	}
 	for k, n := range a.byPhase {
 		if k == "" {

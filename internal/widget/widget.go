@@ -7,9 +7,9 @@ package widget
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"html/template"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -20,9 +20,12 @@ import (
 	"github.com/liquidpub/gelee/internal/vclock"
 )
 
-// Source supplies instance snapshots — satisfied by *runtime.Runtime.
+// Source supplies instance snapshots, summaries and event-history
+// pages — satisfied by *runtime.Runtime.
 type Source interface {
 	Instance(id string) (runtime.Snapshot, bool)
+	Summary(id string) (runtime.Summary, bool)
+	Events(id string, after, limit int) (runtime.EventPage, error)
 }
 
 // ErrDenied is returned when the viewer may not see the widget.
@@ -248,26 +251,39 @@ type rssItem struct {
 	GUID    string `xml:"guid"`
 }
 
-// Feed renders the instance history as an RSS 2.0 feed, newest first.
+// FeedItems is the number of events a feed carries: the newest ones.
+const FeedItems = 50
+
+// Feed renders the newest FeedItems events of the instance history as
+// an RSS 2.0 feed, newest first. It pages the runtime's event history,
+// not the in-memory ring, so a ring-truncated instance feeds the same
+// items as one that kept every event; an event recorded between the
+// total and the page read waits for the next fetch.
 func (r *Renderer) Feed(instanceID, viewer string) ([]byte, error) {
-	snap, ok := r.src.Instance(instanceID)
+	sum, ok := r.src.Summary(instanceID)
 	if !ok {
 		return nil, ErrNotFound
 	}
 	if !r.allowed(viewer, instanceID) {
 		return nil, fmt.Errorf("%w: %q on %s", ErrDenied, viewer, instanceID)
 	}
+	page, err := r.src.Events(instanceID, max(sum.Events-FeedItems, 0), FeedItems)
+	if errors.Is(err, runtime.ErrNotFound) {
+		return nil, ErrNotFound
+	}
+	if err != nil {
+		return nil, fmt.Errorf("widget: feed: %w", err)
+	}
 	feed := rssFeed{
 		Version: "2.0",
 		Channel: rssChannel{
-			Title: snap.Model.Name + " — " + snap.Resource.URI,
-			Link:  snap.Resource.URI,
-			Desc:  "Gelee lifecycle events for " + snap.ID,
+			Title: sum.ModelName + " — " + sum.Resource.URI,
+			Link:  sum.Resource.URI,
+			Desc:  "Gelee lifecycle events for " + sum.ID,
 		},
 	}
-	events := append([]runtime.Event(nil), snap.Events...)
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq > events[j].Seq })
-	for _, ev := range events {
+	for i := len(page.Events) - 1; i >= 0; i-- {
+		ev := page.Events[i]
 		title := string(ev.Kind)
 		if ev.Phase != "" {
 			title += ": " + ev.Phase
@@ -276,7 +292,7 @@ func (r *Renderer) Feed(instanceID, viewer string) ([]byte, error) {
 			Title:   title,
 			Desc:    ev.Detail,
 			PubDate: ev.Time.Format(time.RFC1123Z),
-			GUID:    fmt.Sprintf("%s#%d", snap.ID, ev.Seq),
+			GUID:    fmt.Sprintf("%s#%d", sum.ID, ev.Seq),
 		})
 	}
 	out, err := xml.MarshalIndent(feed, "", "  ")
