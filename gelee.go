@@ -607,7 +607,9 @@ func New(opts Options) (*System, error) {
 			return nil, fmt.Errorf("gelee: replay instance journal: %w", err)
 		}
 		rt.FinishRecovery()
-		s.instances.SetSnapshotSource(rt.EmitSnapshots)
+		s.instances.SetSnapshotSource(func(w *store.SnapshotWriter) (func(), error) {
+			return rt.EmitSnapshots(w)
+		})
 	}
 
 	// Admission control: the mutation gate sheds when the commit
@@ -792,14 +794,18 @@ func (p aclPolicy) CanFollow(actor, inst, target string) bool {
 
 // instanceSink adapts the store's instance collection to the runtime's
 // Journal seam: marshal the typed record, append it durably under the
-// instance's key. Record is called under the mutated instance's lock,
-// which is what gives the journal per-instance mutation order.
+// instance's key — or, for a model body, as a shared record under its
+// digest. Record is called under the mutated instance's lock, which is
+// what gives the journal per-instance mutation order.
 type instanceSink struct{ coll *store.Instances }
 
 func (s instanceSink) Record(rec *runtime.JournalRecord) error {
 	data, err := rec.Encode()
 	if err != nil {
 		return fmt.Errorf("gelee: encode instance record: %w", err)
+	}
+	if rec.Op == runtime.RecModel {
+		return s.coll.AppendShared(rec.Instance, data)
 	}
 	return s.coll.Append(rec.Instance, data)
 }
@@ -1149,7 +1155,9 @@ func (s *System) Instantiate(modelURI string, ref resource.Ref, owner string, bi
 	if err := s.Resources.Check(ref); err != nil {
 		return runtime.Snapshot{}, err
 	}
-	snap, err := s.Runtime.Instantiate(m, ref, owner, bindings)
+	// Stored models are replaced on redefinition, never edited, so the
+	// runtime may share m as it is and find it again by pointer.
+	snap, err := s.Runtime.InstantiateShared(m, ref, owner, bindings)
 	if err != nil {
 		return runtime.Snapshot{}, err
 	}
@@ -1175,7 +1183,7 @@ func (s *System) RecoveryStats() runtime.RecoveryStats {
 }
 
 // Propagate saves the new model version and proposes it to every
-// running instance created from the same URI; owners decide
+// running instance that follows the same URI; owners decide
 // individually (§IV.B). It returns the number of instances notified.
 func (s *System) Propagate(actor string, m *core.Model, note string) (int, error) {
 	if m == nil {
@@ -1187,15 +1195,9 @@ func (s *System) Propagate(actor string, m *core.Model, note string) (int, error
 	if err := s.DefineModel(actor, m); err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, snap := range s.Runtime.ByModelURI(m.URI) {
-		if snap.State == runtime.StateCompleted {
-			continue
-		}
-		if err := s.Runtime.ProposeChange(snap.ID, actor, m, note); err != nil {
-			return n, err
-		}
-		n++
+	n, err := s.Runtime.PropagateChange(actor, m, note)
+	if err != nil {
+		return n, err
 	}
 	_, _ = s.execLog.Append(store.LogEntry{Kind: "model-propagated", Actor: actor,
 		Detail: fmt.Sprintf("%s to %d instance(s)", m.URI, n)})

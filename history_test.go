@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/liquidpub/gelee/internal/resource"
 	"github.com/liquidpub/gelee/internal/scenario"
 	"github.com/liquidpub/gelee/internal/store"
 	"github.com/liquidpub/gelee/internal/vclock"
@@ -497,5 +498,95 @@ func TestWidgetFeedIdenticalWhenRingTruncated(t *testing.T) {
 	defer sys.Close()
 	if got := feed(sys, id); got != want {
 		t.Fatalf("feed after restart differs from the unbounded twin's:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWidgetViewIdenticalWhenRingTruncated: the widget view of an
+// instance whose ring holds 4 events — its phase-entered events long
+// truncated out of memory — equals that of an unbounded twin, visited
+// marks included: live, after a Compact archives the truncated events,
+// and after a restart.
+func TestWidgetViewIdenticalWhenRingTruncated(t *testing.T) {
+	start := time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC)
+	open := func(dir string, ring int) *System {
+		opts := restartOpts(dir, vclock.NewFake(start))
+		opts.MaxEventsInMemory = ring
+		sys, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	drive := func(sys *System) string {
+		model := scenario.QualityPlan()
+		if err := sys.DefineModel("", model); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sys.Instantiate(model.URI, seedWikiDeliverable(t, sys, "V1"), "owner", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := sys.opts.Clock.(*vclock.Fake)
+		for _, phase := range []string{"elaboration", "internalreview", "elaboration"} {
+			clock.Advance(time.Hour)
+			if _, err := sys.Advance(snap.ID, phase, "owner", AdvanceOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range 12 {
+			clock.Advance(time.Minute)
+			if err := sys.Annotate(snap.ID, "owner", fmt.Sprintf("note %d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return snap.ID
+	}
+	// The lifecycle side of the view; the resource rendering comes from
+	// the in-memory simulators and the render time from the clock,
+	// neither of which outlives the process.
+	view := func(sys *System, id string) string {
+		t.Helper()
+		v, err := sys.Widgets().View(id, "owner")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Resource, v.RenderedAt, v.Late = resource.Rendering{}, time.Time{}, false
+		return string(mustMarshal(t, v))
+	}
+
+	twin := open(t.TempDir(), 0)
+	defer twin.Close()
+	want := view(twin, drive(twin))
+	for _, phase := range []string{"elaboration", "internalreview"} {
+		if !strings.Contains(want, fmt.Sprintf(`"id":%q,`, phase)) {
+			t.Fatalf("twin view lacks phase %s: %s", phase, want)
+		}
+	}
+	if n := strings.Count(want, `"visited":true`); n != 2 {
+		t.Fatalf("twin view marks %d phases visited, want 2: %s", n, want)
+	}
+
+	dir := t.TempDir()
+	sys := open(dir, 4)
+	id := drive(sys)
+	if sum, _ := sys.Summary(id); sum.TruncatedEvents < 4 {
+		t.Fatalf("ring truncated only %d of %d events", sum.TruncatedEvents, sum.Events)
+	}
+	if got := view(sys, id); got != want {
+		t.Fatalf("live view differs from the unbounded twin's:\n got %s\nwant %s", got, want)
+	}
+	if err := sys.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := view(sys, id); got != want {
+		t.Fatalf("view after Compact differs from the unbounded twin's:\n got %s\nwant %s", got, want)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys = open(dir, 4)
+	defer sys.Close()
+	if got := view(sys, id); got != want {
+		t.Fatalf("view after restart differs from the unbounded twin's:\n got %s\nwant %s", got, want)
 	}
 }

@@ -172,9 +172,9 @@ type Transition struct {
 }
 
 // Model is a lifecycle definition: the unit the designer edits, the XML
-// of Table I serializes, and instantiation deep-copies (light coupling,
-// §IV.B). URI identifies the model; ResourceTypes are only *suggested*
-// types — they restrict nothing at run time.
+// of Table I serializes, and instances follow as an immutable version
+// (light coupling, §IV.B). URI identifies the model; ResourceTypes are
+// only *suggested* types — they restrict nothing at run time.
 type Model struct {
 	URI           string
 	Name          string
@@ -280,8 +280,9 @@ func (m *Model) SuggestsType(resourceType string) bool {
 	return false
 }
 
-// Clone returns a deep copy of the model. Instantiation clones so that
-// later edits to the model never leak into running instances — the
+// Clone returns a deep copy of the model. The runtime clones a model
+// before it becomes a shared, immutable version, so that later edits
+// to the caller's model never leak into running instances — the
 // paper's light coupling between models and instances.
 func (m *Model) Clone() *Model {
 	c := *m

@@ -21,6 +21,13 @@ import (
 // scanSummary is the reference oracle for Summarize: a full recount
 // over every instance's summary, the way the monitor computed the
 // cockpit numbers before the runtime maintained them.
+// emitFunc adapts one callback to runtime.SnapshotWriter: the head's
+// model records and the instance records alike, in write order.
+type emitFunc func(id string, data []byte) error
+
+func (f emitFunc) Head(key string, data []byte) error { return f(key, data) }
+func (f emitFunc) Emit(id string, data []byte) error  { return f(id, data) }
+
 func scanSummary(src Source, now time.Time) Summary {
 	sum := Summary{ByPhase: make(map[string]int), ByModel: make(map[string]int)}
 	src.ForEachSummary(runtime.Filter{}, 0, func(s runtime.Summary) bool {
@@ -327,10 +334,10 @@ func TestCockpitAggregateMatchesScan(t *testing.T) {
 	// Compact: one snapshot image per instance, then a journal tail
 	// written after it.
 	var images []rec
-	if _, err := rt.EmitSnapshots(func(id string, data []byte) error {
+	if _, err := rt.EmitSnapshots(emitFunc(func(id string, data []byte) error {
 		images = append(images, rec{id, append([]byte(nil), data...)})
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

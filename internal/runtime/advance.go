@@ -73,7 +73,7 @@ func (r *Runtime) advance(instID, toPhase, actor string, opts AdvanceOptions, pr
 		return fmt.Errorf("%w: %s", ErrNotFound, instID)
 	}
 	in.mu.Lock()
-	target, ok := in.model.Phase(toPhase)
+	target, ok := in.model.model.Phase(toPhase)
 	if !ok {
 		in.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownPhase, toPhase)
@@ -84,7 +84,7 @@ func (r *Runtime) advance(instID, toPhase, actor string, opts AdvanceOptions, pr
 	if fromNode == "" {
 		fromNode = core.Begin
 	}
-	suggested := in.model.Suggests(fromNode, toPhase)
+	suggested := in.model.model.Suggests(fromNode, toPhase)
 	if suggested {
 		if !r.policy.CanFollow(actor, instID, toPhase) {
 			in.mu.Unlock()

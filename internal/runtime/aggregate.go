@@ -98,7 +98,7 @@ func (in *instance) contribution() aggContrib {
 	c := aggContrib{
 		counted:    true,
 		state:      in.state,
-		model:      in.model.Name,
+		model:      in.model.model.Name,
 		deviations: in.deviations,
 		failed:     in.failedSteps,
 		proposal:   in.pending != nil,

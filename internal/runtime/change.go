@@ -13,32 +13,79 @@ import (
 //
 // The proposal is attached to the instance; nothing changes until the
 // owner decides. A second proposal replaces an undecided first one (the
-// designer iterated), which is recorded in history.
+// designer iterated), which is recorded in history. The proposed
+// version enters the model table as it is now; later edits to newModel
+// do not reach the proposal.
 func (r *Runtime) ProposeChange(instID, proposer string, newModel *core.Model, note string) error {
 	if newModel == nil {
 		return fmt.Errorf("runtime: nil model proposed")
 	}
-	if err := newModel.Validate(); err != nil {
+	e, err := r.models.acquire(newModel)
+	if err != nil {
 		return err
 	}
 	in, ok := r.lookup(instID)
 	if !ok {
+		r.models.release(e)
 		return fmt.Errorf("%w: %s", ErrNotFound, instID)
 	}
 	in.mu.Lock()
+	defer in.mu.Unlock()
+	return r.proposeLocked(in, proposer, e, note)
+}
+
+// PropagateChange proposes newModel to every active instance that
+// follows its URI, walking the model index — no instance is copied —
+// and returns how many instances received the proposal. The version
+// enters the model table once, and its body reaches the journal at
+// most once however many instances it is offered to.
+func (r *Runtime) PropagateChange(proposer string, newModel *core.Model, note string) (int, error) {
+	if newModel == nil {
+		return 0, fmt.Errorf("runtime: nil model proposed")
+	}
+	e, err := r.models.acquire(newModel)
+	if err != nil {
+		return 0, err
+	}
+	defer r.models.release(e)
+	refs, uri := r.byModel.after(e.model.URI, 0)
+	n := 0
+	for _, in := range refs {
+		in.mu.Lock()
+		if in.modelURI != uri || in.state == StateCompleted {
+			in.mu.Unlock()
+			continue
+		}
+		r.models.retain(e)
+		err := r.proposeLocked(in, proposer, e, note)
+		in.mu.Unlock()
+		if err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+// proposeLocked journals and applies a proposal of e, taking over one
+// reference on it (released if the commit fails); callers hold in.mu.
+func (r *Runtime) proposeLocked(in *instance, proposer string, e *modelEntry, note string) error {
 	rec := &JournalRecord{
-		Op: RecPropose, Instance: instID,
+		Op: RecPropose, Instance: in.id,
 		Proposer: proposer, ProposedAt: r.clock.Now(), Note: note,
-		Model: newModel.Clone(), DiffSummary: core.DiffModels(in.model, newModel).String(),
+		ModelDigest: e.digest, DiffSummary: core.DiffModels(in.model.model, e.model).String(),
+		entry: e,
 	}
 	detail := rec.DiffSummary
 	if in.pending != nil {
 		detail += " (replaces an undecided proposal)"
 	}
 	rec.Events = r.stamp(in, nil, Event{Kind: EventChangeProposed, Actor: proposer, Detail: detail, Phase: in.current})
-	err := r.commitLocked(in, rec)
-	in.mu.Unlock()
-	return err
+	if err := r.commitLocked(in, rec); err != nil {
+		r.models.release(e)
+		return err
+	}
+	return nil
 }
 
 // AcceptChange applies the pending proposal. landing names the phase the
@@ -83,7 +130,7 @@ func (r *Runtime) acceptChange(instID, actor, landing string, project func(*inst
 		in.mu.Unlock()
 		return fmt.Errorf("%w on %s", ErrNoPending, instID)
 	}
-	rec, err := r.migrationRecord(in, RecAccept, actor, landing, in.pending.NewModel, in.pending.Summary)
+	rec, err := r.migrationRecord(in, RecAccept, actor, landing, in.pending.entry.model, in.pending.Summary)
 	if err == nil {
 		err = r.commitLocked(in, rec)
 	}
@@ -199,28 +246,30 @@ func (r *Runtime) switchModel(instID, actor string, newModel *core.Model, landin
 	if newModel == nil {
 		return fmt.Errorf("runtime: nil model")
 	}
-	if err := newModel.Validate(); err != nil {
+	e, err := r.models.acquire(newModel)
+	if err != nil {
 		return err
 	}
 	in, ok := r.lookup(instID)
 	if !ok {
+		r.models.release(e)
 		return fmt.Errorf("%w: %s", ErrNotFound, instID)
 	}
 	if !r.policy.CanDrive(actor, instID) {
+		r.models.release(e)
 		return fmt.Errorf("%w: %s may not switch the model of %s", ErrForbidden, actor, instID)
 	}
-	model := newModel.Clone()
 	in.mu.Lock()
-	rec, err := r.migrationRecord(in, RecSwitch, actor, landing, model, core.DiffModels(in.model, newModel).String())
+	defer in.mu.Unlock()
+	rec, err := r.migrationRecord(in, RecSwitch, actor, landing, e.model, core.DiffModels(in.model.model, e.model).String())
 	if err == nil {
-		rec.Proposer, rec.Model, rec.ModelURI = actor, model, model.URI
+		rec.Proposer, rec.ModelDigest, rec.ModelURI, rec.entry = actor, e.digest, e.model.URI, e
 		err = r.commitLocked(in, rec)
 	}
 	if err != nil {
-		in.mu.Unlock()
+		r.models.release(e)
 		return err
 	}
 	project(in, rec.Events)
-	in.mu.Unlock()
 	return nil
 }

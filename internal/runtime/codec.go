@@ -4,10 +4,11 @@ package runtime
 // persisted mutation, under the instance lock, so it is hand-rolled
 // for the hot record shapes: a token move's record costs more to
 // marshal through encoding/json reflection than the move itself costs
-// to apply. Records carrying the rare deep payloads — a model, a
+// to apply. Records carrying the rare deep payloads — a model body, a
 // resource ref, binding maps — fall back to json.Marshal; they occur
-// once per instance (instantiate) or per human decision (propose,
-// switch, bind), not per move. Decoding is always encoding/json
+// once per instance (instantiate), per model version and journal
+// generation (RecModel) or per bind, not per move. Propose and switch
+// records name their model by digest and take the fast path. Decoding is always encoding/json
 // (ApplyJournal), and TestCodecEquivalence pins that the fast encoder
 // and the reflection encoder decode to identical records.
 
@@ -49,6 +50,10 @@ func (rec *JournalRecord) Encode() ([]byte, error) {
 	if !rec.CreatedAt.IsZero() {
 		buf = append(buf, `,"created_at":`...)
 		buf = jsonenc.AppendTime(buf, rec.CreatedAt)
+	}
+	if rec.ModelDigest != "" {
+		buf = append(buf, `,"model_digest":`...)
+		buf = jsonenc.AppendString(buf, rec.ModelDigest)
 	}
 	if rec.To != "" {
 		buf = append(buf, `,"to":`...)

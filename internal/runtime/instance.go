@@ -76,8 +76,16 @@ type ChangeProposal struct {
 	ProposedBy string      `json:"proposed_by"`
 	ProposedAt time.Time   `json:"proposed_at"`
 	Note       string      `json:"note,omitempty"`
-	NewModel   *core.Model `json:"new_model"`
+	NewModel   *core.Model `json:"new_model,omitempty"`
 	Summary    string      `json:"summary"` // human-readable core.Diff
+}
+
+// pendingChange is an instance's undecided proposal: what the owner
+// sees, plus the shared table entry of the offered version (the
+// proposal's NewModel is that entry's model).
+type pendingChange struct {
+	ChangeProposal
+	entry *modelEntry
 }
 
 // instance is the mutable runtime record. Fields below mu are guarded
@@ -96,10 +104,15 @@ type instance struct {
 
 	// mu guards every field below, plus modelURI. It is the only lock
 	// held while mutating or deep-copying instance state.
-	mu          sync.Mutex
-	model       *core.Model // self-contained copy (light coupling)
-	mcache      modelCache  // slices derived from model, rebuilt on swap
-	modelURI    string      // provenance only; never followed at run time
+	mu sync.Mutex
+	// model is the version the instance follows: a shared, immutable
+	// entry of the runtime's model table, never edited in place — a
+	// migration or switch points the instance at another entry, so
+	// designer edits never reach it (light coupling).
+	model *modelEntry
+	// modelURI is provenance only, never followed at run time; it is the
+	// model index's key string, so filters compare it by pointer.
+	modelURI    string
 	state       State
 	current     string // phase id; empty = token still at BEGIN
 	completedAt time.Time
@@ -129,7 +142,7 @@ type instance struct {
 	pendingInvs int                         // executions not yet terminal
 	executions  map[string]*ActionExecution // by invocation id
 	execOrder   []string
-	pending     *ChangeProposal
+	pending     *pendingChange
 	// Per-phase stats, maintained on every phase-entered event (and so
 	// rebuilt on replay): entered counts, completed residence, and the
 	// phase currently accruing residence since residSince. Truncation-
@@ -155,7 +168,7 @@ func (in *instance) currentPhase() (*core.Phase, time.Time) {
 	if in.current == "" {
 		return nil, time.Time{}
 	}
-	p, ok := in.model.Phase(in.current)
+	p, ok := in.model.model.Phase(in.current)
 	if !ok {
 		return nil, time.Time{}
 	}
@@ -177,9 +190,11 @@ func (in *instance) notePhaseEntered(phase string, at time.Time) {
 }
 
 // Snapshot is an immutable copy of an instance's observable state.
-// Model points at the instance's own model copy; treat it as read-only
-// (the runtime never mutates a model in place — migration swaps in a
-// fresh clone, so shared snapshots stay stable).
+// Model points at the model version the instance follows, shared with
+// every instance of that version through the runtime's model table;
+// treat it as read-only (the runtime never mutates a model in place —
+// migration points the instance at another version, so shared
+// snapshots stay stable).
 type Snapshot struct {
 	ID           string                       `json:"id"`
 	Model        *core.Model                  `json:"-"`
@@ -199,10 +214,10 @@ type Snapshot struct {
 
 // modelCache holds the slices a summary needs that would otherwise be
 // re-derived from the model on every listing — phase ids, initial
-// phases and suggested targets per phase. It is rebuilt whenever a new
-// model is installed (instantiation, migration, owner switch) and its
-// slices are handed out to summaries without copying, so they must be
-// treated as read-only, like Snapshot.Model.
+// phases and suggested targets per phase. It is built once per model
+// version, when the version enters the model table, and its slices are
+// handed out to summaries without copying, so they must be treated as
+// read-only, like Snapshot.Model.
 type modelCache struct {
 	phaseIDs  []string
 	initial   []string
@@ -226,7 +241,7 @@ func buildModelCache(m *core.Model) modelCache {
 func (in *instance) snapshot() Snapshot {
 	s := Snapshot{
 		ID:          in.id,
-		Model:       in.model,
+		Model:       in.model.model,
 		ModelURI:    in.modelURI,
 		Resource:    in.res.Clone(),
 		Owner:       in.owner,
@@ -241,7 +256,7 @@ func (in *instance) snapshot() Snapshot {
 		s.Executions = append(s.Executions, *in.executions[id])
 	}
 	if in.pending != nil {
-		p := *in.pending
+		p := in.pending.ChangeProposal
 		s.Pending = &p
 	}
 	if len(in.instBindings) > 0 {
@@ -300,22 +315,22 @@ type Summary struct {
 
 // summary builds the lightweight projection; callers hold in.mu. The
 // NextSuggested, Phases and Unresolved slices are shared from the
-// instance's model cache, not copied — treat them as read-only, the
+// model table entry's cache, not copied — treat them as read-only, the
 // same contract as Snapshot.Model (the runtime never mutates them in
-// place; model swaps rebuild a fresh cache).
+// place).
 func (in *instance) summary() Summary {
 	s := Summary{
 		ID:                 in.id,
 		Seq:                in.seq,
 		ModelURI:           in.modelURI,
-		ModelName:          in.model.Name,
+		ModelName:          in.model.model.Name,
 		Resource:           in.res.Clone(),
 		Owner:              in.owner,
 		State:              in.state,
 		Current:            in.current,
 		CreatedAt:          in.createdAt,
 		CompletedAt:        in.completedAt,
-		Phases:             in.mcache.phaseIDs,
+		Phases:             in.model.cache.phaseIDs,
 		Events:             in.eventSeq,
 		TruncatedEvents:    in.truncatedEvs,
 		Executions:         len(in.execOrder),
@@ -325,9 +340,9 @@ func (in *instance) summary() Summary {
 		Unresolved:         in.unresolved,
 	}
 	if in.current == "" {
-		s.NextSuggested = in.mcache.initial
+		s.NextSuggested = in.model.cache.initial
 	} else {
-		s.NextSuggested = in.mcache.suggested[in.current]
+		s.NextSuggested = in.model.cache.suggested[in.current]
 		if p, due := in.currentPhase(); p != nil {
 			s.PhaseName = p.Name
 			s.Due = due

@@ -33,7 +33,10 @@ import (
 // durable at the sink's level (a nil error is the durability ack) and
 // must never call back into the Runtime. Implementations must be safe
 // for concurrent use — records for different instances are emitted in
-// parallel.
+// parallel. A RecModel record is shared: records of any instance may
+// name its digest, so replay must apply it after every record written
+// before it and before every record written after it, and a fold must
+// never skip it.
 type Journal interface {
 	Record(rec *JournalRecord) error
 }
@@ -64,6 +67,12 @@ const (
 	RecReject       RecordOp = "reject"
 	RecSwitch       RecordOp = "switch"
 	RecSnapshot     RecordOp = "snapshot"
+	// RecModel carries one model version's body, keyed by its digest
+	// (which it also carries as Instance): written ahead of the first
+	// record naming the version since it entered the model table, and
+	// at the head of every snapshot taken while it is there. Replay
+	// enters it into the table; it mutates no instance.
+	RecModel RecordOp = "model"
 	// RecProbe is the durability probe the resilience layer writes
 	// through the sink while the system is degraded or read-only: it
 	// proves the append path end to end but carries no instance state,
@@ -90,8 +99,13 @@ type JournalRecord struct {
 	Unresolved []string                     `json:"unresolved,omitempty"`
 	Bindings   map[string]map[string]string `json:"bindings,omitempty"` // instantiate: all; bind: one action's values
 
-	// instantiate / propose / switch
-	Model *core.Model `json:"model,omitempty"`
+	// instantiate / propose / switch / snapshot / model: the digest of
+	// the model version the record names (see modelTable). Model carries
+	// the body only in a RecModel record, in a snapshot record whose
+	// fold head lacks it, and in the records of data dirs written before
+	// the model table, which name no digest.
+	ModelDigest string      `json:"model_digest,omitempty"`
+	Model       *core.Model `json:"model,omitempty"`
 
 	// advance: the executions this move created (value copies at
 	// creation time — prep failures are already terminal here).
@@ -139,6 +153,14 @@ type JournalRecord struct {
 	PhaseResidence map[string]time.Duration `json:"phase_residence,omitempty"`
 	ResidPhase     string                   `json:"resid_phase,omitempty"`
 	ResidSince     time.Time                `json:"resid_since,omitempty"`
+	// PendingDigest names the pending proposal's model version; its
+	// body rides in Pending.NewModel under the same rule as Model.
+	PendingDigest string `json:"pending_digest,omitempty"`
+
+	// entry and pendingEntry are the resolved model-table entries of
+	// ModelDigest and PendingDigest, each carrying one reference the
+	// applier takes over.
+	entry, pendingEntry *modelEntry
 }
 
 // commitLocked is the one way a live mutation reaches an instance:
@@ -157,11 +179,24 @@ func (r *Runtime) commitLocked(in *instance, rec *JournalRecord) error {
 
 // journal emits rec through the configured sink and counts the
 // outcome; a nil sink acknowledges everything. The append-error
-// counter feeds the admin endpoint.
+// counter feeds the admin endpoint. A record naming a model version
+// whose body is not yet durable goes behind a RecModel record carrying
+// it.
 func (r *Runtime) journal(rec *JournalRecord) error {
 	if r.cfg.Journal == nil {
 		return nil
 	}
+	if e := rec.entry; e != nil && r.models.needsBody(e) {
+		body := &JournalRecord{Op: RecModel, Instance: e.digest, ModelDigest: e.digest, Model: e.model}
+		if err := r.record(body); err != nil {
+			return err
+		}
+		r.models.markDurable(e)
+	}
+	return r.record(rec)
+}
+
+func (r *Runtime) record(rec *JournalRecord) error {
 	if err := r.cfg.Journal.Record(rec); err != nil {
 		r.journalErrors.Add(1)
 		return fmt.Errorf("runtime: journal %s of %s: %w", rec.Op, rec.Instance, err)
@@ -191,7 +226,17 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	if rec.Instance == "" {
 		rec.Instance = id
 	}
-	r.recoveryOnce.Do(func() { r.recoveryStart = time.Now() })
+	r.recoveryOnce.Do(func() {
+		r.recoveryStart = time.Now()
+		r.models.beginReplay()
+	})
+	if err := r.resolveModels(&rec); err != nil {
+		return fmt.Errorf("runtime: replay %s of %s: %w", rec.Op, rec.Instance, err)
+	}
+	if rec.Op == RecModel {
+		r.models.release(rec.entry)
+		return nil
+	}
 	r.recoveredRecords.Add(1)
 	switch rec.Op {
 	case RecInstantiate:
@@ -216,6 +261,34 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	return r.replayRecord(in, &rec)
 }
 
+// resolveModels looks up, or interns, the model versions a replayed
+// record names, so the appliers find them resolved exactly as on the
+// live path. Every digest a record names resolves from the snapshot
+// head or an earlier record of the replayed files (the invariant in
+// the package doc); older data dirs name none and carry each body.
+func (r *Runtime) resolveModels(rec *JournalRecord) (err error) {
+	switch rec.Op {
+	case RecModel, RecInstantiate, RecPropose, RecSwitch, RecSnapshot:
+	default:
+		return nil
+	}
+	if rec.entry, err = r.models.resolve(rec.ModelDigest, rec.Model); err != nil {
+		return err
+	}
+	if rec.entry == nil {
+		return fmt.Errorf("record names no model")
+	}
+	if rec.Op == RecSnapshot && rec.Pending != nil {
+		if rec.pendingEntry, err = r.models.resolve(rec.PendingDigest, rec.Pending.NewModel); err != nil {
+			return err
+		}
+		if rec.pendingEntry == nil {
+			return fmt.Errorf("pending proposal names no model")
+		}
+	}
+	return nil
+}
+
 // replayRecord applies one mutation record to an existing instance and
 // brings its cockpit-aggregate contribution up to date — the shared
 // apply of ApplyJournal and of every live commit; callers hold in.mu.
@@ -237,6 +310,10 @@ func (r *Runtime) replayRecord(in *instance, rec *JournalRecord) error {
 	case RecAccept:
 		return r.replayAccept(in, rec)
 	case RecReject:
+		if in.pending == nil {
+			return fmt.Errorf("%w: replayed reject on %s", ErrNoPending, in.id)
+		}
+		r.models.release(in.pending.entry)
 		in.pending = nil
 		r.applyEvents(in, rec.Events)
 	case RecSwitch:
@@ -257,14 +334,15 @@ func (r *Runtime) applyEvents(in *instance, evs []Event) {
 
 // newInstance builds the unpublished instance an instantiate record
 // describes — the one constructor of live and replayed instantiation.
-// The record must own its model, resource and bindings exclusively.
+// The record must own its resource and bindings exclusively, and its
+// resolved model entry's reference passes to the instance.
 func (r *Runtime) newInstance(rec *JournalRecord) (*instance, error) {
-	if rec.Model == nil || rec.Resource == nil {
+	if rec.entry == nil || rec.Resource == nil {
 		return nil, fmt.Errorf("runtime: instantiate record for %s missing model or resource", rec.Instance)
 	}
 	modelURI := rec.ModelURI
 	if modelURI == "" {
-		modelURI = rec.Model.URI
+		modelURI = rec.entry.model.URI
 	}
 	bindings := rec.Bindings
 	if bindings == nil {
@@ -273,8 +351,7 @@ func (r *Runtime) newInstance(rec *JournalRecord) (*instance, error) {
 	in := &instance{
 		id:           rec.Instance,
 		seq:          rec.Seq,
-		model:        rec.Model,
-		mcache:       buildModelCache(rec.Model),
+		model:        rec.entry,
 		modelURI:     modelURI,
 		res:          *rec.Resource,
 		owner:        rec.Owner,
@@ -389,13 +466,16 @@ func (r *Runtime) replayDispatchFail(in *instance, rec *JournalRecord) error {
 }
 
 func (r *Runtime) replayPropose(in *instance, rec *JournalRecord) {
-	in.pending = &ChangeProposal{
+	if in.pending != nil {
+		r.models.release(in.pending.entry)
+	}
+	in.pending = &pendingChange{ChangeProposal: ChangeProposal{
 		ProposedBy: rec.Proposer,
 		ProposedAt: rec.ProposedAt,
 		Note:       rec.Note,
-		NewModel:   rec.Model,
+		NewModel:   rec.entry.model,
 		Summary:    rec.DiffSummary,
-	}
+	}, entry: rec.entry}
 	r.applyEvents(in, rec.Events)
 }
 
@@ -403,8 +483,8 @@ func (r *Runtime) replayAccept(in *instance, rec *JournalRecord) error {
 	if in.pending == nil {
 		return fmt.Errorf("%w: replayed accept on %s", ErrNoPending, in.id)
 	}
-	in.model = in.pending.NewModel
-	in.mcache = buildModelCache(in.model)
+	r.models.release(in.model)
+	in.model = in.pending.entry
 	in.pending = nil
 	in.state = rec.State
 	in.current = rec.Current
@@ -414,19 +494,21 @@ func (r *Runtime) replayAccept(in *instance, rec *JournalRecord) error {
 }
 
 func (r *Runtime) replaySwitch(in *instance, rec *JournalRecord) error {
-	if rec.Model == nil {
+	if rec.entry == nil {
 		return fmt.Errorf("runtime: switch record for %s missing model", in.id)
 	}
-	in.model = rec.Model
-	in.mcache = buildModelCache(in.model)
-	in.pending = nil
+	r.models.release(in.model)
+	in.model = rec.entry
+	if in.pending != nil {
+		r.models.release(in.pending.entry)
+		in.pending = nil
+	}
 	in.state = rec.State
 	in.current = rec.Current
 	in.completedAt = rec.CompletedAt
 	if rec.ModelURI != "" && rec.ModelURI != in.modelURI {
 		r.byModel.remove(in.modelURI, in)
-		in.modelURI = rec.ModelURI
-		r.byModel.add(in.modelURI, in)
+		in.modelURI = r.byModel.add(rec.ModelURI, in)
 	}
 	r.applyEvents(in, rec.Events)
 	return nil
@@ -459,7 +541,8 @@ func invSeq(id string) int64 {
 
 // RecoveryStats summarizes a completed replay.
 type RecoveryStats struct {
-	// Records is the number of journal records applied.
+	// Records is the number of instance records applied (RecModel
+	// bodies are not counted).
 	Records int64 `json:"records"`
 	// Instances is the recovered instance population.
 	Instances int `json:"instances"`
@@ -477,6 +560,7 @@ type RecoveryStats struct {
 // last ApplyJournal and before the runtime serves live traffic; a
 // runtime that never replayed reports zeros.
 func (r *Runtime) FinishRecovery() RecoveryStats {
+	r.models.finishReplay()
 	st := RecoveryStats{
 		Records: r.recoveredRecords.Load(),
 		Events:  r.totalEvents.Load(),

@@ -22,6 +22,9 @@ func (s storeSink) Record(rec *JournalRecord) error {
 	if err != nil {
 		return err
 	}
+	if rec.Op == RecModel {
+		return s.coll.AppendShared(rec.Instance, data)
+	}
 	return s.coll.Append(rec.Instance, data)
 }
 

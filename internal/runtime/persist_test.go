@@ -591,6 +591,11 @@ func TestCodecEquivalence(t *testing.T) {
 		{Op: RecSwitch, Instance: "li-000004", Landing: "draft", Proposer: "o", Model: model, ModelURI: "urn:other",
 			State: StateActive, Current: "draft",
 			Events: []Event{{Seq: 7, Time: now, Kind: EventChangeApplied}}},
+		{Op: RecModel, ModelDigest: "00112233445566778899aabbccddeeff", Model: model},
+		{Op: RecPropose, Instance: "li-000005", Proposer: "designer", ProposedAt: now, DiffSummary: "+archival",
+			ModelDigest: "00112233445566778899aabbccddeeff", Events: []Event{{Seq: 2, Time: now, Kind: EventChangeProposed}}},
+		{Op: RecSwitch, Instance: "li-000005", Proposer: "o", ModelDigest: "00112233445566778899aabbccddeeff", ModelURI: "urn:other",
+			State: StateActive, Current: "draft", Events: []Event{{Seq: 3, Time: now, Kind: EventChangeApplied}}},
 	}
 	for _, rec := range recs {
 		fast, err := rec.Encode()

@@ -74,10 +74,10 @@ func (r *Runtime) publish(in *instance) error {
 	}
 	sh.mu.Unlock()
 	in.mu.Lock()
+	in.modelURI = r.byModel.add(in.modelURI, in)
 	r.aggSync(in)
 	in.mu.Unlock()
 	r.byRes.add(in.res.URI, in)
-	r.byModel.add(in.modelURI, in)
 	bumpAtLeast(&r.nextInst, in.seq)
 	return nil
 }
@@ -217,12 +217,16 @@ func (f *Filter) matches(in *instance, now time.Time) bool {
 // the tail past the cursor of the matching secondary index entry when
 // the filter names a resource or model URI, in creation order; nil
 // with fromIndex=false when the query must walk the population index.
-func (r *Runtime) candidateRefs(f Filter, after int64) (refs []*instance, fromIndex bool) {
+// A model URI is swapped for the index's key string, the one the
+// instances of the entry hold, so matches compares it by pointer.
+func (r *Runtime) candidateRefs(f *Filter, after int64) (refs []*instance, fromIndex bool) {
 	switch {
 	case f.Resource != "":
-		return r.byRes.after(f.Resource, after), true
+		refs, _ = r.byRes.after(f.Resource, after)
+		return refs, true
 	case f.ModelURI != "":
-		return r.byModel.after(f.ModelURI, after), true
+		refs, f.ModelURI = r.byModel.after(f.ModelURI, after)
+		return refs, true
 	}
 	return nil, false
 }
@@ -249,7 +253,7 @@ func (r *Runtime) ForEachSummary(f Filter, after int64, fn func(Summary) bool) {
 		return fn(s)
 	}
 	r.popIndexed.Add(1)
-	if refs, fromIndex := r.candidateRefs(f, after); fromIndex {
+	if refs, fromIndex := r.candidateRefs(&f, after); fromIndex {
 		for _, in := range refs {
 			if !emit(in) {
 				return
@@ -278,7 +282,7 @@ func (r *Runtime) QuerySummaries(f Filter, after int64, limit int) SummaryPage {
 	var page SummaryPage
 	r.popIndexed.Add(1)
 
-	if refs, fromIndex := r.candidateRefs(f, after); fromIndex {
+	if refs, fromIndex := r.candidateRefs(&f, after); fromIndex {
 		n := len(refs)
 		if limit > 0 && limit < n {
 			n = limit

@@ -132,11 +132,34 @@
 // What is journaled: the record carries the mutation's identity, the
 // events it appended (already stamped with their gapless Seq and
 // Time), and whatever replay cannot re-derive — the created
-// executions of an Advance, the proposed model of a change, the
-// post-move token-state mirrors (State/Current/CompletedAt). Policy
-// decisions and action dispatch are NOT journaled; they are side
-// effects of the first life only. The instance journal is the only
-// durable history of instance events: nothing else mirrors them.
+// executions of an Advance, the model version of an instantiation,
+// proposal or switch, the post-move token-state mirrors
+// (State/Current/CompletedAt). Policy decisions and action dispatch
+// are NOT journaled; they are side effects of the first life only. The
+// instance journal is the only durable history of instance events:
+// nothing else mirrors them.
+//
+// Models are shared, immutable and addressed by digest. The runtime
+// keeps one table of model versions (models.go), keyed by a digest of
+// the version's content — URI, version and body — and every instance
+// and pending proposal points at its version's entry, which holds the
+// model and its prepared summary cache. Records name a version by its
+// digest. Its body reaches the instance journal as a RecModel record,
+// which the sink writes as a shared record, ahead of the first record
+// naming the version since it entered the table; a fold writes the
+// body of every version in the table once, at the head of the snapshot
+// file, and a snapshot record carries a body itself only when its
+// version entered the table after the head was chosen. A version
+// leaves the table with its last reference, and a later use writes its
+// body again. The invariant: every digest a record names resolves
+// from the snapshot head or from an earlier record of the files replay
+// reads. It holds because replay skips every record at or below its
+// instance's fold boundary, so the records it applies were either
+// checked for a durable body after the fold chose its head, or were
+// built by a verb whose reference put the version into that head.
+// Replay applies shared records as barriers across its parallel lanes,
+// resolves digests before it publishes an instance, and interns the
+// inline models of data dirs written before the table.
 //
 // Ordering: each verb builds its record without touching the instance,
 // emits it while the mutated instance's lock is held, and applies it
@@ -147,16 +170,17 @@
 // Cross-instance order in the journal is arbitrary, as instances share
 // no state.
 //
-// Replay: on restart, stream every record through ApplyJournal (single
-// goroutine, journal order) and close with FinishRecovery. The live
-// commit applies its own record through the same appliers (replayRecord,
-// and newInstance plus publish for Instantiate), so replay rebuilds
-// everything the live path maintains by running the same code: token
-// positions, event histories (ring truncation applied with the new
-// config), executions, pending proposals, the resource/model/invocation
-// indexes, the monotonic id counters, and every incremental counter —
-// deviations, failed steps, pending invocations, per-phase
-// entered/residence stats — plus the cockpit aggregate.
+// Replay: on restart, stream every record through ApplyJournal (journal
+// order per instance, shared records in journal order with respect to
+// all) and close with FinishRecovery. The live commit applies its own
+// record through the same appliers (replayRecord, and newInstance plus
+// publish for Instantiate), so replay rebuilds everything the live path
+// maintains by running the same code: token positions, event histories
+// (ring truncation applied with the new config), executions, pending
+// proposals, the resource/model/invocation indexes, the monotonic id
+// counters, and every incremental counter — deviations, failed steps,
+// pending invocations, per-phase entered/residence stats — plus the
+// cockpit aggregate.
 //
 // Failure semantics: unacknowledged means absent. If the sink errors,
 // the record is never applied — no event, execution, index entry or
@@ -293,8 +317,11 @@ type uriIndexShard struct {
 // tail's seq (a model switch, racing Instantiates, replay of an
 // unordered file) marks the entry unsorted, and the next reader sorts
 // it once under the stripe's write lock. seq is immutable, so sorting
-// needs no instance lock.
+// needs no instance lock. key is the URI string the entry was created
+// with: add hands it back, so callers can keep one copy per URI and
+// compare it by pointer.
 type uriEntry struct {
+	key      string
 	list     []*instance
 	unsorted bool
 }
@@ -311,20 +338,21 @@ func (ix *uriIndex) shardFor(uri string) *uriIndexShard {
 	return ix.shards[shardkey.Index(uri, len(ix.shards))]
 }
 
-// add appends in under uri.
-func (ix *uriIndex) add(uri string, in *instance) {
+// add appends in under uri and returns the entry's key string.
+func (ix *uriIndex) add(uri string, in *instance) string {
 	sh := ix.shardFor(uri)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	e := sh.m[uri]
 	if e == nil {
-		e = &uriEntry{}
+		e = &uriEntry{key: uri}
 		sh.m[uri] = e
 	}
 	if n := len(e.list); n > 0 && e.list[n-1].seq > in.seq {
 		e.unsorted = true
 	}
 	e.list = append(e.list, in)
-	sh.mu.Unlock()
+	return e.key
 }
 
 // remove drops in from uri's entry (used when an owner switches the
@@ -355,16 +383,17 @@ func (e *uriEntry) search(after int64) int {
 
 // after returns a copy of the tail of uri's entry past the cursor, in
 // creation order, so callers take instance locks without the index
-// lock (the lock order is instance → stripe). An unsorted entry is
+// lock (the lock order is instance → stripe), and the entry's key
+// string (uri itself when there is no entry). An unsorted entry is
 // sorted first, once, under the write lock.
-func (ix *uriIndex) after(uri string, after int64) []*instance {
+func (ix *uriIndex) after(uri string, after int64) ([]*instance, string) {
 	sh := ix.shardFor(uri)
 	sh.mu.RLock()
 	e := sh.m[uri]
 	if e == nil || !e.unsorted {
-		out := e.tail(after)
+		out, key := e.tail(uri, after)
 		sh.mu.RUnlock()
-		return out
+		return out, key
 	}
 	sh.mu.RUnlock()
 	sh.mu.Lock()
@@ -374,15 +403,16 @@ func (ix *uriIndex) after(uri string, after int64) []*instance {
 		sortBySeq(e.list)
 		e.unsorted = false
 	}
-	return e.tail(after)
+	return e.tail(uri, after)
 }
 
-// tail copies a sorted entry's instances with seq > after; nil-safe.
-func (e *uriEntry) tail(after int64) []*instance {
+// tail copies a sorted entry's instances with seq > after and returns
+// them with the entry's key (uri when e is nil).
+func (e *uriEntry) tail(uri string, after int64) ([]*instance, string) {
 	if e == nil {
-		return nil
+		return nil, uri
 	}
-	return slices.Clone(e.list[e.search(after):])
+	return slices.Clone(e.list[e.search(after):]), e.key
 }
 
 // keys counts distinct URIs across stripes.
@@ -423,6 +453,7 @@ type Runtime struct {
 	inv     []*invShard // invocation id → instance, for callback routing
 	byRes   *uriIndex   // resource URI → instances
 	byModel *uriIndex   // model URI → instances (provenance)
+	models  *modelTable // shared model versions (models.go)
 
 	nextInst atomic.Int64
 	nextInv  atomic.Int64
@@ -455,7 +486,7 @@ type Runtime struct {
 	// before the runtime serves traffic.
 	journalAppends   atomic.Int64 // records accepted by the Journal sink
 	journalErrors    atomic.Int64 // records the sink failed to persist
-	recoveredRecords atomic.Int64 // records applied by ApplyJournal
+	recoveredRecords atomic.Int64 // instance records applied by ApplyJournal
 	recoveryOnce     sync.Once
 	recoveryStart    time.Time
 	recovery         RecoveryStats
@@ -486,6 +517,7 @@ func New(cfg Config) (*Runtime, error) {
 		inv:     make([]*invShard, n),
 		byRes:   newURIIndex(n),
 		byModel: newURIIndex(n),
+		models:  newModelTable(),
 		agg:     newAggregate(),
 	}
 	for i := 0; i < n; i++ {
@@ -635,10 +667,14 @@ func (r *Runtime) SweepInvocations() int {
 }
 
 // Instantiate creates a lifecycle instance of model on the resource ref,
-// owned by owner. The model is deep-copied into the instance: later
-// edits to the caller's model never affect the instance (light
-// coupling). instBindings supplies instantiation-time parameter values
-// per action URI; binding times are enforced.
+// owned by owner. The instance follows the model version model holds
+// now: versions live once in the runtime's model table, shared by
+// every instance that follows them and never edited, so later edits to
+// the caller's model never affect the instance (light coupling). A
+// version the table already holds costs a hash of model — no
+// validation, copy or cache build. instBindings supplies
+// instantiation-time parameter values per action URI; binding times are
+// enforced.
 //
 // Action types referenced by the model are resolved against the
 // resource type now (§V.B). Unresolvable actions do not block
@@ -649,9 +685,38 @@ func (r *Runtime) Instantiate(model *core.Model, ref resource.Ref, owner string,
 	if model == nil {
 		return Snapshot{}, errors.New("runtime: nil model")
 	}
-	if err := model.Validate(); err != nil {
+	e, err := r.models.acquire(model)
+	if err != nil {
 		return Snapshot{}, err
 	}
+	return r.instantiate(e, ref, owner, instBindings)
+}
+
+// InstantiateShared is Instantiate for a model the caller never
+// mutates — a stored version that is replaced, never edited, on
+// redefinition. The table keeps model itself as the version's copy and
+// finds it again by pointer, so instantiating a known model neither
+// hashes nor copies it.
+func (r *Runtime) InstantiateShared(model *core.Model, ref resource.Ref, owner string, instBindings map[string]map[string]string) (Snapshot, error) {
+	if model == nil {
+		return Snapshot{}, errors.New("runtime: nil model")
+	}
+	e, err := r.models.acquireShared(model)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	return r.instantiate(e, ref, owner, instBindings)
+}
+
+// instantiate is the shared core of Instantiate and InstantiateShared;
+// it takes over the caller's reference on e, which a failure releases.
+func (r *Runtime) instantiate(e *modelEntry, ref resource.Ref, owner string, instBindings map[string]map[string]string) (_ Snapshot, err error) {
+	defer func() {
+		if err != nil {
+			r.models.release(e)
+		}
+	}()
+	model := e.model
 	if err := ref.Validate(); err != nil {
 		return Snapshot{}, err
 	}
@@ -672,16 +737,16 @@ func (r *Runtime) Instantiate(model *core.Model, ref resource.Ref, owner string,
 	seq := r.nextInst.Add(1)
 	res := ref.Clone()
 	rec := &JournalRecord{
-		Op:         RecInstantiate,
-		Instance:   fmt.Sprintf("li-%06d", seq),
-		Seq:        seq,
-		Model:      model.Clone(),
-		ModelURI:   model.URI,
-		Resource:   &res,
-		Owner:      owner,
-		CreatedAt:  r.clock.Now(),
-		Unresolved: r.unresolvedActions(model, ref.Type),
-		Bindings:   cloneBindings(instBindings),
+		Op:          RecInstantiate,
+		Instance:    fmt.Sprintf("li-%06d", seq),
+		Seq:         seq,
+		ModelDigest: e.digest,
+		Resource:    &res,
+		Owner:       owner,
+		CreatedAt:   r.clock.Now(),
+		Unresolved:  r.unresolvedActions(model, ref.Type),
+		Bindings:    cloneBindings(instBindings),
+		entry:       e,
 	}
 	rec.Events = []Event{{Seq: 1, Time: rec.CreatedAt, Kind: EventCreated, Actor: owner,
 		Detail: fmt.Sprintf("model %q on %s (%s)", model.Name, ref.URI, ref.Type)}}
@@ -878,7 +943,7 @@ func (r *Runtime) PhaseStats(id string, now time.Time) (map[string]PhaseStat, bo
 // under each instance's lock: the model index mutates on
 // owner-initiated switches.
 func (r *Runtime) byIndexedURI(f Filter) []Snapshot {
-	refs, _ := r.candidateRefs(f, 0)
+	refs, _ := r.candidateRefs(&f, 0)
 	var out []Snapshot
 	for _, in := range refs {
 		in.mu.Lock()
@@ -936,7 +1001,7 @@ func (r *Runtime) BindParams(instID, actor, actionURI string, values map[string]
 	defer in.mu.Unlock()
 	// Find the call declaration (any phase) to check binding times.
 	var call *core.ActionCall
-	for _, p := range in.model.Phases {
+	for _, p := range in.model.model.Phases {
 		for i := range p.Actions {
 			if p.Actions[i].URI == actionURI {
 				call = &p.Actions[i]
@@ -999,6 +1064,8 @@ type Stats struct {
 	ResourceKeys int `json:"resource_index_keys"`
 	// ModelKeys is the number of distinct model URIs indexed.
 	ModelKeys int `json:"model_index_keys"`
+	// Models reports the shared model table (see models.go).
+	Models ModelTableStats `json:"model_table"`
 	// EventsInMemory is the total event count currently held in RAM —
 	// rings plus the spills awaiting the next fold; EventsTruncated
 	// counts events dropped from the rings by Config.MaxEventsInMemory
@@ -1047,6 +1114,7 @@ func (r *Runtime) RuntimeStats() Stats {
 	}
 	st.ResourceKeys = r.byRes.keys()
 	st.ModelKeys = r.byModel.keys()
+	st.Models = r.models.stats()
 	st.PopulationIndex = PopIndexStats{
 		Entries:           st.Instances,
 		OutOfOrderInserts: r.popOutOfOrder.Load(),

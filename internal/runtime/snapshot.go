@@ -18,24 +18,39 @@ import (
 	"time"
 )
 
-// EmitSnapshots calls emit once per live instance, in creation order,
-// with the instance's id and its encoded RecSnapshot record, each
-// produced and emitted while that instance's mutation lock is held —
-// the contract the store's fold-boundary sampling relies on: at emit
-// time the image reflects exactly the records journaled for that
-// instance so far, and no new one can be journaled until emit returns.
-// emit must not call back into the Runtime. Safe to run while live
-// traffic mutates other instances; a non-nil error from emit aborts
+// SnapshotWriter receives one fold's snapshot (store.Instances hands
+// its folds' writers to EmitSnapshots).
+type SnapshotWriter interface {
+	// Head writes a shared record — a RecModel body, keyed by digest —
+	// at the head of the snapshot, ahead of every Emit.
+	Head(key string, data []byte) error
+	// Emit writes one instance's snapshot record; the caller holds the
+	// instance's lock.
+	Emit(id string, data []byte) error
+}
+
+// EmitSnapshots writes one fold's snapshot through w: first, at its
+// head, the body of every model version the fold must keep resolvable
+// (the package doc's invariant), then one RecSnapshot record per live
+// instance, in creation order, each produced and emitted while that
+// instance's mutation lock is held — the contract the store's
+// fold-boundary sampling relies on: at emit time the image reflects
+// exactly the records journaled for that instance so far, and no new
+// one can be journaled until Emit returns. A snapshot record names its
+// model versions by digest, and carries a body only when the head
+// lacks it (the instance moved to a version after the head was
+// written). w must not call back into the Runtime. Safe to run while
+// live traffic mutates other instances; a non-nil error from w aborts
 // the walk.
 //
 // Folding is also what moves ring-truncated history to disk, in two
 // phases: before any image is emitted, every instance's spill is
 // written once into one history archive (Config.History) and the
-// images reference it; the returned installed hook, which the store
+// images reference it. The returned installed hook, which the store
 // runs only after the snapshot installs, trims the archived events
 // from the spills. A fold that fails before installing leaves memory
 // untouched, and its archive becomes an orphan the next open removes.
-func (r *Runtime) EmitSnapshots(emit func(id string, data []byte) error) (installed func(), err error) {
+func (r *Runtime) EmitSnapshots(w SnapshotWriter) (installed func(), err error) {
 	// Barrier: wait out any Instantiate that has journaled its record
 	// but not yet published the instance — otherwise the walk below
 	// could miss an instance whose record the fold is about to delete.
@@ -46,13 +61,23 @@ func (r *Runtime) EmitSnapshots(emit func(id string, data []byte) error) (instal
 	if err != nil {
 		return nil, err
 	}
+	fold, head := r.models.beginFold()
+	for _, e := range head {
+		data, err := json.Marshal(&JournalRecord{Op: RecModel, Instance: e.digest, ModelDigest: e.digest, Model: e.model})
+		if err == nil {
+			err = w.Head(e.digest, data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("runtime: snapshot head %s: %w", e.digest, err)
+		}
+	}
 	// Walk in creation order, so the snapshot file replays as nearly
 	// in-order appends to the population and URI indexes.
 	r.forEachRef(0, func(in *instance) bool {
 		in.mu.Lock()
-		data, e := json.Marshal(snapshotRecord(in, archived[in]))
+		data, e := json.Marshal(snapshotRecord(in, archived[in], fold))
 		if e == nil {
-			e = emit(in.id, data)
+			e = w.Emit(in.id, data)
 		}
 		in.mu.Unlock()
 		if e != nil {
@@ -124,20 +149,21 @@ func (r *Runtime) archiveSpills() (map[*instance]spillBatch, error) {
 	return out, nil
 }
 
-// snapshotRecord builds the full replayable image; callers hold in.mu.
-// archived is the head of the spill this fold archived (zero when
-// none): the image references its batch, and carries only the rest of
-// the spill inline, in front of the ring. Maps and slices are copied
-// so the encoded record never races a later mutation (encoding happens
-// under the lock anyway; the copies keep the record self-contained
-// should that ever change).
-func snapshotRecord(in *instance, archived spillBatch) *JournalRecord {
+// snapshotRecord builds the full replayable image for the given fold;
+// callers hold in.mu. archived is the head of the spill this fold
+// archived (zero when none): the image references its batch, and
+// carries only the rest of the spill inline, in front of the ring.
+// Model versions are named by digest, with the body inline only when
+// the fold's head lacks it. Maps and slices are copied so the encoded
+// record never races a later mutation (encoding happens under the lock
+// anyway; the copies keep the record self-contained should that ever
+// change).
+func snapshotRecord(in *instance, archived spillBatch, fold uint64) *JournalRecord {
 	rec := &JournalRecord{
 		Op:           RecSnapshot,
 		Instance:     in.id,
 		Seq:          in.seq,
-		Model:        in.model,
-		ModelURI:     in.modelURI,
+		ModelDigest:  in.model.digest,
 		Resource:     &in.res,
 		Owner:        in.owner,
 		CreatedAt:    in.createdAt,
@@ -151,10 +177,22 @@ func snapshotRecord(in *instance, archived spillBatch) *JournalRecord {
 		TruncatedEvs: in.truncatedEvs,
 		Archives:     in.archived,
 		Deviations:   in.deviations,
-		Pending:      in.pending,
 		ResidPhase:   in.residPhase,
 		ResidSince:   in.residSince,
 		PhaseEntered: in.phaseEntered,
+	}
+	if in.model.head.Load() != fold {
+		rec.Model = in.model.model
+	}
+	if in.modelURI != in.model.model.URI { // provenance kept across an accept
+		rec.ModelURI = in.modelURI
+	}
+	if p := in.pending; p != nil {
+		proposal := p.ChangeProposal
+		rec.Pending, rec.PendingDigest = &proposal, p.entry.digest
+		if p.entry.head.Load() == fold {
+			proposal.NewModel = nil
+		}
 	}
 	if archived.n > 0 {
 		rec.Archives = append(slices.Clip(in.archived), archived.ref)
@@ -181,12 +219,12 @@ func snapshotRecord(in *instance, archived spillBatch) *JournalRecord {
 // id counters bumped. The unfolded tail records for this instance
 // replay on top afterwards through the normal appliers.
 func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
-	if rec.Model == nil || rec.Resource == nil {
+	if rec.entry == nil || rec.Resource == nil {
 		return fmt.Errorf("runtime: snapshot record for %s missing model or resource", rec.Instance)
 	}
 	modelURI := rec.ModelURI
 	if modelURI == "" {
-		modelURI = rec.Model.URI
+		modelURI = rec.entry.model.URI
 	}
 	bindings := rec.Bindings
 	if bindings == nil {
@@ -195,8 +233,7 @@ func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
 	in := &instance{
 		id:             rec.Instance,
 		seq:            rec.Seq,
-		model:          rec.Model, // decoded copy: the record owns it exclusively
-		mcache:         buildModelCache(rec.Model),
+		model:          rec.entry,
 		modelURI:       modelURI,
 		res:            *rec.Resource,
 		owner:          rec.Owner,
@@ -210,7 +247,6 @@ func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
 		truncatedEvs:   rec.TruncatedEvs,
 		archived:       rec.Archives,
 		deviations:     rec.Deviations,
-		pending:        rec.Pending,
 		executions:     make(map[string]*ActionExecution, len(rec.Executions)),
 		phaseEntered:   rec.PhaseEntered,
 		phaseResidence: rec.PhaseResidence,
@@ -219,6 +255,10 @@ func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
 	}
 	if in.state == "" {
 		in.state = StateActive
+	}
+	if rec.Pending != nil {
+		in.pending = &pendingChange{ChangeProposal: *rec.Pending, entry: rec.pendingEntry}
+		in.pending.NewModel = rec.pendingEntry.model
 	}
 	if in.phaseEntered != nil && in.phaseResidence == nil {
 		in.phaseResidence = make(map[string]time.Duration)

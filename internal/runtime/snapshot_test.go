@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/json"
 	"errors"
 	"iter"
 	"strings"
@@ -51,14 +52,30 @@ func buildRichState(t testing.TB, e *persistEnv) []string {
 	return []string{a.ID, b.ID, c.ID}
 }
 
+// emitFunc adapts one callback to SnapshotWriter: the head's model
+// records and the instance records alike, in write order.
+type emitFunc func(id string, data []byte) error
+
+func (f emitFunc) Head(key string, data []byte) error { return f(key, data) }
+func (f emitFunc) Emit(id string, data []byte) error  { return f(id, data) }
+
+// isModelRec reports whether a captured record is a RecModel body — a
+// snapshot head entry or a journal's shared record.
+func isModelRec(r capturedRec) bool {
+	var rec struct {
+		Op RecordOp `json:"op"`
+	}
+	return json.Unmarshal(r.data, &rec) == nil && rec.Op == RecModel
+}
+
 // emitAll collects every snapshot record via EmitSnapshots.
 func emitAll(t testing.TB, rt *Runtime) []capturedRec {
 	t.Helper()
 	var recs []capturedRec
-	if _, err := rt.EmitSnapshots(func(id string, data []byte) error {
+	if _, err := rt.EmitSnapshots(emitFunc(func(id string, data []byte) error {
 		recs = append(recs, capturedRec{id: id, data: append([]byte(nil), data...)})
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	return recs
@@ -260,32 +277,48 @@ func TestParallelReplayEquivalence(t *testing.T) {
 
 	par := New2(t, e)
 	const workers = 8
-	lanes := make([]chan capturedRec, workers)
+	var lanes []chan capturedRec
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for i := range lanes {
-		lanes[i] = make(chan capturedRec, 64)
-		wg.Add(1)
-		go func(ch chan capturedRec) {
-			defer wg.Done()
-			for r := range ch {
-				if err := par.ApplyJournal(r.id, r.data); err != nil {
-					errs <- err
-					return
+	errs := make(chan error, 2*len(e.sink.recs)+workers)
+	start := func() {
+		lanes = make([]chan capturedRec, workers)
+		for i := range lanes {
+			lanes[i] = make(chan capturedRec, 64)
+			wg.Add(1)
+			go func(ch chan capturedRec) {
+				defer wg.Done()
+				for r := range ch {
+					if err := par.ApplyJournal(r.id, r.data); err != nil {
+						errs <- err
+						return
+					}
 				}
-			}
-		}(lanes[i])
+			}(lanes[i])
+		}
+	}
+	drain := func() {
+		for _, ch := range lanes {
+			close(ch)
+		}
+		wg.Wait()
 	}
 	e.sink.mu.Lock()
 	recs := append([]capturedRec(nil), e.sink.recs...)
 	e.sink.mu.Unlock()
+	start()
 	for _, r := range recs {
+		if isModelRec(r) {
+			// A shared record is a barrier, as in the store's fan-out.
+			drain()
+			if err := par.ApplyJournal(r.id, r.data); err != nil {
+				t.Fatal(err)
+			}
+			start()
+			continue
+		}
 		lanes[shardkey.Index(r.id, workers)] <- r
 	}
-	for _, ch := range lanes {
-		close(ch)
-	}
-	wg.Wait()
+	drain()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -329,9 +362,9 @@ func TestEmitSnapshotsDuringLiveTraffic(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		rt2 := New2(t, e)
-		if _, err := e.rt.EmitSnapshots(func(id string, data []byte) error {
+		if _, err := e.rt.EmitSnapshots(emitFunc(func(id string, data []byte) error {
 			return rt2.ApplyJournal(id, append([]byte(nil), data...))
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,10 +379,13 @@ func TestSnapshotRecordRejectsDuplicates(t *testing.T) {
 	e.instantiate(t)
 	recs := emitAll(t, e.rt)
 	rt2 := New2(t, e)
-	if err := rt2.ApplyJournal(recs[0].id, recs[0].data); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		if err := rt2.ApplyJournal(r.id, r.data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	err := rt2.ApplyJournal(recs[0].id, recs[0].data)
+	last := recs[len(recs)-1]
+	err := rt2.ApplyJournal(last.id, last.data)
 	if err == nil || !strings.Contains(err.Error(), "existing") {
 		t.Fatalf("duplicate snapshot accepted: %v", err)
 	}
@@ -410,15 +446,15 @@ func TestEmitSnapshotsArchivesSpillAfterInstall(t *testing.T) {
 	inMemory := e.rt.RuntimeStats().EventsInMemory
 
 	hist.fail = errors.New("disk full")
-	if _, err := e.rt.EmitSnapshots(func(string, []byte) error { return nil }); !errors.Is(err, hist.fail) {
+	if _, err := e.rt.EmitSnapshots(emitFunc(func(string, []byte) error { return nil })); !errors.Is(err, hist.fail) {
 		t.Fatalf("fold over a failing archive = %v", err)
 	}
 	hist.fail = nil
 	var recs []capturedRec
-	installed, err := e.rt.EmitSnapshots(func(id string, data []byte) error {
+	installed, err := e.rt.EmitSnapshots(emitFunc(func(id string, data []byte) error {
 		recs = append(recs, capturedRec{id: id, data: append([]byte(nil), data...)})
 		return nil
-	})
+	}))
 	if err != nil || installed == nil {
 		t.Fatalf("fold = %v (installed hook %t)", err, installed != nil)
 	}

@@ -7,7 +7,9 @@ package store
 // independent keys proceed in parallel. The reader keeps doing all
 // skip/bounds bookkeeping (it is cheap); workers only run apply. An
 // apply error aborts the stream at the next dispatch; lanes drain so
-// nothing blocks.
+// nothing blocks. quiesce is the barrier for an entry every later one
+// may depend on: it returns once the lanes applied everything
+// dispatched before it.
 
 import (
 	"sync"
@@ -18,8 +20,15 @@ import (
 
 // fanLane is one worker goroutine's queue.
 type fanLane struct {
-	ch chan Entry
+	ch chan fanItem
 	wg sync.WaitGroup
+}
+
+// fanItem is one queued entry, or a barrier marker (done set) the lane
+// acknowledges once everything queued ahead of it applied.
+type fanItem struct {
+	e    Entry
+	done *sync.WaitGroup
 }
 
 // fanOut runs workers lanes applying entries keyed onto them.
@@ -35,16 +44,20 @@ type fanOut struct {
 func newFanOut(workers int, apply func(Entry) error) *fanOut {
 	f := &fanOut{lanes: make([]*fanLane, workers)}
 	for i := range f.lanes {
-		l := &fanLane{ch: make(chan Entry, 256)}
+		l := &fanLane{ch: make(chan fanItem, 256)}
 		f.lanes[i] = l
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
-			for e := range l.ch {
+			for it := range l.ch {
+				if it.done != nil {
+					it.done.Done()
+					continue
+				}
 				if f.failed.Load() {
 					continue // drain after failure
 				}
-				if err := apply(e); err != nil {
+				if err := apply(it.e); err != nil {
 					f.errMu.Lock()
 					if f.firstErr == nil {
 						f.firstErr = err
@@ -61,14 +74,33 @@ func newFanOut(workers int, apply func(Entry) error) *fanOut {
 // dispatch hands e to the lane owning key, or returns the first apply
 // error once a worker has failed (aborting the caller's stream).
 func (f *fanOut) dispatch(key string, e Entry) error {
-	if f.failed.Load() {
-		f.errMu.Lock()
-		err := f.firstErr
-		f.errMu.Unlock()
+	if err := f.err(); err != nil {
 		return err
 	}
-	f.lanes[shardkey.Index(key, len(f.lanes))].ch <- e
+	f.lanes[shardkey.Index(key, len(f.lanes))].ch <- fanItem{e: e}
 	return nil
+}
+
+// quiesce waits until every lane applied all it was dispatched, then
+// reports the first apply error, if any.
+func (f *fanOut) quiesce() error {
+	var done sync.WaitGroup
+	done.Add(len(f.lanes))
+	for _, l := range f.lanes {
+		l.ch <- fanItem{done: &done}
+	}
+	done.Wait()
+	return f.err()
+}
+
+// err returns the first apply error once a worker has failed.
+func (f *fanOut) err() error {
+	if !f.failed.Load() {
+		return nil
+	}
+	f.errMu.Lock()
+	defer f.errMu.Unlock()
+	return f.firstErr
 }
 
 // finish closes the lanes, waits for the workers and reports the first

@@ -13,6 +13,14 @@ import (
 // instancesRepo is the Entry.Repo name framing instance records.
 const instancesRepo = "instances"
 
+// opShared frames a shared record: one that records of any instance
+// may depend on (the runtime's model bodies), keyed by its own key
+// rather than an instance id. Replay applies it after every entry
+// written before it and before every entry written after it — a
+// barrier across the parallel replay's lanes — and no fold boundary
+// ever skips it. A snapshot carries shared records at its head.
+const opShared Op = "shared"
+
 // InstancesOptions tune the instance collection's journal.
 type InstancesOptions struct {
 	// Sync upgrades durability from write(2) per append to one fsync
@@ -117,13 +125,13 @@ type Instances struct {
 	replayed atomic.Int64
 }
 
-// SnapshotSource produces a fold's snapshot records: it calls emit
-// once per live instance, while holding that instance's mutation lock
-// (see SetSnapshotSource), and may archive history through
-// ArchiveHistory before emitting. installed, when non-nil, runs once
-// the snapshot is durably installed — the point from which the state
-// the archives hold may leave memory.
-type SnapshotSource func(emit func(id string, data []byte) error) (installed func(), err error)
+// SnapshotSource produces a fold's snapshot through w: shared records
+// at the head, then one Emit per live instance, while holding that
+// instance's mutation lock (see SetSnapshotSource); it may archive
+// history through ArchiveHistory before emitting. installed, when
+// non-nil, runs once the snapshot is durably installed — the point
+// from which the state the archives hold may leave memory.
+type SnapshotSource func(w *SnapshotWriter) (installed func(), err error)
 
 // OpenInstances builds the instance collection on its own journal
 // directory under dir (created if missing), with segment rotation per
@@ -173,10 +181,13 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 		if e.Op == opArchiveRef {
 			return nil // collected by the replay driver (sr.refs)
 		}
-		if e.Op != OpAppend {
+		switch e.Op {
+		case OpAppend:
+			c.replayed.Add(1)
+		case opShared:
+		default:
 			return fmt.Errorf("store: %s: replay unknown op %q", instancesRepo, e.Op)
 		}
-		c.replayed.Add(1)
 		return fn(e.ID, e.Data)
 	}
 	idKey := func(e Entry) string { return e.ID }
@@ -187,6 +198,12 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 		}
 		fo := newFanOut(workers, apply)
 		sr, err = replaySegmented(c.dir, idKey, func(e Entry) error {
+			if e.Op == opShared {
+				if err := fo.quiesce(); err != nil {
+					return err
+				}
+				return apply(e)
+			}
 			return fo.dispatch(e.ID, e)
 		})
 		if finishErr := fo.finish(); err == nil {
@@ -203,9 +220,9 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 	return nil
 }
 
-// Replayed reports how many records the startup replay streamed
-// (snapshot records plus unfolded tail records — skipped folded
-// duplicates are not counted).
+// Replayed reports how many instance records the startup replay
+// streamed (snapshot records plus unfolded tail records — skipped
+// folded duplicates and shared records are not counted).
 func (c *Instances) Replayed() int64 { return c.replayed.Load() }
 
 // ReplayStats reports what the startup replay streamed per source.
@@ -238,32 +255,41 @@ func (c *Instances) SetSnapshotSource(source SnapshotSource) {
 // returns once it is durable (see appender.Append). The outcome is
 // reported to OnAppendResult.
 func (c *Instances) Append(id string, data []byte) error {
-	err := c.append(id, data)
+	return c.append(OpAppend, id, data)
+}
+
+// AppendShared commits one shared record under key (see opShared).
+func (c *Instances) AppendShared(key string, data []byte) error {
+	return c.append(opShared, key, data)
+}
+
+func (c *Instances) append(op Op, id string, data []byte) error {
+	err := c.write(op, id, data)
 	if c.opts.OnAppendResult != nil {
 		c.opts.OnAppendResult(err)
 	}
 	return err
 }
 
-func (c *Instances) append(id string, data []byte) error {
+func (c *Instances) write(op Op, id string, data []byte) error {
 	if id == "" {
 		return fmt.Errorf("store: %s: empty instance id", instancesRepo)
 	}
 	if !c.opened.Load() {
 		return fmt.Errorf("store: %s: append before Replay", instancesRepo)
 	}
-	_, err := c.appender.Append(Entry{Repo: instancesRepo, Op: OpAppend, ID: id, Data: data}, nil)
+	_, err := c.appender.Append(Entry{Repo: instancesRepo, Op: op, ID: id, Data: data}, nil)
 	return err
 }
 
 // Fold compacts every segment sealed before the call: the snapshot
-// source emits one record per live instance, each stamped with its
-// fold boundary, into a new snapshot file; the folded segments are
-// then deleted. Appends proceed concurrently — the boundary sampling
-// under each instance's lock is what keeps the overlap exact. The
-// snapshot also references every history archive, the ones the
-// source wrote during this fold included. Returns an error when no
-// snapshot source is wired.
+// source writes the shared records it must keep at the head of a new
+// snapshot file, then one record per live instance, each stamped with
+// its fold boundary; the folded segments are then deleted. Appends
+// proceed concurrently — the boundary sampling under each instance's
+// lock is what keeps the overlap exact. The snapshot also references
+// every history archive, the ones the source wrote during this fold
+// included. Returns an error when no snapshot source is wired.
 func (c *Instances) Fold() error {
 	c.foldMu.Lock()
 	source := c.source
@@ -275,20 +301,7 @@ func (c *Instances) Fold() error {
 		c.histMu.Lock()
 		c.pending = nil // a failed fold's archives: orphans the next open removes
 		c.histMu.Unlock()
-		installed, err := source(func(id string, data []byte) error {
-			if id == "" {
-				return fmt.Errorf("store: %s: snapshot record with empty id", instancesRepo)
-			}
-			// The fold boundary: the journal sequence current while the
-			// instance's lock is held (the source's contract). Records
-			// for this id at or below it are exactly the ones the
-			// emitted state reflects.
-			boundary, err := c.lastSeq()
-			if err != nil {
-				return err
-			}
-			return sj.writeRaw(Entry{Seq: boundary, Repo: instancesRepo, Op: OpAppend, ID: id, Data: data})
-		})
+		installed, err := source(&SnapshotWriter{c: c, sj: sj})
 		if err != nil {
 			return nil, err
 		}
@@ -315,6 +328,43 @@ func (c *Instances) Fold() error {
 			}
 		}, nil
 	})
+}
+
+// SnapshotWriter is what a fold hands its snapshot source: the head
+// for shared records, and the per-instance emit.
+type SnapshotWriter struct {
+	c       *Instances
+	sj      *Journal
+	emitted bool
+}
+
+// Head writes a shared record under key at the head of the snapshot;
+// every Head precedes the first Emit.
+func (w *SnapshotWriter) Head(key string, data []byte) error {
+	if key == "" {
+		return fmt.Errorf("store: %s: shared snapshot record with empty key", instancesRepo)
+	}
+	if w.emitted {
+		return fmt.Errorf("store: %s: shared snapshot record %s after an instance record", instancesRepo, key)
+	}
+	return w.sj.writeRaw(Entry{Repo: instancesRepo, Op: opShared, ID: key, Data: data})
+}
+
+// Emit writes one instance's snapshot record; the source calls it
+// while holding that instance's mutation lock.
+func (w *SnapshotWriter) Emit(id string, data []byte) error {
+	if id == "" {
+		return fmt.Errorf("store: %s: snapshot record with empty id", instancesRepo)
+	}
+	w.emitted = true
+	// The fold boundary: the journal sequence current while the
+	// instance's lock is held (the source's contract). Records for this
+	// id at or below it are exactly the ones the emitted state reflects.
+	boundary, err := w.c.lastSeq()
+	if err != nil {
+		return err
+	}
+	return w.sj.writeRaw(Entry{Seq: boundary, Repo: instancesRepo, Op: OpAppend, ID: id, Data: data})
 }
 
 // ArchiveHistory writes batches — one per instance, opaque to the

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -288,7 +290,7 @@ func TestInstancesHistoryArchives(t *testing.T) {
 	var archived []uint64
 	fail := errors.New("emit failed")
 	failNext := false
-	c.SetSnapshotSource(func(emit func(string, []byte) error) (func(), error) {
+	c.SetSnapshotSource(func(w *SnapshotWriter) (func(), error) {
 		n, err := c.ArchiveHistory(batches("li-1", "li-2"))
 		if err != nil {
 			return nil, err
@@ -296,7 +298,7 @@ func TestInstancesHistoryArchives(t *testing.T) {
 		if failNext {
 			return nil, fail
 		}
-		if err := emit("li-1", []byte(`{"snap":1}`)); err != nil {
+		if err := w.Emit("li-1", []byte(`{"snap":1}`)); err != nil {
 			return nil, err
 		}
 		return func() { archived = append(archived, n) }, nil
@@ -351,5 +353,67 @@ func TestInstancesHistoryArchives(t *testing.T) {
 	}
 	if err := c.ReadHistory(2, func(string, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("orphaned archive read = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestInstancesParallelReplaySharedBarrier: a shared record is applied
+// after every record written before it and before every record written
+// after it, even when the parallel replay spreads instances across
+// lanes — records of any instance may depend on it.
+func TestInstancesParallelReplaySharedBarrier(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenInstances(dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Replay(func(string, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	const shared, perShared = 20, 16
+	for s := 0; s < shared; s++ {
+		if err := c.AppendShared(fmt.Sprintf("s%d", s), []byte(fmt.Sprintf(`%d`, s))); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perShared; i++ {
+			if err := c.Append(fmt.Sprintf("li-%d", i), []byte(fmt.Sprintf(`%d`, s))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := OpenInstances(dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	var mu sync.Mutex
+	applied, seen := -1, 0
+	if err := c2.ReplayParallel(4, func(id string, data []byte) error {
+		n, err := strconv.Atoi(string(data))
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if strings.HasPrefix(id, "s") {
+			if seen != n*perShared {
+				return fmt.Errorf("shared record %d applied after %d records, want %d", n, seen, n*perShared)
+			}
+			applied = n
+			return nil
+		}
+		if applied != n {
+			return fmt.Errorf("record of shared %d applied with shared %d current", n, applied)
+		}
+		seen++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if applied != shared-1 || seen != shared*perShared {
+		t.Fatalf("replayed %d shared and %d records", applied+1, seen)
 	}
 }

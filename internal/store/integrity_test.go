@@ -660,9 +660,9 @@ func TestInstancesSnapshotCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.SetSnapshotSource(func(emit func(id string, data []byte) error) (func(), error) {
+	c.SetSnapshotSource(func(w *SnapshotWriter) (func(), error) {
 		for id, data := range state {
-			if err := emit(id, data); err != nil {
+			if err := w.Emit(id, data); err != nil {
 				return nil, err
 			}
 		}
@@ -829,5 +829,77 @@ func TestFsckCleanGeneration(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing archive not reported: %+v", rep.Files)
+	}
+}
+
+// TestInstancesSnapshotHeadCorruption: the shared records a fold writes
+// at the head of an instance snapshot are framed and checksummed like
+// every other entry — a flipped byte inside one is found by the
+// scrubber, fails the open, and fsck reports the snapshot corrupt. The intact snapshot replays the
+// head ahead of the instance records.
+func TestInstancesSnapshotHeadCorruption(t *testing.T) {
+	dir := t.TempDir()
+	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AppendShared("model-1", []byte(`{"op":"model","body":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append("li-1", []byte(`{"op":"instantiate","model":"model-1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	c.SetSnapshotSource(func(w *SnapshotWriter) (func(), error) {
+		if err := w.Head("model-1", []byte(`{"op":"model","body":"head"}`)); err != nil {
+			return nil, err
+		}
+		if err := w.Emit("li-1", []byte(`{"op":"snapshot"}`)); err != nil {
+			return nil, err
+		}
+		if err := w.Head("model-2", []byte(`{}`)); err == nil {
+			return nil, errors.New("a head record after an instance record was accepted")
+		}
+		return nil, nil
+	})
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"model-1", "li-1"}; !slices.Equal(ids, want) {
+		t.Fatalf("replayed %v, want the head first: %v", ids, want)
+	}
+	if st := c.ReplayStats(); st.SharedEntries != 1 || st.SnapshotEntries != 1 {
+		t.Fatalf("replay stats %+v, want 1 shared and 1 snapshot entry", st)
+	}
+
+	snap := filepath.Join(dir, snapName(1))
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := bytes.Index(data, []byte(`"head"`))
+	if off < 0 {
+		t.Fatalf("no head record in %s", data)
+	}
+	flipByte(t, snap, int64(off+2))
+	if res := c.Scrub(1 << 30); res.Corrupt != 1 {
+		t.Fatalf("scrub over a corrupt snapshot head = %+v, want 1 corrupt", res)
+	}
+	c.Close()
+	if _, _, err := openInstancesDir(t, dir, InstancesOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt snapshot head replayed as %v, want ErrCorrupt", err)
+	}
+	rep, err := Fsck(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Clean || rep.Corrupt != 1 {
+		t.Fatalf("fsck over a corrupt snapshot head: %+v", rep)
 	}
 }

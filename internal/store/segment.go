@@ -156,6 +156,9 @@ type ReplayStats struct {
 	// ArchiveRefs is the number of archive references the snapshot
 	// carried — cold history adopted by pointer, not replayed into RAM.
 	ArchiveRefs int `json:"archive_refs,omitempty"`
+	// SharedEntries counts the shared records replayed (opShared, in
+	// the snapshot head or the tail); the other counts exclude them.
+	SharedEntries int `json:"shared_entries,omitempty"`
 }
 
 // segReplay is the full result of a segmented replay.
@@ -216,7 +219,11 @@ func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (
 			if k := key(e); e.Seq > bounds[k] {
 				bounds[k] = e.Seq
 			}
-			out.stats.SnapshotEntries++
+			if e.Op == opShared {
+				out.stats.SharedEntries++
+			} else {
+				out.stats.SnapshotEntries++
+			}
 			if out.refs, err = collectRef(out.refs, e); err != nil {
 				return err
 			}
@@ -233,7 +240,11 @@ func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (
 			out.stats.SkippedEntries++
 			return nil
 		}
-		out.stats.TailEntries++
+		if e.Op == opShared {
+			out.stats.SharedEntries++
+		} else {
+			out.stats.TailEntries++
+		}
 		return fn(e)
 	}
 	for _, n := range st.sealed {

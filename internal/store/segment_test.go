@@ -548,11 +548,11 @@ func TestInstancesFoldBoundsReplay(t *testing.T) {
 		}
 	}
 	source := func(st *state) SnapshotSource {
-		return func(emit func(string, []byte) error) (func(), error) {
+		return func(w *SnapshotWriter) (func(), error) {
 			st.mu.Lock()
 			defer st.mu.Unlock()
 			for id, sum := range st.sum {
-				if err := emit(id, []byte(fmt.Sprintf(`{"snap":true,"sum":%d}`, sum))); err != nil {
+				if err := w.Emit(id, []byte(fmt.Sprintf(`{"snap":true,"sum":%d}`, sum))); err != nil {
 					return nil, err
 				}
 			}
@@ -639,10 +639,10 @@ func TestInstancesConcurrentAppendDuringFold(t *testing.T) {
 		slots[i] = &slot{}
 	}
 	idOf := func(i int) string { return fmt.Sprintf("li-%06d", i) }
-	c.SetSnapshotSource(func(emit func(string, []byte) error) (func(), error) {
+	c.SetSnapshotSource(func(w *SnapshotWriter) (func(), error) {
 		for i, sl := range slots {
 			sl.mu.Lock()
-			err := emit(idOf(i), []byte(fmt.Sprintf(`{"sum":%d}`, sl.sum)))
+			err := w.Emit(idOf(i), []byte(fmt.Sprintf(`{"sum":%d}`, sl.sum)))
 			sl.mu.Unlock()
 			if err != nil {
 				return nil, err

@@ -20,12 +20,13 @@ import (
 	"github.com/liquidpub/gelee/internal/vclock"
 )
 
-// Source supplies instance snapshots, summaries and event-history
-// pages — satisfied by *runtime.Runtime.
+// Source supplies instance snapshots, summaries, event-history pages
+// and the per-phase counters — satisfied by *runtime.Runtime.
 type Source interface {
 	Instance(id string) (runtime.Snapshot, bool)
 	Summary(id string) (runtime.Summary, bool)
 	Events(id string, after, limit int) (runtime.EventPage, error)
+	PhaseStats(id string, now time.Time) (map[string]runtime.PhaseStat, bool)
 }
 
 // ErrDenied is returned when the viewer may not see the widget.
@@ -132,12 +133,11 @@ func (r *Renderer) View(instanceID, viewer string) (View, error) {
 		return View{}, fmt.Errorf("%w: %q on %s", ErrDenied, viewer, instanceID)
 	}
 
-	visited := make(map[string]bool)
-	for _, ev := range snap.Events {
-		if ev.Kind == runtime.EventPhaseEntered {
-			visited[ev.Phase] = true
-		}
-	}
+	// Visited comes from the per-phase counters, not from snap.Events:
+	// those are only the in-memory ring, which truncation may have
+	// emptied of a phase's entries.
+	now := r.clock.Now()
+	stats, _ := r.src.PhaseStats(instanceID, now)
 	next := snap.NextSuggested()
 	nextSet := make(map[string]bool, len(next))
 	for _, n := range next {
@@ -151,9 +151,9 @@ func (r *Renderer) View(instanceID, viewer string) (View, error) {
 		Current:       snap.Current,
 		NextSuggested: next,
 		ResourceURI:   snap.Resource.URI,
-		Late:          snap.Late(r.clock.Now()),
+		Late:          snap.Late(now),
 		Viewer:        viewer,
-		RenderedAt:    r.clock.Now(),
+		RenderedAt:    now,
 	}
 	if snap.Pending != nil {
 		v.Pending = snap.Pending.Summary
@@ -162,7 +162,7 @@ func (r *Renderer) View(instanceID, viewer string) (View, error) {
 		pv := PhaseView{
 			ID: p.ID, Name: p.Name, Final: p.Final,
 			Current:   p.ID == snap.Current,
-			Visited:   visited[p.ID],
+			Visited:   stats[p.ID].Entered > 0,
 			Suggested: nextSet[p.ID],
 		}
 		if due := snap.DueAt(p.ID); !due.IsZero() {
