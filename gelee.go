@@ -606,6 +606,8 @@ func New(opts Options) (*System, error) {
 		if err := s.instances.ReplayParallel(stdruntime.GOMAXPROCS(0), rt.ApplyJournal); err != nil {
 			return nil, fmt.Errorf("gelee: replay instance journal: %w", err)
 		}
+		replay := s.instances.ReplayStats()
+		rt.NoteReaderTime(replay.Read, replay.Envelope)
 		rt.FinishRecovery()
 		s.instances.SetSnapshotSource(func(w *store.SnapshotWriter) (func(), error) {
 			return rt.EmitSnapshots(w)

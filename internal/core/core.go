@@ -152,8 +152,12 @@ type Phase struct {
 	Note     string // free-form annotation (§IV.A)
 }
 
-// Clone returns a deep copy of the phase.
+// Clone returns a deep copy of the phase; nil for nil, so a model
+// holding a null phase clones and then fails Validate.
 func (p *Phase) Clone() *Phase {
+	if p == nil {
+		return nil
+	}
 	c := *p
 	c.Actions = make([]ActionCall, len(p.Actions))
 	for i, a := range p.Actions {

@@ -95,6 +95,17 @@ func (m *Model) check() []Issue {
 		})
 	}
 
+	// A null phase (`"Phases":[null]` in a body) leaves nothing to
+	// check the rest of the model against.
+	for i, p := range m.Phases {
+		if p == nil {
+			add(Error, "null-phase", "", "phase %d is null", i)
+		}
+	}
+	if len(issues) > 0 {
+		return issues
+	}
+
 	if strings.TrimSpace(m.Name) == "" {
 		add(Warning, "unnamed-model", "", "model has no name")
 	}

@@ -210,3 +210,25 @@ func TestValidationErrorListsAllIssues(t *testing.T) {
 		t.Fatalf("aggregated error %q should list both findings", msg)
 	}
 }
+
+// TestValidateRejectsNullPhase: a null in the phase list — what
+// `"Phases":[null]` decodes to — is a validation error, and neither
+// Validate, Lint nor Clone panics on it.
+func TestValidateRejectsNullPhase(t *testing.T) {
+	m := fig1(t)
+	m.Phases = append(m.Phases, nil)
+	c := m.Clone()
+	if c.Phases[len(c.Phases)-1] != nil {
+		t.Fatal("Clone invented a phase for a null one")
+	}
+	err := c.Validate()
+	if !IsValidation(err) {
+		t.Fatalf("Validate(null phase) = %v, want a ValidationError", err)
+	}
+	if _, ok := findIssue(err.(*ValidationError).Issues, "null-phase"); !ok {
+		t.Fatalf("missing null-phase issue in %v", err)
+	}
+	if _, ok := findIssue(c.Lint(), "null-phase"); !ok {
+		t.Fatal("Lint does not report the null phase")
+	}
+}

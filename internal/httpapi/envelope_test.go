@@ -375,3 +375,29 @@ func TestPagedRoutesBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestDefineModelNullPhase: a model body whose phase list holds a null
+// is a validation error — a structured 4xx — not a panic.
+func TestDefineModelNullPhase(t *testing.T) {
+	e := newEnv(t, false)
+	body := `{"URI":"urn:null-phase","Name":"n","Phases":[null],"Transitions":[{"From":"BEGIN","To":"a"}]}`
+	resp, err := http.Post(e.srv.URL+"/api/v1/models", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	var apiErr struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	}
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 || json.Unmarshal(data, &apiErr) != nil || apiErr.Code == "" {
+		t.Fatalf("null phase answered %d %s, want a structured 4xx", resp.StatusCode, data)
+	}
+	if !strings.Contains(apiErr.Message, "null") {
+		t.Fatalf("error %q does not name the null phase", apiErr.Message)
+	}
+	if _, ok := e.sys.Model("urn:null-phase"); ok {
+		t.Fatal("model with a null phase was stored")
+	}
+}

@@ -916,9 +916,18 @@ func TestAdminRuntimeStats(t *testing.T) {
 			DueHeap int   `json:"aggregate_due_heap"`
 			Rewinds int64 `json:"aggregate_rewinds"`
 		} `json:"population_index"`
+		Persistence struct {
+			Recovered map[string]int64 `json:"recovered"`
+		} `json:"persistence"`
 	}
 	if code := e.call(t, "GET", "/api/v1/admin/runtime", "", nil, &stats); code != 200 {
 		t.Fatalf("admin runtime stats = %d", code)
+	}
+	// The recovery breakdown is served whether or not a replay ran.
+	for _, k := range []string{"records", "elapsed_ns", "read_ns", "envelope_ns", "decode_ns", "apply_ns"} {
+		if _, ok := stats.Persistence.Recovered[k]; !ok {
+			t.Fatalf("persistence.recovered lacks %s: %v", k, stats.Persistence.Recovered)
+		}
 	}
 	if stats.Shards <= 0 || len(stats.PerShard) != stats.Shards {
 		t.Fatalf("shards = %d, per_shard = %v", stats.Shards, stats.PerShard)

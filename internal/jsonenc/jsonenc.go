@@ -5,9 +5,11 @@
 // on the write path — more than the token move it persists — so the
 // hot, fixed-shape records (store.Entry, runtime.JournalRecord) are
 // encoded by hand and these helpers keep the string/time handling in
-// one audited place. Decoding stays encoding/json everywhere: the fast
-// encoders only ever have to produce JSON the standard decoder reads
-// back to an equal value, which is what their equivalence tests pin.
+// one audited place. The fast encoders only ever have to produce JSON
+// the standard decoder reads back to an equal value, which is what
+// their equivalence tests pin. Scanner (scan.go) is the decode side,
+// for journal replay: it reads what these helpers write and defers to
+// encoding/json for anything else.
 //
 // Responses are held to a stricter rule: a hand-encoded body is byte
 // for byte what json.Encoder.Encode writes, so AppendWireString and

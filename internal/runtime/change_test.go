@@ -362,3 +362,25 @@ func TestMigrationAtBeginNeedsNoLanding(t *testing.T) {
 		t.Fatalf("token moved by migration: %q", after.Current)
 	}
 }
+
+// TestNullPhaseModelRejected: proposing or switching to a model whose
+// phase list holds a null fails validation and leaves the instance as
+// it was; it does not panic.
+func TestNullPhaseModelRejected(t *testing.T) {
+	e := newEnv(t)
+	id := e.instantiate(t).ID
+	bad := fig1(t)
+	bad.Phases = append(bad.Phases, nil)
+	if err := e.rt.ProposeChange(id, "designer", bad, ""); !core.IsValidation(err) {
+		t.Fatalf("ProposeChange(null phase) = %v, want a validation error", err)
+	}
+	if _, err := e.rt.SwitchModel(id, "owner", bad, "draft"); !core.IsValidation(err) {
+		t.Fatalf("SwitchModel(null phase) = %v, want a validation error", err)
+	}
+	if _, err := e.rt.PropagateChange("designer", bad, ""); !core.IsValidation(err) {
+		t.Fatalf("PropagateChange(null phase) = %v, want a validation error", err)
+	}
+	if snap, ok := e.rt.Instance(id); !ok || snap.Pending != nil || len(snap.Events) != 1 {
+		t.Fatalf("instance changed by rejected models: %+v", snap)
+	}
+}

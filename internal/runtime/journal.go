@@ -15,7 +15,6 @@ package runtime
 // "Durability model" section for the contract.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -218,18 +217,25 @@ func (r *Runtime) record(rec *JournalRecord) error {
 // structures are guarded by their own shard/index locks or atomics.
 // Records are applied without policy checks or action dispatch — the
 // side effects already happened in the previous life of the process.
+//
+// data is only read during the call (nothing retains it), and a record
+// that does not decode is an error, as is one that does not apply.
 func (r *Runtime) ApplyJournal(id string, data []byte) error {
-	var rec JournalRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("runtime: decode journal record for %s: %w", id, err)
-	}
-	if rec.Instance == "" {
-		rec.Instance = id
-	}
 	r.recoveryOnce.Do(func() {
 		r.recoveryStart = time.Now()
 		r.models.beginReplay()
 	})
+	start := time.Now()
+	var rec JournalRecord
+	if err := decodeRecord(data, &rec); err != nil {
+		return fmt.Errorf("runtime: decode journal record for %s: %w", id, err)
+	}
+	decoded := time.Now()
+	r.recoveryDecode.Add(int64(decoded.Sub(start)))
+	defer func() { r.recoveryApply.Add(int64(time.Since(decoded))) }()
+	if rec.Instance == "" {
+		rec.Instance = id
+	}
 	if err := r.resolveModels(&rec); err != nil {
 		return fmt.Errorf("runtime: replay %s of %s: %w", rec.Op, rec.Instance, err)
 	}
@@ -553,6 +559,25 @@ type RecoveryStats struct {
 	Executions int64 `json:"executions"`
 	// Elapsed is the wall-clock replay time in nanoseconds.
 	Elapsed time.Duration `json:"elapsed_ns"`
+	// Where the time went. Read (reading lines and checking their
+	// CRCs) and Envelope (decoding the journal envelopes) are the
+	// journal reader's, on one goroutine ahead of the appliers, as the
+	// storage layer measured them (NoteReaderTime). Decode (decoding
+	// each record) and Apply (applying it) are ApplyJournal's, summed
+	// over the parallel appliers, so they can add up to more than
+	// Elapsed.
+	Read     time.Duration `json:"read_ns"`
+	Envelope time.Duration `json:"envelope_ns"`
+	Decode   time.Duration `json:"decode_ns"`
+	Apply    time.Duration `json:"apply_ns"`
+}
+
+// NoteReaderTime records the journal reader's share of the replay —
+// reading plus CRC checks, and envelope decoding — which only the
+// storage layer can measure, for the recovery stats. Call it before
+// FinishRecovery.
+func (r *Runtime) NoteReaderTime(read, envelope time.Duration) {
+	r.recoveryRead, r.recoveryEnvelope = read, envelope
 }
 
 // FinishRecovery closes a replay: it derives the recovery stats served
@@ -562,8 +587,12 @@ type RecoveryStats struct {
 func (r *Runtime) FinishRecovery() RecoveryStats {
 	r.models.finishReplay()
 	st := RecoveryStats{
-		Records: r.recoveredRecords.Load(),
-		Events:  r.totalEvents.Load(),
+		Records:  r.recoveredRecords.Load(),
+		Events:   r.totalEvents.Load(),
+		Read:     r.recoveryRead,
+		Envelope: r.recoveryEnvelope,
+		Decode:   time.Duration(r.recoveryDecode.Load()),
+		Apply:    time.Duration(r.recoveryApply.Load()),
 	}
 	for _, sh := range r.shards {
 		sh.mu.RLock()

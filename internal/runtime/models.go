@@ -14,7 +14,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -160,9 +159,6 @@ func (t *modelTable) resolve(digest string, inline *core.Model) (*modelEntry, er
 	if e == nil {
 		if inline == nil {
 			return nil, fmt.Errorf("runtime: replay names unknown model %s", digest)
-		}
-		if slices.Contains(inline.Phases, nil) {
-			return nil, fmt.Errorf("runtime: replayed model %s has a null phase", digest)
 		}
 		if err := inline.Validate(); err != nil {
 			return nil, err

@@ -555,10 +555,44 @@ func TestJournalFailureSemantics(t *testing.T) {
 // encoding/json for every record shape: both must decode to the same
 // record.
 func TestCodecEquivalence(t *testing.T) {
+	for _, rec := range codecRecords(t) {
+		fast, err := rec.Encode()
+		if err != nil {
+			t.Fatalf("%s: encode: %v", rec.Op, err)
+		}
+		noZeroTimes(t, rec)
+		std, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromFast, fromStd, decoded JournalRecord
+		if err := json.Unmarshal(fast, &fromFast); err != nil {
+			t.Fatalf("%s: decode fast %s: %v", rec.Op, fast, err)
+		}
+		if err := json.Unmarshal(std, &fromStd); err != nil {
+			t.Fatal(err)
+		}
+		if f, s := mustJSON(t, fromFast), mustJSON(t, fromStd); f != s {
+			t.Fatalf("%s: codec divergence:\nfast %s\nstd  %s", rec.Op, f, s)
+		}
+		if !scanRecord(fast, &decoded) {
+			t.Fatalf("%s: one-pass decoder fell back on %s", rec.Op, fast)
+		}
+		if !reflect.DeepEqual(decoded, fromStd) {
+			t.Fatalf("%s: decoder divergence:\nhand %#v\nstd  %#v", rec.Op, decoded, fromStd)
+		}
+	}
+}
+
+// codecRecords is one record of every shape the journal holds: each
+// mutation op, digest-named and inline-model variants, and snapshot
+// images with and without a pending proposal.
+func codecRecords(t testing.TB) []*JournalRecord {
 	now := time.Date(2026, 7, 29, 10, 0, 0, 123456789, time.UTC)
 	model := fig1(t)
 	ref := wikiRef()
-	recs := []*JournalRecord{
+	credRef := resource.Ref{URI: "svn://repo/<trunk>", Type: "svn", Credentials: map[string]string{"user": "bob", "pass": `p"w`}}
+	return []*JournalRecord{
 		{Op: RecInstantiate, Instance: "li-000001", Seq: 1, Model: model, ModelURI: model.URI,
 			Resource: &ref, Owner: "owner", CreatedAt: now,
 			Unresolved: []string{"urn:a"}, Bindings: map[string]map[string]string{"urn:a": {"k": "v"}},
@@ -596,25 +630,24 @@ func TestCodecEquivalence(t *testing.T) {
 			ModelDigest: "00112233445566778899aabbccddeeff", Events: []Event{{Seq: 2, Time: now, Kind: EventChangeProposed}}},
 		{Op: RecSwitch, Instance: "li-000005", Proposer: "o", ModelDigest: "00112233445566778899aabbccddeeff", ModelURI: "urn:other",
 			State: StateActive, Current: "draft", Events: []Event{{Seq: 3, Time: now, Kind: EventChangeApplied}}},
-	}
-	for _, rec := range recs {
-		fast, err := rec.Encode()
-		if err != nil {
-			t.Fatalf("%s: encode: %v", rec.Op, err)
-		}
-		std, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fromFast, fromStd JournalRecord
-		if err := json.Unmarshal(fast, &fromFast); err != nil {
-			t.Fatalf("%s: decode fast %s: %v", rec.Op, fast, err)
-		}
-		if err := json.Unmarshal(std, &fromStd); err != nil {
-			t.Fatal(err)
-		}
-		if f, s := mustJSON(t, fromFast), mustJSON(t, fromStd); f != s {
-			t.Fatalf("%s: codec divergence:\nfast %s\nstd  %s", rec.Op, f, s)
-		}
+		{Op: RecInstantiate, Instance: "li-000006", Seq: 6, ModelDigest: "00112233445566778899aabbccddeeff", ModelURI: model.URI,
+			Resource: &credRef, Owner: "owner", CreatedAt: now, Unresolved: []string{"urn:a", "urn:b"},
+			Bindings: map[string]map[string]string{"urn:b": {"z": "1", "a": "2"}, "urn:a": {"k": "v"}},
+			Events:   []Event{{Seq: 1, Time: now, Kind: EventCreated, Actor: "owner"}}},
+		{Op: RecSnapshot, Instance: "li-000007", Seq: 7, ModelDigest: "00112233445566778899aabbccddeeff", ModelURI: model.URI,
+			Resource: &ref, Owner: "owner", CreatedAt: now, State: StateActive, Current: "elaboration",
+			Events: []Event{{Seq: 41, Time: now, Kind: EventAnnotated, Detail: "spilled"}, {Seq: 42, Time: now, Kind: EventPhaseEntered, Phase: "elaboration"}},
+			Executions: []ActionExecution{{InvocationID: "inv-000010", ActionURI: "urn:a", ActionName: "Do", Phase: "elaboration",
+				StartedAt: now, Terminal: true, LastStatus: "completed", Updates: 2}},
+			EventSeq: 42, TruncatedEvs: 40, Deviations: 1,
+			Archives:       []HistoryRef{{Archive: 3, From: 1, To: 20}, {Archive: 5, From: 21, To: 40}},
+			PhaseEntered:   map[string]int{"elaboration": 2, "draft": 1},
+			PhaseResidence: map[string]time.Duration{"draft": 90 * time.Minute, "elaboration": time.Second},
+			ResidPhase:     "elaboration", ResidSince: now,
+			Pending:       &ChangeProposal{ProposedBy: "designer", ProposedAt: now, Note: "v2", Summary: "+archival"},
+			PendingDigest: "ffeeddccbbaa99887766554433221100"},
+		{Op: RecSnapshot, Instance: "li-000008", Seq: 8, Model: model, Resource: &ref, Owner: "owner", CreatedAt: now,
+			State: StateCompleted, Current: "archival", CompletedAt: now,
+			Pending: &ChangeProposal{ProposedBy: "designer", NewModel: model, Summary: "+archival"}},
 	}
 }

@@ -487,8 +487,12 @@ type Runtime struct {
 	journalAppends   atomic.Int64 // records accepted by the Journal sink
 	journalErrors    atomic.Int64 // records the sink failed to persist
 	recoveredRecords atomic.Int64 // instance records applied by ApplyJournal
+	recoveryDecode   atomic.Int64 // ns ApplyJournal spent decoding, all appliers
+	recoveryApply    atomic.Int64 // ns ApplyJournal spent applying, all appliers
 	recoveryOnce     sync.Once
 	recoveryStart    time.Time
+	recoveryRead     time.Duration // NoteReaderTime
+	recoveryEnvelope time.Duration
 	recovery         RecoveryStats
 }
 

@@ -11,7 +11,6 @@ package runtime
 // tail records replay on top through the normal appliers.
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -63,7 +62,8 @@ func (r *Runtime) EmitSnapshots(w SnapshotWriter) (installed func(), err error) 
 	}
 	fold, head := r.models.beginFold()
 	for _, e := range head {
-		data, err := json.Marshal(&JournalRecord{Op: RecModel, Instance: e.digest, ModelDigest: e.digest, Model: e.model})
+		rec := &JournalRecord{Op: RecModel, Instance: e.digest, ModelDigest: e.digest, Model: e.model}
+		data, err := rec.Encode()
 		if err == nil {
 			err = w.Head(e.digest, data)
 		}
@@ -75,7 +75,7 @@ func (r *Runtime) EmitSnapshots(w SnapshotWriter) (installed func(), err error) 
 	// in-order appends to the population and URI indexes.
 	r.forEachRef(0, func(in *instance) bool {
 		in.mu.Lock()
-		data, e := json.Marshal(snapshotRecord(in, archived[in], fold))
+		data, e := snapshotRecord(in, archived[in], fold).Encode()
 		if e == nil {
 			e = w.Emit(in.id, data)
 		}

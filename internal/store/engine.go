@@ -91,7 +91,10 @@ type EngineStats struct {
 type Engine interface {
 	// Replay streams every previously committed entry through fn in
 	// commit order, then opens the engine for appending. It must be
-	// called exactly once, before any Append.
+	// called exactly once, before any Append. An entry's Data is valid
+	// only during the fn call that receives it: it may alias the line
+	// the reader read, and it has not been checked to be JSON — fn
+	// decodes it (or copies it) and reports an error if it cannot.
 	Replay(fn func(Entry) error) error
 	// Append assigns the next sequence number to e, commits it, and
 	// returns the assigned sequence once the commit is acknowledged.

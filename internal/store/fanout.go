@@ -6,9 +6,10 @@ package store
 // with the same key apply in exactly the sequential-replay order while
 // independent keys proceed in parallel. The reader keeps doing all
 // skip/bounds bookkeeping (it is cheap); workers only run apply. An
-// apply error aborts the stream at the next dispatch; lanes drain so
-// nothing blocks. quiesce is the barrier for an entry every later one
-// may depend on: it returns once the lanes applied everything
+// apply error, naming the file and line of the entry that failed
+// (RecordError), aborts the stream at the next dispatch; lanes drain
+// so nothing blocks. quiesce is the barrier for an entry every later
+// one may depend on: it returns once the lanes applied everything
 // dispatched before it.
 
 import (
@@ -58,6 +59,7 @@ func newFanOut(workers int, apply func(Entry) error) *fanOut {
 					continue // drain after failure
 				}
 				if err := apply(it.e); err != nil {
+					err = located(err, it.e)
 					f.errMu.Lock()
 					if f.firstErr == nil {
 						f.firstErr = err

@@ -164,7 +164,10 @@ func OpenInstances(dir string, opts InstancesOptions) (*Instances, error) {
 // uncovered tail records after it. Like Engine.Replay it must be
 // called exactly once, before any Append, truncates a torn active
 // tail so the next append starts on a record boundary, and treats a
-// missing or empty directory as empty.
+// missing or empty directory as empty. data is valid only during the
+// fn call that receives it, and has not been checked to be JSON:
+// decoding it is fn's job, and an error fn returns fails the replay
+// with the file and line of the record (RecordError).
 func (c *Instances) Replay(fn func(id string, data []byte) error) error {
 	return c.ReplayParallel(1, fn)
 }
@@ -175,7 +178,8 @@ func (c *Instances) Replay(fn func(id string, data []byte) error) error {
 // streams ahead. fn must be safe for concurrent calls on different
 // ids (runtime.ApplyJournal is); per-id call order is exactly the
 // sequential replay order. workers <= 1 degrades to the plain
-// sequential replay.
+// sequential replay. data follows Replay's rule: valid only during
+// the call.
 func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) error) error {
 	apply := func(e Entry) error {
 		if e.Op == opArchiveRef {

@@ -228,7 +228,8 @@ func TestInstancesConcurrentAppend(t *testing.T) {
 
 // TestAppendEntryEquivalence pins the hand-rolled journal-line codec:
 // whatever appendEntry emits, encoding/json decodes to the same Entry
-// that json.Marshal would have produced.
+// that json.Marshal would have produced, and scanEntry reads it in one
+// pass to the same Entry encoding/json does.
 func TestAppendEntryEquivalence(t *testing.T) {
 	cases := []Entry{
 		{Seq: 1, Repo: "instances", Op: OpAppend, ID: "li-000001", Data: json.RawMessage(`{"op":"advance"}`)},
@@ -237,15 +238,23 @@ func TestAppendEntryEquivalence(t *testing.T) {
 newlines`, Data: json.RawMessage(`{"deep":{"nested":[1,2,3]}}`)},
 		{Seq: 7, Repo: "execlog", Op: OpDelete},
 		{Seq: 9, Repo: "grants", Op: OpPut, ID: "scope|user|rôle — 東京"},
+		{Repo: "instances", Op: opShared, ID: "d1", Data: json.RawMessage(`[1,{"a":"}]\\\""}]`)},
+		{Seq: 3, Repo: "docs", Op: OpPut, ID: "k", Data: json.RawMessage(`"s"`)},
 	}
 	for _, e := range cases {
 		line := appendEntry(nil, e)
 		if line[len(line)-1] != '\n' {
 			t.Fatalf("entry line not newline-terminated: %s", line)
 		}
-		var fast, std Entry
+		var fast, std, scanned Entry
 		if err := json.Unmarshal(line, &fast); err != nil {
 			t.Fatalf("decode fast line %s: %v", line, err)
+		}
+		if !scanEntry(line[:len(line)-1], &scanned) {
+			t.Fatalf("scanEntry fell back on %s", line)
+		}
+		if !reflect.DeepEqual(scanned, fast) {
+			t.Fatalf("scan %s:\nscan %#v\njson %#v", line, scanned, fast)
 		}
 		stdLine, err := json.Marshal(e)
 		if err != nil {

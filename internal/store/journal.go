@@ -182,8 +182,13 @@
 // front of the API, so replay, folding and recovery are unaffected.
 //
 // Journal lines are encoded by a hand-rolled codec (appendEntry) — the
-// reflection-based marshal cost more than the write it framed — while
-// replay keeps decoding with encoding/json.
+// reflection-based marshal cost more than the write it framed — and
+// replay reads each framed line back in one pass (scanEntry), handing
+// the record's data to its consumer as a sub-slice of the line.
+// encoding/json decodes only what that pass does not recognise: legacy
+// unframed lines, footers, other layouts. Validating the data is the
+// consumer's job, so a CRC-sound record that does not decode fails the
+// open as a RecordError naming its file and line.
 //
 // Lifecycle instances have their own collection, Instances: the same
 // entry framing, segment rotation, snapshot folding and appender on a
@@ -227,6 +232,8 @@ type Entry struct {
 	Op   Op              `json:"op"`
 	ID   string          `json:"id,omitempty"`
 	Data json.RawMessage `json:"data,omitempty"`
+
+	at recordAt // set by replay: where the entry was read
 }
 
 // Record envelope framing (version 1): "#1 xxxxxxxx {json}\n" for a
@@ -344,8 +351,8 @@ func (j *Journal) adoptReplay(fr fileReplay) {
 // the buffered writer without flushing — batching is the caller's job.
 // The line is encoded by hand (appendEntry): the reflection-based
 // json.Marshal costs more than the rest of the append path combined,
-// and the entry shape is fixed. Replay still decodes with
-// encoding/json; the codec equivalence test pins the round trip.
+// and the entry shape is fixed. Replay reads it back with scanEntry;
+// the codec equivalence test and FuzzScanEntry pin the round trip.
 // An I/O failure is sticky: the journal refuses further writes so a
 // partially written line is never followed by more data (which replay
 // would treat as corruption rather than a torn tail).
@@ -526,6 +533,44 @@ func (e *CorruptionError) Error() string {
 
 func (e *CorruptionError) Unwrap() error { return ErrCorrupt }
 
+// RecordError reports a record that was read intact — its envelope
+// and CRC sound — but that its consumer failed to apply: say a payload
+// that is not JSON, or a mutation naming an instance no earlier record
+// created. Replay decodes a record's data only in its consumer, so
+// this is how such a failure names the file and line it came from. It
+// wraps the consumer's error.
+type RecordError struct {
+	Path   string // file the record was read from
+	Line   int    // 1-based line number of the record
+	Offset int64  // byte offset where the record starts
+	Err    error
+}
+
+func (e *RecordError) Error() string {
+	return fmt.Sprintf("store: %s: line %d @ offset %d: %v", filepath.Base(e.Path), e.Line, e.Offset, e.Err)
+}
+
+func (e *RecordError) Unwrap() error { return e.Err }
+
+// recordAt is where replay read an entry: the location a RecordError
+// names.
+type recordAt struct {
+	path   string
+	line   int
+	offset int64
+}
+
+// located wraps err, returned by applying e, in a RecordError naming
+// where e was read — unless err already names a record (an apply
+// error a fan-out lane reported) or e was not read from a file.
+func located(err error, e Entry) error {
+	var re *RecordError
+	if e.at.path == "" || errors.As(err, &re) {
+		return err
+	}
+	return &RecordError{Path: e.at.path, Line: e.at.line, Offset: e.at.offset, Err: err}
+}
+
 // replayPolicy selects the torn-tail-vs-corruption verdict for one file
 // kind (see the package doc's decision rule).
 type replayPolicy int
@@ -557,49 +602,95 @@ type fileReplay struct {
 	size     int64
 	torn     int64
 	footer   *segFooter
+	// read is the time spent reading lines and checking their CRCs,
+	// envelope the time spent decoding the envelopes.
+	read, envelope time.Duration
 }
 
-// parseJournalLine decodes one non-empty journal line: a framed v1
-// record or footer, or a legacy bare-JSON record (version sniff on the
-// first byte). A non-empty detail means the line is invalid — malformed
-// envelope, CRC mismatch, or undecodable JSON; the torn-vs-corrupt
-// verdict is the caller's, since it depends on the file kind and the
-// line's position.
-func parseJournalLine(trimmed []byte) (*Entry, *segFooter, string) {
-	if trimmed[0] == frameMagic {
-		if len(trimmed) <= frameHdrLen || trimmed[2] != ' ' || trimmed[frameHdrLen-1] != ' ' {
-			return nil, nil, "malformed record envelope"
+// unframeJournalLine checks one non-empty journal line's envelope and
+// returns its JSON payload and kind: frameRecord or frameFooter for a
+// framed v1 line, whose CRC it verifies, or 0 for a legacy bare-JSON
+// record (version sniff on the first byte). A non-empty detail means
+// the envelope is invalid — malformed or failing its CRC; the
+// torn-vs-corrupt verdict is the caller's, since it depends on the
+// file kind and the line's position.
+func unframeJournalLine(trimmed []byte) (payload []byte, kind byte, detail string) {
+	if trimmed[0] != frameMagic {
+		return trimmed, 0, ""
+	}
+	if len(trimmed) <= frameHdrLen || trimmed[2] != ' ' || trimmed[frameHdrLen-1] != ' ' {
+		return nil, 0, "malformed record envelope"
+	}
+	want, ok := parseHex32(trimmed[3 : frameHdrLen-1])
+	if !ok {
+		return nil, 0, "malformed envelope checksum"
+	}
+	payload = trimmed[frameHdrLen:]
+	if got := crc32.Checksum(payload, crcTable); got != want {
+		return nil, 0, fmt.Sprintf("record CRC mismatch (computed %08x, recorded %08x)", got, want)
+	}
+	switch trimmed[1] {
+	case frameRecord, frameFooter:
+		return payload, trimmed[1], ""
+	}
+	return nil, 0, fmt.Sprintf("unknown envelope kind %q", trimmed[1])
+}
+
+// decodeJournalLine decodes an unframed payload: a record, or a
+// segment footer. A framed record takes scanEntry's single pass, and
+// its Data aliases payload; a legacy record, which no CRC covers, and
+// any record scanEntry cannot read go through encoding/json, which
+// validates every byte.
+func decodeJournalLine(payload []byte, kind byte) (*Entry, *segFooter, string) {
+	if kind == frameFooter {
+		var ft segFooter
+		if err := json.Unmarshal(payload, &ft); err != nil {
+			return nil, nil, fmt.Sprintf("undecodable segment footer: %v", err)
 		}
-		want, ok := parseHex32(trimmed[3 : frameHdrLen-1])
-		if !ok {
-			return nil, nil, "malformed envelope checksum"
-		}
-		payload := trimmed[frameHdrLen:]
-		if got := crc32.Checksum(payload, crcTable); got != want {
-			return nil, nil, fmt.Sprintf("record CRC mismatch (computed %08x, recorded %08x)", got, want)
-		}
-		switch trimmed[1] {
-		case frameRecord:
-			var e Entry
-			if err := json.Unmarshal(payload, &e); err != nil {
-				return nil, nil, fmt.Sprintf("undecodable record: %v", err)
-			}
-			return &e, nil, ""
-		case frameFooter:
-			var ft segFooter
-			if err := json.Unmarshal(payload, &ft); err != nil {
-				return nil, nil, fmt.Sprintf("undecodable segment footer: %v", err)
-			}
-			return nil, &ft, ""
-		default:
-			return nil, nil, fmt.Sprintf("unknown envelope kind %q", trimmed[1])
-		}
+		return nil, &ft, ""
 	}
 	var e Entry
-	if err := json.Unmarshal(trimmed, &e); err != nil {
+	if kind == frameRecord && scanEntry(payload, &e) {
+		return &e, nil, ""
+	}
+	e = Entry{}
+	if err := json.Unmarshal(payload, &e); err != nil {
 		return nil, nil, fmt.Sprintf("undecodable record: %v", err)
 	}
 	return &e, nil, ""
+}
+
+// scanEntry decodes a record payload laid out byte for byte as
+// appendEntry writes it — seq, optional ts, repo, op, optional id,
+// optional data last — into e, and reports whether it could. Data is
+// the sub-slice of payload holding the value, found by a structural
+// skip and not validated: its consumer decodes it anyway, and a record
+// whose data is not JSON fails there, named by file and line. Any
+// other layout (a legacy writer's key order, whitespace, an escape
+// scanEntry does not expect) reports false, and the caller falls back
+// to encoding/json; on every payload scanEntry accepts whose data is
+// valid JSON, it agrees with encoding/json exactly (FuzzScanEntry).
+func scanEntry(payload []byte, e *Entry) bool {
+	s := jsonenc.NewScanner(payload)
+	if !s.Consume(`{"seq":`) {
+		return false
+	}
+	e.Seq = s.Uint(64)
+	if s.Consume(`,"ts":`) {
+		e.Time = s.Time()
+	}
+	s.Expect(`,"repo":`)
+	e.Repo = s.String()
+	s.Expect(`,"op":`)
+	e.Op = Op(s.String())
+	if s.Consume(`,"id":`) {
+		e.ID = s.String()
+	}
+	if s.Consume(`,"data":`) {
+		e.Data = s.Value()
+	}
+	s.Expect("}")
+	return s.End()
 }
 
 // replayJournalFile streams one file's entries through fn in order,
@@ -631,6 +722,7 @@ func replayJournalFile(path string, policy replayPolicy, fn func(Entry) error) (
 		return &CorruptionError{Path: path, Offset: off, Line: line, LastSeq: fr.lastSeq, Detail: detail}
 	}
 	for {
+		t0 := time.Now()
 		line, readErr := r.ReadBytes('\n')
 		atEOF := errors.Is(readErr, io.EOF)
 		if readErr != nil && !atEOF {
@@ -643,7 +735,15 @@ func replayJournalFile(path string, policy replayPolicy, fn func(Entry) error) (
 		if len(trimmed) > 0 {
 			lineNo++
 			terminated := bytes.HasSuffix(line, []byte{'\n'})
-			e, ft, detail := parseJournalLine(trimmed)
+			payload, kind, detail := unframeJournalLine(trimmed)
+			t1 := time.Now()
+			fr.read += t1.Sub(t0)
+			var e *Entry
+			var ft *segFooter
+			if detail == "" {
+				e, ft, detail = decodeJournalLine(payload, kind)
+			}
+			fr.envelope += time.Since(t1)
 			if detail == "" && !terminated {
 				// A record is only valid when newline-terminated: an
 				// unterminated final line — even one that parses — is a
@@ -682,8 +782,9 @@ func replayJournalFile(path string, policy replayPolicy, fn func(Entry) error) (
 				footerEnd = offset
 			default:
 				if fn != nil {
+					e.at = recordAt{path: path, line: lineNo, offset: lineStart}
 					if fnErr := fn(*e); fnErr != nil {
-						return fr, fnErr
+						return fr, located(fnErr, *e)
 					}
 				}
 				fr.n++

@@ -30,6 +30,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // opSeqMark is the snapshot-internal high-water-mark entry: the first
@@ -159,6 +160,17 @@ type ReplayStats struct {
 	// SharedEntries counts the shared records replayed (opShared, in
 	// the snapshot head or the tail); the other counts exclude them.
 	SharedEntries int `json:"shared_entries,omitempty"`
+	// Read is the time the reader spent reading lines and checking
+	// their CRCs, Envelope the time it spent decoding their envelopes —
+	// both on the one reader goroutine, ahead of any applier lanes.
+	Read     time.Duration `json:"read_ns"`
+	Envelope time.Duration `json:"envelope_ns"`
+}
+
+// add sums one file's reader times into the stats.
+func (st *ReplayStats) add(fr fileReplay) {
+	st.Read += fr.read
+	st.Envelope += fr.envelope
 }
 
 // segReplay is the full result of a segmented replay.
@@ -229,6 +241,7 @@ func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (
 			}
 			return fn(e)
 		})
+		out.stats.add(fr)
 		if err != nil {
 			return out, err
 		}
@@ -249,6 +262,7 @@ func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (
 	}
 	for _, n := range st.sealed {
 		fr, err := replayJournalFile(filepath.Join(dir, sealedName(n)), replaySealed, tail)
+		out.stats.add(fr)
 		if err != nil {
 			return out, err
 		}
@@ -260,6 +274,7 @@ func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (
 		}
 	}
 	fr, err := replayJournalFile(filepath.Join(dir, journalName), replayActive, tail)
+	out.stats.add(fr)
 	if err != nil {
 		return out, err
 	}

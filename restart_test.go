@@ -124,6 +124,14 @@ func TestInstanceRecoveryAcrossRestart(t *testing.T) {
 	if rec.Records == 0 || rec.Events == 0 || rec.Executions == 0 {
 		t.Fatalf("recovery stats empty: %+v", rec)
 	}
+	// The breakdown names where replay spent its time: the reader's
+	// read and envelope share, the appliers' decode and apply share.
+	if rec.Read <= 0 || rec.Envelope <= 0 || rec.Decode <= 0 || rec.Apply <= 0 {
+		t.Fatalf("recovery breakdown empty: %+v", rec)
+	}
+	if rs := sys2.StoreStats().Instances.Replay; rs.Read != rec.Read || rs.Envelope != rec.Envelope {
+		t.Fatalf("store replay stats %+v disagree with the recovery breakdown %+v", rs, rec)
+	}
 	got := snapshotJSON(t, sys2)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("instances diverged after restart:\nbefore %v\nafter  %v", want, got)
