@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime/metrics"
 	"sync/atomic"
 	"testing"
@@ -430,8 +431,9 @@ func BenchmarkE8_MonitoringCockpit(b *testing.B) {
 // through the HTTP handler — response encoding included — at 10k
 // instances over 2,048 models, instances drawn Zipf(1.1) over the
 // models as in the perfbench cockpit workload: a population page, a
-// filtered page of active instances on one model, and the monitor
-// summary with its 2,048-key by_model breakdown.
+// filtered page of active instances on one model, the monitor summary
+// with its 2,048-key by_model breakdown, and a fetch of one model
+// (cockpit's most frequent op), its URI drawn by the same Zipf.
 func BenchmarkCockpitRoutes(b *testing.B) {
 	const population, models, limit = 10000, 2048, 50
 	sys := benchSystem(b)
@@ -470,6 +472,7 @@ func BenchmarkCockpitRoutes(b *testing.B) {
 			return fmt.Sprintf("/api/v1/instances?model=%s&state=active&limit=%d", uris[zipf.Uint64()], limit)
 		}},
 		{"summary", func() string { return "/api/v1/monitor/summary" }},
+		{"model", func() string { return "/api/v1/models/" + url.PathEscape(uris[zipf.Uint64()]) }},
 	}
 	for _, rt := range routes {
 		b.Run(rt.name, func(b *testing.B) {

@@ -25,8 +25,9 @@
 //
 // fsck is the one offline command: it opens no server connection but
 // walks a (stopped) geleed data directory — and its instances journal —
-// verifying every record CRC, segment footer and archive checksum, and
-// prints a per-file JSON report. With -repair it truncates torn active
+// verifying every record CRC, that every record's data is JSON, and
+// every segment footer and archive checksum, and prints a per-file JSON
+// report. With -repair it truncates torn active
 // tails and moves corrupt files aside (.quarantined) so the directory
 // opens again. Exits 1 when corruption was found.
 package main

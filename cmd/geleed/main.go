@@ -9,7 +9,6 @@
 //	       [-sync] [-store-shards N] [-runtime-shards N]
 //	       [-segment-max-bytes N] [-snapshot-every N]
 //	       [-fold-min-interval D] [-fold-min-garbage R]
-//	       [-read-cache-entries N]
 //	       [-max-events N] [-invocation-retention D]
 //	       [-persist-instances=true|false]
 //	       [-max-queue-depth N] [-shed-retry-after D]
@@ -53,14 +52,13 @@
 // fold carries forward unchanged. -fold-min-interval and
 // -fold-min-garbage pace the background folder (wall-clock spacing and
 // a minimum sealed-garbage ratio) so a trickle of writes never
-// re-snapshots an unchanged population. -read-cache-entries bounds the
-// per-shard LRU read cache in front of the model repository
-// (64 per shard by default, <0 disables): hot models are served as
-// shared prepared values, skipping the defensive deep clone on every
-// cockpit fetch — hit/miss/evict counters show next to the hot-key
-// sketch on the admin store stats. GET /api/v1/admin/store and
-// /api/v1/admin/runtime report the resulting engine, rotation/fold,
-// archive, replay, runtime and persistence health.
+// re-snapshots an unchanged population. GET /api/v1/models and
+// /api/v1/models/{uri} serve the stored models themselves, uncopied:
+// a stored model is immutable and shared with the runtime's instances.
+// GET /api/v1/admin/store (with each repository's read counters and
+// hot-key sketch) and /api/v1/admin/runtime report the resulting
+// engine, rotation/fold, archive, replay, runtime and persistence
+// health.
 //
 // The overload/failure knobs guard the service under stress:
 // -max-queue-depth sheds mutating requests with 429 + Retry-After once
@@ -138,7 +136,6 @@ func run() (err error) {
 	snapshotEvery := flag.Int("snapshot-every", 0, "fold once this many sealed segments accumulate (0 = every rotation)")
 	foldMinInterval := flag.Duration("fold-min-interval", 15*time.Second, "minimum wall-clock spacing between background snapshot folds (0 = none)")
 	foldMinGarbage := flag.Float64("fold-min-garbage", 0.25, "minimum sealed-garbage ratio before a background fold runs (0 = none)")
-	readCache := flag.Int("read-cache-entries", 0, "per-shard LRU entries for the model read cache (0 = default 64, <0 = disable)")
 	maxEvents := flag.Int("max-events", 0, "max in-memory events per instance, ring-truncated (0 = unbounded)")
 	invRetention := flag.Duration("invocation-retention", 0, "grace window before terminal invocation-index entries are GC'd (0 = keep forever)")
 	persist := flag.Bool("persist-instances", true, "journal lifecycle-instance mutations and replay them on start")
@@ -170,7 +167,6 @@ func run() (err error) {
 		SnapshotEvery:       *snapshotEvery,
 		FoldMinInterval:     *foldMinInterval,
 		FoldMinGarbage:      *foldMinGarbage,
-		ReadCacheEntries:    *readCache,
 		RuntimeShards:       *rtShards,
 		MaxEventsInMemory:   *maxEvents,
 		InvocationRetention: *invRetention,
@@ -232,12 +228,7 @@ func run() (err error) {
 	stats := sys.StoreStats()
 	log.Printf("gelee lifecycle manager listening on %s (auth=%t, data=%q, engine=%s, store-shards=%d, runtime-shards=%d)",
 		*addr, *auth, *dataDir, stats.Engine.Engine, stats.Shards, sys.RuntimeStats().Shards)
-	if n := sys.ReadCacheEntriesPerShard(); n > 0 {
-		log.Printf("read cache: models LRU, %d entries/shard x %d shards (max %d cached values); admission watermark %d",
-			n, stats.Shards, n*stats.Shards, *maxQueue)
-	} else {
-		log.Printf("read cache: disabled; admission watermark %d", *maxQueue)
-	}
+	log.Printf("admission watermark %d", *maxQueue)
 	log.Printf("try: curl %s", summaryURL(*addr))
 	return http.ListenAndServe(*addr, sys.HTTPHandler())
 }

@@ -137,15 +137,6 @@ type Options struct {
 	// SnapshotEvery folds once this many sealed segments accumulate
 	// (0 = fold on every rotation).
 	SnapshotEvery int
-	// ReadCacheEntries bounds the per-shard LRU read cache in front of
-	// the model and template repositories: decoded values prepared for
-	// sharing (a deep clone) are kept hot so the dominant read paths —
-	// cockpit model fetches, monitor rendering, instantiation storms on
-	// a popular template — skip the defensive copy entirely. Write-
-	// through invalidated on Put/Delete/replay and purged on quarantine
-	// or repair, so a cached value never outlives its record.
-	// 0 = store.DefaultReadCacheEntries per shard; negative disables.
-	ReadCacheEntries int
 	// FoldMinInterval spaces background snapshot folds at least this
 	// far apart in wall-clock time (0 = fold on every qualifying seal).
 	// Compact ignores it.
@@ -212,10 +203,6 @@ type Options struct {
 // DefaultInvokeMaxInFlight caps concurrent action dispatches per
 // endpoint when ResilienceOptions.InvokeMaxInFlight is zero.
 const DefaultInvokeMaxInFlight = 64
-
-// DefaultReadCacheEntries re-exports the per-shard read-cache bound
-// used when Options.ReadCacheEntries is zero.
-const DefaultReadCacheEntries = store.DefaultReadCacheEntries
 
 // ResilienceOptions tunes the resilience layer. See internal/resilience
 // for the health-state-machine and breaker semantics.
@@ -312,10 +299,6 @@ type System struct {
 	execLog   *store.Log
 	instances *store.Instances // nil unless Options.PersistInstances on the journal engine
 
-	// readCacheEntries is the resolved per-shard read-cache bound
-	// (<= 0 when disabled) — reported by startup logs and admin stats.
-	readCacheEntries int
-
 	Registry  *actionlib.Registry
 	Resources *resource.Manager
 	ACL       *access.Control
@@ -384,18 +367,9 @@ func New(opts Options) (*System, error) {
 	// alert plus the health report carry the signal to the operator.
 	integ := opts.Integrity
 	userOnCorrupt := integ.OnCorrupt
-	// purgeCaches is bound to the cached repository once it exists
-	// (below); a quarantine event must also drop every cached decode,
-	// since the records they came from just left the journal. The hook
-	// can fire during the store's initial Load (caches still empty, the
-	// purge is a no-op but must not deadlock — see the bind site).
-	var purgeCaches func()
 	integ.OnCorrupt = func(cf store.CorruptFile) {
 		if cf.Quarantined {
 			health.ForceReadOnly(fmt.Sprintf("journal corruption quarantined: %s", cf.Path))
-			if purgeCaches != nil {
-				purgeCaches()
-			}
 		}
 		if userOnCorrupt != nil {
 			userOnCorrupt(cf)
@@ -403,16 +377,15 @@ func New(opts Options) (*System, error) {
 	}
 
 	storeOpts := store.Options{
-		Sync:             opts.SyncJournal,
-		Shards:           opts.StoreShards,
-		SegmentMaxBytes:  opts.SegmentMaxBytes,
-		SnapshotEvery:    opts.SnapshotEvery,
-		FoldMinInterval:  opts.FoldMinInterval,
-		FoldMinGarbage:   opts.FoldMinGarbage,
-		ReadCacheEntries: opts.ReadCacheEntries,
-		Clock:            clock,
-		OnAppendResult:   health.Observe,
-		Integrity:        integ,
+		Sync:            opts.SyncJournal,
+		Shards:          opts.StoreShards,
+		SegmentMaxBytes: opts.SegmentMaxBytes,
+		SnapshotEvery:   opts.SnapshotEvery,
+		FoldMinInterval: opts.FoldMinInterval,
+		FoldMinGarbage:  opts.FoldMinGarbage,
+		Clock:           clock,
+		OnAppendResult:  health.Observe,
+		Integrity:       integ,
 	}
 	engine := opts.Engine
 	if engine == "" {
@@ -449,23 +422,6 @@ func New(opts Options) (*System, error) {
 	}
 	s.models = store.MustRepo[*core.Model](st, "models")
 	s.templates = store.MustRepo[*core.Model](st, "templates")
-	// Read cache: models are the read-dominated repository (every
-	// cockpit fetch, monitor render and instantiation reads them), and
-	// their values need a defensive deep clone when handed out —
-	// exactly what an LRU of prepared shared values amortizes.
-	// ModelView serves the shared path; templates are read through Get
-	// only, so they get no cache.
-	cacheEntries := opts.ReadCacheEntries
-	if cacheEntries == 0 {
-		cacheEntries = store.DefaultReadCacheEntries
-	}
-	s.readCacheEntries = cacheEntries
-	s.models.EnableReadCache(cacheEntries, (*core.Model).Clone)
-	// Purge the cached repo directly, not via Store.PurgeReadCaches:
-	// a quarantine can fire OnCorrupt in the middle of the store's
-	// Load, where the store mutex is already held — the repo-level
-	// purge takes only per-shard cache locks and is safe there.
-	purgeCaches = s.models.PurgeReadCache
 	s.actTypes = store.MustRepo[actionlib.ActionType](st, "action-types")
 	s.actImpls = store.MustRepo[actionlib.Implementation](st, "action-impls")
 	s.users = store.MustRepo[access.User](st, "users")
@@ -1043,28 +999,22 @@ func (s *System) Model(uri string) (*core.Model, bool) {
 	return m.Clone(), true
 }
 
-// ReadCacheEntriesPerShard reports the resolved per-shard read-cache
-// bound (<= 0 means the cache is disabled) — startup logs and
-// diagnostics read it.
-func (s *System) ReadCacheEntriesPerShard() int { return s.readCacheEntries }
-
-// ModelView returns the stored model under uri as a shared read-only
-// view: the value is served from the per-shard read cache when hot, so
-// repeated fetches of a popular model skip the defensive deep clone
-// entirely. Callers MUST NOT mutate the result — use Model for a
-// private copy.
+// ModelView returns the stored model under uri itself, with no copy.
+// Stored models are immutable: a redefinition replaces the value, never
+// edits it, and the runtime's model table shares the same pointer with
+// every instance of that version (see Instantiate). Callers MUST NOT
+// mutate the result; use Model for a private copy. Quarantine moves a
+// corrupt file aside only while the store opens, so ModelView, like
+// Model and Instantiate, serves the history that survived it.
 func (s *System) ModelView(uri string) (*core.Model, bool) {
-	return s.models.GetShared(uri)
+	return s.models.Get(uri)
 }
 
-// Models lists every stored model.
+// Models lists every stored model, ordered by URI. Like ModelView it
+// returns the stored, immutable values shared with the runtime's model
+// table: callers MUST NOT mutate them.
 func (s *System) Models() []*core.Model {
-	list := s.models.List()
-	out := make([]*core.Model, len(list))
-	for i, m := range list {
-		out[i] = m.Clone()
-	}
-	return out
+	return s.models.List()
 }
 
 // SaveTemplate stores a reusable lifecycle template (Fig. 2 "Lifecycle

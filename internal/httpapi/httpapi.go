@@ -134,9 +134,9 @@ const UserHeader = "X-Gelee-User"
 // *gelee.System.
 type Backend interface {
 	DefineModel(actor string, m *core.Model) error
-	// ModelView is the read-cache path: a shared value the handler only
-	// marshals, never mutates — repeated fetches of a hot model skip
-	// the defensive clone.
+	// ModelView and Models return the stored models themselves, shared
+	// with the runtime: handlers only marshal or summarize them, never
+	// mutate them.
 	ModelView(uri string) (*core.Model, bool)
 	Models() []*core.Model
 	Propagate(actor string, m *core.Model, note string) (int, error)

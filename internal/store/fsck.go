@@ -6,11 +6,13 @@ package store
 // scanSegments, never mutates unless repair is requested. With repair
 // it applies exactly the recoveries an open would (truncate the torn
 // active tail) plus the one an open refuses (quarantine files that fail
-// their CRCs), so a refused data directory opens again — shortened, for
-// an operator to reconcile from the .quarantined bytes or a backup.
+// their CRCs or hold a record whose data is not JSON), so a refused
+// data directory opens again — shortened, for an operator to reconcile
+// from the .quarantined bytes or a backup.
 // `geleectl fsck` is the CLI wrapper.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -62,12 +64,12 @@ type FsckReport struct {
 }
 
 // Fsck verifies every file of the journal generation rooted at dir:
-// per-record CRCs and segment footers in the newest snapshot, the
-// uncovered sealed segments and the active file, and the full checksum
-// of every archive the snapshot references. Read-only by default; with
-// repair it truncates the active file's torn tail and quarantines
-// corrupt files (rename to a .quarantined suffix) so the directory
-// opens again. A missing or empty directory is clean. Returns an error
+// per-record CRCs, JSON record data and segment footers in the newest
+// snapshot, the uncovered sealed segments and the active file, and the
+// full checksum of every archive the snapshot references. Read-only by
+// default; with repair it truncates the active file's torn tail and
+// quarantines corrupt files (rename to a .quarantined suffix) so the
+// directory opens again. A missing or empty directory is clean. Returns an error
 // only for IO failures — corruption is reported, not returned.
 func Fsck(dir string, repair bool) (FsckReport, error) {
 	rep := FsckReport{Dir: dir}
@@ -149,12 +151,15 @@ func Fsck(dir string, repair bool) (FsckReport, error) {
 		name := snapName(snapNum)
 		f := FsckFile{Name: name, Kind: "snapshot", Bytes: onDisk[name], Status: "ok"}
 		fr, verr := replayJournalFile(filepath.Join(dir, name), replaySnapshot, func(e Entry) (err error) {
+			if err := checkRecordData(e); err != nil {
+				return err
+			}
 			refs, err = collectRef(refs, e)
 			return err
 		})
 		f.Records, f.Footer = fr.n, fr.footer != nil
 		if verr != nil {
-			if !errors.Is(verr, ErrCorrupt) {
+			if !fsckCorrupt(verr) {
 				return rep, verr
 			}
 			f.Status, f.Detail = "corrupt", verr.Error()
@@ -180,10 +185,10 @@ func Fsck(dir string, repair bool) (FsckReport, error) {
 			continue
 		}
 		f := FsckFile{Name: name, Kind: "segment", Bytes: onDisk[name], Status: "ok"}
-		fr, verr := replayJournalFile(filepath.Join(dir, name), replaySealed, nil)
+		fr, verr := replayJournalFile(filepath.Join(dir, name), replaySealed, checkRecordData)
 		f.Records, f.Footer = fr.n, fr.footer != nil
 		if verr != nil {
-			if !errors.Is(verr, ErrCorrupt) {
+			if !fsckCorrupt(verr) {
 				return rep, verr
 			}
 			f.Status, f.Detail = "corrupt", verr.Error()
@@ -201,13 +206,15 @@ func Fsck(dir string, repair bool) (FsckReport, error) {
 
 	// The active file: an invalid suffix is a recoverable crash tail
 	// (repair truncates it, like an open would); invalid bytes before a
-	// later valid record are corruption.
+	// later valid record are corruption, and so is a record whose data
+	// is not JSON wherever it sits: its CRC and newline are intact, so
+	// it is no torn write, and an open fails on it.
 	if _, ok := onDisk[journalName]; ok {
 		f := FsckFile{Name: journalName, Kind: "active", Bytes: onDisk[journalName], Status: "ok"}
-		fr, verr := replayJournalFile(filepath.Join(dir, journalName), replayActive, nil)
+		fr, verr := replayJournalFile(filepath.Join(dir, journalName), replayActive, checkRecordData)
 		f.Records = fr.n
 		switch {
-		case verr != nil && errors.Is(verr, ErrCorrupt):
+		case verr != nil && fsckCorrupt(verr):
 			f.Status, f.Detail = "corrupt", verr.Error()
 			rep.Corrupt++
 			if err := quarantine(&f); err != nil {
@@ -278,4 +285,23 @@ func Fsck(dir string, repair bool) (FsckReport, error) {
 	sort.Slice(rep.Files, func(i, j int) bool { return rep.Files[i].Name < rep.Files[j].Name })
 	rep.Clean = rep.Corrupt == 0
 	return rep, nil
+}
+
+// checkRecordData fails a record whose data is not JSON. Replay hands
+// data to its consumer undecoded, so such a record passes the reader
+// (its CRC holds) and fails the open in the consumer; fsck applies the
+// check every consumer starts with.
+func checkRecordData(e Entry) error {
+	if len(e.Data) > 0 && !json.Valid(e.Data) {
+		return errors.New("record data is not JSON")
+	}
+	return nil
+}
+
+// fsckCorrupt reports whether a verification error is damage to report
+// (a failed CRC, footer or framing check, or a record a consumer could
+// not decode) rather than an IO failure to return.
+func fsckCorrupt(err error) bool {
+	var re *RecordError
+	return errors.Is(err, ErrCorrupt) || errors.As(err, &re)
 }

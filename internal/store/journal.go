@@ -130,39 +130,6 @@
 // files, superseded snapshots, already-folded segments, unreferenced
 // archives).
 //
-// # Read cache
-//
-// Repositories whose values need a defensive copy on every read (the
-// facade deep-clones models and templates before handing them out) can
-// opt into a per-shard LRU of prepared shared values
-// (Repo.EnableReadCache + Repo.GetShared): a hit returns the cached
-// immutable value and skips the copy entirely — on the measured hot
-// path that is ~1.7µs of clone work replaced by a ~150ns lookup.
-//
-// Invalidation is write-through and total. Every mutation of a key —
-// live Put/Delete (in the commit hook, before the append is
-// acknowledged) and journal replay — drops the key from its shard's
-// cache and bumps the shard's epoch; a cache fill snapshots the epoch
-// before reading the backing map and is discarded if any invalidation
-// intervened, so a read that raced a write can never re-install the
-// overwritten value (see readcache.go). Paths that change records
-// without going through Put/Delete — quarantine moving a corrupt file
-// aside, offline fsck -repair — are covered too: quarantine triggers
-// a purge of every cached repository (Repo.PurgeReadCache, via the
-// facade's OnCorrupt hook — repo-level rather than the store-wide
-// Store.PurgeReadCaches because the hook can fire mid-Load with the
-// store mutex held), and repair happens offline, so the reopened
-// process starts cold by construction. Snapshot folds don't touch the cache: a fold changes
-// the journal's shape, never a repository's live values.
-//
-// Sizing comes from the hot-key sketch next to the cache counters in
-// RepoReadStats: each shard tracks its 8 dominant read keys, and a
-// cache only pays off when it comfortably covers the observed hot set,
-// so the default (DefaultReadCacheEntries = 64 per shard, 8x the
-// sketch) bounds a 16-shard deployment at 1024 cached values while the
-// hit/miss/evict counters on GET /api/v1/admin/store tell an operator
-// whether to grow it.
-//
 // # Degraded mode: append failures are observed, not hidden
 //
 // An append that errors (disk full, device gone) changes nothing in
@@ -188,7 +155,8 @@
 // encoding/json decodes only what that pass does not recognise: legacy
 // unframed lines, footers, other layouts. Validating the data is the
 // consumer's job, so a CRC-sound record that does not decode fails the
-// open as a RecordError naming its file and line.
+// open as a RecordError naming its file and line; Fsck reports a record
+// whose data is not JSON the same way.
 //
 // Lifecycle instances have their own collection, Instances: the same
 // entry framing, segment rotation, snapshot folding and appender on a

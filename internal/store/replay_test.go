@@ -143,6 +143,124 @@ func wantRecordError(t *testing.T, err error, line int) {
 	}
 }
 
+// TestFsckReportsUndecodableRecord: a framed record whose CRC is
+// correct but whose data is not JSON fails the open (see
+// TestUndecodableRecordFailsOpenWithLocation), so fsck must report its
+// file corrupt at that line and offset, on both journals, as the last
+// record of the active file, before a later record, or in a sealed
+// segment, and repair must quarantine the file rather than truncate it
+// as a torn tail.
+func TestFsckReportsUndecodableRecord(t *testing.T) {
+	journals := []struct {
+		name      string
+		seed      func(t *testing.T, dir string)
+		bad, good string
+		open      func(t *testing.T, dir string) error
+	}{
+		{
+			name: "definitions",
+			seed: func(t *testing.T, dir string) {
+				s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				putDocs(t, repo, 3, 0)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			bad:  `{"seq":4,"repo":"docs","op":"put","id":"k09","data":{"title":}}`,
+			good: `{"seq":5,"repo":"docs","op":"put","id":"k10","data":{"title":"after"}}`,
+			open: func(t *testing.T, dir string) error {
+				s, _, err := openIntegrityStore(t, dir, IntegrityOptions{})
+				if err == nil {
+					err = s.Close()
+				}
+				return err
+			},
+		},
+		{
+			name: "instances",
+			seed: func(t *testing.T, dir string) { seedInstances(t, dir, 3, false) },
+			bad:  `{"seq":4,"repo":"instances","op":"append","id":"li-0","data":{"op":}}`,
+			good: `{"seq":5,"repo":"instances","op":"append","id":"li-1","data":{"op":"advance"}}`,
+			open: func(t *testing.T, dir string) error {
+				c, err := OpenInstances(dir, InstancesOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				return c.Replay(func(id string, data []byte) error {
+					var v map[string]any
+					return json.Unmarshal(data, &v)
+				})
+			},
+		},
+	}
+	for _, j := range journals {
+		for _, where := range []string{"tail", "interior", "sealed"} {
+			t.Run(j.name+"/"+where, func(t *testing.T) {
+				dir := t.TempDir()
+				j.seed(t, dir)
+				path := filepath.Join(dir, journalName)
+				info, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendFramedLine(t, path, j.bad)
+				if where != "tail" {
+					appendFramedLine(t, path, j.good)
+				}
+				name := journalName
+				if where == "sealed" {
+					name = sealedName(1)
+					if err := os.Rename(path, filepath.Join(dir, name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				rep, err := Fsck(dir, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := fsckFile(t, rep, name)
+				want := fmt.Sprintf("%s: line 4 @ offset %d: record data is not JSON", name, info.Size())
+				if rep.Clean || rep.Corrupt != 1 || rep.Torn != 0 || f.Status != "corrupt" || !strings.Contains(f.Detail, want) {
+					t.Fatalf("read-only fsck = corrupt %d torn %d, %s %q (%s); want %s corrupt naming %q",
+						rep.Corrupt, rep.Torn, name, f.Status, f.Detail, name, want)
+				}
+				if err := j.open(t, dir); err == nil {
+					t.Fatal("the reported dir opened; fsck and open disagree")
+				}
+
+				rep, err = Fsck(dir, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f := fsckFile(t, rep, name); rep.Repaired != 1 || f.Repaired != "quarantined" {
+					t.Fatalf("repair fsck = repaired %d, %s %q; want the file quarantined, not truncated",
+						rep.Repaired, name, f.Repaired)
+				}
+				if err := j.open(t, dir); err != nil {
+					t.Fatalf("open after repair: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// fsckFile returns the verdict rep carries for the file name.
+func fsckFile(t *testing.T, rep FsckReport, name string) FsckFile {
+	t.Helper()
+	for _, f := range rep.Files {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("fsck reported no %s: %+v", name, rep.Files)
+	return FsckFile{}
+}
+
 // TestUndecodableRecordFailsOpenWithLocation: a framed record whose
 // CRC is correct but whose data is not JSON passes the reader — it is
 // no torn write — and fails the open in its consumer, with the file and

@@ -22,33 +22,6 @@ type repoShard[T any] struct {
 	hits  atomic.Uint64
 	hotMu sync.Mutex
 	hot   map[string]uint64 // space-saving top-k sketch of read keys
-
-	// cache is the shard's LRU of prepared shared values (GetShared);
-	// nil unless EnableReadCache was called. Invalidated write-through
-	// on every mutation of this shard — see readcache.go.
-	cache *readCache[T]
-}
-
-// noteRead records one read in the shard's counters and (sampled)
-// hot-key sketch — shared by Get and the cache-hit path of GetShared so
-// the admin read stats count cached reads too.
-func (sh *repoShard[T]) noteRead(id string, hit bool) {
-	n := sh.gets.Add(1)
-	if hit {
-		sh.hits.Add(1)
-	}
-	if n%hotSampleEvery == 0 {
-		sh.noteHot(id)
-	}
-}
-
-// invalidateCache drops id from the shard's read cache (and voids any
-// in-flight fill). Called on every mutation path: live Put/Delete
-// commit hooks and journal replay.
-func (sh *repoShard[T]) invalidateCache(id string) {
-	if sh.cache != nil {
-		sh.cache.invalidate(id)
-	}
 }
 
 // Hot-key sketch tuning: how many candidate keys each shard tracks
@@ -97,26 +70,18 @@ type HotKey struct {
 
 // RepoReadStats reports a repository's read traffic for the admin
 // endpoint: total Gets, how many hit a live key, and the sampled
-// hot-key sketch (approximate counts, dominant readers first) — the
-// data grounding any future read-cache sizing.
+// hot-key sketch (approximate counts, dominant readers first), which
+// shows an operator which keys dominate the read load.
 type RepoReadStats struct {
 	Gets    uint64   `json:"gets"`
 	Hits    uint64   `json:"hits"`
 	Misses  uint64   `json:"misses"`
 	HotKeys []HotKey `json:"hot_keys,omitempty"`
 
-	// Read-cache counters (EnableReadCache); all zero — and CacheCap
-	// zero — when the cache is disabled. CacheHits/CacheMisses count
-	// GetShared lookups against the LRU, CacheEvictions counts values
-	// displaced by the per-shard bound, CacheRaced counts fills
-	// discarded because a write landed mid-fill, CacheSize/CacheCap are
-	// current and maximum entries summed across shards.
+	// Always 0 since the read cache went; perfbench/trace.go still reads them.
 	CacheHits      uint64 `json:"cache_hits,omitempty"`
 	CacheMisses    uint64 `json:"cache_misses,omitempty"`
 	CacheEvictions uint64 `json:"cache_evictions,omitempty"`
-	CacheRaced     uint64 `json:"cache_raced,omitempty"`
-	CacheSize      int    `json:"cache_size,omitempty"`
-	CacheCap       int    `json:"cache_cap,omitempty"`
 }
 
 // Repo is a typed, journal-backed key/value repository. T must be JSON
@@ -128,35 +93,6 @@ type Repo[T any] struct {
 	name   string
 	store  *Store
 	shards []*repoShard[T]
-
-	// prepare converts a stored value into the immutable shared form
-	// GetShared hands out (typically a deep clone for pointer types).
-	// Set by EnableReadCache; nil means values are shared as stored.
-	prepare func(T) T
-	// cacheCap is the per-shard LRU bound (0 = cache disabled).
-	cacheCap int
-}
-
-// EnableReadCache puts a bounded LRU of prepared shared values in front
-// of this repository's GetShared path, entriesPerShard entries per lock
-// stripe. prepare converts a stored value into the immutable form
-// handed to callers (for pointer types, a deep clone — cached values
-// are shared across callers and must never be mutated); nil shares the
-// stored value directly. entriesPerShard <= 0 leaves the cache off
-// (GetShared still works, preparing on every call).
-//
-// Must be called before the store is used concurrently (i.e. alongside
-// NewRepo, before Load finishes); it is not synchronized against
-// in-flight reads.
-func (r *Repo[T]) EnableReadCache(entriesPerShard int, prepare func(T) T) {
-	r.prepare = prepare
-	if entriesPerShard <= 0 {
-		return
-	}
-	r.cacheCap = entriesPerShard
-	for _, sh := range r.shards {
-		sh.cache = newReadCache[T](entriesPerShard)
-	}
 }
 
 // NewRepo creates and registers a repository under name. It must be
@@ -204,7 +140,6 @@ func (r *Repo[T]) Put(id string, v T) error {
 		sh.mu.Lock()
 		sh.items[id] = v
 		sh.mu.Unlock()
-		sh.invalidateCache(id)
 	})
 }
 
@@ -216,49 +151,14 @@ func (r *Repo[T]) Get(id string) (T, bool) {
 	sh.mu.RLock()
 	v, ok := sh.items[id]
 	sh.mu.RUnlock()
-	sh.noteRead(id, ok)
+	n := sh.gets.Add(1)
+	if ok {
+		sh.hits.Add(1)
+	}
+	if n%hotSampleEvery == 0 {
+		sh.noteHot(id)
+	}
 	return v, ok
-}
-
-// GetShared returns the prepared, shareable form of the value under id
-// — the read-cache hot path. The returned value may be handed to any
-// number of concurrent callers and MUST NOT be mutated. With the cache
-// enabled a hit skips the prepare step entirely (for clone-prepared
-// pointer types that is the whole defensive-copy cost); a miss prepares
-// once and caches the result under the epoch fill protocol, so a
-// cached value can never outlive the record it was decoded from. With
-// no cache this degrades to Get + prepare.
-func (r *Repo[T]) GetShared(id string) (T, bool) {
-	sh := r.shardFor(id)
-	if c := sh.cache; c != nil {
-		if v, ok := c.get(id); ok {
-			sh.noteRead(id, true)
-			return v, true
-		}
-		epoch := c.beginFill()
-		sh.mu.RLock()
-		v, ok := sh.items[id]
-		sh.mu.RUnlock()
-		sh.noteRead(id, ok)
-		if !ok {
-			var zero T
-			return zero, false
-		}
-		if r.prepare != nil {
-			v = r.prepare(v)
-		}
-		c.fill(id, v, epoch)
-		return v, true
-	}
-	v, ok := r.Get(id)
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	if r.prepare != nil {
-		v = r.prepare(v)
-	}
-	return v, true
 }
 
 // Delete removes id. Deleting a missing id is a no-op (and is not
@@ -275,7 +175,6 @@ func (r *Repo[T]) Delete(id string) error {
 		sh.mu.Lock()
 		delete(sh.items, id)
 		sh.mu.Unlock()
-		sh.invalidateCache(id)
 	})
 }
 
@@ -356,30 +255,14 @@ func (r *Repo[T]) applyEntry(e Entry) error {
 		sh.mu.Lock()
 		sh.items[e.ID] = v
 		sh.mu.Unlock()
-		sh.invalidateCache(e.ID)
 	case OpDelete:
 		sh.mu.Lock()
 		delete(sh.items, e.ID)
 		sh.mu.Unlock()
-		sh.invalidateCache(e.ID)
 	default:
 		return fmt.Errorf("store: %s: replay unknown op %q", r.name, e.Op)
 	}
 	return nil
-}
-
-// PurgeReadCache empties every shard's read cache and voids in-flight
-// fills (implements the store-wide PurgeReadCaches hook — quarantine,
-// repair, anything that changes records out from under the decoded
-// state). It takes only the per-shard cache locks, never the store
-// mutex, so it is safe to call from inside integrity callbacks that
-// fire while the store is loading.
-func (r *Repo[T]) PurgeReadCache() {
-	for _, sh := range r.shards {
-		if sh.cache != nil {
-			sh.cache.purge()
-		}
-	}
 }
 
 // foldEntries implements journaled: one put per live item, boundary 0.
@@ -404,23 +287,13 @@ func (r *Repo[T]) foldEntries() ([]Entry, uint64) {
 // (separate map slots), so parallel replay lanes shard by ID.
 func (r *Repo[T]) replayKey(e Entry) string { return e.ID }
 
-// readStats merges the shards' read counters, cache counters and
-// hot-key sketches.
+// readStats merges the shards' read counters and hot-key sketches.
 func (r *Repo[T]) readStats() RepoReadStats {
 	var st RepoReadStats
 	merged := make(map[string]uint64)
 	for _, sh := range r.shards {
 		st.Gets += sh.gets.Load()
 		st.Hits += sh.hits.Load()
-		if sh.cache != nil {
-			h, m, e, ra, size := sh.cache.stats()
-			st.CacheHits += h
-			st.CacheMisses += m
-			st.CacheEvictions += e
-			st.CacheRaced += ra
-			st.CacheSize += size
-			st.CacheCap += r.cacheCap
-		}
 		sh.hotMu.Lock()
 		for k, n := range sh.hot {
 			merged[k] += n

@@ -111,12 +111,6 @@ type Options struct {
 	// more garbage accumulates. 0 disables the check. Compact ignores
 	// it.
 	FoldMinGarbage float64
-	// ReadCacheEntries is the per-shard bound of the LRU read cache a
-	// repository gets when the owner calls Repo.EnableReadCache with
-	// this value (the store itself only carries the knob; each
-	// repository opts in with its own prepare function). 0 means
-	// DefaultReadCacheEntries; negative disables caching.
-	ReadCacheEntries int
 	// Clock stamps journal entries; nil means the wall clock.
 	Clock vclock.Clock
 	// OnAppendResult, when set, observes the outcome of every commit
@@ -135,15 +129,6 @@ type Options struct {
 // DefaultShards is the repository lock-stripe count when Options.Shards
 // is zero.
 const DefaultShards = 16
-
-// DefaultReadCacheEntries is the per-shard read-cache bound when
-// Options.ReadCacheEntries is zero. Sizing: the hot-key sketch tracks
-// hotKeysPerShard (8) dominant keys per shard, and a cache is only
-// useful when it comfortably covers the observed hot set plus churn —
-// 64 entries per shard is 8x the sketch capacity, and with the default
-// 16 shards bounds a model cache at 1024 decoded values (a few MB for
-// mid-size models).
-const DefaultReadCacheEntries = 64
 
 // journalName is the active journal segment inside a journal directory
 // (also the whole journal in pre-segmentation deployments, which makes
@@ -500,24 +485,6 @@ func (s *Store) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// PurgeReadCaches empties every repository's read cache. Called when
-// records change out from under the decoded in-memory state without
-// passing through Put/Delete/replay — quarantine latching a corrupt
-// file aside, offline repair of the data directory — so no cached
-// decode outlives the record it came from. Takes the store lock: do
-// not call from integrity callbacks that can fire mid-Load (the store
-// mutex is held there) — purge the repos directly instead, each
-// Repo.PurgeReadCache touches only its shard cache locks.
-func (s *Store) PurgeReadCaches() {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, part := range s.parts {
-		if rp, ok := part.(interface{ PurgeReadCache() }); ok {
-			rp.PurgeReadCache()
-		}
-	}
 }
 
 // Close drains and closes the engine. Idempotent.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -523,4 +524,102 @@ func TestModelTableConcurrentFolds(t *testing.T) {
 	if got := models(sys); !reflect.DeepEqual(got, wantModels) {
 		t.Fatal("models diverged across concurrent folds and a restart")
 	}
+}
+
+// TestModelViewSharesStoredModel pins the single copy of a stored
+// model: ModelView and Models hand out the very pointer the runtime's
+// instances run on, and a redefinition replaces that value instead of
+// editing it, so ModelView serves the new version while a running
+// instance keeps the old one.
+func TestModelViewSharesStoredModel(t *testing.T) {
+	sys := newSystem(t, Options{})
+	v1 := modelVariant("urn:gelee:models:shared", 1)
+	if err := sys.DefineModel("", v1); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.Instantiate(v1.URI, seedWikiDeliverable(t, sys, "D1"), "owner", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, ok := sys.ModelView(v1.URI)
+	if !ok || view != snap.Model {
+		t.Fatalf("ModelView = %p, %v; want the instance's model %p", view, ok, snap.Model)
+	}
+	if list := sys.Models(); len(list) != 1 || list[0] != view {
+		t.Fatalf("Models = %v; want the one stored pointer %p", list, view)
+	}
+	if private, _ := sys.Model(v1.URI); private == view || !reflect.DeepEqual(private, view) {
+		t.Fatal("Model must return a private copy equal to the stored model")
+	}
+
+	v2 := modelVariant(v1.URI, 2)
+	if err := sys.DefineModel("", v2); err != nil {
+		t.Fatal(err)
+	}
+	next, ok := sys.ModelView(v1.URI)
+	if !ok || next == view || len(next.Phases) != len(v2.Phases) {
+		t.Fatalf("after redefinition ModelView has %d phases (same pointer: %v); want the %d of v2",
+			len(next.Phases), next == view, len(v2.Phases))
+	}
+	running, ok := sys.Instance(snap.ID)
+	if !ok || running.Model != view || len(view.Phases) != len(v1.Phases) {
+		t.Fatalf("running instance's model changed with the redefinition: %d phases, want v1's %d",
+			len(running.Model.Phases), len(v1.Phases))
+	}
+}
+
+// TestModelViewConcurrentRedefinition runs, under -race, readers that
+// encode the shared stored model (ModelView, Models, the model route)
+// and instantiate it while a writer keeps redefining it: a stored model
+// is replaced, never edited, so no read may race a write.
+func TestModelViewConcurrentRedefinition(t *testing.T) {
+	sys := newSystem(t, Options{})
+	const uri = "urn:gelee:models:redefined"
+	if err := sys.DefineModel("", modelVariant(uri, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ref := seedWikiDeliverable(t, sys, "D1")
+	h := sys.HTTPHandler()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 2; v <= 20; v++ {
+			if err := sys.DefineModel("", modelVariant(uri, v)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				m, ok := sys.ModelView(uri)
+				if !ok {
+					t.Error("model vanished")
+					return
+				}
+				if _, err := json.Marshal(m); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, m := range sys.Models() {
+					_ = m.PhaseIDs()
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/models/"+uri, nil))
+				if rec.Code != 200 {
+					t.Errorf("GET model: %d %s", rec.Code, rec.Body)
+					return
+				}
+				if _, err := sys.Instantiate(uri, ref, "owner", nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
