@@ -5,33 +5,31 @@
 //
 // Usage:
 //
-//	geleed [-addr :8085] [-data DIR] [-auth] [-seed] [-engine journal|memory]
-//	       [-sync] [-store-shards N] [-runtime-shards N]
-//	       [-segment-max-bytes N] [-snapshot-every N]
+//	geleed [-addr :8085] [-data DIR] [-auth] [-seed] [-sync]
+//	       [-segment-max-bytes N]
 //	       [-fold-min-interval D] [-fold-min-garbage R]
 //	       [-max-events N] [-invocation-retention D]
 //	       [-persist-instances=true|false]
 //	       [-max-queue-depth N] [-shed-retry-after D]
 //	       [-readonly-after N] [-recover-after N] [-health-probe-interval D]
-//	       [-invoke-timeout D] [-invoke-retries N] [-invoke-max-inflight N]
+//	       [-invoke-timeout D] [-invoke-retries N]
 //	       [-breaker-failures N] [-breaker-cooldown D]
 //	       [-alert-webhook URL] [-alert-interval D]
-//	       [-quarantine-corrupt] [-scrub-interval D] [-scrub-budget-bytes N]
-//	       [-max-conns-per-host N] [-max-idle-conns N]
+//	       [-quarantine-corrupt] [-scrub-interval D]
 //
-// -data enables persistence (empty = in-memory); -auth enforces the
-// §IV.D roles via the X-Gelee-User header; -seed loads the LiquidPub
-// demo project (quality plan + 35 deliverables) so the cockpit has
-// something to show. The engine flags tune the data tier: -sync makes
-// both journals fsync once per combined flush (concurrent writers share
-// it), and -store-shards sets the repository lock-stripe count.
-// -runtime-shards stripes the lifecycle
-// runtime's instance table so token moves on different instances
-// never contend; -max-events ring-truncates each instance's in-memory
-// history (truncated events move into CRC-summed history archives
-// beside the instance journal at its next fold, and timelines still
-// page the full record) and -invocation-retention ages terminal
-// callback-routing entries out of the invocation index.
+// -data enables persistence and alone picks the journal engine (empty
+// = in-memory); -auth enforces the §IV.D roles via the X-Gelee-User
+// header; -seed loads the LiquidPub demo project (quality plan + 35
+// deliverables) so the cockpit has something to show. The engine flags
+// tune the data tier: -sync makes both journals fsync once per
+// combined flush (concurrent writers share it). The repositories and
+// the lifecycle runtime's instance table are lock-striped 16 ways, so
+// token moves on different instances rarely contend; -max-events
+// ring-truncates each instance's in-memory history (truncated events
+// move into CRC-summed history archives beside the instance journal
+// at its next fold, and timelines still page the full record) and
+// -invocation-retention ages terminal callback-routing entries out of
+// the invocation index.
 // -persist-instances (on by default) writes every lifecycle-instance
 // mutation through a dedicated instance journal under DIR/instances
 // and replays it on start — sharded across GOMAXPROCS appliers — so a
@@ -44,8 +42,8 @@
 // active segment at that size; sealed segments are folded into
 // snapshots in the background, which bounds restart replay to
 // snapshot + tail instead of all history, without ever blocking
-// writers. -snapshot-every folds only once that many sealed segments
-// accumulate. The execution log pages through
+// writers; every rotation asks for a fold. The execution log pages
+// through
 // GET /api/v1/admin/log?after=&limit=; a data dir written while the
 // log mirrored instance events may hold older entries in CRC-summed
 // log archives, which still page there, streamed from disk, and every
@@ -69,9 +67,10 @@
 // consecutive journal failures, rejecting mutations with 503 until
 // -health-probe-interval probes see the disk heal for -recover-after
 // writes in a row. Action outcalls run under per-endpoint circuit
-// breakers (-breaker-failures / -breaker-cooldown), bounded
-// concurrency (-invoke-max-inflight), per-attempt timeouts
-// (-invoke-timeout) and idempotent retries (-invoke-retries).
+// breakers (-breaker-failures / -breaker-cooldown) with at most 64 in
+// flight per endpoint, over one shared connection pool, with
+// per-attempt timeouts (-invoke-timeout) and idempotent retries
+// (-invoke-retries).
 // GET /api/v1/admin/health aggregates all of it for load balancers,
 // and threshold alerts stream over /api/v1/admin/alerts/stream or
 // POST to -alert-webhook.
@@ -79,16 +78,13 @@
 // The integrity knobs guard the journals against bit rot: every record
 // is framed with a CRC-32C envelope and every sealed segment and
 // snapshot carries a footer seal (always on; journals written before
-// framing still open). -scrub-interval
-// (5m by default) re-verifies sealed segments, snapshots and archives
-// in the background, at most -scrub-budget-bytes of IO per tick;
-// detections fire the journal-corruption alert and show in
-// GET /api/v1/admin/health. -quarantine-corrupt makes an open that
-// finds corruption move the damaged files aside and serve the
-// surviving history read-only (latched until restart) instead of
-// refusing to start; repair offline with geleectl fsck. The outcall
-// pool knobs (-max-conns-per-host, -max-idle-conns) bound the HTTP
-// connection pool behind REST/SOAP action dispatch.
+// framing still open). -scrub-interval (5m by default) re-verifies
+// sealed segments, snapshots and archives in the background, at most
+// 8 MiB of IO per tick; detections fire the journal-corruption alert
+// and show in GET /api/v1/admin/health. -quarantine-corrupt makes an
+// open that finds corruption move the damaged files aside and serve
+// the surviving history read-only (latched until restart) instead of
+// refusing to start; repair offline with geleectl fsck.
 package main
 
 import (
@@ -128,12 +124,8 @@ func run() (err error) {
 	dataDir := flag.String("data", "", "data directory (empty = in-memory)")
 	auth := flag.Bool("auth", false, "enforce roles via the X-Gelee-User header")
 	seed := flag.Bool("seed", false, "load the LiquidPub demo project")
-	engine := flag.String("engine", "", "storage engine: journal|memory (default: journal when -data is set)")
 	sync := flag.Bool("sync", false, "fsync once per combined journal flush; concurrent writers share the fsync")
-	shards := flag.Int("store-shards", 0, "repository lock-stripe count (0 = default)")
-	rtShards := flag.Int("runtime-shards", 0, "runtime instance-table lock-stripe count (0 = default)")
 	segmentMax := flag.Int64("segment-max-bytes", 64<<20, "rotate journal segments past this size; folded into snapshots in the background (0 = no rotation)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "fold once this many sealed segments accumulate (0 = every rotation)")
 	foldMinInterval := flag.Duration("fold-min-interval", 15*time.Second, "minimum wall-clock spacing between background snapshot folds (0 = none)")
 	foldMinGarbage := flag.Float64("fold-min-garbage", 0.25, "minimum sealed-garbage ratio before a background fold runs (0 = none)")
 	maxEvents := flag.Int("max-events", 0, "max in-memory events per instance, ring-truncated (0 = unbounded)")
@@ -146,53 +138,41 @@ func run() (err error) {
 	probeInterval := flag.Duration("health-probe-interval", time.Second, "how often a degraded node probes the journal to detect recovery (0 = never)")
 	invokeTimeout := flag.Duration("invoke-timeout", 0, "per-attempt timeout for REST/SOAP action outcalls (0 = default 30s)")
 	invokeRetries := flag.Int("invoke-retries", 0, "attempts per idempotent action send, with jittered backoff (0 = default)")
-	invokeInflight := flag.Int("invoke-max-inflight", 0, "max concurrent outcalls per action endpoint (0 = default, <0 = unlimited)")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive outcall failures before an endpoint's circuit opens (0 = default, <0 = disable breakers)")
+	breakerFailures := flag.Int("breaker-failures", 0, "consecutive outcall failures before an endpoint's circuit opens (0 = default 5)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open circuit waits before trying a half-open probe (0 = default)")
 	alertWebhook := flag.String("alert-webhook", "", "URL POSTed a JSON body when a health threshold fires or resolves")
 	alertInterval := flag.Duration("alert-interval", 0, "threshold evaluation period for the alert watcher (0 = only when -alert-webhook is set)")
 	quarantine := flag.Bool("quarantine-corrupt", false, "on corrupt journal files at open: quarantine them and serve the surviving history read-only instead of failing")
 	scrubInterval := flag.Duration("scrub-interval", 5*time.Minute, "background re-verification cadence for sealed segments, snapshots and archives (0 = never)")
-	scrubBudget := flag.Int64("scrub-budget-bytes", 0, "max bytes one scrub tick may read (0 = default 8 MiB)")
-	maxConnsPerHost := flag.Int("max-conns-per-host", 0, "max outcall connections per action endpoint host (0 = default 128, <0 = unlimited)")
-	maxIdleConns := flag.Int("max-idle-conns", 0, "max idle outcall connections across all hosts (0 = default 256, <0 = no keep-alive)")
 	flag.Parse()
 
 	sys, err := gelee.New(gelee.Options{
 		DataDir:             *dataDir,
-		Engine:              *engine,
 		SyncJournal:         *sync,
-		StoreShards:         *shards,
 		SegmentMaxBytes:     *segmentMax,
-		SnapshotEvery:       *snapshotEvery,
 		FoldMinInterval:     *foldMinInterval,
 		FoldMinGarbage:      *foldMinGarbage,
-		RuntimeShards:       *rtShards,
 		MaxEventsInMemory:   *maxEvents,
 		InvocationRetention: *invRetention,
 		PersistInstances:    *persist,
 		Auth:                *auth,
 		EmbeddedPlugins:     true,
 		Integrity: gelee.IntegrityOptions{
-			Quarantine:        *quarantine,
-			ScrubInterval:     *scrubInterval,
-			ScrubBytesPerTick: *scrubBudget,
+			Quarantine:    *quarantine,
+			ScrubInterval: *scrubInterval,
 		},
 		Resilience: gelee.ResilienceOptions{
-			MaxQueueDepth:     *maxQueue,
-			ShedRetryAfter:    *shedRetry,
-			ReadOnlyAfter:     *readonlyAfter,
-			RecoverAfter:      *recoverAfter,
-			ProbeInterval:     *probeInterval,
-			InvokeTimeout:     *invokeTimeout,
-			InvokeAttempts:    *invokeRetries,
-			InvokeMaxInFlight: *invokeInflight,
-			BreakerFailures:   *breakerFailures,
-			BreakerCooldown:   *breakerCooldown,
-			AlertWebhook:      *alertWebhook,
-			AlertInterval:     *alertInterval,
-			MaxConnsPerHost:   *maxConnsPerHost,
-			MaxIdleConns:      *maxIdleConns,
+			MaxQueueDepth:   *maxQueue,
+			ShedRetryAfter:  *shedRetry,
+			ReadOnlyAfter:   *readonlyAfter,
+			RecoverAfter:    *recoverAfter,
+			ProbeInterval:   *probeInterval,
+			InvokeTimeout:   *invokeTimeout,
+			InvokeAttempts:  *invokeRetries,
+			BreakerFailures: *breakerFailures,
+			BreakerCooldown: *breakerCooldown,
+			AlertWebhook:    *alertWebhook,
+			AlertInterval:   *alertInterval,
 		},
 	})
 	if err != nil {
@@ -226,7 +206,7 @@ func run() (err error) {
 	}
 
 	stats := sys.StoreStats()
-	log.Printf("gelee lifecycle manager listening on %s (auth=%t, data=%q, engine=%s, store-shards=%d, runtime-shards=%d)",
+	log.Printf("gelee lifecycle manager listening on %s (auth=%t, data=%q, engine=%s, store shards=%d, runtime shards=%d)",
 		*addr, *auth, *dataDir, stats.Engine.Engine, stats.Shards, sys.RuntimeStats().Shards)
 	log.Printf("admission watermark %d", *maxQueue)
 	log.Printf("try: curl %s", summaryURL(*addr))

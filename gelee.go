@@ -114,41 +114,35 @@ const Begin = core.Begin
 
 // Options configure a System.
 type Options struct {
-	// DataDir roots the persistent data tier. Empty means in-memory.
+	// DataDir roots the persistent data tier and alone picks the
+	// storage engine: set, the definitions live in a journal under it
+	// (and, with PersistInstances, the instances in a second one under
+	// DataDir/instances); empty, everything lives in memory. Either
+	// way the repositories stripe their locks store.DefaultShards ways
+	// and the runtime's instance table runtime.DefaultShards ways, so
+	// advances on instances in different stripes share no lock.
 	DataDir string
-	// Engine selects the storage engine: "" (auto — journal when
-	// DataDir is set, memory otherwise), "journal", or "memory".
-	Engine string
 	// SyncJournal makes both journals fsync once per combined flush:
 	// concurrent writers share the fsync.
 	SyncJournal bool
-	// StoreShards overrides the repository lock-stripe count
-	// (0 = store.DefaultShards).
-	StoreShards int
 	// SegmentMaxBytes seals a journal's active segment once it grows
 	// past this size and rotates to a fresh one — an O(1) rename under
-	// the appender lock, so writers never wait on compaction. Sealed
-	// segments are folded into snapshots by a background folder, which
-	// is what keeps restart replay O(snapshot + tail) instead of
-	// O(all history). Applies to both the definitions journal and the
-	// instance journal; 0 disables automatic rotation (Compact still
-	// seals and folds on demand).
+	// the appender lock, so writers never wait on compaction. Every
+	// rotation asks a background folder to fold the sealed segments
+	// into a snapshot (paced by FoldMinInterval and FoldMinGarbage on
+	// the definitions journal), which is what keeps restart replay
+	// O(snapshot + tail) instead of O(all history). Applies to both the
+	// definitions journal and the instance journal; 0 disables
+	// automatic rotation (Compact still seals and folds on demand).
 	SegmentMaxBytes int64
-	// SnapshotEvery folds once this many sealed segments accumulate
-	// (0 = fold on every rotation).
-	SnapshotEvery int
 	// FoldMinInterval spaces background snapshot folds at least this
-	// far apart in wall-clock time (0 = fold on every qualifying seal).
+	// far apart in wall-clock time (0 = fold on every seal).
 	// Compact ignores it.
 	FoldMinInterval time.Duration
 	// FoldMinGarbage is the minimum garbage ratio (sealed backlog bytes
 	// over sealed + snapshot bytes) a background fold requires
 	// (0 = no floor). Compact ignores it.
 	FoldMinGarbage float64
-	// RuntimeShards overrides the runtime instance-table lock-stripe
-	// count (0 = runtime.DefaultShards). Advances on instances in
-	// different stripes share no lock.
-	RuntimeShards int
 	// MaxEventsInMemory caps each instance's in-memory event ring
 	// (0 = unbounded). Events truncated off the ring wait in a spill
 	// until the next instance-journal fold writes them into a history
@@ -163,8 +157,9 @@ type Options struct {
 	InvocationRetention time.Duration
 	// PersistInstances makes lifecycle instances durable: every
 	// instance mutation is written through to a dedicated instance
-	// journal under DataDir/instances before it is acknowledged (the
-	// memory engine has nothing to persist and ignores the option),
+	// journal under DataDir/instances before it is acknowledged
+	// (without DataDir there is nothing to persist and the option is
+	// ignored),
 	// and on open the journal is replayed — token positions, event
 	// histories, executions, pending changes, secondary indexes and
 	// incremental counters all come back. Without it instances live
@@ -185,8 +180,8 @@ type Options struct {
 	// Resilience tunes overload and failure behavior: admission
 	// control, the degraded/read-only health state machine, outcall
 	// circuit breakers and threshold alerting. The zero value enables
-	// health tracking and breakers with defaults; shedding, probing
-	// and alerting stay off until configured.
+	// health tracking and circuit breakers with defaults; shedding,
+	// probing and alerting stay off until configured.
 	Resilience ResilienceOptions
 	// Integrity tunes end-to-end journal integrity on both journals
 	// (the definitions store and the instance collection): checksummed
@@ -201,7 +196,7 @@ type Options struct {
 }
 
 // DefaultInvokeMaxInFlight caps concurrent action dispatches per
-// endpoint when ResilienceOptions.InvokeMaxInFlight is zero.
+// endpoint: one wedged action service fills its own lane only.
 const DefaultInvokeMaxInFlight = 64
 
 // ResilienceOptions tunes the resilience layer. See internal/resilience
@@ -237,22 +232,13 @@ type ResilienceOptions struct {
 	// jittered exponential backoff between them (0 or 1 = no retry).
 	// Safe because invocations carry a unique id end to end.
 	InvokeAttempts int
-	// InvokeMaxInFlight caps concurrent dispatches per endpoint
-	// (0 = DefaultInvokeMaxInFlight; negative = unlimited).
-	InvokeMaxInFlight int
-	// MaxConnsPerHost bounds the outcall HTTP connection pool: total
-	// connections (idle + active + dialing) per endpoint host across
-	// the REST and SOAP transports. 0 keeps the shared default (128);
-	// negative = unlimited.
-	MaxConnsPerHost int
-	// MaxIdleConns caps idle pooled connections across all endpoint
-	// hosts (0 = shared default 256; negative disables keep-alive
-	// pooling).
-	MaxIdleConns int
 	// BreakerFailures consecutive dispatch failures open an endpoint's
 	// circuit — further sends fail fast until BreakerCooldown (default
 	// 15s) elapses and a half-open trial succeeds. 0 means the default
-	// of 5; negative disables breakers entirely.
+	// of 5; New rejects a negative value. Breakers are always on, each
+	// endpoint admits at most DefaultInvokeMaxInFlight concurrent
+	// dispatches, and every REST and SOAP outcall rides the invoke
+	// package's one shared connection pool.
 	BreakerFailures int
 	BreakerCooldown time.Duration
 	// AlertWebhook, when set, receives every threshold alert as a JSON
@@ -297,7 +283,7 @@ type System struct {
 	users     *store.Repo[access.User]
 	grants    *store.Repo[access.Grant]
 	execLog   *store.Log
-	instances *store.Instances // nil unless Options.PersistInstances on the journal engine
+	instances *store.Instances // nil unless Options.PersistInstances with a DataDir
 
 	Registry  *actionlib.Registry
 	Resources *resource.Manager
@@ -341,8 +327,13 @@ func (s *System) CompositeRollup(compositeID string) (composite.Rollup, error) {
 	return s.composites.Rollup(compositeID)
 }
 
-// New builds and loads a System.
-func New(opts Options) (*System, error) {
+// New builds and loads a System. When it fails it closes whatever it
+// had opened, so the data directory is released.
+func New(opts Options) (sys *System, err error) {
+	res := opts.Resilience
+	if res.BreakerFailures < 0 {
+		return nil, fmt.Errorf("gelee: negative Resilience.BreakerFailures %d", res.BreakerFailures)
+	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = vclock.System
@@ -351,7 +342,6 @@ func New(opts Options) (*System, error) {
 	// The health state machine watches every durable append — both
 	// stores report their outcomes into it, so persistent disk trouble
 	// flips the system degraded and then read-only.
-	res := opts.Resilience
 	health := resilience.NewHealth(resilience.HealthConfig{
 		DegradeAfter:  res.DegradeAfter,
 		ReadOnlyAfter: res.ReadOnlyAfter,
@@ -378,37 +368,18 @@ func New(opts Options) (*System, error) {
 
 	storeOpts := store.Options{
 		Sync:            opts.SyncJournal,
-		Shards:          opts.StoreShards,
 		SegmentMaxBytes: opts.SegmentMaxBytes,
-		SnapshotEvery:   opts.SnapshotEvery,
 		FoldMinInterval: opts.FoldMinInterval,
 		FoldMinGarbage:  opts.FoldMinGarbage,
 		Clock:           clock,
 		OnAppendResult:  health.Observe,
 		Integrity:       integ,
 	}
-	engine := opts.Engine
-	if engine == "" {
-		engine = "memory"
-		if opts.DataDir != "" {
-			engine = "journal"
-		}
-	}
 	var st *store.Store
-	switch engine {
-	case "memory":
+	if opts.DataDir == "" {
 		st = store.New(store.NewMemoryEngine(), storeOpts)
-	case "journal":
-		if opts.DataDir == "" {
-			return nil, errors.New("gelee: journal engine requires DataDir")
-		}
-		var err error
-		st, err = store.Open(opts.DataDir, storeOpts)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("gelee: unknown storage engine %q", engine)
+	} else if st, err = store.Open(opts.DataDir, storeOpts); err != nil {
+		return nil, err
 	}
 
 	s := &System{
@@ -420,6 +391,15 @@ func New(opts Options) (*System, error) {
 		Resources: resource.NewManager(),
 		ACL:       access.NewControl(),
 	}
+	// A failed open releases what it opened — the journals' files and
+	// the folder, scrubber, watcher and probe goroutines — so the next
+	// open of the same directory starts clean. The open's error is the
+	// one reported; nothing was acknowledged for Close to lose.
+	defer func() {
+		if err != nil {
+			_ = s.Close()
+		}
+	}()
 	s.models = store.MustRepo[*core.Model](st, "models")
 	s.templates = store.MustRepo[*core.Model](st, "templates")
 	s.actTypes = store.MustRepo[actionlib.ActionType](st, "action-types")
@@ -427,17 +407,16 @@ func New(opts Options) (*System, error) {
 	s.users = store.MustRepo[access.User](st, "users")
 	s.grants = store.MustRepo[access.Grant](st, "grants")
 	s.execLog = store.MustLog(st, "execlog")
-	if opts.PersistInstances && engine == "journal" {
+	if opts.PersistInstances && opts.DataDir != "" {
 		// The instance collection runs on its own journal directory
 		// (DataDir/instances) so instance writes never order an
 		// instance lock against the definitions store's commit lock;
-		// see store.Instances. The memory engine has nothing to
-		// persist, so it gets no collection.
+		// see store.Instances. Without a DataDir there is nothing to
+		// persist, so no collection.
 		coll, err := store.OpenInstances(filepath.Join(opts.DataDir, "instances"),
 			store.InstancesOptions{
 				Sync:            opts.SyncJournal,
 				SegmentMaxBytes: opts.SegmentMaxBytes,
-				SnapshotEvery:   opts.SnapshotEvery,
 				Integrity:       integ,
 			})
 		if err != nil {
@@ -477,32 +456,18 @@ func New(opts Options) (*System, error) {
 	s.Local = invoke.NewLocalInvoker(reporterFunc(func(up actionlib.StatusUpdate) error {
 		return s.Runtime.Report(up)
 	}))
-	// Remote dispatch goes through per-endpoint circuit breakers (on by
-	// default; BreakerFailures < 0 disables) with an in-flight cap, and
-	// optionally retries idempotent sends with jittered backoff.
-	if res.BreakerFailures >= 0 {
-		maxInFlight := res.InvokeMaxInFlight
-		if maxInFlight == 0 {
-			maxInFlight = DefaultInvokeMaxInFlight
-		} else if maxInFlight < 0 {
-			maxInFlight = 0
-		}
-		s.breakers = resilience.NewBreakerSet(resilience.BreakerConfig{
-			Failures:    res.BreakerFailures,
-			Cooldown:    res.BreakerCooldown,
-			MaxInFlight: maxInFlight,
-		})
-	}
-	// A non-zero pool override gets its own bounded transport; zero
-	// keeps the shared pooled client (invoke.NewPooledClient returns
-	// nil, and the invokers fall back to it).
-	outcalls := invoke.NewPooledClient(invoke.PoolConfig{
-		MaxConnsPerHost: res.MaxConnsPerHost,
-		MaxIdleConns:    res.MaxIdleConns,
+	// Remote dispatch goes through per-endpoint circuit breakers with
+	// an in-flight cap, over the invoke package's shared connection
+	// pool, and optionally retries idempotent sends with jittered
+	// backoff.
+	s.breakers = resilience.NewBreakerSet(resilience.BreakerConfig{
+		Failures:    res.BreakerFailures,
+		Cooldown:    res.BreakerCooldown,
+		MaxInFlight: DefaultInvokeMaxInFlight,
 	})
 	dispatcher := &invoke.Dispatcher{
-		REST:     &invoke.RESTInvoker{Client: outcalls, Timeout: res.InvokeTimeout},
-		SOAP:     &invoke.SOAPInvoker{Client: outcalls, Timeout: res.InvokeTimeout},
+		REST:     &invoke.RESTInvoker{Timeout: res.InvokeTimeout},
+		SOAP:     &invoke.SOAPInvoker{Timeout: res.InvokeTimeout},
 		Local:    s.Local,
 		Breakers: s.breakers,
 		Attempts: res.InvokeAttempts,
@@ -536,7 +501,6 @@ func New(opts Options) (*System, error) {
 		Clock:               clock,
 		Policy:              policy,
 		SyncActions:         opts.SyncActions,
-		Shards:              opts.RuntimeShards,
 		MaxEventsInMemory:   opts.MaxEventsInMemory,
 		InvocationRetention: opts.InvocationRetention,
 		Journal:             sink,
@@ -631,15 +595,12 @@ func New(opts Options) (*System, error) {
 			return float64(v)
 		},
 	})
-	if s.breakers != nil {
-		br := s.breakers
-		rules = append(rules, resilience.Rule{
-			Name:      "breakers-open",
-			Severity:  "warning",
-			Threshold: 1,
-			Value:     func() float64 { return float64(br.OpenCount()) },
-		})
-	}
+	rules = append(rules, resilience.Rule{
+		Name:      "breakers-open",
+		Severity:  "warning",
+		Threshold: 1,
+		Value:     func() float64 { return float64(s.breakers.OpenCount()) },
+	})
 	adm := s.gate.Admission
 	var lastShed int64 // read/written only by the watcher goroutine
 	rules = append(rules, resilience.Rule{
@@ -828,14 +789,12 @@ func (s *System) HealthReport() resilience.Report {
 			Attempts: s.probeAttempts.Load(),
 			Failures: s.probeFailures.Load(),
 		},
-		Alerts: s.watcher.Stats(),
+		Alerts:          s.watcher.Stats(),
+		Breakers:        s.breakers.Stats(),
+		BreakerOpens:    s.breakers.Opens(),
+		BreakerRejected: s.breakers.Rejected(),
 	}
 	rep.State = rep.Health.State
-	if s.breakers != nil {
-		rep.Breakers = s.breakers.Stats()
-		rep.BreakerOpens = s.breakers.Opens()
-		rep.BreakerRejected = s.breakers.Rejected()
-	}
 	// Journal integrity, summed across the definitions store and the
 	// instance collection, for deployments with durable journals.
 	st := s.StoreStats()
@@ -876,16 +835,21 @@ func (s *System) SubscribeAlerts(buf int) (<-chan resilience.Alert, func()) {
 }
 
 // Close flushes and closes the data tier, the instance journal
-// included. Every mutation acknowledged before Close is durable.
+// included. Every mutation acknowledged before Close is durable. It
+// also releases a System that New built only part of.
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
-		s.watcher.Close()
+		if s.watcher != nil {
+			s.watcher.Close()
+		}
 		if s.probeStop != nil {
 			close(s.probeStop)
 			<-s.probeDone
 		}
 	})
-	s.Runtime.WaitDispatch()
+	if s.Runtime != nil {
+		s.Runtime.WaitDispatch()
+	}
 	err := s.store.Close()
 	if s.instances != nil {
 		if ierr := s.instances.Close(); err == nil {

@@ -6,11 +6,14 @@
 package gelee
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	stdruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,5 +138,70 @@ func TestHealthReportIntegritySection(t *testing.T) {
 	}
 	if rep.Integrity.CorruptFiles != 0 || rep.Integrity.ReadOnlyLatched {
 		t.Fatalf("healthy node reports corruption: %+v", rep.Integrity)
+	}
+}
+
+// TestFailedOpenReleasesDataDir: an open that fails — here on an
+// instance journal corrupt mid-file, after the definitions store has
+// loaded and started its folder and scrubber — releases everything it
+// opened. Repeated failed opens leave no file descriptor into the
+// directory, no goroutine behind, and the definitions journal
+// byte-identical.
+func TestFailedOpenReleasesDataDir(t *testing.T) {
+	dir := t.TempDir()
+	clock := vclock.NewFake(time.Date(2026, 1, 10, 9, 0, 0, 0, time.UTC))
+	sys, err := New(restartOpts(dir, clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedWorkload(t, sys)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptFirstRecord(t, filepath.Join(dir, "instances", "gelee.journal"))
+	journal := filepath.Join(dir, "gelee.journal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	baseline := stdruntime.NumGoroutine()
+	opts := restartOpts(dir, clock)
+	opts.Integrity.ScrubInterval = time.Hour
+	for i := 0; i < 5; i++ {
+		if sys, err := New(opts); err == nil {
+			sys.Close()
+			t.Fatal("corrupt instance journal opened")
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for stdruntime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Errorf("goroutines after failed opens: %d, baseline %d", stdruntime.NumGoroutine(), baseline)
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if fds, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Log("no /proc/self/fd: open file descriptors not checked")
+	} else {
+		root, err := filepath.EvalSymlinks(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fd := range fds {
+			target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+			if err == nil && (strings.HasPrefix(target, root+string(filepath.Separator)) || target == root) {
+				t.Errorf("fd %s still open on %s", fd.Name(), target)
+			}
+		}
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("failed opens changed %s: %d bytes before, %d after", journal, len(before), len(after))
 	}
 }

@@ -15,9 +15,10 @@
 // retry, so one wedged action service cannot wedge the runtime.
 //
 // Every HTTP call is context-propagated with a configurable per-attempt
-// timeout (DefaultTimeout unless overridden) and rides a shared
-// transport with bounded connection counts — dispatch volume reuses
-// connections instead of minting a client per call.
+// timeout (DefaultTimeout unless overridden) and rides one shared
+// transport with fixed connection bounds (see sharedTransport) —
+// dispatch volume reuses connections instead of minting a client per
+// call. A Client field on an invoker replaces it, which tests use.
 package invoke
 
 import (
@@ -40,9 +41,11 @@ import (
 // a default.
 const DefaultTimeout = 30 * time.Second
 
-// sharedTransport is the connection pool every default client rides:
-// connections are reused across dispatches and capped per host so a
-// burst against one endpoint cannot exhaust file descriptors.
+// sharedTransport is the one connection pool every outcall rides, the
+// REST and SOAP invokers and the callback client alike: connections
+// are reused across dispatches and capped at 128 per host (256 idle in
+// all, 32 per host) so a burst against one endpoint cannot exhaust
+// file descriptors.
 var sharedTransport = func() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConns = 256
@@ -55,49 +58,6 @@ var sharedTransport = func() *http.Transport {
 // sharedClient has no client-level timeout: deadlines come from the
 // per-attempt context, which composes with caller cancellation.
 var sharedClient = &http.Client{Transport: sharedTransport}
-
-// PoolConfig bounds the outcall connection pool when the shared
-// defaults don't fit the deployment (small file-descriptor budgets,
-// very high endpoint fan-out). Zero fields keep the shared defaults.
-type PoolConfig struct {
-	// MaxConnsPerHost caps total connections (idle + active + dialing)
-	// per endpoint host; negative = unlimited.
-	MaxConnsPerHost int
-	// MaxIdleConns caps idle connections across all hosts; negative
-	// disables keep-alive pooling entirely.
-	MaxIdleConns int
-	// MaxIdleConnsPerHost caps idle connections per host
-	// (0 = min(MaxIdleConns, shared default)).
-	MaxIdleConnsPerHost int
-}
-
-// NewPooledClient builds an *http.Client on its own transport with the
-// given pool bounds — what geleed wires into the REST/SOAP invokers and
-// the callback client when the operator overrides the defaults. A zero
-// config returns nil, meaning "use the shared pooled client".
-func NewPooledClient(cfg PoolConfig) *http.Client {
-	if cfg == (PoolConfig{}) {
-		return nil
-	}
-	t := sharedTransport.Clone()
-	if cfg.MaxConnsPerHost > 0 {
-		t.MaxConnsPerHost = cfg.MaxConnsPerHost
-	} else if cfg.MaxConnsPerHost < 0 {
-		t.MaxConnsPerHost = 0 // net/http: 0 = unlimited
-	}
-	if cfg.MaxIdleConns > 0 {
-		t.MaxIdleConns = cfg.MaxIdleConns
-	} else if cfg.MaxIdleConns < 0 {
-		t.DisableKeepAlives = true
-	}
-	switch {
-	case cfg.MaxIdleConnsPerHost > 0:
-		t.MaxIdleConnsPerHost = cfg.MaxIdleConnsPerHost
-	case t.MaxIdleConns > 0 && t.MaxIdleConnsPerHost > t.MaxIdleConns:
-		t.MaxIdleConnsPerHost = t.MaxIdleConns
-	}
-	return &http.Client{Transport: t}
-}
 
 // attemptContext applies the per-attempt timeout: an explicit option
 // wins, otherwise DefaultTimeout — unless the caller's own deadline is

@@ -33,13 +33,11 @@ import (
 //     entry of a segment it is about to delete ("sealed implies
 //     applied").
 type appender struct {
-	dir           string
-	sync          bool  // fsync once per flush
-	segmentMax    int64 // rotate once the active segment outgrows it (0 = never)
-	snapshotEvery uint64
-	// onSeal, if non-nil, runs under mu after a rotation leaves at
-	// least snapshotEvery sealed segments unfolded. It must not block
-	// or call back into the appender.
+	dir        string
+	sync       bool  // fsync once per flush
+	segmentMax int64 // rotate once the active segment outgrows it (0 = never)
+	// onSeal, if non-nil, runs under mu after every automatic
+	// rotation. It must not block or call back into the appender.
 	onSeal func()
 
 	// mu guards j, sf, flushedSeq, queued and replay. j is nil before
@@ -197,14 +195,13 @@ func (a *appender) sealLocked() error {
 }
 
 // maybeRotateLocked seals the active segment once it outgrew
-// segmentMax and calls onSeal when enough sealed segments await a
-// fold. Seal failures are sticky on the journal and surface on the
-// next flush. Callers hold mu.
+// segmentMax and calls onSeal so a fold follows. Seal failures are
+// sticky on the journal and surface on the next flush. Callers hold mu.
 func (a *appender) maybeRotateLocked() {
 	if a.segmentMax <= 0 || a.j.Size() < a.segmentMax {
 		return
 	}
-	if a.sealLocked() == nil && a.onSeal != nil && a.sf.sealedCount() >= a.snapshotEvery {
+	if a.sealLocked() == nil && a.onSeal != nil {
 		a.onSeal()
 	}
 }

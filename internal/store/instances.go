@@ -31,9 +31,6 @@ type InstancesOptions struct {
 	// per-instance snapshot records once a snapshot source is wired
 	// (SetSnapshotSource), keeping restart replay bounded.
 	SegmentMaxBytes int64
-	// SnapshotEvery folds once this many sealed segments accumulate
-	// (0 = every rotation).
-	SnapshotEvery int
 	// OnAppendResult, when set, observes the outcome of every Append
 	// (nil error = durably acknowledged) — the health signal the
 	// resilience layer watches. Called on the write path; must be O(1)
@@ -140,15 +137,11 @@ func OpenInstances(dir string, opts InstancesOptions) (*Instances, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create instances dir: %w", err)
 	}
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 1
-	}
 	c := &Instances{opts: opts, folds: newFolder()}
 	c.appender = appender{
-		dir:           dir,
-		sync:          opts.Sync,
-		segmentMax:    opts.SegmentMaxBytes,
-		snapshotEvery: uint64(opts.SnapshotEvery),
+		dir:        dir,
+		sync:       opts.Sync,
+		segmentMax: opts.SegmentMaxBytes,
 		onSeal: func() {
 			if c.folds.running() {
 				c.folds.poke()
@@ -219,7 +212,7 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 		return err
 	}
 	if iv := c.opts.Integrity.ScrubInterval; iv > 0 {
-		c.stopScrub = scrubLoop(iv, c.opts.Integrity.ScrubBytesPerTick, c.Scrub)
+		c.stopScrub = scrubLoop(iv, c.Scrub)
 	}
 	return nil
 }

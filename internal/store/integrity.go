@@ -15,7 +15,7 @@ import (
 )
 
 // DefaultScrubBytesPerTick bounds the IO one background scrub tick may
-// issue when IntegrityOptions.ScrubBytesPerTick is zero.
+// issue (and an on-demand Scrub(0)).
 const DefaultScrubBytesPerTick = 8 << 20
 
 // IntegrityOptions tune corruption detection and handling for a journal
@@ -30,11 +30,9 @@ type IntegrityOptions struct {
 	// the hook the embedding system uses to latch read-only.
 	Quarantine bool
 	// ScrubInterval paces the background scrubber verifying sealed
-	// segments, snapshots and archives while serving. 0 disables it.
+	// segments, snapshots and archives while serving, at most
+	// DefaultScrubBytesPerTick of IO per tick. 0 disables it.
 	ScrubInterval time.Duration
-	// ScrubBytesPerTick bounds the IO one scrub tick may issue
-	// (0 = DefaultScrubBytesPerTick).
-	ScrubBytesPerTick int64
 	// OnCorrupt, when set, observes every corruption detection — the
 	// open-time pre-verify pass and the scrubber. Called on open and
 	// scrub paths; must be fast and must not call back into the store.

@@ -16,13 +16,9 @@ type JournalConfig struct {
 	// size, rotating to a fresh one under the appender lock. 0 disables
 	// automatic rotation (Seal still rotates on demand).
 	SegmentMaxBytes int64
-	// SnapshotEvery triggers OnSeal once this many sealed segments
-	// await folding (0 = every seal).
-	SnapshotEvery int
-	// OnSeal, if non-nil, is invoked under the appender lock after a
-	// rotation leaves at least SnapshotEvery sealed segments unfolded —
-	// the hook the Store's background folder hangs off. It must not
-	// block or call back into the engine.
+	// OnSeal, if non-nil, is invoked under the appender lock after
+	// every automatic rotation — the hook the Store's background folder
+	// hangs off. It must not block or call back into the engine.
 	OnSeal func()
 	// Integrity tunes corruption detection: record framing, quarantine
 	// mode, the background scrubber (see IntegrityOptions).
@@ -47,16 +43,12 @@ func NewJournalEngine(cfg JournalConfig) (Engine, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 1
-	}
 	return &journalEngine{
 		appender: appender{
-			dir:           cfg.Dir,
-			sync:          cfg.Sync,
-			segmentMax:    cfg.SegmentMaxBytes,
-			snapshotEvery: uint64(cfg.SnapshotEvery),
-			onSeal:        cfg.OnSeal,
+			dir:        cfg.Dir,
+			sync:       cfg.Sync,
+			segmentMax: cfg.SegmentMaxBytes,
+			onSeal:     cfg.OnSeal,
 		},
 		integ: cfg.Integrity,
 	}, nil

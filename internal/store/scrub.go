@@ -23,11 +23,11 @@ import (
 	"time"
 )
 
-// scrubLoop runs tick(maxBytes) every interval from its own goroutine
-// and returns an idempotent stop function that waits for the loop to
-// exit. The shared driver behind Store's and Instances' background
-// scrubbers.
-func scrubLoop(interval time.Duration, maxBytes int64, tick func(int64) ScrubResult) (stop func()) {
+// scrubLoop runs tick(DefaultScrubBytesPerTick) every interval from
+// its own goroutine and returns an idempotent stop function that
+// waits for the loop to exit. The shared driver behind Store's and
+// Instances' background scrubbers.
+func scrubLoop(interval time.Duration, tick func(int64) ScrubResult) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -38,7 +38,7 @@ func scrubLoop(interval time.Duration, maxBytes int64, tick func(int64) ScrubRes
 		for {
 			select {
 			case <-t.C:
-				tick(maxBytes)
+				tick(DefaultScrubBytesPerTick)
 			case <-done:
 				return
 			}

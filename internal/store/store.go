@@ -58,7 +58,7 @@ type Store struct {
 	onAppendResult func(error)
 
 	// Background folder, started by Load; the engine's OnSeal (wired
-	// by Open) pokes it on every qualifying rotation. The pacing policy
+	// by Open) pokes it on every rotation. The pacing policy
 	// (minInterval/minGarbage) gates what a poke actually does;
 	// Compact bypasses it.
 	folds       *folder
@@ -78,7 +78,6 @@ type Store struct {
 	// Background scrubber (Options.Integrity.ScrubInterval); started by
 	// Load, stopped by Close.
 	scrubInterval time.Duration
-	scrubBudget   int64
 	stopScrub     func()
 }
 
@@ -97,13 +96,10 @@ type Options struct {
 	// disables automatic rotation (Compact still seals and folds on
 	// demand).
 	SegmentMaxBytes int64
-	// SnapshotEvery folds once this many sealed segments accumulate
-	// (0 = every rotation).
-	SnapshotEvery int
 	// FoldMinInterval is the minimum wall-clock spacing between
 	// background folds: a seal poking the folder sooner defers the
 	// fold (a retry timer re-pokes when the interval elapses). 0 folds
-	// on every qualifying poke. Compact ignores it.
+	// on every poke. Compact ignores it.
 	FoldMinInterval time.Duration
 	// FoldMinGarbage is the minimum garbage ratio — sealed backlog
 	// bytes over (sealed backlog + newest snapshot) bytes — a
@@ -195,7 +191,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		Dir:             dir,
 		Sync:            opts.Sync,
 		SegmentMaxBytes: opts.SegmentMaxBytes,
-		SnapshotEvery:   opts.SnapshotEvery,
 		OnSeal:          s.scheduleFold,
 		Integrity:       opts.Integrity,
 	})
@@ -204,7 +199,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.engine = engine
 	s.scrubInterval = opts.Integrity.ScrubInterval
-	s.scrubBudget = opts.Integrity.ScrubBytesPerTick
 	return s, nil
 }
 
@@ -302,7 +296,7 @@ func (s *Store) LoadParallel(workers int) error {
 	// ever at risk.
 	s.folds.start(func() { s.fold(false) })
 	if s.scrubInterval > 0 {
-		s.stopScrub = scrubLoop(s.scrubInterval, s.scrubBudget, s.engine.Scrub)
+		s.stopScrub = scrubLoop(s.scrubInterval, s.engine.Scrub)
 	}
 	return nil
 }

@@ -273,6 +273,15 @@ func TestKillUnderSheddingNoAckedWriteLost(t *testing.T) {
 	}
 }
 
+// TestNegativeBreakerFailuresRejected: breakers are always on, so a
+// negative failure threshold is a configuration error, not a switch.
+func TestNegativeBreakerFailuresRejected(t *testing.T) {
+	if sys, err := New(Options{Resilience: ResilienceOptions{BreakerFailures: -1}}); err == nil {
+		sys.Close()
+		t.Fatal("New accepted BreakerFailures -1")
+	}
+}
+
 // TestWedgedEndpointBreakerIsolation registers two REST action
 // endpoints — one wedged, one healthy — and proves the circuit opens
 // on the wedged one, stops hammering it, and never slows dispatch to

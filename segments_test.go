@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/liquidpub/gelee/internal/runtime"
+	"github.com/liquidpub/gelee/internal/scenario"
+	"github.com/liquidpub/gelee/internal/store"
 	"github.com/liquidpub/gelee/internal/vclock"
 )
 
@@ -207,4 +210,91 @@ func TestCompactDuringLiveAdvances(t *testing.T) {
 	if err := json.Unmarshal(data, &sums); err != nil || len(sums) != len(ids) {
 		t.Fatalf("summaries after restart: %d, want %d", len(sums), len(ids))
 	}
+}
+
+// TestDataDirPicksEngine: DataDir alone chooses the storage engine.
+// Without it everything lives in memory and nothing is persisted, even
+// with PersistInstances; with it both journals open under the
+// directory and a reopen recovers the instances. Either way the locks
+// stripe by the package defaults.
+func TestDataDirPicksEngine(t *testing.T) {
+	clock := vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC))
+	mem := newSystem(t, Options{Clock: clock, PersistInstances: true})
+	seedWorkload(t, mem)
+	if st := mem.StoreStats(); st.Engine.Engine != "memory" || st.Instances != nil {
+		t.Fatalf("no DataDir: engine %q, instance journal %v, want memory and none", st.Engine.Engine, st.Instances)
+	}
+	if mem.RuntimeStats().Persistence.Enabled {
+		t.Fatal("no DataDir: instance persistence enabled")
+	}
+
+	dir := t.TempDir()
+	sys := newSystem(t, restartOpts(dir, clock))
+	ids := seedWorkload(t, sys)
+	st := sys.StoreStats()
+	if st.Engine.Engine != "journal" || st.Instances == nil {
+		t.Fatalf("DataDir: engine %q, instance journal %v, want journal and one", st.Engine.Engine, st.Instances)
+	}
+	if !sys.RuntimeStats().Persistence.Enabled {
+		t.Fatal("DataDir with PersistInstances: instance persistence disabled")
+	}
+	if st.Shards != store.DefaultShards || sys.RuntimeStats().Shards != runtime.DefaultShards {
+		t.Fatalf("shards: store %d, runtime %d, want %d, %d",
+			st.Shards, sys.RuntimeStats().Shards, store.DefaultShards, runtime.DefaultShards)
+	}
+	want := snapshotJSON(t, sys)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys2 := newSystem(t, restartOpts(dir, clock))
+	if got := sys2.RecoveryStats().Instances; got != len(ids) {
+		t.Fatalf("reopen recovered %d instances, want %d", got, len(ids))
+	}
+	if got := snapshotJSON(t, sys2); !reflect.DeepEqual(want, got) {
+		t.Fatal("reopened instances differ from the ones written")
+	}
+}
+
+// TestEveryRotationFolds: with no fold pacing, every automatic
+// rotation of the definitions journal and of the instance journal is
+// followed by a background fold that leaves no sealed segment behind
+// — one rotation at a time, so a fold that waited for a second sealed
+// segment would time out.
+func TestEveryRotationFolds(t *testing.T) {
+	clock := vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC))
+	opts := restartOpts(t.TempDir(), clock)
+	opts.SegmentMaxBytes = 2 << 10
+	sys := newSystem(t, opts)
+	ids := seedWorkload(t, sys)
+	model := scenario.QualityPlan()
+
+	each := func(name string, stats func() store.EngineStats, write func(i int) error) {
+		t.Helper()
+		for r := 1; r <= 3; r++ {
+			before := stats()
+			for i := 0; stats().Rotations == before.Rotations; i++ {
+				if i == 1000 {
+					t.Fatalf("%s: 1000 writes never rotated: %+v", name, stats())
+				}
+				if err := write(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				st := stats()
+				if st.Folds > before.Folds && st.SealedSegments == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: rotation %d not followed by a fold: %+v", name, r, st)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+	each("definitions journal", func() store.EngineStats { return sys.StoreStats().Engine },
+		func(int) error { return sys.SaveTemplate("", model) })
+	each("instance journal", func() store.EngineStats { return *sys.StoreStats().Instances },
+		func(i int) error { return sys.Annotate(ids[i%len(ids)], "owner", fmt.Sprintf("note %d", i)) })
 }
