@@ -24,10 +24,12 @@
 //	fsck [-repair] DATADIR         offline journal integrity check
 //
 // fsck is the one offline command: it opens no server connection but
-// walks a (stopped) geleed data directory — and its instances journal —
-// verifying every record CRC, that every record's data is JSON, and
-// every segment footer and archive checksum, and prints a per-file JSON
-// report. With -repair it truncates torn active
+// checks a (stopped) geleed data directory — and its instances journal
+// — through the path geleed opens it by (gelee.Fsck): every record CRC,
+// segment footer and archive checksum, and every record replayed into
+// the repositories and the runtime geleed would replay it into, so a
+// record geleed cannot open is named by file, line and offset. It
+// prints a per-file JSON report. With -repair it truncates torn active
 // tails and moves corrupt files aside (.quarantined) so the directory
 // opens again. Exits 1 when corruption was found.
 package main
@@ -41,10 +43,9 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 
-	"github.com/liquidpub/gelee/internal/store"
+	"github.com/liquidpub/gelee"
 )
 
 func main() {
@@ -87,35 +88,31 @@ func runFsck(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: fsck [-repair] DATADIR")
 	}
-	dataDir := fs.Arg(0)
-	if _, err := os.Stat(dataDir); err != nil {
+	if _, err := os.Stat(fs.Arg(0)); err != nil {
 		return fmt.Errorf("fsck: %w", err)
 	}
-	dirs := []string{dataDir}
-	if info, err := os.Stat(filepath.Join(dataDir, "instances")); err == nil && info.IsDir() {
-		dirs = append(dirs, filepath.Join(dataDir, "instances"))
-	}
-	corrupt, torn, repaired := 0, 0, 0
-	reports := make([]store.FsckReport, 0, len(dirs))
-	for _, d := range dirs {
-		rep, err := store.Fsck(d, *repair)
-		if err != nil {
-			return err
-		}
-		corrupt += rep.Corrupt
-		torn += rep.Torn
-		repaired += rep.Repaired
-		reports = append(reports, rep)
+	rep, err := gelee.Fsck(fs.Arg(0), *repair)
+	if err != nil {
+		return err
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(reports); err != nil {
+	if err := enc.Encode(rep); err != nil {
 		return err
 	}
+	corrupt, torn, repaired := 0, 0, 0
+	for _, j := range rep.Journals {
+		corrupt += j.Corrupt
+		torn += j.Torn
+		repaired += j.Repaired
+	}
 	fmt.Fprintf(os.Stderr, "fsck: %d corrupt, %d torn, %d repaired across %d dir(s)\n",
-		corrupt, torn, repaired, len(dirs))
-	if corrupt > 0 {
-		return fmt.Errorf("fsck: corruption found in %d file(s)", corrupt)
+		corrupt, torn, repaired, len(rep.Journals))
+	if rep.Rebuild != "" {
+		fmt.Fprintf(os.Stderr, "fsck: the definitions do not rebuild: %s\n", rep.Rebuild)
+	}
+	if !rep.Clean {
+		return fmt.Errorf("fsck: the data directory does not open")
 	}
 	return nil
 }

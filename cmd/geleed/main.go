@@ -81,10 +81,13 @@
 // framing still open). -scrub-interval (5m by default) re-verifies
 // sealed segments, snapshots and archives in the background, at most
 // 8 MiB of IO per tick; detections fire the journal-corruption alert
-// and show in GET /api/v1/admin/health. -quarantine-corrupt makes an
-// open that finds corruption move the damaged files aside and serve
-// the surviving history read-only (latched until restart) instead of
-// refusing to start; repair offline with geleectl fsck.
+// and show in GET /api/v1/admin/health. -quarantine-corrupt runs the
+// offline checker's repair at open — the file checks of geleectl fsck
+// -repair: damaged files move aside, a torn active tail is truncated —
+// and serves the surviving history read-only (latched until restart)
+// instead of refusing to start. A record that the replay cannot apply
+// still refuses the start; geleectl fsck -repair names and quarantines
+// its file.
 package main
 
 import (

@@ -271,11 +271,10 @@ type Sims struct {
 	Composites *composite.Service
 }
 
-// System is a complete Gelee deployment.
-type System struct {
-	opts      Options
-	clock     vclock.Clock
-	store     *store.Store
+// definitions are the repositories and the log the definitions journal
+// replays into: New loads the journal through them, Fsck checks it
+// through them.
+type definitions struct {
 	models    *store.Repo[*core.Model]
 	templates *store.Repo[*core.Model]
 	actTypes  *store.Repo[actionlib.ActionType]
@@ -283,6 +282,53 @@ type System struct {
 	users     *store.Repo[access.User]
 	grants    *store.Repo[access.Grant]
 	execLog   *store.Log
+}
+
+// registerDefinitions registers the definitions' parts on st.
+func registerDefinitions(st *store.Store) definitions {
+	return definitions{
+		models:    store.MustRepo[*core.Model](st, "models"),
+		templates: store.MustRepo[*core.Model](st, "templates"),
+		actTypes:  store.MustRepo[actionlib.ActionType](st, "action-types"),
+		actImpls:  store.MustRepo[actionlib.Implementation](st, "action-impls"),
+		users:     store.MustRepo[access.User](st, "users"),
+		grants:    store.MustRepo[access.Grant](st, "grants"),
+		execLog:   store.MustLog(st, "execlog"),
+	}
+}
+
+// rebuild loads the replayed action library and accounts into the
+// in-memory services that serve them.
+func (d definitions) rebuild(reg *actionlib.Registry, acl *access.Control) error {
+	for _, at := range d.actTypes.List() {
+		if err := reg.ReplaceType(at); err != nil {
+			return err
+		}
+	}
+	for _, im := range d.actImpls.List() {
+		if err := reg.RegisterImplementation(im); err != nil && !errors.Is(err, actionlib.ErrDuplicate) {
+			return err
+		}
+	}
+	for _, u := range d.users.List() {
+		if err := acl.AddUser(u); err != nil {
+			return err
+		}
+	}
+	for _, g := range d.grants.List() {
+		if err := acl.Grant(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// System is a complete Gelee deployment.
+type System struct {
+	opts  Options
+	clock vclock.Clock
+	store *store.Store
+	definitions
 	instances *store.Instances // nil unless Options.PersistInstances with a DataDir
 
 	Registry  *actionlib.Registry
@@ -400,13 +446,7 @@ func New(opts Options) (sys *System, err error) {
 			_ = s.Close()
 		}
 	}()
-	s.models = store.MustRepo[*core.Model](st, "models")
-	s.templates = store.MustRepo[*core.Model](st, "templates")
-	s.actTypes = store.MustRepo[actionlib.ActionType](st, "action-types")
-	s.actImpls = store.MustRepo[actionlib.Implementation](st, "action-impls")
-	s.users = store.MustRepo[access.User](st, "users")
-	s.grants = store.MustRepo[access.Grant](st, "grants")
-	s.execLog = store.MustLog(st, "execlog")
+	s.definitions = registerDefinitions(st)
 	if opts.PersistInstances && opts.DataDir != "" {
 		// The instance collection runs on its own journal directory
 		// (DataDir/instances) so instance writes never order an
@@ -428,26 +468,8 @@ func New(opts Options) (sys *System, err error) {
 		return nil, err
 	}
 
-	// Rebuild the in-memory services from the replayed repositories.
-	for _, at := range s.actTypes.List() {
-		if err := s.Registry.ReplaceType(at); err != nil {
-			return nil, err
-		}
-	}
-	for _, im := range s.actImpls.List() {
-		if err := s.Registry.RegisterImplementation(im); err != nil && !errors.Is(err, actionlib.ErrDuplicate) {
-			return nil, err
-		}
-	}
-	for _, u := range s.users.List() {
-		if err := s.ACL.AddUser(u); err != nil {
-			return nil, err
-		}
-	}
-	for _, g := range s.grants.List() {
-		if err := s.ACL.Grant(g); err != nil {
-			return nil, err
-		}
+	if err := s.definitions.rebuild(s.Registry, s.ACL); err != nil {
+		return nil, err
 	}
 
 	// Invocation transports: local (in-process plug-ins) plus REST and
@@ -580,8 +602,9 @@ func New(opts Options) (sys *System, err error) {
 		Threshold: float64(resilience.Degraded),
 		Value:     func() float64 { return float64(health.State()) },
 	})
-	// Corruption detections (open pre-verify + background scrub) across
-	// both journals. CorruptFiles already includes quarantines.
+	// Corruption detections (a quarantine open's Fsck + background
+	// scrub) across both journals. CorruptFiles already includes
+	// quarantines.
 	rules = append(rules, resilience.Rule{
 		Name:      "journal-corruption",
 		Severity:  "critical",

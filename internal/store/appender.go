@@ -69,31 +69,43 @@ type queuedApply struct {
 }
 
 // open replays the directory and opens its active segment for
-// appending: the quarantine pre-verify pass when configured (moving
-// every file that fails its CRCs aside before anything is applied),
-// the owner's replay, torn-tail truncation so the next append starts
-// on a record boundary, reconciliation of archive files against the
-// refs the snapshot carried (a referenced archive must exist intact;
-// unreferenced ones are leftovers of a fold that crashed before its
-// snapshot installed, and are removed), and finally the active file,
-// continuing after the last replayed sequence.
-func (a *appender) open(integ IntegrityOptions, replay func() (segReplay, error)) error {
-	quarantined, corrupt := 0, 0
+// appending: in quarantine mode Fsck with repair first (moving every
+// file that fails its checks aside before anything is applied, and
+// reporting each detection through OnCorrupt), then the inventory,
+// removal of the stale files a crashed fold left, the owner's replay
+// of the live generation, torn-tail truncation so the next append
+// starts on a record boundary, reconciliation of archive files against
+// the refs the snapshot carried (a referenced archive must exist
+// intact; unreferenced ones are leftovers of a fold that crashed
+// before its snapshot installed, and are removed), and finally the
+// active file, continuing after the last replayed sequence.
+func (a *appender) open(integ IntegrityOptions, replay func(segState) (segReplay, error)) error {
+	var pre FsckReport
 	if integ.Quarantine {
 		var err error
-		if quarantined, corrupt, err = preVerify(a.dir, integ.OnCorrupt); err != nil {
+		if pre, err = Fsck(a.dir, true); err != nil {
 			return err
 		}
+		for _, f := range pre.Files {
+			if (f.Status == "corrupt" || f.Status == "missing") && integ.OnCorrupt != nil {
+				integ.OnCorrupt(CorruptFile{Path: filepath.Join(a.dir, f.Name), Detail: f.Detail,
+					Quarantined: f.Repaired == "quarantined", Source: "open"})
+			}
+		}
 	}
-	sr, err := replay()
+	st, err := scanSegments(a.dir)
+	if err != nil {
+		return err
+	}
+	st.removeStale(a.dir)
+	sr, err := replay(st)
 	if err != nil {
 		return err
 	}
 	if err := truncateTorn(a.dir, sr.active.good); err != nil {
 		return err
 	}
-	kept, keptBytes, hi, removed, err := reconcileArchives(a.dir, sr.state.archives, sr.refs,
-		integ.Quarantine, quarantined > 0)
+	kept, keptBytes, hi, removed, err := reconcileArchives(a.dir, st, sr.refs, integ.Quarantine)
 	if err != nil {
 		return err
 	}
@@ -102,8 +114,8 @@ func (a *appender) open(integ IntegrityOptions, replay func() (segReplay, error)
 		return err
 	}
 	j.adoptReplay(sr.active)
-	sf := newSegFiles(a.dir, sr.state)
-	sf.adoptIntegrity(sr, quarantined, corrupt, integ.OnCorrupt)
+	sf := newSegFiles(a.dir, st)
+	sf.adoptIntegrity(sr, pre, integ.OnCorrupt)
 	sf.adoptArchives(kept, keptBytes, hi, removed)
 	a.mu.Lock()
 	a.j, a.sf, a.flushedSeq, a.replay = j, sf, sr.lastSeq, sr.stats

@@ -21,10 +21,11 @@ package store
 // is safe: a crash before the snapshot install leaves an archive no
 // snapshot references, which the next open's reconcile pass deletes; a
 // crash after leaves both generations consistent. Referenced archives
-// are verified cheaply at open (existence + byte length); the CRC is
-// verified whenever an archive is actually streamed, so a bit-rotted
-// cold file surfaces as ErrCorrupt on read instead of silently feeding
-// damaged history to the cockpit.
+// are verified cheaply at open (existence + byte length) and in full by
+// Fsck and so by a quarantine open; the CRC is also verified whenever
+// an archive is actually streamed, so a bit-rotted cold file surfaces
+// as ErrCorrupt on read instead of silently feeding damaged history to
+// the cockpit.
 
 import (
 	"bufio"
@@ -209,26 +210,27 @@ func readArchive(dir string, ref ArchiveRef, fn func(Entry) error) error {
 // durably installed, so its cold history must be whole), and archive
 // files no snapshot references — a fold that crashed between archive
 // install and snapshot install — are deleted. Returns the surviving
-// refs, their total bytes, the highest referenced number, and how many
-// orphans were removed. CRCs are not checked here: open cost must stay
-// O(live + refs), so full verification is the read path's and the
-// scrubber's job.
+// refs, their total bytes, the highest archive number in use, and how
+// many orphans were removed. CRCs are not checked here: open cost must
+// stay O(live + refs), so full verification is the read path's, the
+// scrubber's and Fsck's job.
 //
 // In tolerant mode (quarantine opens) a missing or resized referenced
-// archive is skipped instead of failing the open — the pre-verify pass
-// already quarantined/reported it, and the surviving history serves
-// read-only. keepOrphans additionally disables orphan deletion: when
-// any file of the generation was quarantined (above all a snapshot,
-// whose refs are the only thing marking archives as referenced), the
-// "unreferenced" verdict can no longer be trusted.
-func reconcileArchives(dir string, onDisk map[uint64]int64, refs []ArchiveRef, tolerate, keepOrphans bool) (kept []ArchiveRef, keptBytes int64, hi uint64, removed uint64, err error) {
+// archive is skipped instead of failing the open — the Fsck the open
+// ran first already reported (and, resized, quarantined) it, and the
+// surviving history serves read-only. And while the directory holds
+// any quarantined file (above all a snapshot, whose refs are the only
+// thing marking archives as referenced) the "unreferenced" verdict
+// cannot be trusted: no orphan is deleted, and the next archive number
+// counts the kept ones so no fold overwrites them.
+func reconcileArchives(dir string, st segState, refs []ArchiveRef, tolerate bool) (kept []ArchiveRef, keptBytes int64, hi uint64, removed uint64, err error) {
 	referenced := make(map[uint64]bool, len(refs))
 	for _, ref := range refs {
 		referenced[ref.Archive] = true
 		if ref.Archive > hi {
 			hi = ref.Archive
 		}
-		size, ok := onDisk[ref.Archive]
+		size, ok := st.archives[ref.Archive]
 		if !ok {
 			if tolerate {
 				continue
@@ -245,11 +247,12 @@ func reconcileArchives(dir string, onDisk map[uint64]int64, refs []ArchiveRef, t
 		kept = append(kept, ref)
 		keptBytes += size
 	}
-	if keepOrphans {
-		return kept, keptBytes, hi, 0, nil
-	}
-	for n := range onDisk {
+	for n := range st.archives {
 		if referenced[n] {
+			continue
+		}
+		if st.quarantined > 0 {
+			hi = max(hi, n)
 			continue
 		}
 		// Unreferenced: the fold that wrote it died before its snapshot

@@ -1,23 +1,23 @@
 package store
 
-// Offline integrity checking: Fsck walks a journal directory the way an
-// open would — newest snapshot, uncovered sealed segments, active file,
-// referenced archives — but verifies instead of replaying and, unlike
-// scanSegments, never mutates unless repair is requested. With repair
-// it applies exactly the recoveries an open would (truncate the torn
-// active tail) plus the one an open refuses (quarantine files that fail
-// their CRCs or hold a record whose data is not JSON), so a refused
-// data directory opens again — shortened, for an operator to reconcile
-// from the .quarantined bytes or a backup.
-// `geleectl fsck` is the CLI wrapper.
+// Integrity checking: Fsck verifies a journal directory from the same
+// inventory the open takes (scanSegments), each live file by the same
+// per-kind verifier the replay and the scrubber use (liveFile.verify),
+// and, given a consumer, streams the records through it as the open
+// would (Store.Fsck, FsckInstances). It never mutates unless repair
+// is requested. With repair it applies exactly the recovery an open
+// would (truncate the torn active tail) plus the one an open refuses:
+// quarantine every file that fails its checks or holds a record its
+// consumer cannot apply, so a refused data directory opens again —
+// shortened, for an operator to reconcile from the .quarantined bytes
+// or a backup. A quarantine open is Fsck with repair, then the normal
+// open. gelee.Fsck checks a whole data directory through the facade's
+// consumers; `geleectl fsck` is its CLI.
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -26,9 +26,9 @@ type FsckFile struct {
 	// Name is the file name within the directory.
 	Name string `json:"name"`
 	// Kind classifies the file: active, segment, snapshot, archive,
-	// stale (an older generation a crashed fold left behind), temp,
-	// quarantined (moved aside by an earlier run or a quarantine open),
-	// or orphan-archive (no snapshot references it).
+	// temp (a fold that never installed), quarantined (moved aside by
+	// an earlier run or a quarantine open), orphan-archive (no snapshot
+	// references it) or other (not a journal file).
 	Kind string `json:"kind"`
 	// Bytes is the file's size on disk.
 	Bytes int64 `json:"bytes"`
@@ -36,9 +36,11 @@ type FsckFile struct {
 	Records int `json:"records,omitempty"`
 	// Footer reports that the file carried a valid segment footer.
 	Footer bool `json:"footer,omitempty"`
-	// TornBytes is the invalid suffix length a torn active tail carries.
+	// TornBytes is the invalid suffix length a torn tail carries (a
+	// stranded seal footer, which replay also truncates, is not one).
 	TornBytes int64 `json:"torn_bytes,omitempty"`
-	// Status is ok, torn, corrupt, missing, stale or quarantined.
+	// Status is ok, torn, corrupt, missing, stale (the next open
+	// removes it), kept (an orphan the next open keeps) or quarantined.
 	Status string `json:"status"`
 	// Detail is the verification failure, when there is one.
 	Detail string `json:"detail,omitempty"`
@@ -47,13 +49,13 @@ type FsckFile struct {
 	Repaired string `json:"repaired,omitempty"`
 }
 
-// FsckReport is the result of one offline directory check.
+// FsckReport is the result of one directory check.
 type FsckReport struct {
 	Dir   string     `json:"dir"`
 	Files []FsckFile `json:"files"`
 	// Corrupt counts files that failed verification (including
 	// referenced archives that are missing); Torn counts recoverable
-	// torn active tails; Repaired counts repair actions taken.
+	// torn tails; Repaired counts repair actions taken.
 	Corrupt  int `json:"corrupt"`
 	Torn     int `json:"torn"`
 	Repaired int `json:"repaired"`
@@ -64,244 +66,125 @@ type FsckReport struct {
 }
 
 // Fsck verifies every file of the journal generation rooted at dir:
-// per-record CRCs, JSON record data and segment footers in the newest
-// snapshot, the uncovered sealed segments and the active file, and the
-// full checksum of every archive the snapshot references. Read-only by
-// default; with repair it truncates the active file's torn tail and
-// quarantines corrupt files (rename to a .quarantined suffix) so the
-// directory opens again. A missing or empty directory is clean. Returns an error
-// only for IO failures — corruption is reported, not returned.
+// per-record CRCs and segment footers in the newest snapshot, the
+// uncovered sealed segments and the active file, and the full checksum
+// of every archive the snapshot references. Records are not decoded —
+// that is their consumer's job; Store.Fsck and FsckInstances check
+// them through it. Read-only by default; with repair it truncates the
+// active file's torn tail and quarantines corrupt files so the
+// directory opens again. A missing or empty directory is clean.
+// Returns an error only for IO failures — corruption is reported, not
+// returned.
 func Fsck(dir string, repair bool) (FsckReport, error) {
+	return fsck(dir, repair, nil, nil)
+}
+
+// fsck is Fsck streaming the generation's records through fn, bucketed
+// by key, as replaySegmented does for the open. A record fn fails is a
+// corrupt verdict on its file, naming its line and offset; from the
+// first failing file on, fn sees no more records, since no open would
+// apply what follows a hole.
+func fsck(dir string, repair bool, key func(Entry) string, fn func(Entry) error) (FsckReport, error) {
 	rep := FsckReport{Dir: dir}
-	names, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		rep.Clean = true
-		return rep, nil
-	}
+	st, err := scanSegments(dir)
 	if err != nil {
-		return rep, fmt.Errorf("store: fsck read dir: %w", err)
+		return rep, err
 	}
-
-	var snaps, sealed, archives []uint64
-	onDisk := make(map[string]int64)
-	var others []string
-	for _, de := range names {
-		name := de.Name()
-		if de.IsDir() {
-			continue
-		}
-		if info, ierr := de.Info(); ierr == nil {
-			onDisk[name] = info.Size()
-		}
-		switch {
-		case name == journalName:
-		case strings.Contains(name, ".quarantined"):
-			rep.Files = append(rep.Files, FsckFile{
-				Name: name, Kind: "quarantined", Bytes: onDisk[name], Status: "quarantined",
-				Detail: "moved aside by an earlier quarantine; restore or delete manually",
-			})
-		case strings.HasSuffix(name, ".tmp"):
-			rep.Files = append(rep.Files, FsckFile{
-				Name: name, Kind: "temp", Bytes: onDisk[name], Status: "stale",
-				Detail: "in-progress fold never installed; the next open removes it",
-			})
-		default:
-			if n, ok := parseNumbered(name, "snapshot."); ok {
-				snaps = append(snaps, n)
-			} else if n, ok := parseNumbered(name, "journal."); ok {
-				sealed = append(sealed, n)
-			} else if n, ok := parseNumbered(name, "archive."); ok {
-				archives = append(archives, n)
-			} else {
-				others = append(others, name)
-			}
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	sort.Slice(sealed, func(i, j int) bool { return sealed[i] < sealed[j] })
-	sort.Slice(archives, func(i, j int) bool { return archives[i] < archives[j] })
-
-	// quarantine moves a corrupt file aside when repairing.
-	quarantine := func(f *FsckFile) error {
+	rep.Files = append(rep.Files, st.extra...)
+	damaged := 0 // files repair moves aside
+	corrupt := func(f *FsckFile, detail string) error {
+		f.Status, f.Detail = "corrupt", detail
+		rep.Corrupt++
+		damaged++
 		if !repair {
 			return nil
 		}
-		p := filepath.Join(dir, f.Name)
-		if err := os.Rename(p, quarantinePath(p)); err != nil {
-			return fmt.Errorf("store: fsck quarantine %s: %w", f.Name, err)
+		if err := quarantine(filepath.Join(dir, f.Name)); err != nil {
+			return err
 		}
 		f.Repaired = "quarantined"
 		rep.Repaired++
 		return nil
 	}
 
-	// The newest snapshot, verified fully; its archive refs decide which
-	// archives are part of the generation.
-	var refs []ArchiveRef
-	snapNum := uint64(0)
-	if len(snaps) > 0 {
-		snapNum = snaps[len(snaps)-1]
-		for _, n := range snaps[:len(snaps)-1] {
-			name := snapName(n)
-			rep.Files = append(rep.Files, FsckFile{
-				Name: name, Kind: "snapshot", Bytes: onDisk[name], Status: "stale",
-				Detail: "superseded by a newer snapshot; the next open removes it",
-			})
+	sr, err := replaySegmented(dir, st, key, fn, func(lf liveFile, fr fileReplay, verr error) error {
+		size, onDisk := st.sizes[lf.name]
+		if lf.kind == kindActive && !onDisk {
+			return nil
 		}
-		name := snapName(snapNum)
-		f := FsckFile{Name: name, Kind: "snapshot", Bytes: onDisk[name], Status: "ok"}
-		fr, verr := replayJournalFile(filepath.Join(dir, name), replaySnapshot, func(e Entry) (err error) {
-			if err := checkRecordData(e); err != nil {
-				return err
+		f := FsckFile{Name: lf.name, Kind: kindNames[lf.kind], Bytes: size, Records: fr.n, Footer: fr.footer != nil, Status: "ok"}
+		defer func() { rep.Files = append(rep.Files, f) }()
+		var re *RecordError
+		switch {
+		case verr != nil && !errors.Is(verr, ErrCorrupt) && !errors.As(verr, &re):
+			return verr
+		case verr != nil:
+			return corrupt(&f, verr.Error())
+		case lf.kind == kindActive && fr.size > fr.good:
+			f.Status, f.TornBytes = "torn", fr.torn
+			f.Detail = "torn tail (or a stranded seal footer); replay truncates it"
+			rep.Torn++
+			if !repair {
+				return nil
 			}
-			refs, err = collectRef(refs, e)
-			return err
-		})
-		f.Records, f.Footer = fr.n, fr.footer != nil
-		if verr != nil {
-			if !fsckCorrupt(verr) {
-				return rep, verr
-			}
-			f.Status, f.Detail = "corrupt", verr.Error()
-			rep.Corrupt++
-			refs = nil
-			if err := quarantine(&f); err != nil {
-				return rep, err
-			}
-		}
-		rep.Files = append(rep.Files, f)
-	}
-
-	// Sealed segments: those a snapshot covers are stale garbage, the
-	// rest must verify strictly (footer permitting only the legacy
-	// torn-final-line crash shape).
-	for _, n := range sealed {
-		name := sealedName(n)
-		if n <= snapNum {
-			rep.Files = append(rep.Files, FsckFile{
-				Name: name, Kind: "segment", Bytes: onDisk[name], Status: "stale",
-				Detail: "folded into the snapshot; the next open removes it",
-			})
-			continue
-		}
-		f := FsckFile{Name: name, Kind: "segment", Bytes: onDisk[name], Status: "ok"}
-		fr, verr := replayJournalFile(filepath.Join(dir, name), replaySealed, checkRecordData)
-		f.Records, f.Footer = fr.n, fr.footer != nil
-		if verr != nil {
-			if !fsckCorrupt(verr) {
-				return rep, verr
-			}
-			f.Status, f.Detail = "corrupt", verr.Error()
-			rep.Corrupt++
-			if err := quarantine(&f); err != nil {
-				return rep, err
-			}
-		} else if fr.torn > 0 {
+			f.Repaired = "truncated"
+			rep.Repaired++
+			return truncateTorn(dir, fr.good)
+		case fr.torn > 0:
 			f.Status, f.TornBytes = "torn", fr.torn
 			f.Detail = "torn final line (no footer); replay drops it"
 			rep.Torn++
 		}
-		rep.Files = append(rep.Files, f)
-	}
-
-	// The active file: an invalid suffix is a recoverable crash tail
-	// (repair truncates it, like an open would); invalid bytes before a
-	// later valid record are corruption, and so is a record whose data
-	// is not JSON wherever it sits: its CRC and newline are intact, so
-	// it is no torn write, and an open fails on it.
-	if _, ok := onDisk[journalName]; ok {
-		f := FsckFile{Name: journalName, Kind: "active", Bytes: onDisk[journalName], Status: "ok"}
-		fr, verr := replayJournalFile(filepath.Join(dir, journalName), replayActive, checkRecordData)
-		f.Records = fr.n
-		switch {
-		case verr != nil && fsckCorrupt(verr):
-			f.Status, f.Detail = "corrupt", verr.Error()
-			rep.Corrupt++
-			if err := quarantine(&f); err != nil {
-				return rep, err
-			}
-		case verr != nil:
-			return rep, verr
-		case fr.size > fr.good:
-			f.Status, f.TornBytes = "torn", fr.size-fr.good
-			f.Detail = "torn tail (or a stranded seal footer); replay truncates it"
-			rep.Torn++
-			if repair {
-				if err := os.Truncate(filepath.Join(dir, journalName), fr.good); err != nil {
-					return rep, fmt.Errorf("store: fsck truncate active tail: %w", err)
-				}
-				f.Repaired = "truncated"
-				rep.Repaired++
-			}
-		}
-		rep.Files = append(rep.Files, f)
+		return nil
+	})
+	if err != nil {
+		return rep, err
 	}
 
 	// Archives: referenced ones verify against the full checksum the
 	// snapshot recorded; unreferenced ones are orphans of a crashed fold.
-	referenced := make(map[uint64]ArchiveRef, len(refs))
-	for _, ref := range refs {
+	referenced := make(map[uint64]ArchiveRef, len(sr.refs))
+	for _, ref := range sr.refs {
 		referenced[ref.Archive] = ref
+		if _, ok := st.archives[ref.Archive]; !ok {
+			rep.Files = append(rep.Files, FsckFile{
+				Name: archiveName(ref.Archive), Kind: "archive", Records: ref.Entries,
+				Status: "missing", Detail: "snapshot references it but it is not on disk",
+			})
+			rep.Corrupt++
+		}
 	}
-	for _, n := range archives {
-		name := archiveName(n)
+	var orphans []uint64
+	for n, size := range st.archives {
 		ref, ok := referenced[n]
 		if !ok {
-			rep.Files = append(rep.Files, FsckFile{
-				Name: name, Kind: "orphan-archive", Bytes: onDisk[name], Status: "stale",
-				Detail: "no snapshot references it; the next open removes it",
-			})
+			orphans = append(orphans, n)
 			continue
 		}
-		delete(referenced, n)
-		f := FsckFile{Name: name, Kind: "archive", Bytes: onDisk[name], Records: ref.Entries, Status: "ok"}
-		if verr := readArchive(dir, ref, func(Entry) error { return nil }); verr != nil {
+		f := FsckFile{Name: archiveName(n), Kind: "archive", Bytes: size, Records: ref.Entries, Status: "ok"}
+		if _, verr := (liveFile{kind: kindArchive, name: f.Name, ref: ref}).verify(dir, nil); verr != nil {
 			if !errors.Is(verr, ErrCorrupt) {
 				return rep, verr
 			}
-			f.Status, f.Detail = "corrupt", verr.Error()
-			rep.Corrupt++
-			if err := quarantine(&f); err != nil {
+			if err := corrupt(&f, verr.Error()); err != nil {
 				return rep, err
 			}
 		}
 		rep.Files = append(rep.Files, f)
 	}
-	for n, ref := range referenced {
-		rep.Files = append(rep.Files, FsckFile{
-			Name: archiveName(n), Kind: "archive", Bytes: 0, Records: ref.Entries,
-			Status: "missing", Detail: "snapshot references it but it is not on disk",
-		})
-		rep.Corrupt++
+	// The open judges no archive unreferenced while a quarantined file
+	// remains — one this check moves aside counts too.
+	for _, n := range orphans {
+		f := FsckFile{Name: archiveName(n), Kind: "orphan-archive", Bytes: st.archives[n], Status: "stale",
+			Detail: "no snapshot references it; the next open removes it"}
+		if st.quarantined > 0 || damaged > 0 {
+			f.Status = "kept"
+			f.Detail = "no snapshot references it, but a quarantined file may; the next open keeps it"
+		}
+		rep.Files = append(rep.Files, f)
 	}
 
-	for _, name := range others {
-		rep.Files = append(rep.Files, FsckFile{
-			Name: name, Kind: "other", Bytes: onDisk[name], Status: "ok",
-			Detail: "not a journal file; ignored by the store",
-		})
-	}
-
-	sort.Slice(rep.Files, func(i, j int) bool { return rep.Files[i].Name < rep.Files[j].Name })
+	slices.SortFunc(rep.Files, func(a, b FsckFile) int { return strings.Compare(a.Name, b.Name) })
 	rep.Clean = rep.Corrupt == 0
 	return rep, nil
-}
-
-// checkRecordData fails a record whose data is not JSON. Replay hands
-// data to its consumer undecoded, so such a record passes the reader
-// (its CRC holds) and fails the open in the consumer; fsck applies the
-// check every consumer starts with.
-func checkRecordData(e Entry) error {
-	if len(e.Data) > 0 && !json.Valid(e.Data) {
-		return errors.New("record data is not JSON")
-	}
-	return nil
-}
-
-// fsckCorrupt reports whether a verification error is damage to report
-// (a failed CRC, footer or framing check, or a record a consumer could
-// not decode) rather than an IO failure to return.
-func fsckCorrupt(err error) bool {
-	var re *RecordError
-	return errors.Is(err, ErrCorrupt) || errors.As(err, &re)
 }

@@ -174,27 +174,14 @@ func (c *Instances) Replay(fn func(id string, data []byte) error) error {
 // sequential replay. data follows Replay's rule: valid only during
 // the call.
 func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) error) error {
-	apply := func(e Entry) error {
-		if e.Op == opArchiveRef {
-			return nil // collected by the replay driver (sr.refs)
-		}
-		switch e.Op {
-		case OpAppend:
-			c.replayed.Add(1)
-		case opShared:
-		default:
-			return fmt.Errorf("store: %s: replay unknown op %q", instancesRepo, e.Op)
-		}
-		return fn(e.ID, e.Data)
-	}
-	idKey := func(e Entry) string { return e.ID }
-	err := c.open(c.opts.Integrity, func() (sr segReplay, err error) {
+	apply := c.applier(fn)
+	err := c.open(c.opts.Integrity, func(st segState) (sr segReplay, err error) {
 		defer func() { c.hist = sr.refs }()
 		if workers <= 1 {
-			return replaySegmented(c.dir, idKey, apply)
+			return replaySegmented(c.dir, st, entryID, apply, nil)
 		}
 		fo := newFanOut(workers, apply)
-		sr, err = replaySegmented(c.dir, idKey, func(e Entry) error {
+		sr, err = replaySegmented(c.dir, st, entryID, func(e Entry) error {
 			if e.Op == opShared {
 				if err := fo.quiesce(); err != nil {
 					return err
@@ -202,7 +189,7 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 				return apply(e)
 			}
 			return fo.dispatch(e.ID, e)
-		})
+		}, nil)
 		if finishErr := fo.finish(); err == nil {
 			err = finishErr
 		}
@@ -215,6 +202,34 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 		c.stopScrub = scrubLoop(iv, c.Scrub)
 	}
 	return nil
+}
+
+// FsckInstances checks the instance journal directory dir (see Fsck)
+// and streams its records through fn as Replay would, without opening
+// the journal: a record fn fails is a corrupt verdict naming its file,
+// line and offset, which repair quarantines.
+func FsckInstances(dir string, repair bool, fn func(id string, data []byte) error) (FsckReport, error) {
+	return fsck(dir, repair, entryID, (&Instances{}).applier(fn))
+}
+
+// entryID buckets an instance-journal entry by its instance id.
+func entryID(e Entry) string { return e.ID }
+
+// applier hands fn the records replay streams: instance records and
+// shared records, counted; archive refs are the replay driver's.
+func (c *Instances) applier(fn func(id string, data []byte) error) func(Entry) error {
+	return func(e Entry) error {
+		switch e.Op {
+		case opArchiveRef:
+			return nil // collected by the replay driver (sr.refs)
+		case OpAppend:
+			c.replayed.Add(1)
+		case opShared:
+		default:
+			return fmt.Errorf("store: %s: replay unknown op %q", instancesRepo, e.Op)
+		}
+		return fn(e.ID, e.Data)
+	}
 }
 
 // Replayed reports how many instance records the startup replay

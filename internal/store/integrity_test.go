@@ -450,7 +450,7 @@ func TestLegacyUnframedJournalOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sealed mixed file verifies strictly, footer included.
-	fr, err := replayJournalFile(filepath.Join(dir, sealedName(1)), replaySealed, nil)
+	fr, err := replayJournalFile(filepath.Join(dir, sealedName(1)), kindSealed, nil)
 	if err != nil {
 		t.Fatalf("mixed legacy+framed sealed segment failed verification: %v", err)
 	}
@@ -497,7 +497,7 @@ func TestLegacyUnframedJournalOpensInstances(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := replayJournalFile(filepath.Join(dir, sealedName(1)), replaySealed, nil)
+	fr, err := replayJournalFile(filepath.Join(dir, sealedName(1)), kindSealed, nil)
 	if err != nil {
 		t.Fatalf("mixed legacy+framed sealed segment failed verification: %v", err)
 	}
@@ -829,6 +829,166 @@ func TestFsckCleanGeneration(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing archive not reported: %+v", rep.Files)
+	}
+}
+
+// TestFsckRepairKeepsArchives: repairing a corrupt snapshot quarantines
+// it, and with it the refs that marked its archives referenced. Fsck
+// must report those archives kept, and the open that follows must keep
+// them, as a quarantine open does — they may be the only copy of that
+// history.
+func TestFsckRepairKeepsArchives(t *testing.T) {
+	dir := fixtureCopy(t)
+	flipByte(t, filepath.Join(dir, snapName(2)), 60)
+
+	rep, err := Fsck(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := fsckFile(t, rep, snapName(2)); f.Status != "corrupt" || f.Repaired != "quarantined" {
+		t.Fatalf("snapshot verdict = %+v, want corrupt and quarantined", f)
+	}
+	for _, n := range []uint64{1, 2} {
+		if f := fsckFile(t, rep, archiveName(n)); f.Kind != "orphan-archive" || f.Status != "kept" {
+			t.Fatalf("%s verdict = %+v, want an orphan the open keeps", archiveName(n), f)
+		}
+	}
+	s, _ := openLogStore(t, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{1, 2} {
+		if _, err := os.Stat(filepath.Join(dir, archiveName(n))); err != nil {
+			t.Fatalf("open after fsck -repair removed an archive: %v", err)
+		}
+	}
+}
+
+// TestFsckAgreesWithOpenOnStaleFiles: every file Fsck calls stale is
+// gone after the next open, and every other file is still there — the
+// leftovers of a crashed fold and files the store never writes alike.
+func TestFsckAgreesWithOpenOnStaleFiles(t *testing.T) {
+	dir := fixtureCopy(t)
+	for _, name := range []string{
+		journalName + ".tmp", snapName(3) + ".tmp", archiveName(3) + ".tmp",
+		snapName(1), sealedName(2), "notes.txt",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := Fsck(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := openLogStore(t, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for _, f := range rep.Files {
+		_, err := os.Stat(filepath.Join(dir, f.Name))
+		if gone := errors.Is(err, os.ErrNotExist); gone != (f.Status == "stale") {
+			t.Errorf("%s: fsck said %s (%s), but after the open removed=%v", f.Name, f.Status, f.Detail, gone)
+		}
+		if f.Status == "stale" {
+			stale++
+		}
+	}
+	if stale != 4 {
+		t.Errorf("fsck found %d stale files, want the 2 fold temp files, the old snapshot and the folded segment", stale)
+	}
+	if f := fsckFile(t, rep, journalName+".tmp"); f.Kind != "other" {
+		t.Errorf("%s verdict = %+v, want other", journalName+".tmp", f)
+	}
+}
+
+// TestQuarantineOpenCountsFsckRepairs: a quarantine open is Fsck with
+// repair, then the open. A torn active tail the Fsck truncates still
+// counts as a recovered torn tail, and a missing referenced archive —
+// nothing to move aside — reaches OnCorrupt as corrupt, not
+// quarantined.
+func TestQuarantineOpenCountsFsckRepairs(t *testing.T) {
+	dir := fixtureCopy(t)
+	s, lg := openLogStore(t, dir)
+	appendTicks(t, lg, 3, "b")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, filepath.Join(dir, journalName), -5)
+	if err := os.Remove(filepath.Join(dir, archiveName(1))); err != nil {
+		t.Fatal(err)
+	}
+
+	var seen []CorruptFile
+	s2, err := Open(dir, Options{Integrity: IntegrityOptions{
+		Quarantine: true,
+		OnCorrupt:  func(cf CorruptFile) { seen = append(seen, cf) },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg2 := MustLog(s2, "execlog")
+	if err := s2.Load(); err != nil {
+		t.Fatalf("quarantine open failed: %v", err)
+	}
+	defer s2.Close()
+	if len(seen) != 1 || seen[0].Quarantined || seen[0].Source != "open" || filepath.Base(seen[0].Path) != archiveName(1) {
+		t.Fatalf("OnCorrupt saw %+v, want the missing %s, not quarantined", seen, archiveName(1))
+	}
+	integ := s2.Stats().Engine.Integrity
+	if integ.TornTails != 1 || integ.TornTailBytes == 0 || integ.CorruptFiles != 1 || integ.QuarantinedFiles != 0 {
+		t.Fatalf("integrity = %+v, want 1 torn tail, 1 corrupt, 0 quarantined", integ)
+	}
+	if n := lg2.Len(); n == 0 {
+		t.Fatal("no surviving log entries")
+	}
+}
+
+// TestKeptArchivesKeepTheirNumbers: after a quarantine open keeps an
+// archive no surviving snapshot references, the next fold numbers its
+// archive past it instead of writing over the kept bytes.
+func TestKeptArchivesKeepTheirNumbers(t *testing.T) {
+	dir := t.TempDir()
+	fold := func(c *Instances, event string) {
+		t.Helper()
+		if err := c.Append("li-1", []byte(`{"n":1}`)); err != nil {
+			t.Fatal(err)
+		}
+		c.SetSnapshotSource(func(w *SnapshotWriter) (func(), error) {
+			if _, err := c.ArchiveHistory(func(yield func(string, []byte) bool) { yield("li-1", []byte(`["`+event+`"]`)) }); err != nil {
+				return nil, err
+			}
+			return nil, w.Emit("li-1", []byte(`{"snap":1}`))
+		})
+		if err := c.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold(c, "first")
+	kept, err := os.ReadFile(filepath.Join(dir, archiveName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, filepath.Join(dir, snapName(1)), 40)
+
+	c, _, err = openInstancesDir(t, dir, InstancesOptions{Integrity: IntegrityOptions{Quarantine: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold(c, "second")
+	if got, err := os.ReadFile(filepath.Join(dir, archiveName(1))); err != nil || !bytes.Equal(got, kept) {
+		t.Fatalf("kept %s changed by a later fold (err %v)", archiveName(1), err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, archiveName(2))); err != nil {
+		t.Fatalf("the later fold's archive: %v", err)
 	}
 }
 

@@ -26,6 +26,7 @@
 //	snapshot.NNNNNN.jsonl  snapshot folding the state of segments 1..NNNNNN
 //	archive.NNNNNN.jsonl   immutable, CRC-summed archived history
 //	*.jsonl.tmp            in-progress fold — ignored and removed on open
+//	*.quarantined          a damaged file moved aside — ignored, kept
 //
 // When the active segment exceeds SegmentMaxBytes (or on demand) it is
 // sealed: flushed, fsynced, renamed to the next sealed name and
@@ -68,8 +69,9 @@
 // references them; open verifies referenced archives cheaply
 // (existence + length, anything else fails the open as corruption),
 // deletes unreferenced ones (a fold that crashed between archive
-// install and snapshot install), and the full CRC is verified whenever
-// an archive is actually streamed.
+// install and snapshot install) unless a quarantined file remains, and
+// the full CRC is verified by Fsck and whenever an archive is actually
+// streamed.
 //
 // Background folds are paced by policy (Options.FoldMinInterval,
 // Options.FoldMinGarbage): a trickle of writes does not re-snapshot an
@@ -92,7 +94,7 @@
 // a footer line is appended carrying the record count, the sequence
 // range, and the CRC32-C of every preceding byte of the file — so a
 // sealed segment or installed snapshot verifies in one streaming pass,
-// and the scrubber and fsck verify it without replaying into anything.
+// and the scrubber verifies it without replaying into anything.
 // Archives carry their whole-file CRC in the ArchiveRef instead (see
 // archive.go).
 //
@@ -114,14 +116,24 @@
 // goes for a referenced archive that is missing, resized or fails its
 // CRC when read.
 //
-// Opt-in quarantine mode (IntegrityOptions.Quarantine) turns corruption
-// from a failed open into a degraded one: before anything is applied, a
-// pre-verify pass moves each damaged file aside (renamed with a
-// .quarantined suffix), reports it through OnCorrupt — which the
-// embedding system uses to latch read-only — and the replay then serves
-// the surviving history. A background scrubber (scrub.go) re-verifies
-// sealed segments, snapshots and archives while serving, bounded IO per
-// tick, and the same checks run offline via Fsck (geleectl fsck).
+// One verification path serves every reader of a generation: the
+// open, Fsck and a quarantine open take the same inventory of the
+// directory (scanSegments), and the replay, Fsck and the background
+// scrubber check each live file with the same per-kind verifier
+// (liveFile.verify). Fsck (fsck.go) reports a verdict per file — given
+// the consumer the open replays into (Store.Fsck, FsckInstances), also
+// on each record, by file, line and offset — and with repair truncates
+// the torn active tail and moves every damaged file aside (renamed
+// with a .quarantined suffix). Opt-in quarantine mode
+// (IntegrityOptions.Quarantine) runs that repair before the normal
+// open, turning file-level corruption from a failed open into a
+// degraded one: each detection is reported through OnCorrupt — which
+// the embedding system uses to latch read-only — and the replay serves
+// the surviving history; a record its consumer cannot apply still
+// fails the open. While any .quarantined file remains, no archive is
+// judged unreferenced. The scrubber (scrub.go) re-verifies sealed
+// segments, snapshots and archives while serving, bounded IO per tick;
+// gelee.Fsck (geleectl fsck) runs the whole check offline.
 //
 // A fold deletes nothing until the new snapshot is durably installed,
 // and trims no in-memory log history until then either (the fold
@@ -155,8 +167,8 @@
 // encoding/json decodes only what that pass does not recognise: legacy
 // unframed lines, footers, other layouts. Validating the data is the
 // consumer's job, so a CRC-sound record that does not decode fails the
-// open as a RecordError naming its file and line; Fsck reports a record
-// whose data is not JSON the same way.
+// open as a RecordError naming its file and line; Fsck, given the same
+// consumer, reports it the same way.
 //
 // Lifecycle instances have their own collection, Instances: the same
 // entry framing, segment rotation, snapshot folding and appender on a
@@ -290,8 +302,8 @@ type Journal struct {
 
 // openJournal opens (or creates) the journal at path for appending with
 // v1 record framing. lastSeq must be the highest sequence number
-// already present (as reported by ReplayJournal); new entries continue
-// from there.
+// already present (as replay reports it); new entries continue from
+// there.
 func openJournal(path string, lastSeq uint64) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -539,21 +551,24 @@ func located(err error, e Entry) error {
 	return &RecordError{Path: e.at.path, Line: e.at.line, Offset: e.at.offset, Err: err}
 }
 
-// replayPolicy selects the torn-tail-vs-corruption verdict for one file
-// kind (see the package doc's decision rule).
-type replayPolicy int
+// fileKind classifies a file of a journal generation and selects its
+// torn-tail-vs-corruption verdict (see the package doc's decision
+// rule). The order is the scrubber's walk order.
+type fileKind int
 
 const (
-	// replayActive: an invalid suffix is a torn tail (truncate, count);
-	// an invalid line before the last valid record is corruption.
-	replayActive replayPolicy = iota
-	// replaySealed: strict, except a torn (unterminated) final line in
-	// a footer-less legacy segment — a crash tail sealed by a later
-	// life — which is dropped.
-	replaySealed
-	// replaySnapshot: fully strict; snapshots are fsynced before the
+	// kindSealed: strict, except a torn (unterminated) final line in a
+	// footer-less legacy segment — a crash tail sealed by a later life
+	// — which is dropped.
+	kindSealed fileKind = iota
+	// kindSnapshot: fully strict; snapshots are fsynced before the
 	// rename that publishes them, so any damage means the disk lied.
-	replaySnapshot
+	kindSnapshot
+	// kindArchive: verified against its ArchiveRef (readArchive).
+	kindArchive
+	// kindActive: an invalid suffix is a torn tail (truncate, count);
+	// an invalid line before the last valid record is corruption.
+	kindActive
 )
 
 // fileReplay is what one file's replay found: record count, sequence
@@ -663,12 +678,12 @@ func scanEntry(payload []byte, e *Entry) bool {
 
 // replayJournalFile streams one file's entries through fn in order,
 // verifying per-record CRCs and the segment footer when present, and
-// applying the policy's torn-tail-vs-corruption rule. fn may be nil to
-// verify without applying (the scrubber and fsck). A missing file
+// applying fk's torn-tail-vs-corruption rule. fn may be nil to
+// verify without applying. A missing file
 // replays zero entries. Callers replaying an active file must truncate
 // it to fr.good before reopening it for appends — that cuts both a torn
 // tail and a footer left by a seal that crashed before its rename.
-func replayJournalFile(path string, policy replayPolicy, fn func(Entry) error) (fileReplay, error) {
+func replayJournalFile(path string, fk fileKind, fn func(Entry) error) (fileReplay, error) {
 	var fr fileReplay
 	f, err := os.Open(path)
 	if err != nil {
@@ -724,10 +739,10 @@ func replayJournalFile(path string, policy replayPolicy, fn func(Entry) error) (
 				if badOff < 0 {
 					badOff, badLine, badDetail = lineStart, lineNo, detail
 				}
-				switch policy {
-				case replaySnapshot:
+				switch fk {
+				case kindSnapshot:
 					return fr, corrupt(badOff, badLine, badDetail)
-				case replaySealed:
+				case kindSealed:
 					if atEOF && !terminated && footerEnd < 0 {
 						fr.torn = offset - badOff // legacy crash tail sealed later
 						return fr, nil
@@ -773,13 +788,4 @@ func replayJournalFile(path string, policy replayPolicy, fn func(Entry) error) (
 			return fr, nil
 		}
 	}
-}
-
-// ReplayJournal streams every entry of the journal at path through fn
-// in order under the active-file policy, returning the count replayed,
-// the highest sequence seen, and the byte offset where valid data ends
-// (which callers reopening the file for appends must truncate to).
-func ReplayJournal(path string, fn func(Entry) error) (n int, lastSeq uint64, goodBytes int64, err error) {
-	fr, err := replayJournalFile(path, replayActive, fn)
-	return fr.n, fr.lastSeq, fr.good, err
 }

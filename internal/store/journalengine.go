@@ -59,10 +59,13 @@ func NewJournalEngine(cfg JournalConfig) (Engine, error) {
 // duplicates), then open the journal for appending (see appender.open
 // for the torn-tail, quarantine and archive handling).
 func (e *journalEngine) Replay(fn func(Entry) error) error {
-	return e.open(e.integ, func() (segReplay, error) {
-		return replaySegmented(e.dir, func(en Entry) string { return en.Repo }, fn)
+	return e.open(e.integ, func(st segState) (segReplay, error) {
+		return replaySegmented(e.dir, st, entryRepo, fn, nil)
 	})
 }
+
+// entryRepo buckets a definitions-journal entry by its repository.
+func entryRepo(e Entry) string { return e.Repo }
 
 // Fold implements Engine: fix the fold boundary (every segment sealed
 // so far), capture the live image via build, write it to a new

@@ -144,40 +144,62 @@ func wantRecordError(t *testing.T, err error, line int) {
 }
 
 // TestFsckReportsUndecodableRecord: a framed record whose CRC is
-// correct but whose data is not JSON fails the open (see
-// TestUndecodableRecordFailsOpenWithLocation), so fsck must report its
-// file corrupt at that line and offset, on both journals, as the last
-// record of the active file, before a later record, or in a sealed
-// segment, and repair must quarantine the file rather than truncate it
-// as a torn tail.
+// correct but that its consumer cannot decode — data that is not JSON,
+// or a value of the wrong JSON type — fails the open (see
+// TestUndecodableRecordFailsOpenWithLocation), so the consumer-backed
+// fsck must report its file corrupt at that line and offset, on both
+// journals, as the last record of the active file, before a later
+// record, or in a sealed segment, and repair must quarantine the file
+// rather than truncate it as a torn tail.
 func TestFsckReportsUndecodableRecord(t *testing.T) {
+	seedDocs := func(t *testing.T, dir string) {
+		s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		putDocs(t, repo, 3, 0)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openDocs := func(t *testing.T, dir string) error {
+		s, _, err := openIntegrityStore(t, dir, IntegrityOptions{})
+		if err == nil {
+			err = s.Close()
+		}
+		return err
+	}
+	fsckDocs := func(t *testing.T, dir string, repair bool) (FsckReport, error) {
+		s := NewMemory()
+		MustRepo[doc](s, "docs")
+		return s.Fsck(dir, repair)
+	}
+	decodeInstance := func(id string, data []byte) error {
+		var v map[string]any
+		return json.Unmarshal(data, &v)
+	}
 	journals := []struct {
 		name      string
 		seed      func(t *testing.T, dir string)
 		bad, good string
 		open      func(t *testing.T, dir string) error
+		fsck      func(t *testing.T, dir string, repair bool) (FsckReport, error)
 	}{
 		{
 			name: "definitions",
-			seed: func(t *testing.T, dir string) {
-				s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				putDocs(t, repo, 3, 0)
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-			},
+			seed: seedDocs,
 			bad:  `{"seq":4,"repo":"docs","op":"put","id":"k09","data":{"title":}}`,
 			good: `{"seq":5,"repo":"docs","op":"put","id":"k10","data":{"title":"after"}}`,
-			open: func(t *testing.T, dir string) error {
-				s, _, err := openIntegrityStore(t, dir, IntegrityOptions{})
-				if err == nil {
-					err = s.Close()
-				}
-				return err
-			},
+			open: openDocs,
+			fsck: fsckDocs,
+		},
+		{
+			name: "definitions-type",
+			seed: seedDocs,
+			bad:  `{"seq":4,"repo":"docs","op":"put","id":"k09","data":{"title":5}}`,
+			good: `{"seq":5,"repo":"docs","op":"put","id":"k10","data":{"title":"after"}}`,
+			open: openDocs,
+			fsck: fsckDocs,
 		},
 		{
 			name: "instances",
@@ -190,10 +212,10 @@ func TestFsckReportsUndecodableRecord(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer c.Close()
-				return c.Replay(func(id string, data []byte) error {
-					var v map[string]any
-					return json.Unmarshal(data, &v)
-				})
+				return c.Replay(decodeInstance)
+			},
+			fsck: func(t *testing.T, dir string, repair bool) (FsckReport, error) {
+				return FsckInstances(dir, repair, decodeInstance)
 			},
 		},
 	}
@@ -219,12 +241,12 @@ func TestFsckReportsUndecodableRecord(t *testing.T) {
 					}
 				}
 
-				rep, err := Fsck(dir, false)
+				rep, err := j.fsck(t, dir, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				f := fsckFile(t, rep, name)
-				want := fmt.Sprintf("%s: line 4 @ offset %d: record data is not JSON", name, info.Size())
+				want := fmt.Sprintf("%s: line 4 @ offset %d: ", name, info.Size())
 				if rep.Clean || rep.Corrupt != 1 || rep.Torn != 0 || f.Status != "corrupt" || !strings.Contains(f.Detail, want) {
 					t.Fatalf("read-only fsck = corrupt %d torn %d, %s %q (%s); want %s corrupt naming %q",
 						rep.Corrupt, rep.Torn, name, f.Status, f.Detail, name, want)
@@ -233,7 +255,7 @@ func TestFsckReportsUndecodableRecord(t *testing.T) {
 					t.Fatal("the reported dir opened; fsck and open disagree")
 				}
 
-				rep, err = Fsck(dir, true)
+				rep, err = j.fsck(t, dir, true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,9 +5,11 @@ package store
 // order — sealed segments by number, then the newest snapshot, then
 // archives by number — resuming at a cursor and stopping once the byte
 // budget is spent; reaching the end completes a pass and resets the
-// cursor. The active file is never scrubbed: its tail is legitimately
-// in flux (buffered writes can land mid-line), and every line in it is
-// re-verified at the next open anyway.
+// cursor. Each file is checked by liveFile.verify, the per-kind
+// verifier the open's replay and Fsck use too. The active file is
+// never scrubbed: its tail is legitimately in flux (buffered writes can
+// land mid-line), and every line in it is re-verified at the next open
+// anyway.
 //
 // Scrubbing is detection, not repair: a failed file is counted, stamped
 // into IntegrityStats.LastError and reported through onCorrupt (which
@@ -65,70 +67,35 @@ type ScrubResult struct {
 	PassCompleted bool `json:"pass_completed"`
 }
 
-// scrubPos orders the scrub walk: sealed segments (kind 0), the
-// snapshot (kind 1), archives (kind 2), each by file number. The zero
-// value means "start of the pass" — real candidates always have a
-// nonzero number.
-type scrubPos struct {
-	kind int
-	num  uint64
-}
-
-func (p scrubPos) less(q scrubPos) bool {
-	return p.kind < q.kind || (p.kind == q.kind && p.num < q.num)
+// less orders the scrub walk: sealed segments, the snapshot, archives,
+// each by file number. The zero liveFile means "start of the pass" —
+// the active file is never a candidate.
+func (f liveFile) less(g liveFile) bool {
+	return f.kind < g.kind || (f.kind == g.kind && f.num < g.num)
 }
 
 // scrubCandidates lists the currently verifiable files in walk order
 // from the live generation state — no directory scan, so a tick races
 // folds only through the filesystem (a file deleted underfoot verifies
 // as empty and is skipped).
-func (sf *segFiles) scrubCandidates() []scrubPos {
-	var out []scrubPos
+func (sf *segFiles) scrubCandidates() []liveFile {
+	var out []liveFile
 	snap := sf.snapNum.Load()
 	hi := atomic.LoadUint64(&sf.sealedHi)
 	for n := snap + 1; n <= hi; n++ {
-		out = append(out, scrubPos{0, n})
+		out = append(out, liveFile{kind: kindSealed, num: n, name: sealedName(n)})
 	}
 	if snap > 0 {
-		out = append(out, scrubPos{1, snap})
+		out = append(out, liveFile{kind: kindSnapshot, num: snap, name: snapName(snap)})
 	}
 	sf.refMu.Lock()
-	nums := make([]uint64, 0, len(sf.refs))
-	for n := range sf.refs {
-		nums = append(nums, n)
+	refs := make([]liveFile, 0, len(sf.refs))
+	for n, ref := range sf.refs {
+		refs = append(refs, liveFile{kind: kindArchive, num: n, name: archiveName(n), ref: ref})
 	}
 	sf.refMu.Unlock()
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	for _, n := range nums {
-		out = append(out, scrubPos{2, n})
-	}
-	return out
-}
-
-// scrubVerify checks one candidate and returns the bytes it read. A
-// file that vanished underfoot (folded away between listing and open)
-// verifies as zero bytes, nil error — except a referenced archive,
-// whose absence is real corruption (references are durable).
-func (sf *segFiles) scrubVerify(p scrubPos) (string, int64, error) {
-	switch p.kind {
-	case 0:
-		path := filepath.Join(sf.dir, sealedName(p.num))
-		fr, err := replayJournalFile(path, replaySealed, nil)
-		return path, fr.size, err
-	case 1:
-		path := filepath.Join(sf.dir, snapName(p.num))
-		fr, err := replayJournalFile(path, replaySnapshot, nil)
-		return path, fr.size, err
-	default:
-		path := filepath.Join(sf.dir, archiveName(p.num))
-		sf.refMu.Lock()
-		ref, ok := sf.refs[p.num]
-		sf.refMu.Unlock()
-		if !ok {
-			return path, 0, nil
-		}
-		return path, ref.Bytes, readArchive(sf.dir, ref, func(Entry) error { return nil })
-	}
+	sort.Slice(refs, func(i, j int) bool { return refs[i].num < refs[j].num })
+	return append(out, refs...)
 }
 
 // scrubTick runs one bounded verification tick (at most maxBytes of
@@ -141,14 +108,15 @@ func (sf *segFiles) scrubTick(maxBytes int64) ScrubResult {
 		maxBytes = DefaultScrubBytesPerTick
 	}
 	var res ScrubResult
-	start := scrubPos{}
+	start := liveFile{}
 	cursor := sf.scrubCursor
 	budget := maxBytes
 	for _, c := range sf.scrubCandidates() {
 		if cursor != start && !cursor.less(c) {
 			continue // verified earlier in this pass
 		}
-		path, size, err := sf.scrubVerify(c)
+		fr, err := c.verify(sf.dir, nil)
+		size := fr.size
 		res.Files++
 		res.Bytes += size
 		sf.scrubFiles.Add(1)
@@ -158,7 +126,7 @@ func (sf *segFiles) scrubTick(maxBytes int64) ScrubResult {
 			sf.corrupt.Add(1)
 			sf.scrubErr = err.Error()
 			if sf.onCorrupt != nil {
-				sf.onCorrupt(CorruptFile{Path: path, Detail: err.Error(), Source: "scrub"})
+				sf.onCorrupt(CorruptFile{Path: filepath.Join(sf.dir, c.name), Detail: err.Error(), Source: "scrub"})
 			}
 		}
 		sf.scrubCursor = c

@@ -1,10 +1,11 @@
 package store
 
 // Segmented-journal machinery shared by the journaled engine and the
-// instance collection: file naming, directory scanning/cleanup, the
-// seal (rotate) and fold (snapshot) primitives, and the replay driver
-// that streams "newest snapshot, then tail segments, then the active
-// file" while skipping records the snapshot already covers.
+// instance collection: file naming, the directory inventory, the
+// per-kind file verifier, the seal (rotate) and fold (snapshot)
+// primitives, and the replay driver that streams "newest snapshot,
+// then tail segments, then the active file" while skipping records the
+// snapshot already covers.
 //
 // File layout inside a journal directory:
 //
@@ -25,7 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,83 +65,138 @@ func parseNumbered(name, prefix string) (uint64, bool) {
 	return n, true
 }
 
-// segState is the on-disk generation a directory scan found: the
-// newest snapshot, the sealed segments it does not cover, and the
-// archive files present (reconciled against snapshot refs after
-// replay — see reconcileArchives).
+// segState is a journal directory's inventory: the live generation —
+// the newest snapshot, the sealed segments it does not cover, the
+// archive files present (judged against the snapshot's refs after
+// replay, see reconcileArchives) — and every other file, each with
+// the verdict Fsck reports for it. Taking it changes nothing on disk:
+// the open removes the stale files in a separate step (removeStale).
 type segState struct {
 	snapNum     uint64 // newest snapshot number, 0 = none
-	snapPath    string // "" when snapNum is 0
 	snapBytes   int64
 	sealed      []uint64
 	sealedBytes int64
 	archives    map[uint64]int64 // archive number -> byte length
+	sizes       map[string]int64 // every file's byte length, by name
+	// extra holds the files outside the live generation: stale ones
+	// (superseded snapshots, segments a snapshot already covers, the
+	// temp files of a fold that never installed), quarantined ones and
+	// files the store does not know.
+	extra []FsckFile
+	// quarantined counts the .quarantined files: while any is present,
+	// no archive can be judged unreferenced (see reconcileArchives).
+	quarantined int
 }
 
-// scanSegments inventories dir and removes stale files: in-progress
-// snapshot and archive temp files (a fold that never completed),
-// snapshots older than the newest, and sealed segments a snapshot
-// already covers (a fold that crashed between rename and delete). The
-// survivors are the exact replay set; archive files are inventoried
-// but judged only after replay has read the snapshot's refs.
+// scanSegments inventories dir — the one directory listing behind the
+// open, Fsck and a quarantine open. A missing directory is empty.
 func scanSegments(dir string) (segState, error) {
-	st := segState{archives: make(map[uint64]int64)}
-	names, err := os.ReadDir(dir)
+	st := segState{archives: make(map[uint64]int64), sizes: make(map[string]int64)}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return st, nil
 		}
 		return st, fmt.Errorf("store: scan journal dir: %w", err)
 	}
+	extra := func(name, kind, status, detail string) {
+		st.extra = append(st.extra, FsckFile{Name: name, Kind: kind, Bytes: st.sizes[name], Status: status, Detail: detail})
+	}
 	var snaps, sealed []uint64
-	size := func(de os.DirEntry) int64 {
-		if info, err := de.Info(); err == nil {
-			return info.Size()
+	for _, de := range entries {
+		if de.IsDir() {
+			continue
 		}
-		return 0
-	}
-	for _, de := range names {
 		name := de.Name()
-		if strings.HasSuffix(name, ".tmp") &&
-			(strings.HasPrefix(name, "snapshot.") || strings.HasPrefix(name, "archive.")) {
-			os.Remove(filepath.Join(dir, name)) // partial fold: never renamed, never valid
-			continue
+		if info, err := de.Info(); err == nil {
+			st.sizes[name] = info.Size()
 		}
-		if n, ok := parseNumbered(name, "snapshot."); ok {
-			snaps = append(snaps, n)
-			continue
-		}
-		if n, ok := parseNumbered(name, "archive."); ok {
-			st.archives[n] = size(de)
-			continue
-		}
-		if n, ok := parseNumbered(name, "journal."); ok {
-			sealed = append(sealed, n)
+		switch {
+		case name == journalName:
+		case strings.Contains(name, ".quarantined"):
+			st.quarantined++
+			extra(name, "quarantined", "quarantined", "moved aside by an earlier quarantine; restore or delete manually")
+		case strings.HasSuffix(name, ".tmp") &&
+			(strings.HasPrefix(name, "snapshot.") || strings.HasPrefix(name, "archive.")):
+			extra(name, "temp", "stale", "in-progress fold never installed; the next open removes it")
+		default:
+			if n, ok := parseNumbered(name, "snapshot."); ok {
+				snaps = append(snaps, n)
+			} else if n, ok := parseNumbered(name, "journal."); ok {
+				sealed = append(sealed, n)
+			} else if n, ok := parseNumbered(name, "archive."); ok {
+				st.archives[n] = st.sizes[name]
+			} else {
+				extra(name, "other", "ok", "not a journal file; ignored by the store")
+			}
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	sort.Slice(sealed, func(i, j int) bool { return sealed[i] < sealed[j] })
+	slices.Sort(snaps)
+	slices.Sort(sealed)
 	if len(snaps) > 0 {
 		st.snapNum = snaps[len(snaps)-1]
-		st.snapPath = filepath.Join(dir, snapName(st.snapNum))
-		if info, err := os.Stat(st.snapPath); err == nil {
-			st.snapBytes = info.Size()
-		}
+		st.snapBytes = st.sizes[snapName(st.snapNum)]
 		for _, n := range snaps[:len(snaps)-1] {
-			os.Remove(filepath.Join(dir, snapName(n)))
+			extra(snapName(n), "snapshot", "stale", "superseded by a newer snapshot; the next open removes it")
 		}
 	}
 	for _, n := range sealed {
 		if n <= st.snapNum {
-			os.Remove(filepath.Join(dir, sealedName(n))) // folded, delete crashed mid-cleanup
+			extra(sealedName(n), "segment", "stale", "folded into the snapshot; the next open removes it")
 			continue
 		}
 		st.sealed = append(st.sealed, n)
-		if info, err := os.Stat(filepath.Join(dir, sealedName(n))); err == nil {
-			st.sealedBytes += info.Size()
-		}
+		st.sealedBytes += st.sizes[sealedName(n)]
 	}
 	return st, nil
+}
+
+// removeStale deletes the stale files the inventory found: what a fold
+// that crashed before or after installing its snapshot left behind.
+func (st segState) removeStale(dir string) {
+	for _, f := range st.extra {
+		if f.Status == "stale" {
+			os.Remove(filepath.Join(dir, f.Name))
+		}
+	}
+}
+
+// journalFiles lists the generation's journal files in replay order:
+// the newest snapshot, the uncovered sealed segments, the active file.
+func (st segState) journalFiles() []liveFile {
+	files := make([]liveFile, 0, len(st.sealed)+2)
+	if st.snapNum > 0 {
+		files = append(files, liveFile{kind: kindSnapshot, num: st.snapNum, name: snapName(st.snapNum)})
+	}
+	for _, n := range st.sealed {
+		files = append(files, liveFile{kind: kindSealed, num: n, name: sealedName(n)})
+	}
+	return append(files, liveFile{kind: kindActive, name: journalName})
+}
+
+// kindNames are the kinds as Fsck reports them.
+var kindNames = [...]string{kindSealed: "segment", kindSnapshot: "snapshot", kindArchive: "archive", kindActive: "active"}
+
+// liveFile is one file of a journal generation: the unit the replay,
+// Fsck and the scrubber verify.
+type liveFile struct {
+	kind fileKind
+	num  uint64     // the file number; 0 for the active file
+	name string     // the file name within its directory
+	ref  ArchiveRef // an archive's recorded count, length and checksum
+}
+
+// verify checks the file by its kind's rule, streaming its records
+// through fn, which may be nil to verify only. A missing journal file
+// verifies as empty; a missing archive is corrupt.
+func (f liveFile) verify(dir string, fn func(Entry) error) (fileReplay, error) {
+	if f.kind != kindArchive {
+		return replayJournalFile(filepath.Join(dir, f.name), f.kind, fn)
+	}
+	if fn == nil {
+		fn = func(Entry) error { return nil }
+	}
+	return fileReplay{n: f.ref.Entries, size: f.ref.Bytes}, readArchive(dir, f.ref, fn)
 }
 
 // ReplayStats reports what one open streamed: how many entries came
@@ -178,7 +234,6 @@ type segReplay struct {
 	stats   ReplayStats
 	lastSeq uint64
 	active  fileReplay // the active file's result; good excludes footer + torn tail
-	state   segState
 	// refs are the archive refs the snapshot carried: the archives that
 	// belong to this generation (see reconcileArchives).
 	refs []ArchiveRef
@@ -189,7 +244,7 @@ type segReplay struct {
 	tornBytes int64
 }
 
-// replaySegmented streams the directory's journal generation through
+// replaySegmented streams the generation st inventoried in dir through
 // fn: the newest snapshot first, then every uncovered sealed segment
 // in order, then the active file. key buckets entries for the fold
 // boundary (Entry.Repo for the store journal, Entry.ID for the
@@ -199,93 +254,95 @@ type segReplay struct {
 // for non-idempotent buckets (logs, instance records) re-applying them
 // would double history. Archive refs only ever appear in snapshots:
 // each is collected for the open-time reconcile and still forwarded to
-// fn, so the owning part adopts its cold history.
+// fn, so the owning part adopts its cold history. fn nil verifies
+// without applying. It writes nothing.
 //
-// Torn tails vs. corruption: each file kind gets its own policy (see
-// replayPolicy in journal.go). The active file tolerates an invalid
+// Torn tails vs. corruption: each file kind gets its own rule (see
+// fileKind in journal.go). The active file tolerates an invalid
 // suffix (truncated and counted), a sealed segment only a torn final
 // line when it carries no footer (the legacy crash shape where the
 // torn active file was sealed by a later life), and a snapshot nothing
 // — snapshots are renamed into place only after a successful fsync, so
 // damage there fails the replay rather than silently dropping folded
 // state.
-func replaySegmented(dir string, key func(Entry) string, fn func(Entry) error) (segReplay, error) {
+//
+// onFile, when set, sees each file's result — Fsck's verdict hook. Its
+// error ends the replay; returning nil for a failed file continues
+// with the next one, verified but no longer applied (no open applies
+// what follows a hole), and a failed snapshot's refs dropped.
+func replaySegmented(dir string, st segState, key func(Entry) string, fn func(Entry) error,
+	onFile func(liveFile, fileReplay, error) error) (segReplay, error) {
 	var out segReplay
-	st, err := scanSegments(dir)
-	if err != nil {
-		return out, err
-	}
-	out.state = st
 	bounds := make(map[string]uint64)
 	note := func(seq uint64) {
 		if seq > out.lastSeq {
 			out.lastSeq = seq
 		}
 	}
-	if st.snapPath != "" {
-		fr, err := replayJournalFile(st.snapPath, replaySnapshot, func(e Entry) (err error) {
-			if e.Op == opSeqMark {
-				note(e.Seq)
+	for _, f := range st.journalFiles() {
+		snap := f.kind == kindSnapshot
+		fr, err := f.verify(dir, func(e Entry) (err error) {
+			if snap {
+				if e.Op == opSeqMark {
+					note(e.Seq)
+					return nil
+				}
+				if out.refs, err = collectRef(out.refs, e); err != nil {
+					return err
+				}
+			}
+			if fn == nil {
 				return nil
 			}
-			if k := key(e); e.Seq > bounds[k] {
-				bounds[k] = e.Seq
+			k := key(e)
+			switch {
+			case snap:
+				bounds[k] = max(bounds[k], e.Seq)
+			case e.Seq <= bounds[k]:
+				out.stats.SkippedEntries++
+				return nil
 			}
-			if e.Op == opShared {
+			switch {
+			case e.Op == opShared:
 				out.stats.SharedEntries++
-			} else {
+			case snap:
 				out.stats.SnapshotEntries++
-			}
-			if out.refs, err = collectRef(out.refs, e); err != nil {
-				return err
+			default:
+				out.stats.TailEntries++
 			}
 			return fn(e)
 		})
 		out.stats.add(fr)
+		if err == nil {
+			note(fr.lastSeq)
+			switch f.kind {
+			case kindSnapshot:
+				out.stats.ArchiveRefs = len(out.refs)
+			case kindSealed:
+				out.stats.Segments++
+			case kindActive:
+				out.active = fr
+			}
+			if fr.torn > 0 {
+				// fr.size - fr.good can also include a footer left by a
+				// seal that crashed before its rename; only genuinely torn
+				// bytes are counted (the footer is still truncated away
+				// via fr.good).
+				out.tornFiles++
+				out.tornBytes += fr.torn
+			}
+		} else if snap {
+			out.refs = nil
+		}
+		if onFile != nil {
+			if err != nil {
+				fn = nil
+			}
+			err = onFile(f, fr, err)
+		}
 		if err != nil {
 			return out, err
 		}
-		note(fr.lastSeq)
-		out.stats.ArchiveRefs = len(out.refs)
-	}
-	tail := func(e Entry) error {
-		if e.Seq <= bounds[key(e)] {
-			out.stats.SkippedEntries++
-			return nil
-		}
-		if e.Op == opShared {
-			out.stats.SharedEntries++
-		} else {
-			out.stats.TailEntries++
-		}
-		return fn(e)
-	}
-	for _, n := range st.sealed {
-		fr, err := replayJournalFile(filepath.Join(dir, sealedName(n)), replaySealed, tail)
-		out.stats.add(fr)
-		if err != nil {
-			return out, err
-		}
-		note(fr.lastSeq)
-		out.stats.Segments++
-		if fr.torn > 0 {
-			out.tornFiles++
-			out.tornBytes += fr.torn
-		}
-	}
-	fr, err := replayJournalFile(filepath.Join(dir, journalName), replayActive, tail)
-	out.stats.add(fr)
-	if err != nil {
-		return out, err
-	}
-	note(fr.lastSeq)
-	out.active = fr
-	if fr.torn > 0 {
-		// fr.size - fr.good can also include a footer left by a seal
-		// that crashed before its rename; only genuinely torn bytes are
-		// counted (the footer is still truncated away via fr.good).
-		out.tornFiles++
-		out.tornBytes += fr.torn
 	}
 	return out, nil
 }
@@ -359,7 +416,7 @@ type segFiles struct {
 	// tick at a time); refMu the referenced-archive set the scrubber
 	// verifies (written by reconcile at open and Archive during folds).
 	scrubMu     sync.Mutex
-	scrubCursor scrubPos
+	scrubCursor liveFile
 	scrubErr    string
 	refMu       sync.Mutex
 	refs        map[uint64]ArchiveRef
@@ -379,12 +436,23 @@ func newSegFiles(dir string, st segState) *segFiles {
 }
 
 // adoptIntegrity seeds the open-time integrity counters from replay and
-// the quarantine pre-verify pass.
-func (sf *segFiles) adoptIntegrity(sr segReplay, quarantined, corrupt int, onCorrupt func(CorruptFile)) {
-	sf.tornTails.Store(uint64(sr.tornFiles))
-	sf.tornTailBytes.Store(sr.tornBytes)
-	sf.corrupt.Store(uint64(corrupt))
-	sf.quarantined.Store(uint64(quarantined))
+// from the Fsck a quarantine open ran first: the torn tails that Fsck
+// truncated count as recovered like the ones replay drops.
+func (sf *segFiles) adoptIntegrity(sr segReplay, pre FsckReport, onCorrupt func(CorruptFile)) {
+	torn, tornBytes, quarantined := uint64(sr.tornFiles), sr.tornBytes, uint64(0)
+	for _, f := range pre.Files {
+		switch {
+		case f.Repaired == "truncated" && f.TornBytes > 0:
+			torn++
+			tornBytes += f.TornBytes
+		case f.Repaired == "quarantined":
+			quarantined++
+		}
+	}
+	sf.tornTails.Store(torn)
+	sf.tornTailBytes.Store(tornBytes)
+	sf.corrupt.Store(uint64(pre.Corrupt))
+	sf.quarantined.Store(quarantined)
 	sf.onCorrupt = onCorrupt
 }
 

@@ -261,33 +261,7 @@ func (s *Store) LoadParallel(workers int) error {
 		return fmt.Errorf("store: Load called twice")
 	}
 	s.loadCalled = true
-	var err error
-	if workers <= 1 {
-		err = s.engine.Replay(func(e Entry) error {
-			part, ok := s.parts[e.Repo]
-			if !ok {
-				// Forward compatibility: entries for repositories this
-				// deployment doesn't know are skipped, not fatal.
-				return nil
-			}
-			return part.applyEntry(e)
-		})
-	} else {
-		fo := newFanOut(workers, func(e Entry) error {
-			return s.parts[e.Repo].applyEntry(e)
-		})
-		err = s.engine.Replay(func(e Entry) error {
-			part, ok := s.parts[e.Repo]
-			if !ok {
-				return nil
-			}
-			return fo.dispatch(e.Repo+"\x00"+part.replayKey(e), e)
-		})
-		if finishErr := fo.finish(); err == nil {
-			err = finishErr
-		}
-	}
-	if err != nil {
+	if err := s.replayParts(workers, s.engine.Replay); err != nil {
 		return err
 	}
 	s.loaded = true
@@ -299,6 +273,57 @@ func (s *Store) LoadParallel(workers int) error {
 		s.stopScrub = scrubLoop(s.scrubInterval, s.engine.Scrub)
 	}
 	return nil
+}
+
+// Fsck checks the journal directory dir (see the package-level Fsck)
+// and streams its records into the registered parts as Load would,
+// without opening the journal: a record a part cannot decode is a
+// corrupt verdict naming its file, line and offset, which repair
+// quarantines. Call it instead of Load; the parts then hold the
+// checked state.
+func (s *Store) Fsck(dir string, repair bool) (rep FsckReport, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.loadCalled {
+		return rep, fmt.Errorf("store: Fsck after Load")
+	}
+	s.loadCalled = true
+	err = s.replayParts(1, func(fn func(Entry) error) (err error) {
+		rep, err = fsck(dir, repair, entryRepo, fn)
+		return err
+	})
+	return rep, err
+}
+
+// replayParts streams replay's entries into the registered parts,
+// across workers lanes sharded by (part, key) so every repository
+// key's — and every log's — entries apply in exactly the sequential
+// order. Entries for repositories this deployment does not know are
+// skipped, not fatal (forward compatibility).
+func (s *Store) replayParts(workers int, replay func(fn func(Entry) error) error) error {
+	if workers <= 1 {
+		return replay(func(e Entry) error {
+			part, ok := s.parts[e.Repo]
+			if !ok {
+				return nil
+			}
+			return part.applyEntry(e)
+		})
+	}
+	fo := newFanOut(workers, func(e Entry) error {
+		return s.parts[e.Repo].applyEntry(e)
+	})
+	err := replay(func(e Entry) error {
+		part, ok := s.parts[e.Repo]
+		if !ok {
+			return nil
+		}
+		return fo.dispatch(e.Repo+"\x00"+part.replayKey(e), e)
+	})
+	if finishErr := fo.finish(); err == nil {
+		err = finishErr
+	}
+	return err
 }
 
 // Scrub runs one bounded background-verification tick on the engine —
