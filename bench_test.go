@@ -685,10 +685,7 @@ func BenchmarkModelCloneAndFingerprint(b *testing.B) {
 
 func BenchmarkJournalAppend(b *testing.B) {
 	dir := b.TempDir()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := store.Open(dir, store.Options{})
 	repo := store.MustRepo[map[string]string](st, "bench")
 	if err := st.Load(); err != nil {
 		b.Fatal(err)
@@ -708,10 +705,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 // writes: no Put returns before its entry is fsynced, and concurrent
 // Puts share one flush + fsync.
 func BenchmarkJournalDurableConcurrentPut(b *testing.B) {
-	st, err := store.Open(b.TempDir(), store.Options{Sync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := store.Open(b.TempDir(), store.Options{Sync: true})
 	repo := store.MustRepo[map[string]string](st, "bench")
 	if err := st.Load(); err != nil {
 		b.Fatal(err)

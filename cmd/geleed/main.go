@@ -17,37 +17,38 @@
 //	       [-alert-webhook URL] [-alert-interval D]
 //	       [-quarantine-corrupt] [-scrub-interval D]
 //
-// -data enables persistence and alone picks the journal engine (empty
-// = in-memory); -auth enforces the §IV.D roles via the X-Gelee-User
-// header; -seed loads the LiquidPub demo project (quality plan + 35
-// deliverables) so the cockpit has something to show. The engine flags
-// tune the data tier: -sync makes both journals fsync once per
-// combined flush (concurrent writers share it). The repositories and
-// the lifecycle runtime's instance table are lock-striped 16 ways, so
-// token moves on different instances rarely contend; -max-events
-// ring-truncates each instance's in-memory history (truncated events
-// move into CRC-summed history archives beside the instance journal
-// at its next fold, and timelines still page the full record) and
-// -invocation-retention ages terminal callback-routing entries out of
-// the invocation index.
-// -persist-instances (on by default) writes every lifecycle-instance
-// mutation through a dedicated instance journal under DIR/instances
-// and replays it on start — sharded across GOMAXPROCS appliers — so a
-// restarted geleed recovers every token position, history, execution
-// and pending change; the recovered counts are logged at startup. The
-// instance journal is the only record of instance events: the
-// execution log holds the audit trail of definition changes (models,
-// templates, actions, propagations).
-// -segment-max-bytes (64 MiB by default) rotates each journal's
-// active segment at that size; sealed segments are folded into
-// snapshots in the background, which bounds restart replay to
-// snapshot + tail instead of all history, without ever blocking
-// writers; every rotation asks for a fold. The execution log pages
-// through
-// GET /api/v1/admin/log?after=&limit=; a data dir written while the
-// log mirrored instance events may hold older entries in CRC-summed
-// log archives, which still page there, streamed from disk, and every
-// fold carries forward unchanged. -fold-min-interval and
+// -data enables persistence: the journals live under DIR (empty = on
+// an in-memory file system, the same engine, forgotten on exit); -auth
+// enforces the §IV.D roles via the X-Gelee-User header; -seed loads
+// the LiquidPub demo project (quality plan + 35 deliverables) so the
+// cockpit has something to show. The engine flags tune the data tier:
+// -sync makes both journals fsync once per combined flush (concurrent
+// writers share it). The repositories and the lifecycle runtime's
+// instance table are lock-striped 16 ways, so token moves on different
+// instances rarely contend; -max-events ring-truncates each instance's
+// in-memory history (truncated events move into CRC-summed history
+// archives beside the instance journal at its next fold, and timelines
+// still page the full record) and -invocation-retention ages terminal
+// callback-routing entries out of the invocation index.
+// -persist-instances (on by default) puts the instance journal, which
+// every lifecycle-instance mutation is written through, on disk under
+// DIR/instances (off, it lives in memory) and replays it on start —
+// sharded across GOMAXPROCS appliers — so a restarted geleed recovers
+// every token position, history, execution and pending change; the
+// recovered counts are logged at startup. The instance journal is the
+// only record of instance events: the execution log holds the audit
+// trail of definition changes (models, templates, actions,
+// propagations).
+// -segment-max-bytes (64 MiB by default; 0 = never on disk, 64 MiB in
+// memory) rotates each journal's active segment at that size; sealed
+// segments are folded into snapshots in the background, which bounds
+// restart replay to snapshot + tail instead of all history, without
+// ever blocking writers; every rotation asks for a fold. The execution
+// log pages through GET /api/v1/admin/log?after=&limit=; a data dir
+// written while the log mirrored instance events may hold older
+// entries in CRC-summed log archives, which still page there, streamed
+// from disk, and every fold carries forward unchanged.
+// -fold-min-interval and
 // -fold-min-garbage pace the background folder (wall-clock spacing and
 // a minimum sealed-garbage ratio) so a trickle of writes never
 // re-snapshots an unchanged population. GET /api/v1/models and
@@ -124,16 +125,16 @@ func main() {
 // whatever the exit path.
 func run() (err error) {
 	addr := flag.String("addr", ":8085", "listen address")
-	dataDir := flag.String("data", "", "data directory (empty = in-memory)")
+	dataDir := flag.String("data", "", "data directory (empty = journals on an in-memory file system)")
 	auth := flag.Bool("auth", false, "enforce roles via the X-Gelee-User header")
 	seed := flag.Bool("seed", false, "load the LiquidPub demo project")
 	sync := flag.Bool("sync", false, "fsync once per combined journal flush; concurrent writers share the fsync")
-	segmentMax := flag.Int64("segment-max-bytes", 64<<20, "rotate journal segments past this size; folded into snapshots in the background (0 = no rotation)")
+	segmentMax := flag.Int64("segment-max-bytes", gelee.DefaultSegmentMaxBytes, "rotate journal segments past this size; folded into snapshots in the background (0 = no rotation on disk, the default in memory)")
 	foldMinInterval := flag.Duration("fold-min-interval", 15*time.Second, "minimum wall-clock spacing between background snapshot folds (0 = none)")
 	foldMinGarbage := flag.Float64("fold-min-garbage", 0.25, "minimum sealed-garbage ratio before a background fold runs (0 = none)")
 	maxEvents := flag.Int("max-events", 0, "max in-memory events per instance, ring-truncated (0 = unbounded)")
 	invRetention := flag.Duration("invocation-retention", 0, "grace window before terminal invocation-index entries are GC'd (0 = keep forever)")
-	persist := flag.Bool("persist-instances", true, "journal lifecycle-instance mutations and replay them on start")
+	persist := flag.Bool("persist-instances", true, "keep the lifecycle-instance journal under -data and replay it on start (false = in memory)")
 	maxQueue := flag.Int("max-queue-depth", defaultMaxQueueDepth, "shed mutating requests with 429 once the commit backlog passes this depth (0 = no shedding)")
 	shedRetry := flag.Duration("shed-retry-after", 0, "Retry-After hint attached to shed responses (0 = default)")
 	readonlyAfter := flag.Int("readonly-after", 0, "consecutive journal append failures before entering read-only mode (0 = default)")
@@ -187,10 +188,9 @@ func run() (err error) {
 		rec := sys.RecoveryStats()
 		log.Printf("instance recovery: %d instances, %d events, %d executions from %d journal records (%v)",
 			rec.Instances, rec.Events, rec.Executions, rec.Records, rec.Elapsed.Round(time.Microsecond))
-		if inst := sys.StoreStats().Instances; inst != nil {
-			log.Printf("instance journal: replayed %d snapshot + %d tail records (%d folded skipped) over %d tail segments",
-				inst.Replay.SnapshotEntries, inst.Replay.TailEntries, inst.Replay.SkippedEntries, inst.Replay.Segments)
-		}
+		inst := sys.StoreStats().Instances
+		log.Printf("instance journal: replayed %d snapshot + %d tail records (%d folded skipped) over %d tail segments",
+			inst.Replay.SnapshotEntries, inst.Replay.TailEntries, inst.Replay.SkippedEntries, inst.Replay.Segments)
 	}
 
 	if *seed {

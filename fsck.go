@@ -21,7 +21,7 @@ type FsckReport struct {
 }
 
 // Fsck checks the data directory at dataDir the way New opens it: each
-// journal's files by the store's checks (store.Fsck), the definitions
+// journal's files by the store's checks (Store.Fsck), the definitions
 // journal's records into the parts New registers, then New's rebuild
 // of the action library and accounts, and the instance journal's
 // records into a throwaway runtime's ApplyJournal. So a record New
@@ -32,9 +32,9 @@ type FsckReport struct {
 // Returns an error only for IO failures; corruption is reported.
 func Fsck(dataDir string, repair bool) (FsckReport, error) {
 	var rep FsckReport
-	st := store.NewMemory()
+	st := store.Open(dataDir, store.Options{})
 	defs := registerDefinitions(st)
-	drep, err := st.Fsck(dataDir, repair)
+	drep, err := st.Fsck(repair)
 	if err != nil {
 		return rep, err
 	}

@@ -114,13 +114,15 @@ const Begin = core.Begin
 
 // Options configure a System.
 type Options struct {
-	// DataDir roots the persistent data tier and alone picks the
-	// storage engine: set, the definitions live in a journal under it
-	// (and, with PersistInstances, the instances in a second one under
-	// DataDir/instances); empty, everything lives in memory. Either
-	// way the repositories stripe their locks store.DefaultShards ways
-	// and the runtime's instance table runtime.DefaultShards ways, so
-	// advances on instances in different stripes share no lock.
+	// DataDir roots the persistent data tier: set, the definitions
+	// journal lives under it (and, with PersistInstances, the instance
+	// journal under DataDir/instances); empty, both journals live on
+	// an in-memory file system, and nothing survives the process. The
+	// engine is the same either way — the same journals, rotation,
+	// folds and archives — and so is the locking: the repositories
+	// stripe their locks store.DefaultShards ways and the runtime's
+	// instance table runtime.DefaultShards ways, so advances on
+	// instances in different stripes share no lock.
 	DataDir string
 	// SyncJournal makes both journals fsync once per combined flush:
 	// concurrent writers share the fsync.
@@ -132,8 +134,10 @@ type Options struct {
 	// into a snapshot (paced by FoldMinInterval and FoldMinGarbage on
 	// the definitions journal), which is what keeps restart replay
 	// O(snapshot + tail) instead of O(all history). Applies to both the
-	// definitions journal and the instance journal; 0 disables
-	// automatic rotation (Compact still seals and folds on demand).
+	// definitions journal and the instance journal. 0 disables
+	// automatic rotation of a journal on disk (Compact still seals and
+	// folds on demand); a journal in memory then rotates at
+	// DefaultSegmentMaxBytes, so its RAM stays bounded.
 	SegmentMaxBytes int64
 	// FoldMinInterval spaces background snapshot folds at least this
 	// far apart in wall-clock time (0 = fold on every seal).
@@ -146,24 +150,23 @@ type Options struct {
 	// MaxEventsInMemory caps each instance's in-memory event ring
 	// (0 = unbounded). Events truncated off the ring wait in a spill
 	// until the next instance-journal fold writes them into a history
-	// archive; timeline pages stitch archives, spill and ring, so the
-	// full record stays addressable. Without PersistInstances nothing
-	// folds and the spill stays in RAM. Cockpit aggregates are
-	// unaffected (they come from incremental counters).
+	// archive — on disk, or in memory where the instance journal lives
+	// there; timeline pages stitch archives, spill and ring, so the
+	// full record stays addressable. Cockpit aggregates are unaffected
+	// (they come from incremental counters).
 	MaxEventsInMemory int
 	// InvocationRetention ages invocation→instance callback-routing
 	// entries out of the index once their execution is terminal plus
 	// this grace window (0 = keep forever).
 	InvocationRetention time.Duration
-	// PersistInstances makes lifecycle instances durable: every
-	// instance mutation is written through to a dedicated instance
-	// journal under DataDir/instances before it is acknowledged
-	// (without DataDir there is nothing to persist and the option is
-	// ignored),
-	// and on open the journal is replayed — token positions, event
-	// histories, executions, pending changes, secondary indexes and
-	// incremental counters all come back. Without it instances live
-	// only in RAM, the paper's original data-tier split.
+	// PersistInstances puts the instance journal on disk, under
+	// DataDir/instances: every instance mutation is written through to
+	// it before it is acknowledged, and on open it is replayed — token
+	// positions, event histories, executions, pending changes,
+	// secondary indexes and incremental counters all come back.
+	// Without it (or without a DataDir) the instance journal lives in
+	// memory and instances last as long as the process, the paper's
+	// original data-tier split.
 	PersistInstances bool
 	// Clock overrides the wall clock (tests, benchmarks).
 	Clock vclock.Clock
@@ -198,6 +201,10 @@ type Options struct {
 // DefaultInvokeMaxInFlight caps concurrent action dispatches per
 // endpoint: one wedged action service fills its own lane only.
 const DefaultInvokeMaxInFlight = 64
+
+// DefaultSegmentMaxBytes is the segment bound of a journal in memory
+// when Options.SegmentMaxBytes is zero, and geleed's default.
+const DefaultSegmentMaxBytes = 64 << 20
 
 // ResilienceOptions tunes the resilience layer. See internal/resilience
 // for the health-state-machine and breaker semantics.
@@ -329,7 +336,7 @@ type System struct {
 	clock vclock.Clock
 	store *store.Store
 	definitions
-	instances *store.Instances // nil unless Options.PersistInstances with a DataDir
+	instances *store.Instances
 
 	Registry  *actionlib.Registry
 	Resources *resource.Manager
@@ -412,27 +419,47 @@ func New(opts Options) (sys *System, err error) {
 		}
 	}
 
-	storeOpts := store.Options{
+	// Both journals run the same engine. Without a DataDir they live
+	// on one in-memory file system, and without PersistInstances the
+	// instance journal lives on its own; an in-memory journal rotates
+	// at DefaultSegmentMaxBytes unless told otherwise, so it folds and
+	// its RAM stays bounded. The instance collection has its own
+	// journal directory (DataDir/instances) so instance writes never
+	// order an instance lock against the definitions store's commit
+	// lock; see store.Instances.
+	memSeg := opts.SegmentMaxBytes
+	if memSeg == 0 {
+		memSeg = DefaultSegmentMaxBytes
+	}
+	dir, defsFS, defsSeg := opts.DataDir, store.FS(nil), opts.SegmentMaxBytes
+	if dir == "" {
+		dir, defsFS, defsSeg = "/", store.NewMemFS(), memSeg
+	}
+	instFS, instSeg := defsFS, defsSeg
+	if opts.DataDir != "" && !opts.PersistInstances {
+		instFS, instSeg = store.NewMemFS(), memSeg
+	}
+	st := store.Open(dir, store.Options{
+		FS:              defsFS,
 		Sync:            opts.SyncJournal,
-		SegmentMaxBytes: opts.SegmentMaxBytes,
+		SegmentMaxBytes: defsSeg,
 		FoldMinInterval: opts.FoldMinInterval,
 		FoldMinGarbage:  opts.FoldMinGarbage,
 		Clock:           clock,
 		OnAppendResult:  health.Observe,
 		Integrity:       integ,
-	}
-	var st *store.Store
-	if opts.DataDir == "" {
-		st = store.New(store.NewMemoryEngine(), storeOpts)
-	} else if st, err = store.Open(opts.DataDir, storeOpts); err != nil {
-		return nil, err
-	}
-
+	})
 	s := &System{
-		opts:      opts,
-		clock:     clock,
-		health:    health,
-		store:     st,
+		opts:   opts,
+		clock:  clock,
+		health: health,
+		store:  st,
+		instances: store.OpenInstances(filepath.Join(dir, "instances"), store.InstancesOptions{
+			FS:              instFS,
+			Sync:            opts.SyncJournal,
+			SegmentMaxBytes: instSeg,
+			Integrity:       integ,
+		}),
 		Registry:  actionlib.NewRegistry(),
 		Resources: resource.NewManager(),
 		ACL:       access.NewControl(),
@@ -447,23 +474,6 @@ func New(opts Options) (sys *System, err error) {
 		}
 	}()
 	s.definitions = registerDefinitions(st)
-	if opts.PersistInstances && opts.DataDir != "" {
-		// The instance collection runs on its own journal directory
-		// (DataDir/instances) so instance writes never order an
-		// instance lock against the definitions store's commit lock;
-		// see store.Instances. Without a DataDir there is nothing to
-		// persist, so no collection.
-		coll, err := store.OpenInstances(filepath.Join(opts.DataDir, "instances"),
-			store.InstancesOptions{
-				Sync:            opts.SyncJournal,
-				SegmentMaxBytes: opts.SegmentMaxBytes,
-				Integrity:       integ,
-			})
-		if err != nil {
-			return nil, err
-		}
-		s.instances = coll
-	}
 	if err := st.Load(); err != nil {
 		return nil, err
 	}
@@ -498,25 +508,14 @@ func New(opts Options) (sys *System, err error) {
 	if opts.Auth {
 		policy = aclPolicy{s.ACL}
 	}
-	var sink runtime.Journal
-	if s.instances != nil {
-		sink = instanceSink{s.instances}
-	}
+	var sink runtime.Journal = instanceSink{s.instances}
 	if res.WrapJournal != nil {
 		sink = res.WrapJournal(sink)
 	}
-	if sink != nil {
-		// Observe outcomes at the top of the sink chain so an injected
-		// fault wrapper's failures drive the health machine exactly like
-		// real disk failures would.
-		sink = observedJournal{inner: sink, health: health}
-	}
-	s.journal = sink
-	// Folds archive ring-truncated events next to the instance journal.
-	var history runtime.History
-	if s.instances != nil {
-		history = s.instances
-	}
+	// Observe outcomes at the top of the sink chain so an injected fault
+	// wrapper's failures drive the health machine exactly like real disk
+	// failures would.
+	s.journal = observedJournal{inner: sink, health: health}
 	rt, err := runtime.New(runtime.Config{
 		Registry:            s.Registry,
 		Invoker:             dispatcher,
@@ -525,8 +524,10 @@ func New(opts Options) (sys *System, err error) {
 		SyncActions:         opts.SyncActions,
 		MaxEventsInMemory:   opts.MaxEventsInMemory,
 		InvocationRetention: opts.InvocationRetention,
-		Journal:             sink,
-		History:             history,
+		Journal:             s.journal,
+		// Folds archive ring-truncated events next to the instance
+		// journal.
+		History: s.instances,
 	})
 	if err != nil {
 		return nil, err
@@ -544,17 +545,15 @@ func New(opts Options) (sys *System, err error) {
 	// journal's snapshot source: folding asks it for per-instance
 	// RecSnapshot images so sealed segments can be deleted, and hands
 	// it the history archive its truncated events move into.
-	if s.instances != nil {
-		if err := s.instances.ReplayParallel(stdruntime.GOMAXPROCS(0), rt.ApplyJournal); err != nil {
-			return nil, fmt.Errorf("gelee: replay instance journal: %w", err)
-		}
-		replay := s.instances.ReplayStats()
-		rt.NoteReaderTime(replay.Read, replay.Envelope)
-		rt.FinishRecovery()
-		s.instances.SetSnapshotSource(func(w *store.SnapshotWriter) (func(), error) {
-			return rt.EmitSnapshots(w)
-		})
+	if err := s.instances.ReplayParallel(stdruntime.GOMAXPROCS(0), rt.ApplyJournal); err != nil {
+		return nil, fmt.Errorf("gelee: replay instance journal: %w", err)
 	}
+	replay := s.instances.ReplayStats()
+	rt.NoteReaderTime(replay.Read, replay.Envelope)
+	rt.FinishRecovery()
+	s.instances.SetSnapshotSource(func(w *store.SnapshotWriter) (func(), error) {
+		return rt.EmitSnapshots(w)
+	})
 
 	// Admission control: the mutation gate sheds when the commit
 	// backlog — the appenders in flight on the definitions journal or
@@ -562,12 +561,7 @@ func New(opts Options) (sys *System, err error) {
 	// is highest — crosses the watermark, and rejects outright in
 	// read-only mode.
 	depth := func() int {
-		d := st.QueueDepth()
-		if s.instances != nil {
-			if w := s.instances.Depth(); w > d {
-				d = w
-			}
-		}
+		d := max(st.Depth(), s.instances.Depth())
 		if res.DepthSignal != nil {
 			if v := res.DepthSignal(); v > d {
 				d = v
@@ -611,11 +605,7 @@ func New(opts Options) (sys *System, err error) {
 		Threshold: 1,
 		Value: func() float64 {
 			st := s.StoreStats()
-			v := st.Engine.Integrity.CorruptFiles
-			if st.Instances != nil {
-				v += st.Instances.Integrity.CorruptFiles
-			}
-			return float64(v)
+			return float64(st.Engine.Integrity.CorruptFiles + st.Instances.Integrity.CorruptFiles)
 		},
 	})
 	rules = append(rules, resilience.Rule{
@@ -649,7 +639,7 @@ func New(opts Options) (sys *System, err error) {
 	// are gated off, so no organic append can ever prove the disk is
 	// back. While unhealthy it writes a no-op probe record through the
 	// full sink chain (replay discards probes).
-	if res.ProbeInterval > 0 && s.journal != nil {
+	if res.ProbeInterval > 0 {
 		s.probeStop = make(chan struct{})
 		s.probeDone = make(chan struct{})
 		go s.probeLoop(res.ProbeInterval)
@@ -819,31 +809,25 @@ func (s *System) HealthReport() resilience.Report {
 	}
 	rep.State = rep.Health.State
 	// Journal integrity, summed across the definitions store and the
-	// instance collection, for deployments with durable journals.
+	// instance collection.
 	st := s.StoreStats()
-	if st.Engine.Integrity.Framing || st.Instances != nil && st.Instances.Integrity.Framing {
-		ir := &resilience.IntegrityReport{
-			Framing:         true,
-			ReadOnlyLatched: rep.Health.Latched,
-		}
-		add := func(is store.IntegrityStats) {
-			ir.CorruptFiles += is.CorruptFiles
-			ir.QuarantinedFiles += is.QuarantinedFiles
-			ir.TornTailsRecovered += is.TornTails
-			ir.ScrubPasses += is.ScrubPasses
-			if is.LastScrubUnix > ir.LastScrubUnix {
-				ir.LastScrubUnix = is.LastScrubUnix
-			}
-			if is.LastError != "" {
-				ir.LastError = is.LastError
-			}
-		}
-		add(st.Engine.Integrity)
-		if st.Instances != nil {
-			add(st.Instances.Integrity)
-		}
-		rep.Integrity = ir
+	ir := &resilience.IntegrityReport{
+		Framing:         true,
+		ReadOnlyLatched: rep.Health.Latched,
 	}
+	for _, is := range []store.IntegrityStats{st.Engine.Integrity, st.Instances.Integrity} {
+		ir.CorruptFiles += is.CorruptFiles
+		ir.QuarantinedFiles += is.QuarantinedFiles
+		ir.TornTailsRecovered += is.TornTails
+		ir.ScrubPasses += is.ScrubPasses
+		if is.LastScrubUnix > ir.LastScrubUnix {
+			ir.LastScrubUnix = is.LastScrubUnix
+		}
+		if is.LastError != "" {
+			ir.LastError = is.LastError
+		}
+	}
+	rep.Integrity = ir
 	return rep
 }
 
@@ -874,10 +858,8 @@ func (s *System) Close() error {
 		s.Runtime.WaitDispatch()
 	}
 	err := s.store.Close()
-	if s.instances != nil {
-		if ierr := s.instances.Close(); err == nil {
-			err = ierr
-		}
+	if ierr := s.instances.Close(); err == nil {
+		err = ierr
 	}
 	return err
 }
@@ -893,22 +875,20 @@ func (s *System) Compact() error {
 	if err := s.store.Compact(); err != nil {
 		return err
 	}
-	if s.instances != nil {
-		return s.instances.Compact()
-	}
-	return nil
+	return s.instances.Compact()
 }
 
-// StoreStats reports data-tier health: engine state and throughput
-// counters plus per-repository sizes, and — when instances are
-// persisted — the instance journal's own engine counters. The payload
-// of the admin API's GET /api/v1/admin/store.
+// StoreStats reports data-tier health: the definitions journal's state
+// and throughput counters (named "memory" when it lives in memory)
+// plus per-repository sizes, and the instance journal's own counters.
+// The payload of the admin API's GET /api/v1/admin/store.
 func (s *System) StoreStats() store.Stats {
 	st := s.store.Stats()
-	if s.instances != nil {
-		es := s.instances.Stats()
-		st.Instances = &es
+	if s.opts.DataDir == "" {
+		st.Engine.Engine = "memory"
 	}
+	es := s.instances.Stats()
+	st.Instances = &es
 	return st
 }
 
@@ -1115,8 +1095,8 @@ func (s *System) Instantiate(modelURI string, ref resource.Ref, owner string, bi
 func (s *System) InstanceCount() int { return s.Runtime.Count() }
 
 // RecoveryStats reports what the startup instance-journal replay
-// rebuilt; zeros when PersistInstances is off or the journal was
-// empty.
+// rebuilt; zeros when the journal was empty, as an in-memory one
+// always is.
 func (s *System) RecoveryStats() runtime.RecoveryStats {
 	return s.Runtime.RuntimeStats().Persistence.Recovered
 }

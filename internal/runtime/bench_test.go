@@ -124,10 +124,7 @@ func BenchmarkPersistAdvance(b *testing.B) {
 			})
 		}},
 		{"journal", func(b *testing.B) Journal {
-			coll, err := store.OpenInstances(b.TempDir(), store.InstancesOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			coll := store.OpenInstances(b.TempDir(), store.InstancesOptions{})
 			if err := coll.Replay(func(string, []byte) error { return nil }); err != nil {
 				b.Fatal(err)
 			}

@@ -39,10 +39,7 @@ func (s storeSink) Record(rec *JournalRecord) error {
 func TestStressPersistCrashRecovery(t *testing.T) {
 	const workers, perWorker, rounds = 8, 3, 12
 	dir := t.TempDir()
-	coll, err := store.OpenInstances(dir, store.InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coll := store.OpenInstances(dir, store.InstancesOptions{})
 	if err := coll.Replay(func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +100,7 @@ func TestStressPersistCrashRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	coll2, err := store.OpenInstances(dir, store.InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coll2 := store.OpenInstances(dir, store.InstancesOptions{})
 	defer coll2.Close()
 	rt2, err := New(Config{Registry: testActions(t), Invoker: inv, Clock: clock, SyncActions: true,
 		Journal: storeSink{coll2}})

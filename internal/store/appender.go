@@ -1,20 +1,22 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// appender is the one durable write path of the data tier: the
-// definitions journal (journalEngine) and the instance collection
-// (Instances) both append through it. It owns the active segment, the
+// appender is the one storage engine of the data tier: the definitions
+// Store and the instance collection (Instances) both embed it. It owns
+// the journal directory on its file system, the active segment, the
 // segment set, the flushed-sequence watermark, the write counters and
 // the in-flight gauge, and it opens, seals, folds and closes the
 // directory for its owner.
 //
-// Flush combining: Append writes its entry into the shared buffered
+// Flush combining: write puts its entry into the shared buffered
 // writer under mu — the write fixes the entry's sequence — queues its
 // onCommit, and yields once so concurrent appenders can add theirs.
 // The first appender back flushes everything written so far (plus one
@@ -22,7 +24,7 @@ import (
 // in sequence order before it advances flushedSeq; later appenders
 // find their sequence covered and return without a syscall. Hence:
 //
-//   - applies run in journal order, before their Append returns;
+//   - applies run in journal order, before their write returns;
 //   - a failed flush or sync applies and acknowledges nothing: the
 //     queue is dropped, and the journal's sticky error fails every
 //     later flush, so each appender the failed flush covered gets an
@@ -33,6 +35,7 @@ import (
 //     entry of a segment it is about to delete ("sealed implies
 //     applied").
 type appender struct {
+	fs         FS
 	dir        string
 	sync       bool  // fsync once per flush
 	segmentMax int64 // rotate once the active segment outgrows it (0 = never)
@@ -58,7 +61,86 @@ type appender struct {
 	batches  atomic.Uint64
 	syncs    atomic.Uint64
 	maxBatch atomic.Int64
-	inFlight atomic.Int64 // appenders inside Append
+	inFlight atomic.Int64 // appenders inside write
+}
+
+// Engine state names reported by EngineStats.State: a journal is
+// running while it accepts appends, closed before it is opened and
+// after Close.
+const (
+	StateRunning = "running"
+	StateClosed  = "closed"
+)
+
+// ErrClosed is returned by an append once the journal is closed.
+var ErrClosed = errors.New("store: journal closed")
+
+// EngineStats is a point-in-time health/throughput snapshot of a
+// journal, exposed over the admin API.
+type EngineStats struct {
+	// Engine names the journal: "journal" for the definitions journal
+	// ("memory" when it lives on the in-memory file system, as the
+	// facade reports it), "instances-journal" for the instance
+	// collection's.
+	Engine string `json:"engine"`
+	// State is running or closed.
+	State string `json:"state"`
+	// LastSeq is the sequence number of the most recent committed entry.
+	LastSeq uint64 `json:"last_seq"`
+	// Appends counts entries committed since open.
+	Appends uint64 `json:"appends"`
+	// Batches counts combined flushes; Appends/Batches is the mean
+	// number of entries one flush covered.
+	Batches uint64 `json:"batches"`
+	// Syncs counts fsync calls (one per flush in durable mode).
+	Syncs uint64 `json:"syncs"`
+	// MaxBatch is the most entries one flush (+fsync) covered.
+	MaxBatch int `json:"max_batch"`
+	// Pending is the number of appenders in flight: inside an append
+	// and not yet acknowledged.
+	Pending int `json:"pending"`
+
+	// Segment-rotation and snapshot-folding counters.
+	//
+	// SealedSegments is the count of sealed segments not yet folded;
+	// Rotations counts seals since open, Folds successful snapshot
+	// folds, FoldErrors failed fold attempts, FoldedSegments segments
+	// deleted by folds, and SnapshotEntries the size of the newest
+	// snapshot. Replay reports what this open streamed — its
+	// SnapshotEntries+TailEntries sum is the bounded restart cost.
+	SealedSegments  int    `json:"sealed_segments,omitempty"`
+	Rotations       uint64 `json:"rotations,omitempty"`
+	Folds           uint64 `json:"folds,omitempty"`
+	FoldErrors      uint64 `json:"fold_errors,omitempty"`
+	FoldedSegments  uint64 `json:"folded_segments,omitempty"`
+	SnapshotEntries int64  `json:"snapshot_entries,omitempty"`
+
+	// Byte accounting for the fold pacing policy and the fold
+	// benchmark. ActiveBytes is the active segment's size,
+	// SealedBytes the unfolded sealed backlog, SnapshotBytes the
+	// newest snapshot's size — their sum is what replay reads —
+	// and FoldBytesWritten the cumulative bytes folds have written
+	// (snapshots + archives), the number the fold-by-reference
+	// optimization flattens.
+	ActiveBytes      int64  `json:"active_bytes,omitempty"`
+	SealedBytes      int64  `json:"sealed_bytes,omitempty"`
+	SnapshotBytes    int64  `json:"snapshot_bytes,omitempty"`
+	FoldBytesWritten uint64 `json:"fold_bytes_written,omitempty"`
+
+	// Archive counters: referenced cold-history files on disk, their
+	// total size, how many this process wrote, and how many orphans
+	// (written by a fold that crashed pre-install) open removed.
+	Archives        int64  `json:"archives,omitempty"`
+	ArchiveBytes    int64  `json:"archive_bytes,omitempty"`
+	ArchivesWritten uint64 `json:"archives_written,omitempty"`
+	OrphanArchives  uint64 `json:"orphan_archives,omitempty"`
+
+	// Integrity is the corruption-detection ledger: framing mode, torn
+	// tails recovered at open, corrupt/quarantined file counts, and the
+	// background scrubber's progress.
+	Integrity IntegrityStats `json:"integrity"`
+
+	Replay ReplayStats `json:"replay"`
 }
 
 // queuedApply is one written entry's onCommit, waiting for the flush
@@ -68,10 +150,11 @@ type queuedApply struct {
 	fn  func(uint64)
 }
 
-// open replays the directory and opens its active segment for
-// appending: in quarantine mode Fsck with repair first (moving every
-// file that fails its checks aside before anything is applied, and
-// reporting each detection through OnCorrupt), then the inventory,
+// open creates the directory if missing, replays it and opens its
+// active segment for appending: in quarantine mode fsck with repair
+// first (moving every file that fails its checks aside before
+// anything is applied, and reporting each detection through
+// OnCorrupt), then the inventory,
 // removal of the stale files a crashed fold left, the owner's replay
 // of the live generation, torn-tail truncation so the next append
 // starts on a record boundary, reconciliation of archive files against
@@ -80,10 +163,13 @@ type queuedApply struct {
 // before its snapshot installed, and are removed), and finally the
 // active file, continuing after the last replayed sequence.
 func (a *appender) open(integ IntegrityOptions, replay func(segState) (segReplay, error)) error {
+	if err := a.fs.MkdirAll(a.dir); err != nil {
+		return fmt.Errorf("store: create dir: %w", err)
+	}
 	var pre FsckReport
 	if integ.Quarantine {
 		var err error
-		if pre, err = Fsck(a.dir, true); err != nil {
+		if pre, err = fsck(a.fs, a.dir, true, nil, nil); err != nil {
 			return err
 		}
 		for _, f := range pre.Files {
@@ -93,28 +179,28 @@ func (a *appender) open(integ IntegrityOptions, replay func(segState) (segReplay
 			}
 		}
 	}
-	st, err := scanSegments(a.dir)
+	st, err := scanSegments(a.fs, a.dir)
 	if err != nil {
 		return err
 	}
-	st.removeStale(a.dir)
+	st.removeStale(a.fs, a.dir)
 	sr, err := replay(st)
 	if err != nil {
 		return err
 	}
-	if err := truncateTorn(a.dir, sr.active.good); err != nil {
+	if err := truncateTorn(a.fs, a.dir, sr.active.good); err != nil {
 		return err
 	}
-	kept, keptBytes, hi, removed, err := reconcileArchives(a.dir, st, sr.refs, integ.Quarantine)
+	kept, keptBytes, hi, removed, err := reconcileArchives(a.fs, a.dir, st, sr.refs, integ.Quarantine)
 	if err != nil {
 		return err
 	}
-	j, err := openJournal(filepath.Join(a.dir, journalName), sr.lastSeq)
+	j, err := openJournal(a.fs, filepath.Join(a.dir, journalName), sr.lastSeq)
 	if err != nil {
 		return err
 	}
 	j.adoptReplay(sr.active)
-	sf := newSegFiles(a.dir, st)
+	sf := newSegFiles(a.fs, a.dir, st)
 	sf.adoptIntegrity(sr, pre, integ.OnCorrupt)
 	sf.adoptArchives(kept, keptBytes, hi, removed)
 	a.mu.Lock()
@@ -124,11 +210,11 @@ func (a *appender) open(integ IntegrityOptions, replay func(segState) (segReplay
 	return nil
 }
 
-// Append writes e and returns its sequence once a flush covers it,
+// write appends e and returns its sequence once a flush covers it,
 // after onCommit (if non-nil) ran with that sequence (see the type
 // doc). A flush that leaves the active segment past segmentMax seals
 // it in place.
-func (a *appender) Append(e Entry, onCommit func(uint64)) (uint64, error) {
+func (a *appender) write(e Entry, onCommit func(uint64)) (uint64, error) {
 	a.inFlight.Add(1)
 	defer a.inFlight.Add(-1)
 	a.mu.Lock()
@@ -277,7 +363,7 @@ func (a *appender) Scrub(maxBytes int64) ScrubResult {
 	return sf.scrubTick(maxBytes)
 }
 
-// Depth is the number of appenders inside Append — the saturation
+// Depth is the number of appenders inside write — the saturation
 // signal admission control samples.
 func (a *appender) Depth() int { return int(a.inFlight.Load()) }
 
@@ -298,6 +384,7 @@ func (a *appender) stats(engine string) EngineStats {
 	if a.j != nil {
 		st.State = StateRunning
 		st.LastSeq = a.j.Seq()
+		st.ActiveBytes = a.j.Size()
 	}
 	sf, replay := a.sf, a.replay
 	a.mu.Unlock()

@@ -11,34 +11,44 @@ import (
 	"testing"
 )
 
-// openEngine opens a journal engine on dir with an empty replay.
-func openEngine(t *testing.T, dir string, sync bool) Engine {
+// openAppender opens an appender on dir, streaming its replay through
+// fn (nil = discard).
+func openAppender(t *testing.T, fsys FS, dir string, sync bool, fn func(Entry) error) *appender {
 	t.Helper()
-	eng, err := NewJournalEngine(JournalConfig{Dir: dir, Sync: sync})
-	if err != nil {
-		t.Fatal(err)
+	if fn == nil {
+		fn = func(Entry) error { return nil }
 	}
-	if err := eng.Replay(func(Entry) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-// replayIDs reopens dir and returns the IDs of every replayed entry.
-func replayIDs(t *testing.T, dir string) []string {
-	t.Helper()
-	eng, err := NewJournalEngine(JournalConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	var ids []string
-	if err := eng.Replay(func(e Entry) error {
-		ids = append(ids, e.ID)
-		return nil
+	a := &appender{fs: fsys, dir: dir, sync: sync}
+	if err := a.open(IntegrityOptions{}, func(st segState) (segReplay, error) {
+		return replaySegmented(fsys, dir, st, entryRepo, fn, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return a
+}
+
+// foldImage folds a's sealed segments into a snapshot of the entries
+// build returns.
+func foldImage(a *appender, build func() []Entry) error {
+	return a.fold(func(sj *Journal) (func(), error) {
+		for _, e := range build() {
+			if err := sj.writeRaw(e); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+}
+
+// replayIDs reopens dir and returns the IDs of every replayed entry.
+func replayIDs(t *testing.T, fsys FS, dir string) []string {
+	t.Helper()
+	var ids []string
+	a := openAppender(t, fsys, dir, false, func(e Entry) error {
+		ids = append(ids, e.ID)
+		return nil
+	})
+	a.Close()
 	return ids
 }
 
@@ -53,18 +63,20 @@ func putEntry(id string) Entry {
 // counted as committed, and a reopen must replay only what was
 // acknowledged before the failure.
 func TestAppenderFailedFlushAcksNone(t *testing.T) {
-	dir := t.TempDir()
-	eng := openEngine(t, dir, true)
+	eachFS(t, testAppenderFailedFlushAcksNone)
+}
+
+func testAppenderFailedFlushAcksNone(t *testing.T, fsys FS, dir string) {
+	a := openAppender(t, fsys, dir, true, nil)
 	var applied atomic.Int64
 	onCommit := func(uint64) { applied.Add(1) }
-	if _, err := eng.Append(putEntry("before"), onCommit); err != nil {
+	if _, err := a.write(putEntry("before"), onCommit); err != nil {
 		t.Fatal(err)
 	}
 
-	je := eng.(*journalEngine)
-	je.mu.Lock()
-	je.j.f.Close()
-	je.mu.Unlock()
+	a.mu.Lock()
+	a.j.f.Close()
+	a.mu.Unlock()
 
 	const writers = 8
 	errs := make(chan error, writers)
@@ -73,7 +85,7 @@ func TestAppenderFailedFlushAcksNone(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, err := eng.Append(putEntry(fmt.Sprintf("w%d", w)), onCommit)
+			_, err := a.write(putEntry(fmt.Sprintf("w%d", w)), onCommit)
 			errs <- err
 		}(w)
 	}
@@ -87,24 +99,27 @@ func TestAppenderFailedFlushAcksNone(t *testing.T) {
 	if n := applied.Load(); n != 1 {
 		t.Fatalf("%d onCommits ran, want only the one acknowledged before the failure", n)
 	}
-	if st := eng.Stats(); st.Appends != 1 || st.Batches != 1 || st.Syncs != 1 {
+	if st := a.stats("journal"); st.Appends != 1 || st.Batches != 1 || st.Syncs != 1 {
 		t.Fatalf("stats after failed flushes = %+v, want 1 append/batch/sync", st)
 	}
-	eng.Close() // fails too: the file is gone
+	a.Close() // fails too: the file is gone
 
-	if ids := replayIDs(t, dir); len(ids) != 1 || ids[0] != "before" {
+	if ids := replayIDs(t, fsys, dir); len(ids) != 1 || ids[0] != "before" {
 		t.Fatalf("replayed %v, want [before]", ids)
 	}
 }
 
-// TestAppenderCloseAcksOnlyApplied closes the engine while writers are
-// appending. An append is acknowledged exactly when its onCommit ran
+// TestAppenderCloseAcksOnlyApplied closes the appender while writers
+// are appending. An append is acknowledged exactly when its onCommit ran
 // with the returned sequence; every other append fails with ErrClosed
 // and never applies; and a reopen replays exactly the acknowledged
 // records.
 func TestAppenderCloseAcksOnlyApplied(t *testing.T) {
-	dir := t.TempDir()
-	eng := openEngine(t, dir, false)
+	eachFS(t, testAppenderCloseAcksOnlyApplied)
+}
+
+func testAppenderCloseAcksOnlyApplied(t *testing.T, fsys FS, dir string) {
+	a := openAppender(t, fsys, dir, false, nil)
 
 	var mu sync.Mutex
 	applied := make(map[string]uint64)
@@ -118,7 +133,7 @@ func TestAppenderCloseAcksOnlyApplied(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
-				seq, err := eng.Append(putEntry(id), func(seq uint64) {
+				seq, err := a.write(putEntry(id), func(seq uint64) {
 					mu.Lock()
 					applied[id] = seq
 					mu.Unlock()
@@ -148,7 +163,7 @@ func TestAppenderCloseAcksOnlyApplied(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if err := eng.Close(); err != nil {
+	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -164,7 +179,7 @@ func TestAppenderCloseAcksOnlyApplied(t *testing.T) {
 			t.Fatalf("%s acknowledged at seq %d, applied at %d", id, seq, applied[id])
 		}
 	}
-	ids := replayIDs(t, dir)
+	ids := replayIDs(t, fsys, dir)
 	if len(ids) != len(acked) {
 		t.Fatalf("replayed %d records, acknowledged %d", len(ids), len(acked))
 	}
@@ -177,10 +192,10 @@ func TestAppenderCloseAcksOnlyApplied(t *testing.T) {
 
 // TestAppenderAppliesInSeqOrder drives concurrent appends and checks
 // the applies ran in journal order: one onCommit per append, with the
-// sequence Append returned, in strictly increasing and dense order.
+// sequence write returned, in strictly increasing and dense order.
 func TestAppenderAppliesInSeqOrder(t *testing.T) {
-	eng := openEngine(t, t.TempDir(), false)
-	defer eng.Close()
+	a := openAppender(t, NewMemFS(), "/journal", false, nil)
+	defer a.Close()
 	const writers, perWriter = 8, 50
 	var mu sync.Mutex
 	var order, returned []uint64
@@ -190,7 +205,7 @@ func TestAppenderAppliesInSeqOrder(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				seq, err := eng.Append(putEntry(fmt.Sprintf("w%d-%d", w, i)), func(seq uint64) {
+				seq, err := a.write(putEntry(fmt.Sprintf("w%d-%d", w, i)), func(seq uint64) {
 					mu.Lock()
 					order = append(order, seq)
 					mu.Unlock()
@@ -227,24 +242,27 @@ func TestAppenderAppliesInSeqOrder(t *testing.T) {
 // it yields — and seals: the seal must flush and apply it first, so a
 // sealed segment never holds an unapplied entry.
 func TestAppenderSealDrainsQueuedApplies(t *testing.T) {
-	eng := openEngine(t, t.TempDir(), false)
-	defer eng.Close()
-	je := eng.(*journalEngine)
+	eachFS(t, testAppenderSealDrainsQueuedApplies)
+}
+
+func testAppenderSealDrainsQueuedApplies(t *testing.T, fsys FS, dir string) {
+	a := openAppender(t, fsys, dir, false, nil)
+	defer a.Close()
 	applied := false
-	je.mu.Lock()
-	seq, err := je.j.writeEntry(putEntry("a"))
-	je.queued = append(je.queued, queuedApply{seq: seq, fn: func(uint64) { applied = true }})
-	je.mu.Unlock()
+	a.mu.Lock()
+	seq, err := a.j.writeEntry(putEntry("a"))
+	a.queued = append(a.queued, queuedApply{seq: seq, fn: func(uint64) { applied = true }})
+	a.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Seal(); err != nil {
+	if err := a.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if !applied {
 		t.Fatal("seal sealed a written entry before applying it")
 	}
-	if st := eng.Stats(); st.SealedSegments != 1 || st.Appends != 1 {
+	if st := a.stats("journal"); st.SealedSegments != 1 || st.Appends != 1 {
 		t.Fatalf("stats after seal = %+v, want 1 sealed segment and 1 append", st)
 	}
 }

@@ -22,7 +22,7 @@ package store
 // snapshot references, which the next open's reconcile pass deletes; a
 // crash after leaves both generations consistent. Referenced archives
 // are verified cheaply at open (existence + byte length) and in full by
-// Fsck and so by a quarantine open; the CRC is also verified whenever
+// fsck and so by a quarantine open; the CRC is also verified whenever
 // an archive is actually streamed, so a bit-rotted cold file surfaces
 // as ErrCorrupt on read instead of silently feeding damaged history to
 // the cockpit.
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 )
 
@@ -98,14 +97,14 @@ func (sf *segFiles) Archive(entries []Entry) (ArchiveRef, error) {
 	next := sf.archiveHi.Load() + 1
 	final := filepath.Join(sf.dir, archiveName(next))
 	tmp := final + ".tmp"
-	os.Remove(tmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	sf.fs.Remove(tmp)
+	f, err := sf.fs.Create(tmp)
 	if err != nil {
 		return ArchiveRef{}, fmt.Errorf("store: create archive: %w", err)
 	}
 	fail := func(err error) (ArchiveRef, error) {
 		f.Close()
-		os.Remove(tmp)
+		sf.fs.Remove(tmp)
 		return ArchiveRef{}, err
 	}
 	w := bufio.NewWriter(f)
@@ -134,14 +133,14 @@ func (sf *segFiles) Archive(entries []Entry) (ArchiveRef, error) {
 		return fail(fmt.Errorf("store: sync archive: %w", err))
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		sf.fs.Remove(tmp)
 		return ArchiveRef{}, fmt.Errorf("store: close archive: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := sf.fs.Rename(tmp, final); err != nil {
+		sf.fs.Remove(tmp)
 		return ArchiveRef{}, fmt.Errorf("store: install archive: %w", err)
 	}
-	syncDir(sf.dir)
+	sf.syncDir()
 	sf.archiveHi.Store(next)
 	sf.archives.Add(1)
 	sf.archiveBytes.Add(ref.Bytes)
@@ -153,14 +152,15 @@ func (sf *segFiles) Archive(entries []Entry) (ArchiveRef, error) {
 	return ref, nil
 }
 
-// readArchive streams the referenced archive's entries through fn,
-// verifying the CRC and entry count once the file is fully read. fn may
-// return ErrStopScan to stop early (skipping the trailing verification).
+// readArchive streams the entries of the referenced archive in dir on
+// fsys through fn, verifying the CRC and entry count once the file is
+// fully read. fn may return ErrStopScan to stop early (skipping the
+// trailing verification).
 // A mismatched checksum, count or byte length — or any torn line, since
 // archives are fsynced before install — is ErrCorrupt.
-func readArchive(dir string, ref ArchiveRef, fn func(Entry) error) error {
+func readArchive(fsys FS, dir string, ref ArchiveRef, fn func(Entry) error) error {
 	path := filepath.Join(dir, archiveName(ref.Archive))
-	f, err := os.Open(path)
+	f, err := fsys.Open(path)
 	if err != nil {
 		return fmt.Errorf("%w: archive %s: %v", ErrCorrupt, archiveName(ref.Archive), err)
 	}
@@ -213,17 +213,17 @@ func readArchive(dir string, ref ArchiveRef, fn func(Entry) error) error {
 // refs, their total bytes, the highest archive number in use, and how
 // many orphans were removed. CRCs are not checked here: open cost must
 // stay O(live + refs), so full verification is the read path's, the
-// scrubber's and Fsck's job.
+// scrubber's and fsck's job.
 //
 // In tolerant mode (quarantine opens) a missing or resized referenced
-// archive is skipped instead of failing the open — the Fsck the open
+// archive is skipped instead of failing the open — the fsck the open
 // ran first already reported (and, resized, quarantined) it, and the
 // surviving history serves read-only. And while the directory holds
 // any quarantined file (above all a snapshot, whose refs are the only
 // thing marking archives as referenced) the "unreferenced" verdict
 // cannot be trusted: no orphan is deleted, and the next archive number
 // counts the kept ones so no fold overwrites them.
-func reconcileArchives(dir string, st segState, refs []ArchiveRef, tolerate bool) (kept []ArchiveRef, keptBytes int64, hi uint64, removed uint64, err error) {
+func reconcileArchives(fsys FS, dir string, st segState, refs []ArchiveRef, tolerate bool) (kept []ArchiveRef, keptBytes int64, hi uint64, removed uint64, err error) {
 	referenced := make(map[uint64]bool, len(refs))
 	for _, ref := range refs {
 		referenced[ref.Archive] = true
@@ -257,7 +257,7 @@ func reconcileArchives(dir string, st segState, refs []ArchiveRef, tolerate bool
 		}
 		// Unreferenced: the fold that wrote it died before its snapshot
 		// was installed, so no durable state points here.
-		if os.Remove(filepath.Join(dir, archiveName(n))) == nil {
+		if fsys.Remove(filepath.Join(dir, archiveName(n))) == nil {
 			removed++
 		}
 	}

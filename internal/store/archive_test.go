@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -22,24 +21,11 @@ import (
 // entries (71-80) in snapshot.000002.
 const archivedLogFixture = "testdata/archived-log"
 
-// fixtureCopy copies the archived-log fixture into a fresh directory.
-func fixtureCopy(t *testing.T) string {
+// openLogStore opens a store on dir with an execution log attached,
+// Load already done.
+func openLogStore(t *testing.T, fsys FS, dir string) (*Store, *Log) {
 	t.Helper()
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(archivedLogFixture)); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// openLogStore opens a store with an execution log attached, Load
-// already done.
-func openLogStore(t *testing.T, dir string) (*Store, *Log) {
-	t.Helper()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{FS: fsys})
 	lg := MustLog(s, "execlog")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -98,10 +84,10 @@ func pagedJSON(t *testing.T, lg *Log, limit int) []byte {
 }
 
 // archiveFiles lists the archive file names in dir, sorted.
-func archiveFiles(t *testing.T, dir string) []string {
+func archiveFiles(t *testing.T, fsys FS, dir string) []string {
 	t.Helper()
 	var out []string
-	for _, name := range listNames(t, dir) {
+	for _, name := range listNames(t, fsys, dir) {
 		if strings.HasPrefix(name, "archive.") && strings.HasSuffix(name, ".jsonl") {
 			out = append(out, name)
 		}
@@ -115,20 +101,18 @@ func archiveFiles(t *testing.T, dir string) []string {
 // past the old live window too — without writing or touching an
 // archive; a reopen reads back byte-identically, and appends continue
 // above the archived history.
-func TestFoldCarriesLogArchivesForward(t *testing.T) {
-	dir := fixtureCopy(t)
-	s, lg := openLogStore(t, dir)
+func TestFoldCarriesLogArchivesForward(t *testing.T) { eachFS(t, testFoldCarriesLogArchivesForward) }
+
+func testFoldCarriesLogArchivesForward(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
+	s, lg := openLogStore(t, fsys, dir)
 	appendTicks(t, lg, 20, "c")
 	archived := map[string][]byte{}
-	for _, name := range archiveFiles(t, dir) {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		archived[name] = data
+	for _, name := range archiveFiles(t, fsys, dir) {
+		archived[name] = readFile(t, fsys, filepath.Join(dir, name))
 	}
 	if len(archived) != 2 {
-		t.Fatalf("fixture archives = %v, want 2", archiveFiles(t, dir))
+		t.Fatalf("fixture archives = %v, want 2", archiveFiles(t, fsys, dir))
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -141,13 +125,12 @@ func TestFoldCarriesLogArchivesForward(t *testing.T) {
 	if st.Engine.ArchivesWritten != 0 || st.Engine.Archives != 2 {
 		t.Fatalf("archive counters = written %d, on disk %d, want 0/2", st.Engine.ArchivesWritten, st.Engine.Archives)
 	}
-	if got := archiveFiles(t, dir); len(got) != 2 {
+	if got := archiveFiles(t, fsys, dir); len(got) != 2 {
 		t.Fatalf("archive files after compact = %v, want the fixture's two", got)
 	}
 	for name, want := range archived {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s changed by the fold (read err %v)", name, err)
+		if got := readFile(t, fsys, filepath.Join(dir, name)); !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by the fold", name)
 		}
 	}
 	before := logJSON(t, lg)
@@ -159,7 +142,7 @@ func TestFoldCarriesLogArchivesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, lg2 := openLogStore(t, dir)
+	s2, lg2 := openLogStore(t, fsys, dir)
 	defer s2.Close()
 	rs := s2.Stats().Engine.Replay
 	if rs.ArchiveRefs != 2 {
@@ -188,9 +171,11 @@ func TestFoldCarriesLogArchivesForward(t *testing.T) {
 // a fold has installed an archive file but not yet the snapshot that
 // references it: the next open must delete the unreferenced archive
 // and lose no history.
-func TestArchiveCrashBeforeInstall(t *testing.T) {
-	dir := fixtureCopy(t)
-	s, lg := openLogStore(t, dir)
+func TestArchiveCrashBeforeInstall(t *testing.T) { eachFS(t, testArchiveCrashBeforeInstall) }
+
+func testArchiveCrashBeforeInstall(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
+	s, lg := openLogStore(t, fsys, dir)
 	before := logJSON(t, lg)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -198,19 +183,13 @@ func TestArchiveCrashBeforeInstall(t *testing.T) {
 
 	// The crashed fold's archive: a real archive file with a number no
 	// installed snapshot references.
-	data, err := os.ReadFile(filepath.Join(dir, "archive.000001.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	orphan := filepath.Join(dir, "archive.000007.jsonl")
-	if err := os.WriteFile(orphan, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, fsys, orphan, readFile(t, fsys, filepath.Join(dir, "archive.000001.jsonl")))
 
-	s2, lg2 := openLogStore(t, dir)
+	s2, lg2 := openLogStore(t, fsys, dir)
 	defer s2.Close()
-	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("orphan archive still on disk after open (stat err %v)", err)
+	if exists(fsys, orphan) {
+		t.Fatal("orphan archive still on disk after open")
 	}
 	est := s2.Stats().Engine
 	if est.OrphanArchives != 1 {
@@ -228,32 +207,25 @@ func TestArchiveCrashBeforeInstall(t *testing.T) {
 // load-bearing history — if it is missing or resized, open must fail
 // with corruption rather than silently dropping the cold log.
 func TestMissingReferencedArchive(t *testing.T) {
-	damage := map[string]func(t *testing.T, path string){
-		"deleted": func(t *testing.T, path string) {
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"truncated": func(t *testing.T, path string) {
-			if err := os.Truncate(path, 10); err != nil {
-				t.Fatal(err)
-			}
-		},
+	damage := map[string]func(fsys FS, path string) error{
+		"deleted":   FS.Remove,
+		"truncated": func(fsys FS, path string) error { return fsys.Truncate(path, 10) },
 	}
 	for name, breakIt := range damage {
 		t.Run(name, func(t *testing.T) {
-			dir := fixtureCopy(t)
-			breakIt(t, filepath.Join(dir, "archive.000001.jsonl"))
+			eachFS(t, func(t *testing.T, fsys FS, dir string) {
+				copyDir(t, archivedLogFixture, fsys, dir)
+				if err := breakIt(fsys, filepath.Join(dir, "archive.000001.jsonl")); err != nil {
+					t.Fatal(err)
+				}
 
-			s2, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			MustLog(s2, "execlog")
-			if err := s2.Load(); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Load with %s archive = %v, want ErrCorrupt", name, err)
-			}
+				s2 := Open(dir, Options{FS: fsys})
+				defer s2.Close()
+				MustLog(s2, "execlog")
+				if err := s2.Load(); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Load with %s archive = %v, want ErrCorrupt", name, err)
+				}
+			})
 		})
 	}
 }
@@ -261,13 +233,12 @@ func TestMissingReferencedArchive(t *testing.T) {
 // TestArchiveCRCCorruption: bit rot inside an archive (same length, so
 // the open-time existence check passes) surfaces as ErrCorrupt when
 // the cold history is actually read.
-func TestArchiveCRCCorruption(t *testing.T) {
-	dir := fixtureCopy(t)
+func TestArchiveCRCCorruption(t *testing.T) { eachFS(t, testArchiveCRCCorruption) }
+
+func testArchiveCRCCorruption(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
 	path := filepath.Join(dir, "archive.000001.jsonl")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readFile(t, fsys, path)
 	// Flip one character inside an entry's detail string: the JSON stays
 	// well formed and the length unchanged — only the checksum can tell.
 	i := bytes.Index(data, []byte("payload"))
@@ -275,11 +246,9 @@ func TestArchiveCRCCorruption(t *testing.T) {
 		t.Fatal("no payload byte to corrupt")
 	}
 	data[i] = 'q'
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, fsys, path, data)
 
-	s2, lg2 := openLogStore(t, dir) // lazy verification: open succeeds
+	s2, lg2 := openLogStore(t, fsys, dir) // lazy verification: open succeeds
 	defer s2.Close()
 	if _, err := lg2.Page(0, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Page over corrupt archive = %v, want ErrCorrupt", err)
@@ -289,13 +258,11 @@ func TestArchiveCRCCorruption(t *testing.T) {
 // TestFoldPolicyMinInterval: a seal poking the folder before the
 // configured spacing has elapsed is deferred, not folded; once the
 // interval passes the same poke folds.
-func TestFoldPolicyMinInterval(t *testing.T) {
+func TestFoldPolicyMinInterval(t *testing.T) { eachFS(t, testFoldPolicyMinInterval) }
+
+func testFoldPolicyMinInterval(t *testing.T, fsys FS, dir string) {
 	fake := vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC))
-	dir := t.TempDir()
-	s, err := Open(dir, Options{FoldMinInterval: time.Minute, Clock: fake})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{FS: fsys, FoldMinInterval: time.Minute, Clock: fake})
 	defer s.Close()
 	lg := MustLog(s, "execlog")
 	if err := s.Load(); err != nil {
@@ -303,10 +270,10 @@ func TestFoldPolicyMinInterval(t *testing.T) {
 	}
 
 	appendTicks(t, lg, 10, "a")
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.fold(false); err != nil {
+	if err := s.runFold(false); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Engine.Folds; got != 1 {
@@ -314,10 +281,10 @@ func TestFoldPolicyMinInterval(t *testing.T) {
 	}
 
 	appendTicks(t, lg, 10, "b")
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.fold(false); err != nil {
+	if err := s.runFold(false); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -327,7 +294,7 @@ func TestFoldPolicyMinInterval(t *testing.T) {
 	}
 
 	fake.Advance(2 * time.Minute)
-	if err := s.fold(false); err != nil {
+	if err := s.runFold(false); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Engine.Folds; got != 2 {
@@ -338,12 +305,10 @@ func TestFoldPolicyMinInterval(t *testing.T) {
 // TestFoldPolicyMinGarbage: a sealed backlog that is a sliver of the
 // installed snapshot is not worth a rewrite — the background fold
 // skips it — but Compact is an operator order and folds anyway.
-func TestFoldPolicyMinGarbage(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{FoldMinGarbage: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestFoldPolicyMinGarbage(t *testing.T) { eachFS(t, testFoldPolicyMinGarbage) }
+
+func testFoldPolicyMinGarbage(t *testing.T, fsys FS, dir string) {
+	s := Open(dir, Options{FS: fsys, FoldMinGarbage: 0.5})
 	defer s.Close()
 	repo := MustRepo[doc](s, "docs")
 	if err := s.Load(); err != nil {
@@ -355,11 +320,11 @@ func TestFoldPolicyMinGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	// No snapshot installed yet: the backlog is 100% garbage, folds.
-	if err := s.fold(false); err != nil {
+	if err := s.runFold(false); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Engine.Folds; got != 1 {
@@ -369,10 +334,10 @@ func TestFoldPolicyMinGarbage(t *testing.T) {
 	if err := repo.Put("k000", doc{Title: "tiny", Rev: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.fold(false); err != nil {
+	if err := s.runFold(false); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -398,12 +363,10 @@ func TestFoldPolicyMinGarbage(t *testing.T) {
 // one worker and with eight must produce identical state — per-key
 // entries share a lane, so parallelism never reorders what matters.
 // The definitions-journal counterpart of Instances.ReplayParallel.
-func TestStoreLoadParallelEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestStoreLoadParallelEquivalence(t *testing.T) { eachFS(t, testStoreLoadParallelEquivalence) }
+
+func testStoreLoadParallelEquivalence(t *testing.T, fsys FS, dir string) {
+	s := Open(dir, Options{FS: fsys})
 	docs := MustRepo[doc](s, "docs")
 	misc := MustRepo[doc](s, "misc")
 	lg := MustLog(s, "execlog")
@@ -435,10 +398,7 @@ func TestStoreLoadParallelEquivalence(t *testing.T) {
 	}
 
 	state := func(workers int) []byte {
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := Open(dir, Options{FS: fsys})
 		defer s.Close()
 		docs := MustRepo[doc](s, "docs")
 		misc := MustRepo[doc](s, "misc")
@@ -474,8 +434,7 @@ func TestStoreLoadParallelEquivalence(t *testing.T) {
 // TestRepoReadStats: Get traffic is counted per shard and the sampled
 // space-saving sketch surfaces the dominant keys.
 func TestRepoReadStats(t *testing.T) {
-	s := NewMemory()
-	defer s.Close()
+	s := memStore(t, Options{})
 	repo := MustRepo[doc](s, "docs")
 	if err := repo.Put("hot", doc{Title: "h"}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 package store
 
-// Integrity checking: Fsck verifies a journal directory from the same
+// Integrity checking: fsck verifies a journal directory from the same
 // inventory the open takes (scanSegments), each live file by the same
 // per-kind verifier the replay and the scrubber use (liveFile.verify),
 // and, given a consumer, streams the records through it as the open
@@ -65,28 +65,22 @@ type FsckReport struct {
 	Clean bool `json:"clean"`
 }
 
-// Fsck verifies every file of the journal generation rooted at dir:
-// per-record CRCs and segment footers in the newest snapshot, the
+// fsck verifies every file of the journal generation rooted at dir on
+// fsys: per-record CRCs and segment footers in the newest snapshot, the
 // uncovered sealed segments and the active file, and the full checksum
-// of every archive the snapshot references. Records are not decoded —
-// that is their consumer's job; Store.Fsck and FsckInstances check
-// them through it. Read-only by default; with repair it truncates the
-// active file's torn tail and quarantines corrupt files so the
-// directory opens again. A missing or empty directory is clean.
-// Returns an error only for IO failures — corruption is reported, not
-// returned.
-func Fsck(dir string, repair bool) (FsckReport, error) {
-	return fsck(dir, repair, nil, nil)
-}
-
-// fsck is Fsck streaming the generation's records through fn, bucketed
-// by key, as replaySegmented does for the open. A record fn fails is a
-// corrupt verdict on its file, naming its line and offset; from the
-// first failing file on, fn sees no more records, since no open would
-// apply what follows a hole.
-func fsck(dir string, repair bool, key func(Entry) string, fn func(Entry) error) (FsckReport, error) {
+// of every archive the snapshot references. Records are decoded by
+// their consumer, fn (nil = none; Store.Fsck and FsckInstances pass
+// theirs), streamed bucketed by key as replaySegmented does for the
+// open: a record fn fails is a corrupt verdict on its file, naming its
+// line and offset, and from the first failing file on fn sees no more
+// records, since no open would apply what follows a hole. Read-only
+// by default; with repair it truncates the active file's torn tail and
+// quarantines corrupt files so the directory opens again. A missing or
+// empty directory is clean. Returns an error only for IO failures —
+// corruption is reported, not returned.
+func fsck(fsys FS, dir string, repair bool, key func(Entry) string, fn func(Entry) error) (FsckReport, error) {
 	rep := FsckReport{Dir: dir}
-	st, err := scanSegments(dir)
+	st, err := scanSegments(fsys, dir)
 	if err != nil {
 		return rep, err
 	}
@@ -99,7 +93,7 @@ func fsck(dir string, repair bool, key func(Entry) string, fn func(Entry) error)
 		if !repair {
 			return nil
 		}
-		if err := quarantine(filepath.Join(dir, f.Name)); err != nil {
+		if err := quarantine(fsys, filepath.Join(dir, f.Name)); err != nil {
 			return err
 		}
 		f.Repaired = "quarantined"
@@ -107,7 +101,7 @@ func fsck(dir string, repair bool, key func(Entry) string, fn func(Entry) error)
 		return nil
 	}
 
-	sr, err := replaySegmented(dir, st, key, fn, func(lf liveFile, fr fileReplay, verr error) error {
+	sr, err := replaySegmented(fsys, dir, st, key, fn, func(lf liveFile, fr fileReplay, verr error) error {
 		size, onDisk := st.sizes[lf.name]
 		if lf.kind == kindActive && !onDisk {
 			return nil
@@ -129,7 +123,7 @@ func fsck(dir string, repair bool, key func(Entry) string, fn func(Entry) error)
 			}
 			f.Repaired = "truncated"
 			rep.Repaired++
-			return truncateTorn(dir, fr.good)
+			return truncateTorn(fsys, dir, fr.good)
 		case fr.torn > 0:
 			f.Status, f.TornBytes = "torn", fr.torn
 			f.Detail = "torn final line (no footer); replay drops it"
@@ -162,7 +156,7 @@ func fsck(dir string, repair bool, key func(Entry) string, fn func(Entry) error)
 			continue
 		}
 		f := FsckFile{Name: archiveName(n), Kind: "archive", Bytes: size, Records: ref.Entries, Status: "ok"}
-		if _, verr := (liveFile{kind: kindArchive, name: f.Name, ref: ref}).verify(dir, nil); verr != nil {
+		if _, verr := (liveFile{kind: kindArchive, name: f.Name, ref: ref}).verify(fsys, dir, nil); verr != nil {
 			if !errors.Is(verr, ErrCorrupt) {
 				return rep, verr
 			}

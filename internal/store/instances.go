@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"iter"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,6 +22,9 @@ const opShared Op = "shared"
 
 // InstancesOptions tune the instance collection's journal.
 type InstancesOptions struct {
+	// FS is the file system the journal lives on; nil means the
+	// operating system's.
+	FS FS
 	// Sync upgrades durability from write(2) per append to one fsync
 	// per combined flush.
 	Sync bool
@@ -31,11 +33,6 @@ type InstancesOptions struct {
 	// per-instance snapshot records once a snapshot source is wired
 	// (SetSnapshotSource), keeping restart replay bounded.
 	SegmentMaxBytes int64
-	// OnAppendResult, when set, observes the outcome of every Append
-	// (nil error = durably acknowledged) — the health signal the
-	// resilience layer watches. Called on the write path; must be O(1)
-	// and must not call back into the collection.
-	OnAppendResult func(error)
 	// Integrity tunes corruption detection: record framing, quarantine
 	// mode, the background scrubber (see IntegrityOptions).
 	Integrity IntegrityOptions
@@ -92,9 +89,9 @@ type InstancesOptions struct {
 // the timeline.
 //
 // Lifecycle: construct, Replay (or ReplayParallel) exactly once —
-// which opens the journal for appending — then Append freely, Close
-// once. Append returns only once the record is durable at the
-// configured level — write(2)-deep by default (survives a killed
+// which creates the directory if missing and opens the journal for
+// appending — then Append freely, Close once. Append returns only once
+// the record is durable at the configured level — write(2)-deep by default (survives a killed
 // process), fsync-deep with Sync — which is the write-through contract
 // the runtime's Journal sink relies on.
 type Instances struct {
@@ -131,14 +128,12 @@ type Instances struct {
 type SnapshotSource func(w *SnapshotWriter) (installed func(), err error)
 
 // OpenInstances builds the instance collection on its own journal
-// directory under dir (created if missing), with segment rotation per
-// opts.
-func OpenInstances(dir string, opts InstancesOptions) (*Instances, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create instances dir: %w", err)
-	}
+// directory dir on opts.FS, with segment rotation per opts; Replay
+// opens it.
+func OpenInstances(dir string, opts InstancesOptions) *Instances {
 	c := &Instances{opts: opts, folds: newFolder()}
 	c.appender = appender{
+		fs:         orOS(opts.FS),
 		dir:        dir,
 		sync:       opts.Sync,
 		segmentMax: opts.SegmentMaxBytes,
@@ -148,16 +143,16 @@ func OpenInstances(dir string, opts InstancesOptions) (*Instances, error) {
 			}
 		},
 	}
-	return c, nil
+	return c
 }
 
 // Replay streams every previously committed record through fn in
 // commit order — per-instance, that is mutation order, with the
 // instance's snapshot record (if a fold ran) first and only the
-// uncovered tail records after it. Like Engine.Replay it must be
-// called exactly once, before any Append, truncates a torn active
-// tail so the next append starts on a record boundary, and treats a
-// missing or empty directory as empty. data is valid only during the
+// uncovered tail records after it. Like Store.Load it must be called
+// exactly once, before any Append, truncates a torn active tail so the
+// next append starts on a record boundary, and treats a missing or
+// empty directory as empty. data is valid only during the
 // fn call that receives it, and has not been checked to be JSON:
 // decoding it is fn's job, and an error fn returns fails the replay
 // with the file and line of the record (RecordError).
@@ -178,10 +173,10 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 	err := c.open(c.opts.Integrity, func(st segState) (sr segReplay, err error) {
 		defer func() { c.hist = sr.refs }()
 		if workers <= 1 {
-			return replaySegmented(c.dir, st, entryID, apply, nil)
+			return replaySegmented(c.fs, c.dir, st, entryID, apply, nil)
 		}
 		fo := newFanOut(workers, apply)
-		sr, err = replaySegmented(c.dir, st, entryID, func(e Entry) error {
+		sr, err = replaySegmented(c.fs, c.dir, st, entryID, func(e Entry) error {
 			if e.Op == opShared {
 				if err := fo.quiesce(); err != nil {
 					return err
@@ -209,7 +204,7 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 // the journal: a record fn fails is a corrupt verdict naming its file,
 // line and offset, which repair quarantines.
 func FsckInstances(dir string, repair bool, fn func(id string, data []byte) error) (FsckReport, error) {
-	return fsck(dir, repair, entryID, (&Instances{}).applier(fn))
+	return fsck(osFS{}, dir, repair, entryID, (&Instances{}).applier(fn))
 }
 
 // entryID buckets an instance-journal entry by its instance id.
@@ -264,8 +259,7 @@ func (c *Instances) SetSnapshotSource(source SnapshotSource) {
 }
 
 // Append commits one mutation record for the given instance and
-// returns once it is durable (see appender.Append). The outcome is
-// reported to OnAppendResult.
+// returns once it is durable (see appender.write).
 func (c *Instances) Append(id string, data []byte) error {
 	return c.append(OpAppend, id, data)
 }
@@ -276,21 +270,13 @@ func (c *Instances) AppendShared(key string, data []byte) error {
 }
 
 func (c *Instances) append(op Op, id string, data []byte) error {
-	err := c.write(op, id, data)
-	if c.opts.OnAppendResult != nil {
-		c.opts.OnAppendResult(err)
-	}
-	return err
-}
-
-func (c *Instances) write(op Op, id string, data []byte) error {
 	if id == "" {
 		return fmt.Errorf("store: %s: empty instance id", instancesRepo)
 	}
 	if !c.opened.Load() {
 		return fmt.Errorf("store: %s: append before Replay", instancesRepo)
 	}
-	_, err := c.appender.Append(Entry{Repo: instancesRepo, Op: op, ID: id, Data: data}, nil)
+	_, err := c.write(Entry{Repo: instancesRepo, Op: op, ID: id, Data: data}, nil)
 	return err
 }
 
@@ -423,7 +409,7 @@ func (c *Instances) ReadHistory(n uint64, fn func(id string, data []byte) error)
 	if !ok {
 		return fmt.Errorf("%w: %s: unknown history %s", ErrCorrupt, instancesRepo, archiveName(n))
 	}
-	return readArchive(c.dir, ref, func(e Entry) error { return fn(e.ID, e.Data) })
+	return readArchive(c.fs, c.dir, ref, func(e Entry) error { return fn(e.ID, e.Data) })
 }
 
 // Compact is Seal + Fold: rotate the active segment and fold all

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -18,12 +17,10 @@ import (
 
 // TestInstancesRoundTrip appends records, closes, reopens and expects
 // the replay to stream them back in order with their ids.
-func TestInstancesRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestInstancesRoundTrip(t *testing.T) { eachFS(t, testInstancesRoundTrip) }
+
+func testInstancesRoundTrip(t *testing.T, fsys FS, dir string) {
+	c := OpenInstances(dir, InstancesOptions{FS: fsys})
 	if err := c.Replay(func(string, []byte) error {
 		t.Fatal("fresh journal replayed a record")
 		return nil
@@ -47,10 +44,7 @@ func TestInstancesRoundTrip(t *testing.T) {
 		t.Fatal("second close not idempotent:", err)
 	}
 
-	c2, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c2.Close()
 	var got []string
 	if err := c2.Replay(func(id string, data []byte) error {
@@ -85,12 +79,10 @@ func TestInstancesRoundTrip(t *testing.T) {
 
 // TestInstancesTornTail writes a torn final line (a crash mid-batch)
 // and expects replay to drop it silently and keep appending cleanly.
-func TestInstancesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestInstancesTornTail(t *testing.T) { eachFS(t, testInstancesTornTail) }
+
+func testInstancesTornTail(t *testing.T, fsys FS, dir string) {
+	c := OpenInstances(dir, InstancesOptions{FS: fsys})
 	if err := c.Replay(func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -102,20 +94,9 @@ func TestInstancesTornTail(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, journalName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":5,"repo":"instances","op":"append","id":"li-0000`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendFile(t, fsys, filepath.Join(dir, journalName), []byte(`{"seq":5,"repo":"instances","op":"append","id":"li-0000`))
 
-	c2, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c2.Close()
 	n := 0
 	if err := c2.Replay(func(string, []byte) error { n++; return nil }); err != nil {
@@ -132,10 +113,7 @@ func TestInstancesTornTail(t *testing.T) {
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c3, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c3 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c3.Close()
 	n = 0
 	if err := c3.Replay(func(string, []byte) error { n++; return nil }); err != nil {
@@ -148,10 +126,7 @@ func TestInstancesTornTail(t *testing.T) {
 
 // TestInstancesAppendBeforeReplay pins the lifecycle contract.
 func TestInstancesAppendBeforeReplay(t *testing.T) {
-	c, err := OpenInstances(t.TempDir(), InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := OpenInstances(t.TempDir(), InstancesOptions{})
 	if err := c.Append("li-000001", []byte(`{}`)); err == nil {
 		t.Fatal("append before Replay succeeded")
 	}
@@ -163,12 +138,10 @@ func TestInstancesAppendBeforeReplay(t *testing.T) {
 // TestInstancesConcurrentAppend drives the flush-combining path from
 // many goroutines (the -race exercise) and verifies nothing is lost
 // and flushes were combined.
-func TestInstancesConcurrentAppend(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestInstancesConcurrentAppend(t *testing.T) { eachFS(t, testInstancesConcurrentAppend) }
+
+func testInstancesConcurrentAppend(t *testing.T, fsys FS, dir string) {
+	c := OpenInstances(dir, InstancesOptions{FS: fsys})
 	if err := c.Replay(func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +167,7 @@ func TestInstancesConcurrentAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c2.Close()
 	perID := make(map[string][]int)
 	if err := c2.Replay(func(id string, data []byte) error {
@@ -278,9 +248,10 @@ newlines`, Data: json.RawMessage(`{"deep":{"nested":[1,2,3]}}`)},
 // during a fold are referenced from that fold's snapshot on — carried
 // by every later fold, adopted on reopen and read back verified — while
 // the archive of a fold that failed is an orphan the next open removes.
-func TestInstancesHistoryArchives(t *testing.T) {
-	dir := t.TempDir()
-	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+func TestInstancesHistoryArchives(t *testing.T) { eachFS(t, testInstancesHistoryArchives) }
+
+func testInstancesHistoryArchives(t *testing.T, fsys FS, dir string) {
+	c, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +307,7 @@ func TestInstancesHistoryArchives(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	c, ids, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,11 +341,11 @@ func TestInstancesHistoryArchives(t *testing.T) {
 // after it, even when the parallel replay spreads instances across
 // lanes — records of any instance may depend on it.
 func TestInstancesParallelReplaySharedBarrier(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eachFS(t, testInstancesParallelReplaySharedBarrier)
+}
+
+func testInstancesParallelReplaySharedBarrier(t *testing.T, fsys FS, dir string) {
+	c := OpenInstances(dir, InstancesOptions{FS: fsys})
 	if err := c.Replay(func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +364,7 @@ func TestInstancesParallelReplaySharedBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c2.Close()
 	var mu sync.Mutex
 	applied, seen := -1, 0

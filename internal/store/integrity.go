@@ -1,7 +1,7 @@
 package store
 
 // End-to-end journal integrity: the options and stats types shared by
-// the engines, and the quarantine move. The write-side framing lives
+// both journals, and the quarantine move. The write-side framing lives
 // in journal.go, the per-kind file verifier in segment.go, the
 // background scrubber in scrub.go, and the checker in fsck.go — which
 // a quarantine open runs, with repair, before its replay.
@@ -9,7 +9,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"time"
 )
@@ -19,11 +19,11 @@ import (
 const DefaultScrubBytesPerTick = 8 << 20
 
 // IntegrityOptions tune corruption detection and handling for a journal
-// directory (the store journal via Options.Integrity / JournalConfig,
-// the instance journal via InstancesOptions.Integrity). The zero value
+// directory (the store journal via Options.Integrity, the instance
+// journal via InstancesOptions.Integrity). The zero value
 // is safe: framing on, quarantine off, scrubber off.
 type IntegrityOptions struct {
-	// Quarantine makes the open run Fsck with repair before it
+	// Quarantine makes the open run fsck with repair before it
 	// replays: a file that fails verification moves aside (renamed
 	// with a .quarantined suffix) instead of failing the open, so the
 	// surviving history serves read-only while an operator repairs or
@@ -36,7 +36,7 @@ type IntegrityOptions struct {
 	// DefaultScrubBytesPerTick of IO per tick. 0 disables it.
 	ScrubInterval time.Duration
 	// OnCorrupt, when set, observes every corruption detection — the
-	// Fsck a quarantine open runs, and the scrubber. Called on open and
+	// fsck a quarantine open runs, and the scrubber. Called on open and
 	// scrub paths; must be fast and must not call back into the store.
 	OnCorrupt func(CorruptFile)
 }
@@ -55,7 +55,7 @@ type CorruptFile struct {
 	Source string `json:"source"`
 }
 
-// IntegrityStats is the per-engine integrity ledger served with the
+// IntegrityStats is the per-journal integrity ledger served with the
 // admin store stats: what open recovered or refused, and what the
 // background scrubber has verified.
 type IntegrityStats struct {
@@ -67,7 +67,7 @@ type IntegrityStats struct {
 	TornTails     uint64 `json:"torn_tails_recovered,omitempty"`
 	TornTailBytes int64  `json:"torn_tail_bytes,omitempty"`
 	// CorruptFiles counts corruption detections (a quarantine open's
-	// Fsck + scrub); QuarantinedFiles how many files were moved aside.
+	// fsck + scrub); QuarantinedFiles how many files were moved aside.
 	CorruptFiles     uint64 `json:"corrupt_files,omitempty"`
 	QuarantinedFiles uint64 `json:"quarantined_files,omitempty"`
 	// Scrub progress: ticks run, full passes completed, files and bytes
@@ -86,15 +86,15 @@ type IntegrityStats struct {
 // on the .jsonl suffix and the exact active name) while keeping the
 // bytes on disk for repair, and its presence stops the open from
 // judging any archive unreferenced (see reconcileArchives).
-func quarantine(path string) error {
+func quarantine(fsys FS, path string) error {
 	dst := path + ".quarantined"
 	for i := 2; ; i++ {
-		if _, err := os.Lstat(dst); errors.Is(err, os.ErrNotExist) {
+		if _, err := fsys.Size(dst); errors.Is(err, fs.ErrNotExist) {
 			break
 		}
 		dst = fmt.Sprintf("%s.quarantined.%d", path, i)
 	}
-	if err := os.Rename(path, dst); err != nil {
+	if err := fsys.Rename(path, dst); err != nil {
 		return fmt.Errorf("store: quarantine %s: %w", filepath.Base(path), err)
 	}
 	return nil

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -21,12 +20,9 @@ import (
 
 // flipByte XORs one byte of the file at off (negative = from the end),
 // simulating a single spot of bit rot.
-func flipByte(t *testing.T, path string, off int64) {
+func flipByte(t *testing.T, fsys FS, path string, off int64) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readFile(t, fsys, path)
 	if off < 0 {
 		off += int64(len(data))
 	}
@@ -34,9 +30,7 @@ func flipByte(t *testing.T, path string, off int64) {
 		t.Fatalf("flip offset %d out of range (file is %d bytes)", off, len(data))
 	}
 	data[off] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, fsys, path, data)
 }
 
 // putDocs writes n sequentially numbered docs through the repo.
@@ -52,12 +46,9 @@ func putDocs(t *testing.T, repo *Repo[doc], n, from int) {
 // openIntegrityStore opens + loads a store with the given integrity
 // options, returning the Load error instead of failing, so corruption
 // verdicts can be asserted.
-func openIntegrityStore(t *testing.T, dir string, integ IntegrityOptions) (*Store, *Repo[doc], error) {
+func openIntegrityStore(t *testing.T, fsys FS, dir string, integ IntegrityOptions) (*Store, *Repo[doc], error) {
 	t.Helper()
-	s, err := Open(dir, Options{Integrity: integ})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{FS: fsys, Integrity: integ})
 	repo := MustRepo[doc](s, "docs")
 	if err := s.Load(); err != nil {
 		s.Close()
@@ -70,9 +61,10 @@ func openIntegrityStore(t *testing.T, dir string, integ IntegrityOptions) (*Stor
 // active file: an invalid suffix is a crash tail, so the open succeeds,
 // drops exactly that record, counts the recovery, and appends continue
 // on a clean boundary.
-func TestTornActiveTailRecovers(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+func TestTornActiveTailRecovers(t *testing.T) { eachFS(t, testTornActiveTailRecovers) }
+
+func testTornActiveTailRecovers(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +72,9 @@ func TestTornActiveTailRecovers(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, journalName), -5)
+	flipByte(t, fsys, filepath.Join(dir, journalName), -5)
 
-	s2, repo2, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	s2, repo2, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatalf("torn tail failed the open: %v", err)
 	}
@@ -105,7 +97,7 @@ func TestTornActiveTailRecovers(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, repo3, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	s3, repo3, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +112,11 @@ func TestTornActiveTailRecovers(t *testing.T) {
 // history, which must fail the open with positional detail — never be
 // silently truncated.
 func TestActiveInteriorCorruptionFailsOpen(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	eachFS(t, testActiveInteriorCorruptionFailsOpen)
+}
+
+func testActiveInteriorCorruptionFailsOpen(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +124,9 @@ func TestActiveInteriorCorruptionFailsOpen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, journalName), 20)
+	flipByte(t, fsys, filepath.Join(dir, journalName), 20)
 
-	_, _, err = openIntegrityStore(t, dir, IntegrityOptions{})
+	_, _, err = openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("interior corruption opened as %v, want ErrCorrupt", err)
 	}
@@ -149,13 +144,16 @@ func TestActiveInteriorCorruptionFailsOpen(t *testing.T) {
 // sealed (footer-carrying) segment: sealed files are strict, so the
 // open fails with the segment named.
 func TestSealedSegmentCorruptionFailsOpen(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	eachFS(t, testSealedSegmentCorruptionFailsOpen)
+}
+
+func testSealedSegmentCorruptionFailsOpen(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	putDocs(t, repo, 5, 0)
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	putDocs(t, repo, 3, 5)
@@ -163,12 +161,12 @@ func TestSealedSegmentCorruptionFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealedPath := filepath.Join(dir, sealedName(1))
-	if _, err := os.Stat(sealedPath); err != nil {
-		t.Fatal(err)
+	if !exists(fsys, sealedPath) {
+		t.Fatal("no file to corrupt")
 	}
-	flipByte(t, sealedPath, 40)
+	flipByte(t, fsys, sealedPath, 40)
 
-	_, _, err = openIntegrityStore(t, dir, IntegrityOptions{})
+	_, _, err = openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	var ce *CorruptionError
 	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
 		t.Fatalf("sealed-segment corruption opened as %v, want CorruptionError", err)
@@ -181,9 +179,10 @@ func TestSealedSegmentCorruptionFailsOpen(t *testing.T) {
 // TestSnapshotCorruptionFailsOpen flips a bit in an installed snapshot:
 // snapshots were fsynced before their rename, so any damage is bit rot
 // and the open must refuse.
-func TestSnapshotCorruptionFailsOpen(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+func TestSnapshotCorruptionFailsOpen(t *testing.T) { eachFS(t, testSnapshotCorruptionFailsOpen) }
+
+func testSnapshotCorruptionFailsOpen(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +194,12 @@ func TestSnapshotCorruptionFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(dir, snapName(1))
-	if _, err := os.Stat(snapPath); err != nil {
-		t.Fatal(err)
+	if !exists(fsys, snapPath) {
+		t.Fatal("no file to corrupt")
 	}
-	flipByte(t, snapPath, 60)
+	flipByte(t, fsys, snapPath, 60)
 
-	_, _, err = openIntegrityStore(t, dir, IntegrityOptions{})
+	_, _, err = openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	var ce *CorruptionError
 	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
 		t.Fatalf("snapshot corruption opened as %v, want CorruptionError", err)
@@ -215,23 +214,26 @@ func TestSnapshotCorruptionFailsOpen(t *testing.T) {
 // with a .quarantined suffix, the detection is reported through
 // OnCorrupt, and the surviving (active-file) history serves.
 func TestQuarantineServesSurvivingHistory(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	eachFS(t, testQuarantineServesSurvivingHistory)
+}
+
+func testQuarantineServesSurvivingHistory(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	putDocs(t, repo, 5, 0)
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	putDocs(t, repo, 3, 5)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, sealedName(1)), 40)
+	flipByte(t, fsys, filepath.Join(dir, sealedName(1)), 40)
 
 	var seen []CorruptFile
-	s2, repo2, err := openIntegrityStore(t, dir, IntegrityOptions{
+	s2, repo2, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{
 		Quarantine: true,
 		OnCorrupt:  func(cf CorruptFile) { seen = append(seen, cf) },
 	})
@@ -245,8 +247,8 @@ func TestQuarantineServesSurvivingHistory(t *testing.T) {
 	if filepath.Base(seen[0].Path) != sealedName(1) {
 		t.Fatalf("quarantined %s, want %s", filepath.Base(seen[0].Path), sealedName(1))
 	}
-	if _, err := os.Stat(filepath.Join(dir, sealedName(1)) + ".quarantined"); err != nil {
-		t.Fatalf("damaged file not moved aside: %v", err)
+	if !exists(fsys, filepath.Join(dir, sealedName(1))+".quarantined") {
+		t.Fatal("damaged file not moved aside")
 	}
 	// The sealed segment's records are gone; the active file's survive.
 	if _, ok := repo2.Get("k00"); ok {
@@ -266,13 +268,14 @@ func TestQuarantineServesSurvivingHistory(t *testing.T) {
 // snapshot loses the references, but the archive bytes must NOT be
 // collected as orphans — they may be the only surviving copy.
 func TestQuarantinedSnapshotKeepsArchives(t *testing.T) {
-	dir := fixtureCopy(t)
-	flipByte(t, filepath.Join(dir, snapName(2)), 60)
+	eachFS(t, testQuarantinedSnapshotKeepsArchives)
+}
 
-	s2, err := Open(dir, Options{Integrity: IntegrityOptions{Quarantine: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+func testQuarantinedSnapshotKeepsArchives(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
+	flipByte(t, fsys, filepath.Join(dir, snapName(2)), 60)
+
+	s2 := Open(dir, Options{FS: fsys, Integrity: IntegrityOptions{Quarantine: true}})
 	MustLog(s2, "execlog")
 	if err := s2.Load(); err != nil {
 		t.Fatalf("quarantine open failed: %v", err)
@@ -282,8 +285,8 @@ func TestQuarantinedSnapshotKeepsArchives(t *testing.T) {
 		t.Fatalf("QuarantinedFiles = %d, want the snapshot", q)
 	}
 	for _, n := range []uint64{1, 2} {
-		if _, err := os.Stat(filepath.Join(dir, archiveName(n))); err != nil {
-			t.Fatalf("archive collected as orphan after snapshot quarantine: %v", err)
+		if !exists(fsys, filepath.Join(dir, archiveName(n))) {
+			t.Fatal("archive collected as orphan after snapshot quarantine")
 		}
 	}
 }
@@ -292,22 +295,20 @@ func TestQuarantinedSnapshotKeepsArchives(t *testing.T) {
 // store is serving: the next scrub tick finds it, counts it, stamps
 // LastError and reports through OnCorrupt without quarantining (repair
 // is an offline decision).
-func TestScrubDetectsSealedSegmentRot(t *testing.T) {
-	dir := t.TempDir()
+func TestScrubDetectsSealedSegmentRot(t *testing.T) { eachFS(t, testScrubDetectsSealedSegmentRot) }
+
+func testScrubDetectsSealedSegmentRot(t *testing.T, fsys FS, dir string) {
 	var seen []CorruptFile
-	s, err := Open(dir, Options{Integrity: IntegrityOptions{
+	s := Open(dir, Options{FS: fsys, Integrity: IntegrityOptions{
 		OnCorrupt: func(cf CorruptFile) { seen = append(seen, cf) },
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	repo := MustRepo[doc](s, "docs")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	putDocs(t, repo, 5, 0)
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	putDocs(t, repo, 2, 5)
@@ -315,7 +316,7 @@ func TestScrubDetectsSealedSegmentRot(t *testing.T) {
 	if res := s.Scrub(1 << 30); res.Corrupt != 0 || res.Files == 0 || !res.PassCompleted {
 		t.Fatalf("clean scrub = %+v, want a completed pass with no corruption", res)
 	}
-	flipByte(t, filepath.Join(dir, sealedName(1)), 40)
+	flipByte(t, fsys, filepath.Join(dir, sealedName(1)), 40)
 	res := s.Scrub(1 << 30)
 	if res.Corrupt != 1 {
 		t.Fatalf("scrub over rotted segment = %+v, want 1 corrupt", res)
@@ -328,8 +329,8 @@ func TestScrubDetectsSealedSegmentRot(t *testing.T) {
 		t.Fatalf("scrub accounting = %+v", integ)
 	}
 	// Sealed file still in place: scrubbing detects, never moves.
-	if _, err := os.Stat(filepath.Join(dir, sealedName(1))); err != nil {
-		t.Fatalf("scrub moved the damaged file: %v", err)
+	if !exists(fsys, filepath.Join(dir, sealedName(1))) {
+		t.Fatal("scrub moved the damaged file")
 	}
 }
 
@@ -337,11 +338,13 @@ func TestScrubDetectsSealedSegmentRot(t *testing.T) {
 // open's cheap existence+length check passes — full archive CRCs are
 // the scrubber's job, which must fail the file against the checksum the
 // snapshot recorded.
-func TestScrubDetectsArchiveRot(t *testing.T) {
-	dir := fixtureCopy(t)
-	flipByte(t, filepath.Join(dir, archiveName(1)), 40)
+func TestScrubDetectsArchiveRot(t *testing.T) { eachFS(t, testScrubDetectsArchiveRot) }
 
-	s2, lg2 := openLogStore(t, dir)
+func testScrubDetectsArchiveRot(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
+	flipByte(t, fsys, filepath.Join(dir, archiveName(1)), 40)
+
+	s2, lg2 := openLogStore(t, fsys, dir)
 	defer s2.Close()
 	_ = lg2
 	res := s2.Scrub(1 << 30)
@@ -356,16 +359,17 @@ func TestScrubDetectsArchiveRot(t *testing.T) {
 
 // TestScrubBudgetBoundsTickIO verifies a tick stops at its byte budget
 // and the cursor-resumed pass still covers the whole generation.
-func TestScrubBudgetBoundsTickIO(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+func TestScrubBudgetBoundsTickIO(t *testing.T) { eachFS(t, testScrubBudgetBoundsTickIO) }
+
+func testScrubBudgetBoundsTickIO(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	for i := 0; i < 3; i++ {
 		putDocs(t, repo, 10, i*10)
-		if err := s.engine.Seal(); err != nil {
+		if err := s.Seal(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,15 +392,16 @@ func TestScrubBudgetBoundsTickIO(t *testing.T) {
 
 // TestScrubLoopRunsOnInterval wires the background scrubber through
 // Options.Integrity.ScrubInterval and waits for a completed pass.
-func TestScrubLoopRunsOnInterval(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{ScrubInterval: 2 * time.Millisecond})
+func TestScrubLoopRunsOnInterval(t *testing.T) { eachFS(t, testScrubLoopRunsOnInterval) }
+
+func testScrubLoopRunsOnInterval(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{ScrubInterval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	putDocs(t, repo, 5, 0)
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -424,16 +429,15 @@ func legacyLines(n int, repo, op, prefix string, data func(i int) string) []byte
 // JSONL, no CRCs) and opens it: the version sniff replays it
 // unchanged, new appends are framed, and the mixed file still seals
 // under a correct whole-file footer.
-func TestLegacyUnframedJournalOpens(t *testing.T) {
-	dir := t.TempDir()
+func TestLegacyUnframedJournalOpens(t *testing.T) { eachFS(t, testLegacyUnframedJournalOpens) }
+
+func testLegacyUnframedJournalOpens(t *testing.T, fsys FS, dir string) {
 	legacy := legacyLines(5, "docs", "put", "k", func(i int) string {
 		return fmt.Sprintf(`{"title":"legacy","rev":%d}`, i)
 	})
-	if err := os.WriteFile(filepath.Join(dir, journalName), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, fsys, filepath.Join(dir, journalName), legacy)
 
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatalf("legacy journal failed to open: %v", err)
 	}
@@ -443,21 +447,21 @@ func TestLegacyUnframedJournalOpens(t *testing.T) {
 		}
 	}
 	putDocs(t, repo, 2, 5) // framed lines appended after the legacy ones
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The sealed mixed file verifies strictly, footer included.
-	fr, err := replayJournalFile(filepath.Join(dir, sealedName(1)), kindSealed, nil)
+	fr, err := replayJournalFile(fsys, filepath.Join(dir, sealedName(1)), kindSealed, nil)
 	if err != nil {
 		t.Fatalf("mixed legacy+framed sealed segment failed verification: %v", err)
 	}
 	if fr.n != 7 || fr.footer == nil {
 		t.Fatalf("mixed segment replayed %d records, footer %v, want 7 with footer", fr.n, fr.footer)
 	}
-	s2, repo2, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	s2, repo2, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,14 +476,15 @@ func TestLegacyUnframedJournalOpens(t *testing.T) {
 // record, framed appends follow it, the mixed file seals under a
 // verified footer, and a reopen replays old and new records alike.
 func TestLegacyUnframedJournalOpensInstances(t *testing.T) {
-	dir := t.TempDir()
+	eachFS(t, testLegacyUnframedJournalOpensInstances)
+}
+
+func testLegacyUnframedJournalOpensInstances(t *testing.T, fsys FS, dir string) {
 	legacy := legacyLines(5, "instances", "append", "li-", func(i int) string {
 		return fmt.Sprintf(`{"op":"advance","n":%d}`, i)
 	})
-	if err := os.WriteFile(filepath.Join(dir, journalName), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	writeFile(t, fsys, filepath.Join(dir, journalName), legacy)
+	c, ids, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatalf("legacy instance journal failed to replay: %v", err)
 	}
@@ -497,14 +502,14 @@ func TestLegacyUnframedJournalOpensInstances(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := replayJournalFile(filepath.Join(dir, sealedName(1)), kindSealed, nil)
+	fr, err := replayJournalFile(fsys, filepath.Join(dir, sealedName(1)), kindSealed, nil)
 	if err != nil {
 		t.Fatalf("mixed legacy+framed sealed segment failed verification: %v", err)
 	}
 	if fr.n != 7 || fr.footer == nil {
 		t.Fatalf("mixed segment replayed %d records, footer %v, want 7 with footer", fr.n, fr.footer)
 	}
-	c2, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	c2, ids, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,12 +523,10 @@ func TestLegacyUnframedJournalOpensInstances(t *testing.T) {
 
 // openInstancesDir opens the collection and replays it, returning the
 // replay error plus the ids streamed.
-func openInstancesDir(t *testing.T, dir string, opts InstancesOptions) (*Instances, []string, error) {
+func openInstancesDir(t *testing.T, fsys FS, dir string, opts InstancesOptions) (*Instances, []string, error) {
 	t.Helper()
-	c, err := OpenInstances(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts.FS = fsys
+	c := OpenInstances(dir, opts)
 	var ids []string
 	if err := c.Replay(func(id string, data []byte) error {
 		ids = append(ids, id)
@@ -536,9 +539,9 @@ func openInstancesDir(t *testing.T, dir string, opts InstancesOptions) (*Instanc
 }
 
 // seedInstances appends n records across three instance ids and closes.
-func seedInstances(t *testing.T, dir string, n int, seal bool) {
+func seedInstances(t *testing.T, fsys FS, dir string, n int, seal bool) {
 	t.Helper()
-	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+	c, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,12 +562,13 @@ func seedInstances(t *testing.T, dir string, n int, seal bool) {
 
 // TestInstancesTornTailRecovers is the active-tail flip against the
 // instance journal: the damaged last record drops, the rest replays.
-func TestInstancesTornTailRecovers(t *testing.T) {
-	dir := t.TempDir()
-	seedInstances(t, dir, 6, false)
-	flipByte(t, filepath.Join(dir, journalName), -5)
+func TestInstancesTornTailRecovers(t *testing.T) { eachFS(t, testInstancesTornTailRecovers) }
 
-	c, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+func testInstancesTornTailRecovers(t *testing.T, fsys FS, dir string) {
+	seedInstances(t, fsys, dir, 6, false)
+	flipByte(t, fsys, filepath.Join(dir, journalName), -5)
+
+	c, ids, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatalf("torn instance tail failed the replay: %v", err)
 	}
@@ -584,11 +588,14 @@ func TestInstancesTornTailRecovers(t *testing.T) {
 // TestInstancesInteriorCorruptionFailsReplay is the mid-file flip: the
 // instance journal refuses with positional detail.
 func TestInstancesInteriorCorruptionFailsReplay(t *testing.T) {
-	dir := t.TempDir()
-	seedInstances(t, dir, 6, false)
-	flipByte(t, filepath.Join(dir, journalName), 20)
+	eachFS(t, testInstancesInteriorCorruptionFailsReplay)
+}
 
-	_, _, err := openInstancesDir(t, dir, InstancesOptions{})
+func testInstancesInteriorCorruptionFailsReplay(t *testing.T, fsys FS, dir string) {
+	seedInstances(t, fsys, dir, 6, false)
+	flipByte(t, fsys, filepath.Join(dir, journalName), 20)
+
+	_, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	var ce *CorruptionError
 	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
 		t.Fatalf("interior instance corruption replayed as %v, want CorruptionError", err)
@@ -601,10 +608,11 @@ func TestInstancesInteriorCorruptionFailsReplay(t *testing.T) {
 // TestInstancesSealedCorruption flips a bit in a sealed instance
 // segment: strict mode fails the replay; quarantine mode moves the file
 // aside and serves the survivors.
-func TestInstancesSealedCorruption(t *testing.T) {
-	dir := t.TempDir()
-	seedInstances(t, dir, 6, true)
-	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+func TestInstancesSealedCorruption(t *testing.T) { eachFS(t, testInstancesSealedCorruption) }
+
+func testInstancesSealedCorruption(t *testing.T, fsys FS, dir string) {
+	seedInstances(t, fsys, dir, 6, true)
+	c, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,15 +624,15 @@ func TestInstancesSealedCorruption(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, sealedName(1)), 40)
+	flipByte(t, fsys, filepath.Join(dir, sealedName(1)), 40)
 
-	_, _, err = openInstancesDir(t, dir, InstancesOptions{})
+	_, _, err = openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("sealed instance corruption replayed as %v, want ErrCorrupt", err)
 	}
 
 	var seen []CorruptFile
-	c2, ids, err := openInstancesDir(t, dir, InstancesOptions{Integrity: IntegrityOptions{
+	c2, ids, err := openInstancesDir(t, fsys, dir, InstancesOptions{Integrity: IntegrityOptions{
 		Quarantine: true,
 		OnCorrupt:  func(cf CorruptFile) { seen = append(seen, cf) },
 	}})
@@ -645,9 +653,10 @@ func TestInstancesSealedCorruption(t *testing.T) {
 
 // TestInstancesSnapshotCorruption folds the instance journal into a
 // snapshot, flips a bit in it, and expects the strict verdict.
-func TestInstancesSnapshotCorruption(t *testing.T) {
-	dir := t.TempDir()
-	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+func TestInstancesSnapshotCorruption(t *testing.T) { eachFS(t, testInstancesSnapshotCorruption) }
+
+func testInstancesSnapshotCorruption(t *testing.T, fsys FS, dir string) {
+	c, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,9 +683,9 @@ func TestInstancesSnapshotCorruption(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, snapName(1)), 40)
+	flipByte(t, fsys, filepath.Join(dir, snapName(1)), 40)
 
-	_, _, err = openInstancesDir(t, dir, InstancesOptions{})
+	_, _, err = openInstancesDir(t, fsys, dir, InstancesOptions{})
 	var ce *CorruptionError
 	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
 		t.Fatalf("instance snapshot corruption replayed as %v, want CorruptionError", err)
@@ -688,10 +697,11 @@ func TestInstancesSnapshotCorruption(t *testing.T) {
 
 // TestInstancesScrubDetectsRot corrupts a sealed instance segment while
 // the collection serves and expects the on-demand scrub to find it.
-func TestInstancesScrubDetectsRot(t *testing.T) {
-	dir := t.TempDir()
-	seedInstances(t, dir, 6, true)
-	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+func TestInstancesScrubDetectsRot(t *testing.T) { eachFS(t, testInstancesScrubDetectsRot) }
+
+func testInstancesScrubDetectsRot(t *testing.T, fsys FS, dir string) {
+	seedInstances(t, fsys, dir, 6, true)
+	c, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,7 +709,7 @@ func TestInstancesScrubDetectsRot(t *testing.T) {
 	if res := c.Scrub(1 << 30); res.Corrupt != 0 || res.Files == 0 || !res.PassCompleted {
 		t.Fatalf("clean instance scrub = %+v, want a completed pass with no corruption", res)
 	}
-	flipByte(t, filepath.Join(dir, sealedName(1)), 40)
+	flipByte(t, fsys, filepath.Join(dir, sealedName(1)), 40)
 	res := c.Scrub(1 << 30)
 	if res.Corrupt != 1 {
 		t.Fatalf("instance scrub = %+v, want 1 corrupt", res)
@@ -715,24 +725,25 @@ func TestInstancesScrubDetectsRot(t *testing.T) {
 // segment and a torn active tail. Read-only fsck reports both without
 // touching the files; repair quarantines and truncates, after which the
 // directory opens and a re-check is clean.
-func TestFsckReportsAndRepairs(t *testing.T) {
-	dir := t.TempDir()
-	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+func TestFsckReportsAndRepairs(t *testing.T) { eachFS(t, testFsckReportsAndRepairs) }
+
+func testFsckReportsAndRepairs(t *testing.T, fsys FS, dir string) {
+	s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	putDocs(t, repo, 5, 0)
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	putDocs(t, repo, 3, 5)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, sealedName(1)), 40)
-	flipByte(t, filepath.Join(dir, journalName), -5)
+	flipByte(t, fsys, filepath.Join(dir, sealedName(1)), 40)
+	flipByte(t, fsys, filepath.Join(dir, journalName), -5)
 
-	rep, err := Fsck(dir, false)
+	rep, err := fsck(fsys, dir, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,18 +759,18 @@ func TestFsckReportsAndRepairs(t *testing.T) {
 		t.Fatalf("fsck statuses = %v", status)
 	}
 	// Read-only: the files are untouched and the open still refuses.
-	if _, _, err := openIntegrityStore(t, dir, IntegrityOptions{}); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open after read-only fsck = %v, want ErrCorrupt", err)
 	}
 
-	rep, err = Fsck(dir, true)
+	rep, err = fsck(fsys, dir, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Repaired != 2 {
 		t.Fatalf("repair fsck repaired %d files, want 2 (quarantine + truncate)", rep.Repaired)
 	}
-	s2, repo2, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	s2, repo2, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 	if err != nil {
 		t.Fatalf("open after repair failed: %v", err)
 	}
@@ -769,7 +780,7 @@ func TestFsckReportsAndRepairs(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Fsck(dir, false)
+	rep, err = fsck(fsys, dir, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,14 +792,16 @@ func TestFsckReportsAndRepairs(t *testing.T) {
 // TestFsckCleanGeneration checks a healthy compacted directory — with a
 // snapshot, an archive and an active file — verifies clean, footers
 // seen, archive records counted.
-func TestFsckCleanGeneration(t *testing.T) {
-	dir := fixtureCopy(t)
-	s, lg := openLogStore(t, dir)
+func TestFsckCleanGeneration(t *testing.T) { eachFS(t, testFsckCleanGeneration) }
+
+func testFsckCleanGeneration(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
+	s, lg := openLogStore(t, fsys, dir)
 	appendTicks(t, lg, 3, "b")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Fsck(dir, false)
+	rep, err := fsck(fsys, dir, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -811,10 +824,10 @@ func TestFsckCleanGeneration(t *testing.T) {
 		t.Fatalf("active verdict = %+v, want ok with 3 records", f)
 	}
 	// A missing referenced archive is corruption, not staleness.
-	if err := os.Remove(filepath.Join(dir, archiveName(1))); err != nil {
+	if err := fsys.Remove(filepath.Join(dir, archiveName(1))); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Fsck(dir, false)
+	rep, err = fsck(fsys, dir, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -837,11 +850,13 @@ func TestFsckCleanGeneration(t *testing.T) {
 // must report those archives kept, and the open that follows must keep
 // them, as a quarantine open does — they may be the only copy of that
 // history.
-func TestFsckRepairKeepsArchives(t *testing.T) {
-	dir := fixtureCopy(t)
-	flipByte(t, filepath.Join(dir, snapName(2)), 60)
+func TestFsckRepairKeepsArchives(t *testing.T) { eachFS(t, testFsckRepairKeepsArchives) }
 
-	rep, err := Fsck(dir, true)
+func testFsckRepairKeepsArchives(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
+	flipByte(t, fsys, filepath.Join(dir, snapName(2)), 60)
+
+	rep, err := fsck(fsys, dir, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -853,13 +868,13 @@ func TestFsckRepairKeepsArchives(t *testing.T) {
 			t.Fatalf("%s verdict = %+v, want an orphan the open keeps", archiveName(n), f)
 		}
 	}
-	s, _ := openLogStore(t, dir)
+	s, _ := openLogStore(t, fsys, dir)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []uint64{1, 2} {
-		if _, err := os.Stat(filepath.Join(dir, archiveName(n))); err != nil {
-			t.Fatalf("open after fsck -repair removed an archive: %v", err)
+		if !exists(fsys, filepath.Join(dir, archiveName(n))) {
+			t.Fatal("open after fsck -repair removed an archive")
 		}
 	}
 }
@@ -867,28 +882,27 @@ func TestFsckRepairKeepsArchives(t *testing.T) {
 // TestFsckAgreesWithOpenOnStaleFiles: every file Fsck calls stale is
 // gone after the next open, and every other file is still there — the
 // leftovers of a crashed fold and files the store never writes alike.
-func TestFsckAgreesWithOpenOnStaleFiles(t *testing.T) {
-	dir := fixtureCopy(t)
+func TestFsckAgreesWithOpenOnStaleFiles(t *testing.T) { eachFS(t, testFsckAgreesWithOpenOnStaleFiles) }
+
+func testFsckAgreesWithOpenOnStaleFiles(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
 	for _, name := range []string{
 		journalName + ".tmp", snapName(3) + ".tmp", archiveName(3) + ".tmp",
 		snapName(1), sealedName(2), "notes.txt",
 	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, fsys, filepath.Join(dir, name), []byte("x\n"))
 	}
-	rep, err := Fsck(dir, false)
+	rep, err := fsck(fsys, dir, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := openLogStore(t, dir)
+	s, _ := openLogStore(t, fsys, dir)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	stale := 0
 	for _, f := range rep.Files {
-		_, err := os.Stat(filepath.Join(dir, f.Name))
-		if gone := errors.Is(err, os.ErrNotExist); gone != (f.Status == "stale") {
+		if gone := !exists(fsys, filepath.Join(dir, f.Name)); gone != (f.Status == "stale") {
 			t.Errorf("%s: fsck said %s (%s), but after the open removed=%v", f.Name, f.Status, f.Detail, gone)
 		}
 		if f.Status == "stale" {
@@ -909,25 +923,26 @@ func TestFsckAgreesWithOpenOnStaleFiles(t *testing.T) {
 // nothing to move aside — reaches OnCorrupt as corrupt, not
 // quarantined.
 func TestQuarantineOpenCountsFsckRepairs(t *testing.T) {
-	dir := fixtureCopy(t)
-	s, lg := openLogStore(t, dir)
+	eachFS(t, testQuarantineOpenCountsFsckRepairs)
+}
+
+func testQuarantineOpenCountsFsckRepairs(t *testing.T, fsys FS, dir string) {
+	copyDir(t, archivedLogFixture, fsys, dir)
+	s, lg := openLogStore(t, fsys, dir)
 	appendTicks(t, lg, 3, "b")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, journalName), -5)
-	if err := os.Remove(filepath.Join(dir, archiveName(1))); err != nil {
+	flipByte(t, fsys, filepath.Join(dir, journalName), -5)
+	if err := fsys.Remove(filepath.Join(dir, archiveName(1))); err != nil {
 		t.Fatal(err)
 	}
 
 	var seen []CorruptFile
-	s2, err := Open(dir, Options{Integrity: IntegrityOptions{
+	s2 := Open(dir, Options{FS: fsys, Integrity: IntegrityOptions{
 		Quarantine: true,
 		OnCorrupt:  func(cf CorruptFile) { seen = append(seen, cf) },
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	lg2 := MustLog(s2, "execlog")
 	if err := s2.Load(); err != nil {
 		t.Fatalf("quarantine open failed: %v", err)
@@ -948,8 +963,9 @@ func TestQuarantineOpenCountsFsckRepairs(t *testing.T) {
 // TestKeptArchivesKeepTheirNumbers: after a quarantine open keeps an
 // archive no surviving snapshot references, the next fold numbers its
 // archive past it instead of writing over the kept bytes.
-func TestKeptArchivesKeepTheirNumbers(t *testing.T) {
-	dir := t.TempDir()
+func TestKeptArchivesKeepTheirNumbers(t *testing.T) { eachFS(t, testKeptArchivesKeepTheirNumbers) }
+
+func testKeptArchivesKeepTheirNumbers(t *testing.T, fsys FS, dir string) {
 	fold := func(c *Instances, event string) {
 		t.Helper()
 		if err := c.Append("li-1", []byte(`{"n":1}`)); err != nil {
@@ -968,27 +984,24 @@ func TestKeptArchivesKeepTheirNumbers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+	c, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fold(c, "first")
-	kept, err := os.ReadFile(filepath.Join(dir, archiveName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, filepath.Join(dir, snapName(1)), 40)
+	kept := readFile(t, fsys, filepath.Join(dir, archiveName(1)))
+	flipByte(t, fsys, filepath.Join(dir, snapName(1)), 40)
 
-	c, _, err = openInstancesDir(t, dir, InstancesOptions{Integrity: IntegrityOptions{Quarantine: true}})
+	c, _, err = openInstancesDir(t, fsys, dir, InstancesOptions{Integrity: IntegrityOptions{Quarantine: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fold(c, "second")
-	if got, err := os.ReadFile(filepath.Join(dir, archiveName(1))); err != nil || !bytes.Equal(got, kept) {
-		t.Fatalf("kept %s changed by a later fold (err %v)", archiveName(1), err)
+	if got := readFile(t, fsys, filepath.Join(dir, archiveName(1))); !bytes.Equal(got, kept) {
+		t.Fatalf("kept %s changed by a later fold", archiveName(1))
 	}
-	if _, err := os.Stat(filepath.Join(dir, archiveName(2))); err != nil {
-		t.Fatalf("the later fold's archive: %v", err)
+	if !exists(fsys, filepath.Join(dir, archiveName(2))) {
+		t.Fatal("the later fold wrote no archive")
 	}
 }
 
@@ -998,8 +1011,11 @@ func TestKeptArchivesKeepTheirNumbers(t *testing.T) {
 // scrubber, fails the open, and fsck reports the snapshot corrupt. The intact snapshot replays the
 // head ahead of the instance records.
 func TestInstancesSnapshotHeadCorruption(t *testing.T) {
-	dir := t.TempDir()
-	c, _, err := openInstancesDir(t, dir, InstancesOptions{})
+	eachFS(t, testInstancesSnapshotHeadCorruption)
+}
+
+func testInstancesSnapshotHeadCorruption(t *testing.T, fsys FS, dir string) {
+	c, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1027,7 +1043,7 @@ func TestInstancesSnapshotHeadCorruption(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c, ids, err := openInstancesDir(t, dir, InstancesOptions{})
+	c, ids, err := openInstancesDir(t, fsys, dir, InstancesOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1039,23 +1055,20 @@ func TestInstancesSnapshotHeadCorruption(t *testing.T) {
 	}
 
 	snap := filepath.Join(dir, snapName(1))
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readFile(t, fsys, snap)
 	off := bytes.Index(data, []byte(`"head"`))
 	if off < 0 {
 		t.Fatalf("no head record in %s", data)
 	}
-	flipByte(t, snap, int64(off+2))
+	flipByte(t, fsys, snap, int64(off+2))
 	if res := c.Scrub(1 << 30); res.Corrupt != 1 {
 		t.Fatalf("scrub over a corrupt snapshot head = %+v, want 1 corrupt", res)
 	}
 	c.Close()
-	if _, _, err := openInstancesDir(t, dir, InstancesOptions{}); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := openInstancesDir(t, fsys, dir, InstancesOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt snapshot head replayed as %v, want ErrCorrupt", err)
 	}
-	rep, err := Fsck(dir, false)
+	rep, err := fsck(fsys, dir, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

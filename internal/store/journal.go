@@ -5,17 +5,18 @@
 // The tier is layered. Repositories (Repo, Log) hold typed in-memory
 // state, lock-striped across N shards keyed by resource ID so that
 // concurrent mutations of different resources never contend. Every
-// mutation is journaled through the Store's pluggable Engine before it
-// is applied. The default persistent engine (NewJournalEngine) is a
-// segmented append-only JSONL journal. It shares one durable write
-// path, the flush-combining appender (appender.go), with the instance
-// collection: each appender writes its entry into a shared buffered
-// writer under a mutex and yields once; the first one back flushes
-// every entry written so far (+ a single fsync in durable mode) and
-// applies them in journal order — turning N fsyncs into one without
-// giving up the durability contract, since no append is acknowledged
-// or applied before its flush is on disk. An in-memory engine
-// (NewMemoryEngine) backs tests and embedded use.
+// mutation is journaled before it is applied, into a segmented
+// append-only JSONL journal. There is one storage engine: the Store
+// and the instance collection both write through the flush-combining
+// appender (appender.go): each appender writes its entry into a shared
+// buffered writer under a mutex and yields once; the first one back
+// flushes every entry written so far (+ a single fsync in durable
+// mode) and applies them in journal order — turning N fsyncs into one
+// without giving up the durability contract, since no append is
+// acknowledged or applied before its flush is on disk. Every file
+// operation goes through one narrow seam, FS (fs.go): the operating
+// system's file system by default, or the in-memory one (NewMemFS),
+// on which a System without a data directory runs the same journal.
 //
 // # Segments, snapshots, and folding
 //
@@ -70,7 +71,7 @@
 // (existence + length, anything else fails the open as corruption),
 // deletes unreferenced ones (a fold that crashed between archive
 // install and snapshot install) unless a quarantined file remains, and
-// the full CRC is verified by Fsck and whenever an archive is actually
+// the full CRC is verified by fsck and whenever an archive is actually
 // streamed.
 //
 // Background folds are paced by policy (Options.FoldMinInterval,
@@ -151,8 +152,8 @@
 // sync already wrote are not truncated, though, so a restart can still
 // replay such an entry. What the store adds is observation: every
 // append outcome, success or failure, is reported through
-// Options.OnAppendResult (and InstancesOptions.OnAppendResult for the
-// instance collection). The embedding system feeds these outcomes into
+// Options.OnAppendResult (the embedding system observes the instance
+// collection's appends at its own sink). It feeds these outcomes into
 // a health state machine (internal/resilience) that walks
 // healthy → degraded → read-only on consecutive failures, rejecting
 // new mutations at the API edge with 503 while reads keep serving,
@@ -185,7 +186,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"time"
@@ -283,7 +284,7 @@ func parseHex32(b []byte) (uint32, bool) {
 // the appender's mutex serializes access.
 type Journal struct {
 	path string
-	f    *os.File
+	f    File
 	w    *bufio.Writer
 	seq  uint64
 	size int64  // bytes in the file including unflushed writes
@@ -300,19 +301,16 @@ type Journal struct {
 	hiSeq   uint64
 }
 
-// openJournal opens (or creates) the journal at path for appending with
-// v1 record framing. lastSeq must be the highest sequence number
-// already present (as replay reports it); new entries continue from
-// there.
-func openJournal(path string, lastSeq uint64) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openJournal opens (or creates) the journal at path on fsys for
+// appending with v1 record framing. lastSeq must be the highest
+// sequence number already present (as replay reports it); new entries
+// continue from there.
+func openJournal(fsys FS, path string, lastSeq uint64) (*Journal, error) {
+	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: open journal: %w", err)
 	}
-	size := int64(0)
-	if info, err := f.Stat(); err == nil {
-		size = info.Size()
-	}
+	size, _ := fsys.Size(path)
 	return &Journal{path: path, f: f, w: bufio.NewWriter(f), seq: lastSeq, size: size}, nil
 }
 
@@ -676,18 +674,17 @@ func scanEntry(payload []byte, e *Entry) bool {
 	return s.End()
 }
 
-// replayJournalFile streams one file's entries through fn in order,
-// verifying per-record CRCs and the segment footer when present, and
-// applying fk's torn-tail-vs-corruption rule. fn may be nil to
-// verify without applying. A missing file
-// replays zero entries. Callers replaying an active file must truncate
+// replayJournalFile streams the entries of one file on fsys through fn
+// in order, verifying per-record CRCs and the segment footer when
+// present, and applying fk's torn-tail-vs-corruption rule. fn may be
+// nil to verify without applying. A missing file replays zero entries. Callers replaying an active file must truncate
 // it to fr.good before reopening it for appends — that cuts both a torn
 // tail and a footer left by a seal that crashed before its rename.
-func replayJournalFile(path string, fk fileKind, fn func(Entry) error) (fileReplay, error) {
+func replayJournalFile(fsys FS, path string, fk fileKind, fn func(Entry) error) (fileReplay, error) {
 	var fr fileReplay
-	f, err := os.Open(path)
+	f, err := fsys.Open(path)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return fr, nil
 		}
 		return fr, fmt.Errorf("store: open journal for replay: %w", err)

@@ -141,7 +141,7 @@ func (l *Log) scan(after uint64, fn func(LogEntry) bool) error {
 			continue // nothing wanted in this archive
 		}
 		stopped := false
-		err := l.store.readArchive(ref, func(e Entry) error {
+		err := readArchive(l.store.fs, l.store.dir, ref, func(e Entry) error {
 			var le LogEntry
 			if err := json.Unmarshal(e.Data, &le); err != nil {
 				return fmt.Errorf("%w: %s: archived log entry: %v", ErrCorrupt, l.name, err)

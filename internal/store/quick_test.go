@@ -19,11 +19,7 @@ func TestQuickReplayEqualsLiveState(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
+		s := Open(dir, Options{})
 		repo := MustRepo[doc](s, "docs")
 		if err := s.Load(); err != nil {
 			t.Log(err)
@@ -53,11 +49,7 @@ func TestQuickReplayEqualsLiveState(t *testing.T) {
 			return false
 		}
 
-		s2, err := Open(dir, Options{})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
+		s2 := Open(dir, Options{})
 		repo2 := MustRepo[doc](s2, "docs")
 		if err := s2.Load(); err != nil {
 			t.Log(err)
@@ -89,10 +81,7 @@ func TestQuickCompactionPreservesState(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		s, err := Open(dir, Options{})
-		if err != nil {
-			return false
-		}
+		s := Open(dir, Options{})
 		repo := MustRepo[doc](s, "docs")
 		log := MustLog(s, "log")
 		if err := s.Load(); err != nil {
@@ -120,7 +109,7 @@ func TestQuickCompactionPreservesState(t *testing.T) {
 		}
 		s.Close()
 
-		s2, _ := Open(dir, Options{})
+		s2 := Open(dir, Options{})
 		repo2 := MustRepo[doc](s2, "docs")
 		log2 := MustLog(s2, "log")
 		if err := s2.Load(); err != nil {

@@ -118,16 +118,9 @@ func TestScanEntryReadsCommittedDataDirs(t *testing.T) {
 
 // appendFramedLine appends payload to path as a framed record with a
 // correct CRC.
-func appendFramedLine(t *testing.T, path, payload string) {
+func appendFramedLine(t *testing.T, fsys FS, path, payload string) {
 	t.Helper()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Write(appendFrame(nil, frameRecord, []byte(payload))); err != nil {
-		t.Fatal(err)
-	}
+	appendFile(t, fsys, path, appendFrame(nil, frameRecord, []byte(payload)))
 }
 
 // wantRecordError fails t unless err is a RecordError naming the
@@ -152,8 +145,8 @@ func wantRecordError(t *testing.T, err error, line int) {
 // record, or in a sealed segment, and repair must quarantine the file
 // rather than truncate it as a torn tail.
 func TestFsckReportsUndecodableRecord(t *testing.T) {
-	seedDocs := func(t *testing.T, dir string) {
-		s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	seedDocs := func(t *testing.T, fsys FS, dir string) {
+		s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,17 +155,17 @@ func TestFsckReportsUndecodableRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	openDocs := func(t *testing.T, dir string) error {
-		s, _, err := openIntegrityStore(t, dir, IntegrityOptions{})
+	openDocs := func(t *testing.T, fsys FS, dir string) error {
+		s, _, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
 		if err == nil {
 			err = s.Close()
 		}
 		return err
 	}
-	fsckDocs := func(t *testing.T, dir string, repair bool) (FsckReport, error) {
-		s := NewMemory()
+	fsckDocs := func(t *testing.T, fsys FS, dir string, repair bool) (FsckReport, error) {
+		s := Open(dir, Options{FS: fsys})
 		MustRepo[doc](s, "docs")
-		return s.Fsck(dir, repair)
+		return s.Fsck(repair)
 	}
 	decodeInstance := func(id string, data []byte) error {
 		var v map[string]any
@@ -180,10 +173,10 @@ func TestFsckReportsUndecodableRecord(t *testing.T) {
 	}
 	journals := []struct {
 		name      string
-		seed      func(t *testing.T, dir string)
+		seed      func(t *testing.T, fsys FS, dir string)
 		bad, good string
-		open      func(t *testing.T, dir string) error
-		fsck      func(t *testing.T, dir string, repair bool) (FsckReport, error)
+		open      func(t *testing.T, fsys FS, dir string) error
+		fsck      func(t *testing.T, fsys FS, dir string, repair bool) (FsckReport, error)
 	}{
 		{
 			name: "definitions",
@@ -203,69 +196,67 @@ func TestFsckReportsUndecodableRecord(t *testing.T) {
 		},
 		{
 			name: "instances",
-			seed: func(t *testing.T, dir string) { seedInstances(t, dir, 3, false) },
+			seed: func(t *testing.T, fsys FS, dir string) { seedInstances(t, fsys, dir, 3, false) },
 			bad:  `{"seq":4,"repo":"instances","op":"append","id":"li-0","data":{"op":}}`,
 			good: `{"seq":5,"repo":"instances","op":"append","id":"li-1","data":{"op":"advance"}}`,
-			open: func(t *testing.T, dir string) error {
-				c, err := OpenInstances(dir, InstancesOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
+			open: func(t *testing.T, fsys FS, dir string) error {
+				c := OpenInstances(dir, InstancesOptions{FS: fsys})
 				defer c.Close()
 				return c.Replay(decodeInstance)
 			},
-			fsck: func(t *testing.T, dir string, repair bool) (FsckReport, error) {
-				return FsckInstances(dir, repair, decodeInstance)
+			fsck: func(t *testing.T, fsys FS, dir string, repair bool) (FsckReport, error) {
+				return fsck(fsys, dir, repair, entryID, (&Instances{}).applier(decodeInstance))
 			},
 		},
 	}
 	for _, j := range journals {
 		for _, where := range []string{"tail", "interior", "sealed"} {
 			t.Run(j.name+"/"+where, func(t *testing.T) {
-				dir := t.TempDir()
-				j.seed(t, dir)
-				path := filepath.Join(dir, journalName)
-				info, err := os.Stat(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				appendFramedLine(t, path, j.bad)
-				if where != "tail" {
-					appendFramedLine(t, path, j.good)
-				}
-				name := journalName
-				if where == "sealed" {
-					name = sealedName(1)
-					if err := os.Rename(path, filepath.Join(dir, name)); err != nil {
+				eachFS(t, func(t *testing.T, fsys FS, dir string) {
+					j.seed(t, fsys, dir)
+					path := filepath.Join(dir, journalName)
+					size, err := fsys.Size(path)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
+					appendFramedLine(t, fsys, path, j.bad)
+					if where != "tail" {
+						appendFramedLine(t, fsys, path, j.good)
+					}
+					name := journalName
+					if where == "sealed" {
+						name = sealedName(1)
+						if err := fsys.Rename(path, filepath.Join(dir, name)); err != nil {
+							t.Fatal(err)
+						}
+					}
 
-				rep, err := j.fsck(t, dir, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f := fsckFile(t, rep, name)
-				want := fmt.Sprintf("%s: line 4 @ offset %d: ", name, info.Size())
-				if rep.Clean || rep.Corrupt != 1 || rep.Torn != 0 || f.Status != "corrupt" || !strings.Contains(f.Detail, want) {
-					t.Fatalf("read-only fsck = corrupt %d torn %d, %s %q (%s); want %s corrupt naming %q",
-						rep.Corrupt, rep.Torn, name, f.Status, f.Detail, name, want)
-				}
-				if err := j.open(t, dir); err == nil {
-					t.Fatal("the reported dir opened; fsck and open disagree")
-				}
+					rep, err := j.fsck(t, fsys, dir, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f := fsckFile(t, rep, name)
+					want := fmt.Sprintf("%s: line 4 @ offset %d: ", name, size)
+					if rep.Clean || rep.Corrupt != 1 || rep.Torn != 0 || f.Status != "corrupt" || !strings.Contains(f.Detail, want) {
+						t.Fatalf("read-only fsck = corrupt %d torn %d, %s %q (%s); want %s corrupt naming %q",
+							rep.Corrupt, rep.Torn, name, f.Status, f.Detail, name, want)
+					}
+					if err := j.open(t, fsys, dir); err == nil {
+						t.Fatal("the reported dir opened; fsck and open disagree")
+					}
 
-				rep, err = j.fsck(t, dir, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f := fsckFile(t, rep, name); rep.Repaired != 1 || f.Repaired != "quarantined" {
-					t.Fatalf("repair fsck = repaired %d, %s %q; want the file quarantined, not truncated",
-						rep.Repaired, name, f.Repaired)
-				}
-				if err := j.open(t, dir); err != nil {
-					t.Fatalf("open after repair: %v", err)
-				}
+					rep, err = j.fsck(t, fsys, dir, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f := fsckFile(t, rep, name); rep.Repaired != 1 || f.Repaired != "quarantined" {
+						t.Fatalf("repair fsck = repaired %d, %s %q; want the file quarantined, not truncated",
+							rep.Repaired, name, f.Repaired)
+					}
+					if err := j.open(t, fsys, dir); err != nil {
+						t.Fatalf("open after repair: %v", err)
+					}
+				})
 			})
 		}
 	}
@@ -292,46 +283,42 @@ func TestUndecodableRecordFailsOpenWithLocation(t *testing.T) {
 	for _, tail := range []bool{true, false} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("definitions/tail=%v/workers=%d", tail, workers), func(t *testing.T) {
-				dir := t.TempDir()
-				s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				putDocs(t, repo, 3, 0)
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				path := filepath.Join(dir, journalName)
-				appendFramedLine(t, path, `{"seq":4,"repo":"docs","op":"put","id":"k09","data":{"title":}}`)
-				if !tail {
-					appendFramedLine(t, path, `{"seq":5,"repo":"docs","op":"put","id":"k10","data":{"title":"after"}}`)
-				}
-				s2, err := Open(dir, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s2.Close()
-				MustRepo[doc](s2, "docs")
-				wantRecordError(t, s2.LoadParallel(workers), 4)
+				eachFS(t, func(t *testing.T, fsys FS, dir string) {
+					s, repo, err := openIntegrityStore(t, fsys, dir, IntegrityOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					putDocs(t, repo, 3, 0)
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					path := filepath.Join(dir, journalName)
+					appendFramedLine(t, fsys, path, `{"seq":4,"repo":"docs","op":"put","id":"k09","data":{"title":}}`)
+					if !tail {
+						appendFramedLine(t, fsys, path, `{"seq":5,"repo":"docs","op":"put","id":"k10","data":{"title":"after"}}`)
+					}
+					s2 := Open(dir, Options{FS: fsys})
+					defer s2.Close()
+					MustRepo[doc](s2, "docs")
+					wantRecordError(t, s2.LoadParallel(workers), 4)
+				})
 			})
 			t.Run(fmt.Sprintf("instances/tail=%v/workers=%d", tail, workers), func(t *testing.T) {
-				dir := t.TempDir()
-				seedInstances(t, dir, 3, false)
-				path := filepath.Join(dir, journalName)
-				appendFramedLine(t, path, `{"seq":4,"repo":"instances","op":"append","id":"li-0","data":{"op":}}`)
-				if !tail {
-					appendFramedLine(t, path, `{"seq":5,"repo":"instances","op":"append","id":"li-1","data":{"op":"advance"}}`)
-				}
-				c, err := OpenInstances(dir, InstancesOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				err = c.ReplayParallel(workers, func(id string, data []byte) error {
-					var v map[string]any
-					return json.Unmarshal(data, &v)
+				eachFS(t, func(t *testing.T, fsys FS, dir string) {
+					seedInstances(t, fsys, dir, 3, false)
+					path := filepath.Join(dir, journalName)
+					appendFramedLine(t, fsys, path, `{"seq":4,"repo":"instances","op":"append","id":"li-0","data":{"op":}}`)
+					if !tail {
+						appendFramedLine(t, fsys, path, `{"seq":5,"repo":"instances","op":"append","id":"li-1","data":{"op":"advance"}}`)
+					}
+					c := OpenInstances(dir, InstancesOptions{FS: fsys})
+					defer c.Close()
+					err := c.ReplayParallel(workers, func(id string, data []byte) error {
+						var v map[string]any
+						return json.Unmarshal(data, &v)
+					})
+					wantRecordError(t, err, 4)
 				})
-				wantRecordError(t, err, 4)
 			})
 		}
 	}

@@ -26,10 +26,7 @@ type versioned struct {
 // at least that version.
 func TestRepoGetNeverStale(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentMaxBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{SegmentMaxBytes: 4096})
 	repo := MustRepo[*versioned](s, "vals")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -143,10 +140,7 @@ func TestRepoGetNeverStale(t *testing.T) {
 func TestRepoRepairedDirServesRepairedState(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*Store, *Repo[*versioned]) {
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := Open(dir, Options{})
 		repo := MustRepo[*versioned](s, "vals")
 		if err := s.Load(); err != nil {
 			t.Fatal(err)
@@ -178,7 +172,7 @@ func TestRepoRepairedDirServesRepairedState(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Fsck(dir, true)
+	rep, err := fsck(osFS{}, dir, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

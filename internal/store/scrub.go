@@ -1,7 +1,7 @@
 package store
 
 // The background scrubber: bounded re-verification of durable files
-// while the engine serves. Each tick walks the generation in a fixed
+// while the journal serves. Each tick walks the generation in a fixed
 // order — sealed segments by number, then the newest snapshot, then
 // archives by number — resuming at a cursor and stopping once the byte
 // budget is spent; reaching the end completes a pass and resets the
@@ -13,7 +13,7 @@ package store
 //
 // Scrubbing is detection, not repair: a failed file is counted, stamped
 // into IntegrityStats.LastError and reported through onCorrupt (which
-// feeds the journal-corruption alert), but never moved while the engine
+// feeds the journal-corruption alert), but never moved while the journal
 // may be serving reads from it — quarantine is an open-time decision,
 // repair an offline one (fsck).
 
@@ -115,7 +115,7 @@ func (sf *segFiles) scrubTick(maxBytes int64) ScrubResult {
 		if cursor != start && !cursor.less(c) {
 			continue // verified earlier in this pass
 		}
-		fr, err := c.verify(sf.dir, nil)
+		fr, err := c.verify(sf.fs, sf.dir, nil)
 		size := fr.size
 		res.Files++
 		res.Bytes += size

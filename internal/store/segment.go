@@ -1,7 +1,7 @@
 package store
 
-// Segmented-journal machinery shared by the journaled engine and the
-// instance collection: file naming, the directory inventory, the
+// Segmented-journal machinery shared by the Store and the instance
+// collection: file naming, the directory inventory, the
 // per-kind file verifier, the seal (rotate) and fold (snapshot)
 // primitives, and the replay driver that streams "newest snapshot,
 // then tail segments, then the active file" while skipping records the
@@ -24,7 +24,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -88,13 +88,14 @@ type segState struct {
 	quarantined int
 }
 
-// scanSegments inventories dir — the one directory listing behind the
-// open, Fsck and a quarantine open. A missing directory is empty.
-func scanSegments(dir string) (segState, error) {
+// scanSegments inventories dir on fsys — the one directory listing
+// behind the open, Fsck and a quarantine open. A missing directory is
+// empty.
+func scanSegments(fsys FS, dir string) (segState, error) {
 	st := segState{archives: make(map[uint64]int64), sizes: make(map[string]int64)}
-	entries, err := os.ReadDir(dir)
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return st, nil
 		}
 		return st, fmt.Errorf("store: scan journal dir: %w", err)
@@ -104,13 +105,8 @@ func scanSegments(dir string) (segState, error) {
 	}
 	var snaps, sealed []uint64
 	for _, de := range entries {
-		if de.IsDir() {
-			continue
-		}
-		name := de.Name()
-		if info, err := de.Info(); err == nil {
-			st.sizes[name] = info.Size()
-		}
+		name := de.Name
+		st.sizes[name] = de.Size
 		switch {
 		case name == journalName:
 		case strings.Contains(name, ".quarantined"):
@@ -153,10 +149,10 @@ func scanSegments(dir string) (segState, error) {
 
 // removeStale deletes the stale files the inventory found: what a fold
 // that crashed before or after installing its snapshot left behind.
-func (st segState) removeStale(dir string) {
+func (st segState) removeStale(fsys FS, dir string) {
 	for _, f := range st.extra {
 		if f.Status == "stale" {
-			os.Remove(filepath.Join(dir, f.Name))
+			fsys.Remove(filepath.Join(dir, f.Name))
 		}
 	}
 }
@@ -189,14 +185,14 @@ type liveFile struct {
 // verify checks the file by its kind's rule, streaming its records
 // through fn, which may be nil to verify only. A missing journal file
 // verifies as empty; a missing archive is corrupt.
-func (f liveFile) verify(dir string, fn func(Entry) error) (fileReplay, error) {
+func (f liveFile) verify(fsys FS, dir string, fn func(Entry) error) (fileReplay, error) {
 	if f.kind != kindArchive {
-		return replayJournalFile(filepath.Join(dir, f.name), f.kind, fn)
+		return replayJournalFile(fsys, filepath.Join(dir, f.name), f.kind, fn)
 	}
 	if fn == nil {
 		fn = func(Entry) error { return nil }
 	}
-	return fileReplay{n: f.ref.Entries, size: f.ref.Bytes}, readArchive(dir, f.ref, fn)
+	return fileReplay{n: f.ref.Entries, size: f.ref.Bytes}, readArchive(fsys, dir, f.ref, fn)
 }
 
 // ReplayStats reports what one open streamed: how many entries came
@@ -244,9 +240,9 @@ type segReplay struct {
 	tornBytes int64
 }
 
-// replaySegmented streams the generation st inventoried in dir through
-// fn: the newest snapshot first, then every uncovered sealed segment
-// in order, then the active file. key buckets entries for the fold
+// replaySegmented streams the generation st inventoried in dir on fsys
+// through fn: the newest snapshot first, then every uncovered sealed
+// segment in order, then the active file. key buckets entries for the fold
 // boundary (Entry.Repo for the store journal, Entry.ID for the
 // instance journal): a snapshot entry's Seq records the journal
 // sequence its bucket's state covers, and tail entries at or below
@@ -270,7 +266,7 @@ type segReplay struct {
 // error ends the replay; returning nil for a failed file continues
 // with the next one, verified but no longer applied (no open applies
 // what follows a hole), and a failed snapshot's refs dropped.
-func replaySegmented(dir string, st segState, key func(Entry) string, fn func(Entry) error,
+func replaySegmented(fsys FS, dir string, st segState, key func(Entry) string, fn func(Entry) error,
 	onFile func(liveFile, fileReplay, error) error) (segReplay, error) {
 	var out segReplay
 	bounds := make(map[string]uint64)
@@ -281,7 +277,7 @@ func replaySegmented(dir string, st segState, key func(Entry) string, fn func(En
 	}
 	for _, f := range st.journalFiles() {
 		snap := f.kind == kindSnapshot
-		fr, err := f.verify(dir, func(e Entry) (err error) {
+		fr, err := f.verify(fsys, dir, func(e Entry) (err error) {
 			if snap {
 				if e.Op == opSeqMark {
 					note(e.Seq)
@@ -349,23 +345,14 @@ func replaySegmented(dir string, st segState, key func(Entry) string, fn func(En
 
 // truncateTorn cuts the active file back to its last valid record
 // boundary so the next append never welds onto a torn line.
-func truncateTorn(dir string, goodBytes int64) error {
+func truncateTorn(fsys FS, dir string, goodBytes int64) error {
 	path := filepath.Join(dir, journalName)
-	if info, err := os.Stat(path); err == nil && info.Size() > goodBytes {
-		if err := os.Truncate(path, goodBytes); err != nil {
+	if size, err := fsys.Size(path); err == nil && size > goodBytes {
+		if err := fsys.Truncate(path, goodBytes); err != nil {
 			return fmt.Errorf("store: truncate torn journal tail: %w", err)
 		}
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so renames and creates inside it survive
-// a crash. Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // segFiles tracks a directory's segment generation for a live appender
@@ -374,6 +361,7 @@ func syncDir(dir string) {
 // are atomics so stats and folds read them lock-free. Folds must be
 // serialized by the owner (one fold at a time).
 type segFiles struct {
+	fs       FS
 	dir      string
 	sealedHi uint64        // highest sealed segment on disk (appender lock)
 	snapNum  atomic.Uint64 // segments <= snapNum are folded into the snapshot
@@ -423,8 +411,8 @@ type segFiles struct {
 }
 
 // newSegFiles adopts the generation a scan found.
-func newSegFiles(dir string, st segState) *segFiles {
-	sf := &segFiles{dir: dir, refs: make(map[uint64]ArchiveRef)}
+func newSegFiles(fsys FS, dir string, st segState) *segFiles {
+	sf := &segFiles{fs: fsys, dir: dir, refs: make(map[uint64]ArchiveRef)}
 	sf.snapNum.Store(st.snapNum)
 	sf.sealedHi = st.snapNum
 	if n := len(st.sealed); n > 0 {
@@ -510,14 +498,14 @@ func (sf *segFiles) seal(j *Journal) (*Journal, error) {
 	}
 	active := filepath.Join(sf.dir, journalName)
 	next := atomic.LoadUint64(&sf.sealedHi) + 1
-	if err := os.Rename(active, filepath.Join(sf.dir, sealedName(next))); err != nil {
+	if err := sf.fs.Rename(active, filepath.Join(sf.dir, sealedName(next))); err != nil {
 		return j, fmt.Errorf("store: seal segment: %w", err)
 	}
-	nj, err := openJournal(active, seq)
+	nj, err := openJournal(sf.fs, active, seq)
 	if err != nil {
 		return j, err
 	}
-	syncDir(sf.dir)
+	sf.syncDir()
 	atomic.StoreUint64(&sf.sealedHi, next)
 	sf.sealedBytes.Add(size)
 	sf.rotations.Add(1)
@@ -541,15 +529,15 @@ func (sf *segFiles) fold(covers, hwm uint64, write func(*Journal) error) error {
 	}
 	final := filepath.Join(sf.dir, snapName(covers))
 	tmp := final + ".tmp"
-	os.Remove(tmp)
-	sj, err := openJournal(tmp, 0)
+	sf.fs.Remove(tmp)
+	sj, err := openJournal(sf.fs, tmp, 0)
 	if err != nil {
 		sf.foldErrors.Add(1)
 		return err
 	}
 	fail := func(err error) error {
 		sj.Close()
-		os.Remove(tmp)
+		sf.fs.Remove(tmp)
 		sf.foldErrors.Add(1)
 		return err
 	}
@@ -570,36 +558,30 @@ func (sf *segFiles) fold(covers, hwm uint64, write func(*Journal) error) error {
 		return fail(err)
 	}
 	if err := sj.Close(); err != nil {
-		os.Remove(tmp)
+		sf.fs.Remove(tmp)
 		sf.foldErrors.Add(1)
 		return err
 	}
-	snapSize := int64(0)
-	if info, statErr := os.Stat(tmp); statErr == nil {
-		snapSize = info.Size()
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	snapSize, _ := sf.fs.Size(tmp)
+	if err := sf.fs.Rename(tmp, final); err != nil {
+		sf.fs.Remove(tmp)
 		sf.foldErrors.Add(1)
 		return fmt.Errorf("store: install snapshot: %w", err)
 	}
-	syncDir(sf.dir)
+	sf.syncDir()
 	// The new snapshot is durable; everything it covers can go. A crash
 	// in this window leaves stale files that the next scan removes.
 	sf.snapNum.Store(covers)
 	for n := prev + 1; n <= covers; n++ {
 		seg := filepath.Join(sf.dir, sealedName(n))
-		segSize := int64(0)
-		if info, statErr := os.Stat(seg); statErr == nil {
-			segSize = info.Size()
-		}
-		if os.Remove(seg) == nil {
+		segSize, _ := sf.fs.Size(seg)
+		if sf.fs.Remove(seg) == nil {
 			sf.foldedSegs.Add(1)
 			sf.sealedBytes.Add(-segSize)
 		}
 	}
 	if prev > 0 {
-		os.Remove(filepath.Join(sf.dir, snapName(prev)))
+		sf.fs.Remove(filepath.Join(sf.dir, snapName(prev)))
 	}
 	sf.folds.Add(1)
 	sf.snapEntries.Store(entries)
@@ -607,6 +589,11 @@ func (sf *segFiles) fold(covers, hwm uint64, write func(*Journal) error) error {
 	sf.foldBytes.Add(uint64(snapSize))
 	return nil
 }
+
+// syncDir fsyncs the directory so renames and creates inside it
+// survive a crash. Best-effort: some file systems refuse directory
+// fsync.
+func (sf *segFiles) syncDir() { sf.fs.SyncDir(sf.dir) }
 
 // folder is the shared background-compaction loop: seals poke it
 // (coalesced to one pending request), it runs the owner's fold until

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -14,12 +13,9 @@ import (
 
 // openSegStore opens a store with aggressive segment rotation so tests
 // hit seals without writing megabytes.
-func openSegStore(t *testing.T, dir string, maxBytes int64) (*Store, *Repo[doc]) {
+func openSegStore(t *testing.T, fsys FS, dir string, maxBytes int64) (*Store, *Repo[doc]) {
 	t.Helper()
-	s, err := Open(dir, Options{SegmentMaxBytes: maxBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{FS: fsys, SegmentMaxBytes: maxBytes})
 	repo := MustRepo[doc](s, "docs")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -27,28 +23,16 @@ func openSegStore(t *testing.T, dir string, maxBytes int64) (*Store, *Repo[doc])
 	return s, repo
 }
 
-// listNames returns the journal-ish file names in dir, sorted by
-// ReadDir order, for layout assertions.
-func listNames(t *testing.T, dir string) []string {
-	t.Helper()
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, de := range des {
-		names = append(names, de.Name())
-	}
-	return names
-}
-
 // TestSegmentRotationPersistsAcrossReopen drives enough writes through
 // a tiny segment bound that the active file rotates several times, and
 // expects sealed segment files on disk, correct live state, and a
 // faithful replay across reopen.
 func TestSegmentRotationPersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, repo := openSegStore(t, dir, 512)
+	eachFS(t, testSegmentRotationPersistsAcrossReopen)
+}
+
+func testSegmentRotationPersistsAcrossReopen(t *testing.T, fsys FS, dir string) {
+	s, repo := openSegStore(t, fsys, dir, 512)
 	for i := 0; i < 40; i++ {
 		if err := repo.Put(fmt.Sprintf("k%02d", i%10), doc{Title: strings.Repeat("x", 40), Rev: i}); err != nil {
 			t.Fatal(err)
@@ -62,7 +46,7 @@ func TestSegmentRotationPersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, repo2 := openSegStore(t, dir, 512)
+	s2, repo2 := openSegStore(t, fsys, dir, 512)
 	defer s2.Close()
 	for i := 30; i < 40; i++ {
 		got, ok := repo2.Get(fmt.Sprintf("k%02d", i%10))
@@ -84,8 +68,11 @@ func TestSegmentRotationPersistsAcrossReopen(t *testing.T) {
 // snapshot plus whatever was appended since — the replayed-entry count
 // stops growing with history.
 func TestCompactSealThenFoldBoundsReplay(t *testing.T) {
-	dir := t.TempDir()
-	s, repo := openSegStore(t, dir, 0)
+	eachFS(t, testCompactSealThenFoldBoundsReplay)
+}
+
+func testCompactSealThenFoldBoundsReplay(t *testing.T, fsys FS, dir string) {
+	s, repo := openSegStore(t, fsys, dir, 0)
 	log := MustLog(s, "execlog")
 	churn := func(n int) {
 		for i := 0; i < n; i++ {
@@ -108,10 +95,7 @@ func TestCompactSealThenFoldBoundsReplay(t *testing.T) {
 	}
 
 	replayTotal := func() (ReplayStats, *Store, *Repo[doc], *Log) {
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := Open(dir, Options{FS: fsys})
 		repo := MustRepo[doc](s, "docs")
 		log := MustLog(s, "execlog")
 		if err := s.Load(); err != nil {
@@ -159,22 +143,17 @@ func TestCompactSealThenFoldBoundsReplay(t *testing.T) {
 }
 
 // TestFoldDoesNotBlockAppends proves the compaction-without-stopping-
-// writers claim at the engine layer: while a fold is in flight (its
+// writers claim at the appender layer: while a fold is in flight (its
 // live-image capture parked on a gate), appends keep committing.
-func TestFoldDoesNotBlockAppends(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := NewJournalEngine(JournalConfig{Dir: dir})
-	if err != nil {
+func TestFoldDoesNotBlockAppends(t *testing.T) { eachFS(t, testFoldDoesNotBlockAppends) }
+
+func testFoldDoesNotBlockAppends(t *testing.T, fsys FS, dir string) {
+	a := openAppender(t, fsys, dir, false, nil)
+	defer a.Close()
+	if _, err := a.write(Entry{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Replay(func(Entry) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.Append(Entry{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Seal(); err != nil {
+	if err := a.Seal(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,7 +161,7 @@ func TestFoldDoesNotBlockAppends(t *testing.T) {
 	release := make(chan struct{})
 	foldDone := make(chan error, 1)
 	go func() {
-		foldDone <- eng.Fold(func() []Entry {
+		foldDone <- foldImage(a, func() []Entry {
 			close(entered)
 			<-release
 			return []Entry{{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}}
@@ -192,7 +171,7 @@ func TestFoldDoesNotBlockAppends(t *testing.T) {
 
 	appendDone := make(chan error, 1)
 	go func() {
-		_, err := eng.Append(Entry{Repo: "docs", Op: OpPut, ID: "b", Data: json.RawMessage(`{}`)}, nil)
+		_, err := a.write(Entry{Repo: "docs", Op: OpPut, ID: "b", Data: json.RawMessage(`{}`)}, nil)
 		appendDone <- err
 	}()
 	select {
@@ -207,7 +186,7 @@ func TestFoldDoesNotBlockAppends(t *testing.T) {
 	if err := <-foldDone; err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
+	st := a.stats("journal")
 	if st.Folds != 1 || st.SealedSegments != 0 {
 		t.Fatalf("fold accounting: %+v", st)
 	}
@@ -220,23 +199,18 @@ func TestFoldDoesNotBlockAppends(t *testing.T) {
 // entries and delete the segment holding their only copy. The slow
 // onCommit below parks mid-apply; Seal+Fold must wait it out and the
 // fold image must include the entry.
-func TestSealWaitsForPendingApplies(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := NewJournalEngine(JournalConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Replay(func(Entry) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+func TestSealWaitsForPendingApplies(t *testing.T) { eachFS(t, testSealWaitsForPendingApplies) }
+
+func testSealWaitsForPendingApplies(t *testing.T, fsys FS, dir string) {
+	a := openAppender(t, fsys, dir, false, nil)
+	defer a.Close()
 
 	var mu sync.Mutex
 	applied := false
 	applyStarted := make(chan struct{})
 	appendDone := make(chan error, 1)
 	go func() {
-		_, err := eng.Append(Entry{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}, func(uint64) {
+		_, err := a.write(Entry{Repo: "docs", Op: OpPut, ID: "a", Data: json.RawMessage(`{}`)}, func(uint64) {
 			close(applyStarted)
 			time.Sleep(100 * time.Millisecond) // widen the window a racing fold would need
 			mu.Lock()
@@ -248,11 +222,11 @@ func TestSealWaitsForPendingApplies(t *testing.T) {
 	<-applyStarted
 
 	// The entry is durable but its apply is mid-flight: seal + fold now.
-	if err := eng.Seal(); err != nil {
+	if err := a.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	var sawApplied bool
-	if err := eng.Fold(func() []Entry {
+	if err := foldImage(a, func() []Entry {
 		mu.Lock()
 		sawApplied = applied
 		mu.Unlock()
@@ -274,11 +248,11 @@ func TestSealWaitsForPendingApplies(t *testing.T) {
 // snapshot and the tail — replay must apply them exactly once. Logs
 // are the part that would double without the skip.
 func TestFoldOverlapDoesNotDuplicateLogs(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eachFS(t, testFoldOverlapDoesNotDuplicateLogs)
+}
+
+func testFoldOverlapDoesNotDuplicateLogs(t *testing.T, fsys FS, dir string) {
+	s := Open(dir, Options{FS: fsys})
 	log := MustLog(s, "execlog")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -288,7 +262,7 @@ func TestFoldOverlapDoesNotDuplicateLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	// These land in the fresh active segment AND in the snapshot the
@@ -298,17 +272,14 @@ func TestFoldOverlapDoesNotDuplicateLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.fold(true); err != nil {
+	if err := s.runFold(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := Open(dir, Options{FS: fsys})
 	log2 := MustLog(s2, "execlog")
 	if err := s2.Load(); err != nil {
 		t.Fatal(err)
@@ -331,19 +302,16 @@ func TestFoldOverlapDoesNotDuplicateLogs(t *testing.T) {
 // introduces: a sealed (non-active) segment whose final line is torn.
 // Replay must keep the segment's complete records, drop the torn line
 // silently, and keep every later segment's records.
-func TestTornTailInSealedSegment(t *testing.T) {
-	dir := t.TempDir()
+func TestTornTailInSealedSegment(t *testing.T) { eachFS(t, testTornTailInSealedSegment) }
+
+func testTornTailInSealedSegment(t *testing.T, fsys FS, dir string) {
 	seg1 := "{\"seq\":1,\"repo\":\"docs\",\"op\":\"put\",\"id\":\"a\",\"data\":{\"title\":\"keep\",\"rev\":1}}\n" +
 		"{\"seq\":2,\"repo\":\"docs\",\"op\":\"put\",\"id\":\"b\",\"data\":{\"title\":\"torn\",\"rev\":1}" // no newline: torn
 	active := "{\"seq\":3,\"repo\":\"docs\",\"op\":\"put\",\"id\":\"c\",\"data\":{\"title\":\"tail\",\"rev\":1}}\n"
-	if err := os.WriteFile(filepath.Join(dir, sealedName(1)), []byte(seg1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(active), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, fsys, filepath.Join(dir, sealedName(1)), []byte(seg1))
+	writeFile(t, fsys, filepath.Join(dir, journalName), []byte(active))
 
-	s, repo := openSegStore(t, dir, 0)
+	s, repo := openSegStore(t, fsys, dir, 0)
 	if _, ok := repo.Get("a"); !ok {
 		t.Fatal("complete record in sealed segment lost")
 	}
@@ -360,7 +328,7 @@ func TestTornTailInSealedSegment(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, repo2 := openSegStore(t, dir, 0)
+	s2, repo2 := openSegStore(t, fsys, dir, 0)
 	defer s2.Close()
 	for _, id := range []string{"a", "c", "d"} {
 		if _, ok := repo2.Get(id); !ok {
@@ -373,15 +341,16 @@ func TestTornTailInSealedSegment(t *testing.T) {
 // no clean close beyond the flush) after a seal. Reopen must replay
 // the sealed segment plus the active file — nothing lost — and a later
 // Compact must fold the leftovers.
-func TestCrashBetweenSealAndFold(t *testing.T) {
-	dir := t.TempDir()
-	s, repo := openSegStore(t, dir, 0)
+func TestCrashBetweenSealAndFold(t *testing.T) { eachFS(t, testCrashBetweenSealAndFold) }
+
+func testCrashBetweenSealAndFold(t *testing.T, fsys FS, dir string) {
+	s, repo := openSegStore(t, fsys, dir, 0)
 	for i := 0; i < 10; i++ {
 		if err := repo.Put(fmt.Sprintf("k%d", i), doc{Rev: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := repo.Put("post-seal", doc{Rev: 1}); err != nil {
@@ -391,7 +360,7 @@ func TestCrashBetweenSealAndFold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, repo2 := openSegStore(t, dir, 0)
+	s2, repo2 := openSegStore(t, fsys, dir, 0)
 	rs := s2.Stats().Engine.Replay
 	if rs.Segments != 1 || rs.TailEntries != 11 {
 		t.Fatalf("reopen after seal-without-fold replayed %+v, want 1 segment, 11 tail entries", rs)
@@ -410,7 +379,7 @@ func TestCrashBetweenSealAndFold(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, _ := openSegStore(t, dir, 0)
+	s3, _ := openSegStore(t, fsys, dir, 0)
 	defer s3.Close()
 	if rs := s3.Stats().Engine.Replay; rs.Segments != 0 || rs.SnapshotEntries != 11 {
 		t.Fatalf("after fold: %+v, want all 11 live entries from the snapshot", rs)
@@ -421,15 +390,16 @@ func TestCrashBetweenSealAndFold(t *testing.T) {
 // temp file exists but was never renamed. Reopen must ignore (and
 // remove) it and replay the full segment set as if the fold never
 // started.
-func TestPartialSnapshotIgnored(t *testing.T) {
-	dir := t.TempDir()
-	s, repo := openSegStore(t, dir, 0)
+func TestPartialSnapshotIgnored(t *testing.T) { eachFS(t, testPartialSnapshotIgnored) }
+
+func testPartialSnapshotIgnored(t *testing.T, fsys FS, dir string) {
+	s, repo := openSegStore(t, fsys, dir, 0)
 	for i := 0; i < 8; i++ {
 		if err := repo.Put(fmt.Sprintf("k%d", i), doc{Rev: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.engine.Seal(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -438,11 +408,9 @@ func TestPartialSnapshotIgnored(t *testing.T) {
 	// A fold died mid-write: a garbage temp snapshot next to intact
 	// segments.
 	tmp := filepath.Join(dir, snapName(1)+".tmp")
-	if err := os.WriteFile(tmp, []byte("{\"seq\":1,\"repo\":\"docs\",\"op\":\"put\",\"id\":\"k0\",\"da"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, fsys, tmp, []byte("{\"seq\":1,\"repo\":\"docs\",\"op\":\"put\",\"id\":\"k0\",\"da"))
 
-	s2, repo2 := openSegStore(t, dir, 0)
+	s2, repo2 := openSegStore(t, fsys, dir, 0)
 	defer s2.Close()
 	for i := 0; i < 8; i++ {
 		if _, ok := repo2.Get(fmt.Sprintf("k%d", i)); !ok {
@@ -452,7 +420,7 @@ func TestPartialSnapshotIgnored(t *testing.T) {
 	if rs := s2.Stats().Engine.Replay; rs.SnapshotEntries != 0 || rs.TailEntries != 8 {
 		t.Fatalf("partial snapshot was not ignored: %+v", rs)
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+	if exists(fsys, tmp) {
 		t.Fatal("partial snapshot temp file not removed")
 	}
 }
@@ -463,23 +431,22 @@ func TestPartialSnapshotIgnored(t *testing.T) {
 // the stale folded segment (replaying it would resurrect overwritten
 // state), and remove it.
 func TestFoldCrashAfterInstallCleansStaleSegments(t *testing.T) {
-	dir := t.TempDir()
+	eachFS(t, testFoldCrashAfterInstallCleansStaleSegments)
+}
+
+func testFoldCrashAfterInstallCleansStaleSegments(t *testing.T, fsys FS, dir string) {
 	// Stale folded segment: k=v1. Snapshot (newer): k=v2.
 	seg := "{\"seq\":1,\"repo\":\"docs\",\"op\":\"put\",\"id\":\"k\",\"data\":{\"title\":\"v1\",\"rev\":1}}\n"
 	snap := "{\"seq\":1,\"repo\":\"docs\",\"op\":\"put\",\"id\":\"k\",\"data\":{\"title\":\"v2\",\"rev\":2}}\n"
-	if err := os.WriteFile(filepath.Join(dir, sealedName(1)), []byte(seg), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(1)), []byte(snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, repo := openSegStore(t, dir, 0)
+	writeFile(t, fsys, filepath.Join(dir, sealedName(1)), []byte(seg))
+	writeFile(t, fsys, filepath.Join(dir, snapName(1)), []byte(snap))
+	s, repo := openSegStore(t, fsys, dir, 0)
 	defer s.Close()
 	got, ok := repo.Get("k")
 	if !ok || got.Title != "v2" {
 		t.Fatalf("replay preferred the stale generation: %+v, %t", got, ok)
 	}
-	for _, name := range listNames(t, dir) {
+	for _, name := range listNames(t, fsys, dir) {
 		if name == sealedName(1) {
 			t.Fatal("stale folded segment not cleaned up")
 		}
@@ -490,9 +457,10 @@ func TestFoldCrashAfterInstallCleansStaleSegments(t *testing.T) {
 // tiny segment bound, plain writes alone must eventually rotate, fold
 // in the background, and bound the on-disk generation — no explicit
 // Compact call.
-func TestAutoFoldRunsInBackground(t *testing.T) {
-	dir := t.TempDir()
-	s, repo := openSegStore(t, dir, 512)
+func TestAutoFoldRunsInBackground(t *testing.T) { eachFS(t, testAutoFoldRunsInBackground) }
+
+func testAutoFoldRunsInBackground(t *testing.T, fsys FS, dir string) {
+	s, repo := openSegStore(t, fsys, dir, 512)
 	defer s.Close()
 	for i := 0; i < 200; i++ {
 		if err := repo.Put("hot", doc{Title: strings.Repeat("x", 40), Rev: i}); err != nil {
@@ -516,8 +484,9 @@ func TestAutoFoldRunsInBackground(t *testing.T) {
 // a snapshot source folds per-id state, and reopen streams only the
 // snapshot records plus the unfolded tail — per-id record order
 // preserved, folded records skipped, count bounded as history grows.
-func TestInstancesFoldBoundsReplay(t *testing.T) {
-	dir := t.TempDir()
+func TestInstancesFoldBoundsReplay(t *testing.T) { eachFS(t, testInstancesFoldBoundsReplay) }
+
+func testInstancesFoldBoundsReplay(t *testing.T, fsys FS, dir string) {
 	const ids = 4
 
 	// Test-side "runtime": per-id counters rebuilt from records. A
@@ -560,10 +529,7 @@ func TestInstancesFoldBoundsReplay(t *testing.T) {
 		}
 	}
 
-	c, err := OpenInstances(dir, InstancesOptions{SegmentMaxBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := OpenInstances(dir, InstancesOptions{FS: fsys, SegmentMaxBytes: 1 << 20})
 	if err := c.Replay(apply(live)); err != nil {
 		t.Fatal(err)
 	}
@@ -590,10 +556,7 @@ func TestInstancesFoldBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c2.Close()
 	rebuilt := &state{sum: make(map[string]int)}
 	if err := c2.Replay(apply(rebuilt)); err != nil {
@@ -620,12 +583,12 @@ func TestInstancesFoldBoundsReplay(t *testing.T) {
 // emits under it too, mirroring the runtime's instance-lock contract
 // that makes fold boundaries exact.
 func TestInstancesConcurrentAppendDuringFold(t *testing.T) {
-	dir := t.TempDir()
+	eachFS(t, testInstancesConcurrentAppendDuringFold)
+}
+
+func testInstancesConcurrentAppendDuringFold(t *testing.T, fsys FS, dir string) {
 	const ids, perID = 4, 150
-	c, err := OpenInstances(dir, InstancesOptions{SegmentMaxBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := OpenInstances(dir, InstancesOptions{FS: fsys, SegmentMaxBytes: 2048})
 	if err := c.Replay(func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -687,10 +650,7 @@ func TestInstancesConcurrentAppendDuringFold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c2.Close()
 	got := make(map[string]int)
 	if err := c2.Replay(func(id string, data []byte) error {
@@ -723,12 +683,12 @@ func TestInstancesConcurrentAppendDuringFold(t *testing.T) {
 // nothing lost, nothing duplicated. Run under -race this is the
 // parallel-replay proof at the store layer.
 func TestInstancesParallelReplayEquivalence(t *testing.T) {
-	dir := t.TempDir()
+	eachFS(t, testInstancesParallelReplayEquivalence)
+}
+
+func testInstancesParallelReplayEquivalence(t *testing.T, fsys FS, dir string) {
 	const ids, perID = 9, 40
-	c, err := OpenInstances(dir, InstancesOptions{SegmentMaxBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := OpenInstances(dir, InstancesOptions{FS: fsys, SegmentMaxBytes: 1024})
 	if err := c.Replay(func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -743,10 +703,7 @@ func TestInstancesParallelReplayEquivalence(t *testing.T) {
 	}
 
 	collect := func(workers int) map[string][]int {
-		c, err := OpenInstances(dir, InstancesOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := OpenInstances(dir, InstancesOptions{FS: fsys})
 		defer c.Close()
 		var mu sync.Mutex
 		got := make(map[string][]int)
@@ -785,11 +742,11 @@ func TestInstancesParallelReplayEquivalence(t *testing.T) {
 // TestInstancesParallelReplayPropagatesErrors: an apply error on one
 // worker must surface from ReplayParallel, not hang or vanish.
 func TestInstancesParallelReplayPropagatesErrors(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eachFS(t, testInstancesParallelReplayPropagatesErrors)
+}
+
+func testInstancesParallelReplayPropagatesErrors(t *testing.T, fsys FS, dir string) {
+	c := OpenInstances(dir, InstancesOptions{FS: fsys})
 	if err := c.Replay(func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -801,14 +758,11 @@ func TestInstancesParallelReplayPropagatesErrors(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := OpenInstances(dir, InstancesOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := OpenInstances(dir, InstancesOptions{FS: fsys})
 	defer c2.Close()
 	boom := fmt.Errorf("boom")
 	var n atomic.Int64
-	err = c2.ReplayParallel(4, func(string, []byte) error {
+	err := c2.ReplayParallel(4, func(string, []byte) error {
 		if n.Add(1) > 10 {
 			return boom
 		}

@@ -34,18 +34,24 @@ type journaled interface {
 }
 
 // Store coordinates a set of named repositories and logs over a single
-// shared Engine. Create repositories with NewRepo / NewLog, then call
-// Load once to replay any existing state, then use the store.
+// shared journal, written through the embedded appender. Create
+// repositories with NewRepo / NewLog, then call Load once to replay
+// any existing state, then use the store.
 //
 // Concurrency: mutations from different goroutines proceed in
 // parallel — the store read-lock is shared on the commit path, the
-// engine combines concurrent flushes, and repositories stripe their
-// own locks per shard. Load and Close take the lock exclusively. Compact holds it
-// shared: compaction is seal-then-fold on the segmented journal and
-// runs concurrently with writers (see the package doc).
+// appender combines concurrent flushes, and repositories stripe their
+// own locks per shard. Load and Close take the lock exclusively.
+// Compact holds it shared: compaction is seal-then-fold on the
+// segmented journal and runs concurrently with writers (see the
+// package doc).
 type Store struct {
-	mu         sync.RWMutex
-	engine     Engine
+	appender
+	integ IntegrityOptions
+
+	// stateMu guards parts and the lifecycle flags below; commits hold
+	// it shared.
+	stateMu    sync.RWMutex
 	clock      vclock.Clock
 	parts      map[string]journaled
 	shards     int
@@ -57,7 +63,7 @@ type Store struct {
 	// OnAppendResult); nil = no observer.
 	onAppendResult func(error)
 
-	// Background folder, started by Load; the engine's OnSeal (wired
+	// Background folder, started by Load; the appender's onSeal (wired
 	// by Open) pokes it on every rotation. The pacing policy
 	// (minInterval/minGarbage) gates what a poke actually does;
 	// Compact bypasses it.
@@ -75,14 +81,16 @@ type Store struct {
 	retry      *time.Timer
 	retryArmed bool
 
-	// Background scrubber (Options.Integrity.ScrubInterval); started by
-	// Load, stopped by Close.
-	scrubInterval time.Duration
-	stopScrub     func()
+	// Background scrubber (integ.ScrubInterval); started by Load,
+	// stopped by Close.
+	stopScrub func()
 }
 
 // Options configure a Store.
 type Options struct {
+	// FS is the file system the journal lives on; nil means the
+	// operating system's.
+	FS FS
 	// Sync makes the journal fsync once per combined flush, so an
 	// acknowledged commit survives power loss, not just a killed
 	// process; concurrent commits share the fsync.
@@ -143,24 +151,25 @@ type FoldPolicyStats struct {
 }
 
 // Stats is the store-wide health snapshot served by the admin API:
-// engine counters plus per-repository live sizes, per-log hot/cold
+// journal counters plus per-repository live sizes, per-log hot/cold
 // splits, per-repository read stats and the fold policy counters.
 type Stats struct {
 	Engine EngineStats    `json:"engine"`
 	Shards int            `json:"shards"`
 	Repos  map[string]int `json:"repos"`
-	// Instances carries the instance collection's engine counters when
-	// the deployment persists lifecycle instances (it runs on its own
-	// engine, see Instances); nil otherwise. Filled by the facade.
+	// Instances carries the instance collection's journal counters (it
+	// runs on its own journal, see Instances). Filled by the facade.
 	Instances  *EngineStats             `json:"instances,omitempty"`
 	FoldPolicy FoldPolicyStats          `json:"fold_policy"`
 	Logs       map[string]LogStats      `json:"logs,omitempty"`
 	Reads      map[string]RepoReadStats `json:"reads,omitempty"`
 }
 
-// New builds a store on an explicit engine — the pluggable entry point.
-// Load must be called (once) before any mutation.
-func New(engine Engine, opts Options) *Store {
+// Open creates a store whose journal lives in dir on opts.FS; Load
+// creates dir if missing, replays it and opens it for appending. With
+// SegmentMaxBytes set the journal rotates and a background folder
+// compacts sealed segments into snapshots without excluding writers.
+func Open(dir string, opts Options) *Store {
 	clock := opts.Clock
 	if clock == nil {
 		clock = vclock.System
@@ -169,8 +178,8 @@ func New(engine Engine, opts Options) *Store {
 	if shards <= 0 {
 		shards = DefaultShards
 	}
-	return &Store{
-		engine:         engine,
+	s := &Store{
+		integ:          opts.Integrity,
 		clock:          clock,
 		shards:         shards,
 		parts:          make(map[string]journaled),
@@ -179,49 +188,19 @@ func New(engine Engine, opts Options) *Store {
 		minGarbage:     opts.FoldMinGarbage,
 		onAppendResult: opts.OnAppendResult,
 	}
-}
-
-// Open creates a persistent store rooted at dir (created if missing),
-// backed by the journal engine. With SegmentMaxBytes set
-// the journal rotates and a background folder compacts sealed segments
-// into snapshots without excluding writers.
-func Open(dir string, opts Options) (*Store, error) {
-	s := New(nil, opts)
-	engine, err := NewJournalEngine(JournalConfig{
-		Dir:             dir,
-		Sync:            opts.Sync,
-		SegmentMaxBytes: opts.SegmentMaxBytes,
-		OnSeal:          s.scheduleFold,
-		Integrity:       opts.Integrity,
-	})
-	if err != nil {
-		return nil, err
+	s.appender = appender{
+		fs:         orOS(opts.FS),
+		dir:        dir,
+		sync:       opts.Sync,
+		segmentMax: opts.SegmentMaxBytes,
+		onSeal:     s.folds.poke,
 	}
-	s.engine = engine
-	s.scrubInterval = opts.Integrity.ScrubInterval
-	return s, nil
-}
-
-// NewMemory returns a store with no persistence, ready for use without
-// Load (calling Load anyway is harmless and replays nothing).
-func NewMemory() *Store {
-	s := New(NewMemoryEngine(), Options{})
-	s.loaded = true
-	return s
-}
-
-// WithClock overrides the store's clock (used by tests and the virtual-
-// time benchmarks). It returns the store for chaining.
-func (s *Store) WithClock(c vclock.Clock) *Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = c
 	return s
 }
 
 func (s *Store) register(name string, part journaled) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
 	if _, ok := s.parts[name]; ok {
 		return fmt.Errorf("store: repository %q already registered", name)
 	}
@@ -232,64 +211,64 @@ func (s *Store) register(name string, part journaled) error {
 // numShards reports the lock-stripe count repositories should use.
 func (s *Store) numShards() int { return s.shards }
 
-// readArchive streams one archived ref through fn — the log's cold
-// read path. Archives are immutable on disk, so no store lock is
-// needed; reads stay valid across concurrent folds.
-func (s *Store) readArchive(ref ArchiveRef, fn func(Entry) error) error {
-	return s.engine.ReadArchive(ref, fn)
-}
-
-// Load replays the engine into every registered repository and opens
-// the engine for appending, fanning the apply work out across one
-// worker per CPU (entries of independent keys commute; see
-// LoadParallel). It must be called exactly once, after all
-// repositories are created and before any mutation. In-memory stores
-// created by NewMemory may skip it.
+// Load replays the journal into every registered repository and opens
+// it for appending, fanning the apply work out across one worker per
+// CPU (entries of independent keys commute; see LoadParallel). It must
+// be called exactly once, after all repositories are created and
+// before any mutation.
 func (s *Store) Load() error {
 	return s.LoadParallel(runtime.GOMAXPROCS(0))
 }
 
-// LoadParallel is Load with an explicit worker count: the engine
+// LoadParallel is Load with an explicit worker count: the journal
 // streams entries in commit order while workers apply them, sharded by
 // (part, key) so every repository key's — and every log's — entries
 // apply in exactly the sequential order. workers <= 1 degrades to the
 // plain sequential replay.
 func (s *Store) LoadParallel(workers int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
 	if s.loadCalled {
 		return fmt.Errorf("store: Load called twice")
 	}
 	s.loadCalled = true
-	if err := s.replayParts(workers, s.engine.Replay); err != nil {
+	err := s.replayParts(workers, func(fn func(Entry) error) error {
+		return s.open(s.integ, func(st segState) (segReplay, error) {
+			return replaySegmented(s.fs, s.dir, st, entryRepo, fn, nil)
+		})
+	})
+	if err != nil {
 		return err
 	}
 	s.loaded = true
-	// Fold errors are counted on the engine stats (FoldErrors); the
+	// Fold errors are counted on the journal stats (FoldErrors); the
 	// journal keeps growing until a later fold succeeds, so no data is
 	// ever at risk.
-	s.folds.start(func() { s.fold(false) })
-	if s.scrubInterval > 0 {
-		s.stopScrub = scrubLoop(s.scrubInterval, s.engine.Scrub)
+	s.folds.start(func() { s.runFold(false) })
+	if s.integ.ScrubInterval > 0 {
+		s.stopScrub = scrubLoop(s.integ.ScrubInterval, s.Scrub)
 	}
 	return nil
 }
 
-// Fsck checks the journal directory dir (see the package-level Fsck)
-// and streams its records into the registered parts as Load would,
-// without opening the journal: a record a part cannot decode is a
-// corrupt verdict naming its file, line and offset, which repair
+// entryRepo buckets a definitions-journal entry by its repository.
+func entryRepo(e Entry) string { return e.Repo }
+
+// Fsck checks the store's journal directory (see the package-level
+// Fsck) and streams its records into the registered parts as Load
+// would, without opening the journal: a record a part cannot decode is
+// a corrupt verdict naming its file, line and offset, which repair
 // quarantines. Call it instead of Load; the parts then hold the
 // checked state.
-func (s *Store) Fsck(dir string, repair bool) (rep FsckReport, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) Fsck(repair bool) (rep FsckReport, err error) {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
 	if s.loadCalled {
 		return rep, fmt.Errorf("store: Fsck after Load")
 	}
 	s.loadCalled = true
 	err = s.replayParts(1, func(fn func(Entry) error) (err error) {
-		rep, err = fsck(dir, repair, entryRepo, fn)
+		rep, err = fsck(s.fs, s.dir, repair, entryRepo, fn)
 		return err
 	})
 	return rep, err
@@ -326,29 +305,14 @@ func (s *Store) replayParts(workers int, replay func(fn func(Entry) error) error
 	return err
 }
 
-// Scrub runs one bounded background-verification tick on the engine —
-// the on-demand hook behind the admin API and tests; the interval loop
-// (Options.Integrity.ScrubInterval) calls the same engine method.
-func (s *Store) Scrub(maxBytes int64) ScrubResult {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ScrubResult{}
-	}
-	return s.engine.Scrub(maxBytes)
-}
-
-// scheduleFold pokes the background folder — the engine's OnSeal hook.
-func (s *Store) scheduleFold() { s.folds.poke() }
-
-// commit journals an entry; the engine applies the in-memory mutation
-// via the onCommit hook, in journal order, before acknowledging. The
-// shared read-lock keeps commits concurrent with each other (that
-// concurrency is what lets the engine combine flushes) while excluding
-// Load and Close.
+// commit journals an entry; the appender applies the in-memory
+// mutation via the onCommit hook, in journal order, before
+// acknowledging. The shared read-lock keeps commits concurrent with
+// each other (that concurrency is what lets the appender combine
+// flushes) while excluding Load and Close.
 func (s *Store) commit(e Entry, apply func(seq uint64)) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
 	if !s.loaded {
 		return fmt.Errorf("store: mutation before Load")
 	}
@@ -356,16 +320,12 @@ func (s *Store) commit(e Entry, apply func(seq uint64)) error {
 		return ErrClosed
 	}
 	e.Time = s.clock.Now()
-	_, err := s.engine.Append(e, apply)
+	_, err := s.write(e, apply)
 	if s.onAppendResult != nil {
 		s.onAppendResult(err)
 	}
 	return err
 }
-
-// QueueDepth is the number of commits in flight on the engine — the
-// saturation signal admission control samples per mutating request.
-func (s *Store) QueueDepth() int { return s.engine.Depth() }
 
 // Compact compacts the journal without stopping writers: the active
 // segment is sealed (O(1) under the appender lock), then every sealed
@@ -377,33 +337,33 @@ func (s *Store) QueueDepth() int { return s.engine.Depth() }
 // the live image is captured, so the snapshot is a superset of
 // everything it replaces, and replay skips the overlap.
 func (s *Store) Compact() error {
-	s.mu.RLock()
+	s.stateMu.RLock()
 	if !s.loaded || s.closed {
-		s.mu.RUnlock()
+		s.stateMu.RUnlock()
 		return nil
 	}
-	err := s.engine.Seal()
-	s.mu.RUnlock()
+	err := s.Seal()
+	s.stateMu.RUnlock()
 	if err != nil {
 		return err
 	}
 	s.forcedFolds.Add(1)
-	return s.fold(true)
+	return s.runFold(true)
 }
 
-// fold runs one snapshot fold over everything sealed so far. Unless
+// runFold runs one snapshot fold over everything sealed so far. Unless
 // forced it first consults the pacing policy: nothing sealed means
 // nothing to do; a fold too soon after the last is deferred (with a
 // retry armed for when the interval elapses); a sealed backlog below
 // the garbage-ratio floor waits for more garbage. Compact forces.
-func (s *Store) fold(force bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *Store) runFold(force bool) error {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
 	if !s.loaded || s.closed {
 		return nil
 	}
 	if !force {
-		est := s.engine.Stats()
+		est := s.stats("journal")
 		if est.SealedSegments == 0 {
 			return nil
 		}
@@ -423,7 +383,17 @@ func (s *Store) fold(force bool) error {
 			}
 		}
 	}
-	err := s.engine.Fold(s.foldImage)
+	// The image is captured after the fold boundary is fixed, so it is a
+	// superset of everything folded; replay skips the overlap via the
+	// per-part boundary seqs stamped on its entries.
+	err := s.fold(func(sj *Journal) (func(), error) {
+		for _, e := range s.foldImage() {
+			if err := sj.writeRaw(e); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
 	if err == nil {
 		s.lastFold.Store(s.clock.Now().UnixNano())
 	}
@@ -471,13 +441,13 @@ func (s *Store) foldImage() []Entry {
 	return entries
 }
 
-// Stats reports engine health plus per-repository sizes, per-log
+// Stats reports journal health plus per-repository sizes, per-log
 // hot/cold splits, read stats and fold-policy counters.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
 	st := Stats{
-		Engine: s.engine.Stats(),
+		Engine: s.stats("journal"),
 		Shards: s.shards,
 		Repos:  make(map[string]int, len(s.parts)),
 		FoldPolicy: FoldPolicyStats{
@@ -506,17 +476,18 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close drains and closes the engine. Idempotent.
+// Close halts the background work, then drains and closes the
+// journal. Idempotent.
 func (s *Store) Close() error {
-	s.mu.Lock()
+	s.stateMu.Lock()
 	if s.closed {
-		s.mu.Unlock()
+		s.stateMu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
+	s.stateMu.Unlock()
 	s.Halt()
-	return s.engine.Close()
+	return s.appender.Close()
 }
 
 // Halt stops the background work — the fold retry timer, the scrubber
@@ -538,8 +509,4 @@ func (s *Store) Halt() {
 }
 
 // Now exposes the store clock, so higher layers stamp consistently.
-func (s *Store) Now() time.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.clock.Now()
-}
+func (s *Store) Now() time.Time { return s.clock.Now() }

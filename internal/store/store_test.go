@@ -18,10 +18,7 @@ type doc struct {
 
 func openStore(t *testing.T, dir string) (*Store, *Repo[doc]) {
 	t.Helper()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{})
 	repo := MustRepo[doc](s, "docs")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -29,8 +26,22 @@ func openStore(t *testing.T, dir string) (*Store, *Repo[doc]) {
 	return s, repo
 }
 
+// memStore opens and loads a store on a fresh in-memory file system,
+// closed when the test ends. Its journal starts empty, so repositories
+// registered after the load start empty too.
+func memStore(t testing.TB, opts Options) *Store {
+	t.Helper()
+	opts.FS = NewMemFS()
+	s := Open("/", opts)
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 func TestRepoPutGetDelete(t *testing.T) {
-	s := NewMemory()
+	s := memStore(t, Options{})
 	repo := MustRepo[doc](s, "docs")
 	if err := repo.Put("d1", doc{Title: "Design", Rev: 1}); err != nil {
 		t.Fatal(err)
@@ -58,7 +69,7 @@ func TestRepoPutGetDelete(t *testing.T) {
 }
 
 func TestRepoRejectsEmptyID(t *testing.T) {
-	s := NewMemory()
+	s := memStore(t, Options{})
 	repo := MustRepo[doc](s, "docs")
 	if err := repo.Put("", doc{}); err == nil {
 		t.Fatal("empty id accepted")
@@ -66,7 +77,7 @@ func TestRepoRejectsEmptyID(t *testing.T) {
 }
 
 func TestRepoListSorted(t *testing.T) {
-	s := NewMemory()
+	s := memStore(t, Options{})
 	repo := MustRepo[doc](s, "docs")
 	for _, id := range []string{"c", "a", "b"} {
 		if err := repo.Put(id, doc{Title: id}); err != nil {
@@ -87,7 +98,7 @@ func TestRepoListSorted(t *testing.T) {
 }
 
 func TestDuplicateRepoNameFails(t *testing.T) {
-	s := NewMemory()
+	s := memStore(t, Options{})
 	MustRepo[doc](s, "docs")
 	if _, err := NewRepo[doc](s, "docs"); err == nil {
 		t.Fatal("duplicate registration accepted")
@@ -164,12 +175,9 @@ this is not json
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{})
 	MustRepo[doc](s, "docs")
-	err = s.Load()
+	err := s.Load()
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Load = %v, want ErrCorrupt", err)
 	}
@@ -236,10 +244,7 @@ func TestCompactShrinksJournal(t *testing.T) {
 
 func TestMutationBeforeLoadRejected(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{})
 	repo := MustRepo[doc](s, "docs")
 	if err := repo.Put("d1", doc{}); err == nil || !strings.Contains(err.Error(), "before Load") {
 		t.Fatalf("Put before Load = %v, want error", err)
@@ -256,7 +261,7 @@ func TestLoadTwiceRejected(t *testing.T) {
 
 func TestLogAppendAndQueries(t *testing.T) {
 	clock := vclock.NewFake(time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
-	s := NewMemory().WithClock(clock)
+	s := memStore(t, Options{Clock: clock})
 	log := MustLog(s, "execlog")
 
 	seq1, err := log.Append(LogEntry{Instance: "i1", Kind: "created"})
@@ -300,10 +305,7 @@ func entriesOf(log *Log, id string) []LogEntry {
 
 func TestLogPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{})
 	log := MustLog(s, "execlog")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -315,10 +317,7 @@ func TestLogPersistsAcrossReopen(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := Open(dir, Options{})
 	log2 := MustLog(s2, "execlog")
 	if err := s2.Load(); err != nil {
 		t.Fatal(err)
@@ -339,10 +338,7 @@ func TestLogPersistsAcrossReopen(t *testing.T) {
 
 func TestLogSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{})
 	log := MustLog(s, "execlog")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -357,10 +353,7 @@ func TestLogSurvivesCompaction(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := Open(dir, Options{})
 	log2 := MustLog(s2, "execlog")
 	if err := s2.Load(); err != nil {
 		t.Fatal(err)
@@ -372,7 +365,7 @@ func TestLogSurvivesCompaction(t *testing.T) {
 
 func TestStoreNowUsesClock(t *testing.T) {
 	start := time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC)
-	s := NewMemory().WithClock(vclock.NewFake(start))
+	s := memStore(t, Options{Clock: vclock.NewFake(start)})
 	if !s.Now().Equal(start) {
 		t.Fatalf("Now = %v", s.Now())
 	}

@@ -127,10 +127,7 @@ func TestSameKeyConcurrentPutsReplayConsistent(t *testing.T) {
 func TestConcurrentLogAppend(t *testing.T) {
 	const writers, perWriter = 6, 25
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{})
 	log := MustLog(s, "execlog")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -154,10 +151,7 @@ func TestConcurrentLogAppend(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := Open(dir, Options{})
 	log2 := MustLog(s2, "execlog")
 	if err := s2.Load(); err != nil {
 		t.Fatal(err)
@@ -175,7 +169,7 @@ func TestConcurrentLogAppend(t *testing.T) {
 
 // TestConcurrentLogAppendOrder runs concurrent appends, then walks the
 // log with a Page cursor: every entry must come back exactly once, in
-// Seq order — live, and on the journal engine after a reopen too. An
+// Seq order — live, and after a reopen too, in memory and on disk. An
 // append that committed out of Seq order would apply after a higher
 // Seq, and the cursor (after = last Seq seen) would skip it.
 func TestConcurrentLogAppendOrder(t *testing.T) {
@@ -221,25 +215,19 @@ func TestConcurrentLogAppendOrder(t *testing.T) {
 		}
 	}
 
-	t.Run("memory", func(t *testing.T) {
-		s := NewMemory()
-		defer s.Close()
-		lg := MustLog(s, "execlog")
-		appendAll(t, lg, 500)
-		walk(t, lg, writers*500)
-	})
-	t.Run("journal", func(t *testing.T) {
-		dir := t.TempDir()
-		s, lg := openLogStore(t, dir)
+	run := func(t *testing.T, fsys FS, dir string) {
+		s, lg := openLogStore(t, fsys, dir)
 		appendAll(t, lg, 200)
 		walk(t, lg, writers*200)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, lg2 := openLogStore(t, dir)
+		s2, lg2 := openLogStore(t, fsys, dir)
 		defer s2.Close()
 		walk(t, lg2, writers*200)
-	})
+	}
+	t.Run("memory", func(t *testing.T) { run(t, NewMemFS(), "/journal") })
+	t.Run("journal", func(t *testing.T) { run(t, osFS{}, t.TempDir()) })
 }
 
 // TestTornBatchTailRecovered simulates a crash that cuts a combined
@@ -325,10 +313,7 @@ func TestTornBatchTailRecovered(t *testing.T) {
 func TestGroupCommitBatchesAndAcks(t *testing.T) {
 	const writers, perWriter = 8, 20
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Sync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dir, Options{Sync: true})
 	repo := MustRepo[doc](s, "docs")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -375,11 +360,11 @@ func TestGroupCommitBatchesAndAcks(t *testing.T) {
 	}
 }
 
-// TestExplicitEngineConstruction exercises the pluggable path: a store
-// built on an explicit memory engine via New, loaded, sharded by an
-// explicit stripe count.
+// TestExplicitEngineConstruction: a store opened on an explicit file
+// system (the in-memory one), loaded, sharded by an explicit stripe
+// count, runs the journal engine.
 func TestExplicitEngineConstruction(t *testing.T) {
-	s := New(NewMemoryEngine(), Options{Shards: 4})
+	s := Open("/", Options{FS: NewMemFS(), Shards: 4})
 	repo := MustRepo[doc](s, "docs")
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
@@ -393,7 +378,7 @@ func TestExplicitEngineConstruction(t *testing.T) {
 	if st.Shards != 4 {
 		t.Fatalf("shards = %d, want 4", st.Shards)
 	}
-	if st.Engine.Engine != "memory" || st.Engine.Appends != 20 {
+	if st.Engine.Engine != "journal" || st.Engine.Appends != 20 {
 		t.Fatalf("engine stats = %+v", st.Engine)
 	}
 	if repo.Len() != 20 {

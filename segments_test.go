@@ -212,20 +212,21 @@ func TestCompactDuringLiveAdvances(t *testing.T) {
 	}
 }
 
-// TestDataDirPicksEngine: DataDir alone chooses the storage engine.
-// Without it everything lives in memory and nothing is persisted, even
-// with PersistInstances; with it both journals open under the
-// directory and a reopen recovers the instances. Either way the locks
-// stripe by the package defaults.
+// TestDataDirPicksEngine: DataDir alone chooses where the one storage
+// engine keeps its journals. Without it both run on an in-memory file
+// system — named "memory", instance journal and persistence sink wired
+// as on disk; with it both journals open under the directory and a
+// reopen recovers the instances. Either way the locks stripe by the
+// package defaults.
 func TestDataDirPicksEngine(t *testing.T) {
 	clock := vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC))
 	mem := newSystem(t, Options{Clock: clock, PersistInstances: true})
 	seedWorkload(t, mem)
-	if st := mem.StoreStats(); st.Engine.Engine != "memory" || st.Instances != nil {
-		t.Fatalf("no DataDir: engine %q, instance journal %v, want memory and none", st.Engine.Engine, st.Instances)
+	if st := mem.StoreStats(); st.Engine.Engine != "memory" || st.Instances == nil || st.Instances.Appends == 0 {
+		t.Fatalf("no DataDir: engine %q, instance journal %v, want memory and one that took the appends", st.Engine.Engine, st.Instances)
 	}
-	if mem.RuntimeStats().Persistence.Enabled {
-		t.Fatal("no DataDir: instance persistence enabled")
+	if !mem.RuntimeStats().Persistence.Enabled {
+		t.Fatal("no DataDir: instance journal sink not wired")
 	}
 
 	dir := t.TempDir()
@@ -297,4 +298,115 @@ func TestEveryRotationFolds(t *testing.T) {
 		func(int) error { return sys.SaveTemplate("", model) })
 	each("instance journal", func() store.EngineStats { return *sys.StoreStats().Instances },
 		func(i int) error { return sys.Annotate(ids[i%len(ids)], "owner", fmt.Sprintf("note %d", i)) })
+}
+
+// TestMemoryModeBoundsRAM: a System without a DataDir runs the same
+// journals as one with it, on an in-memory file system, so a long run
+// rotates and folds there too. After each settled fold the journals'
+// bytes in RAM — active segment, sealed backlog and snapshot — stay
+// under twice the snapshot plus one segment, and every instance and
+// every timeline page equals that of a disk-mode twin driven through
+// the same moves.
+func TestMemoryModeBoundsRAM(t *testing.T) {
+	const moves, population, segMax = 10000, 5, 64 << 10
+	opts := func(dir string) Options {
+		return Options{
+			DataDir:           dir,
+			PersistInstances:  true,
+			Clock:             vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC)),
+			SegmentMaxBytes:   segMax,
+			MaxEventsInMemory: 8,
+		}
+	}
+	mem := newSystem(t, opts(""))
+	disk := newSystem(t, opts(t.TempDir()))
+	both := func(fn func(sys *System) error) {
+		t.Helper()
+		for _, sys := range []*System{mem, disk} {
+			if err := fn(sys); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	model := &Model{URI: "urn:gelee:models:ram", Name: "ram",
+		Phases: []*Phase{{ID: "a", Name: "A"}, {ID: "b", Name: "B"}, {ID: "c", Name: "C"}}}
+	both(func(sys *System) error { return sys.DefineModel("", model) })
+	var ids []string
+	for i := 0; i < population; i++ {
+		ref := Ref{URI: fmt.Sprintf("urn:ram:r%d", i), Type: "url"}
+		var id string
+		both(func(sys *System) error {
+			snap, err := sys.Instantiate(model.URI, ref, "owner", nil)
+			if id != "" && snap.ID != id {
+				return fmt.Errorf("twins diverged: instance %s vs %s", snap.ID, id)
+			}
+			id = snap.ID
+			return err
+		})
+		ids = append(ids, id)
+	}
+
+	// settledBytes waits out the folds the last rotations asked for,
+	// then reports the bytes both in-memory journals hold and their
+	// bound.
+	settledBytes := func() (held, bound int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := mem.StoreStats()
+			if st.Engine.SealedSegments == 0 && st.Instances.SealedSegments == 0 {
+				for _, es := range []store.EngineStats{st.Engine, *st.Instances} {
+					held += es.ActiveBytes + es.SealedBytes + es.SnapshotBytes
+					bound += 2*es.SnapshotBytes + segMax
+				}
+				return held, bound
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("sealed segments never folded: %+v", st.Instances)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	phases := model.PhaseIDs()
+	for i := 0; i < moves; i++ {
+		to := phases[(i/population+1)%len(phases)]
+		both(func(sys *System) error {
+			_, err := sys.AdvanceSummary(ids[i%population], to, "owner", AdvanceOptions{})
+			return err
+		})
+		if (i+1)%2000 == 0 {
+			if held, bound := settledBytes(); held > bound {
+				t.Fatalf("after %d moves the in-memory journals hold %d bytes, bound %d", i+1, held, bound)
+			}
+		}
+	}
+	inst := mem.StoreStats().Instances
+	if inst.Rotations == 0 || inst.Folds == 0 || inst.ArchivesWritten == 0 {
+		t.Fatalf("memory mode never rotated, folded and archived: %+v", inst)
+	}
+
+	if !reflect.DeepEqual(snapshotJSON(t, mem), snapshotJSON(t, disk)) {
+		t.Fatal("memory-mode instances differ from the disk-mode twin's")
+	}
+	pages := func(sys *System, id string) []string {
+		var out []string
+		for after := 0; ; {
+			page, err := sys.Events(id, after, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := json.Marshal(page)
+			out = append(out, string(data))
+			if len(page.Events) == 0 {
+				return out
+			}
+			after = page.Events[len(page.Events)-1].Seq
+		}
+	}
+	for _, id := range ids {
+		got, want := pages(mem, id), pages(disk, id)
+		if len(got) < moves/population/100 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memory-mode timeline (%d pages) differs from the disk-mode twin's (%d pages)", id, len(got), len(want))
+		}
+	}
 }
