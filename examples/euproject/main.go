@@ -129,13 +129,22 @@ func main() {
 
 	// Drill into the deviating deliverable's history.
 	fmt.Printf("\n==== timeline of %s (%s) ====\n", d0.ID, ids[0])
-	tl, _ := sys.Monitor().Timeline(ids[0])
-	for _, e := range tl {
-		marker := "  "
-		if e.Deviation {
-			marker = "⚠ "
+	for after := 0; ; {
+		page, err := sys.Events(ids[0], after, 50)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%s%2d %-16s %-14s %s\n", marker, e.Seq, e.Kind, e.Phase, e.Detail)
+		for _, e := range page.Events {
+			marker := "  "
+			if e.Deviation {
+				marker = "⚠ "
+			}
+			fmt.Printf("%s%2d %-16s %-14s %s\n", marker, e.Seq, e.Kind, e.Phase, e.Detail)
+		}
+		if page.NextAfter == 0 {
+			break
+		}
+		after = page.NextAfter
 	}
 }
 

@@ -69,7 +69,8 @@ type (
 	// MoveResult is the copy-free result of a mutating verb: the
 	// post-move summary plus only the events the call appended.
 	MoveResult = runtime.MoveResult
-	// EventPage is a paged window of an instance's event history.
+	// EventPage is a paged window of an instance's event history, as
+	// Events returns it and the timeline routes send it.
 	EventPage = runtime.EventPage
 	// SummaryPage is one cursor window of the population summary view.
 	SummaryPage = runtime.SummaryPage
@@ -903,18 +904,6 @@ func (s *System) Widgets() *widget.Renderer { return s.wdgt }
 // action-registered, model-propagated). Instance events live in the
 // instance journal and are read through Events.
 func (s *System) ExecutionLog() *store.Log { return s.execLog }
-
-// ExecutionLogPage returns up to limit execution-log entries with
-// Seq > after in append order — the cockpit's cursor over unbounded
-// history. Archived cold history streams from disk lazily; archives
-// entirely below the cursor are skipped without touching them.
-func (s *System) ExecutionLogPage(after uint64, limit int) ([]store.LogEntry, error) {
-	return s.execLog.Page(after, limit)
-}
-
-// ExecutionLogLen reports the number of entries ever appended to the
-// execution log, archived cold history included.
-func (s *System) ExecutionLogLen() int { return s.execLog.Len() }
 
 // ErrForbidden is returned when Auth is enabled and the actor lacks the
 // required role.

@@ -182,7 +182,7 @@ func TestCorruptHistoryArchiveIsAnError(t *testing.T) {
 	if _, err := sys.Events(ids[0], 0, 5); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("page over a corrupt archive: %v, want ErrCorrupt", err)
 	}
-	if _, err := sys.Monitor().Timeline(ids[1]); !errors.Is(err, store.ErrCorrupt) {
+	if _, err := sys.Events(ids[1], 0, 0); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("timeline over a corrupt archive: %v, want ErrCorrupt", err)
 	}
 	if page, err := sys.Events(ids[0], cut1, 5); err != nil || len(page.Events) != 5 {
@@ -217,7 +217,7 @@ func TestMirroredExecutionLogDataDirReopens(t *testing.T) {
 	opts := Options{DataDir: dir, PersistInstances: true}
 	sys := newSystem(t, opts)
 	const logged = 10 // model-defined + 9 mirrored instance events
-	if n := sys.ExecutionLogLen(); n != logged {
+	if n := sys.ExecutionLog().Len(); n != logged {
 		t.Fatalf("execution log = %d entries, want %d", n, logged)
 	}
 	srv := httptest.NewServer(sys.HTTPHandler())
@@ -281,7 +281,7 @@ func TestMirroredExecutionLogDataDirReopens(t *testing.T) {
 	if err := sys.Annotate("li-000001", "owner", "after the upgrade"); err != nil {
 		t.Fatal(err)
 	}
-	if n := sys.ExecutionLogLen(); n != logged+1 {
+	if n := sys.ExecutionLog().Len(); n != logged+1 {
 		t.Fatalf("execution log = %d entries after one definition, want %d", n, logged+1)
 	}
 	if err := sys.Close(); err != nil {
@@ -306,7 +306,7 @@ func TestArchivedExecutionLogDataDirReopens(t *testing.T) {
 	opts := Options{DataDir: dir, PersistInstances: true}
 	sys := newSystem(t, opts)
 	const logged = 30
-	if n := sys.ExecutionLogLen(); n != logged {
+	if n := sys.ExecutionLog().Len(); n != logged {
 		t.Fatalf("execution log = %d entries, want %d", n, logged)
 	}
 	if got := sys.StoreStats().Logs["execlog"]; got.Live != 8 || got.Archived != 22 || got.Archives != 2 {

@@ -376,6 +376,50 @@ func TestPagedRoutesBounded(t *testing.T) {
 	}
 }
 
+// TestEmptyPagesAreArrays: every paged route sends an empty page as
+// "items":[], never null — the instance list unfiltered and filtered,
+// both timelines past their tail, and the admin log empty and past its
+// tail.
+func TestEmptyPagesAreArrays(t *testing.T) {
+	e := newEnv(t, false)
+	wantEmpty := func(path string) {
+		t.Helper()
+		code, _, body := rawGet(t, e.srv.URL, path)
+		if code != 200 {
+			t.Fatalf("GET %s = %d: %s", path, code, body)
+		}
+		var p struct {
+			Items json.RawMessage `json:"items"`
+		}
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Fatal(err)
+		}
+		if string(p.Items) != "[]" {
+			t.Fatalf("GET %s: items %s, want []", path, p.Items)
+		}
+	}
+	if n := e.sys.ExecutionLog().Len(); n != 0 {
+		t.Fatalf("fresh execution log holds %d entries", n)
+	}
+	wantEmpty("/api/v1/instances")
+	wantEmpty("/api/v1/admin/log")
+
+	model := scenario.QualityPlan()
+	if err := e.sys.DefineModel("", model); err != nil {
+		t.Fatal(err)
+	}
+	e.sys.Sims.Wiki.CreatePage("D1.1", "o", "x")
+	snap, err := e.sys.Instantiate(model.URI, gelee.Ref{URI: "http://wiki/D1.1", Type: "mediawiki"}, "owner", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEmpty("/api/v1/instances?model=" + url.QueryEscape("urn:gelee:models:none"))
+	wantEmpty("/api/v1/instances?state=completed")
+	wantEmpty("/api/v1/instances/" + snap.ID + "/timeline?after=99")
+	wantEmpty("/api/v1/monitor/instances/" + snap.ID + "/timeline?after=99")
+	wantEmpty("/api/v1/admin/log?after=" + fmt.Sprint(e.sys.ExecutionLog().Len()))
+}
+
 // TestDefineModelNullPhase: a model body whose phase list holds a null
 // is a validation error — a structured 4xx — not a panic.
 func TestDefineModelNullPhase(t *testing.T) {

@@ -59,14 +59,18 @@
 // GET /api/v1/instances/{id}/timeline,
 // GET /api/v1/monitor/instances/{id}/timeline and GET /api/v1/admin/log
 // — shares one envelope shape: {items, total, next_after}. items is the
-// page and next_after the cursor of the following page (absent at the
-// tail; pass it back as ?after=). Every page is bounded: without
-// ?limit= it holds at most 100 items, and a larger limit than 1000 is
-// clamped to 1000. On the instance list, total is the
-// number of matches with seq > after, except that an unfiltered page
-// reports the whole population and a filter naming neither resource
-// nor model reports 0 (unknown); the timelines report the events ever
-// recorded on the instance and the admin log the entries ever appended.
+// page, [] when empty, and next_after the cursor of the following page
+// (absent at the tail; pass it back as ?after=). Every page is
+// bounded: without ?limit= it holds at most 100 items, and a larger
+// limit than 1000 is clamped to 1000. On the instance list, total is
+// the number of matches with seq > after, except that an unfiltered
+// page reports the whole population and a filter naming neither
+// resource nor model reports 0 (unknown); the timelines report the
+// events ever recorded on the instance and the admin log the entries
+// ever appended. A timeline's items are the instance's events in the
+// shape the advance response carries them (runtime.Event). Each page
+// is the value its data's owner returns — runtime.EventPage for the
+// timelines, store.LogPage for the admin log — sent as is.
 //
 // # Responses
 //
@@ -164,11 +168,10 @@ type Backend interface {
 	Widgets() *widget.Renderer
 	StoreStats() store.Stats
 	RuntimeStats() runtime.Stats
-	ExecutionLogPage(after uint64, limit int) ([]store.LogEntry, error)
-	// ExecutionLogLen is the number of entries ever appended to the
-	// execution log (hot + archived) — the total of the admin-log page
-	// envelope.
-	ExecutionLogLen() int
+	// Events and ExecutionLog().Page return the pages the timeline
+	// routes and the admin log send as is.
+	Events(id string, after, limit int) (runtime.EventPage, error)
+	ExecutionLog() *store.Log
 	UserExists(name string) bool
 
 	// Resilience surface: AdmitMutation gates every mutating route
@@ -503,42 +506,11 @@ func toMovePayload(res runtime.MoveResult) instancePayload {
 // response shape.
 func wantFull(r *http.Request) bool { return r.URL.Query().Get("full") == "1" }
 
-// ---- page envelopes ----------------------------------------------------------
+// ---- paging ------------------------------------------------------------------
 //
 // One cursor shape for every paged collection (see the package doc's
-// Paging envelope section): {items, total, next_after}.
-
-// timelinePage is the envelope of both timeline routes, wrapping the
-// monitor's page with the uniform field names.
-type timelinePage struct {
-	Items     []monitor.TimelineEntry `json:"items"`
-	Total     int                     `json:"total"`
-	NextAfter int                     `json:"next_after,omitempty"`
-	// OldestSeq/Truncated/Backfilled report ring truncation and what
-	// the page read from outside the ring (see runtime.EventPage).
-	OldestSeq  int  `json:"oldest_seq"`
-	Truncated  bool `json:"truncated"`
-	Backfilled int  `json:"backfilled,omitempty"`
-}
-
-func toTimelinePage(p monitor.TimelinePage) timelinePage {
-	return timelinePage{
-		Items:      p.Entries,
-		Total:      p.Total,
-		NextAfter:  p.NextAfter,
-		OldestSeq:  p.OldestSeq,
-		Truncated:  p.Truncated,
-		Backfilled: p.Backfilled,
-	}
-}
-
-// execLogPage is the envelope of the admin execution-log cursor.
-type execLogPage struct {
-	Items []store.LogEntry `json:"items"`
-	// Total is the number of entries ever appended (hot + archived).
-	Total     int    `json:"total"`
-	NextAfter uint64 `json:"next_after,omitempty"`
-}
+// Paging envelope section): {items, total, next_after}, built by the
+// layer that owns the data.
 
 // Page bounds of every cursor-paged route: a request without ?limit=
 // gets defaultPageLimit items, and no page holds more than maxPageLimit.
@@ -903,27 +875,21 @@ func (s *Server) handleRuntimeStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExecLogPage serves execution-log pages: ?after=<seq> resumes
-// past a cursor, ?limit=<n> bounds the page (see pageParams). Entries
-// an older data dir archived stream from archive files; a page touches
-// no archive entirely below its cursor. It reads one entry past the
-// page so next_after is absent at the tail.
+// past a cursor, ?limit=<n> bounds the page (see pageParams). It sends
+// the log's own page (store.Log.Page); entries an older data dir
+// archived stream from archive files.
 func (s *Server) handleExecLogPage(w http.ResponseWriter, r *http.Request) {
 	after, limit, err := pageParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	entries, err := s.b.ExecutionLogPage(uint64(after), limit+1)
+	page, err := s.b.ExecutionLog().Page(uint64(after), limit)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := execLogPage{Items: entries, Total: s.b.ExecutionLogLen()}
-	if len(entries) > limit {
-		out.Items = entries[:limit]
-		out.NextAfter = entries[limit-1].Seq
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, &page)
 }
 
 // handleHealth serves the aggregated resilience report. Load balancers
@@ -1019,17 +985,17 @@ func (s *Server) handleMonitorLate(w http.ResponseWriter, r *http.Request) {
 
 // handleTimeline serves both timeline routes (the API's and the
 // monitor's): ?after=<seq> resumes past a cursor, ?limit=<n> bounds
-// the page (see pageParams). It is backed by the runtime's event
-// history, so it copies only the page — no execution slice, no model.
-// A history archive that fails verification is a 500, never a short
-// page.
+// the page (see pageParams). It sends the runtime's own page
+// (runtime.Events), which copies only the page's events — no
+// execution slice, no model. A history archive that fails
+// verification is a 500, never a short page.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	after, limit, err := pageParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	page, err := s.b.Monitor().TimelinePage(r.PathValue("id"), int(after), limit)
+	page, err := s.b.Events(r.PathValue("id"), int(after), limit)
 	if errors.Is(err, runtime.ErrNotFound) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
 		return
@@ -1038,8 +1004,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	tp := toTimelinePage(page)
-	writeJSON(w, http.StatusOK, &tp)
+	writeJSON(w, http.StatusOK, (*eventPage)(&page))
 }
 
 // queryInt parses an optional non-negative integer query value.

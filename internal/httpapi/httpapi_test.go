@@ -493,6 +493,77 @@ func TestInstanceTimelinePaging(t *testing.T) {
 	}
 }
 
+// TestTimelineItemsMatchAdvanceEvents pins one event shape: each event
+// an advance response carries comes back from the timeline, at the
+// same seq, in the same bytes — from_phase, action_uri and invocation
+// included. No reviewers are bound, so entering internalreview starts
+// the access-rights change and fails the notification at call time.
+func TestTimelineItemsMatchAdvanceEvents(t *testing.T) {
+	e := newEnv(t, false)
+	model := scenario.QualityPlan()
+	if err := e.sys.DefineModel("", model); err != nil {
+		t.Fatal(err)
+	}
+	e.sys.Sims.Wiki.CreatePage("D1.1", "o", "x")
+	snap, err := e.sys.Instantiate(model.URI, gelee.Ref{URI: "http://wiki/D1.1", Type: "mediawiki"}, "owner", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.sys.Advance(snap.ID, "elaboration", "owner", gelee.AdvanceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var moved struct {
+		Events []json.RawMessage `json:"events"`
+	}
+	if code := e.call(t, "POST", "/api/v1/instances/"+snap.ID+"/advance", "owner",
+		map[string]string{"to": "internalreview"}, &moved); code != 200 {
+		t.Fatalf("advance = %d", code)
+	}
+	var tl struct {
+		Items []json.RawMessage `json:"items"`
+	}
+	if code := e.call(t, "GET", "/api/v1/instances/"+snap.ID+"/timeline", "", nil, &tl); code != 200 {
+		t.Fatalf("timeline = %d", code)
+	}
+	bySeq := make(map[int]json.RawMessage, len(tl.Items))
+	for _, item := range tl.Items {
+		var ev struct {
+			Seq int `json:"seq"`
+		}
+		if err := json.Unmarshal(item, &ev); err != nil {
+			t.Fatal(err)
+		}
+		bySeq[ev.Seq] = item
+	}
+	seen := map[string]bool{}
+	for _, raw := range moved.Events {
+		var ev struct {
+			Seq        int    `json:"seq"`
+			Kind       string `json:"kind"`
+			FromPhase  string `json:"from_phase"`
+			ActionURI  string `json:"action_uri"`
+			Invocation string `json:"invocation"`
+			Status     string `json:"status"`
+		}
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if item := bySeq[ev.Seq]; !bytes.Equal(item, raw) {
+			t.Fatalf("seq %d:\n advance  %s\n timeline %s", ev.Seq, raw, item)
+		}
+		seen["from_phase"] = seen["from_phase"] || ev.FromPhase != ""
+		seen["action_uri"] = seen["action_uri"] || ev.ActionURI != ""
+		seen["invocation"] = seen["invocation"] || ev.Invocation != ""
+		seen["started"] = seen["started"] || ev.Kind == "action-started"
+		seen["failed action"] = seen["failed action"] || ev.Status == "failed" && ev.ActionURI != ""
+	}
+	for _, what := range []string{"from_phase", "action_uri", "invocation", "started", "failed action"} {
+		if !seen[what] {
+			t.Fatalf("the advance's events carry no %s: %s", what, moved.Events)
+		}
+	}
+}
+
 func TestAdminRuntimeReadPathCounters(t *testing.T) {
 	e := newEnv(t, false)
 	model := scenario.QualityPlan()

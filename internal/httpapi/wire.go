@@ -158,7 +158,27 @@ func appendRef(buf []byte, ref *resource.Ref) ([]byte, error) {
 	return append(buf, '}'), nil
 }
 
-// appendEvent encodes a runtime.Event of the move payload.
+// appendEvents appends an event slice; nil is null, as encoding/json
+// writes it.
+func appendEvents(buf []byte, evs []runtime.Event) ([]byte, error) {
+	if evs == nil {
+		return append(buf, "null"...), nil
+	}
+	buf = append(buf, '[')
+	for i := range evs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		var err error
+		if buf, err = appendEvent(buf, &evs[i]); err != nil {
+			return buf, err
+		}
+	}
+	return append(buf, ']'), nil
+}
+
+// appendEvent encodes a runtime.Event: one shape on every route that
+// sends events.
 func appendEvent(buf []byte, ev *runtime.Event) ([]byte, error) {
 	buf = appendInt(buf, `{"seq":`, int64(ev.Seq))
 	buf, err := jsonenc.AppendWireTime(append(buf, `,"time":`...), ev.Time)
@@ -193,16 +213,9 @@ func (p *instancePayload) appendJSON(buf []byte) ([]byte, error) {
 	buf = appendStrings(append(buf, `,"next_suggested":`...), p.NextSuggested)
 	buf = appendStrings(append(buf, `,"phases":`...), p.Phases)
 	if len(p.Events) > 0 {
-		buf = append(buf, `,"events":[`...)
-		for i := range p.Events {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			if buf, err = appendEvent(buf, &p.Events[i]); err != nil {
-				return buf, err
-			}
+		if buf, err = appendEvents(append(buf, `,"events":`...), p.Events); err != nil {
+			return buf, err
 		}
-		buf = append(buf, ']')
 	}
 	if len(p.Executions) > 0 {
 		// Only full snapshots carry executions; no hot route does.
@@ -244,39 +257,14 @@ func (p *summaryPage) appendJSON(buf []byte) ([]byte, error) {
 	return append(buf, '}'), nil
 }
 
-func appendTimelineEntry(buf []byte, e *monitor.TimelineEntry) ([]byte, error) {
-	buf = appendInt(buf, `{"seq":`, int64(e.Seq))
-	buf, err := jsonenc.AppendWireTime(append(buf, `,"time":`...), e.Time)
+// eventPage is both timeline routes' body: the page runtime.Events
+// returned, encoded as is.
+type eventPage runtime.EventPage
+
+func (p *eventPage) appendJSON(buf []byte) ([]byte, error) {
+	buf, err := appendEvents(append(buf, `{"items":`...), p.Events)
 	if err != nil {
 		return buf, err
-	}
-	buf = appendField(buf, `,"kind":`, e.Kind)
-	buf = appendOmitEmpty(buf, `,"actor":`, e.Actor)
-	buf = appendOmitEmpty(buf, `,"phase":`, e.Phase)
-	buf = appendOmitEmpty(buf, `,"detail":`, e.Detail)
-	if e.Deviation {
-		buf = append(buf, `,"deviation":true`...)
-	}
-	buf = appendOmitEmpty(buf, `,"status":`, e.Status)
-	return append(buf, '}'), nil
-}
-
-func (p *timelinePage) appendJSON(buf []byte) ([]byte, error) {
-	buf = append(buf, `{"items":`...)
-	if p.Items == nil {
-		buf = append(buf, "null"...)
-	} else {
-		buf = append(buf, '[')
-		for i := range p.Items {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			var err error
-			if buf, err = appendTimelineEntry(buf, &p.Items[i]); err != nil {
-				return buf, err
-			}
-		}
-		buf = append(buf, ']')
 	}
 	buf = appendInt(buf, `,"total":`, int64(p.Total))
 	if p.NextAfter != 0 {

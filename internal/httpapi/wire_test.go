@@ -242,27 +242,25 @@ func TestWireInstancePayloadMatchesEncoder(t *testing.T) {
 	})
 }
 
+// TestWireTimelinePageMatchesEncoder: the timeline body is the
+// runtime's EventPage as encoding/json writes it, for nil, empty and
+// filled pages of events that draw each of their eleven fields.
 func TestWireTimelinePageMatchesEncoder(t *testing.T) {
 	checkWire(t, func(g wireGen) bool {
-		var evs []runtime.Event
-		if g.r.Intn(4) > 0 {
-			evs = g.events()
+		page := runtime.EventPage{
+			Total: g.n(), NextAfter: g.n(), OldestSeq: g.n(),
+			Truncated: g.r.Intn(2) == 0, Backfilled: g.n(),
 		}
-		page := monitor.TimelinePage{
-			Total: g.n(), OldestSeq: g.n(), Truncated: g.r.Intn(2) == 0,
-			Backfilled: g.n(), NextAfter: g.n(),
-		}
-		if evs != nil {
-			page.Entries = make([]monitor.TimelineEntry, len(evs))
-			for i, ev := range evs {
-				page.Entries[i] = monitor.TimelineEntry{
-					Seq: ev.Seq, Time: ev.Time, Kind: string(ev.Kind), Actor: ev.Actor,
-					Phase: ev.Phase, Detail: ev.Detail, Deviation: ev.Deviation, Status: ev.Status,
-				}
+		switch g.r.Intn(3) {
+		case 0: // nil: not a page runtime.Events returns, encoded all the same
+		case 1:
+			page.Events = []runtime.Event{}
+		default:
+			for n := 1 + g.r.Intn(4); n > 0; n-- {
+				page.Events = append(page.Events, g.event(n))
 			}
 		}
-		tp := toTimelinePage(page)
-		return sameAsStdlib(t, &tp, tp)
+		return sameAsStdlib(t, (*eventPage)(&page), page)
 	})
 }
 
@@ -365,7 +363,7 @@ func (w *writeCounter) Write(b []byte) (int, error) {
 // by encoding/json or by a hand encoder — is answered with the
 // structured 500, never a truncated 200.
 func TestWriteJSONEncodeFailureIs500(t *testing.T) {
-	badTime := &timelinePage{Items: []monitor.TimelineEntry{
+	badTime := &eventPage{Events: []runtime.Event{
 		{Seq: 1, Time: time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC)},
 		{Seq: 2, Time: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
 	}}

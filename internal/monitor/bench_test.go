@@ -180,29 +180,3 @@ func BenchmarkMonitorOverview(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTimelinePage measures the paged drill-down against the full
-// timeline read.
-func BenchmarkTimelinePage(b *testing.B) {
-	rt, mon := benchEnv(b)
-	sums := rt.Summaries()
-	id := sums[0].ID
-	b.Run("page-32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			page, err := mon.TimelinePage(id, 64, 32)
-			if err != nil || len(page.Entries) != 32 {
-				b.Fatalf("page = %d entries", len(page.Entries))
-			}
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tl, err := mon.Timeline(id)
-			if err != nil || len(tl) != benchEvents {
-				b.Fatalf("timeline = %d entries", len(tl))
-			}
-		}
-	})
-}

@@ -1,8 +1,10 @@
 // Package monitor implements the monitoring cockpit of Fig. 2 — the
 // interface "a project manager would use to visualize status and history
-// of the resources under her responsibility" (§I). It answers the §II.B
-// requirements directly: which artifacts are in a given status, which
-// are late, and what happened to each one, at any point in time.
+// of the resources under her responsibility" (§I). It answers two §II.B
+// requirements: which artifacts are in a given status and which are
+// late. The third, what happened to each one at any point in time, is
+// the runtime's event history: the timeline routes send the page
+// runtime.Events returns as is.
 //
 // The monitor is a pure read-side component; it never mutates lifecycle
 // state, and no view deep-copies an event slice, an execution slice or
@@ -19,10 +21,8 @@
 //     instance; the filtered variants (OverviewWhere, LateWhere) push a
 //     runtime.Filter down to the secondary indexes, so a by-resource or
 //     by-model view touches only its matches.
-//   - The per-instance drill-downs are O(page) and O(phases): Timeline
-//     pages straight from the runtime's event history (runtime.Events,
-//     which reads ring-truncated pages back from the history archives),
-//     and PhaseStats reads the per-phase counters the runtime maintains.
+//   - PhaseStats, the per-instance drill-down, is O(phases): it reads
+//     the per-phase counters the runtime maintains.
 package monitor
 
 import (
@@ -37,13 +37,12 @@ import (
 // and so by *gelee.System, which embeds it. Aggregate serves the
 // summary's maintained headline numbers; ForEachSummary streams the
 // row views off the runtime's ordered population index, filter pushed
-// down, without materializing every summary; Events (paged history
-// window) and PhaseStats (the incrementally maintained per-phase
-// counters) feed the per-instance drill-downs.
+// down, without materializing every summary; PhaseStats (the
+// incrementally maintained per-phase counters) feeds the per-instance
+// drill-down.
 type Source interface {
 	Aggregate(now time.Time) runtime.Aggregate
 	ForEachSummary(f runtime.Filter, after int64, fn func(runtime.Summary) bool)
-	Events(id string, after, limit int) (runtime.EventPage, error)
 	PhaseStats(id string, now time.Time) (map[string]runtime.PhaseStat, bool)
 }
 
@@ -196,82 +195,6 @@ func (m *Monitor) Summarize() Summary {
 
 		ByModelVersion: a.ByModelVersion,
 	}
-}
-
-// TimelineEntry is one step of an instance's history view.
-type TimelineEntry struct {
-	Seq       int       `json:"seq"`
-	Time      time.Time `json:"time"`
-	Kind      string    `json:"kind"`
-	Actor     string    `json:"actor,omitempty"`
-	Phase     string    `json:"phase,omitempty"`
-	Detail    string    `json:"detail,omitempty"`
-	Deviation bool      `json:"deviation,omitempty"`
-	Status    string    `json:"status,omitempty"`
-}
-
-func toEntries(evs []runtime.Event) []TimelineEntry {
-	out := make([]TimelineEntry, len(evs))
-	for i, ev := range evs {
-		out[i] = TimelineEntry{
-			Seq: ev.Seq, Time: ev.Time, Kind: string(ev.Kind), Actor: ev.Actor,
-			Phase: ev.Phase, Detail: ev.Detail, Deviation: ev.Deviation, Status: ev.Status,
-		}
-	}
-	return out
-}
-
-// Timeline returns the instance's full history in order; the error is
-// runtime.ErrNotFound for an unknown instance, or an unreadable
-// history archive. For large histories prefer TimelinePage.
-func (m *Monitor) Timeline(instanceID string) ([]TimelineEntry, error) {
-	page, err := m.src.Events(instanceID, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	return toEntries(page.Events), nil
-}
-
-// TimelinePage is one window of an instance's history view.
-type TimelinePage struct {
-	Entries []TimelineEntry `json:"entries"`
-	// Total is the number of events ever recorded on the instance.
-	Total int `json:"total"`
-	// OldestSeq is the oldest seq still in the in-memory ring (1
-	// unless truncated, 0 when the instance has no events).
-	OldestSeq int `json:"oldest_seq"`
-	// Truncated reports that the requested range began before the
-	// oldest event the instance still has anywhere; the page then
-	// starts there (see runtime.EventPage).
-	Truncated bool `json:"truncated"`
-	// Backfilled counts entries of this page served from outside the
-	// ring: the spill awaiting the next fold or a history archive.
-	Backfilled int `json:"backfilled,omitempty"`
-	// NextAfter is the cursor for the following page (pass it as
-	// `after`); 0 when this page reaches the tail.
-	NextAfter int `json:"next_after,omitempty"`
-}
-
-// TimelinePage returns the history window with Seq > after, at most
-// limit entries (limit <= 0 means no bound), paged straight from the
-// runtime's event history — no execution copy, no model copy. Errors
-// as Timeline.
-func (m *Monitor) TimelinePage(instanceID string, after, limit int) (TimelinePage, error) {
-	page, err := m.src.Events(instanceID, after, limit)
-	if err != nil {
-		return TimelinePage{}, err
-	}
-	out := TimelinePage{
-		Entries:    toEntries(page.Events),
-		Total:      page.Total,
-		OldestSeq:  page.OldestSeq,
-		Truncated:  page.Truncated,
-		Backfilled: page.Backfilled,
-	}
-	if n := len(page.Events); n > 0 && page.Events[n-1].Seq < page.Total {
-		out.NextAfter = page.Events[n-1].Seq
-	}
-	return out, nil
 }
 
 // PhaseStats measures time spent per phase for one instance:

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -169,31 +168,6 @@ func TestOverviewFlagsProposals(t *testing.T) {
 	}
 }
 
-func TestTimeline(t *testing.T) {
-	e := newEnv(t)
-	snaps := e.seed(t, 1)
-	id := snaps[0].ID
-	e.rt.Advance(id, "elaboration", snaps[0].Owner, runtime.AdvanceOptions{})
-	e.rt.Annotate(id, snaps[0].Owner, "waiting on partner text")
-	tl, err := e.mon.Timeline(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl) < 3 {
-		t.Fatalf("timeline = %d entries", len(tl))
-	}
-	if tl[0].Kind != "created" {
-		t.Fatalf("first entry = %+v", tl[0])
-	}
-	last := tl[len(tl)-1]
-	if last.Kind != "annotated" || last.Detail != "waiting on partner text" {
-		t.Fatalf("last entry = %+v", last)
-	}
-	if _, err := e.mon.Timeline("ghost"); !errors.Is(err, runtime.ErrNotFound) {
-		t.Fatalf("timeline for missing instance: %v", err)
-	}
-}
-
 func TestPhaseStats(t *testing.T) {
 	e := newEnv(t)
 	snaps := e.seed(t, 1)
@@ -250,98 +224,6 @@ func TestLiquidPubScale(t *testing.T) {
 	}
 	if len(e.mon.Overview()) != 35 {
 		t.Fatal("overview row count mismatch")
-	}
-}
-
-func TestTimelinePagePaging(t *testing.T) {
-	e := newEnv(t)
-	snaps := e.seed(t, 1)
-	id := snaps[0].ID
-	e.rt.Advance(id, "elaboration", snaps[0].Owner, runtime.AdvanceOptions{})
-	for i := 0; i < 8; i++ {
-		e.rt.Annotate(id, snaps[0].Owner, "note")
-	}
-	// created + phase-entered + 8 annotations = 10 events.
-	page, err := e.mon.TimelinePage(id, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Entries) != 4 || page.Total != 10 || page.OldestSeq != 1 || page.Truncated {
-		t.Fatalf("page = %+v", page)
-	}
-	if page.NextAfter != 4 {
-		t.Fatalf("next_after = %d", page.NextAfter)
-	}
-	// Follow the cursor to the tail.
-	var got []TimelineEntry
-	got = append(got, page.Entries...)
-	for page.NextAfter != 0 {
-		page, _ = e.mon.TimelinePage(id, page.NextAfter, 4)
-		got = append(got, page.Entries...)
-	}
-	if len(got) != 10 {
-		t.Fatalf("cursor walk collected %d entries", len(got))
-	}
-	for i, en := range got {
-		if en.Seq != i+1 {
-			t.Fatalf("entry %d has seq %d", i, en.Seq)
-		}
-	}
-	// Beyond the tail: empty page, no cursor.
-	page, _ = e.mon.TimelinePage(id, 99, 4)
-	if len(page.Entries) != 0 || page.NextAfter != 0 {
-		t.Fatalf("past-tail page = %+v", page)
-	}
-	// limit <= 0 returns the remainder.
-	page, _ = e.mon.TimelinePage(id, 6, 0)
-	if len(page.Entries) != 4 || page.Entries[0].Seq != 7 {
-		t.Fatalf("unbounded page = %+v", page.Entries)
-	}
-	if _, err := e.mon.TimelinePage("ghost", 0, 0); !errors.Is(err, runtime.ErrNotFound) {
-		t.Fatalf("page for missing instance: %v", err)
-	}
-}
-
-func TestTimelinePageTruncatedPrefix(t *testing.T) {
-	clock := vclock.NewFake(time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
-	rt, err := runtime.New(runtime.Config{
-		Registry:          actionlib.NewRegistry(),
-		Invoker:           runtime.InvokerFunc(func(context.Context, actionlib.Invocation) error { return nil }),
-		Clock:             clock,
-		SyncActions:       true,
-		MaxEventsInMemory: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := New(rt, clock)
-	snap, err := rt.Instantiate(scenario.QualityPlan(),
-		resource.Ref{URI: "urn:t:1", Type: "mediawiki"}, "owner", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		rt.Annotate(snap.ID, "owner", "note")
-	}
-	// The prefix the ring dropped is served from the spill: no
-	// History is wired, so the runtime keeps it in RAM.
-	page, err := mon.TimelinePage(snap.ID, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page.Truncated || page.OldestSeq <= 1 || page.Backfilled != 5 {
-		t.Fatalf("truncated prefix not served from the spill: %+v", page)
-	}
-	if len(page.Entries) != 5 || page.Entries[0].Seq != 1 || page.NextAfter != 5 {
-		t.Fatalf("page does not start at the first seq: %+v", page)
-	}
-	if page.Total != 31 {
-		t.Fatalf("total = %d", page.Total)
-	}
-	// The cockpit aggregate is unaffected by the truncation.
-	sum := mon.Summarize()
-	if sum.Total != 1 || sum.Deviations != 0 {
-		t.Fatalf("summary = %+v", sum)
 	}
 }
 

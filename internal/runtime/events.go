@@ -7,15 +7,19 @@ import (
 )
 
 // EventPage is a window of one instance's event history, served without
-// copying anything beyond the requested page — the backing store of the
-// HTTP tier's paged timeline.
+// copying anything beyond the requested page. It is what both timeline
+// routes send: its JSON is the {items,total,next_after} page envelope,
+// its events in the shape every response carries them.
 type EventPage struct {
-	// Events is the page, in ascending Seq order. Empty when the cursor
-	// is at or past the tail.
-	Events []Event `json:"events"`
+	// Events is the page, in ascending Seq order. Empty, never nil,
+	// when the cursor is at or past the tail.
+	Events []Event `json:"items"`
 	// Total is the number of events ever recorded (the tail Seq),
 	// including any truncated out of the in-memory ring.
 	Total int `json:"total"`
+	// NextAfter is the cursor of the following page (pass it back as
+	// after); 0 when this page reaches the tail.
+	NextAfter int `json:"next_after,omitempty"`
 	// OldestSeq is the Seq of the oldest event still in the in-memory
 	// ring — 1 when nothing was truncated, 0 when the instance has no
 	// events at all.
@@ -58,13 +62,13 @@ type HistoryRef struct {
 }
 
 // Events returns a page of the instance's history: events with
-// Seq > after, at most limit of them (limit <= 0 means no bound). The
-// page stitches the instance's three tiers in seq order — archived
-// batches, read back from disk, then the spill, then the ring — so
-// ring truncation never hides history; Backfilled counts what came
-// from outside the ring. ErrNotFound when the instance does not
-// exist; an archive that fails verification is an error too, never a
-// short page.
+// Seq > after, at most limit of them (limit <= 0 means no bound), and
+// the cursor of the next page. The page stitches the instance's three
+// tiers in seq order — archived batches, read back from disk, then the
+// spill, then the ring — so ring truncation never hides history;
+// Backfilled counts what came from outside the ring. ErrNotFound when
+// the instance does not exist; an archive that fails verification is
+// an error too, never a short page.
 func (r *Runtime) Events(id string, after, limit int) (EventPage, error) {
 	in, ok := r.lookup(id)
 	if !ok {
@@ -105,9 +109,8 @@ func (r *Runtime) Events(id string, after, limit int) (EventPage, error) {
 	if limit > 0 {
 		end = min(end, start+limit-cold)
 	}
-	var mem []Event
+	mem := make([]Event, 0, max(end-start, 0))
 	if start < end {
-		mem = make([]Event, 0, end-start)
 		if start < len(in.spill) {
 			mem = append(mem, in.spill[start:min(end, len(in.spill))]...)
 		}
@@ -118,15 +121,17 @@ func (r *Runtime) Events(id string, after, limit int) (EventPage, error) {
 	page.Backfilled = cold + max(min(end, len(in.spill))-start, 0)
 	in.mu.Unlock()
 
-	if cold == 0 {
-		page.Events = mem
-		return page, nil
+	page.Events = mem
+	if cold > 0 {
+		evs, err := r.readArchived(id, refs, after, cold)
+		if err != nil {
+			return EventPage{}, err
+		}
+		page.Events = append(evs, mem...)
 	}
-	evs, err := r.readArchived(id, refs, after, cold)
-	if err != nil {
-		return EventPage{}, err
+	if n := len(page.Events); n > 0 && page.Events[n-1].Seq < page.Total {
+		page.NextAfter = page.Events[n-1].Seq
 	}
-	page.Events = append(evs, mem...)
 	return page, nil
 }
 

@@ -101,6 +101,110 @@ func TestEventsPaging(t *testing.T) {
 	}
 }
 
+// TestTimeline reads an instance's whole history as one page, from
+// its creation to its last annotation.
+func TestTimeline(t *testing.T) {
+	e := newEnv(t)
+	snap := e.instantiate(t)
+	id := snap.ID
+	e.rt.Advance(id, "elaboration", "owner", AdvanceOptions{})
+	e.rt.Annotate(id, "owner", "waiting on partner text")
+	page, err := e.rt.Events(id, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := page.Events
+	if len(tl) < 3 {
+		t.Fatalf("timeline = %d entries", len(tl))
+	}
+	if tl[0].Kind != EventCreated {
+		t.Fatalf("first entry = %+v", tl[0])
+	}
+	last := tl[len(tl)-1]
+	if last.Kind != EventAnnotated || last.Detail != "waiting on partner text" {
+		t.Fatalf("last entry = %+v", last)
+	}
+	if _, err := e.rt.Events("ghost", 0, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("timeline for missing instance: %v", err)
+	}
+}
+
+// TestTimelinePagePaging walks a history by the page's own cursor.
+func TestTimelinePagePaging(t *testing.T) {
+	e := newEnv(t)
+	snap := e.instantiate(t)
+	id := snap.ID
+	e.rt.Advance(id, "elaboration", "owner", AdvanceOptions{})
+	for i := 0; i < 8; i++ {
+		e.rt.Annotate(id, "owner", "note")
+	}
+	// created + phase-entered + 8 annotations = 10 events.
+	page, err := e.rt.Events(id, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Events) != 4 || page.Total != 10 || page.OldestSeq != 1 || page.Truncated {
+		t.Fatalf("page = %+v", page)
+	}
+	if page.NextAfter != 4 {
+		t.Fatalf("next_after = %d", page.NextAfter)
+	}
+	// Follow the cursor to the tail.
+	var got []Event
+	got = append(got, page.Events...)
+	for page.NextAfter != 0 {
+		page, _ = e.rt.Events(id, page.NextAfter, 4)
+		got = append(got, page.Events...)
+	}
+	if len(got) != 10 {
+		t.Fatalf("cursor walk collected %d entries", len(got))
+	}
+	for i, en := range got {
+		if en.Seq != i+1 {
+			t.Fatalf("entry %d has seq %d", i, en.Seq)
+		}
+	}
+	// Beyond the tail: empty page, no cursor.
+	page, _ = e.rt.Events(id, 99, 4)
+	if page.Events == nil || len(page.Events) != 0 || page.NextAfter != 0 {
+		t.Fatalf("past-tail page = %+v", page)
+	}
+	// limit <= 0 returns the remainder.
+	page, _ = e.rt.Events(id, 6, 0)
+	if len(page.Events) != 4 || page.Events[0].Seq != 7 || page.NextAfter != 0 {
+		t.Fatalf("unbounded page = %+v", page.Events)
+	}
+	if _, err := e.rt.Events("ghost", 0, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("page for missing instance: %v", err)
+	}
+}
+
+// TestTimelinePageTruncatedPrefix: the prefix the ring dropped is
+// still paged from its start, served from the spill.
+func TestTimelinePageTruncatedPrefix(t *testing.T) {
+	e := newEnvWithConfig(t, func(c *Config) { c.MaxEventsInMemory = 8 })
+	snap := e.instantiate(t)
+	annotateN(t, e.rt, snap.ID, 30)
+	// No History is wired, so the runtime keeps the prefix in RAM.
+	page, err := e.rt.Events(snap.ID, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.Truncated || page.OldestSeq <= 1 || page.Backfilled != 5 {
+		t.Fatalf("truncated prefix not served from the spill: %+v", page)
+	}
+	if len(page.Events) != 5 || page.Events[0].Seq != 1 || page.NextAfter != 5 {
+		t.Fatalf("page does not start at the first seq: %+v", page)
+	}
+	if page.Total != 31 {
+		t.Fatalf("total = %d", page.Total)
+	}
+	// The cockpit aggregate is unaffected by the truncation.
+	if agg := e.rt.Aggregate(e.clock.Now()); agg.Total != 1 || agg.Deviations != 0 {
+		t.Fatalf("aggregate = %+v", agg)
+	}
+}
+
 func TestEventTruncationRing(t *testing.T) {
 	const max = 20
 	e := newEnvWithConfig(t, func(c *Config) { c.MaxEventsInMemory = max })

@@ -70,11 +70,11 @@ func pagedJSON(t *testing.T, lg *Log, limit int) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(page) == 0 {
+		if len(page.Items) == 0 {
 			break
 		}
-		paged = append(paged, page...)
-		after = page[len(page)-1].Seq
+		paged = append(paged, page.Items...)
+		after = page.Items[len(page.Items)-1].Seq
 	}
 	data, err := json.Marshal(paged)
 	if err != nil {

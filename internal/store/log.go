@@ -131,8 +131,9 @@ func (l *Log) append(e LogEntry) {
 // Archives whose entries all have Seq <= after are skipped without
 // opening the file, and entries at or below after are filtered out —
 // the lazy stitch paged reads ride on. fn sees cold entries without
-// the log's lock and live entries under its read lock.
-func (l *Log) scan(after uint64, fn func(LogEntry) bool) error {
+// the log's lock and live entries under its read lock, under which
+// scan also counts the log's entries for its result.
+func (l *Log) scan(after uint64, fn func(LogEntry) bool) (total int, err error) {
 	l.mu.RLock()
 	cold := l.cold
 	l.mu.RUnlock()
@@ -155,8 +156,11 @@ func (l *Log) scan(after uint64, fn func(LogEntry) bool) error {
 			}
 			return nil
 		})
-		if err != nil || stopped {
-			return err
+		if err != nil {
+			return 0, err
+		}
+		if stopped {
+			return l.Len(), nil
 		}
 	}
 	l.mu.RLock()
@@ -169,7 +173,7 @@ func (l *Log) scan(after uint64, fn func(LogEntry) bool) error {
 			break
 		}
 	}
-	return nil
+	return l.coldLen + len(l.entries), nil
 }
 
 // All returns a copy of the whole log in append order — cold archives
@@ -178,29 +182,48 @@ func (l *Log) scan(after uint64, fn func(LogEntry) bool) error {
 // error.
 func (l *Log) All() []LogEntry {
 	var out []LogEntry
-	_ = l.scan(0, func(e LogEntry) bool {
+	_, _ = l.scan(0, func(e LogEntry) bool {
 		out = append(out, e)
 		return true
 	})
 	return out
 }
 
+// LogPage is one cursor window of a log. It is what the admin log
+// route sends: its JSON is the {items,total,next_after} page envelope.
+type LogPage struct {
+	// Items is the page in append order; empty, never nil, past the
+	// tail.
+	Items []LogEntry `json:"items"`
+	// Total is the number of entries ever appended, archived ones
+	// included.
+	Total int `json:"total"`
+	// NextAfter is the cursor of the following page (pass it back as
+	// after); 0 when this page reaches the tail.
+	NextAfter uint64 `json:"next_after,omitempty"`
+}
+
 // Page returns up to limit entries with Seq > after in append order —
-// the cockpit's cursor over unbounded history. Archives entirely at or
-// below the cursor are skipped without touching the disk; at most the
-// one archive straddling the cursor is streamed per page beyond the
-// entries returned. limit <= 0 means no limit. Unlike the legacy
-// readers it surfaces archive corruption as an error.
-func (l *Log) Page(after uint64, limit int) ([]LogEntry, error) {
-	var out []LogEntry
-	err := l.scan(after, func(e LogEntry) bool {
-		out = append(out, e)
-		return limit <= 0 || len(out) < limit
+// the cockpit's cursor over unbounded history — and the cursor of the
+// next page, which it finds by reading one entry past the page.
+// Archives entirely at or below the cursor are skipped without
+// touching the disk. limit <= 0 means no limit. Unlike All it surfaces
+// archive corruption as an error.
+func (l *Log) Page(after uint64, limit int) (LogPage, error) {
+	page := LogPage{Items: []LogEntry{}}
+	total, err := l.scan(after, func(e LogEntry) bool {
+		if limit > 0 && len(page.Items) == limit {
+			page.NextAfter = page.Items[limit-1].Seq
+			return false
+		}
+		page.Items = append(page.Items, e)
+		return true
 	})
 	if err != nil {
-		return nil, err
+		return LogPage{}, err
 	}
-	return out, nil
+	page.Total = total
+	return page, nil
 }
 
 // Len returns the number of entries across both halves of the log.

@@ -199,16 +199,16 @@ func TestConcurrentLogAppendOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(page) == 0 {
+			if len(page.Items) == 0 {
 				break
 			}
-			for _, e := range page {
+			for _, e := range page.Items {
 				if e.Seq != uint64(got+1) {
 					t.Fatalf("cursor walk: entry %d has seq %d", got, e.Seq)
 				}
 				got++
 			}
-			after = page[len(page)-1].Seq
+			after = page.Items[len(page.Items)-1].Seq
 		}
 		if got != want {
 			t.Fatalf("cursor walk returned %d of %d entries", got, want)

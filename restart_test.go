@@ -297,10 +297,11 @@ func TestTimelineStitchesTruncatedHistory(t *testing.T) {
 	if tail.Backfilled != 0 || len(tail.Events) != 3 {
 		t.Fatalf("tail page: %+v", tail)
 	}
-	// The cockpit timeline rides the same stitched path.
-	tl, err := sys.Monitor().TimelinePage(snap.ID, 0, 8)
-	if err != nil || len(tl.Entries) != 8 || tl.Entries[0].Seq != 1 || tl.Backfilled == 0 {
-		t.Fatalf("monitor timeline page: %+v (%v)", tl, err)
+	// The timeline's first page, with its cursor, rides the same
+	// stitched path.
+	tl, err := sys.Events(snap.ID, 0, 8)
+	if err != nil || len(tl.Events) != 8 || tl.Events[0].Seq != 1 || tl.Backfilled == 0 || tl.NextAfter != 8 {
+		t.Fatalf("timeline page: %+v (%v)", tl, err)
 	}
 }
 
