@@ -636,42 +636,6 @@ func BenchmarkByResourceIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkInstanceListing compares the full-snapshot listing (deep
-// copies of every event history) against the summary projection behind
-// GET /api/v1/instances, over 1024 instances with real histories.
-func BenchmarkInstanceListing(b *testing.B) {
-	rt := benchRuntime(b)
-	model := scenario.QualityPlan()
-	for i := 0; i < 1024; i++ {
-		ref := Ref{URI: fmt.Sprintf("urn:bench:res-%d", i), Type: "mediawiki"}
-		snap, err := rt.Instantiate(model, ref, "owner", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j <= i%len(scenario.HappyPath); j++ {
-			if _, err := rt.Advance(snap.ID, scenario.HappyPath[j], "owner", rtpkg.AdvanceOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("instances-full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := rt.Instances(); len(got) != 1024 {
-				b.Fatalf("instances = %d", len(got))
-			}
-		}
-	})
-	b.Run("summaries", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := rt.Summaries(); len(got) != 1024 {
-				b.Fatalf("summaries = %d", len(got))
-			}
-		}
-	})
-}
-
 func BenchmarkModelCloneAndFingerprint(b *testing.B) {
 	m := scenario.QualityPlan()
 	b.ReportAllocs()

@@ -333,7 +333,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	// Per Fig. 2 the data tier holds definitions and logs, not live
 	// instances — without Options.PersistInstances a fresh runtime
 	// starts empty (restart_test.go covers the durable-instances mode).
-	if got := len(sys2.Instances()); got != 0 {
+	if got := len(allInstances(sys2)); got != 0 {
 		t.Fatalf("instances after restart = %d, want 0 (paper's data tier)", got)
 	}
 }
@@ -449,4 +449,22 @@ func TestWidgetsAndMonitorWiredIn(t *testing.T) {
 	if sum.Total != 1 || sum.ByPhase["Elaboration"] != 1 {
 		t.Fatalf("summary = %+v", sum)
 	}
+}
+
+// allSummaries returns the summary of every instance in creation
+// order, one unbounded population page.
+func allSummaries(sys *System) []Summary {
+	return sys.QuerySummaries(Filter{}, 0, 0).Summaries
+}
+
+// allInstances returns a full snapshot of every instance in creation
+// order: the population page, each summary resolved through Instance.
+func allInstances(sys *System) []Snapshot {
+	var out []Snapshot
+	for _, s := range allSummaries(sys) {
+		if snap, ok := sys.Instance(s.ID); ok {
+			out = append(out, snap)
+		}
+	}
+	return out
 }

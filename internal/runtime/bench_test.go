@@ -222,3 +222,34 @@ func BenchmarkQuerySummariesFiltered(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplayOrder measures a restart from a 10k-instance snapshot
+// — ApplyJournal for every record, then FinishRecovery — with the
+// records in creation order, as EmitSnapshots writes them, and
+// shuffled, as snapshots written before it walked in creation order
+// still are: the replay half of the creation-ordered lists' rule,
+// appends plus one sort per list left out of order.
+func BenchmarkReplayOrder(b *testing.B) {
+	const population = 10000
+	rt := popRuntime(b, Config{SyncActions: true})
+	model := popModel()
+	for i := 0; i < population; i++ {
+		if _, err := rt.Instantiate(model, popRef(i), "owner", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	recs := emitSnapshots(b, rt)
+	for _, order := range []struct {
+		name string
+		recs []capturedRec
+	}{{"creation", recs}, {"shuffled", shuffled(recs, 1)}} {
+		b.Run(order.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n := replaySnapshotRecs(b, Config{SyncActions: true}, order.recs).Count(); n != population {
+					b.Fatalf("replayed %d instances, want %d", n, population)
+				}
+			}
+		})
+	}
+}

@@ -48,21 +48,23 @@ func (r *Runtime) PropagateChange(proposer string, newModel *core.Model, note st
 		return 0, err
 	}
 	defer r.models.release(e)
-	refs, uri := r.byModel.after(e.model.URI, 0)
+	l, uri := r.byModel.get(e.model.URI)
 	n := 0
-	for _, in := range refs {
-		in.mu.Lock()
-		if in.modelURI != uri || in.state == StateCompleted {
+	for refs := range l.walk(0, walkBatch) {
+		for _, in := range refs {
+			in.mu.Lock()
+			if in.modelURI != uri || in.state == StateCompleted {
+				in.mu.Unlock()
+				continue
+			}
+			r.models.retain(e)
+			err := r.proposeLocked(in, proposer, e, note)
 			in.mu.Unlock()
-			continue
+			if err != nil {
+				return n, err
+			}
+			n++
 		}
-		r.models.retain(e)
-		err := r.proposeLocked(in, proposer, e, note)
-		in.mu.Unlock()
-		if err != nil {
-			return n, err
-		}
-		n++
 	}
 	return n, nil
 }

@@ -340,10 +340,10 @@ func TestSwitchModelFailureLeavesNoTrace(t *testing.T) {
 	}
 	// The model index must still list the instance under its original
 	// model URI, and not under the rejected one.
-	if got := e.rt.ByModelURI(snap.ModelURI); len(got) != 1 || got[0].ID != id {
-		t.Fatalf("ByModelURI(%s) = %d instances after failed switch", snap.ModelURI, len(got))
+	if got := snapshots(e.rt, Filter{ModelURI: snap.ModelURI}); len(got) != 1 || got[0].ID != id {
+		t.Fatalf("model %s lists %d instances after failed switch", snap.ModelURI, len(got))
 	}
-	if got := e.rt.ByModelURI("urn:gelee:models:journal-survey"); len(got) != 0 {
+	if got := snapshots(e.rt, Filter{ModelURI: "urn:gelee:models:journal-survey"}); len(got) != 0 {
 		t.Fatalf("failed switch indexed the instance under the new model")
 	}
 }

@@ -224,6 +224,7 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	r.recoveryOnce.Do(func() {
 		r.recoveryStart = time.Now()
 		r.models.beginReplay()
+		r.replaying.Store(true)
 	})
 	start := time.Now()
 	var rec JournalRecord
@@ -514,7 +515,7 @@ func (r *Runtime) replaySwitch(in *instance, rec *JournalRecord) error {
 	in.completedAt = rec.CompletedAt
 	if rec.ModelURI != "" && rec.ModelURI != in.modelURI {
 		r.byModel.remove(in.modelURI, in)
-		in.modelURI = r.byModel.add(rec.ModelURI, in)
+		in.modelURI = r.byModel.add(rec.ModelURI, in, r.replaying.Load())
 	}
 	r.applyEvents(in, rec.Events)
 	return nil
@@ -580,12 +581,17 @@ func (r *Runtime) NoteReaderTime(read, envelope time.Duration) {
 	r.recoveryRead, r.recoveryEnvelope = read, envelope
 }
 
-// FinishRecovery closes a replay: it derives the recovery stats served
-// by RuntimeStats and returns them. Call it exactly once, after the
-// last ApplyJournal and before the runtime serves live traffic; a
-// runtime that never replayed reports zeros.
+// FinishRecovery closes a replay: it sorts each creation-ordered list
+// replay appended out of order (popindex.go), then derives the
+// recovery stats served by RuntimeStats and returns them. Call it
+// exactly once, after the last ApplyJournal and before the runtime
+// serves live traffic; a runtime that never replayed reports zeros.
 func (r *Runtime) FinishRecovery() RecoveryStats {
 	r.models.finishReplay()
+	r.pop.settle()
+	r.byRes.settle()
+	r.byModel.settle()
+	r.replaying.Store(false)
 	st := RecoveryStats{
 		Records:  r.recoveredRecords.Load(),
 		Events:   r.totalEvents.Load(),

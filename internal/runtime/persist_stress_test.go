@@ -122,7 +122,7 @@ func TestStressPersistCrashRecovery(t *testing.T) {
 	// Gapless per-instance seqs and a token position backed by the last
 	// phase-entered event — the recovered journal is a consistent
 	// prefix, not a re-interpretation.
-	for _, snap := range rt2.Instances() {
+	for _, snap := range snapshots(rt2, Filter{}) {
 		last := ""
 		for i, ev := range snap.Events {
 			if ev.Seq != i+1 {

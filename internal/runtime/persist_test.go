@@ -121,7 +121,7 @@ func mustJSON(t testing.TB, v any) string {
 // fingerprints, summaries and index-backed queries.
 func assertSameState(t testing.TB, want, got *Runtime) {
 	t.Helper()
-	ws, gs := want.Instances(), got.Instances()
+	ws, gs := snapshots(want, Filter{}), snapshots(got, Filter{})
 	if len(ws) != len(gs) {
 		t.Fatalf("population: %d vs %d", len(ws), len(gs))
 	}
@@ -136,7 +136,7 @@ func assertSameState(t testing.TB, want, got *Runtime) {
 			t.Fatalf("model JSON of %s diverged", ws[i].ID)
 		}
 	}
-	if w, g := mustJSON(t, want.Summaries()), mustJSON(t, got.Summaries()); w != g {
+	if w, g := mustJSON(t, summaries(want)), mustJSON(t, summaries(got)); w != g {
 		t.Fatalf("summaries diverged:\nlive      %s\nrecovered %s", w, g)
 	}
 	// Index parity: every resource and model URI answers identically.
@@ -150,8 +150,8 @@ func assertSameState(t testing.TB, want, got *Runtime) {
 		}
 		if !seen["m"+s.ModelURI] {
 			seen["m"+s.ModelURI] = true
-			if w, g := mustJSON(t, want.ByModelURI(s.ModelURI)), mustJSON(t, got.ByModelURI(s.ModelURI)); w != g {
-				t.Fatalf("ByModelURI(%s) diverged", s.ModelURI)
+			if w, g := mustJSON(t, snapshots(want, Filter{ModelURI: s.ModelURI})), mustJSON(t, snapshots(got, Filter{ModelURI: s.ModelURI})); w != g {
+				t.Fatalf("instances of model %s diverged", s.ModelURI)
 			}
 		}
 	}
@@ -427,14 +427,14 @@ func failureView(t *testing.T, e *persistEnv, uris []string) string {
 		Summaries []Summary
 		Indexed   map[string][][]Snapshot
 		Routes    []string
-	}{Stats: st, Instances: rt.Instances(), Events: map[string]EventPage{},
-		Aggregate: rt.Aggregate(e.clock.Now()), Summaries: rt.Summaries(),
+	}{Stats: st, Instances: snapshots(rt, Filter{}), Events: map[string]EventPage{},
+		Aggregate: rt.Aggregate(e.clock.Now()), Summaries: summaries(rt),
 		Indexed: map[string][][]Snapshot{}}
 	for _, snap := range v.Instances {
 		v.Events[snap.ID], _ = rt.Events(snap.ID, 0, 0)
 	}
 	for _, uri := range uris {
-		v.Indexed[uri] = [][]Snapshot{rt.ByResource(uri), rt.ByModelURI(uri)}
+		v.Indexed[uri] = [][]Snapshot{rt.ByResource(uri), snapshots(rt, Filter{ModelURI: uri})}
 	}
 	for _, sh := range rt.inv {
 		sh.mu.RLock()

@@ -1,66 +1,262 @@
 package runtime
 
-// Population index: the incrementally maintained, creation-seq-ordered
-// view of the instance table that serves every population listing.
+// Population index: the creation-ordered lists of instances behind
+// every population read.
 //
-// Each shard keeps, next to its id→instance map, an `ordered` slice of
-// the same instance pointers sorted by creation sequence. The slice is
-// maintained under the shard's existing membership lock at the three
-// places an instance is ever published — Instantiate, instantiate
-// replay and replaySnapshot — and instances are never removed, so the slice
-// only grows. Because seq is allocated before publication, two
-// concurrent Instantiates may publish out of order; the insert binary-
-// searches from the tail, which makes the common in-order publish an
-// amortized O(1) append and counts the rare out-of-order shuffle in
+// One type, seqList, holds a list of instance pointers in creation-seq
+// order under its own read-write lock. The runtime keeps one for the
+// whole population and one per resource URI and per model URI
+// (uriIndex). Instances enter the lists where an instance is published
+// — Instantiate, instantiate replay and replaySnapshot — and a model
+// switch moves one between model lists; instances are never removed,
+// so the population list only grows.
+//
+// The ordering rule is the same for every list. Seq is allocated
+// before publication, so racing Instantiates, and a switch of an old
+// instance into a model's list, may add below the tail. A live add
+// binary-searches for its slot and inserts there, so the common
+// in-order add stays an amortized O(1) append. An add during replay —
+// from the first ApplyJournal to FinishRecovery — always appends and
+// marks the list unsorted, so parallel replay lanes and shuffled
+// legacy snapshots pay O(1) per add, and FinishRecovery sorts each
+// marked list once. Readers never sort and never take a write lock.
+// Population adds that land below the tail are counted in
 // Stats.PopulationIndex.OutOfOrderInserts.
 //
-// Reads merge the per-shard runs: pageRefs seeks each shard's slice to
-// the cursor with one binary search (O(log n) per shard), copies at
-// most one page of pointers per shard under the read lock, and k-way
-// merges the runs by seq — O(shards·(log n + page)) per page instead of
-// an O(N log N) copy-and-sort of the whole table. Streaming
-// callers (Summaries, Instances, the monitor's cockpit rebuild) iterate
-// the index in fixed-size batches via forEachRef, so no call ever
-// materializes the full population at once. EmitSnapshots walks it
-// too, so snapshot files are written, and replayed, in creation order.
-//
-// Filtered reads start from the resource or model URI index instead,
-// whose entries are seq-ordered by append plus a lazy sort (uriEntry):
-// the cursor is seeked by binary search, the tail past it is copied,
-// and Filter.matches — the one predicate every listing uses — is
-// checked on each candidate's fields, so only emitted items pay for a
-// Summary.
+// Every population read is one walk (seqList.walk): under the list's
+// read lock it seeks the cursor by binary search and copies a bounded
+// batch of pointers past it; then, holding no list lock, it checks
+// Filter.matches — the one predicate every listing uses — under each
+// instance's own lock, so only emitted items pay for a Summary. A
+// query naming a resource or model URI walks that URI's list, any
+// other walks the population list: an unfiltered page costs one binary
+// search and a copy of limit+1 pointers. EmitSnapshots walks the
+// population too, so snapshot files are written, and replayed, in
+// creation order.
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
+	"sync"
 	"time"
+
+	"github.com/liquidpub/gelee/internal/shardkey"
 )
 
-// insertOrdered places in into the shard's seq-ordered slice; callers
-// hold sh.mu. Returns true when the insert was not a plain append —
-// i.e. a lower-seq instance was published after a higher-seq neighbor.
-func (sh *shard) insertOrdered(in *instance) bool {
-	n := len(sh.ordered)
-	if n == 0 || sh.ordered[n-1].seq < in.seq {
-		sh.ordered = append(sh.ordered, in)
+// seqList is a creation-ordered list of instances: the population, or
+// the entry of one resource or model URI. mu guards list and unsorted;
+// walk releases it before taking an instance's lock.
+type seqList struct {
+	mu   sync.RWMutex
+	list []*instance
+	// unsorted marks a list a replay add appended below its tail;
+	// FinishRecovery sorts it (settle).
+	unsorted bool
+}
+
+// walkBatch caps the pointers one walk step copies under the read lock.
+const walkBatch = 1024
+
+// add places in by the ordering rule and reports whether it landed
+// below the tail: a live add inserts at its seq's slot, a replay add
+// appends and leaves the list for settle.
+func (l *seqList) add(in *instance, replaying bool) (below bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.list)
+	switch {
+	case n == 0 || l.list[n-1].seq < in.seq:
+		l.list = append(l.list, in)
 		return false
+	case replaying:
+		l.list = append(l.list, in)
+		l.unsorted = true
+	default:
+		l.list = slices.Insert(l.list, l.search(in.seq), in)
 	}
-	i := sort.Search(n, func(i int) bool { return sh.ordered[i].seq > in.seq })
-	sh.ordered = append(sh.ordered, nil)
-	copy(sh.ordered[i+1:], sh.ordered[i:])
-	sh.ordered[i] = in
 	return true
 }
 
+// remove drops in and reports whether the list is left empty.
+// Deleting keeps the rest in order.
+func (l *seqList) remove(in *instance) (empty bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i := slices.Index(l.list, in); i >= 0 {
+		l.list = slices.Delete(l.list, i, i+1)
+	}
+	return len(l.list) == 0
+}
+
+// settle sorts a list replay left unsorted; FinishRecovery calls it
+// once per list.
+func (l *seqList) settle() {
+	l.mu.Lock()
+	if l.unsorted {
+		sortBySeq(l.list)
+		l.unsorted = false
+	}
+	l.mu.Unlock()
+}
+
+// search returns the position of the first instance with seq > after;
+// callers hold mu.
+func (l *seqList) search(after int64) int {
+	return sort.Search(len(l.list), func(i int) bool { return l.list[i].seq > after })
+}
+
+// len reports the list's length; a nil list is empty.
+func (l *seqList) len() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.list)
+}
+
+// walk yields the instances with seq > after, in creation order, in
+// batches; a nil list is empty. Each batch is copied under the read
+// lock — at most first pointers, each later batch twice the last, up
+// to walkBatch — and the loop body runs holding no list lock, so it
+// may take instance locks. A batch is valid until the body returns.
+// An instance added while the walk is in flight may or may not be
+// seen; one added before it started is seen exactly once (see the
+// cursor-stability test).
+func (l *seqList) walk(after int64, first int) iter.Seq[[]*instance] {
+	return func(yield func([]*instance) bool) {
+		if l == nil {
+			return
+		}
+		batch := min(max(first, 1), walkBatch)
+		var buf []*instance
+		for {
+			l.mu.RLock()
+			i := l.search(after)
+			end := min(len(l.list), i+batch)
+			buf = append(buf[:0], l.list[i:end]...)
+			more := end < len(l.list)
+			l.mu.RUnlock()
+			if len(buf) == 0 || !yield(buf) || !more {
+				return
+			}
+			after = buf[len(buf)-1].seq
+			batch = min(2*batch, walkBatch)
+		}
+	}
+}
+
+// sortBySeq orders instances by creation sequence; seq is immutable so
+// no lock is needed.
+func sortBySeq(list []*instance) {
+	slices.SortFunc(list, func(a, b *instance) int { return cmp.Compare(a.seq, b.seq) })
+}
+
+// uriIndex maps a resource or model URI to the seqList of the
+// instances carrying it, striped by URI hash. A stripe's lock guards
+// its map and is held across an entry's add or remove, so an entry
+// emptied and dropped from the map is never added to again; readers
+// take it only to find an entry.
+type uriIndex struct {
+	shards []*uriIndexShard
+}
+
+type uriIndexShard struct {
+	mu sync.RWMutex
+	m  map[string]*uriEntry
+}
+
+// uriEntry is one URI's list. key is the URI string the entry was
+// created with: add hands it back, so callers can keep one copy per URI
+// and compare it by pointer.
+type uriEntry struct {
+	key string
+	seqList
+}
+
+func newURIIndex(n int) *uriIndex {
+	ix := &uriIndex{shards: make([]*uriIndexShard, n)}
+	for i := range ix.shards {
+		ix.shards[i] = &uriIndexShard{m: make(map[string]*uriEntry)}
+	}
+	return ix
+}
+
+func (ix *uriIndex) shardFor(uri string) *uriIndexShard {
+	return ix.shards[shardkey.Index(uri, len(ix.shards))]
+}
+
+// add files in under uri by the ordering rule and returns the entry's
+// key string.
+func (ix *uriIndex) add(uri string, in *instance, replaying bool) string {
+	sh := ix.shardFor(uri)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.m[uri]
+	if e == nil {
+		e = &uriEntry{key: uri}
+		sh.m[uri] = e
+	}
+	e.add(in, replaying)
+	return e.key
+}
+
+// remove drops in from uri's entry (used when an owner switches the
+// model an instance follows), and the entry once it is empty.
+func (ix *uriIndex) remove(uri string, in *instance) {
+	sh := ix.shardFor(uri)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e := sh.m[uri]; e != nil && e.remove(in) {
+		delete(sh.m, uri)
+	}
+}
+
+// get returns uri's list — nil when no instance carries uri — and the
+// entry's key string (uri itself when there is no entry).
+func (ix *uriIndex) get(uri string) (*seqList, string) {
+	sh := ix.shardFor(uri)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e := sh.m[uri]; e != nil {
+		return &e.seqList, e.key
+	}
+	return nil, uri
+}
+
+// settle sorts every entry replay left unsorted.
+func (ix *uriIndex) settle() {
+	for _, sh := range ix.shards {
+		sh.mu.RLock()
+		for _, e := range sh.m {
+			e.settle()
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// keys counts distinct URIs across stripes.
+func (ix *uriIndex) keys() int {
+	n := 0
+	for _, sh := range ix.shards {
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 // publish makes an already-constructed instance visible: its shard map
-// entry and population-index slot in one critical section, then its
-// resource and model index entries, its cockpit-aggregate count and
-// the instance id counter. It is the single publication point shared
-// by Instantiate, instantiate replay and replaySnapshot; an id
-// collision (replay only) inserts nothing and returns ErrAlreadyExists.
-// A mutation racing in between the insert and the count is harmless:
-// aggSync is idempotent, and whichever call comes first counts it.
+// entry, then its population, model and resource list slots, its
+// cockpit-aggregate count and the instance id counter. It is the
+// single publication point shared by Instantiate, instantiate replay
+// and replaySnapshot; an id collision (replay only) inserts nothing
+// and returns ErrAlreadyExists. A mutation racing in between the
+// insert and the count is harmless: aggSync is idempotent, and
+// whichever call comes first counts it.
 func (r *Runtime) publish(in *instance) error {
 	sh := r.shardFor(in.id)
 	sh.mu.Lock()
@@ -69,99 +265,24 @@ func (r *Runtime) publish(in *instance) error {
 		return fmt.Errorf("%w: replayed existing instance %s", ErrAlreadyExists, in.id)
 	}
 	sh.instances[in.id] = in
-	if sh.insertOrdered(in) {
+	sh.mu.Unlock()
+	replaying := r.replaying.Load()
+	if r.pop.add(in, replaying) {
 		r.popOutOfOrder.Add(1)
 	}
-	sh.mu.Unlock()
 	in.mu.Lock()
-	in.modelURI = r.byModel.add(in.modelURI, in)
+	in.modelURI = r.byModel.add(in.modelURI, in, replaying)
 	r.aggSync(in)
 	in.mu.Unlock()
-	r.byRes.add(in.res.URI, in)
+	r.byRes.add(in.res.URI, in, replaying)
 	bumpAtLeast(&r.nextInst, in.seq)
 	return nil
 }
 
-// pageRefs returns up to limit instance pointers with seq > after, in
-// creation order, merged from the per-shard ordered runs. more reports
-// whether instances beyond the returned page existed at read time
-// (limit <= 0 means no bound, so more is always false). Only shard
-// read locks are taken, one stripe at a time, and at most limit+1
-// pointers are copied per stripe.
-func (r *Runtime) pageRefs(after int64, limit int) (refs []*instance, more bool) {
-	runs := make([][]*instance, 0, len(r.shards))
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		ord := sh.ordered
-		i := sort.Search(len(ord), func(i int) bool { return ord[i].seq > after })
-		if i < len(ord) {
-			end := len(ord)
-			if limit > 0 && i+limit+1 < end {
-				end = i + limit + 1
-			}
-			runs = append(runs, append([]*instance(nil), ord[i:end]...))
-		}
-		sh.mu.RUnlock()
-	}
-	if len(runs) == 0 {
-		return nil, false
-	}
-	// K-way merge by seq. Shard counts are small (16 by default), so a
-	// linear scan over the run heads beats heap bookkeeping.
-	total := 0
-	for _, run := range runs {
-		total += len(run)
-	}
-	want := total
-	if limit > 0 && limit < want {
-		want = limit
-	}
-	refs = make([]*instance, 0, want)
-	for len(refs) < want {
-		best := -1
-		for i, run := range runs {
-			if len(run) == 0 {
-				continue
-			}
-			if best < 0 || run[0].seq < runs[best][0].seq {
-				best = i
-			}
-		}
-		refs = append(refs, runs[best][0])
-		runs[best] = runs[best][1:]
-	}
-	if limit > 0 && total > limit {
-		more = true
-	}
-	return refs, more
-}
-
-// forEachRef streams instance pointers in creation order with
-// seq > after, in fixed-size batches off the population index, so the
-// full population is never materialized at once. fn returning false
-// stops the walk. Instances published while the walk is in flight may
-// or may not be seen; instances published before it started are seen
-// exactly once (see the cursor-stability test).
-func (r *Runtime) forEachRef(after int64, fn func(*instance) bool) {
-	const batch = 1024
-	for {
-		refs, more := r.pageRefs(after, batch)
-		for _, in := range refs {
-			if !fn(in) {
-				return
-			}
-		}
-		if !more {
-			return
-		}
-		after = refs[len(refs)-1].seq
-	}
-}
-
 // Filter is the pushed-down predicate of a population query: every
-// field left zero matches all instances. Resource and ModelURI route
-// the query to the secondary URI indexes (O(matches), not O(N)); every
-// field is then checked on the candidate's own fields under its lock
+// field left zero matches all instances. Resource and ModelURI pick
+// that URI's list to walk (O(matches), not O(N)); every field is then
+// checked on the candidate's own fields under its lock
 // (see matches), so no summary is built for a candidate the filter
 // rejects and no event history is touched either way.
 type Filter struct {
@@ -213,55 +334,47 @@ func (f *Filter) matches(in *instance, now time.Time) bool {
 	return true
 }
 
-// candidateRefs resolves the candidate stream of a filtered query:
-// the tail past the cursor of the matching secondary index entry when
-// the filter names a resource or model URI, in creation order; nil
-// with fromIndex=false when the query must walk the population index.
-// A model URI is swapped for the index's key string, the one the
-// instances of the entry hold, so matches compares it by pointer.
-func (r *Runtime) candidateRefs(f *Filter, after int64) (refs []*instance, fromIndex bool) {
+// listFor picks the list a query walks: the entry of the resource or
+// model URI the filter names (nil when no instance carries it), else
+// the population. A model URI is swapped for the entry's key string,
+// the one the instances of the entry hold, so matches compares it by
+// pointer.
+func (r *Runtime) listFor(f *Filter) *seqList {
 	switch {
 	case f.Resource != "":
-		refs, _ = r.byRes.after(f.Resource, after)
-		return refs, true
+		l, _ := r.byRes.get(f.Resource)
+		return l
 	case f.ModelURI != "":
-		refs, f.ModelURI = r.byModel.after(f.ModelURI, after)
-		return refs, true
+		var l *seqList
+		l, f.ModelURI = r.byModel.get(f.ModelURI)
+		return l
 	}
-	return nil, false
+	return &r.pop
 }
 
 // ForEachSummary streams the summaries of instances matching f with
 // seq > after, in creation order, calling fn for each until it returns
-// false or the population is exhausted. Queries naming a resource or
-// model URI are served from the secondary indexes (O(matches));
-// everything else streams off the population index in batches. Each
-// candidate is checked, and a summary built for a match, under its
-// instance's lock only — no population-wide lock exists, so the stream
-// is a sequence of point-in-time reads, not an atomic snapshot (same
-// contract Summaries always had).
+// false or the list is exhausted: one walk of the list listFor picks.
+// Each candidate is checked, and a summary built for a match, under
+// its instance's lock only — no population-wide lock exists, so the
+// stream is a sequence of point-in-time reads, not an atomic snapshot.
 func (r *Runtime) ForEachSummary(f Filter, after int64, fn func(Summary) bool) {
 	now := f.now(r)
-	emit := func(in *instance) bool {
-		in.mu.Lock()
-		if !f.matches(in, now) {
-			in.mu.Unlock()
-			return true
-		}
-		s := in.summary()
-		in.mu.Unlock()
-		return fn(s)
-	}
 	r.popIndexed.Add(1)
-	if refs, fromIndex := r.candidateRefs(&f, after); fromIndex {
+	for refs := range r.listFor(&f).walk(after, walkBatch) {
 		for _, in := range refs {
-			if !emit(in) {
+			in.mu.Lock()
+			if !f.matches(in, now) {
+				in.mu.Unlock()
+				continue
+			}
+			s := in.summary()
+			in.mu.Unlock()
+			if !fn(s) {
 				return
 			}
 		}
-		return
 	}
-	r.forEachRef(after, emit)
 }
 
 // QuerySummaries returns one cursor window of the summaries matching f:
@@ -273,85 +386,69 @@ func (r *Runtime) ForEachSummary(f Filter, after int64, fn func(Summary) bool) {
 // matches would cost the full walk the page exists to avoid. NextAfter
 // is the cursor of the following page, 0 at the tail.
 //
-// A query naming a URI costs O(log m) to seek the index entry, m
-// cheap field checks under each candidate's lock (m = the entry's
-// instances past the cursor, all needed for Total), and summaries for
-// the page's items only.
+// It is one walk of the list listFor picks. A query naming a URI walks
+// its entry past the cursor to the end — O(log m + m) cheap field
+// checks, m being the entry's instances past the cursor, all needed
+// for Total; any other stops at the first match past the page, which
+// proves a next page exists. Summaries are built for the page's items
+// only.
 func (r *Runtime) QuerySummaries(f Filter, after int64, limit int) SummaryPage {
 	now := f.now(r)
-	var page SummaryPage
 	r.popIndexed.Add(1)
-
-	if refs, fromIndex := r.candidateRefs(&f, after); fromIndex {
-		n := len(refs)
-		if limit > 0 && limit < n {
-			n = limit
+	l := r.listFor(&f)
+	countAll := f.Resource != "" || f.ModelURI != ""
+	var page SummaryPage
+	n := l.len()
+	if f.zero() {
+		page.Total = n
+	}
+	batch := walkBatch
+	if limit > 0 {
+		n = min(limit, n)
+		if !countAll {
+			batch = limit + 1
 		}
-		page.Summaries = make([]Summary, 0, n)
+	}
+	page.Summaries = make([]Summary, 0, n)
+	for refs := range l.walk(after, batch) {
 		for _, in := range refs {
 			in.mu.Lock()
 			if !f.matches(in, now) {
 				in.mu.Unlock()
 				continue
 			}
-			page.Total++
+			if countAll {
+				page.Total++
+			}
 			if limit <= 0 || len(page.Summaries) < limit {
 				page.Summaries = append(page.Summaries, in.summary())
 			} else if page.NextAfter == 0 {
 				page.NextAfter = page.Summaries[limit-1].Seq
+				if !countAll {
+					in.mu.Unlock()
+					return page
+				}
 			}
 			in.mu.Unlock()
 		}
-		return page
 	}
-
-	if f.zero() {
-		page.Total = r.Count()
-		refs, more := r.pageRefs(after, limit)
-		page.Summaries = make([]Summary, 0, len(refs))
-		for _, in := range refs {
-			in.mu.Lock()
-			page.Summaries = append(page.Summaries, in.summary())
-			in.mu.Unlock()
-		}
-		if more {
-			page.NextAfter = refs[len(refs)-1].seq
-		}
-		return page
-	}
-
-	// Predicate-filtered walk: stream the population index, keep
-	// matches until the page fills, then stop at the first match past
-	// it, which proves a next page exists.
-	r.forEachRef(after, func(in *instance) bool {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		if !f.matches(in, now) {
-			return true
-		}
-		if limit > 0 && len(page.Summaries) >= limit {
-			page.NextAfter = page.Summaries[limit-1].Seq
-			return false
-		}
-		page.Summaries = append(page.Summaries, in.summary())
-		return true
-	})
 	return page
 }
 
 // PopIndexStats is the population-index section of the admin runtime
 // payload.
 type PopIndexStats struct {
-	// Entries is the number of instances the ordered index holds — by
-	// construction equal to the live population.
+	// Entries is the length of the population list. It equals
+	// Stats.Instances, the shard maps' count, whenever no publish is in
+	// flight; a difference is a membership bug.
 	Entries int `json:"entries"`
-	// OutOfOrderInserts counts publishes that landed below an already-
-	// published higher seq (concurrent Instantiates racing, or replay
-	// interleaving snapshots with tail records) and so paid a shuffle
-	// instead of an append.
+	// OutOfOrderInserts counts population adds that landed below an
+	// already-published higher seq: concurrent Instantiates racing
+	// (inserted at their slot), or replay interleaving snapshots with
+	// tail records (appended, then sorted once by FinishRecovery).
 	OutOfOrderInserts int64 `json:"out_of_order_inserts"`
-	// IndexedQueries counts population queries served from the ordered
-	// index or a secondary URI index — every population query is.
+	// IndexedQueries counts population queries, each one walk of the
+	// population list or of a URI's list.
 	IndexedQueries int64 `json:"indexed_queries"`
 	// ScanQueries is always 0: no population query scans the instance
 	// table any more. The field stays because benchmark reports read

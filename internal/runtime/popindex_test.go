@@ -46,6 +46,26 @@ func popRef(i int) resource.Ref {
 	return resource.Ref{URI: fmt.Sprintf("urn:pop:res-%d", i%5), Type: "doc"}
 }
 
+// snapshots returns full snapshots of the instances matching f, in
+// creation order: the summaries ForEachSummary streams, each resolved
+// through Instance.
+func snapshots(rt *Runtime, f Filter) []Snapshot {
+	var out []Snapshot
+	rt.ForEachSummary(f, 0, func(s Summary) bool {
+		if snap, ok := rt.Instance(s.ID); ok {
+			out = append(out, snap)
+		}
+		return true
+	})
+	return out
+}
+
+// summaries returns the summary of every instance in creation order,
+// one unbounded page.
+func summaries(rt *Runtime) []Summary {
+	return rt.QuerySummaries(Filter{}, 0, 0).Summaries
+}
+
 // collectAll gathers every instance pointer, sorted by creation order,
 // by copying and re-sorting the full instance table — the ground truth
 // the population index is checked against.
@@ -62,23 +82,69 @@ func (r *Runtime) collectAll() []*instance {
 	return all
 }
 
-// assertIndexMatchesCollectAll compares the population index against
-// the collectAll ground truth: same length, same instances, same order.
+// walked collects l by walking it from the start in single-pointer
+// first steps, so every batch boundary up to walkBatch is crossed.
+func walked(l *seqList) []*instance {
+	var out []*instance
+	for refs := range l.walk(0, 1) {
+		out = append(out, refs...)
+	}
+	return out
+}
+
+// assertSameList compares one walked list against its ground truth:
+// same length, same instances, same order.
+func assertSameList(t *testing.T, name string, got, ground []*instance) {
+	t.Helper()
+	if len(got) != len(ground) {
+		t.Fatalf("%s holds %d instances, collectAll %d", name, len(got), len(ground))
+	}
+	for i := range ground {
+		if got[i] != ground[i] {
+			t.Fatalf("%s[%d] = %s (seq %d), collectAll[%d] = %s (seq %d)",
+				name, i, got[i].id, got[i].seq, i, ground[i].id, ground[i].seq)
+		}
+	}
+}
+
+// assertIndexMatchesCollectAll walks every creation-ordered list — the
+// population, each resource URI's and each model URI's — and compares
+// it against the collectAll ground truth, grouped by the instance's
+// resource and model URI for the URI lists: same membership, same
+// order, and no URI list without instances.
 func assertIndexMatchesCollectAll(t *testing.T, rt *Runtime) {
 	t.Helper()
 	ground := rt.collectAll()
-	refs, more := rt.pageRefs(0, 0)
-	if more {
-		t.Fatalf("unbounded pageRefs reported more")
+	assertSameList(t, "population", walked(&rt.pop), ground)
+	byRes := make(map[string][]*instance)
+	byModel := make(map[string][]*instance)
+	for _, in := range ground {
+		in.mu.Lock()
+		byRes[in.res.URI] = append(byRes[in.res.URI], in)
+		byModel[in.modelURI] = append(byModel[in.modelURI], in)
+		in.mu.Unlock()
 	}
-	if len(refs) != len(ground) {
-		t.Fatalf("index holds %d instances, collectAll %d", len(refs), len(ground))
-	}
-	for i := range ground {
-		if refs[i] != ground[i] {
-			t.Fatalf("index[%d] = %s (seq %d), collectAll[%d] = %s (seq %d)",
-				i, refs[i].id, refs[i].seq, i, ground[i].id, ground[i].seq)
+	for name, ix := range map[string]struct {
+		ix    *uriIndex
+		group map[string][]*instance
+	}{"resource": {rt.byRes, byRes}, "model": {rt.byModel, byModel}} {
+		if got := ix.ix.keys(); got != len(ix.group) {
+			t.Fatalf("%s index holds %d URIs, collectAll %d", name, got, len(ix.group))
 		}
+		for uri, want := range ix.group {
+			l, _ := ix.ix.get(uri)
+			assertSameList(t, name+" "+uri, walked(l), want)
+		}
+	}
+}
+
+// assertEntriesMatchInstances checks the admin stats' membership
+// cross-check: the population list's length against the shard maps'
+// count.
+func assertEntriesMatchInstances(t *testing.T, rt *Runtime) {
+	t.Helper()
+	if st := rt.RuntimeStats(); st.PopulationIndex.Entries != st.Instances {
+		t.Fatalf("population_index.entries = %d, instances = %d", st.PopulationIndex.Entries, st.Instances)
 	}
 }
 
@@ -198,6 +264,7 @@ func TestPopulationIndexStress(t *testing.T) {
 	if got := rt.RuntimeStats().PopulationIndex.Entries; got != creators*perCreator {
 		t.Fatalf("index entries = %d, want %d", got, creators*perCreator)
 	}
+	assertEntriesMatchInstances(t, rt)
 
 	// Replay everything into a fresh runtime: the index must be rebuilt
 	// as a side effect of replay and agree with its own ground truth
@@ -205,8 +272,9 @@ func TestPopulationIndexStress(t *testing.T) {
 	rt2 := popRuntime(t, Config{})
 	sink.replayInto(t, rt2)
 	assertIndexMatchesCollectAll(t, rt2)
-	want := rt.Summaries()
-	got := rt2.Summaries()
+	assertEntriesMatchInstances(t, rt2)
+	want := summaries(rt)
+	got := summaries(rt2)
 	if len(want) != len(got) {
 		t.Fatalf("replayed population = %d, want %d", len(got), len(want))
 	}
@@ -246,7 +314,7 @@ func TestPopulationIndexReplayFromSnapshots(t *testing.T) {
 	}
 	rt2.FinishRecovery()
 	assertIndexMatchesCollectAll(t, rt2)
-	if got, want := len(rt2.Summaries()), 40; got != want {
+	if got, want := len(summaries(rt2)), 40; got != want {
 		t.Fatalf("replayed population = %d, want %d", got, want)
 	}
 }
@@ -421,7 +489,7 @@ func summaryMatches(f Filter, s *Summary, now time.Time) bool {
 // filter of the collectAll population: the items in creation order,
 // Total as SummaryPage defines it, and NextAfter. The empty filter —
 // the unfiltered population page — is always checked first, ahead of
-// filters. ForEachSummary and ByResource/ByModelURI are checked against
+// filters. ForEachSummary, ByResource and the model's snapshots are checked against
 // the same oracle, and no query may have scanned the instance table.
 // Filters with LateOnly must carry their Now. Returns the unbounded
 // result of each filter at cursor 0, the empty filter first, for
@@ -500,7 +568,7 @@ func assertQueriesMatchBruteForce(t *testing.T, rt *Runtime, filters []Filter) [
 		case f.Resource != "" && f.ModelURI == "":
 			by = rt.ByResource
 		case f.ModelURI != "" && f.Resource == "":
-			by = rt.ByModelURI
+			by = func(uri string) []Snapshot { return snapshots(rt, Filter{ModelURI: uri}) }
 		default:
 			continue
 		}

@@ -316,7 +316,7 @@ func TestTruncationPreservesAggregates(t *testing.T) {
 			}
 		}
 		e.rt.WaitDispatch()
-		sums := e.rt.Summaries()
+		sums := summaries(e.rt)
 		// Blank the truncation-dependent field; everything else must be
 		// identical across runs.
 		for i := range sums {

@@ -30,16 +30,18 @@
 //     Advance/Annotate/Report on different instances share no lock at
 //     all.
 //
-//   - Index locks. Secondary indexes — resource URI → instances,
-//     model URI → instances, invocation id → instance — are themselves
-//     striped with their own RWMutexes, so ByResource/ByModelURI and
-//     callback routing are O(matches), not O(all instances).
+//   - Index locks. The creation-ordered lists — the population, each
+//     resource URI's and each model URI's (popindex.go) — carry their
+//     own RWMutexes, the URI maps are striped, and so is the
+//     invocation id → instance index, so a filtered page, ByResource
+//     and callback routing are O(matches), not O(all instances).
 //
 // Lock order: an instance lock may be acquired while holding no other
 // lock, and index locks may be acquired while holding an instance
 // lock. Shard and index locks are leaves with respect to each other —
 // no code path holds two of them at once except the read-only Stats
-// walk, and none acquires an instance lock while holding a shard lock.
+// walk and a URI stripe's lock held over one of its lists' — and none
+// acquires an instance lock while holding a shard or index lock.
 // The cockpit aggregate's mutex is a leaf too: taken under an instance
 // lock or alone, never held while acquiring another (aggregate.go).
 // Monotonic counters (instance ids, invocation ids) are atomics.
@@ -53,7 +55,7 @@
 // steps, pending invocations, total events) under the instance lock, so
 // the cheap projections never rescan history:
 //
-//   - Summary / Summaries: O(phases) per instance — counters, token
+//   - Summary / QuerySummaries: O(phases) per instance — counters, token
 //     position and the current phase's resolved due date, with no event
 //     slice, no execution slice and no model copy. The monitoring
 //     cockpit's Overview and Late views stream summaries, so they cost
@@ -69,39 +71,36 @@
 //     that call appended — the copy-free response mode of the HTTP tier.
 //   - Events: a paged window of one instance's history, copying only
 //     the requested page (archived pages are read back from disk).
-//   - Count / RuntimeStats: shard-membership reads only.
+//   - Count: the population list's length. RuntimeStats: shard and
+//     index membership reads only.
 //
-// Snapshot / Instances still deep-copy the full event and execution
+// Instance and ByResource still deep-copy the full event and execution
 // history plus bindings; they remain the right call for audit views and
 // tests, not for per-request or per-population hot paths.
 //
 // # Population index
 //
-// Every population listing — Summaries, QuerySummaries,
-// ForEachSummary, Instances, the monitor's cockpit rebuild — is served
-// from an incrementally maintained ordered index instead of a
-// copy-and-sort scan. Each shard keeps a slice of its instance
-// pointers sorted by creation seq, guarded by the same shard
-// membership lock as the map and updated at the three publication
-// sites: Instantiate, instantiate replay and snapshot replay (so a
-// restart rebuilds the index as a side effect of replay, with no
-// separate pass). Instances are never removed, so the index only
-// grows. Reads seek each shard's slice to the cursor with a binary
-// search and k-way merge the per-shard runs by seq: a page costs
-// O(shards·(log N/shards + page)) and streaming walks touch one batch
-// of pointers at a time — the full population is never materialized or
-// re-sorted per call. Because the creation seq is allocated before
-// publication, concurrent Instantiates may publish out of order;
-// inserts handle that with a from-the-tail binary search (the in-order
-// common case stays an amortized O(1) append) and the admin stats
-// count the out-of-order shuffles. Filtered queries (Filter) push
-// resource/model URIs down to the secondary indexes, whose entries are
-// kept in creation order too: a filtered page seeks the entry to the
-// cursor in O(log m), checks the filter on each of the m candidates
-// past it under that instance's lock (cheap field reads, needed for
-// the page's Total), and builds summaries for the page's items only —
-// O(log m + m + page) rather than sorting the entry and summarizing
-// every candidate. See popindex.go.
+// Every population read — QuerySummaries, ForEachSummary, the
+// monitor's cockpit rebuild, PropagateChange, ByResource, snapshot
+// folding — walks one creation-ordered list (seqList): the population
+// list, or the list of the resource or model URI a filter names.
+// Instances enter the lists at the three publication sites —
+// Instantiate, instantiate replay and snapshot replay — so a restart
+// rebuilds them as a side effect of replay, with no separate pass; a
+// model switch moves an instance between model lists. One ordering
+// rule serves every list: because the creation seq is allocated before
+// publication, adds may land below the tail; a live add inserts at its
+// slot by binary search (the in-order common case stays an amortized
+// O(1) append), while an add during replay appends and FinishRecovery
+// sorts each list that got an out-of-order add, once. Readers never
+// sort and never take a write lock. A walk seeks the cursor by binary
+// search and copies a bounded batch of pointers under the list's read
+// lock, then checks the filter under each instance's own lock and
+// builds summaries for the page's items only: an unfiltered page costs
+// O(log N + page), a filtered one O(log m + m + page) for the m
+// instances of its URI past the cursor (all needed for the page's
+// Total). The admin stats count population adds that landed below the
+// tail. See popindex.go.
 //
 // # History truncation
 //
@@ -197,7 +196,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -287,143 +285,11 @@ type Config struct {
 }
 
 // shard is one stripe of the instance table. Its lock guards only
-// membership — the id→instance map and the seq-ordered slice mirroring
-// it (the population index, see popindex.go); instance state is guarded
-// by each instance's own mutex.
+// membership — the id→instance map; instance state is guarded by each
+// instance's own mutex.
 type shard struct {
 	mu        sync.RWMutex
 	instances map[string]*instance
-	// ordered mirrors instances sorted by creation seq; maintained by
-	// insertOrdered at every publish site, never shrunk (instances are
-	// never removed).
-	ordered []*instance
-}
-
-// uriIndex is a striped secondary index from a URI to the instances
-// carrying it. Entries hold instance pointers so queries never re-hit
-// the instance table, and are kept in creation-seq order so a cursor
-// seeks them by binary search (see uriEntry).
-type uriIndex struct {
-	shards []*uriIndexShard
-}
-
-type uriIndexShard struct {
-	mu sync.RWMutex
-	m  map[string]*uriEntry
-}
-
-// uriEntry is one URI's instances. add only appends, so replaying a
-// snapshot in any order costs O(1) per instance; an add below the
-// tail's seq (a model switch, racing Instantiates, replay of an
-// unordered file) marks the entry unsorted, and the next reader sorts
-// it once under the stripe's write lock. seq is immutable, so sorting
-// needs no instance lock. key is the URI string the entry was created
-// with: add hands it back, so callers can keep one copy per URI and
-// compare it by pointer.
-type uriEntry struct {
-	key      string
-	list     []*instance
-	unsorted bool
-}
-
-func newURIIndex(n int) *uriIndex {
-	ix := &uriIndex{shards: make([]*uriIndexShard, n)}
-	for i := range ix.shards {
-		ix.shards[i] = &uriIndexShard{m: make(map[string]*uriEntry)}
-	}
-	return ix
-}
-
-func (ix *uriIndex) shardFor(uri string) *uriIndexShard {
-	return ix.shards[shardkey.Index(uri, len(ix.shards))]
-}
-
-// add appends in under uri and returns the entry's key string.
-func (ix *uriIndex) add(uri string, in *instance) string {
-	sh := ix.shardFor(uri)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.m[uri]
-	if e == nil {
-		e = &uriEntry{key: uri}
-		sh.m[uri] = e
-	}
-	if n := len(e.list); n > 0 && e.list[n-1].seq > in.seq {
-		e.unsorted = true
-	}
-	e.list = append(e.list, in)
-	return e.key
-}
-
-// remove drops in from uri's entry (used when an owner switches the
-// model an instance follows). Deleting keeps the rest in order.
-func (ix *uriIndex) remove(uri string, in *instance) {
-	sh := ix.shardFor(uri)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.m[uri]
-	if e == nil {
-		return
-	}
-	i := slices.Index(e.list, in)
-	if i < 0 {
-		return
-	}
-	e.list = slices.Delete(e.list, i, i+1)
-	if len(e.list) == 0 {
-		delete(sh.m, uri)
-	}
-}
-
-// search returns the position of the first instance with seq > after
-// in a sorted entry.
-func (e *uriEntry) search(after int64) int {
-	return sort.Search(len(e.list), func(i int) bool { return e.list[i].seq > after })
-}
-
-// after returns a copy of the tail of uri's entry past the cursor, in
-// creation order, so callers take instance locks without the index
-// lock (the lock order is instance → stripe), and the entry's key
-// string (uri itself when there is no entry). An unsorted entry is
-// sorted first, once, under the write lock.
-func (ix *uriIndex) after(uri string, after int64) ([]*instance, string) {
-	sh := ix.shardFor(uri)
-	sh.mu.RLock()
-	e := sh.m[uri]
-	if e == nil || !e.unsorted {
-		out, key := e.tail(uri, after)
-		sh.mu.RUnlock()
-		return out, key
-	}
-	sh.mu.RUnlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e = sh.m[uri]
-	if e != nil && e.unsorted {
-		sortBySeq(e.list)
-		e.unsorted = false
-	}
-	return e.tail(uri, after)
-}
-
-// tail copies a sorted entry's instances with seq > after and returns
-// them with the entry's key (uri when e is nil).
-func (e *uriEntry) tail(uri string, after int64) ([]*instance, string) {
-	if e == nil {
-		return nil, uri
-	}
-	return slices.Clone(e.list[e.search(after):]), e.key
-}
-
-// keys counts distinct URIs across stripes.
-func (ix *uriIndex) keys() int {
-	n := 0
-	for _, sh := range ix.shards {
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // invShard is one stripe of the invocation-id → instance index that
@@ -451,6 +317,7 @@ type Runtime struct {
 
 	shards  []*shard    // instance id → stripe
 	inv     []*invShard // invocation id → instance, for callback routing
+	pop     seqList     // every instance, in creation order (popindex.go)
 	byRes   *uriIndex   // resource URI → instances
 	byModel *uriIndex   // model URI → instances (provenance)
 	models  *modelTable // shared model versions (models.go)
@@ -474,8 +341,11 @@ type Runtime struct {
 	invGCed         atomic.Int64 // invocation-index entries garbage-collected
 
 	// Population-index counters (see popindex.go).
-	popOutOfOrder atomic.Int64 // ordered inserts that were not appends
-	popIndexed    atomic.Int64 // population queries served from indexes
+	popOutOfOrder atomic.Int64 // population adds that landed below the tail
+	popIndexed    atomic.Int64 // population queries, one list walk each
+	// replaying is set by the first ApplyJournal and cleared by
+	// FinishRecovery: while it is set, list adds append (popindex.go).
+	replaying atomic.Bool
 
 	// agg is the cockpit aggregate behind Aggregate (see aggregate.go).
 	agg *aggregate
@@ -841,53 +711,9 @@ func (r *Runtime) Summary(id string) (Summary, bool) {
 	return sum, true
 }
 
-// Count reports the live instance population — the sum of shard sizes,
-// with no instance lock and no copying.
-func (r *Runtime) Count() int {
-	n := 0
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		n += len(sh.instances)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// sortBySeq orders instances by creation sequence; seq is immutable so
-// no lock is needed.
-func sortBySeq(list []*instance) {
-	sort.Slice(list, func(i, j int) bool { return list[i].seq < list[j].seq })
-}
-
-// Instances returns full snapshots of every instance in creation
-// order, streamed off the population index. Each deep copy is made
-// under that instance's own lock — for dashboards and list views
-// prefer Summaries, which skips the event and execution histories.
-func (r *Runtime) Instances() []Snapshot {
-	out := make([]Snapshot, 0, r.Count())
-	r.forEachRef(0, func(in *instance) bool {
-		in.mu.Lock()
-		out = append(out, in.snapshot())
-		in.mu.Unlock()
-		return true
-	})
-	return out
-}
-
-// Summaries returns a lightweight view of every instance in creation
-// order: identity, token position, state and resource — no event
-// history, no executions, no model copy. This is the cheap path for
-// list endpoints and cockpit overviews over large populations; it
-// streams off the population index without a full pointer copy or
-// re-sort.
-func (r *Runtime) Summaries() []Summary {
-	out := make([]Summary, 0, r.Count())
-	r.ForEachSummary(Filter{}, 0, func(s Summary) bool {
-		out = append(out, s)
-		return true
-	})
-	return out
-}
+// Count reports the live instance population: the population list's
+// length, with no instance lock and no copying.
+func (r *Runtime) Count() int { return r.pop.len() }
 
 // SummaryPage is one cursor window of the population's summary view,
 // mirroring the per-instance timeline paging: summaries in creation
@@ -942,35 +768,22 @@ func (r *Runtime) PhaseStats(id string, now time.Time) (map[string]PhaseStat, bo
 	return out, true
 }
 
-// byIndexedURI snapshots the instances matching f, which names a
-// resource or model URI, in creation order. The filter is re-checked
-// under each instance's lock: the model index mutates on
-// owner-initiated switches.
-func (r *Runtime) byIndexedURI(f Filter) []Snapshot {
-	refs, _ := r.candidateRefs(&f, 0)
+// ByResource returns snapshots of every instance running on the given
+// URI, in creation order — several lifecycles on one URI are
+// explicitly legal (§IV.B). One walk of the resource's list:
+// O(matches), not O(instances). An instance's resource never changes,
+// so no candidate is re-checked.
+func (r *Runtime) ByResource(uri string) []Snapshot {
+	l, _ := r.byRes.get(uri)
 	var out []Snapshot
-	for _, in := range refs {
-		in.mu.Lock()
-		if f.matches(in, time.Time{}) {
+	for refs := range l.walk(0, walkBatch) {
+		for _, in := range refs {
+			in.mu.Lock()
 			out = append(out, in.snapshot())
+			in.mu.Unlock()
 		}
-		in.mu.Unlock()
 	}
 	return out
-}
-
-// ByResource returns snapshots of every instance running on the given
-// URI — several lifecycles on one URI are explicitly legal (§IV.B).
-// Served from the resource index: O(matches), not O(instances).
-func (r *Runtime) ByResource(uri string) []Snapshot {
-	return r.byIndexedURI(Filter{Resource: uri})
-}
-
-// ByModelURI returns snapshots of instances created from the model with
-// the given URI (provenance pointer; the instances own their copies).
-// Served from the model index: O(matches), not O(instances).
-func (r *Runtime) ByModelURI(uri string) []Snapshot {
-	return r.byIndexedURI(Filter{ModelURI: uri})
 }
 
 // Annotate attaches a free-form note to the instance history.
@@ -1076,8 +889,8 @@ type Stats struct {
 	// (spilled, then archived by folds).
 	EventsInMemory  int64 `json:"events_in_memory"`
 	EventsTruncated int64 `json:"events_truncated"`
-	// PopulationIndex reports the ordered index behind every population
-	// listing (see popindex.go).
+	// PopulationIndex reports the creation-ordered lists behind every
+	// population read (see popindex.go).
 	PopulationIndex PopIndexStats `json:"population_index"`
 	// Persistence reports the durability seam: write-through counters
 	// and what the last replay recovered.
@@ -1120,7 +933,7 @@ func (r *Runtime) RuntimeStats() Stats {
 	st.ModelKeys = r.byModel.keys()
 	st.Models = r.models.stats()
 	st.PopulationIndex = PopIndexStats{
-		Entries:           st.Instances,
+		Entries:           r.pop.len(),
 		OutOfOrderInserts: r.popOutOfOrder.Load(),
 		IndexedQueries:    r.popIndexed.Load(),
 	}

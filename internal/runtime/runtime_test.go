@@ -625,10 +625,10 @@ func TestMultipleInstancesSameURI(t *testing.T) {
 	if ga.Current == gb.Current {
 		t.Fatal("instances share token state")
 	}
-	if got := e.rt.ByModelURI("urn:gelee:models:eu-deliverable"); len(got) != 2 {
-		t.Fatalf("ByModelURI = %d", len(got))
+	if got := snapshots(e.rt, Filter{ModelURI: "urn:gelee:models:eu-deliverable"}); len(got) != 2 {
+		t.Fatalf("instances of model = %d", len(got))
 	}
-	if got := e.rt.Instances(); len(got) != 2 {
+	if got := snapshots(e.rt, Filter{}); len(got) != 2 {
 		t.Fatalf("Instances = %d", len(got))
 	}
 }

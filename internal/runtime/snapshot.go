@@ -73,21 +73,21 @@ func (r *Runtime) EmitSnapshots(w SnapshotWriter) (installed func(), err error) 
 	}
 	// Walk in creation order, so the snapshot file replays as nearly
 	// in-order appends to the population and URI indexes.
-	r.forEachRef(0, func(in *instance) bool {
-		in.mu.Lock()
-		data, e := snapshotRecord(in, archived[in], fold).Encode()
-		if e == nil {
-			e = w.Emit(in.id, data)
+	for refs := range r.pop.walk(0, walkBatch) {
+		for _, in := range refs {
+			in.mu.Lock()
+			data, err := snapshotRecord(in, archived[in], fold).Encode()
+			if err == nil {
+				err = w.Emit(in.id, data)
+			}
+			in.mu.Unlock()
+			if err != nil {
+				return nil, fmt.Errorf("runtime: snapshot %s: %w", in.id, err)
+			}
 		}
-		in.mu.Unlock()
-		if e != nil {
-			err = fmt.Errorf("runtime: snapshot %s: %w", in.id, e)
-			return false
-		}
-		return true
-	})
-	if err != nil || len(archived) == 0 {
-		return nil, err
+	}
+	if len(archived) == 0 {
+		return nil, nil
 	}
 	return func() {
 		for in, b := range archived {
@@ -119,16 +119,17 @@ func (r *Runtime) archiveSpills() (map[*instance]spillBatch, error) {
 	out := make(map[*instance]spillBatch)
 	var order []*instance // creation order, the archive's batch order
 	var data [][]byte
-	r.forEachRef(0, func(in *instance) bool {
-		in.mu.Lock()
-		if n := len(in.spill); n > 0 {
-			order = append(order, in)
-			data = append(data, encodeEvents(in.spill))
-			out[in] = spillBatch{n: n, ref: HistoryRef{From: in.spill[0].Seq, To: in.spill[n-1].Seq}}
+	for refs := range r.pop.walk(0, walkBatch) {
+		for _, in := range refs {
+			in.mu.Lock()
+			if n := len(in.spill); n > 0 {
+				order = append(order, in)
+				data = append(data, encodeEvents(in.spill))
+				out[in] = spillBatch{n: n, ref: HistoryRef{From: in.spill[0].Seq, To: in.spill[n-1].Seq}}
+			}
+			in.mu.Unlock()
 		}
-		in.mu.Unlock()
-		return true
-	})
+	}
 	if len(order) == 0 {
 		return nil, nil
 	}

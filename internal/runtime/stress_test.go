@@ -156,10 +156,10 @@ func TestStressConcurrentMutations(t *testing.T) {
 					return
 				default:
 				}
-				rt.Instances()
-				rt.Summaries()
+				snapshots(rt, Filter{})
+				summaries(rt)
 				rt.ByResource(fmt.Sprintf("urn:stress:res-%d", j%sharedURIs))
-				rt.ByModelURI("urn:stress:model")
+				snapshots(rt, Filter{ModelURI: "urn:stress:model"})
 				rt.RuntimeStats()
 				id := ids[j%workers][j%perWorker]
 				if _, ok := rt.Instance(id); !ok {
@@ -187,7 +187,7 @@ func TestStressConcurrentMutations(t *testing.T) {
 	// the full history — the acceptance check that concurrent
 	// Advance/Report/Annotate across shards never desynchronizes the
 	// copy-free read path from the audit record.
-	snaps := rt.Instances()
+	snaps := snapshots(rt, Filter{})
 	if len(snaps) != workers*perWorker {
 		t.Fatalf("instances = %d, want %d", len(snaps), workers*perWorker)
 	}
@@ -248,8 +248,8 @@ func TestStressConcurrentMutations(t *testing.T) {
 			}
 		}
 	}
-	if got := rt.ByModelURI("urn:stress:model"); len(got) != workers*perWorker {
-		t.Fatalf("ByModelURI = %d, want %d", len(got), workers*perWorker)
+	if got := snapshots(rt, Filter{ModelURI: "urn:stress:model"}); len(got) != workers*perWorker {
+		t.Fatalf("instances of model = %d, want %d", len(got), workers*perWorker)
 	}
 	st := rt.RuntimeStats()
 	if st.Instances != workers*perWorker {
@@ -288,8 +288,8 @@ func TestSummariesMatchInstances(t *testing.T) {
 			}
 		}
 	}
-	snaps := rt.Instances()
-	sums := rt.Summaries()
+	snaps := snapshots(rt, Filter{})
+	sums := summaries(rt)
 	if len(snaps) != len(sums) {
 		t.Fatalf("len mismatch: %d vs %d", len(snaps), len(sums))
 	}

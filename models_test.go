@@ -507,7 +507,7 @@ func TestModelTableConcurrentFolds(t *testing.T) {
 	want := snapshotJSON(t, sys)
 	models := func(sys *System) []string {
 		var out []string
-		for _, snap := range sys.Instances() {
+		for _, snap := range allInstances(sys) {
 			out = append(out, string(mustMarshal(t, snap.Model)))
 		}
 		return out

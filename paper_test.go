@@ -188,7 +188,7 @@ func TestE8LiquidPubCockpit(t *testing.T) {
 	var active, completed int
 	byPhase := map[string]int{}
 	lateIDs := map[string]bool{}
-	for _, s := range sys.Instances() {
+	for _, s := range allInstances(sys) {
 		switch s.State {
 		case runtime.StateActive:
 			active++

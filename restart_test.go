@@ -81,7 +81,7 @@ func seedWorkload(t testing.TB, sys *System) []string {
 func snapshotJSON(t testing.TB, sys *System) []string {
 	t.Helper()
 	var out []string
-	for _, snap := range sys.Instances() {
+	for _, snap := range allInstances(sys) {
 		data, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestInstanceRecoveryAcrossRestart(t *testing.T) {
 		t.Fatalf("no late instance before restart: %+v", wantCockpit)
 	}
 	want := snapshotJSON(t, sys)
-	wantSums, err := json.Marshal(sys.Summaries())
+	wantSums, err := json.Marshal(allSummaries(sys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestInstanceRecoveryAcrossRestart(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("instances diverged after restart:\nbefore %v\nafter  %v", want, got)
 	}
-	gotSums, err := json.Marshal(sys2.Summaries())
+	gotSums, err := json.Marshal(allSummaries(sys2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestSummariesPageCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := sys.Summaries()
+	all := allSummaries(sys)
 	var walked []string
 	var after int64
 	pages := 0

@@ -206,7 +206,7 @@ func TestCompactDuringLiveAdvances(t *testing.T) {
 		t.Fatalf("execution log %d entries after restart, want %d (fold dropped or doubled history)", got, wantLog)
 	}
 	var sums []Summary
-	data, _ := json.Marshal(sys2.Summaries())
+	data, _ := json.Marshal(allSummaries(sys2))
 	if err := json.Unmarshal(data, &sums); err != nil || len(sums) != len(ids) {
 		t.Fatalf("summaries after restart: %d, want %d", len(sums), len(ids))
 	}
